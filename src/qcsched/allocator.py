@@ -42,11 +42,12 @@ class Multipliers:
         tgt = np.asarray(self.targets, dtype=float)
         if not (lam.shape == mu.shape == tgt.shape) or lam.ndim != 1:
             raise ValueError("lambda_r, mu, targets must share shape (M,)")
-        if np.any(lam < 0) or not np.all(np.isfinite(lam)):
+        # array methods: this runs once per online block
+        if (lam < 0).any() or not np.isfinite(lam).all():
             raise ValueError("lambda_r must be finite and nonnegative")
-        if np.any(mu <= 0):
+        if (mu <= 0).any():
             raise ValueError("mu must be strictly positive")
-        if np.any(tgt < 0):
+        if (tgt < 0).any():
             raise ValueError("targets must be nonnegative")
         object.__setattr__(self, "lambda_r", lam)
         object.__setattr__(self, "mu", mu)
@@ -62,25 +63,52 @@ class Multipliers:
 
 @dataclass(frozen=True)
 class StaticTables:
-    """λ-independent per-region data, cached across multiplier updates."""
+    """λ-independent per-cell data, cached across multiplier updates.
 
-    ctx: RegionContext
-    coeff: np.ndarray | None        # c with Υ = c(2^x-1), or None (ergodic)
-    updot_zero: np.ndarray          # Υ̇(0) per region
-    outage: np.ndarray              # bool mask
+    Arrays are shaped (M, ...): (M, K, L) for every region of a grid, (M, K)
+    for the cells one fading block reads. ``coeff`` is c with Υ = c(2^x-1)
+    (+inf in outage regions); families without that shape (ergodic) have
+    ``coeff`` None and carry the regions' ``ctx`` instead.
+    """
+
+    ctx: RegionContext | None
+    coeff: np.ndarray | None
 
 
 def make_static(grid: QuantizerGrid, model: PowerRate) -> StaticTables:
     ctx = region_contexts(grid)
     coeff = model.linear_coeff(ctx)
-    return StaticTables(ctx=ctx, coeff=coeff,
-                        updot_zero=model.marginal_at_zero(ctx),
-                        outage=model.is_outage(ctx))
+    return StaticTables(ctx=ctx if coeff is None else None, coeff=coeff)
+
+
+def take_regions(table: np.ndarray, j0) -> np.ndarray:
+    """table[m, k, j0[..., m, k]] for an (M, K, L) table and 0-based region
+    indices j0 of shape (..., M, K); the result has j0's shape."""
+    M, K, L = table.shape
+    if np.shape(j0)[-2:] != (M, K) or np.min(j0) < 0 or np.max(j0) >= L:
+        raise IndexError("region indices must be in range, shape (..., M, K)")
+    cell = np.arange(0, M * K * L, L).reshape(M, K)
+    return np.ravel(table).take(cell + j0)
+
+
+def block_statics(static: StaticTables, j0) -> list:
+    """The static data of each block's cells, one (M, K) StaticTables per
+    block of the 0-based Q-CSI stack j0 (N, M, K). Gathers once for all N."""
+    if static.coeff is not None:
+        return [StaticTables(ctx=None, coeff=c)
+                for c in take_regions(static.coeff, j0)]
+    ctx = static.ctx
+    q_lo = take_regions(ctx.q_lo, j0)
+    q_hi = take_regions(ctx.q_hi, j0)
+    g = ctx.mean_gain[:, :, 0]
+    return [StaticTables(ctx=RegionContext(lo, hi, g), coeff=None)
+            for lo, hi in zip(q_lo, q_hi)]
 
 
 @dataclass(frozen=True)
 class RateCostTables:
-    """Per-region optimal rates/powers/costs for one λ. Shapes (M, K, L)."""
+    """Per-cell optimal rates/powers/costs for one λ; shapes follow the
+    StaticTables they were built from, (M, K, L) or (M, K)."""
 
     rate: np.ndarray
     power: np.ndarray               # Υ(R*), unweighted
@@ -95,25 +123,30 @@ class RateCostTables:
 def build_tables(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
                  rate_cap: float = DEFAULT_RATE_CAP,
                  static: StaticTables | None = None) -> RateCostTables:
-    """Evaluate R*, Υ(R*) and C_W on every region for the given λ."""
+    """Evaluate R*, Υ(R*) and C_W on every cell of ``static`` for the given λ.
+
+    ``static`` defaults to every region of the grid, giving (M, K, L)
+    tables; the (M, K) static data of one block's cells (block_statics)
+    gives that block's tables alone.
+    """
     if static is None:
         static = make_static(grid, model)
-    lam = mult.lambda_r[:, None, None]
-    mu = mult.mu[:, None, None]
+    data = static.coeff if static.coeff is not None else static.ctx.q_lo
+    user_axis = (-1,) + (1,) * (data.ndim - 1)
+    lam = mult.lambda_r.reshape(user_axis)
+    mu = mult.mu.reshape(user_axis)
     t = lam / mu
     if static.coeff is not None:
         c = static.coeff
+        # outage cells: c = +inf times rate 0 is NaN, replaced by 0 below
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = t / (c * _LN2)
-        rate = np.where(ratio > 1.0, np.log2(np.maximum(ratio, 1.0)), 0.0)
-        rate = np.minimum(rate, rate_cap)
-        with np.errstate(invalid="ignore"):
+            rate = np.where(ratio > 1.0, np.log2(np.maximum(ratio, 1.0)), 0.0)
+            rate = np.minimum(rate, rate_cap)
             power = c * _pow2m1(rate)
         power = np.where(rate > 0.0, power, 0.0)
     else:
-        shape = np.broadcast_shapes(static.updot_zero.shape, t.shape)
-        rate = model.inv_marginal_power(static.ctx, np.broadcast_to(t, shape),
-                                        rate_cap)
+        rate = model.inv_marginal_power(static.ctx, t, rate_cap)
         power = model.power_of_rate(static.ctx, rate)
     cost = mu * power - lam * rate          # exactly 0 wherever rate == 0
     return RateCostTables(rate=rate, power=power, cost=cost, rate_cap=rate_cap)

@@ -30,7 +30,8 @@ import numpy as np
 from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, DEFAULT_TIE_RTOL, Multipliers,
                         RateCostTables, TieInfeasibleError, build_tables,
-                        find_tie_instances, smooth_weights, solve_tie_lp)
+                        find_tie_instances, smooth_weights, solve_tie_lp,
+                        take_regions)
 from .channel import FadingModel, sample_gain_blocks
 from .dual import exact_dual
 from .powerrate import (NumericError, PowerRate, RegionContext,
@@ -203,35 +204,33 @@ def _smooth_point(setup: CompareSetup, grid: QuantizerGrid, **cfg_over):
 def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
               eps: float, fading: FadingModel, num_blocks: int,
               first_block: int = 0, rate_cap: float = DEFAULT_RATE_CAP,
-              batch: int = 8192):
+              batch: int = 1024):
     """Monte-Carlo primal evaluation at frozen multipliers.
 
     Sample-average served rates (M,) and weighted power over ``num_blocks``
-    fading blocks, batched; block streams are the same ones the online solver
+    fading blocks. The rate/cost tables are built once, since λ is frozen;
+    each batch of ``batch`` blocks is sampled and quantized at once and
+    reads only the M×K cells its Q-CSI selects, so memory grows with
+    batch·M·K, not with L. Block streams are the ones the online solver
     sees, so comparisons share random numbers.
     """
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     tables = build_tables(model, grid, mult, rate_cap)
-    M, K = grid.num_users, grid.num_channels
-    # quantize() scans all L thresholds; keep the temporary under ~2^25 cells
-    batch = max(1, min(batch,
-                       2 ** 25 // max(1, M * K * grid.regions_per_channel)))
-    midx = np.arange(M)[None, :, None]
-    kidx = np.arange(K)[None, None, :]
+    M = grid.num_users
     sum_rate = np.zeros(M)
     sum_power = 0.0
-    done = 0
-    while done < num_blocks:
+    for done in range(0, num_blocks, batch):
         n = min(batch, num_blocks - done)
         gains = sample_gain_blocks(fading, first_block + done, n)
-        j0 = quantize(grid, gains) - 1                      # (n, M, K)
-        cost = tables.cost[midx, kidx, j0].transpose(0, 2, 1)   # (n, K, M)
-        rate = tables.rate[midx, kidx, j0].transpose(0, 2, 1)
+        j0 = quantize(grid, gains) - 1                          # (n, M, K)
+        cost = take_regions(tables.cost, j0).transpose(0, 2, 1)  # (n, K, M)
+        rate = take_regions(tables.rate, j0).transpose(0, 2, 1)
         w = smooth_weights(cost, eps)
         served = (rate * w).sum(axis=1)                     # (n, M)
         sum_rate += served.sum(axis=0)
         sum_power += float((cost * w).sum()) \
             + float(served.sum(axis=0) @ mult.lambda_r)
-        done += n
     avg_rate = sum_rate / num_blocks
     avg_power = sum_power / num_blocks
     return avg_rate, avg_power
@@ -263,7 +262,8 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     Power is the best hard dual value encountered (zero duality gap makes it
     the optimal primal power); the tie LP is attempted at a widened tie
     tolerance to recover sharing weights (infeasibility is reported, not
-    fatal — it just means λ has not hit the exact tie-consistent point).
+    fatal — it just means λ has not hit the exact tie-consistent point, and
+    the row then carries the rates the hard policy serves at that λ).
     """
     if grid is None:
         grid = build_equiprobable(setup.fading, setup.regions)
@@ -296,7 +296,11 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
         row["avg_rates"] = rates
         row["tie_lp_feasible"] = True
     except TieInfeasibleError:
-        row["avg_rates"] = setup.targets.astype(float)
+        # report what the hard policy serves at best_lam (ties to the
+        # lowest user index), not the targets it was meant to meet
+        row["avg_rates"] = exact_dual(
+            setup.model, grid, mult, "hard", setup.eps, setup.rate_cap,
+            setup.enum_budget, space, static).per_user_avg_rate
         row["tie_lp_feasible"] = False
     return row
 

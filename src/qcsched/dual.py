@@ -21,7 +21,8 @@ import numpy as np
 
 from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
-                        StaticTables, build_tables, smooth_weights)
+                        StaticTables, build_tables, smooth_weights,
+                        take_regions)
 from .powerrate import PowerRate
 from .quantizer import QuantizerGrid
 
@@ -91,14 +92,15 @@ def block_allocation(tables: RateCostTables, mult: Multipliers, qcsi,
                      eps: float):
     """Smooth allocation for one realized Q-CSI matrix (M, K), 1-based.
 
+    ``tables`` either span every region, (M, K, L), and are read at
+    ``qcsi``, or were built on this block's cells alone, (M, K).
     Returns (served_rate (M,), weighted_power, served_cost).
     """
     j0 = np.asarray(qcsi, dtype=int) - 1
-    M, K = j0.shape
-    midx = np.arange(M)[:, None]
-    kidx = np.arange(K)[None, :]
-    cost = tables.cost[midx, kidx, j0].T          # (K, M)
-    rate = tables.rate[midx, kidx, j0].T
+    cost, rate = tables.cost, tables.rate
+    if cost.shape != j0.shape:
+        cost, rate = take_regions(cost, j0), take_regions(rate, j0)
+    cost, rate = cost.T, rate.T                   # (K, M)
     w = smooth_weights(cost, eps)
     served_rate = (rate * w).sum(axis=0)
     served_cost = float((cost * w).sum())

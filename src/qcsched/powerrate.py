@@ -412,17 +412,6 @@ def inv_marginal_power(model: PowerRate, ctx: RegionContext, slope,
     return model.inv_marginal_power(ctx, slope, rate_cap)
 
 
-def avg_ber_explicit_power(rate, lam: float, mu: float) -> float:
-    """Cross-check form for the average-BER family at an *optimal* rate.
-
-    At a rate r satisfying Υ̇(r) = λ/μ, every c·(2^x-1) family obeys
-    Υ(r) = (2^r - 1)·λ/(2^r·ln2·μ). Useful only as a consistency probe; it is
-    not a power-rate function away from the optimal rate.
-    """
-    x = np.asarray(rate, dtype=float)
-    return _pow2m1(x) * lam / (np.exp2(x) * _LN2 * mu)
-
-
 _FAMILIES = {
     "outage_capacity": OutageCapacity,
     "ergodic_capacity": ErgodicCapacity,

@@ -156,13 +156,26 @@ def quantize(grid: QuantizerGrid, gains: np.ndarray) -> np.ndarray:
 
     Membership is half-open, [q_l, q_{l+1}); a gain exactly at an interior
     threshold lands in the upper region.
+
+    Each gain costs ⌈log2 L⌉ threshold comparisons: a branchless binary
+    search for the last q_l ≤ g, run on every gain of the batch at once.
     """
     gains = np.asarray(gains, dtype=float)
-    if gains.shape[-2:] != grid.thresholds.shape[:2]:
+    M, K, L1 = grid.thresholds.shape
+    if gains.shape[-2:] != (M, K):
         raise ValueError("gain matrix shape does not match the grid")
-    interior = grid.thresholds[:, :, 1:-1]          # (M, K, L-1)
-    # count interior thresholds <= g; ties go up because of >=
-    return 1 + (gains[..., None] >= interior).sum(axis=-1)
+    flat = grid.thresholds.reshape(-1)
+    ladder = np.arange(0, M * K * L1, L1).reshape(M, K)    # q_1 of each cell
+    # pos is a flat threshold index; invariant: the last q_l <= g lies in
+    # [pos, pos + n), which holds at the start because q_1 = 0
+    pos = ladder + np.zeros(gains.shape, dtype=np.intp)
+    n = L1 - 1
+    while n > 1:
+        half = n // 2
+        # ties go up because of <=
+        pos += half * (flat.take(pos + half) <= gains)
+        n -= half
+    return pos - ladder + 1
 
 
 def region_prob(grid: QuantizerGrid, m: int, k: int, l: int) -> float:

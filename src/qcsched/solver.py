@@ -16,11 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantizer as qz
-from .allocator import Multipliers, StaticTables, build_tables, make_static
-from .channel import FadingModel, sample_gains
+from .allocator import (Multipliers, StaticTables, block_statics,
+                        build_tables, make_static)
+from .channel import FadingModel, sample_gain_blocks
 from .dual import block_allocation, exact_dual
 from .powerrate import PowerRate
 from .quantizer import QuantizerGrid, quantize
+
+ONLINE_CHUNK = 1024     # fading blocks sampled and quantized at once online
 
 
 @dataclass
@@ -257,8 +260,11 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
                progress=None) -> OnlineResult:
     """Stochastic per-block iteration λ̂[n+1] = [λ̂[n] + β·∂ˢ(J[n])]⁺.
 
-    Needs problem.fading; never enumerates the column space. Seeded runs are
-    bitwise reproducible.
+    Needs problem.fading; never enumerates the column space. The Q-CSI does
+    not depend on λ, so it is sampled and quantized ONLINE_CHUNK blocks at a
+    time, with each block's static data gathered once per chunk; a block
+    then evaluates R*, Υ(R*) and C_W on its own M×K cells only. Seeded runs
+    are bitwise reproducible.
     """
     if problem.fading is None:
         raise ValueError("online iteration requires problem.fading")
@@ -276,24 +282,26 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     avg_power = np.empty(num_blocks)
     csum_rate = np.zeros(M)
     csum_power = 0.0
-    for n in range(num_blocks):
-        lam_trace[n] = lam
-        gains = sample_gains(fading, n)
-        jmat = quantize(problem.grid, gains)
-        mult = problem.multipliers(lam)
-        tables = build_tables(problem.model, problem.grid, mult,
-                              problem.rate_cap, static)
-        served, wpower, _ = block_allocation(tables, mult, jmat, cfg.eps)
-        g = problem.targets - served
-        csum_rate += served
-        csum_power += wpower
-        avg_rate[n] = csum_rate / (n + 1)
-        avg_power[n] = csum_power / (n + 1)
-        rec.add(n, lam, g, avg_rate[n], avg_power[n],
-                force=(n == num_blocks - 1))
-        if progress is not None:
-            progress(n, lam, g)
-        lam = np.maximum(0.0, lam + cfg.beta * g)
+    for first in range(0, num_blocks, ONLINE_CHUNK):
+        count = min(ONLINE_CHUNK, num_blocks - first)
+        jmats = quantize(problem.grid, sample_gain_blocks(fading, first, count))
+        cells = block_statics(static, jmats - 1)
+        for n, jmat, block in zip(range(first, first + count), jmats, cells):
+            lam_trace[n] = lam
+            mult = problem.multipliers(lam)
+            tables = build_tables(problem.model, problem.grid, mult,
+                                  problem.rate_cap, block)
+            served, wpower, _ = block_allocation(tables, mult, jmat, cfg.eps)
+            g = problem.targets - served
+            csum_rate += served
+            csum_power += wpower
+            avg_rate[n] = csum_rate / (n + 1)
+            avg_power[n] = csum_power / (n + 1)
+            rec.add(n, lam, g, avg_rate[n], avg_power[n],
+                    force=(n == num_blocks - 1))
+            if progress is not None:
+                progress(n, lam, g)
+            lam = np.maximum(0.0, lam + cfg.beta * g)
     traj = rec.build("completed", False, M)
     return OnlineResult(lam_trace=lam_trace, sample_avg_rate=avg_rate,
                         sample_avg_power=avg_power, final_lambda=lam,

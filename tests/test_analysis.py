@@ -1,5 +1,7 @@
 """Overhead accounting, access realization, audits, and the scheme harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
 from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import ErgodicCapacity, OutageCapacity
 from qcsched.quantizer import EnumerationBudgetError, build_equiprobable
+from qcsched.solver import Problem, SolverConfig, run_online
 
 MODEL = OutageCapacity(outage_delta=0.0)
 
@@ -144,6 +147,36 @@ def test_mc_primal_converges_to_exact_dual():
     assert power_mc == pytest.approx(ev.avg_power, rel=0.02)
 
 
+@pytest.mark.parametrize("batch", [1, 7])
+def test_mc_primal_batch_size_only_regroups_sums(batch):
+    fading = FadingModel(np.array([[1.0, 2.0, 0.8], [0.5, 1.5, 2.5]]), seed=9)
+    grid = build_equiprobable(fading, 16)
+    mult = Multipliers(np.array([0.8, 1.1]), np.ones(2), np.array([0.5, 0.7]))
+    ref_rate, ref_power = mc_primal(MODEL, grid, mult, 0.05, fading, 300,
+                                    first_block=11)
+    rate, power = mc_primal(MODEL, grid, mult, 0.05, fading, 300,
+                            first_block=11, batch=batch)
+    np.testing.assert_allclose(rate, ref_rate, rtol=1e-12, atol=0.0)
+    assert power == pytest.approx(ref_power, rel=1e-12, abs=0.0)
+
+
+def test_online_and_mc_on_outage_grid_raise_no_runtime_warning():
+    # region 1 of every ladder is an outage region (c = +inf), where the
+    # closed form multiplies inf by a zero rate; that must stay silent
+    fading = FadingModel(np.full((3, 8), snr_db_to_mean_gain(6.0)), seed=4)
+    grid = build_equiprobable(fading, 4)
+    problem = Problem(grid=grid, model=MODEL, mu=np.ones(3),
+                      targets=np.array([1.0, 2.0, 3.0]), fading=fading)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_online(problem, SolverConfig(beta=5e-3, init=0.0), 50)
+        mult = problem.multipliers(res.final_lambda)
+        rate, power = mc_primal(MODEL, grid, mult, 0.05, fading, 200,
+                                first_block=50)
+    assert np.all(np.isfinite(res.lam_trace)) and np.isfinite(power)
+    assert np.all(np.isfinite(rate))
+
+
 # --- scheme points ----------------------------------------------------------------------
 
 def test_ra3_point_converges_and_meets_targets():
@@ -191,6 +224,21 @@ def test_ra2_within_smoothing_bound_of_ra3():
     gap = ra3["avg_power"] - ra2["avg_power"]
     assert -1e-6 <= gap <= K * setup.eps + 0.02
     assert ra2["method"] == "hard_dual_refined"
+
+
+def test_ra2_infeasible_tie_lp_reports_hard_served_rates():
+    # the tie search finds no instance at this λ, so the LP cannot move the
+    # single-winner rates onto the targets; the row must carry what the
+    # hard policy actually serves there, not the targets
+    setup = micro_setup()
+    row = ra2_point(setup)
+    assert row["tie_lp_feasible"] is False
+    grid = build_equiprobable(setup.fading, setup.regions)
+    hard = exact_dual(MODEL, grid, Multipliers(row["lambda"], setup.mu,
+                                               setup.targets), "hard",
+                      setup.eps, setup.rate_cap)
+    np.testing.assert_array_equal(row["avg_rates"], hard.per_user_avg_rate)
+    assert np.any(row["avg_rates"] != setup.targets)
 
 
 def test_ra4_random_quantizer_converges_at_matched_rates():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qcsched import quantizer as qz
 from qcsched.channel import FadingModel, sample_gain_blocks
@@ -124,6 +125,40 @@ def test_quantize_agrees_with_searchsorted_oracle():
             ref = np.searchsorted(grid.thresholds[m, k, 1:-1], gains[:, m, k],
                                   side="right") + 1
             np.testing.assert_array_equal(got[:, m, k], ref)
+
+
+def _threshold_count(grid, gains):
+    """The defining rule: 1 + the number of interior thresholds <= g."""
+    gains = np.asarray(gains, dtype=float)
+    return 1 + (gains[..., None] >= grid.thresholds[:, :, 1:-1]).sum(axis=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(L=st.integers(1, 40), ladder=st.sampled_from(["equiprobable", "random"]),
+       seed=st.integers(0, 2 ** 31),
+       gains=arrays(np.float64, (6, 2, 3),
+                    elements=st.floats(0.0, 1e300, allow_subnormal=True)))
+def test_quantize_matches_threshold_count(L, ladder, seed, gains):
+    rng = np.random.default_rng(seed)
+    model = FadingModel(rng.uniform(0.2, 5.0, size=(2, 3)), seed=0)
+    if L == 1:
+        grid = QuantizerGrid(np.tile([0.0, np.inf], (2, 3, 1)), model.mean_gain)
+    elif ladder == "random":
+        grid = build_random(model, L, (0.0, 6.0), seed=seed)
+    else:
+        grid = build_equiprobable(model, L)
+    # overwrite some gains with 0, a huge gain, an exact threshold of the
+    # gain's own ladder, or the double just below that threshold
+    thr = np.broadcast_to(grid.thresholds, (6, 2, 3, L + 1))
+    at = np.take_along_axis(thr, rng.integers(0, L, size=(6, 2, 3, 1)),
+                            axis=-1)[..., 0]
+    kind = rng.integers(0, 5, size=gains.shape)
+    gains = np.select([kind == 1, kind == 2, kind == 3, kind == 4],
+                      [at, np.nextafter(at, 0.0), 0.0, 1e300], gains)
+    got = quantize(grid, gains)
+    np.testing.assert_array_equal(got, _threshold_count(grid, gains))
+    for i in range(len(gains)):
+        np.testing.assert_array_equal(quantize(grid, gains[i]), got[i])
 
 
 # --- probabilities -------------------------------------------------------------

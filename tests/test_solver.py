@@ -5,9 +5,13 @@ import io
 import numpy as np
 import pytest
 
-from qcsched.channel import FadingModel
-from qcsched.powerrate import MaxAvgBer, OutageCapacity
-from qcsched.quantizer import QuantizerGrid, build_equiprobable
+from qcsched import solver
+from qcsched.allocator import Multipliers, build_tables
+from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
+from qcsched.dual import block_allocation
+from qcsched.powerrate import ErgodicCapacity, MaxAvgBer, OutageCapacity
+from qcsched.quantizer import (QuantizerGrid, build_equiprobable, build_random,
+                               quantize)
 from qcsched.solver import (OnlineResult, Problem, SolverConfig, Trajectory,
                             multiplier_settled, run_offline_nonsmooth,
                             run_offline_smooth, run_online)
@@ -209,6 +213,80 @@ def test_online_matches_offline_on_deterministic_channel():
     res = run_online(problem, cfg, num_blocks=300)
     n = min(len(traj.iters), res.lam_trace.shape[0])
     np.testing.assert_allclose(res.lam_trace[:n], traj.lam[:n], atol=1e-10)
+
+
+def reference_online(problem, cfg, num_blocks):
+    """The online iteration block by block from the public pieces: sample,
+    quantize, build every region's tables, allocate at the realized Q-CSI."""
+    M = problem.num_users
+    lam = np.broadcast_to(np.asarray(cfg.init, dtype=float), (M,)).copy()
+    trace, avg_rate, avg_power = [], [], []
+    csum_rate = np.zeros(M)
+    csum_power = 0.0
+    for n in range(num_blocks):
+        trace.append(lam.copy())
+        jmat = quantize(problem.grid, sample_gains(problem.fading, n))
+        mult = Multipliers(lam, problem.mu, problem.targets)
+        tables = build_tables(problem.model, problem.grid, mult,
+                              problem.rate_cap)
+        served, wpower, _ = block_allocation(tables, mult, jmat, cfg.eps)
+        csum_rate += served
+        csum_power += wpower
+        avg_rate.append(csum_rate / (n + 1))
+        avg_power.append(csum_power / (n + 1))
+        lam = np.maximum(0.0, lam + cfg.beta * (problem.targets - served))
+    return np.array(trace), np.array(avg_rate), np.array(avg_power), lam
+
+
+def tc2_problem():
+    """The bundled testcase2_online shape: M=4, K=16, L=4 at 6 dB."""
+    fading = FadingModel(np.full((4, 16), snr_db_to_mean_gain(6.0)), seed=0)
+    return Problem(grid=build_equiprobable(fading, 4), model=MODEL,
+                   mu=np.ones(4), targets=np.array([4.0, 8.0, 12.0, 16.0]),
+                   fading=fading)
+
+
+def avg_ber_random_problem():
+    fading = FadingModel(np.array([[1.0, 2.0, 0.7], [0.5, 1.5, 3.0]]), seed=8)
+    grid = build_random(fading, 5, (0.0, 6.0), seed=4)
+    return Problem(grid=grid, model=MaxAvgBer(kappa1=0.2, kappa2=1.5,
+                                              eps_avg=0.01),
+                   mu=np.array([1.0, 1.5]), targets=np.array([1.0, 2.0]),
+                   fading=fading)
+
+
+def ergodic_problem():
+    fading = FadingModel(np.array([[1.0, 2.0, 0.7], [0.5, 1.5, 3.0]]), seed=5)
+    return Problem(grid=build_equiprobable(fading, 3), model=ErgodicCapacity(),
+                   mu=np.ones(2), targets=np.array([0.8, 1.2]), fading=fading)
+
+
+@pytest.mark.parametrize("make, blocks, beta, rtol, chunk", [
+    (tc2_problem, 300, 2e-3, 0.0, solver.ONLINE_CHUNK),
+    (tc2_problem, 300, 2e-3, 0.0, 7),
+    (avg_ber_random_problem, 200, 0.05, 0.0, solver.ONLINE_CHUNK),
+    (avg_ber_random_problem, 200, 0.05, 0.0, 7),
+    (ergodic_problem, 20, 0.05, 1e-12, 7),
+])
+def test_online_fused_path_matches_reference_loop(make, blocks, beta, rtol,
+                                                  chunk, monkeypatch):
+    # the fused path samples a chunk of blocks and evaluates only the cells
+    # each block reads; closed-form families must match the full-table loop
+    # bitwise, the ergodic root-finds to rounding. A 7-block chunk puts
+    # chunk boundaries inside the run.
+    monkeypatch.setattr(solver, "ONLINE_CHUNK", chunk)
+    problem = make()
+    cfg = SolverConfig(beta=beta, init=0.1, eps=0.05, record_every=10)
+    res = run_online(problem, cfg, blocks)
+    trace, avg_rate, avg_power, lam = reference_online(problem, cfg, blocks)
+    assert np.any(trace[-1] != trace[0])
+    for got, want in ((res.lam_trace, trace), (res.sample_avg_rate, avg_rate),
+                      (res.sample_avg_power, avg_power),
+                      (res.final_lambda, lam)):
+        if rtol == 0.0:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
 
 def test_trajectory_csv_roundtrip():
