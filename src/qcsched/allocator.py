@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantizer as qz
-from .powerrate import PowerRate, RegionContext, region_contexts, _pow2m1, _LN2
+from .powerrate import (PowerRate, RegionContext, linear_allocation,
+                        region_contexts)
 from .quantizer import QuantizerGrid
 from .simplex import LPInfeasibleError, solve_lp
 
@@ -137,19 +138,20 @@ def build_tables(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     mu = mult.mu.reshape(user_axis)
     t = lam / mu
     if static.coeff is not None:
-        c = static.coeff
-        # outage cells: c = +inf times rate 0 is NaN, replaced by 0 below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = t / (c * _LN2)
-            rate = np.where(ratio > 1.0, np.log2(np.maximum(ratio, 1.0)), 0.0)
-            rate = np.minimum(rate, rate_cap)
-            power = c * _pow2m1(rate)
-        power = np.where(rate > 0.0, power, 0.0)
+        rate, power = linear_allocation(static.coeff, t, rate_cap)
     else:
         rate = model.inv_marginal_power(static.ctx, t, rate_cap)
         power = model.power_of_rate(static.ctx, rate)
     cost = mu * power - lam * rate          # exactly 0 wherever rate == 0
     return RateCostTables(rate=rate, power=power, cost=cost, rate_cap=rate_cap)
+
+
+def gather_columns(cols0, *tables) -> tuple:
+    """Each (M, K, L) table read at every column of a channel's column space:
+    the (K, C, M) arrays table[m, k, cols0[c, m]] for 0-based columns
+    cols0 (C, M)."""
+    midx = np.arange(cols0.shape[1])
+    return tuple(t.transpose(1, 2, 0)[:, cols0, midx] for t in tables)
 
 
 def _col_costs(tables: RateCostTables, col, k: int) -> np.ndarray:
@@ -253,15 +255,9 @@ def find_tie_instances(grid: QuantizerGrid, model: PowerRate,
     if tables is None:
         tables = build_tables(model, grid, mult, rate_cap)
     cols0, probs = qz.column_space(grid, budget)
-    M = grid.num_users
-    K = grid.num_channels
-    cost_t = tables.cost.transpose(1, 2, 0)    # (K, L, M)
-    rate_t = tables.rate.transpose(1, 2, 0)
-    pw_t = (tables.power * mult.mu[:, None, None]).transpose(1, 2, 0)
-    midx = np.arange(M)
-    costs = cost_t[:, cols0, midx]             # (K, C, M)
-    rates = rate_t[:, cols0, midx]
-    wpow = pw_t[:, cols0, midx]
+    costs, rates, wpow = gather_columns(          # (K, C, M) each
+        cols0, tables.cost, tables.rate,
+        tables.power * mult.mu[:, None, None])
     cstar = costs.min(axis=2)                  # (K, C)
     tol = tie_rtol * np.maximum(1.0, np.abs(cstar))
     member_mask = costs <= (cstar + tol)[:, :, None]

@@ -156,9 +156,9 @@ class CompareSetup:
     # let _smooth_point back off by 4x, warm-started, until the run settles
     beta: float = 1e-3
     beta_backoffs: int = 4
-    tol: float = 1e-3
+    tol: float | np.ndarray = 1e-3      # tol, init: scalar or per user
     max_iters: int = 20_000
-    init: float = 0.1
+    init: float | np.ndarray = 0.1
     # RA1 proxy
     ra1_regions: int = 256
     ra1_blocks: int = 30_000

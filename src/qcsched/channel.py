@@ -19,36 +19,6 @@ def snr_db_to_mean_gain(snr_db) -> np.ndarray:
     return np.asarray(10.0 ** (np.asarray(snr_db, dtype=float) / 10.0))
 
 
-def mean_gain_from_taps(tap_powers, num_users: int, num_channels: int,
-                        snr_db) -> np.ndarray:
-    """Per-subcarrier mean gains for a multipath (OFDM-style) channel.
-
-    Parameters
-    ----------
-    tap_powers : array_like
-        Relative power of each delay tap, e.g. an exponentially decaying
-        profile. Normalized internally to sum to one.
-    num_users, num_channels : int
-        Grid dimensions M and K.
-    snr_db : float or array_like
-        Average SNR per user, scalar or length-M.
-
-    Notes
-    -----
-    With independent zero-mean taps, the mean gain of every subcarrier equals
-    the total tap power regardless of the subcarrier index, so after
-    normalization each row is flat at the user's linear SNR. Only the mean
-    gains enter the allocation math; the cross-subcarrier correlation of
-    instantaneous gains induced by the taps is deliberately not simulated.
-    """
-    taps = np.asarray(tap_powers, dtype=float)
-    if taps.ndim != 1 or taps.size == 0 or np.any(taps < 0) or taps.sum() <= 0:
-        raise ValueError("tap_powers must be a nonempty 1-D array of nonnegative "
-                         "powers with positive sum")
-    snr_lin = np.broadcast_to(snr_db_to_mean_gain(snr_db), (num_users,))
-    return np.repeat(snr_lin[:, None], num_channels, axis=1).copy()
-
-
 @dataclass(frozen=True)
 class FadingModel:
     """Fading environment: mean gains ḡ_{m,k} (M x K) plus an RNG seed.

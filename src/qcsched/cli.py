@@ -10,7 +10,6 @@ Config schema (strict — unknown keys anywhere are rejected):
     "num_users": 4, "num_channels": 16,
     "snr_db": 6.0,                           # scalar or one per user …
     "mean_gain": [[...], ...],               # … or an explicit M x K matrix
-    "tap_powers": [1, 1, ...],               # optional multipath profile
     "seed": 0                                # u64; --seed overrides
   },
   "quantizer": {
@@ -28,8 +27,14 @@ Config schema (strict — unknown keys anywhere are rejected):
              "record_every": 1},             # optional, all defaulted
   "online":  {"num_blocks": 10000},          # online mode
   "compare": {"schemes": [...], "snr_db": [...], ...RA knobs},  # compare mode
-  "sweep":   {"regions": [2, 3, 4, 6, 8], "reference_regions": 256}
+  "sweep":   {"regions": [2, 3, 4, 6, 8], "reference_regions": 256,
+              "ra1_blocks": ..., "ra1_beta": ..., "ra1_eval_blocks": ...}
 }
+
+Omitted ``solver`` keys take the ``SolverConfig`` defaults and omitted RA
+knobs the ``CompareSetup`` defaults; ``rate_cap`` defaults to
+``DEFAULT_RATE_CAP``. ``init`` and ``tol`` may be per-user lists in every
+mode, compare and sweep included.
 
 Artifacts: every mode writes `summary.json` (final multipliers, rates, powers,
 convergence flag, wall time); solver modes add `trajectory.csv`
@@ -49,13 +54,15 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+from .allocator import DEFAULT_RATE_CAP
 from .analysis import CompareSetup, compare_schemes, feedback_bits, \
     sweep_regions
-from .channel import FadingModel, mean_gain_from_taps, snr_db_to_mean_gain
+from .channel import FadingModel, snr_db_to_mean_gain
 from .powerrate import NumericError, make_model
 from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                         QuantizerGrid, build_equiprobable, build_random)
@@ -71,6 +78,21 @@ EXIT_NUMERIC = 4
 MODES = ("offline_smooth", "offline_nonsmooth", "online", "compare",
          "sweep_regions", "overhead")
 SCHEMES = ("RA1", "RA2", "RA3", "RA4", "RA5")
+
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
+# solver key -> (lower bound, integer); init and tol also take per-user lists
+_SOLVER_BOUNDS = {"beta": (None, False), "kappa": (None, False),
+                  "init": (0.0, False), "tol": (None, False),
+                  "max_iters": (1, True), "eps": (None, False),
+                  "seed": (0, True), "record_every": (1, True)}
+# RA knob -> (lower bound, integer), for the compare and sweep sections
+_RA_KNOBS = {"ra1_regions": (2, True), "ra1_blocks": (1, True),
+             "ra1_beta": (None, False), "ra1_eval_blocks": (1, True),
+             "ra2_refine_iters": (0, True), "ra2_kappa": (0.0, False),
+             "ra2_tie_rtol": (0.0, False), "ra4_seed": (0, True),
+             "ra4_range_scale": (0.0, False), "beta_backoffs": (0, True)}
+_RA_DEFAULTS = {f.name: f.default for f in fields(CompareSetup)
+               if f.name in _RA_KNOBS}
 
 
 class ConfigError(Exception):
@@ -118,6 +140,18 @@ def _section(cfg: dict, key: str, where="config") -> dict:
     return v
 
 
+def _ra_knobs(section: dict, where: str) -> dict:
+    """The RA knobs present in ``section``, validated."""
+    out = {}
+    for key, (lo, integer) in _RA_KNOBS.items():
+        if key in section:
+            out[key] = _number(section[key], f"{where}.{key}", lo=lo,
+                               integer=integer)
+            if key == "ra1_beta" and out[key] <= 0:
+                raise ConfigError(f"{where}.ra1_beta: must be positive")
+    return out
+
+
 def resolve_config(raw: dict) -> dict:
     """Validate the raw JSON document and fill in every default."""
     if not isinstance(raw, dict):
@@ -137,7 +171,7 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(fad, dict):
         raise ConfigError("config.fading: expected an object")
     _reject_unknown(fad, ("num_users", "num_channels", "snr_db", "mean_gain",
-                          "tap_powers", "seed"), "fading")
+                          "seed"), "fading")
     M = _number(_need(fad, "num_users", "fading"), "fading.num_users",
                 lo=1, integer=True)
     K = _number(_need(fad, "num_channels", "fading"), "fading.num_channels",
@@ -152,14 +186,7 @@ def resolve_config(raw: dict) -> dict:
         rfad["snr_db"] = (_num_list(v, "fading.snr_db", length=M)
                           if isinstance(v, list)
                           else _number(v, "fading.snr_db"))
-        if "tap_powers" in fad:
-            rfad["tap_powers"] = _num_list(fad["tap_powers"],
-                                           "fading.tap_powers", lo=0.0)
-            if sum(rfad["tap_powers"]) <= 0:
-                raise ConfigError("fading.tap_powers: must have positive sum")
     else:
-        if "tap_powers" in fad:
-            raise ConfigError("fading.tap_powers requires snr_db")
         mg = fad["mean_gain"]
         if (not isinstance(mg, list) or len(mg) != M
                 or any(not isinstance(r, list) or len(r) != K for r in mg)):
@@ -217,30 +244,23 @@ def resolve_config(raw: dict) -> dict:
     mu = _num_list(raw.get("mu", [1.0] * M), "mu", length=M)
     if min(mu) <= 0:
         raise ConfigError("mu: entries must be positive")
-    rate_cap = _number(raw.get("rate_cap", 12.0), "rate_cap", lo=0.0)
+    rate_cap = _number(raw.get("rate_cap", DEFAULT_RATE_CAP), "rate_cap",
+                       lo=0.0)
     enum_budget = _number(raw.get("enum_budget", DEFAULT_ENUM_BUDGET),
                           "enum_budget", lo=1, integer=True)
 
     sv = _section(raw, "solver")
-    _reject_unknown(sv, ("beta", "kappa", "init", "tol", "max_iters", "eps",
-                         "seed", "record_every"), "solver")
-    rsv = {
-        "beta": _number(sv.get("beta", 1e-2), "solver.beta"),
-        "kappa": _number(sv.get("kappa", 0.1), "solver.kappa"),
-        "init": (_num_list(sv["init"], "solver.init", length=M, lo=0.0)
-                 if isinstance(sv.get("init"), list)
-                 else _number(sv.get("init", 0.1), "solver.init", lo=0.0)),
-        "tol": (_num_list(sv["tol"], "solver.tol", length=M)
-                if isinstance(sv.get("tol"), list)
-                else _number(sv.get("tol", 1e-3), "solver.tol")),
-        "max_iters": _number(sv.get("max_iters", 200_000), "solver.max_iters",
-                             lo=1, integer=True),
-        "eps": _number(sv.get("eps", 0.05), "solver.eps"),
-        "seed": (None if sv.get("seed") is None
-                 else _number(sv["seed"], "solver.seed", lo=0, integer=True)),
-        "record_every": _number(sv.get("record_every", 1),
-                                "solver.record_every", lo=1, integer=True),
-    }
+    _reject_unknown(sv, _SOLVER_DEFAULTS, "solver")
+    rsv = {}
+    for key, default in _SOLVER_DEFAULTS.items():
+        v, where = sv.get(key, default), f"solver.{key}"
+        lo, integer = _SOLVER_BOUNDS[key]
+        if key in ("init", "tol") and isinstance(v, list):
+            rsv[key] = _num_list(v, where, length=M, lo=lo)
+        elif key == "seed" and v is None:
+            rsv[key] = None
+        else:
+            rsv[key] = _number(v, where, lo=lo, integer=integer)
     try:
         SolverConfig(**{**rsv, "init": np.asarray(rsv["init"]),
                         "tol": np.asarray(rsv["tol"])})
@@ -264,10 +284,7 @@ def resolve_config(raw: dict) -> dict:
 
     if mode == "compare":
         cp = _section(raw, "compare")
-        _reject_unknown(cp, ("schemes", "snr_db", "ra1_regions", "ra1_blocks",
-                             "ra1_beta", "ra1_eval_blocks", "ra2_refine_iters",
-                             "ra2_kappa", "ra2_tie_rtol", "ra4_seed",
-                             "ra4_range_scale", "beta_backoffs"), "compare")
+        _reject_unknown(cp, ("schemes", "snr_db", *_RA_KNOBS), "compare")
         schemes = cp.get("schemes", list(SCHEMES))
         if (not isinstance(schemes, list) or not schemes
                 or any(s not in SCHEMES for s in schemes)):
@@ -278,31 +295,7 @@ def resolve_config(raw: dict) -> dict:
                 raise ConfigError(
                     "compare.snr_db sweep requires snr_db-style fading")
             rcp["snr_db"] = _num_list(cp["snr_db"], "compare.snr_db")
-        rcp["ra1_regions"] = _number(cp.get("ra1_regions", 256),
-                                     "compare.ra1_regions", lo=2, integer=True)
-        rcp["ra1_blocks"] = _number(cp.get("ra1_blocks", 30_000),
-                                    "compare.ra1_blocks", lo=1, integer=True)
-        rcp["ra1_beta"] = _number(cp.get("ra1_beta", 2e-3),
-                                  "compare.ra1_beta")
-        if rcp["ra1_beta"] <= 0:
-            raise ConfigError("compare.ra1_beta: must be positive")
-        rcp["ra1_eval_blocks"] = _number(cp.get("ra1_eval_blocks", 200_000),
-                                         "compare.ra1_eval_blocks", lo=1,
-                                         integer=True)
-        rcp["ra2_refine_iters"] = _number(cp.get("ra2_refine_iters", 2_000),
-                                          "compare.ra2_refine_iters", lo=0,
-                                          integer=True)
-        rcp["ra2_kappa"] = _number(cp.get("ra2_kappa", 0.05),
-                                   "compare.ra2_kappa", lo=0.0)
-        rcp["ra2_tie_rtol"] = _number(cp.get("ra2_tie_rtol", 1e-3),
-                                      "compare.ra2_tie_rtol", lo=0.0)
-        rcp["ra4_seed"] = _number(cp.get("ra4_seed", 7), "compare.ra4_seed",
-                                  lo=0, integer=True)
-        rcp["ra4_range_scale"] = _number(cp.get("ra4_range_scale", 3.0),
-                                         "compare.ra4_range_scale", lo=0.0)
-        rcp["beta_backoffs"] = _number(cp.get("beta_backoffs", 4),
-                                       "compare.beta_backoffs", lo=0,
-                                       integer=True)
+        rcp.update(_ra_knobs({**_RA_DEFAULTS, **cp}, "compare"))
         resolved["compare"] = rcp
     elif "compare" in raw:
         raise ConfigError("config.compare: only valid in compare mode")
@@ -319,18 +312,8 @@ def resolve_config(raw: dict) -> dict:
         ref = sw.get("reference_regions", 256)
         if ref is not None:
             ref = _number(ref, "sweep.reference_regions", lo=2, integer=True)
-        rsw = {"regions": rlist, "reference_regions": ref}
-        if "ra1_blocks" in sw:
-            rsw["ra1_blocks"] = _number(sw["ra1_blocks"], "sweep.ra1_blocks",
-                                        lo=1, integer=True)
-        if "ra1_beta" in sw:
-            rsw["ra1_beta"] = _number(sw["ra1_beta"], "sweep.ra1_beta")
-            if rsw["ra1_beta"] <= 0:
-                raise ConfigError("sweep.ra1_beta: must be positive")
-        if "ra1_eval_blocks" in sw:
-            rsw["ra1_eval_blocks"] = _number(sw["ra1_eval_blocks"],
-                                             "sweep.ra1_eval_blocks",
-                                             lo=1, integer=True)
+        rsw = {"regions": rlist, "reference_regions": ref,
+               **_ra_knobs(sw, "sweep")}
         resolved["sweep"] = rsw
     elif "sweep" in raw:
         raise ConfigError("config.sweep: only valid in sweep_regions mode")
@@ -345,8 +328,6 @@ def _build_fading(rc: dict) -> FadingModel:
     M, K = fad["num_users"], fad["num_channels"]
     if "mean_gain" in fad:
         mg = np.asarray(fad["mean_gain"], dtype=float)
-    elif "tap_powers" in fad:
-        mg = mean_gain_from_taps(fad["tap_powers"], M, K, fad["snr_db"])
     else:
         snr = np.asarray(fad["snr_db"], dtype=float)
         per_user = np.broadcast_to(snr_db_to_mean_gain(snr), (M,))
@@ -399,22 +380,17 @@ def _solver_config(rc: dict, log_every: int | None) -> SolverConfig:
 
 
 def _compare_setup(rc: dict, fading: FadingModel) -> CompareSetup:
-    cp = rc.get("compare", {})
-    model = make_model(rc["power_rate"]["family"], **rc["power_rate"]["params"])
-    kw = dict(fading=fading, regions=rc["quantizer"].get("regions", 4),
-              model=model, mu=np.asarray(rc["mu"], dtype=float),
-              targets=np.asarray(rc["targets"], dtype=float),
-              eps=rc["solver"]["eps"], rate_cap=rc["rate_cap"],
-              enum_budget=rc["enum_budget"], beta=rc["solver"]["beta"],
-              tol=float(np.max(rc["solver"]["tol"])),
-              max_iters=rc["solver"]["max_iters"],
-              init=float(np.max(rc["solver"]["init"])))
-    for key in ("ra1_regions", "ra1_blocks", "ra1_beta", "ra1_eval_blocks",
-                "ra2_refine_iters", "ra2_kappa", "ra2_tie_rtol", "ra4_seed",
-                "ra4_range_scale", "beta_backoffs"):
-        if key in cp:
-            kw[key] = cp[key]
-    return CompareSetup(**kw)
+    sv = _solver_config(rc, None)
+    knobs = {**rc.get("compare", {}), **rc.get("sweep", {})}
+    return CompareSetup(
+        fading=fading, regions=rc["quantizer"]["regions"],
+        model=make_model(rc["power_rate"]["family"],
+                         **rc["power_rate"]["params"]),
+        mu=np.asarray(rc["mu"], dtype=float),
+        targets=np.asarray(rc["targets"], dtype=float), eps=sv.eps,
+        rate_cap=rc["rate_cap"], enum_budget=rc["enum_budget"],
+        beta=sv.beta, tol=sv.tol, max_iters=sv.max_iters, init=sv.init,
+        **{k: v for k, v in knobs.items() if k in _RA_KNOBS})
 
 
 # --- output helpers ----------------------------------------------------------
@@ -554,9 +530,6 @@ def _run_sweep(rc: dict, outdir: Path) -> int:
     snr = float(fad) if isinstance(fad, (int, float)) else math.nan
     t0 = time.perf_counter()
     setup = _compare_setup(rc, _build_fading(rc))
-    for key in ("ra1_blocks", "ra1_beta", "ra1_eval_blocks"):
-        if key in sw:
-            setattr(setup, key, sw[key])
     rows = sweep_regions(setup, sw["regions"], sw["reference_regions"],
                          snr_db=snr)
     wall = time.perf_counter() - t0

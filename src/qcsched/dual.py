@@ -21,8 +21,8 @@ import numpy as np
 
 from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
-                        StaticTables, build_tables, smooth_weights,
-                        take_regions)
+                        StaticTables, build_tables, gather_columns,
+                        smooth_weights, take_regions)
 from .powerrate import PowerRate
 from .quantizer import QuantizerGrid
 
@@ -36,16 +36,6 @@ class DualEvaluation:
     subgradient: np.ndarray
     per_user_avg_rate: np.ndarray
     avg_power: float
-
-
-def _gather_columns(tables: RateCostTables, mult: Multipliers, cols0):
-    """Per-(channel, column, user) costs, rates and weighted powers."""
-    M = tables.num_users
-    midx = np.arange(M)
-    cost = tables.cost.transpose(1, 2, 0)[:, cols0, midx]     # (K, C, M)
-    rate = tables.rate.transpose(1, 2, 0)[:, cols0, midx]
-    wpow = cost + mult.lambda_r[None, None, :] * rate          # μΥ(R*)
-    return cost, rate, wpow
 
 
 def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
@@ -67,7 +57,8 @@ def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     cols0, probs = space
     if tables is None:
         tables = build_tables(model, grid, mult, rate_cap, static)
-    cost, rate, wpow = _gather_columns(tables, mult, cols0)
+    cost, rate = gather_columns(cols0, tables.cost, tables.rate)  # (K, C, M)
+    wpow = cost + mult.lambda_r[None, None, :] * rate          # μΥ(R*)
     if mode == "smooth":
         w = smooth_weights(cost, eps)
     else:

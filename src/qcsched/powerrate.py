@@ -30,6 +30,11 @@ and strictly convex in x with Υ(0) = 0:
 The first three families share the shape Υ(x) = c·(2^x - 1) with a per-region
 constant c, which gives closed-form marginals:
 Υ̇(x) = c·ln2·2^x and Υ̇⁻¹(t) = log2(t/(c·ln2)) for t > c·ln2, else 0.
+``linear_allocation`` is the one implementation of Υ̇⁻¹ and Υ for that shape.
+
+Every family is used through its methods: ``power_of_rate`` (Υ),
+``rate_of_power`` (Υ⁻¹), ``marginal_power`` (Υ̇) and ``inv_marginal_power``
+(Υ̇⁻¹, clipped to 0 below Υ̇(0) and to ``rate_cap`` above).
 """
 
 from __future__ import annotations
@@ -94,10 +99,8 @@ def delta_outage_gain(ctx: RegionContext, delta: float) -> np.ndarray:
         raise ValueError("delta must lie in [0, 1)")
     if delta == 0.0:
         return np.asarray(ctx.q_lo, dtype=float).copy()
-    g = ctx.mean_gain
-    s_lo = np.exp(-ctx.q_lo / g)
-    s_hi = np.where(np.isposinf(ctx.q_hi), 0.0, np.exp(-ctx.q_hi / g))
-    return -g * np.log((1.0 - delta) * s_lo + delta * s_hi)
+    s_lo, s_hi, _ = _survivals(ctx)
+    return -ctx.mean_gain * np.log((1.0 - delta) * s_lo + delta * s_hi)
 
 
 def _survivals(ctx: RegionContext):
@@ -135,15 +138,27 @@ def _grow_bracket(f_nonneg, hi0, max_doublings, what: str):
                        float(np.max(hi)))
 
 
-def _pow2m1(x):
-    return np.expm1(_LN2 * np.asarray(x, dtype=float))
+def linear_allocation(c, slope=None, rate_cap: float | None = None,
+                      rate=None):
+    """(rate, power) for Υ(x) = c·(2^x - 1), c = +inf in outage regions.
+
+    The rate is ``rate`` when given, else Υ̇⁻¹(slope) = log2(slope/(c·ln2)),
+    0 where slope ≤ c·ln2 (always in outage regions) and at most
+    ``rate_cap``. The power is Υ(rate), exactly 0 where the rate is 0, since
+    c·0 is NaN in outage regions.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if rate is None:
+            ratio = np.asarray(slope, dtype=float) / (c * _LN2)
+            rate = np.where(ratio > 1.0, np.log2(np.maximum(ratio, 1.0)), 0.0)
+            if rate_cap is not None:
+                rate = np.minimum(rate, rate_cap)
+        power = c * np.expm1(_LN2 * rate)
+    return rate, np.where(rate == 0.0, 0.0, power)
 
 
 class PowerRate:
     """Shared behavior for all Υ families (see module docstring)."""
-
-    root_tol: float
-    max_iter: int
 
     # -- family hooks -------------------------------------------------------
     def linear_coeff(self, ctx: RegionContext):
@@ -155,14 +170,10 @@ class PowerRate:
 
     # -- generic closed forms for linear-coefficient families ---------------
     def power_of_rate(self, ctx: RegionContext, rate) -> np.ndarray:
-        c = self.linear_coeff(ctx)
         x = np.asarray(rate, dtype=float)
         if np.any(x < 0):
             raise ValueError("rate must be nonnegative")
-        with np.errstate(invalid="ignore"):
-            p = c * _pow2m1(x)
-        # 0 * inf at (x=0, outage region) means zero power, not NaN
-        return np.where(x == 0.0, 0.0, p)
+        return linear_allocation(self.linear_coeff(ctx), rate=x)[1]
 
     def rate_of_power(self, ctx: RegionContext, power) -> np.ndarray:
         c = self.linear_coeff(ctx)
@@ -183,22 +194,10 @@ class PowerRate:
 
     def inv_marginal_power(self, ctx: RegionContext, slope,
                            rate_cap: float | None = None) -> np.ndarray:
-        c = self.linear_coeff(ctx)
-        t = np.asarray(slope, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = t / (c * _LN2)
-            r = np.where(ratio > 1.0, np.log2(np.maximum(ratio, 1.0)), 0.0)
-        r = np.where(np.isposinf(c), 0.0, r)
-        if rate_cap is not None:
-            r = np.minimum(r, rate_cap)
-        return r
+        return linear_allocation(self.linear_coeff(ctx), slope, rate_cap)[0]
 
     def is_outage(self, ctx: RegionContext) -> np.ndarray:
-        c = self.linear_coeff(ctx)
-        if c is None:
-            return np.broadcast_to(False, np.broadcast_shapes(
-                np.shape(ctx.q_lo), np.shape(ctx.mean_gain)))
-        return np.isposinf(c)
+        return np.isposinf(self.linear_coeff(ctx))
 
 
 @dataclass(frozen=True)
@@ -206,14 +205,10 @@ class OutageCapacity(PowerRate):
     """Υ(x) = (2^x - 1)/g^δ; δ = 0 reduces g^δ to the region floor."""
 
     outage_delta: float = 0.0
-    root_tol: float = 1e-10
-    max_iter: int = 256
 
     def __post_init__(self):
         if not (0.0 <= self.outage_delta < 1.0):
             raise ValueError("outage_delta must lie in [0, 1)")
-        if self.root_tol <= 0 or self.max_iter <= 0:
-            raise ValueError("tolerances must be positive")
 
     def linear_coeff(self, ctx: RegionContext):
         gd = delta_outage_gain(ctx, self.outage_delta)
@@ -228,16 +223,12 @@ class MaxInstBer(PowerRate):
     kappa1: float
     kappa2: float
     eps_max: float
-    root_tol: float = 1e-10
-    max_iter: int = 256
 
     def __post_init__(self):
         if self.kappa1 <= 0 or self.kappa2 <= 0:
             raise ValueError("kappa1 and kappa2 must be positive")
         if not (0.0 < self.eps_max < self.kappa1):
             raise ValueError("eps_max must lie in (0, kappa1)")
-        if self.root_tol <= 0 or self.max_iter <= 0:
-            raise ValueError("tolerances must be positive")
 
     def linear_coeff(self, ctx: RegionContext):
         scale = np.log(self.kappa1 / self.eps_max) / self.kappa2
@@ -387,29 +378,6 @@ class ErgodicCapacity(PowerRate):
         shape = np.broadcast_shapes(np.shape(ctx.q_lo), np.shape(ctx.q_hi),
                                     np.shape(ctx.mean_gain))
         return np.zeros(shape, dtype=bool)
-
-
-# --- free-function façade over the family methods ---------------------------
-
-def power_of_rate(model: PowerRate, ctx: RegionContext, rate):
-    """Υ(rate) for the given family/region; outage + positive rate → +inf."""
-    return model.power_of_rate(ctx, rate)
-
-
-def rate_of_power(model: PowerRate, ctx: RegionContext, power):
-    """Υ⁻¹(power)."""
-    return model.rate_of_power(ctx, power)
-
-
-def marginal_power(model: PowerRate, ctx: RegionContext, rate):
-    """Υ̇(rate)."""
-    return model.marginal_power(ctx, rate)
-
-
-def inv_marginal_power(model: PowerRate, ctx: RegionContext, slope,
-                       rate_cap: float | None = None):
-    """Υ̇⁻¹(slope), clipped to 0 below Υ̇(0) and to rate_cap above."""
-    return model.inv_marginal_power(ctx, slope, rate_cap)
 
 
 _FAMILIES = {

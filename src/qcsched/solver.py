@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantizer as qz
-from .allocator import (Multipliers, StaticTables, block_statics,
-                        build_tables, make_static)
+from .allocator import (DEFAULT_RATE_CAP, Multipliers, StaticTables,
+                        block_statics, build_tables, make_static)
 from .channel import FadingModel, sample_gain_blocks
 from .dual import block_allocation, exact_dual
 from .powerrate import PowerRate
@@ -39,7 +39,7 @@ class Problem:
     mu: np.ndarray
     targets: np.ndarray
     fading: FadingModel | None = None
-    rate_cap: float = 12.0
+    rate_cap: float = DEFAULT_RATE_CAP
     enum_budget: int = qz.DEFAULT_ENUM_BUDGET
 
     def __post_init__(self):

@@ -19,12 +19,11 @@ import numpy as np
 from qcsched.allocator import (Multipliers, TieInstance, build_tables,
                                solve_tie_lp)
 from qcsched.analysis import CompareSetup, compare_schemes, sweep_regions
-from qcsched.channel import (FadingModel, mean_gain_from_taps,
-                             sample_gain_blocks, snr_db_to_mean_gain)
+from qcsched.channel import (FadingModel, sample_gain_blocks,
+                             snr_db_to_mean_gain)
 from qcsched.dual import exact_dual, jacobian_check, stochastic_subgradient
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
-                               OutageCapacity, RegionContext, marginal_power,
-                               power_of_rate, rate_of_power)
+                               OutageCapacity, RegionContext)
 from qcsched.quantizer import QuantizerGrid, build_equiprobable, quantize
 from qcsched.solver import (Problem, SolverConfig, multiplier_settled,
                             run_offline_nonsmooth, run_offline_smooth,
@@ -50,9 +49,8 @@ def tc1_problem():
 
 
 def reference_setup():
-    """M=3 users on K=64 subcarriers, 8-tap exponential profile at 6 dB."""
-    taps = [np.exp(-i) for i in range(8)]
-    mg = mean_gain_from_taps(taps, num_users=3, num_channels=64, snr_db=6.0)
+    """M=3 users on K=64 subcarriers, flat 6 dB SNR."""
+    mg = np.full((3, 64), float(snr_db_to_mean_gain(6.0)))
     return CompareSetup(fading=FadingModel(mg, seed=0), regions=4,
                         model=MODEL, mu=np.ones(3),
                         targets=np.array([40.0, 70.0, 100.0]))
@@ -385,13 +383,13 @@ def test_criterion_9_model_numerics():
     convex_ok, fd_worst = True, 0.0
     xs = np.linspace(0.0, 10.0, 41)
     for fam in families:
-        y = np.array([float(power_of_rate(fam, ctx, x)) for x in xs])
+        y = np.array([float(fam.power_of_rate(ctx, x)) for x in xs])
         convex_ok &= bool(np.all(np.diff(y, 2) > 0))
         h = 1e-6
         for x in (0.4, 1.3, 3.0, 7.5):
-            fd = (float(power_of_rate(fam, ctx, x + h))
-                  - float(power_of_rate(fam, ctx, x - h))) / (2 * h)
-            rel = abs(float(marginal_power(fam, ctx, x)) / fd - 1.0)
+            fd = (float(fam.power_of_rate(ctx, x + h))
+                  - float(fam.power_of_rate(ctx, x - h))) / (2 * h)
+            rel = abs(float(fam.marginal_power(ctx, x)) / fd - 1.0)
             fd_worst = max(fd_worst, rel)
 
     erg = ErgodicCapacity()
@@ -402,7 +400,7 @@ def test_criterion_9_model_numerics():
         val, _ = quad(lambda t: np.log2(1.0 + y * t) * np.exp(-t),
                       0.2, 3.0, epsabs=1e-13, limit=200)
         erg_worst = max(erg_worst,
-                        abs(float(rate_of_power(erg, qctx, y)) - val / pr))
+                        abs(float(erg.rate_of_power(qctx, y)) - val / pr))
 
     fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5], [1.2, 0.8]]),
                          seed=9)

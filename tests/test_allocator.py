@@ -9,8 +9,8 @@ from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, TieInstance,
                                smooth_schedule, smooth_weights, solve_tie_lp,
                                winner_sets)
 from qcsched.channel import FadingModel
-from qcsched.powerrate import (ErgodicCapacity, OutageCapacity, RegionContext,
-                               inv_marginal_power, power_of_rate)
+from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
+                               OutageCapacity, RegionContext)
 from qcsched.quantizer import QuantizerGrid, build_equiprobable
 
 LN2 = np.log(2.0)
@@ -108,7 +108,15 @@ def test_tables_cost_nonincreasing_in_region(grid_2x3):
 def test_tables_match_scalar_powerrate_calls(grid_2x3):
     lam = np.array([0.8, 1.3])
     muv = np.array([1.0, 2.0])
-    for model in (OutageCapacity(outage_delta=0.2), ErgodicCapacity()):
+    # MaxAvgBer's c is a bisection that stops once every cell of the call
+    # meets root_tol, so a one-cell call and the grid-wide call can stop
+    # apart by about root_tol (2e-12 in cost at the default 1e-12); the
+    # tighter root_tol keeps this test on the table assembly
+    for model in (OutageCapacity(outage_delta=0.2), ErgodicCapacity(),
+                  OutageCapacity(outage_delta=0.0),      # c = +inf cells
+                  MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=0.01),
+                  MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01,
+                            root_tol=1e-14)):
         t = build_tables(model, grid_2x3, mult(lam, mu=muv))
         thr = grid_2x3.thresholds
         for m in range(2):
@@ -116,10 +124,10 @@ def test_tables_match_scalar_powerrate_calls(grid_2x3):
                 for l in range(4):
                     ctx = RegionContext(thr[m, k, l], thr[m, k, l + 1],
                                         grid_2x3.mean_gain[m, k])
-                    r = float(inv_marginal_power(model, ctx, lam[m] / muv[m],
-                                                 DEFAULT_RATE_CAP))
+                    r = float(model.inv_marginal_power(ctx, lam[m] / muv[m],
+                                                       DEFAULT_RATE_CAP))
                     assert t.rate[m, k, l] == pytest.approx(r, abs=1e-12)
-                    p = float(power_of_rate(model, ctx, r))
+                    p = float(model.power_of_rate(ctx, r))
                     assert t.cost[m, k, l] == pytest.approx(
                         muv[m] * p - lam[m] * r, abs=1e-12)
 

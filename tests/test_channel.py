@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from qcsched.channel import (FadingModel, mean_gain_from_taps, sample_gains,
-                             sample_gain_blocks, snr_db_to_mean_gain)
+from qcsched.channel import (FadingModel, sample_gains, sample_gain_blocks,
+                             snr_db_to_mean_gain)
 
 # One shared sample tensor: 10^4 blocks of a 2x50 unit-mean model gives 10^6
 # iid Exp(1) draws once cross-entry independence (verified below) holds.
@@ -21,23 +21,6 @@ def test_snr_db_mapping():
     assert snr_db_to_mean_gain(0.0) == 1.0
     assert abs(snr_db_to_mean_gain(6.0) - 10 ** 0.6) < 1e-15
     np.testing.assert_allclose(snr_db_to_mean_gain([0.0, 10.0]), [1.0, 10.0])
-
-
-def test_mean_gain_from_taps_flat_rows():
-    # independent zero-mean taps: every subcarrier's mean gain equals the
-    # (normalized) total tap power, i.e. the user's linear SNR
-    mg = mean_gain_from_taps([np.exp(-i) for i in range(8)], 3, 64, 6.0)
-    assert mg.shape == (3, 64)
-    np.testing.assert_allclose(mg, 10 ** 0.6)
-    mg2 = mean_gain_from_taps([1.0], 2, 4, [0.0, 10.0])
-    np.testing.assert_allclose(mg2[0], 1.0)
-    np.testing.assert_allclose(mg2[1], 10.0)
-
-
-@pytest.mark.parametrize("taps", [[], [-1.0, 2.0], [0.0, 0.0]])
-def test_mean_gain_from_taps_rejects_bad_profiles(taps):
-    with pytest.raises(ValueError):
-        mean_gain_from_taps(taps, 2, 4, 0.0)
 
 
 def test_model_validation():

@@ -2,9 +2,11 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import qcsched
 from qcsched.cli import main
 
 OK, CONFIG, NOT_CONVERGED, NUMERIC = 0, 2, 3, 4
@@ -71,6 +73,9 @@ def test_malformed_json(tmp_path, capsys):
     (lambda c: c.update(compare={"schemes": ["RA3"]}), "only valid in compare"),
     (lambda c: c["quantizer"].update(regions=1), "regions"),
     (lambda c: c["solver"].update(beta=-0.5), "stepsize"),
+    (lambda c: c["fading"].update(tap_powers=[1.0, 0.5]), "unknown keys"),
+    (lambda c: c["power_rate"]["params"].update(root_tol=1e-10),
+     "power_rate"),
 ])
 def test_config_rejections(tmp_path, capsys, mangle, needle):
     cfg = tiny()
@@ -152,6 +157,14 @@ def test_dry_run_prints_resolved_config_only(tmp_path, capsys):
     assert resolved["solver"]["beta"] == 0.5
     assert resolved["mu"] == [1.0, 1.0]              # default filled in
     assert not out.exists()                          # nothing written
+
+
+def test_bundled_configs_pass_dry_run(capsys):
+    configs = sorted((Path(qcsched.__file__).parent / "configs").glob("*.json"))
+    assert len(configs) == 6
+    for path in configs:
+        assert main(["--config", str(path), "--dry-run"]) == OK, path.name
+        capsys.readouterr()
 
 
 # --- offline smooth ------------------------------------------------------------
@@ -318,6 +331,18 @@ def test_compare_mode_csv_and_summary(tmp_path):
     powers = {line.split(",")[0]: float(line.split(",")[2])
               for line in lines[1:]}
     assert powers["RA3"] <= powers["RA5"] + 1e-9
+
+
+def test_compare_keeps_per_user_tolerances(tmp_path):
+    # a per-user tol list must reach the solver as given, not as its max
+    cfg = compare_cfg(compare={"schemes": ["RA3"]})
+    cfg["solver"]["tol"] = [0.05, 1e-6]
+    rc, out = run(tmp_path, cfg)
+    assert rc == OK
+    rates = [float(v) for v in
+             (out / "compare.csv").read_text().splitlines()[1].split(",")[3:]]
+    assert abs(rates[0] - 1.0) < 0.05
+    assert abs(rates[1] - 1.5) < 1e-6
 
 
 def test_compare_unknown_scheme_rejected(tmp_path):

@@ -11,9 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                NumericError, OutageCapacity, RegionContext,
-                               delta_outage_gain, inv_marginal_power,
-                               make_model, marginal_power, power_of_rate,
-                               rate_of_power, region_contexts)
+                               delta_outage_gain, make_model, region_contexts)
 from qcsched.quantizer import build_equiprobable
 from qcsched.channel import FadingModel
 
@@ -74,34 +72,34 @@ def test_region_contexts_covers_grid():
 def test_outage_capacity_hand_values():
     model = OutageCapacity(outage_delta=0.0)
     ctx = RegionContext(q_lo=1.0, q_hi=2.0, mean_gain=1.0)   # g^0 = 1
-    assert power_of_rate(model, ctx, 1.0) == 1.0             # (2^1 - 1)/1
-    assert power_of_rate(model, ctx, 0.0) == 0.0
+    assert model.power_of_rate(ctx, 1.0) == 1.0             # (2^1 - 1)/1
+    assert model.power_of_rate(ctx, 0.0) == 0.0
     ctx3 = RegionContext(q_lo=3.0, q_hi=np.inf, mean_gain=1.0)
-    assert abs(rate_of_power(model, ctx3, 1.0) - 2.0) < 1e-15   # log2(1+3)
-    assert rate_of_power(model, ctx3, 0.0) == 0.0
+    assert abs(model.rate_of_power(ctx3, 1.0) - 2.0) < 1e-15   # log2(1+3)
+    assert model.rate_of_power(ctx3, 0.0) == 0.0
 
 
 def test_outage_region_semantics():
     model = OutageCapacity(outage_delta=0.0)
     out = RegionContext(q_lo=0.0, q_hi=0.5, mean_gain=1.0)
     assert model.is_outage(out)
-    assert np.isposinf(power_of_rate(model, out, 1.0))
-    assert power_of_rate(model, out, 0.0) == 0.0
-    assert rate_of_power(model, out, 5.0) == 0.0
-    assert inv_marginal_power(model, out, 100.0) == 0.0
+    assert np.isposinf(model.power_of_rate(out, 1.0))
+    assert model.power_of_rate(out, 0.0) == 0.0
+    assert model.rate_of_power(out, 5.0) == 0.0
+    assert model.inv_marginal_power(out, 100.0) == 0.0
     # positive delta lifts the first region out of outage
     d = OutageCapacity(outage_delta=0.2)
     assert not d.is_outage(out)
-    assert np.isfinite(power_of_rate(d, out, 1.0))
+    assert np.isfinite(d.power_of_rate(out, 1.0))
 
 
 def test_outage_inv_marginal_by_hand():
     model = OutageCapacity(outage_delta=0.0)
     ctx = RegionContext(q_lo=1.0, q_hi=np.inf, mean_gain=1.0)
-    assert abs(inv_marginal_power(model, ctx, 2.0 * LN2) - 1.0) < 1e-15
-    assert inv_marginal_power(model, ctx, LN2) == 0.0        # clip boundary
-    assert inv_marginal_power(model, ctx, 0.5 * LN2) == 0.0
-    assert inv_marginal_power(model, ctx, 1e9, rate_cap=6.0) == 6.0
+    assert abs(model.inv_marginal_power(ctx, 2.0 * LN2) - 1.0) < 1e-15
+    assert model.inv_marginal_power(ctx, LN2) == 0.0        # clip boundary
+    assert model.inv_marginal_power(ctx, 0.5 * LN2) == 0.0
+    assert model.inv_marginal_power(ctx, 1e9, rate_cap=6.0) == 6.0
 
 
 def test_max_inst_ber_closed_form():
@@ -110,7 +108,7 @@ def test_max_inst_ber_closed_form():
     ctx = RegionContext(q_lo=0.8, q_hi=2.0, mean_gain=1.0)
     x = 1.7
     expect = (2 ** x - 1) * np.log(k1 / em) / (k2 * 0.8)
-    assert abs(power_of_rate(model, ctx, x) - expect) < 1e-12
+    assert abs(model.power_of_rate(ctx, x) - expect) < 1e-12
     # first region (floor 0) is an outage region
     assert model.is_outage(RegionContext(0.0, 0.8, 1.0))
 
@@ -149,7 +147,7 @@ def test_max_avg_ber_meets_the_ber_target(rate):
     model = MaxAvgBer(kappa1=k1, kappa2=k2, eps_avg=eps)
     for ctx in (RegionContext(0.3, 1.7, 1.2), RegionContext(0.0, 0.9, 0.6),
                 RegionContext(2.0, np.inf, 1.0)):
-        y = float(power_of_rate(model, ctx, rate))
+        y = float(model.power_of_rate(ctx, rate))
         assert _avg_ber_quadrature(y, rate, ctx, k1, k2) == pytest.approx(
             eps, rel=1e-8)
 
@@ -158,7 +156,7 @@ def test_max_avg_ber_has_no_outage_region():
     model = MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01)
     ctx = RegionContext(q_lo=0.0, q_hi=0.5, mean_gain=1.0)
     assert not model.is_outage(ctx)
-    assert np.isfinite(power_of_rate(model, ctx, 2.0))
+    assert np.isfinite(model.power_of_rate(ctx, 2.0))
 
 
 # --- ergodic capacity: quadrature oracle ------------------------------------------
@@ -180,7 +178,7 @@ def _cond_ergodic_quadrature(y, ctx):
 def test_ergodic_rate_matches_quadrature(y):
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.2, q_hi=3.0, mean_gain=1.0)
-    assert rate_of_power(model, ctx, y) == pytest.approx(
+    assert model.rate_of_power(ctx, y) == pytest.approx(
         _cond_ergodic_quadrature(y, ctx), abs=1e-8)
 
 
@@ -188,26 +186,26 @@ def test_ergodic_rate_matches_quadrature_unbounded_region():
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=LN2, q_hi=np.inf, mean_gain=2.0)
     for y in (0.05, 0.7, 4.0):
-        assert rate_of_power(model, ctx, y) == pytest.approx(
+        assert model.rate_of_power(ctx, y) == pytest.approx(
             _cond_ergodic_quadrature(y, ctx), abs=1e-8)
 
 
 def test_ergodic_power_roundtrip():
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.5, q_hi=2.0, mean_gain=1.0)
-    x = float(rate_of_power(model, ctx, 2.0))
-    assert power_of_rate(model, ctx, x) == pytest.approx(2.0, abs=1e-8)
+    x = float(model.rate_of_power(ctx, 2.0))
+    assert model.power_of_rate(ctx, x) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_ergodic_inv_marginal_consistency():
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.3, q_hi=1.8, mean_gain=0.9)
     zero_slope = float(model.marginal_at_zero(ctx))
-    assert inv_marginal_power(model, ctx, 0.5 * zero_slope) == 0.0
+    assert model.inv_marginal_power(ctx, 0.5 * zero_slope) == 0.0
     for t in (1.5 * zero_slope, 4.0 * zero_slope):
-        r = float(inv_marginal_power(model, ctx, t))
+        r = float(model.inv_marginal_power(ctx, t))
         assert r > 0
-        assert marginal_power(model, ctx, r) == pytest.approx(t, rel=1e-7)
+        assert model.marginal_power(ctx, r) == pytest.approx(t, rel=1e-7)
 
 
 # --- cross-family properties -------------------------------------------------------
@@ -215,15 +213,15 @@ def test_ergodic_inv_marginal_consistency():
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
 def test_roundtrip_rate_power(model):
     x = np.linspace(0.0, 12.0, 25)
-    y = power_of_rate(model, CTX, x)
-    np.testing.assert_allclose(rate_of_power(model, CTX, y), x,
+    y = model.power_of_rate(CTX, x)
+    np.testing.assert_allclose(model.rate_of_power(CTX, y), x,
                                rtol=1e-8, atol=1e-8)
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
 def test_strict_convexity_and_monotonicity(model):
     x = np.linspace(0.0, 10.0, 41)
-    y = np.array([float(power_of_rate(model, CTX, xi)) for xi in x])
+    y = np.array([float(model.power_of_rate(CTX, xi)) for xi in x])
     assert np.all(np.diff(y) > 0)
     assert np.all(np.diff(y, 2) > 0)
 
@@ -232,25 +230,25 @@ def test_strict_convexity_and_monotonicity(model):
 def test_marginal_matches_finite_differences(model):
     h = 1e-6
     for x in (0.4, 1.3, 3.0, 7.5):
-        fd = (float(power_of_rate(model, CTX, x + h))
-              - float(power_of_rate(model, CTX, x - h))) / (2 * h)
-        got = float(marginal_power(model, CTX, x))
+        fd = (float(model.power_of_rate(CTX, x + h))
+              - float(model.power_of_rate(CTX, x - h))) / (2 * h)
+        got = float(model.marginal_power(CTX, x))
         assert got == pytest.approx(fd, rel=1e-6)
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
 def test_marginal_strictly_increasing(model):
     x = np.linspace(0.05, 9.0, 30)
-    d = np.array([float(marginal_power(model, CTX, xi)) for xi in x])
+    d = np.array([float(model.marginal_power(CTX, xi)) for xi in x])
     assert np.all(np.diff(d) > 0)
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
 def test_negative_inputs_rejected(model):
     with pytest.raises(ValueError):
-        power_of_rate(model, CTX, -0.5)
+        model.power_of_rate(CTX, -0.5)
     with pytest.raises(ValueError):
-        rate_of_power(model, CTX, -1.0)
+        model.rate_of_power(CTX, -1.0)
 
 
 def test_make_model_families():
@@ -277,5 +275,5 @@ def test_numeric_error_carries_residual():
 def test_outage_roundtrip_property(lo, width, x):
     model = OutageCapacity(outage_delta=0.0)
     ctx = RegionContext(q_lo=lo, q_hi=lo + width, mean_gain=1.0)
-    y = float(power_of_rate(model, ctx, x))
-    assert float(rate_of_power(model, ctx, y)) == pytest.approx(x, abs=1e-9)
+    y = float(model.power_of_rate(ctx, x))
+    assert float(model.rate_of_power(ctx, y)) == pytest.approx(x, abs=1e-9)
