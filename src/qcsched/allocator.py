@@ -2,11 +2,13 @@
 
 Given multipliers λ the optimal rate in region l of (m, k) is
 R* = Υ̇⁻¹(λ_m/μ_m), clipped to [0, rate_cap], and the cost of granting the
-channel is C_W = μ_m·Υ(R*) - λ_m·R*. On each channel the hard (winner-takes-
-all) rule serves the cost minimizer when that minimum is negative; the smooth
-rule shares the channel among every user within ε of the minimum with weights
-proportional to (1 - (C_W - c*)/ε)². Exact cost ties under the hard rule are
-resolved globally by a small linear program over the tie instances.
+channel is C_W = μ_m·Υ(R*) - λ_m·R*. The family's one hook, ``allocation`` on
+its ``cell_data``, gives R* and Υ(R*) whatever the shape of Υ. On each
+channel the hard (winner-takes-all) rule serves the cost minimizer when that
+minimum is negative; the smooth rule shares the channel among every user
+within ε of the minimum with weights proportional to (1 - (C_W - c*)/ε)².
+Exact cost ties under the hard rule are resolved globally by a small linear
+program over the tie instances.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantizer as qz
-from .powerrate import (PowerRate, RegionContext, linear_allocation,
-                        region_contexts)
+from .powerrate import PowerRate, region_contexts
 from .quantizer import QuantizerGrid
 from .simplex import LPInfeasibleError, solve_lp
 
@@ -62,24 +63,10 @@ class Multipliers:
         return Multipliers(np.asarray(lam, dtype=float), self.mu, self.targets)
 
 
-@dataclass(frozen=True)
-class StaticTables:
-    """λ-independent per-cell data, cached across multiplier updates.
-
-    Arrays are shaped (M, ...): (M, K, L) for every region of a grid, (M, K)
-    for the cells one fading block reads. ``coeff`` is c with Υ = c(2^x-1)
-    (+inf in outage regions); families without that shape (ergodic) have
-    ``coeff`` None and carry the regions' ``ctx`` instead.
-    """
-
-    ctx: RegionContext | None
-    coeff: np.ndarray | None
-
-
-def make_static(grid: QuantizerGrid, model: PowerRate) -> StaticTables:
-    ctx = region_contexts(grid)
-    coeff = model.linear_coeff(ctx)
-    return StaticTables(ctx=ctx if coeff is None else None, coeff=coeff)
+def make_static(grid: QuantizerGrid, model: PowerRate) -> tuple:
+    """The family's λ-independent data for every (M, K, L) region of the
+    grid (PowerRate.cell_data), cached across multiplier updates."""
+    return model.cell_data(region_contexts(grid))
 
 
 def take_regions(table: np.ndarray, j0) -> np.ndarray:
@@ -92,24 +79,16 @@ def take_regions(table: np.ndarray, j0) -> np.ndarray:
     return np.ravel(table).take(cell + j0)
 
 
-def block_statics(static: StaticTables, j0) -> list:
-    """The static data of each block's cells, one (M, K) StaticTables per
+def block_statics(static: tuple, j0) -> list:
+    """The static data of each block's cells, one tuple of (M, K) arrays per
     block of the 0-based Q-CSI stack j0 (N, M, K). Gathers once for all N."""
-    if static.coeff is not None:
-        return [StaticTables(ctx=None, coeff=c)
-                for c in take_regions(static.coeff, j0)]
-    ctx = static.ctx
-    q_lo = take_regions(ctx.q_lo, j0)
-    q_hi = take_regions(ctx.q_hi, j0)
-    g = ctx.mean_gain[:, :, 0]
-    return [StaticTables(ctx=RegionContext(lo, hi, g), coeff=None)
-            for lo, hi in zip(q_lo, q_hi)]
+    return list(zip(*(take_regions(a, j0) for a in static)))
 
 
 @dataclass(frozen=True)
 class RateCostTables:
     """Per-cell optimal rates/powers/costs for one λ; shapes follow the
-    StaticTables they were built from, (M, K, L) or (M, K)."""
+    static data they were built from, (M, K, L) or (M, K)."""
 
     rate: np.ndarray
     power: np.ndarray               # Υ(R*), unweighted
@@ -123,25 +102,19 @@ class RateCostTables:
 
 def build_tables(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
                  rate_cap: float = DEFAULT_RATE_CAP,
-                 static: StaticTables | None = None) -> RateCostTables:
+                 static: tuple | None = None) -> RateCostTables:
     """Evaluate R*, Υ(R*) and C_W on every cell of ``static`` for the given λ.
 
-    ``static`` defaults to every region of the grid, giving (M, K, L)
-    tables; the (M, K) static data of one block's cells (block_statics)
-    gives that block's tables alone.
+    ``static`` defaults to every region of the grid (make_static), giving
+    (M, K, L) tables; the (M, K) static data of one block's cells
+    (block_statics) gives that block's tables alone.
     """
     if static is None:
         static = make_static(grid, model)
-    data = static.coeff if static.coeff is not None else static.ctx.q_lo
-    user_axis = (-1,) + (1,) * (data.ndim - 1)
+    user_axis = (-1,) + (1,) * (static[0].ndim - 1)
     lam = mult.lambda_r.reshape(user_axis)
     mu = mult.mu.reshape(user_axis)
-    t = lam / mu
-    if static.coeff is not None:
-        rate, power = linear_allocation(static.coeff, t, rate_cap)
-    else:
-        rate = model.inv_marginal_power(static.ctx, t, rate_cap)
-        power = model.power_of_rate(static.ctx, rate)
+    rate, power = model.allocation(static, lam / mu, rate_cap)
     cost = mu * power - lam * rate          # exactly 0 wherever rate == 0
     return RateCostTables(rate=rate, power=power, cost=cost, rate_cap=rate_cap)
 

@@ -31,8 +31,9 @@ Config schema (strict — unknown keys anywhere are rejected):
               "ra1_blocks": ..., "ra1_beta": ..., "ra1_eval_blocks": ...}
 }
 
-Omitted ``solver`` keys take the ``SolverConfig`` defaults and omitted RA
-knobs the ``CompareSetup`` defaults; ``rate_cap`` defaults to
+Omitted ``solver`` keys take the ``SolverConfig`` defaults (in compare and
+sweep_regions modes the ``CompareSetup`` ones, where it has the key) and
+omitted RA knobs the ``CompareSetup`` defaults; ``rate_cap`` defaults to
 ``DEFAULT_RATE_CAP``. ``init`` and ``tol`` may be per-user lists in every
 mode, compare and sweep included.
 
@@ -91,8 +92,7 @@ _RA_KNOBS = {"ra1_regions": (2, True), "ra1_blocks": (1, True),
              "ra2_refine_iters": (0, True), "ra2_kappa": (0.0, False),
              "ra2_tie_rtol": (0.0, False), "ra4_seed": (0, True),
              "ra4_range_scale": (0.0, False), "beta_backoffs": (0, True)}
-_RA_DEFAULTS = {f.name: f.default for f in fields(CompareSetup)
-               if f.name in _RA_KNOBS}
+_SETUP_DEFAULTS = {f.name: f.default for f in fields(CompareSetup)}
 
 
 class ConfigError(Exception):
@@ -253,6 +253,8 @@ def resolve_config(raw: dict) -> dict:
     _reject_unknown(sv, _SOLVER_DEFAULTS, "solver")
     rsv = {}
     for key, default in _SOLVER_DEFAULTS.items():
+        if mode in ("compare", "sweep_regions"):    # solved via CompareSetup
+            default = _SETUP_DEFAULTS.get(key, default)
         v, where = sv.get(key, default), f"solver.{key}"
         lo, integer = _SOLVER_BOUNDS[key]
         if key in ("init", "tol") and isinstance(v, list):
@@ -295,7 +297,7 @@ def resolve_config(raw: dict) -> dict:
                 raise ConfigError(
                     "compare.snr_db sweep requires snr_db-style fading")
             rcp["snr_db"] = _num_list(cp["snr_db"], "compare.snr_db")
-        rcp.update(_ra_knobs({**_RA_DEFAULTS, **cp}, "compare"))
+        rcp.update(_ra_knobs({**_SETUP_DEFAULTS, **cp}, "compare"))
         resolved["compare"] = rcp
     elif "compare" in raw:
         raise ConfigError("config.compare: only valid in compare mode")

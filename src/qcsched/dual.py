@@ -21,8 +21,8 @@ import numpy as np
 
 from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
-                        StaticTables, build_tables, gather_columns,
-                        smooth_weights, take_regions)
+                        build_tables, gather_columns, smooth_weights,
+                        take_regions)
 from .powerrate import PowerRate
 from .quantizer import QuantizerGrid
 
@@ -42,13 +42,15 @@ def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
                mode: str = "smooth", eps: float = 0.05,
                rate_cap: float = DEFAULT_RATE_CAP,
                budget: int = qz.DEFAULT_ENUM_BUDGET,
-               space=None, static: StaticTables | None = None,
+               space=None, static: tuple | None = None,
                tables: RateCostTables | None = None) -> DualEvaluation:
     """Ensemble dual evaluation via per-channel enumeration, O(K·L^M·M).
 
     mode "hard" serves the cost minimizer when c* < 0 (ties broken to the
     lowest user index — the hard subgradient is set-valued at exact ties and
     this picks one selection); mode "smooth" serves the ε-smooth weights.
+    ``space`` (column_space), ``static`` (allocator.make_static: the
+    family's per-region cell data) and ``tables`` are reused when given.
     """
     if mode not in ("hard", "smooth"):
         raise ValueError("mode must be 'hard' or 'smooth'")

@@ -24,17 +24,21 @@ and strictly convex in x with Υ(0) = 0:
   Υ⁻¹(y) = [S_lo·(ln(1+y·q_lo) + e^{t_lo}E1(t_lo))
             - S_hi·(ln(1+y·q_hi) + e^{t_hi}E1(t_hi))] / (Pr·ln 2)
   with S = e^{-q/ḡ}, t = (1+y·q)/(y·ḡ); the exp-scaled E1 keeps it stable
-  down to y → 0. Υ itself and Υ̇⁻¹ are monotone root-finds on the closed form
-  and its derivative. No outage regions.
+  down to y → 0. Υ̇⁻¹ is one monotone root-find on the derivative, for the
+  power y* = Υ(R*); Υ alone is one on the closed form. No outage regions.
 
 The first three families share the shape Υ(x) = c·(2^x - 1) with a per-region
 constant c, which gives closed-form marginals:
 Υ̇(x) = c·ln2·2^x and Υ̇⁻¹(t) = log2(t/(c·ln2)) for t > c·ln2, else 0.
 ``linear_allocation`` is the one implementation of Υ̇⁻¹ and Υ for that shape.
 
-Every family is used through its methods: ``power_of_rate`` (Υ),
-``rate_of_power`` (Υ⁻¹), ``marginal_power`` (Υ̇) and ``inv_marginal_power``
-(Υ̇⁻¹, clipped to 0 below Υ̇(0) and to ``rate_cap`` above).
+Every family is used through its methods, and only this module knows its
+shape. The scheduler's hook is ``allocation(cell_data(ctx), slope,
+rate_cap)``: ``cell_data`` is the λ-independent per-region data (c above; the
+region for ergodic) and ``allocation`` returns (R*, Υ(R*)) with R* =
+Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap``. Pointwise there are
+``power_of_rate`` (Υ), ``rate_of_power`` (Υ⁻¹), ``marginal_power`` (Υ̇) and
+``inv_marginal_power`` (R*).
 """
 
 from __future__ import annotations
@@ -111,18 +115,22 @@ def _survivals(ctx: RegionContext):
 
 
 def _vec_bisect(f, lo, hi, rel_tol, max_iter, what: str):
-    """Bisect f (increasing through zero) elementwise on [lo, hi]."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    mid = 0.5 * (lo + hi)
+    """Bisect f (increasing through zero) elementwise on [lo, hi].
+
+    Each element stops at the first step that meets its tolerance, so its
+    root does not depend on the other elements of the call.
+    """
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    live = np.ones(lo.shape, dtype=bool)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         below = f(mid) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= rel_tol * (1.0 + np.abs(hi))):
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
+        live &= ~(hi - lo <= rel_tol * (1.0 + np.abs(hi)))
+        if not live.any():
             return 0.5 * (lo + hi)
-    resid = float(np.max(np.abs(f(mid))))
+    resid = float(np.max(np.abs(f(mid)[live])))
     raise NumericError(f"bisection for {what} did not converge", resid)
 
 
@@ -162,11 +170,19 @@ class PowerRate:
 
     # -- family hooks -------------------------------------------------------
     def linear_coeff(self, ctx: RegionContext):
-        """Per-region c with Υ(x) = c·(2^x-1), or None if not of that shape.
+        """Per-region c with Υ(x) = c·(2^x-1); outage regions carry +inf."""
+        raise NotImplementedError
 
-        Outage regions carry c = +inf.
-        """
-        return None
+    def cell_data(self, ctx: RegionContext) -> tuple:
+        """λ-independent per-region arrays, all of one shape, that
+        ``allocation`` reads: (c,) for the c·(2^x-1) families."""
+        return (self.linear_coeff(ctx),)
+
+    def allocation(self, data: tuple, slope,
+                   rate_cap: float | None = None) -> tuple:
+        """(R*, Υ(R*)) per cell of ``cell_data``: R* = Υ̇⁻¹(slope), 0 where
+        slope ≤ Υ̇(0) and at most ``rate_cap``."""
+        return linear_allocation(data[0], slope, rate_cap)
 
     # -- generic closed forms for linear-coefficient families ---------------
     def power_of_rate(self, ctx: RegionContext, rate) -> np.ndarray:
@@ -194,10 +210,11 @@ class PowerRate:
 
     def inv_marginal_power(self, ctx: RegionContext, slope,
                            rate_cap: float | None = None) -> np.ndarray:
-        return linear_allocation(self.linear_coeff(ctx), slope, rate_cap)[0]
+        return self.allocation(self.cell_data(ctx), slope, rate_cap)[0]
 
     def is_outage(self, ctx: RegionContext) -> np.ndarray:
-        return np.isposinf(self.linear_coeff(ctx))
+        """Regions where even the first bit costs infinite marginal power."""
+        return np.isposinf(self.marginal_at_zero(ctx))
 
 
 @dataclass(frozen=True)
@@ -293,36 +310,31 @@ class ErgodicCapacity(PowerRate):
         y = np.asarray(power, dtype=float)
         if np.any(y < 0):
             raise ValueError("power must be nonnegative")
-        lo, hi, g, y = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain, y)
-        s_lo, s_hi, pr = _survivals(RegionContext(lo, hi, g))
-        ys = np.where(y > 0.0, y, 1.0)                 # dummy where y == 0
-        t_lo = (1.0 + ys * lo) / (ys * g)
-        bra_lo = s_lo * (np.log1p(ys * lo) + exp1_scaled(t_lo))
-        fin = ~np.isposinf(hi)
-        bra_hi = np.zeros_like(bra_lo)
-        if np.any(fin):
-            t_hi = (1.0 + ys[fin] * hi[fin]) / (ys[fin] * g[fin])
-            bra_hi[fin] = s_hi[fin] * (np.log1p(ys[fin] * hi[fin])
-                                       + exp1_scaled(t_hi))
-        rate = (bra_lo - bra_hi) / (pr * _LN2)
-        return np.where(y > 0.0, rate, 0.0)
+        return self._closed_form(ctx, y)[0]
 
     def _rate_deriv(self, ctx: RegionContext, power) -> np.ndarray:
         """d Υ⁻¹/dy — strictly decreasing, (Υ⁻¹)'(0) = E[g|region]/ln2."""
+        return self._closed_form(ctx, power)[1]
+
+    def _closed_form(self, ctx: RegionContext, power) -> tuple:
+        """Υ⁻¹(y) and d Υ⁻¹/dy, which share their exponential integrals."""
         y = np.asarray(power, dtype=float)
         lo, hi, g, y = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain, y)
         s_lo, s_hi, pr = _survivals(RegionContext(lo, hi, g))
-        ys = np.where(y > 0.0, y, 1.0)
-        t_lo = (1.0 + ys * lo) / (ys * g)
-        inner = s_lo * exp1_scaled(t_lo)
+        ys = np.where(y > 0.0, y, 1.0)                 # dummy where y == 0
+        e_lo = exp1_scaled((1.0 + ys * lo) / (ys * g))
+        e_hi = np.zeros_like(e_lo)                     # s_hi = 0 where q_hi = ∞
         fin = ~np.isposinf(hi)
         if np.any(fin):
-            t_hi = (1.0 + ys[fin] * hi[fin]) / (ys[fin] * g[fin])
-            inner = np.asarray(inner)
-            inner[fin] -= s_hi[fin] * exp1_scaled(t_hi)
-        deriv = (pr - inner / (ys * g)) / (pr * _LN2 * ys)
+            e_hi[fin] = exp1_scaled((1.0 + ys[fin] * hi[fin])
+                                    / (ys[fin] * g[fin]))
+        hi_fin = np.where(fin, hi, 0.0)
+        rate = (s_lo * (np.log1p(ys * lo) + e_lo)
+                - s_hi * (np.log1p(ys * hi_fin) + e_hi)) / (pr * _LN2)
+        deriv = ((pr - (s_lo * e_lo - s_hi * e_hi) / (ys * g))
+                 / (pr * _LN2 * ys))
         at0 = self._cond_mean_gain(lo, hi, g, s_lo, s_hi, pr) / _LN2
-        return np.where(y > 0.0, deriv, at0)
+        return np.where(y > 0.0, rate, 0.0), np.where(y > 0.0, deriv, at0)
 
     @staticmethod
     def _cond_mean_gain(lo, hi, g, s_lo, s_hi, pr):
@@ -353,31 +365,36 @@ class ErgodicCapacity(PowerRate):
         y = self.power_of_rate(ctx, rate)
         return 1.0 / self._rate_deriv(ctx, y)
 
-    def inv_marginal_power(self, ctx: RegionContext, slope,
-                           rate_cap: float | None = None) -> np.ndarray:
+    def cell_data(self, ctx: RegionContext) -> tuple:
+        return tuple(np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain))
+
+    def allocation(self, data: tuple, slope,
+                   rate_cap: float | None = None) -> tuple:
+        """One root-find per active cell, for the power y* with
+        (Υ⁻¹)'(y*) = 1/slope; then R* = Υ⁻¹(y*) and Υ(R*) = y*. Cells
+        clipped at ``rate_cap`` get Υ(rate_cap) instead."""
         t = np.asarray(slope, dtype=float)
         if np.any(t < 0):
             raise ValueError("slope must be nonnegative")
-        lo, hi, g, t = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain, t)
-        c = RegionContext(lo, hi, g)
-        active = t > self.marginal_at_zero(c)
-        ts = np.where(active & (t > 0), t, 1.0)
-        # Υ̇⁻¹ via (Υ⁻¹)'(y) = 1/t, then mapping y through Υ⁻¹
-        y_hi = _grow_bracket(
-            lambda y: self._rate_deriv(c, y) <= 1.0 / ts,
-            np.ones_like(ts), 1024, "ergodic marginal inverse")
-        y = _vec_bisect(lambda y: 1.0 / ts - self._rate_deriv(c, y),
-                        np.zeros_like(ts), y_hi, self.root_tol, self.max_iter,
-                        "ergodic marginal inverse")
-        r = np.where(active, self.rate_of_power(c, y), 0.0)
-        if rate_cap is not None:
-            r = np.minimum(r, rate_cap)
-        return r
-
-    def is_outage(self, ctx: RegionContext) -> np.ndarray:
-        shape = np.broadcast_shapes(np.shape(ctx.q_lo), np.shape(ctx.q_hi),
-                                    np.shape(ctx.mean_gain))
-        return np.zeros(shape, dtype=bool)
+        lo, hi, g, t = np.broadcast_arrays(*data, t)
+        active = t > self.marginal_at_zero(RegionContext(lo, hi, g))
+        c = RegionContext(lo[active], hi[active], g[active])
+        inv_t = 1.0 / t[active]
+        y_hi = _grow_bracket(lambda y: self._rate_deriv(c, y) <= inv_t,
+                             np.ones_like(inv_t), 1024,
+                             "ergodic marginal inverse")
+        y = _vec_bisect(lambda y: inv_t - self._rate_deriv(c, y),
+                        np.zeros_like(inv_t), y_hi, self.root_tol,
+                        self.max_iter, "ergodic marginal inverse")
+        r = self.rate_of_power(c, y)
+        capped = r > (np.inf if rate_cap is None else rate_cap)
+        if capped.any():
+            r[capped] = rate_cap
+            y[capped] = self.power_of_rate(RegionContext(
+                c.q_lo[capped], c.q_hi[capped], c.mean_gain[capped]), rate_cap)
+        rate, power = np.zeros(t.shape), np.zeros(t.shape)
+        rate[active], power[active] = r, y
+        return rate, power
 
 
 _FAMILIES = {

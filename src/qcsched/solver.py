@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantizer as qz
-from .allocator import (DEFAULT_RATE_CAP, Multipliers, StaticTables,
-                        block_statics, build_tables, make_static)
+from .allocator import (DEFAULT_RATE_CAP, Multipliers, block_statics,
+                        build_tables, make_static)
 from .channel import FadingModel, sample_gain_blocks
 from .dual import block_allocation, exact_dual
 from .powerrate import PowerRate
@@ -49,7 +49,7 @@ class Problem:
         if self.mu.shape != (M,) or self.targets.shape != (M,):
             raise ValueError("mu and targets must have shape (M,)")
         self._space = None
-        self._static: StaticTables | None = None
+        self._static: tuple | None = None
 
     @property
     def num_users(self) -> int:
@@ -63,7 +63,7 @@ class Problem:
             self._space = qz.column_space(self.grid, self.enum_budget)
         return self._space
 
-    def static(self) -> StaticTables:
+    def static(self) -> tuple:
         if self._static is None:
             self._static = make_static(self.grid, self.model)
         return self._static

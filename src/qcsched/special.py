@@ -6,9 +6,10 @@ Two regimes, split at argument 1 (standard special-function practice):
 * ``x ≥ 1`` — modified Lentz evaluation of the continued fraction
   E1(x) = e^{-x} / (x + 1 - 1²/(x + 3 - 2²/(x + 5 - ...)))
 
-Absolute tolerance 1e-14. ``exp1_scaled`` returns e^x·E1(x), which stays
-finite for large x and is what the ergodic-capacity closed form needs
-(products like e^{1/(yḡ)}·E1(t) evaluate without overflow).
+Absolute tolerance 1e-14; each element stops at its own last term, so its
+value does not depend on the rest of the call. ``exp1_scaled`` returns
+e^x·E1(x), which stays finite for large x and is what the ergodic-capacity
+closed form needs (products like e^{1/(yḡ)}·E1(t) evaluate without overflow).
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ def _series(x: np.ndarray) -> np.ndarray:
     # E1(x) + γ + ln(x) = Σ (-1)^{n+1} x^n / (n·n!); alternating, fast for x < 1
     total = np.zeros_like(x)
     term = np.ones_like(x)
+    live = np.ones(x.shape, dtype=bool)
     for n in range(1, _MAX_TERMS + 1):
         term = term * (-x) / n
         contrib = -term / n
-        total += contrib
-        if np.all(np.abs(contrib) < _TOL):
+        total += np.where(live, contrib, 0.0)
+        live &= ~(np.abs(contrib) < _TOL)
+        if not live.any():
             break
     return -_EULER_GAMMA - np.log(x) + total
 
@@ -44,6 +47,7 @@ def _lentz_scaled(x: np.ndarray) -> np.ndarray:
     c = np.full_like(x, 1.0 / _TINY)
     d = 1.0 / b
     h = d.copy()
+    live = np.ones(x.shape, dtype=bool)
     for i in range(1, _MAX_TERMS + 1):
         a = -float(i) * float(i)
         b = b + 2.0
@@ -53,8 +57,9 @@ def _lentz_scaled(x: np.ndarray) -> np.ndarray:
         c = b + a / c
         c = np.where(np.abs(c) < _TINY, _TINY, c)
         delta = c * d
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) < _CF_TOL):
+        h = np.where(live, h * delta, h)
+        live &= ~(np.abs(delta - 1.0) < _CF_TOL)
+        if not live.any():
             break
     return h
 

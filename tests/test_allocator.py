@@ -10,8 +10,8 @@ from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, TieInstance,
                                winner_sets)
 from qcsched.channel import FadingModel
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
-                               OutageCapacity, RegionContext)
-from qcsched.quantizer import QuantizerGrid, build_equiprobable
+                               OutageCapacity, RegionContext, region_contexts)
+from qcsched.quantizer import QuantizerGrid, build_equiprobable, build_random
 
 LN2 = np.log(2.0)
 
@@ -108,15 +108,10 @@ def test_tables_cost_nonincreasing_in_region(grid_2x3):
 def test_tables_match_scalar_powerrate_calls(grid_2x3):
     lam = np.array([0.8, 1.3])
     muv = np.array([1.0, 2.0])
-    # MaxAvgBer's c is a bisection that stops once every cell of the call
-    # meets root_tol, so a one-cell call and the grid-wide call can stop
-    # apart by about root_tol (2e-12 in cost at the default 1e-12); the
-    # tighter root_tol keeps this test on the table assembly
     for model in (OutageCapacity(outage_delta=0.2), ErgodicCapacity(),
                   OutageCapacity(outage_delta=0.0),      # c = +inf cells
                   MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=0.01),
-                  MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01,
-                            root_tol=1e-14)):
+                  MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01)):
         t = build_tables(model, grid_2x3, mult(lam, mu=muv))
         thr = grid_2x3.thresholds
         for m in range(2):
@@ -130,6 +125,28 @@ def test_tables_match_scalar_powerrate_calls(grid_2x3):
                     p = float(model.power_of_rate(ctx, r))
                     assert t.cost[m, k, l] == pytest.approx(
                         muv[m] * p - lam[m] * r, abs=1e-12)
+
+
+def test_root_finds_do_not_depend_on_the_batch():
+    # every cell stops its own bisection (and its own E1 series or continued
+    # fraction), so a one-cell call gives the bits of the grid-wide call
+    fading = FadingModel(np.array([[1.0, 2.0, 0.5], [1.5, 1.0, 3.0]]), seed=0)
+    grid = build_random(fading, 4, (0.0, 6.0), seed=4)
+    ctx = region_contexts(grid)
+    avg = MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01)
+    erg = ErgodicCapacity()
+    lam, muv, cap = np.array([0.8, 4.0]), np.array([1.0, 2.0]), 1.5
+    coeff = avg.linear_coeff(ctx)
+    t = build_tables(erg, grid, mult(lam, mu=muv), rate_cap=cap)
+    # the grid holds idle, interior and capped ergodic cells
+    assert np.any(t.rate == 0) and np.any(t.rate == cap)
+    assert np.any((t.rate > 0) & (t.rate < cap))
+    for m, k, l in np.ndindex(coeff.shape):
+        cell = RegionContext(ctx.q_lo[m, k, l], ctx.q_hi[m, k, l],
+                             ctx.mean_gain[m, k, 0])
+        assert avg.linear_coeff(cell) == coeff[m, k, l]
+        rate, power = erg.allocation(erg.cell_data(cell), lam[m] / muv[m], cap)
+        assert rate == t.rate[m, k, l] and power == t.power[m, k, l]
 
 
 # --- winner sets ------------------------------------------------------------------

@@ -167,6 +167,26 @@ def test_bundled_configs_pass_dry_run(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode, beta, max_iters", [
+    ("offline_smooth", 0.01, 200_000),
+    ("compare", 1e-3, 20_000),
+    ("sweep_regions", 1e-3, 20_000),
+])
+def test_omitted_solver_keys_take_the_mode_defaults(tmp_path, capsys, mode,
+                                                    beta, max_iters):
+    # compare and sweep solve through CompareSetup and take its stepsize and
+    # iteration budget; the solver modes take SolverConfig's
+    cfg = compare_cfg(mode=mode) if mode == "compare" else tiny(mode=mode)
+    del cfg["solver"]
+    if mode == "sweep_regions":
+        cfg["sweep"] = {"regions": [2, 4]}
+    rc, _ = run(tmp_path, cfg, "--dry-run")
+    assert rc == OK
+    solver = json.loads(capsys.readouterr().out)["solver"]
+    assert (solver["beta"], solver["max_iters"]) == (beta, max_iters)
+    assert solver["kappa"] == 0.1
+
+
 # --- offline smooth ------------------------------------------------------------
 
 def test_offline_smooth_artifacts(tmp_path):

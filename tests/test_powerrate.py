@@ -270,6 +270,18 @@ def test_numeric_error_carries_residual():
     assert err.residual == 0.5
 
 
+def test_unconverged_root_find_raises_with_its_residual():
+    ctx = RegionContext(q_lo=np.array([0.0, 0.4]), q_hi=np.array([0.4, 2.0]),
+                        mean_gain=1.3)
+    for call in (
+            lambda: MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01,
+                              max_iter=3).linear_coeff(ctx),
+            lambda: ErgodicCapacity(max_iter=3).inv_marginal_power(ctx, 5.0)):
+        with pytest.raises(NumericError, match="did not converge") as info:
+            call()
+        assert np.isfinite(info.value.residual) and info.value.residual > 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.05, 3.0), st.floats(0.1, 4.0), st.floats(0.0, 11.0))
 def test_outage_roundtrip_property(lo, width, x):

@@ -8,7 +8,7 @@ import pytest
 from qcsched import solver
 from qcsched.allocator import Multipliers, build_tables
 from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
-from qcsched.dual import block_allocation
+from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import ErgodicCapacity, MaxAvgBer, OutageCapacity
 from qcsched.quantizer import (QuantizerGrid, build_equiprobable, build_random,
                                quantize)
@@ -259,6 +259,23 @@ def ergodic_problem():
     fading = FadingModel(np.array([[1.0, 2.0, 0.7], [0.5, 1.5, 3.0]]), seed=5)
     return Problem(grid=build_equiprobable(fading, 3), model=ErgodicCapacity(),
                    mu=np.ones(2), targets=np.array([0.8, 1.2]), fading=fading)
+
+
+def test_ergodic_family_solved_end_to_end():
+    problem = ergodic_problem()
+    eps, tol = 0.05, 1e-3
+    cfg = SolverConfig(beta=0.2, tol=tol, eps=eps, max_iters=200)
+    lam, traj = run_offline_smooth(problem, cfg)
+    assert traj.converged
+    mult = problem.multipliers(lam)
+    smooth = exact_dual(problem.model, problem.grid, mult, "smooth", eps)
+    hard = exact_dual(problem.model, problem.grid, mult, "hard", eps)
+    assert np.all(np.abs(smooth.subgradient) < tol)
+    np.testing.assert_allclose(traj.rates[-1], problem.targets, atol=tol)
+    assert smooth.value == pytest.approx(
+        smooth.avg_power + lam @ smooth.subgradient, rel=1e-12)
+    K = problem.grid.num_channels
+    assert hard.value <= smooth.value < hard.value + K * eps
 
 
 @pytest.mark.parametrize("make, blocks, beta, rtol, chunk", [
