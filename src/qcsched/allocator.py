@@ -93,7 +93,6 @@ class RateCostTables:
     rate: np.ndarray
     power: np.ndarray               # Υ(R*), unweighted
     cost: np.ndarray                # μΥ(R*) - λR*
-    rate_cap: float
 
     @property
     def num_users(self) -> int:
@@ -116,7 +115,7 @@ def build_tables(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     mu = mult.mu.reshape(user_axis)
     rate, power = model.allocation(static, lam / mu, rate_cap)
     cost = mu * power - lam * rate          # exactly 0 wherever rate == 0
-    return RateCostTables(rate=rate, power=power, cost=cost, rate_cap=rate_cap)
+    return RateCostTables(rate=rate, power=power, cost=cost)
 
 
 def gather_columns(cols0, *tables) -> tuple:

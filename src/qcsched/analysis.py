@@ -30,15 +30,13 @@ import numpy as np
 from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, DEFAULT_TIE_RTOL, Multipliers,
                         RateCostTables, TieInfeasibleError, build_tables,
-                        find_tie_instances, smooth_weights, solve_tie_lp,
-                        take_regions)
+                        find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
-from .dual import exact_dual
+from .dual import block_allocation, exact_dual
 from .powerrate import (NumericError, PowerRate, RegionContext,
                         region_contexts)
 from .quantizer import QuantizerGrid, build_equiprobable, build_random, quantize
-from .solver import Problem, SolverConfig, run_offline_nonsmooth, \
-    run_offline_smooth, run_online
+from .solver import Problem, SolverConfig, run_offline_smooth, run_online
 
 
 @dataclass(frozen=True)
@@ -138,6 +136,19 @@ def cluster_audit(tables: RateCostTables, k: int,
 
 # --- scheme comparison -------------------------------------------------------
 
+# the comparison configs have rate sensitivities |dE[rate]/dlambda| in the
+# hundreds to thousands (growing as L shrinks), and a constant stepsize
+# above 2/|eig|max limit-cycles instead of converging; start at
+# CompareSetup.beta (1e-3) and let _smooth_point back off by 4x, up to
+# _BETA_BACKOFFS times, warm-started, until the run settles
+_BETA_BACKOFFS = 4
+# RA2: diminishing steps _RA2_KAPPA·i^-0.51 on the hard dual for _RA2_ITERS
+# iterations, then the tie search at the relative tolerance _RA2_TIE_RTOL
+_RA2_ITERS = 2_000
+_RA2_KAPPA = 0.05
+_RA2_TIE_RTOL = 1e-3
+
+
 @dataclass
 class CompareSetup:
     """Everything the harness needs for one (config, SNR) point."""
@@ -150,12 +161,7 @@ class CompareSetup:
     eps: float = 0.05
     rate_cap: float = DEFAULT_RATE_CAP
     enum_budget: int = qz.DEFAULT_ENUM_BUDGET
-    # the comparison configs have rate sensitivities |dE[rate]/dlambda| in the
-    # hundreds to thousands (growing as L shrinks), and a constant stepsize
-    # above 2/|eig|max limit-cycles instead of converging; start at 1e-3 and
-    # let _smooth_point back off by 4x, warm-started, until the run settles
-    beta: float = 1e-3
-    beta_backoffs: int = 4
+    beta: float = 1e-3                  # see _BETA_BACKOFFS
     tol: float | np.ndarray = 1e-3      # tol, init: scalar or per user
     max_iters: int = 20_000
     init: float | np.ndarray = 0.1
@@ -164,10 +170,6 @@ class CompareSetup:
     ra1_blocks: int = 30_000
     ra1_beta: float = 2e-3
     ra1_eval_blocks: int = 200_000
-    # RA2 refinement
-    ra2_refine_iters: int = 2_000
-    ra2_kappa: float = 0.05
-    ra2_tie_rtol: float = 1e-3
     # RA4 random quantizer
     ra4_seed: int = 7
     ra4_range_scale: float = 3.0
@@ -180,25 +182,33 @@ def _solver_cfg(setup: CompareSetup, **over) -> SolverConfig:
     return SolverConfig(**kw)
 
 
-def _smooth_point(setup: CompareSetup, grid: QuantizerGrid, **cfg_over):
+def _smooth_point(setup: CompareSetup, grid: QuantizerGrid):
+    """Smooth offline solve on ``grid`` with the β backoff.
+
+    Returns (problem, λ, trajectory); the trajectory's last row is the
+    exact smooth evaluation at λ.
+    """
     problem = Problem(grid=grid, model=setup.model, mu=setup.mu,
                       targets=setup.targets, fading=setup.fading,
                       rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
-    beta = cfg_over.pop("beta", setup.beta)
-    init = cfg_over.pop("init", setup.init)
-    for _ in range(setup.beta_backoffs + 1):
-        cfg = _solver_cfg(setup, beta=beta, init=init, **cfg_over)
-        lam, traj = run_offline_smooth(problem, cfg)
+    beta, init = setup.beta, setup.init
+    for _ in range(_BETA_BACKOFFS + 1):
+        lam, traj = run_offline_smooth(
+            problem, _solver_cfg(setup, beta=beta, init=init))
         if traj.converged:
             break
         # a too-large constant stepsize hovers in a limit cycle around the
         # fixed point; retry smaller, warm-started from the hover region
         beta /= 4.0
         init = lam
-    ev = exact_dual(setup.model, grid, problem.multipliers(lam), "smooth",
-                    setup.eps, setup.rate_cap, setup.enum_budget,
-                    problem.space(), problem.static())
-    return problem, lam, ev, traj.converged
+    return problem, lam, traj
+
+
+def _smooth_row(scheme: str, setup: CompareSetup, grid: QuantizerGrid) -> dict:
+    _, lam, traj = _smooth_point(setup, grid)
+    return {"scheme": scheme, "avg_power": float(traj.power[-1]),
+            "avg_rates": traj.rates[-1], "converged": traj.converged,
+            "lambda": lam, "method": "offline_exact"}
 
 
 def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
@@ -217,43 +227,29 @@ def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     if batch < 1:
         raise ValueError("batch must be >= 1")
     tables = build_tables(model, grid, mult, rate_cap)
-    M = grid.num_users
-    sum_rate = np.zeros(M)
+    sum_rate = np.zeros(grid.num_users)
     sum_power = 0.0
     for done in range(0, num_blocks, batch):
         n = min(batch, num_blocks - done)
-        gains = sample_gain_blocks(fading, first_block + done, n)
-        j0 = quantize(grid, gains) - 1                          # (n, M, K)
-        cost = take_regions(tables.cost, j0).transpose(0, 2, 1)  # (n, K, M)
-        rate = take_regions(tables.rate, j0).transpose(0, 2, 1)
-        w = smooth_weights(cost, eps)
-        served = (rate * w).sum(axis=1)                     # (n, M)
-        sum_rate += served.sum(axis=0)
-        sum_power += float((cost * w).sum()) \
-            + float(served.sum(axis=0) @ mult.lambda_r)
-    avg_rate = sum_rate / num_blocks
-    avg_power = sum_power / num_blocks
-    return avg_rate, avg_power
+        qcsi = quantize(grid, sample_gain_blocks(fading, first_block + done, n))
+        served, wpower, _ = block_allocation(tables, mult, qcsi, eps)
+        sum_rate += served
+        sum_power += wpower
+    return sum_rate / num_blocks, sum_power / num_blocks
 
 
 def ra3_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     """Smooth policy on the configured (default equiprobable) quantizer."""
     if grid is None:
         grid = build_equiprobable(setup.fading, setup.regions)
-    _, lam, ev, converged = _smooth_point(setup, grid)
-    return {"scheme": "RA3", "avg_power": ev.avg_power,
-            "avg_rates": ev.per_user_avg_rate, "converged": converged,
-            "lambda": lam, "method": "offline_exact"}
+    return _smooth_row("RA3", setup, grid)
 
 
 def ra4_point(setup: CompareSetup) -> dict:
     """Smooth policy on a random quantizer over a configured gain range."""
     hi = setup.ra4_range_scale * float(setup.fading.mean_gain.max())
     grid = build_random(setup.fading, setup.regions, (0.0, hi), setup.ra4_seed)
-    _, lam, ev, converged = _smooth_point(setup, grid)
-    return {"scheme": "RA4", "avg_power": ev.avg_power,
-            "avg_rates": ev.per_user_avg_rate, "converged": converged,
-            "lambda": lam, "method": "offline_exact"}
+    return _smooth_row("RA4", setup, grid)
 
 
 def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
@@ -267,28 +263,27 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     """
     if grid is None:
         grid = build_equiprobable(setup.fading, setup.regions)
-    problem, lam_s, ev_s, converged = _smooth_point(setup, grid)
+    problem, lam, traj = _smooth_point(setup, grid)
 
-    best_val = -np.inf
-    best_lam = lam_s
-    lam = lam_s.copy()
+    best = None
     space = problem.space()
     static = problem.static()
-    for i in range(setup.ra2_refine_iters):
+    for i in range(_RA2_ITERS):
         ev = exact_dual(setup.model, grid, problem.multipliers(lam), "hard",
                         setup.eps, setup.rate_cap, setup.enum_budget,
                         space, static)
-        if ev.value > best_val:
-            best_val, best_lam = ev.value, lam.copy()
-        lam = np.maximum(0.0, lam + setup.ra2_kappa * (i + 1) ** (-0.51)
+        if best is None or ev.value > best.value:
+            best, best_lam = ev, lam.copy()
+        lam = np.maximum(0.0, lam + _RA2_KAPPA * (i + 1) ** (-0.51)
                          * ev.subgradient)
     mult = problem.multipliers(best_lam)
-    row = {"scheme": "RA2", "avg_power": best_val, "converged": converged,
-           "lambda": best_lam, "method": "hard_dual_refined"}
+    row = {"scheme": "RA2", "avg_power": best.value,
+           "converged": traj.converged, "lambda": best_lam,
+           "method": "hard_dual_refined"}
     try:
         instances, r_one = find_tie_instances(
             grid, setup.model, mult, rate_cap=setup.rate_cap,
-            budget=setup.enum_budget, tie_rtol=setup.ra2_tie_rtol)
+            budget=setup.enum_budget, tie_rtol=_RA2_TIE_RTOL)
         sol = solve_tie_lp(mult, instances, r_one)
         rates = r_one.copy()
         for inst, w in zip(instances, sol.weights):
@@ -298,9 +293,7 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     except TieInfeasibleError:
         # report what the hard policy serves at best_lam (ties to the
         # lowest user index), not the targets it was meant to meet
-        row["avg_rates"] = exact_dual(
-            setup.model, grid, mult, "hard", setup.eps, setup.rate_cap,
-            setup.enum_budget, space, static).per_user_avg_rate
+        row["avg_rates"] = best.per_user_avg_rate
         row["tie_lp_feasible"] = False
     return row
 
@@ -353,14 +346,13 @@ def ra5_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
             "converged": True, "power_levels": levels, "method": "heuristic"}
 
 
-def ra1_point(setup: CompareSetup) -> dict:
-    """Perfect-CSI proxy via a fine quantizer (upper bound on RA1 power)."""
-    grid = build_equiprobable(setup.fading, setup.ra1_regions)
-    M = grid.num_users
-    if setup.ra1_regions ** M <= setup.enum_budget:
-        sub = CompareSetup(**{**setup.__dict__, "regions": setup.ra1_regions})
-        row = ra3_point(sub, grid)
-        row["scheme"] = "RA1"
+def ra1_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
+    """Perfect-CSI proxy via a fine quantizer (upper bound on RA1 power);
+    ``grid`` defaults to the equiprobable one with ``ra1_regions``."""
+    if grid is None:
+        grid = build_equiprobable(setup.fading, setup.ra1_regions)
+    if grid.regions_per_channel ** grid.num_users <= setup.enum_budget:
+        row = _smooth_row("RA1", setup, grid)
         row["method"] = "offline_exact_fine_grid"
         return row
     problem = Problem(grid=grid, model=setup.model, mu=setup.mu,
@@ -413,15 +405,13 @@ def sweep_regions(setup: CompareSetup, regions_list,
     """
     rows = []
     for L in regions_list:
-        sub = CompareSetup(**{**setup.__dict__, "regions": int(L)})
-        row = ra3_point(sub)
+        row = ra3_point(setup, build_equiprobable(setup.fading, int(L)))
         row.update(regions=int(L), snr_db=snr_db,
                    power_db=10.0 * math.log10(row["avg_power"]))
         rows.append(row)
     if reference_regions:
-        sub = CompareSetup(**{**setup.__dict__,
-                              "ra1_regions": int(reference_regions)})
-        row = ra1_point(sub)
+        row = ra1_point(setup, build_equiprobable(setup.fading,
+                                                  int(reference_regions)))
         row.update(regions=int(reference_regions), snr_db=snr_db,
                    power_db=10.0 * math.log10(row["avg_power"]))
         rows.append(row)

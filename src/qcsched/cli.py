@@ -26,7 +26,9 @@ Config schema (strict — unknown keys anywhere are rejected):
              "max_iters": 200000, "eps": 0.05, "seed": null,
              "record_every": 1},             # optional, all defaulted
   "online":  {"num_blocks": 10000},          # online mode
-  "compare": {"schemes": [...], "snr_db": [...], ...RA knobs},  # compare mode
+  "compare": {"schemes": [...], "snr_db": [...],            # compare mode
+              "ra1_regions": 256, "ra1_blocks": ..., "ra1_beta": ...,
+              "ra1_eval_blocks": ..., "ra4_seed": 7, "ra4_range_scale": 3.0},
   "sweep":   {"regions": [2, 3, 4, 6, 8], "reference_regions": 256,
               "ra1_blocks": ..., "ra1_beta": ..., "ra1_eval_blocks": ...}
 }
@@ -35,7 +37,8 @@ Omitted ``solver`` keys take the ``SolverConfig`` defaults (in compare and
 sweep_regions modes the ``CompareSetup`` ones, where it has the key) and
 omitted RA knobs the ``CompareSetup`` defaults; ``rate_cap`` defaults to
 ``DEFAULT_RATE_CAP``. ``init`` and ``tol`` may be per-user lists in every
-mode, compare and sweep included.
+mode, compare and sweep included. The β backoff and RA2's refinement are
+fixed in ``analysis`` and are not config keys.
 
 Artifacts: every mode writes `summary.json` (final multipliers, rates, powers,
 convergence flag, wall time); solver modes add `trajectory.csv`
@@ -89,9 +92,7 @@ _SOLVER_BOUNDS = {"beta": (None, False), "kappa": (None, False),
 # RA knob -> (lower bound, integer), for the compare and sweep sections
 _RA_KNOBS = {"ra1_regions": (2, True), "ra1_blocks": (1, True),
              "ra1_beta": (None, False), "ra1_eval_blocks": (1, True),
-             "ra2_refine_iters": (0, True), "ra2_kappa": (0.0, False),
-             "ra2_tie_rtol": (0.0, False), "ra4_seed": (0, True),
-             "ra4_range_scale": (0.0, False), "beta_backoffs": (0, True)}
+             "ra4_seed": (0, True), "ra4_range_scale": (0.0, False)}
 _SETUP_DEFAULTS = {f.name: f.default for f in fields(CompareSetup)}
 
 
@@ -493,60 +494,51 @@ def _run_solver_mode(rc: dict, outdir: Path, log_every: int | None) -> int:
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
-def _run_compare(rc: dict, outdir: Path) -> int:
-    cp = rc["compare"]
-    M = rc["fading"]["num_users"]
+def _run_rows(rc: dict, outdir: Path, csv_name: str, lead: list,
+              solve) -> int:
+    """Row modes (compare, sweep_regions): ``solve(setup, snr_db)`` returns
+    rows at each SNR point (the compare.snr_db list, else the fading SNR or
+    NaN); writes ``csv_name`` (the ``lead`` row keys, avg_power_db,
+    avg_rate_1..M) and summary.json, and returns the exit code."""
+    points = rc.get("compare", {}).get("snr_db")
     t0 = time.perf_counter()
-    all_rows = []
-    if "snr_db" in cp:
-        points = cp["snr_db"]
-        for snr in points:
-            sub = {**rc, "fading": {**rc["fading"], "snr_db": snr}}
-            setup = _compare_setup(sub, _build_fading(sub))
-            all_rows += compare_schemes(setup, cp["schemes"], snr_db=snr)
-    else:
+    rows = []
+    if points is None:
         fad = rc["fading"].get("snr_db")
         snr = float(fad) if isinstance(fad, (int, float)) else math.nan
-        setup = _compare_setup(rc, _build_fading(rc))
-        all_rows += compare_schemes(setup, cp["schemes"], snr_db=snr)
+        rows += solve(_compare_setup(rc, _build_fading(rc)), snr)
+    else:
+        for snr in points:
+            sub = {**rc, "fading": {**rc["fading"], "snr_db": snr}}
+            rows += solve(_compare_setup(sub, _build_fading(sub)), snr)
     wall = time.perf_counter() - t0
 
-    header = (["scheme", "snr_db", "avg_power_db"]
-              + [f"avg_rate_{m+1}" for m in range(M)])
-    csv_rows = [[r["scheme"], r["snr_db"], r["power_db"],
-                 *np.asarray(r["avg_rates"], dtype=float)] for r in all_rows]
-    _write_rows_csv(outdir / "compare.csv", header, csv_rows)
+    M = rc["fading"]["num_users"]
+    header = [*lead, "avg_power_db"] + [f"avg_rate_{m+1}" for m in range(M)]
+    csv_rows = [[*(r[k] for k in lead), r["power_db"],
+                 *np.asarray(r["avg_rates"], dtype=float)] for r in rows]
+    _write_rows_csv(outdir / csv_name, header, csv_rows)
+    converged = all(r["converged"] for r in rows)
     _write_summary(outdir, {
-        "mode": "compare", "converged": all(r["converged"] for r in all_rows),
-        "rows": [{k: v for k, v in r.items() if k != "lambda"}
-                 for r in all_rows],
+        "mode": rc["mode"], "converged": converged,
+        "rows": [{k: v for k, v in r.items() if k != "lambda"} for r in rows],
         "wall_time_s": wall})
-    return (EXIT_OK if all(r["converged"] for r in all_rows)
-            else EXIT_NOT_CONVERGED)
+    return EXIT_OK if converged else EXIT_NOT_CONVERGED
+
+
+def _run_compare(rc: dict, outdir: Path) -> int:
+    schemes = rc["compare"]["schemes"]
+    return _run_rows(rc, outdir, "compare.csv", ["scheme", "snr_db"],
+                     lambda setup, snr: compare_schemes(setup, schemes,
+                                                        snr_db=snr))
 
 
 def _run_sweep(rc: dict, outdir: Path) -> int:
     sw = rc["sweep"]
-    M = rc["fading"]["num_users"]
-    fad = rc["fading"].get("snr_db")
-    snr = float(fad) if isinstance(fad, (int, float)) else math.nan
-    t0 = time.perf_counter()
-    setup = _compare_setup(rc, _build_fading(rc))
-    rows = sweep_regions(setup, sw["regions"], sw["reference_regions"],
-                         snr_db=snr)
-    wall = time.perf_counter() - t0
-
-    header = (["regions", "avg_power_db"]
-              + [f"avg_rate_{m+1}" for m in range(M)])
-    csv_rows = [[int(r["regions"]), r["power_db"],
-                 *np.asarray(r["avg_rates"], dtype=float)] for r in rows]
-    _write_rows_csv(outdir / "sweep.csv", header, csv_rows)
-    _write_summary(outdir, {
-        "mode": "sweep_regions", "converged": all(r["converged"] for r in rows),
-        "rows": [{k: v for k, v in r.items() if k != "lambda"} for r in rows],
-        "wall_time_s": wall})
-    return (EXIT_OK if all(r["converged"] for r in rows)
-            else EXIT_NOT_CONVERGED)
+    return _run_rows(rc, outdir, "sweep.csv", ["regions"],
+                     lambda setup, snr: sweep_regions(
+                         setup, sw["regions"], sw["reference_regions"],
+                         snr_db=snr))
 
 
 def _run_overhead(rc: dict, outdir: Path) -> int:

@@ -83,19 +83,23 @@ def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
 
 def block_allocation(tables: RateCostTables, mult: Multipliers, qcsi,
                      eps: float):
-    """Smooth allocation for one realized Q-CSI matrix (M, K), 1-based.
+    """Smooth allocation for realized Q-CSI, 1-based: one block's (M, K)
+    matrix or an (N, M, K) stack of N blocks.
 
     ``tables`` either span every region, (M, K, L), and are read at
-    ``qcsi``, or were built on this block's cells alone, (M, K).
-    Returns (served_rate (M,), weighted_power, served_cost).
+    ``qcsi``, or were built on one block's cells alone, (M, K).
+    Returns (served_rate (M,), weighted_power, served_cost), summed over
+    the blocks of a stack.
     """
     j0 = np.asarray(qcsi, dtype=int) - 1
     cost, rate = tables.cost, tables.rate
     if cost.shape != j0.shape:
         cost, rate = take_regions(cost, j0), take_regions(rate, j0)
-    cost, rate = cost.T, rate.T                   # (K, M)
+    cost, rate = cost.swapaxes(-1, -2), rate.swapaxes(-1, -2)   # (..., K, M)
     w = smooth_weights(cost, eps)
-    served_rate = (rate * w).sum(axis=0)
+    served_rate = (rate * w).sum(axis=-2)
+    if served_rate.ndim == 2:                     # (N, M): sum the blocks
+        served_rate = served_rate.sum(axis=0)
     served_cost = float((cost * w).sum())
     weighted_power = served_cost + float(mult.lambda_r @ served_rate)
     return served_rate, weighted_power, served_cost

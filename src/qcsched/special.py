@@ -64,11 +64,12 @@ def _lentz_scaled(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def exp1(x) -> np.ndarray:
-    """E1(x) for x ≥ 0 elementwise; E1(0) = +inf, negative input raises."""
+def _by_regime(x, name: str, series_form, fraction_form) -> np.ndarray:
+    # validation, scalar handling and the zero / inf / x<1 / x≥1 split shared
+    # by exp1 and exp1_scaled; each passes its own form for the two regimes
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
-        raise ValueError("exp1 requires nonnegative arguments")
+        raise ValueError(f"{name} requires nonnegative arguments")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.empty_like(x)
@@ -79,28 +80,19 @@ def exp1(x) -> np.ndarray:
     out[zero] = np.inf
     out[inf] = 0.0
     if np.any(small):
-        out[small] = _series(x[small])
+        out[small] = series_form(x[small])
     if np.any(large):
-        out[large] = np.exp(-x[large]) * _lentz_scaled(x[large])
+        out[large] = fraction_form(x[large])
     return out[0] if scalar else out
+
+
+def exp1(x) -> np.ndarray:
+    """E1(x) for x ≥ 0 elementwise; E1(0) = +inf, negative input raises."""
+    return _by_regime(x, "exp1", _series,
+                      lambda t: np.exp(-t) * _lentz_scaled(t))
 
 
 def exp1_scaled(x) -> np.ndarray:
     """e^x·E1(x) for x > 0 elementwise; tends to 0 like 1/x as x → ∞."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("exp1_scaled requires nonnegative arguments")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    zero = x == 0.0
-    inf = np.isinf(x)
-    small = (x < 1.0) & ~zero
-    large = ~small & ~zero & ~inf
-    out[zero] = np.inf
-    out[inf] = 0.0
-    if np.any(small):
-        out[small] = np.exp(x[small]) * _series(x[small])
-    if np.any(large):
-        out[large] = _lentz_scaled(x[large])
-    return out[0] if scalar else out
+    return _by_regime(x, "exp1_scaled", lambda t: np.exp(t) * _series(t),
+                      _lentz_scaled)

@@ -156,7 +156,7 @@ def two_user_tables(costs):
     from qcsched.allocator import RateCostTables
     c = np.asarray(costs, float)[:, None, None]
     return RateCostTables(rate=np.ones_like(c), power=np.zeros_like(c),
-                          cost=c, rate_cap=DEFAULT_RATE_CAP)
+                          cost=c)
 
 
 def test_winner_sets_idle_when_no_negative_cost():

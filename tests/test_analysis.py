@@ -100,7 +100,7 @@ def test_cluster_audit_flags_nonmonotone_costs():
     # a cost that worsens with a better region breaks rule (i)
     cost = np.array([[[-1.0, 0.1, 0.2, 0.3]], [[0.0, 0.0, 0.0, 0.0]]])
     t = RateCostTables(rate=np.ones_like(cost), power=np.zeros_like(cost),
-                       cost=cost, rate_cap=12.0)
+                       cost=cost)
     violations = cluster_audit(t, 0)
     assert violations
     assert any(v["rule"] == "own_region_up" and v["user"] == 0
@@ -109,7 +109,7 @@ def test_cluster_audit_flags_nonmonotone_costs():
 
 def test_cluster_audit_budget():
     cost = np.zeros((4, 1, 10))
-    t = RateCostTables(rate=cost, power=cost, cost=cost, rate_cap=12.0)
+    t = RateCostTables(rate=cost, power=cost, cost=cost)
     with pytest.raises(EnumerationBudgetError):
         cluster_audit(t, 0, budget=100)
 
@@ -191,7 +191,7 @@ def test_ra3_point_converges_and_meets_targets():
 def test_ra3_backoff_rescues_oversized_stepsize():
     # beta far above the stability bound: the first attempts limit-cycle and
     # the harness must walk the stepsize down until the run converges
-    setup = micro_setup(beta=2.0, max_iters=3_000, beta_backoffs=6)
+    setup = micro_setup(beta=2.0, max_iters=3_000)
     row = ra3_point(setup)
     assert row["converged"]
     np.testing.assert_allclose(row["avg_rates"], setup.targets, atol=2e-3)

@@ -76,6 +76,14 @@ def test_malformed_json(tmp_path, capsys):
     (lambda c: c["fading"].update(tap_powers=[1.0, 0.5]), "unknown keys"),
     (lambda c: c["power_rate"]["params"].update(root_tol=1e-10),
      "power_rate"),
+    (lambda c: c.update(mode="compare", compare={"beta_backoffs": 6}),
+     "unknown keys ['beta_backoffs']"),
+    (lambda c: c.update(mode="compare", compare={"ra2_refine_iters": 10}),
+     "unknown keys ['ra2_refine_iters']"),
+    (lambda c: c.update(mode="compare", compare={"ra2_kappa": 0.1}),
+     "unknown keys ['ra2_kappa']"),
+    (lambda c: c.update(mode="compare", compare={"ra2_tie_rtol": 1e-2}),
+     "unknown keys ['ra2_tie_rtol']"),
 ])
 def test_config_rejections(tmp_path, capsys, mangle, needle):
     cfg = tiny()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qcsched.allocator import Multipliers, build_tables, smooth_weights
+from qcsched.allocator import (Multipliers, block_statics, build_tables,
+                               make_static, smooth_weights)
 from qcsched.channel import FadingModel, sample_gain_blocks
 from qcsched.dual import (block_allocation, exact_dual, jacobian_check,
                           stochastic_subgradient)
@@ -137,6 +138,31 @@ def test_block_allocation_by_hand():
     np.testing.assert_allclose(served, exp_rate, atol=1e-15)
     assert scost == pytest.approx(exp_cost, abs=1e-15)
     assert wpower == pytest.approx(exp_pow, abs=1e-12)
+
+
+def test_block_allocation_stack_sums_its_blocks():
+    # a 7-block stack read from (M, K, L) tables serves the sum of what the
+    # blocks serve one at a time, from those tables or from each block's
+    # own (M, K) tables
+    fading, grid, mult = small_instance()
+    tables = build_tables(MODEL, grid, mult)
+    qcsi = quantize(grid, sample_gain_blocks(fading, 0, 7))      # (7, M, K)
+    served, wpower, scost = block_allocation(tables, mult, qcsi, eps=0.05)
+    assert served.shape == (2,)
+    assert np.all(served > 0.0)
+    cells = block_statics(make_static(grid, MODEL), qcsi - 1)
+    for per_block in (lambda n: tables,
+                      lambda n: build_tables(MODEL, grid, mult,
+                                             static=cells[n])):
+        calls = [block_allocation(per_block(n), mult, qcsi[n], eps=0.05)
+                 for n in range(7)]
+        np.testing.assert_allclose(served, sum(c[0] for c in calls),
+                                   rtol=1e-13)
+        assert wpower == pytest.approx(sum(c[1] for c in calls), rel=1e-13)
+        assert scost == pytest.approx(sum(c[2] for c in calls), rel=1e-13)
+    with pytest.raises(ValueError):         # one block's tables, 7 blocks
+        block_allocation(build_tables(MODEL, grid, mult, static=cells[0]),
+                         mult, qcsi, eps=0.05)
 
 
 def test_stochastic_subgradient_unbiased():

@@ -1,0 +1,104 @@
+"""Golden-output guardrail: every artifact of a fixed set of CLI runs, hashed.
+
+Each case runs ``qcsched.cli.main`` in-process and compares the sha256 of
+every CSV it writes, and of ``summary.json`` with ``wall_time_s`` removed,
+against the hashes below. A refactor that claims to keep the output bits
+must keep these hashes; a change that moves them on purpose (a new random
+stream, a fixed bug) updates them and says why in CHANGES.md.
+
+The hashes hold for Python 3.11.7 and numpy 2.4.6; another numpy may round
+a reduction differently and move them without any change to qcsched.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+import qcsched
+from qcsched.cli import main
+
+CONFIGS = Path(qcsched.__file__).parent / "configs"
+
+MICRO = {
+    "fading": {"num_users": 2, "num_channels": 4, "snr_db": 6.0, "seed": 2},
+    "quantizer": {"type": "equiprobable", "regions": 4},
+    "power_rate": {"family": "outage_capacity",
+                   "params": {"outage_delta": 0.0}},
+    "targets": [1.0, 1.5],
+    "enum_budget": 1000,
+}
+
+# M=2, K=4: RA1 takes its online + Monte-Carlo path (64^2 > enum_budget)
+# and RA2 runs its hard-dual refinement
+MICRO_COMPARE = {
+    **MICRO, "mode": "compare",
+    "compare": {"schemes": ["RA1", "RA2", "RA3", "RA4", "RA5"],
+                "ra1_regions": 64, "ra1_blocks": 2000,
+                "ra1_eval_blocks": 20000},
+}
+
+MICRO_SWEEP = {
+    **MICRO, "mode": "sweep_regions", "enum_budget": 1000000,
+    "sweep": {"regions": [2, 3, 4], "reference_regions": 64},
+}
+
+GOLDEN = {
+    "micro_compare": {
+        "compare.csv":
+            "354172c9e98643648d807db45b23cf91fb36d27a90c96100f4860f8e2f30272d",
+        "summary.json":
+            "0f3fe0a6d7d7f15660da20d2d20847f379f643fb1cb4a2d2c5993aafc710eaf6",
+    },
+    "micro_sweep": {
+        "sweep.csv":
+            "5c4854ef4b617ca9946880d1dbc422ed3226aec72c08ae624917e6c9dc55d92c",
+        "summary.json":
+            "1ca3e300b875cb34918db49af2a5c5da67d10d5b35910730e9b8ce70fdee13e9",
+    },
+    "overhead": {
+        "summary.json":
+            "922729c126102eeb53ac80006c2389849577512855316420f88062f9860f7724",
+    },
+    "testcase1": {
+        "trajectory.csv":
+            "081f41d8ca7029abb424ea6b8d5ba277bec00338e9842b1b9fa89b3f30164bda",
+        "summary.json":
+            "c68ca46e93912e6dcd3465b53d4c07ad3f7c9bd000d4c52cd89285aad9266a88",
+    },
+    "testcase2_online": {
+        "trajectory.csv":
+            "d109e753e840427e02df43bbc28e582535d01b8930db7e3fc329599f680872c7",
+        "summary.json":
+            "c9379107a28c30497c0332651ccb832fa7d0ceb7fcccabb886d0b9feb629e901",
+    },
+}
+
+
+def _config_path(name, tmp_path):
+    micro = {"micro_compare": MICRO_COMPARE, "micro_sweep": MICRO_SWEEP}
+    if name not in micro:
+        return CONFIGS / f"{name}.json"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(micro[name]))
+    return path
+
+
+def _artifact_hashes(out: Path) -> dict:
+    hashes = {}
+    for path in sorted(out.glob("*.csv")):
+        hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    summary = json.loads((out / "summary.json").read_text())
+    summary.pop("wall_time_s")
+    blob = json.dumps(summary, sort_keys=True).encode()
+    hashes["summary.json"] = hashlib.sha256(blob).hexdigest()
+    return hashes
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifacts_match_golden_hashes(tmp_path, name):
+    out = tmp_path / "art"
+    argv = ["--config", str(_config_path(name, tmp_path)), "--out", str(out)]
+    assert main(argv) == 0
+    assert _artifact_hashes(out) == GOLDEN[name]
