@@ -6,9 +6,10 @@ rates and reports average weighted power:
 * RA1 — perfect-CSI proxy: the same machinery with a fine quantizer
   (default 256 regions/channel). When the column space fits the enumeration
   budget it is solved exactly offline; otherwise the multipliers are found
-  online (no enumeration) and the primal is evaluated by seeded Monte Carlo
-  with common random numbers. Either way the proxy *upper-bounds* the true
-  perfect-CSI power (a finite quantizer can only do worse).
+  online (no enumeration), averaged over the run's second half, and the
+  primal is evaluated there by seeded Monte Carlo. Either way the proxy
+  *upper-bounds* the true perfect-CSI power (a finite quantizer can only do
+  worse).
 * RA2 — hard-optimal policy: diminishing-step refinement of the hard dual
   from the smooth solution; the reported power is the best hard dual value
   (zero duality gap), and the tie LP is attempted at a widened tie tolerance
@@ -48,6 +49,11 @@ class OverheadReport:
     full_qcsi_bits: int
     allocation_bits: int
     per_channel_bits: int
+
+
+def power_db(power: float) -> float:
+    """10·log10 of a linear power; −inf for a zero-power (silent) row."""
+    return 10.0 * math.log10(power) if power > 0 else -math.inf
 
 
 def feedback_bits(num_users: int, num_channels: int, regions: int) -> OverheadReport:
@@ -224,8 +230,8 @@ def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     batch·M·K, not with L. Block streams are the ones the online solver
     sees, so comparisons share random numbers.
     """
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
+    if batch < 1 or num_blocks < 1:
+        raise ValueError("batch and num_blocks must be >= 1")
     tables = build_tables(model, grid, mult, rate_cap)
     sum_rate = np.zeros(grid.num_users)
     sum_power = 0.0
@@ -360,13 +366,15 @@ def ra1_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
                       rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
     cfg = _solver_cfg(setup, beta=setup.ra1_beta, record_every=1000)
     res = run_online(problem, cfg, setup.ra1_blocks)
-    mult = problem.multipliers(res.final_lambda)
+    # Polyak–Ruppert tail average: the last iterate is one noisy β-step
+    lam = res.lam_trace[setup.ra1_blocks // 2:].mean(axis=0)
+    mult = problem.multipliers(lam)
     avg_rate, avg_power = mc_primal(setup.model, grid, mult, setup.eps,
                                     setup.fading, setup.ra1_eval_blocks,
                                     first_block=setup.ra1_blocks,
                                     rate_cap=setup.rate_cap)
     return {"scheme": "RA1", "avg_power": avg_power, "avg_rates": avg_rate,
-            "converged": True, "lambda": res.final_lambda,
+            "converged": True, "lambda": lam,
             "method": "online_plus_monte_carlo"}
 
 
@@ -389,8 +397,7 @@ def compare_schemes(setup: CompareSetup,
         except KeyError:
             raise ValueError(f"unknown scheme {name!r}")
         row["snr_db"] = snr_db
-        row["power_db"] = (10.0 * math.log10(row["avg_power"])
-                           if row["avg_power"] > 0 else -math.inf)
+        row["power_db"] = power_db(row["avg_power"])
         rows.append(row)
     return rows
 
@@ -407,12 +414,12 @@ def sweep_regions(setup: CompareSetup, regions_list,
     for L in regions_list:
         row = ra3_point(setup, build_equiprobable(setup.fading, int(L)))
         row.update(regions=int(L), snr_db=snr_db,
-                   power_db=10.0 * math.log10(row["avg_power"]))
+                   power_db=power_db(row["avg_power"]))
         rows.append(row)
     if reference_regions:
         row = ra1_point(setup, build_equiprobable(setup.fading,
                                                   int(reference_regions)))
         row.update(regions=int(reference_regions), snr_db=snr_db,
-                   power_db=10.0 * math.log10(row["avg_power"]))
+                   power_db=power_db(row["avg_power"]))
         rows.append(row)
     return rows

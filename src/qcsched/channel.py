@@ -52,33 +52,35 @@ class FadingModel:
         return self.mean_gain.shape[1]
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    # 128-bit Philox key = (seed, block); distinct keys give independent
-    # streams, so block addressing is O(1) and parallel-safe.
-    key = np.array([seed, block_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_GAIN_STREAM = 1    # second key word: build_random keys ladders (seed, 0)
 
 
 def sample_gains(model: FadingModel, block_index: int) -> np.ndarray:
-    """Draw the M x K gain matrix for one fading block.
-
-    Entries are independent exponentials with means ``model.mean_gain``;
-    the draw is a pure function of (model.seed, block_index).
-    """
-    if block_index < 0 or block_index >= 2 ** 64:
-        raise ValueError("block_index must be a nonnegative 64-bit integer")
-    rng = _block_rng(model.seed, int(block_index))
-    return rng.exponential(model.mean_gain)
+    """The M x K gain matrix of one fading block, a pure function of
+    (model.seed, block_index): row 0 of a one-block draw."""
+    return sample_gain_blocks(model, block_index, 1)[0]
 
 
 def sample_gain_blocks(model: FadingModel, first_block: int,
                        num_blocks: int) -> np.ndarray:
     """Stack ``num_blocks`` consecutive gain matrices, shape (N, M, K).
 
-    Equivalent to calling :func:`sample_gains` block by block (same streams),
-    batched for Monte-Carlo evaluation loops.
+    One Philox stream per seed, keyed (seed, _GAIN_STREAM): block b owns the
+    s = ⌈M·K/4⌉ counter steps from b·s (four 64-bit words each), so any block
+    is O(1)-addressable and a chunk is one draw of uniforms mapped in place
+    to inverse-CDF exponentials −ḡ·log1p(−u) (Salmon et al., SC'11). A draw
+    equals the same rows of any longer draw that starts at or before it.
     """
-    out = np.empty((num_blocks, model.num_users, model.num_channels))
-    for i in range(num_blocks):
-        out[i] = sample_gains(model, first_block + i)
-    return out
+    first_block, num_blocks = int(first_block), int(num_blocks)
+    if first_block < 0 or num_blocks < 0 or first_block + num_blocks > 2 ** 64:
+        raise ValueError("block indices must be nonnegative 64-bit integers")
+    M, K = model.num_users, model.num_channels
+    stride = -(-M * K // 4)
+    bitgen = np.random.Philox(key=np.array([model.seed, _GAIN_STREAM],
+                                           dtype=np.uint64))
+    bitgen.advance(first_block * stride)
+    u = np.random.Generator(bitgen).random((num_blocks, 4 * stride))
+    gains = u[:, :M * K]
+    np.log1p(np.negative(gains, out=gains), out=gains)
+    gains *= -model.mean_gain.reshape(-1)
+    return gains.reshape(num_blocks, M, K)

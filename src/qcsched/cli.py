@@ -23,7 +23,7 @@ Config schema (strict — unknown keys anywhere are rejected):
   "mu": [1, 1, 1, 1],                        # optional, defaults to ones
   "rate_cap": 12.0, "enum_budget": 1000000,  # optional
   "solver": {"beta": 0.01, "kappa": 0.1, "init": 0.1, "tol": 0.001,
-             "max_iters": 200000, "eps": 0.05, "seed": null,
+             "max_iters": 200000, "eps": 0.05,
              "record_every": 1},             # optional, all defaulted
   "online":  {"num_blocks": 10000},          # online mode
   "compare": {"schemes": [...], "snr_db": [...],            # compare mode
@@ -45,7 +45,7 @@ convergence flag, wall time); solver modes add `trajectory.csv`
 (`iter,lambda_1..M,subgrad_1..M,rate_1..M,power`; for the online mode the rate
 columns are running sample means); compare adds `compare.csv`
 (`scheme,snr_db,avg_power_db,avg_rate_1..M`); sweep_regions adds `sweep.csv`.
-CSV bytes are identical across reruns of the same config + seed.
+CSV bytes are identical across reruns of the same config + fading seed.
 
 Exit codes: 0 ok; 2 config/schema error (nothing written); 3 solver did not
 converge (artifacts still written); 4 numeric failure.
@@ -65,7 +65,7 @@ import numpy as np
 
 from .allocator import DEFAULT_RATE_CAP
 from .analysis import CompareSetup, compare_schemes, feedback_bits, \
-    sweep_regions
+    power_db, sweep_regions
 from .channel import FadingModel, snr_db_to_mean_gain
 from .powerrate import NumericError, make_model
 from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
@@ -88,7 +88,7 @@ _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
 _SOLVER_BOUNDS = {"beta": (None, False), "kappa": (None, False),
                   "init": (0.0, False), "tol": (None, False),
                   "max_iters": (1, True), "eps": (None, False),
-                  "seed": (0, True), "record_every": (1, True)}
+                  "record_every": (1, True)}
 # RA knob -> (lower bound, integer), for the compare and sweep sections
 _RA_KNOBS = {"ra1_regions": (2, True), "ra1_blocks": (1, True),
              "ra1_beta": (None, False), "ra1_eval_blocks": (1, True),
@@ -260,8 +260,6 @@ def resolve_config(raw: dict) -> dict:
         lo, integer = _SOLVER_BOUNDS[key]
         if key in ("init", "tol") and isinstance(v, list):
             rsv[key] = _num_list(v, where, length=M, lo=lo)
-        elif key == "seed" and v is None:
-            rsv[key] = None
         else:
             rsv[key] = _number(v, where, lo=lo, integer=integer)
     try:
@@ -419,10 +417,6 @@ def _write_summary(outdir: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _power_db(p: float) -> float:
-    return 10.0 * math.log10(p) if p > 0 else -math.inf
-
-
 def _write_rows_csv(path: Path, header: list, rows: list) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -487,7 +481,7 @@ def _run_solver_mode(rc: dict, outdir: Path, log_every: int | None) -> int:
     _write_summary(outdir, {
         "mode": mode, "converged": bool(converged), "reason": reason,
         "final_lambda": final_lambda, "avg_rates": rates,
-        "avg_power": power, "avg_power_db": _power_db(float(power)),
+        "avg_power": power, "avg_power_db": power_db(float(power)),
         "targets": problem.targets, "eps": cfg.eps,
         "eps_prime": K * cfg.eps, "iterations": int(traj.iters[-1]) + 1,
         "wall_time_s": wall})
@@ -588,7 +582,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be a nonnegative integer")
             rc["fading"]["seed"] = args.seed
-            rc["solver"]["seed"] = None
         if args.log_every is not None and args.log_every < 1:
             raise ConfigError("--log-every must be >= 1")
         # build once so value errors (bad thresholds, shapes) surface before

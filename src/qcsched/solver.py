@@ -77,7 +77,6 @@ class SolverConfig:
     kappa — scale of the diminishing schedule κ·i^{-0.51} (non-smooth only);
     init — λ^(0), scalar or length-M;
     tol — stop when every |subgradient entry| < tol (scalar or length-M);
-    seed — online only; overrides the fading model's seed when set;
     record_every — trajectory thinning stride (the final iterate is always
     recorded).
     """
@@ -88,7 +87,6 @@ class SolverConfig:
     tol: float | np.ndarray = 1e-3
     max_iters: int = 200_000
     eps: float = 0.05
-    seed: int | None = None
     record_every: int = 1
 
     def __post_init__(self):
@@ -263,16 +261,14 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     Needs problem.fading; never enumerates the column space. The Q-CSI does
     not depend on λ, so it is sampled and quantized ONLINE_CHUNK blocks at a
     time, with each block's static data gathered once per chunk; a block
-    then evaluates R*, Υ(R*) and C_W on its own M×K cells only. Seeded runs
-    are bitwise reproducible.
+    then evaluates R*, Υ(R*) and C_W on its own M×K cells only. The fading
+    model's seed is the only seed of the block stream, so runs on the same
+    Problem are bitwise reproducible.
     """
     if problem.fading is None:
         raise ValueError("online iteration requires problem.fading")
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
-    fading = problem.fading
-    if cfg.seed is not None:
-        fading = FadingModel(fading.mean_gain, cfg.seed)
     M = problem.num_users
     lam = _init_lambda(cfg, M)
     static = problem.static()
@@ -284,7 +280,8 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     csum_power = 0.0
     for first in range(0, num_blocks, ONLINE_CHUNK):
         count = min(ONLINE_CHUNK, num_blocks - first)
-        jmats = quantize(problem.grid, sample_gain_blocks(fading, first, count))
+        gains = sample_gain_blocks(problem.fading, first, count)
+        jmats = quantize(problem.grid, gains)
         cells = block_statics(static, jmats - 1)
         for n, jmat, block in zip(range(first, first + count), jmats, cells):
             lam_trace[n] = lam

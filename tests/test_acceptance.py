@@ -39,10 +39,10 @@ def verdict(criterion, ok, detail):
     assert ok, line
 
 
-def tc1_problem():
+def tc1_problem(seed=0):
     """K=16 channels, M=4 users, flat 6 dB SNR, equiprobable L=4 ladders."""
     mg = np.full((4, 16), float(snr_db_to_mean_gain(6.0)))
-    fading = FadingModel(mg, seed=0)
+    fading = FadingModel(mg, seed=seed)
     grid = build_equiprobable(fading, 4)
     return Problem(grid=grid, model=MODEL, mu=np.ones(4),
                    targets=np.array([4.0, 8.0, 12.0, 16.0]), fading=fading)
@@ -196,8 +196,8 @@ def test_criterion_4_online_locking_shrinks_with_stepsize():
     for beta in betas:
         for seed in range(5):
             cfg = SolverConfig(beta=beta, tol=1e-13, max_iters=N, eps=0.05,
-                               seed=seed, record_every=N)
-            res = run_online(problem, cfg, N)
+                               record_every=N)
+            res = run_online(tc1_problem(seed), cfg, N)
             gaps[beta].append(
                 float(np.max(np.abs(res.lam_trace - offline[beta]))))
     small, big = float(np.mean(gaps[2e-3])), float(np.mean(gaps[1e-2]))
@@ -212,9 +212,9 @@ def test_criterion_4_online_locking_shrinks_with_stepsize():
 # --- 5: online primal convergence -------------------------------------------------
 
 def test_criterion_5_online_sample_rates_reach_targets():
-    problem = tc1_problem()
+    problem = tc1_problem(seed=1)
     cfg = SolverConfig(beta=2e-3, tol=1e-13, max_iters=10_000, eps=0.05,
-                       seed=1, record_every=100)
+                       record_every=100)
     res = run_online(problem, cfg, 10_000)
     err = np.abs(res.sample_avg_rate[-1] - problem.targets) / problem.targets
     verdict(5, float(err.max()) < 0.05,

@@ -1,5 +1,6 @@
 """Overhead accounting, access realization, audits, and the scheme harness."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from qcsched.allocator import Multipliers, RateCostTables, build_tables
 from qcsched.analysis import (CompareSetup, OverheadReport, cluster_audit,
                               compare_schemes, feedback_bits, mc_primal,
-                              ra1_point, ra2_point, ra3_point, ra4_point,
-                              ra5_point, realize_probabilistic_access,
-                              sweep_regions)
+                              power_db, ra1_point, ra2_point, ra3_point,
+                              ra4_point, ra5_point,
+                              realize_probabilistic_access, sweep_regions)
 from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
 from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import ErgodicCapacity, OutageCapacity
@@ -160,6 +161,15 @@ def test_mc_primal_batch_size_only_regroups_sums(batch):
     assert power == pytest.approx(ref_power, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_mc_primal_rejects_an_empty_run(n):
+    fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5]]), seed=3)
+    grid = build_equiprobable(fading, 4)
+    mult = Multipliers(np.array([0.8, 1.1]), np.ones(2), np.array([0.5, 0.7]))
+    with pytest.raises(ValueError, match="num_blocks"):
+        mc_primal(MODEL, grid, mult, 0.05, fading, n)
+
+
 def test_online_and_mc_on_outage_grid_raise_no_runtime_warning():
     # region 1 of every ladder is an outage region (c = +inf), where the
     # closed form multiplies inf by a zero rate; that must stay silent
@@ -286,6 +296,17 @@ def test_compare_schemes_rows_and_ordering():
 def test_compare_schemes_unknown_scheme():
     with pytest.raises(ValueError, match="unknown scheme"):
         compare_schemes(micro_setup(), schemes=("RA9",))
+
+
+def test_zero_power_rows_are_minus_inf_db():
+    # zero targets leave every user silent: rows and summaries share one
+    # power_db, which maps 0 to -inf and keeps positive powers' bits
+    setup = micro_setup(targets=np.array([0.0, 0.0]))
+    row, = sweep_regions(setup, [2], reference_regions=None)
+    assert row["avg_power"] == 0.0 and row["power_db"] == -math.inf
+    ra3, = compare_schemes(setup, schemes=("RA3",))
+    assert ra3["power_db"] == -math.inf
+    assert power_db(96.72) == 10.0 * math.log10(96.72)
 
 
 def test_sweep_regions_monotone_micro():

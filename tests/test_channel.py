@@ -47,11 +47,19 @@ def test_same_seed_block_bitwise_identical():
     assert not np.array_equal(a, sample_gains(FadingModel(m.mean_gain, 78), 123))
 
 
-def test_blocks_stack_matches_single_calls():
-    m = FadingModel(np.full((2, 3), 0.7), seed=9)
-    stacked = sample_gain_blocks(m, 5, 4)
+# (M, K, first block): M·K a multiple of 4 or not (padded counter stride),
+# first blocks off the stride, and a block far along the counter
+@pytest.mark.parametrize("shape,first", [((2, 3), 5), ((4, 16), 5),
+                                         ((3, 3), 7), ((1, 1), 2),
+                                         ((2, 3), 2 ** 40)])
+def test_blocks_stack_matches_single_calls(shape, first):
+    m = FadingModel(np.full(shape, 0.7), seed=9)
+    stacked = sample_gain_blocks(m, first, 4)
+    assert stacked.shape == (4, *shape)
     for i in range(4):
-        assert np.array_equal(stacked[i], sample_gains(m, 5 + i))
+        assert np.array_equal(stacked[i], sample_gains(m, first + i))
+    # a draw equals the same rows of a longer draw that starts earlier
+    assert np.array_equal(stacked, sample_gain_blocks(m, first - 2, 9)[2:6])
 
 
 def test_block_index_validation():
@@ -60,6 +68,9 @@ def test_block_index_validation():
         sample_gains(m, -1)
     with pytest.raises(ValueError):
         sample_gains(m, 2 ** 64)
+    with pytest.raises(ValueError):
+        sample_gain_blocks(m, 2 ** 64 - 1, 2)
+    assert sample_gains(m, 2 ** 64 - 1).shape == (1, 1)
 
 
 def test_law_of_large_numbers(draws):

@@ -84,6 +84,7 @@ def test_malformed_json(tmp_path, capsys):
      "unknown keys ['ra2_kappa']"),
     (lambda c: c.update(mode="compare", compare={"ra2_tie_rtol": 1e-2}),
      "unknown keys ['ra2_tie_rtol']"),
+    (lambda c: c["solver"].update(seed=3), "unknown keys ['seed']"),
 ])
 def test_config_rejections(tmp_path, capsys, mangle, needle):
     cfg = tiny()
@@ -385,6 +386,18 @@ def test_compare_snr_sweep_needs_snr_fading(tmp_path):
                      "mean_gain": [[1.0] * 4, [2.0] * 4]}
     rc, _ = run(tmp_path, cfg)
     assert rc == CONFIG
+
+
+def test_sweep_zero_power_rows_report_minus_inf_db(tmp_path):
+    # zero targets: every user stays silent, so each row's power is 0 and its
+    # dB value is -inf, not a math domain error escaping main
+    cfg = compare_cfg(mode="sweep_regions", targets=[0.0, 0.0])
+    del cfg["compare"]
+    cfg["sweep"] = {"regions": [2, 4], "reference_regions": None}
+    rc, out = run(tmp_path, cfg)
+    assert rc == OK
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["-inf", "-inf"]
 
 
 def test_sweep_mode_power_decreases_in_regions(tmp_path):

@@ -39,6 +39,16 @@ MICRO_COMPARE = {
                 "ra1_eval_blocks": 20000},
 }
 
+# M=3, K=3: M·K is not a multiple of 4, so each block's counter stride is
+# padded (three Philox steps, twelve words, nine gains)
+MICRO_ONLINE = {
+    **MICRO, "mode": "online",
+    "fading": {"num_users": 3, "num_channels": 3, "snr_db": 6.0, "seed": 5},
+    "targets": [0.5, 0.8, 1.1],
+    "solver": {"beta": 5e-3, "record_every": 10},
+    "online": {"num_blocks": 500},
+}
+
 MICRO_SWEEP = {
     **MICRO, "mode": "sweep_regions", "enum_budget": 1000000,
     "sweep": {"regions": [2, 3, 4], "reference_regions": 64},
@@ -47,9 +57,15 @@ MICRO_SWEEP = {
 GOLDEN = {
     "micro_compare": {
         "compare.csv":
-            "354172c9e98643648d807db45b23cf91fb36d27a90c96100f4860f8e2f30272d",
+            "1cfb03af97d895bf55cfefbab6ebb94064de5f9c1e178f58d5e876b7dc0bbcd9",
         "summary.json":
-            "0f3fe0a6d7d7f15660da20d2d20847f379f643fb1cb4a2d2c5993aafc710eaf6",
+            "a86fbfdfcbdee3ccb3b4c46ee9b9e7517a98b706d6dc7e05c2e7db33298a4511",
+    },
+    "micro_online": {
+        "trajectory.csv":
+            "654873efc26b86f154a05d5377e6e88fe50b0b8687f5bae5bd3d69a27cf561b1",
+        "summary.json":
+            "0b618821904bd82b3e5aaf3a679a9355ef64021b1609a19c8e856465932275f4",
     },
     "micro_sweep": {
         "sweep.csv":
@@ -69,15 +85,16 @@ GOLDEN = {
     },
     "testcase2_online": {
         "trajectory.csv":
-            "d109e753e840427e02df43bbc28e582535d01b8930db7e3fc329599f680872c7",
+            "d86c12a5a7a3b7b00956a61fbedb995f0d77e9f48c9422c05dc81b9830756143",
         "summary.json":
-            "c9379107a28c30497c0332651ccb832fa7d0ceb7fcccabb886d0b9feb629e901",
+            "b612725b2a67978839bbb8e25512ac7e419509b72aa8ba000728b04ff08bdc84",
     },
 }
 
 
 def _config_path(name, tmp_path):
-    micro = {"micro_compare": MICRO_COMPARE, "micro_sweep": MICRO_SWEEP}
+    micro = {"micro_compare": MICRO_COMPARE, "micro_online": MICRO_ONLINE,
+             "micro_sweep": MICRO_SWEEP}
     if name not in micro:
         return CONFIGS / f"{name}.json"
     path = tmp_path / f"{name}.json"

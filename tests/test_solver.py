@@ -169,7 +169,8 @@ def test_online_requires_fading_and_blocks():
 
 def test_online_trace_starts_at_init_and_reproduces_bitwise():
     problem = two_user_problem()
-    cfg = SolverConfig(beta=5e-3, init=0.25, seed=42, record_every=10)
+    problem.fading = FadingModel(problem.fading.mean_gain, seed=42)
+    cfg = SolverConfig(beta=5e-3, init=0.25, record_every=10)
     a = run_online(problem, cfg, 400)
     b = run_online(problem, cfg, 400)
     assert isinstance(a, OnlineResult)
@@ -179,23 +180,18 @@ def test_online_trace_starts_at_init_and_reproduces_bitwise():
     np.testing.assert_array_equal(a.final_lambda, b.final_lambda)
 
 
-def test_online_seed_override_matches_fading_seed():
-    base = two_user_problem()
-    # same mean gains, different model seed; cfg.seed must win
-    refad = FadingModel(base.fading.mean_gain, seed=999)
-    other = Problem(grid=base.grid, model=base.model, mu=base.mu,
-                    targets=base.targets, fading=refad)
-    cfg_override = SolverConfig(beta=5e-3, seed=3)
-    cfg_native = SolverConfig(beta=5e-3)
-    native = run_online(Problem(grid=base.grid, model=base.model, mu=base.mu,
-                                targets=base.targets,
-                                fading=FadingModel(base.fading.mean_gain, 3)),
-                        cfg_native, 200)
-    overridden = run_online(other, cfg_override, 200)
-    np.testing.assert_array_equal(native.lam_trace, overridden.lam_trace)
-    # and a different seed gives a genuinely different trajectory
-    different = run_online(other, SolverConfig(beta=5e-3, seed=4), 200)
-    assert np.any(different.lam_trace != native.lam_trace)
+def test_online_trace_follows_the_fading_seed():
+    # the fading model's seed is the only seed of the block stream: fresh
+    # Problems with the same seed agree bitwise, another seed moves the trace
+    def trace(seed):
+        problem = two_user_problem()
+        problem.fading = FadingModel(problem.fading.mean_gain, seed)
+        return run_online(problem, SolverConfig(beta=5e-3), 200).lam_trace
+
+    np.testing.assert_array_equal(trace(3), trace(3))
+    assert np.any(trace(4) != trace(3))
+    with pytest.raises(TypeError):
+        SolverConfig(seed=3)
 
 
 def test_online_matches_offline_on_deterministic_channel():
