@@ -48,7 +48,7 @@ columns are running sample means); compare adds `compare.csv`
 CSV bytes are identical across reruns of the same config + fading seed.
 
 Exit codes: 0 ok; 2 config/schema error (nothing written); 3 solver did not
-converge (artifacts still written); 4 numeric failure.
+converge (artifacts still written); 4 numeric failure (and its residual).
 """
 
 from __future__ import annotations
@@ -611,7 +611,9 @@ def main(argv=None) -> int:
         return _run_overhead(rc, outdir)
     except (NumericError, EnumerationBudgetError, LPInfeasibleError,
             LPUnboundedError, FloatingPointError) as exc:
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        tail = (f" (residual {exc.residual:.6g})"
+                if isinstance(exc, NumericError) else "")
+        print(f"error: numeric failure: {exc}{tail}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

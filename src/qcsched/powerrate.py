@@ -23,9 +23,9 @@ and strictly convex in x with Υ(0) = 0:
   E[log2(1+y·g) | g ∈ R]. Integration by parts gives the closed form
   Υ⁻¹(y) = [S_lo·(ln(1+y·q_lo) + e^{t_lo}E1(t_lo))
             - S_hi·(ln(1+y·q_hi) + e^{t_hi}E1(t_hi))] / (Pr·ln 2)
-  with S = e^{-q/ḡ}, t = (1+y·q)/(y·ḡ); the exp-scaled E1 keeps it stable
-  down to y → 0. Υ̇⁻¹ is one monotone root-find on the derivative, for the
-  power y* = Υ(R*); Υ alone is one on the closed form. No outage regions.
+  with S = e^{-q/ḡ}, t = (1+y·q)/(y·ḡ), stable down to y → 0. Υ̇⁻¹ is one
+  root-find on (Υ⁻¹)' for the power y* = Υ(R*), Υ one on Υ⁻¹; no outage
+  regions. Every root-find here is safeguarded Newton (``_vec_newton``).
 
 The first three families share the shape Υ(x) = c·(2^x - 1) with a per-region
 constant c, which gives closed-form marginals:
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantizer import QuantizerGrid
-from .special import exp1_scaled
+from .special import exp12_scaled
 
 _LN2 = float(np.log(2.0))
 
@@ -107,6 +107,13 @@ def delta_outage_gain(ctx: RegionContext, delta: float) -> np.ndarray:
     return -ctx.mean_gain * np.log((1.0 - delta) * s_lo + delta * s_hi)
 
 
+def _nonneg(values, name: str) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if np.any(v < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    return v
+
+
 def _survivals(ctx: RegionContext):
     g = ctx.mean_gain
     s_lo = np.exp(-ctx.q_lo / g)
@@ -114,36 +121,57 @@ def _survivals(ctx: RegionContext):
     return s_lo, s_hi, s_lo - s_hi
 
 
-def _vec_bisect(f, lo, hi, rel_tol, max_iter, what: str):
-    """Bisect f (increasing through zero) elementwise on [lo, hi].
+def _truncated_exp(ctx: RegionContext):
+    """S_lo, S_hi, Pr and the moments E[g | region], E[g² | region]."""
+    s_lo, s_hi, pr = _survivals(ctx)
+    lo, g = ctx.q_lo, ctx.mean_gain
+    hi = np.where(np.isposinf(ctx.q_hi), 0.0, ctx.q_hi)   # s_hi = 0 there
+    m1 = ((lo + g) * s_lo - (hi + g) * s_hi) / pr
+    m2 = (((lo + g) ** 2 + g * g) * s_lo
+          - ((hi + g) ** 2 + g * g) * s_hi) / pr
+    return s_lo, s_hi, pr, m1, m2
 
-    Each element stops at the first step that meets its tolerance, so its
-    root does not depend on the other elements of the call.
-    """
-    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    live = np.ones(lo.shape, dtype=bool)
+
+def _vec_newton(f_df, lo, hi, rel_tol, max_iter, what: str):
+    """Safeguarded Newton ("rtsafe") on an increasing f, elementwise: ``f_df``
+    gives (f, f'), f(lo) ≤ 0, and hi is doubled until f(hi) ≥ 0. A step
+    narrows the bracket by the sign of f and takes the Newton point if it is
+    finite and strictly inside, else the midpoint. An element stops on its
+    own once its step or bracket is within rel_tol·(1 + |x|); ``max_iter``
+    counts these safeguarded steps."""
+    hi = _grow_bracket(lambda v: f_df(v)[0], hi, what)
+    x = 0.5 * (lo + hi)
+    live = np.ones(x.shape, dtype=bool)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) < 0.0
-        lo = np.where(live & below, mid, lo)
-        hi = np.where(live & ~below, mid, hi)
-        live &= ~(hi - lo <= rel_tol * (1.0 + np.abs(hi)))
+        f, df = f_df(x)
+        lo = np.where(live & (f < 0.0), x, lo)
+        hi = np.where(live & (f > 0.0), x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / df
+        small = (f == 0.0) | (abs(newton - x) <= rel_tol * (1.0 + abs(x)))
+        inside = (newton > lo) & (newton < hi)
+        x = np.where(live, np.where(inside, newton, np.where(
+            small, x, 0.5 * (lo + hi))), x)
+        live &= ~(small | (hi - lo <= rel_tol * (1.0 + np.abs(hi))))
         if not live.any():
-            return 0.5 * (lo + hi)
-    resid = float(np.max(np.abs(f(mid)[live])))
-    raise NumericError(f"bisection for {what} did not converge", resid)
+            return x
+    raise NumericError(f"root-find for {what} did not converge",
+                       float(np.max(np.abs(f[live]))))
 
 
-def _grow_bracket(f_nonneg, hi0, max_doublings, what: str):
-    """Double hi until f_nonneg(hi) is true elementwise."""
-    hi = np.asarray(hi0, dtype=float).copy()
-    for _ in range(max_doublings):
-        short = ~f_nonneg(hi)
-        if not np.any(short):
+def _grow_bracket(f, hi, what: str):
+    """Double hi until f(hi) ≥ 0 elementwise; if hi overflows first, the
+    residual is the worst finite |f| of the last bracket that had one."""
+    resid = np.nan
+    while np.all(np.isfinite(hi)):
+        fh = f(hi)
+        short = ~(fh >= 0.0)
+        if not short.any():
             return hi
+        finite = short & np.isfinite(fh)
+        resid = float(np.max(np.abs(fh[finite]))) if finite.any() else resid
         hi = np.where(short, 2.0 * hi, hi)
-    raise NumericError(f"could not bracket the root for {what}",
-                       float(np.max(hi)))
+    raise NumericError(f"could not bracket the root for {what}", resid)
 
 
 def linear_allocation(c, slope=None, rate_cap: float | None = None,
@@ -186,16 +214,11 @@ class PowerRate:
 
     # -- generic closed forms for linear-coefficient families ---------------
     def power_of_rate(self, ctx: RegionContext, rate) -> np.ndarray:
-        x = np.asarray(rate, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("rate must be nonnegative")
-        return linear_allocation(self.linear_coeff(ctx), rate=x)[1]
+        return linear_allocation(self.linear_coeff(ctx),
+                                 rate=_nonneg(rate, "rate"))[1]
 
     def rate_of_power(self, ctx: RegionContext, power) -> np.ndarray:
-        c = self.linear_coeff(ctx)
-        y = np.asarray(power, dtype=float)
-        if np.any(y < 0):
-            raise ValueError("power must be nonnegative")
+        y, c = _nonneg(power, "power"), self.linear_coeff(ctx)
         with np.errstate(invalid="ignore"):
             r = np.log1p(y / c) / _LN2
         return np.where(np.isposinf(c), 0.0, r)
@@ -249,7 +272,7 @@ class MaxInstBer(PowerRate):
 
     def linear_coeff(self, ctx: RegionContext):
         scale = np.log(self.kappa1 / self.eps_max) / self.kappa2
-        lo = np.asarray(ctx.q_lo, dtype=float)
+        lo = ctx.q_lo
         with np.errstate(divide="ignore"):
             return np.where(lo > 0.0, scale / np.maximum(lo, 1e-300), np.inf)
 
@@ -262,7 +285,7 @@ class MaxAvgBer(PowerRate):
     kappa2: float
     eps_avg: float
     root_tol: float = 1e-12
-    max_iter: int = 256
+    max_iter: int = 256             # safeguarded Newton steps per root-find
 
     def __post_init__(self):
         if self.kappa1 <= 0 or self.kappa2 <= 0:
@@ -273,23 +296,18 @@ class MaxAvgBer(PowerRate):
             raise ValueError("tolerances must be positive")
 
     def linear_coeff(self, ctx: RegionContext):
-        lo = np.asarray(ctx.q_lo, dtype=float)
-        hi = np.asarray(ctx.q_hi, dtype=float)
-        g = np.asarray(ctx.mean_gain, dtype=float)
-        lo, hi, g = np.broadcast_arrays(lo, hi, g)
-        _, _, pr = _survivals(RegionContext(lo, hi, g))
-        target = self.eps_avg * g * pr / self.kappa1
+        lo, hi, g = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain)
+        target = self.eps_avg * g * _survivals(ctx)[2] / self.kappa1
+        hi_fin = np.where(np.isposinf(hi), 0.0, hi)    # e^{-a·q_hi} = 0 there
 
-        def h(a):
-            # ∫_region e^{-a·g} dg, decreasing in a
-            upper = np.where(np.isposinf(hi), 0.0, np.exp(-a * hi))
-            return (np.exp(-a * lo) - upper) / a
+        def f_df(a):
+            # target - h(a) with h(a) = ∫_region e^{-a·g} dg, and its slope
+            e_lo, e_hi = np.exp(-a * lo), np.exp(-a * hi)
+            h = (e_lo - e_hi) / a
+            return target - h, (lo * e_lo - hi_fin * e_hi + h) / a
 
         # root of h(a) = target lies in (1/ḡ, ∞) because h(1/ḡ) = ḡ·Pr > target
-        a_hi = _grow_bracket(lambda a: h(a) <= target, 2.0 / g,
-                             1024, "average-BER region constant")
-        a = _vec_bisect(lambda a: target - h(a), 1.0 / g, a_hi,
-                        self.root_tol, self.max_iter,
+        a = _vec_newton(f_df, 1.0 / g, 2.0 / g, self.root_tol, self.max_iter,
                         "average-BER region constant")
         return (a - 1.0 / g) / self.kappa2
 
@@ -299,71 +317,59 @@ class ErgodicCapacity(PowerRate):
     """Conditional-ergodic-capacity family (closed-form Υ⁻¹, numeric Υ)."""
 
     root_tol: float = 1e-12
-    max_iter: int = 256
+    max_iter: int = 256             # safeguarded Newton steps per root-find
 
     def __post_init__(self):
         if self.root_tol <= 0 or self.max_iter <= 0:
             raise ValueError("tolerances must be positive")
 
-    # Υ⁻¹ and its derivative in closed form ---------------------------------
+    # Υ⁻¹ and its derivatives in closed form --------------------------------
     def rate_of_power(self, ctx: RegionContext, power) -> np.ndarray:
-        y = np.asarray(power, dtype=float)
-        if np.any(y < 0):
-            raise ValueError("power must be nonnegative")
-        return self._closed_form(ctx, y)[0]
-
-    def _rate_deriv(self, ctx: RegionContext, power) -> np.ndarray:
-        """d Υ⁻¹/dy — strictly decreasing, (Υ⁻¹)'(0) = E[g|region]/ln2."""
-        return self._closed_form(ctx, power)[1]
+        return self._closed_form(ctx, _nonneg(power, "power"))[0]
 
     def _closed_form(self, ctx: RegionContext, power) -> tuple:
-        """Υ⁻¹(y) and d Υ⁻¹/dy, which share their exponential integrals."""
-        y = np.asarray(power, dtype=float)
-        lo, hi, g, y = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain, y)
-        s_lo, s_hi, pr = _survivals(RegionContext(lo, hi, g))
+        """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' from one ``exp12_scaled`` call. With
+        e = e^t·E1(t), G = e^t·E2(t), u = 1/(yḡ) and S = (S_lo, -S_hi) summed
+        over the edges, (Υ⁻¹)' = Σ S·(G + q·e/ḡ)/(Pr·ln2·y) does not cancel as
+        y → 0; e' = -G/t and G' = G - e give (Υ⁻¹)'', which cancels like
+        1e-16/(y·E[g|R])²: below y·E[g|R] = 1e-5 it is its y = 0 value
+        -E[g²|R]/ln2, within about 3e-5 relative, ample for a Newton slope."""
+        lo, hi, g, y = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain,
+                                           power)
+        s_lo, s_hi, pr, m1, m2 = _truncated_exp(RegionContext(lo, hi, g))
         ys = np.where(y > 0.0, y, 1.0)                 # dummy where y == 0
-        e_lo = exp1_scaled((1.0 + ys * lo) / (ys * g))
-        e_hi = np.zeros_like(e_lo)                     # s_hi = 0 where q_hi = ∞
-        fin = ~np.isposinf(hi)
-        if np.any(fin):
-            e_hi[fin] = exp1_scaled((1.0 + ys[fin] * hi[fin])
-                                    / (ys[fin] * g[fin]))
-        hi_fin = np.where(fin, hi, 0.0)
-        rate = (s_lo * (np.log1p(ys * lo) + e_lo)
-                - s_hi * (np.log1p(ys * hi_fin) + e_hi)) / (pr * _LN2)
-        deriv = ((pr - (s_lo * e_lo - s_hi * e_hi) / (ys * g))
-                 / (pr * _LN2 * ys))
-        at0 = self._cond_mean_gain(lo, hi, g, s_lo, s_hi, pr) / _LN2
-        return np.where(y > 0.0, rate, 0.0), np.where(y > 0.0, deriv, at0)
-
-    @staticmethod
-    def _cond_mean_gain(lo, hi, g, s_lo, s_hi, pr):
-        hi_fin = np.where(np.isposinf(hi), 0.0, hi)   # s_hi = 0 there anyway
-        top = (lo + g) * s_lo - (hi_fin + g) * s_hi
-        return top / pr
+        u = 1.0 / (ys * g)
+        # t = ∞, e = G = 0 at q_hi = ∞, where S_hi = 0 as well
+        t = np.stack([lo, hi]) / g + u
+        e, big_g = exp12_scaled(t)
+        q = np.stack([lo, np.where(np.isposinf(hi), 0.0, hi)])
+        sv = np.stack([s_lo, -s_hi])
+        rate = (sv * (np.log1p(ys * q) + e)).sum(0) / (pr * _LN2)
+        deriv = (sv * (big_g + q / g * e)).sum(0) / (pr * _LN2 * ys)
+        curv = -(deriv + u * (sv * (big_g * u / t - e)).sum(0)
+                 / (pr * _LN2 * ys)) / ys
+        return (np.where(y > 0.0, rate, 0.0),
+                np.where(y > 0.0, deriv, m1 / _LN2),
+                np.where(y * m1 < 1e-5, -m2 / _LN2, curv))
 
     def marginal_at_zero(self, ctx: RegionContext) -> np.ndarray:
-        lo, hi, g = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain)
-        s_lo, s_hi, pr = _survivals(RegionContext(lo, hi, g))
-        return _LN2 / self._cond_mean_gain(lo, hi, g, s_lo, s_hi, pr)
+        return _LN2 / _truncated_exp(ctx)[3]
 
-    # numeric inversions -----------------------------------------------------
+    # numeric inversions: safeguarded Newton on the closed forms -------------
     def power_of_rate(self, ctx: RegionContext, rate) -> np.ndarray:
-        x = np.asarray(rate, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("rate must be nonnegative")
-        lo, hi, g, x = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain, x)
-        c = RegionContext(lo, hi, g)
-        y_hi = _grow_bracket(lambda y: self.rate_of_power(c, y) >= x,
-                             np.ones_like(x), 1024, "ergodic power")
-        y = _vec_bisect(lambda y: self.rate_of_power(c, y) - x,
-                        np.zeros_like(x), y_hi, self.root_tol, self.max_iter,
-                        "ergodic power")
+        x = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain,
+                                _nonneg(rate, "rate"))[3]
+
+        def f_df(y):                           # f = 0 where x = 0: Υ(0) = 0
+            rate, deriv, _ = self._closed_form(ctx, y)
+            return np.where(x > 0.0, rate - x, 0.0), deriv
+
+        y = _vec_newton(f_df, 0.0, np.ones_like(x), self.root_tol,
+                        self.max_iter, "ergodic power")
         return np.where(x > 0.0, y, 0.0)
 
     def marginal_power(self, ctx: RegionContext, rate) -> np.ndarray:
-        y = self.power_of_rate(ctx, rate)
-        return 1.0 / self._rate_deriv(ctx, y)
+        return 1.0 / self._closed_form(ctx, self.power_of_rate(ctx, rate))[1]
 
     def cell_data(self, ctx: RegionContext) -> tuple:
         return tuple(np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain))
@@ -373,18 +379,16 @@ class ErgodicCapacity(PowerRate):
         """One root-find per active cell, for the power y* with
         (Υ⁻¹)'(y*) = 1/slope; then R* = Υ⁻¹(y*) and Υ(R*) = y*. Cells
         clipped at ``rate_cap`` get Υ(rate_cap) instead."""
-        t = np.asarray(slope, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("slope must be nonnegative")
-        lo, hi, g, t = np.broadcast_arrays(*data, t)
+        lo, hi, g, t = np.broadcast_arrays(*data, _nonneg(slope, "slope"))
         active = t > self.marginal_at_zero(RegionContext(lo, hi, g))
         c = RegionContext(lo[active], hi[active], g[active])
         inv_t = 1.0 / t[active]
-        y_hi = _grow_bracket(lambda y: self._rate_deriv(c, y) <= inv_t,
-                             np.ones_like(inv_t), 1024,
-                             "ergodic marginal inverse")
-        y = _vec_bisect(lambda y: inv_t - self._rate_deriv(c, y),
-                        np.zeros_like(inv_t), y_hi, self.root_tol,
+
+        def f_df(y):
+            _, deriv, curv = self._closed_form(c, y)
+            return inv_t - deriv, -curv
+
+        y = _vec_newton(f_df, 0.0, np.ones_like(inv_t), self.root_tol,
                         self.max_iter, "ergodic marginal inverse")
         r = self.rate_of_power(c, y)
         capped = r > (np.inf if rate_cap is None else rate_cap)

@@ -8,8 +8,8 @@ Two regimes, split at argument 1 (standard special-function practice):
 
 Absolute tolerance 1e-14; each element stops at its own last term, so its
 value does not depend on the rest of the call. ``exp1_scaled`` returns
-e^x·E1(x), which stays finite for large x and is what the ergodic-capacity
-closed form needs (products like e^{1/(yḡ)}·E1(t) evaluate without overflow).
+e^x·E1(x), finite for large x; ``exp12_scaled`` adds e^x·E2(x) from E2's own
+continued fraction, the pair the ergodic-capacity closed form needs.
 """
 
 from __future__ import annotations
@@ -41,15 +41,15 @@ def _series(x: np.ndarray) -> np.ndarray:
     return -_EULER_GAMMA - np.log(x) + total
 
 
-def _lentz_scaled(x: np.ndarray) -> np.ndarray:
-    # Modified Lentz for the continued fraction of e^x·E1(x).
-    b = x + 1.0
+def _lentz_scaled(x: np.ndarray, n: int = 1) -> np.ndarray:
+    # Modified Lentz for the continued fraction of e^x·E_n(x) (n = 1, 2).
+    b = x + float(n)
     c = np.full_like(x, 1.0 / _TINY)
     d = 1.0 / b
     h = d.copy()
     live = np.ones(x.shape, dtype=bool)
     for i in range(1, _MAX_TERMS + 1):
-        a = -float(i) * float(i)
+        a = -float(i) * float(i + n - 1)
         b = b + 2.0
         d = a * d + b
         d = np.where(np.abs(d) < _TINY, _TINY, d)
@@ -96,3 +96,20 @@ def exp1_scaled(x) -> np.ndarray:
     """e^x·E1(x) for x > 0 elementwise; tends to 0 like 1/x as x → ∞."""
     return _by_regime(x, "exp1_scaled", lambda t: np.exp(t) * _series(t),
                       _lentz_scaled)
+
+
+def exp12_scaled(x) -> tuple:
+    """(e^x·E1(x), e^x·E2(x)) for x ≥ 0, both to full precision. The
+    recurrence e^x·E2 = 1 - x·e^x·E1 cancels as x grows (e^x·E2 ~ 1/x), so
+    from x = 1 on E2 comes from its own continued fraction and e^x·E1 =
+    (1 - e^x·E2)/x. x = 0 gives (∞, 1) and x = ∞ gives (0, 0)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x < 0.0):
+        raise ValueError("exp12_scaled requires nonnegative arguments")
+    e1, e2 = np.where(x == 0.0, np.inf, 0.0), np.where(x == 0.0, 1.0, 0.0)
+    small, large = (x > 0.0) & (x < 1.0), (x >= 1.0) & np.isfinite(x)
+    e1[small] = np.exp(x[small]) * _series(x[small])
+    e2[small] = 1.0 - x[small] * e1[small]
+    e2[large] = _lentz_scaled(x[large], 2)
+    e1[large] = (1.0 - e2[large]) / x[large]
+    return e1, e2

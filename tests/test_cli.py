@@ -261,6 +261,15 @@ def test_enum_budget_blowup_exit4(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_unconverged_root_find_exit4_prints_its_residual(tmp_path, capsys):
+    cfg = tiny(power_rate={"family": "ergodic_capacity",
+                           "params": {"max_iter": 2}})
+    rc, out = run(tmp_path, cfg)
+    assert rc == NUMERIC
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "residual" in err
+
+
 def test_out_dir_from_config(tmp_path):
     target = tmp_path / "cfg_says_here"
     cfg = tiny(out_dir=str(target))

@@ -208,6 +208,32 @@ def test_ergodic_inv_marginal_consistency():
         assert model.marginal_power(ctx, r) == pytest.approx(t, rel=1e-7)
 
 
+def _cond_ergodic_marginal_quadrature(y, ctx):
+    """d/dy E[log2(1 + y g) | g in region] = E[g/(1 + y g) | region]/ln2."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    g, lo, hi = ctx.mean_gain, ctx.q_lo, ctx.q_hi
+    pr = np.exp(-lo / g) - (0.0 if np.isposinf(hi) else np.exp(-hi / g))
+
+    def integrand(t):
+        return t / (1.0 + y * t) * np.exp(-t / g) / g
+    val, err = quad(integrand, lo, min(hi, 400.0 * g),
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    return val / (pr * LN2)
+
+
+@pytest.mark.parametrize("y", [1e-9, 1e-6, 1e-3, 0.5])
+def test_ergodic_marginal_stays_accurate_at_small_power(y):
+    # Υ̇ = 1/(Υ⁻¹)'; the closed form of (Υ⁻¹)' must not cancel as y -> 0,
+    # where the marginal inverse puts cells whose slope is just above Υ̇(0)
+    model = ErgodicCapacity()
+    for ctx in (RegionContext(q_lo=0.2, q_hi=3.0, mean_gain=1.0),
+                RegionContext(q_lo=0.0, q_hi=0.3, mean_gain=1.0),
+                RegionContext(q_lo=LN2, q_hi=np.inf, mean_gain=2.0)):
+        x = float(model.rate_of_power(ctx, y))
+        assert float(model.marginal_power(ctx, x)) == pytest.approx(
+            1.0 / _cond_ergodic_marginal_quadrature(y, ctx), rel=1e-10)
+
+
 # --- cross-family properties -------------------------------------------------------
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
@@ -280,6 +306,75 @@ def test_unconverged_root_find_raises_with_its_residual():
         with pytest.raises(NumericError, match="did not converge") as info:
             call()
         assert np.isfinite(info.value.residual) and info.value.residual > 0
+
+
+def test_unbracketed_root_find_reports_its_residual():
+    # Υ(2000 bits) overflows a double: the report is the rate still missing
+    # at the last finite bracket, not the bracket itself
+    with pytest.raises(NumericError, match="could not bracket") as info:
+        ErgodicCapacity().power_of_rate(CTX, 2000.0)
+    assert 900.0 < info.value.residual < 2000.0
+
+
+def bisect(f, lo, hi):
+    """Elementwise root of an increasing f: double hi until f(hi) >= 0, then
+    halve [lo, hi] down to the last bit. The oracle of the root-finds."""
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    while np.any(short := f(hi) < 0.0):
+        lo, hi = np.where(short, hi, lo), np.where(short, 2.0 * hi, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            return mid
+        below = f(mid) < 0.0
+        lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
+
+
+@settings(max_examples=12, deadline=None)
+@given(g=st.floats(0.25, 4.0), lo=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       width=st.one_of(st.just(np.inf), st.floats(0.3, 3.0)),
+       log_excess=st.lists(st.floats(-12.0, 2.0), min_size=4, max_size=4),
+       cap=st.floats(0.05, 6.0), eps_avg=st.floats(1e-4, 0.1))
+def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
+                                                   cap, eps_avg):
+    # One region (q_lo, q_hi in units of its mean gain), four slopes from
+    # 1e-12 to 100 relative above Υ̇(0), and a rate cap. Agreement is to
+    # 1e-10 relative, with pytest's 1e-12 absolute floor, the scale at which
+    # the root-finds themselves stop (root_tol·(1 + |root|)). Regions narrower
+    # than 0.3·ḡ are left out: the two edges of the closed form of (Υ⁻¹)'
+    # cancel there, and near Υ̇(0), where the root is ill-conditioned, that
+    # rounding alone moves it by up to 2.4e-12 (at 0.1·ḡ, from q_lo = 0)
+    # whichever root-finder is used.
+    n = len(log_excess)
+    ctx = RegionContext(np.full(n, lo * g), np.full(n, (lo + width) * g),
+                        np.full(n, g))
+    close = lambda want: pytest.approx(want, rel=1e-10)
+    erg = ErgodicCapacity()
+    slope = erg.marginal_at_zero(ctx) * (1.0 + 10.0 ** np.array(log_excess))
+    # the marginal inverse: (Υ⁻¹)'(y*) = 1/slope, clipped at the cap
+    y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(ctx, y)[1],
+                    0.0, 1.0)
+    r_star = erg.rate_of_power(ctx, y_star)
+    y_cap = bisect(lambda y: erg.rate_of_power(ctx, y) - cap, 0.0, 1.0)
+    rate, power = erg.allocation(erg.cell_data(ctx), slope, cap)
+    assert rate == close(np.minimum(r_star, cap))
+    assert power == close(np.where(r_star > cap, y_cap, y_star))
+    # Υ at the uncapped rates, the cap and four times the cap
+    x = np.append(r_star, [cap, 4.0 * cap])
+    wide = RegionContext(*(np.full(n + 2, v[0])
+                           for v in (ctx.q_lo, ctx.q_hi, ctx.mean_gain)))
+    want = bisect(lambda y: erg.rate_of_power(wide, y) - x, 0.0, 1.0)
+    assert erg.power_of_rate(wide, x) == close(want)
+    # the average-BER region constant: ∫_region e^{-a·g} dg = ε·ḡ·Pr/κ1
+    k1, k2 = 0.2, 1.5
+    q_lo, q_hi = lo * g, (lo + width) * g
+    pr = np.exp(-lo) - np.exp(-(lo + width))
+    h = lambda a: (np.exp(-a * q_lo) - np.exp(-a * q_hi)) / a
+    a_star = bisect(lambda a: eps_avg * g * pr / k1 - h(a), 1.0 / g, 2.0 / g)
+    avg = MaxAvgBer(kappa1=k1, kappa2=k2, eps_avg=eps_avg)
+    assert avg.linear_coeff(RegionContext(q_lo, q_hi, g)) == close(
+        (a_star - 1.0 / g) / k2)
 
 
 @settings(max_examples=30, deadline=None)

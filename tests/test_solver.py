@@ -7,7 +7,8 @@ import pytest
 
 from qcsched import solver
 from qcsched.allocator import Multipliers, build_tables
-from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
+from qcsched.channel import (FadingModel, sample_gain_blocks, sample_gains,
+                             snr_db_to_mean_gain)
 from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import ErgodicCapacity, MaxAvgBer, OutageCapacity
 from qcsched.quantizer import (QuantizerGrid, build_equiprobable, build_random,
@@ -272,6 +273,39 @@ def test_ergodic_family_solved_end_to_end():
         smooth.avg_power + lam @ smooth.subgradient, rel=1e-12)
     K = problem.grid.num_channels
     assert hard.value <= smooth.value < hard.value + K * eps
+
+
+def test_ergodic_family_online_end_to_end():
+    problem, blocks = ergodic_problem(), 60
+    cfg = SolverConfig(beta=0.05, init=0.5, eps=0.05, record_every=10)
+    res = run_online(problem, cfg, blocks)
+    again = run_online(ergodic_problem(), cfg, blocks)
+    for got, want in ((res.lam_trace, again.lam_trace),
+                      (res.sample_avg_rate, again.sample_avg_rate),
+                      (res.sample_avg_power, again.sample_avg_power),
+                      (res.final_lambda, again.final_lambda)):
+        np.testing.assert_array_equal(got, want)
+    # λ never hits the projection, so the N updates telescope:
+    # λ_N - λ_0 = β·Σ(ř - served) and the sample average is ř - (λ_N - λ_0)/(βN)
+    assert np.all(res.lam_trace > 0) and np.all(res.final_lambda > 0)
+    np.testing.assert_allclose(
+        res.sample_avg_rate[-1],
+        problem.targets - (res.final_lambda - res.lam_trace[0])
+        / (cfg.beta * blocks), rtol=0.0, atol=1e-12)
+    # served rates at the offline λ*: Monte Carlo within 5 SE of exact_dual
+    lam, traj = run_offline_smooth(problem, SolverConfig(
+        beta=0.2, tol=1e-3, eps=0.05, max_iters=200))
+    assert traj.converged
+    mult = problem.multipliers(lam)
+    tables = build_tables(problem.model, problem.grid, mult)
+    qcsi = quantize(problem.grid, sample_gain_blocks(problem.fading, 0, 4000))
+    served = np.array([block_allocation(tables, mult, j, 0.05)[0]
+                       for j in qcsi])
+    se = served.std(axis=0, ddof=1) / np.sqrt(len(served))
+    exact = exact_dual(problem.model, problem.grid, mult, "smooth", 0.05)
+    assert np.all(se > 0)
+    assert np.all(np.abs(served.mean(axis=0) - exact.per_user_avg_rate)
+                  < 5.0 * se)
 
 
 @pytest.mark.parametrize("make, blocks, beta, rtol, chunk", [

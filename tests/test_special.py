@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcsched.special import exp1, exp1_scaled
+from qcsched.special import exp1, exp1_scaled, exp12_scaled
 
 # mpmath.e1 at 30 digits, rounded to double
 E1_REF = [
@@ -107,3 +107,31 @@ def test_exp1_matches_scipy_property(x):
     sp = pytest.importorskip("scipy.special")
     ref = sp.exp1(x)
     assert abs(exp1(x) - ref) <= 1e-13 * abs(ref) + 1e-16
+
+
+def test_exp12_scaled_matches_scipy():
+    sp = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.geomspace(1e-12, 0.999, 200),
+                        np.geomspace(1.0, 600.0, 300)])
+    e1, e2 = exp12_scaled(x)
+    np.testing.assert_allclose(e1, np.exp(x) * sp.exp1(x), rtol=1e-13)
+    np.testing.assert_allclose(e2, np.exp(x) * sp.expn(2, x), rtol=1e-13)
+    for xr, ref in E1_SCALED_REF:
+        assert abs(exp12_scaled(xr)[0][0] - ref) <= 1e-14 * ref
+
+
+def test_exp12_scaled_large_arguments_do_not_cancel():
+    # e^x E2(x) = 1/x - 2/x^2 + 6/x^3 - ...; the recurrence 1 - x·e^x·E1(x)
+    # would lose about x ulps here
+    x = np.array([1e4, 1e6, 1e9])
+    approx = 1.0 / x - 2.0 / x ** 2 + 6.0 / x ** 3 - 24.0 / x ** 4 \
+        + 120.0 / x ** 5
+    np.testing.assert_allclose(exp12_scaled(x)[1], approx, rtol=1e-14)
+
+
+def test_exp12_scaled_edges():
+    e1, e2 = exp12_scaled(np.array([0.0, np.inf]))
+    np.testing.assert_array_equal(e1, [np.inf, 0.0])
+    np.testing.assert_array_equal(e2, [1.0, 0.0])
+    with pytest.raises(ValueError):
+        exp12_scaled(np.array([0.5, -0.1]))
