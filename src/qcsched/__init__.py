@@ -15,28 +15,27 @@ the fading gain fell into. This package provides:
 """
 
 from .allocator import (DEFAULT_RATE_CAP, DEFAULT_TIE_RTOL, Multipliers,
-                        RateCostTables, ScheduleColumn, TieInfeasibleError,
-                        TieInstance, TieSolution, build_tables,
-                        find_tie_instances, hard_schedule, smooth_schedule,
-                        smooth_weights, solve_tie_lp, winner_sets)
+                        RateCostTables, TieInfeasibleError, TieInstance,
+                        TieSolution, build_tables, find_tie_instances,
+                        smooth_weights, solve_tie_lp)
 from .analysis import (CompareSetup, OverheadReport, cluster_audit,
                        compare_schemes, feedback_bits, mc_primal,
                        realize_probabilistic_access, sweep_regions)
 from .channel import (FadingModel, sample_gain_blocks, sample_gains,
                       snr_db_to_mean_gain)
 from .dual import (DualEvaluation, block_allocation, exact_dual,
-                   jacobian_check, stochastic_subgradient)
+                   jacobian_check, smooth_jacobian)
 from .powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer, NumericError,
                         OutageCapacity, PowerRate, RegionContext,
                         delta_outage_gain, make_model, region_contexts)
 from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                         QuantizerGrid, build_equiprobable, build_random,
-                        column_prob, column_space, enumerate_columns,
-                        quantize, region_prob, region_prob_table)
+                        column_space, enumerate_columns, quantize,
+                        region_prob_table)
 from .simplex import LPInfeasibleError, LPUnboundedError, solve_lp
 from .solver import (OnlineResult, Problem, SolverConfig, Trajectory,
-                     multiplier_settled, run_offline_nonsmooth,
-                     run_offline_smooth, run_online)
+                     multiplier_settled, run_offline_newton,
+                     run_offline_nonsmooth, run_offline_smooth, run_online)
 from .special import exp1, exp1_scaled
 
 __version__ = "0.1.0"
@@ -44,20 +43,20 @@ __version__ = "0.1.0"
 __all__ = [
     "CompareSetup", "DEFAULT_ENUM_BUDGET", "DEFAULT_RATE_CAP",
     "DEFAULT_TIE_RTOL", "DualEvaluation", "EnumerationBudgetError",
-    "ErgodicCapacity", "FadingModel", "LPInfeasibleError", "LPUnboundedError",
-    "MaxAvgBer", "MaxInstBer", "Multipliers", "NumericError", "OnlineResult",
-    "OutageCapacity", "OverheadReport", "PowerRate", "Problem",
-    "QuantizerGrid", "RateCostTables", "RegionContext", "ScheduleColumn",
-    "SolverConfig", "TieInfeasibleError", "TieInstance", "TieSolution",
-    "Trajectory", "block_allocation", "build_equiprobable", "build_random",
-    "build_tables", "cluster_audit", "column_prob", "column_space",
-    "compare_schemes", "delta_outage_gain", "enumerate_columns", "exact_dual",
-    "exp1", "exp1_scaled", "feedback_bits", "find_tie_instances",
-    "hard_schedule", "jacobian_check", "make_model", "mc_primal",
+    "ErgodicCapacity", "FadingModel", "LPInfeasibleError",
+    "LPUnboundedError", "MaxAvgBer", "MaxInstBer", "Multipliers",
+    "NumericError", "OnlineResult", "OutageCapacity", "OverheadReport",
+    "PowerRate", "Problem", "QuantizerGrid", "RateCostTables",
+    "RegionContext", "SolverConfig", "TieInfeasibleError", "TieInstance",
+    "TieSolution", "Trajectory", "block_allocation", "build_equiprobable",
+    "build_random", "build_tables", "cluster_audit", "column_space",
+    "compare_schemes", "delta_outage_gain", "enumerate_columns",
+    "exact_dual", "exp1", "exp1_scaled", "feedback_bits",
+    "find_tie_instances", "jacobian_check", "make_model", "mc_primal",
     "multiplier_settled", "quantize", "realize_probabilistic_access",
-    "region_contexts", "region_prob", "region_prob_table",
+    "region_contexts", "region_prob_table", "run_offline_newton",
     "run_offline_nonsmooth", "run_offline_smooth", "run_online",
-    "sample_gain_blocks", "sample_gains", "smooth_schedule", "smooth_weights",
-    "snr_db_to_mean_gain", "solve_lp", "solve_tie_lp",
-    "stochastic_subgradient", "sweep_regions", "winner_sets",
+    "sample_gain_blocks", "sample_gains", "smooth_jacobian",
+    "smooth_weights", "snr_db_to_mean_gain", "solve_lp", "solve_tie_lp",
+    "sweep_regions",
 ]

@@ -94,10 +94,6 @@ class RateCostTables:
     power: np.ndarray               # Υ(R*), unweighted
     cost: np.ndarray                # μΥ(R*) - λR*
 
-    @property
-    def num_users(self) -> int:
-        return self.rate.shape[0]
-
 
 def build_tables(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
                  rate_cap: float = DEFAULT_RATE_CAP,
@@ -126,62 +122,6 @@ def gather_columns(cols0, *tables) -> tuple:
     return tuple(t.transpose(1, 2, 0)[:, cols0, midx] for t in tables)
 
 
-def _col_costs(tables: RateCostTables, col, k: int) -> np.ndarray:
-    col0 = np.asarray(col, dtype=int) - 1
-    M = tables.num_users
-    if col0.shape != (M,) or np.any(col0 < 0) or np.any(col0 >= tables.cost.shape[2]):
-        raise ValueError("column must hold one in-range region index per user")
-    return tables.cost[np.arange(M), k, col0]
-
-
-def winner_sets(tables: RateCostTables, col, k: int, eps: float,
-                tie_rtol: float = DEFAULT_TIE_RTOL):
-    """Hard and smooth winner sets plus the minimum cost c* for channel k.
-
-    Hard set: cost minimizers (within the relative tie tolerance) if c* < 0,
-    else empty. Smooth set: users with C_W - c* < ε while c* < 0. The hard
-    set is always contained in the smooth set.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    costs = _col_costs(tables, col, k)
-    cstar = float(costs.min())
-    if cstar >= 0.0:
-        empty = np.array([], dtype=int)
-        return empty, empty, cstar
-    tol = tie_rtol * max(1.0, abs(cstar))
-    hard = np.flatnonzero(costs <= cstar + tol)
-    smooth = np.flatnonzero(costs - cstar < eps)
-    return hard, smooth, cstar
-
-
-@dataclass(frozen=True)
-class ScheduleColumn:
-    """Channel-sharing weights for one channel; Σw is 0 (idle) or 1.
-
-    ``tie_members`` is set when the hard rule hit an exact tie: the weights
-    are then all-zero placeholders to be resolved by solve_tie_lp.
-    """
-
-    weights: np.ndarray
-    tie_members: np.ndarray | None = None
-
-
-def hard_schedule(tables: RateCostTables, col, k: int,
-                  tie_rtol: float = DEFAULT_TIE_RTOL) -> ScheduleColumn:
-    """Winner-takes-all column: indicator of the unique minimizer, all-zero
-    when idle, or a tie marker when several users attain the minimum."""
-    hard, _, cstar = winner_sets(tables, col, k, eps=np.inf, tie_rtol=tie_rtol)
-    M = tables.num_users
-    w = np.zeros(M)
-    if len(hard) == 1:
-        w[hard[0]] = 1.0
-        return ScheduleColumn(weights=w)
-    if len(hard) == 0:
-        return ScheduleColumn(weights=w)
-    return ScheduleColumn(weights=w, tie_members=hard)
-
-
 def smooth_weights(costs: np.ndarray, eps: float) -> np.ndarray:
     """Vectorized ε-smooth sharing over the last axis of a cost array."""
     costs = np.asarray(costs, dtype=float)
@@ -190,14 +130,6 @@ def smooth_weights(costs: np.ndarray, eps: float) -> np.ndarray:
     raw = np.where((diff < eps) & (cstar < 0.0), (1.0 - diff / eps) ** 2, 0.0)
     z = raw.sum(axis=-1, keepdims=True)
     return np.divide(raw, z, out=np.zeros_like(raw), where=z > 0.0)
-
-
-def smooth_schedule(tables: RateCostTables, col, k: int,
-                    eps: float) -> ScheduleColumn:
-    """ε-smooth sharing: weights ∝ (1-(C_W-c*)/ε)² over the smooth set."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return ScheduleColumn(weights=smooth_weights(_col_costs(tables, col, k), eps))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ rates and reports average weighted power:
   from the smooth solution; the reported power is the best hard dual value
   (zero duality gap), and the tie LP is attempted at a widened tie tolerance
   to exhibit the primal sharing weights.
-* RA3 — the ε-smooth policy on the configured quantizer.
+* RA3 — the ε-smooth policy on the configured quantizer. Like every smooth
+  point here (RA1's exact branch, RA2's start, RA4, sweep rows) it is solved
+  by damped Newton; the row records ``iterations`` and ``max_abs_subgradient``.
 * RA4 — the ε-smooth policy on a random quantizer (uninformed thresholds).
 * RA5 — fixed scheduling heuristic: user m owns channels k ≡ m (mod M),
   transmits at constant power in non-outage regions (on/off power), rate
@@ -37,7 +39,7 @@ from .dual import block_allocation, exact_dual
 from .powerrate import (NumericError, PowerRate, RegionContext,
                         region_contexts)
 from .quantizer import QuantizerGrid, build_equiprobable, build_random, quantize
-from .solver import Problem, SolverConfig, run_offline_smooth, run_online
+from .solver import Problem, SolverConfig, run_offline_newton, run_online
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,8 @@ def cluster_audit(tables: RateCostTables, k: int,
 
 # --- scheme comparison -------------------------------------------------------
 
-# the comparison configs have rate sensitivities |dE[rate]/dlambda| in the
-# hundreds to thousands (growing as L shrinks), and a constant stepsize
-# above 2/|eig|max limit-cycles instead of converging; start at
-# CompareSetup.beta (1e-3) and let _smooth_point back off by 4x, up to
-# _BETA_BACKOFFS times, warm-started, until the run settles
-_BETA_BACKOFFS = 4
+# rate sensitivities |dE[rate]/dlambda| here reach the thousands as L shrinks,
+# where constant steps above 2/|eig|max limit-cycle: hence damped Newton
 # RA2: diminishing steps _RA2_KAPPA·i^-0.51 on the hard dual for _RA2_ITERS
 # iterations, then the tie search at the relative tolerance _RA2_TIE_RTOL
 _RA2_ITERS = 2_000
@@ -167,7 +165,7 @@ class CompareSetup:
     eps: float = 0.05
     rate_cap: float = DEFAULT_RATE_CAP
     enum_budget: int = qz.DEFAULT_ENUM_BUDGET
-    beta: float = 1e-3                  # see _BETA_BACKOFFS
+    beta: float = 1e-3                  # first Newton damping is 1/beta
     tol: float | np.ndarray = 1e-3      # tol, init: scalar or per user
     max_iters: int = 20_000
     init: float | np.ndarray = 0.1
@@ -189,24 +187,12 @@ def _solver_cfg(setup: CompareSetup, **over) -> SolverConfig:
 
 
 def _smooth_point(setup: CompareSetup, grid: QuantizerGrid):
-    """Smooth offline solve on ``grid`` with the β backoff.
-
-    Returns (problem, λ, trajectory); the trajectory's last row is the
-    exact smooth evaluation at λ.
-    """
+    """Damped Newton smooth solve on ``grid``: (problem, λ, trajectory),
+    whose last row is the exact smooth evaluation at λ."""
     problem = Problem(grid=grid, model=setup.model, mu=setup.mu,
                       targets=setup.targets, fading=setup.fading,
                       rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
-    beta, init = setup.beta, setup.init
-    for _ in range(_BETA_BACKOFFS + 1):
-        lam, traj = run_offline_smooth(
-            problem, _solver_cfg(setup, beta=beta, init=init))
-        if traj.converged:
-            break
-        # a too-large constant stepsize hovers in a limit cycle around the
-        # fixed point; retry smaller, warm-started from the hover region
-        beta /= 4.0
-        init = lam
+    lam, traj = run_offline_newton(problem, _solver_cfg(setup))
     return problem, lam, traj
 
 
@@ -214,6 +200,8 @@ def _smooth_row(scheme: str, setup: CompareSetup, grid: QuantizerGrid) -> dict:
     _, lam, traj = _smooth_point(setup, grid)
     return {"scheme": scheme, "avg_power": float(traj.power[-1]),
             "avg_rates": traj.rates[-1], "converged": traj.converged,
+            "iterations": int(traj.iters[-1]),
+            "max_abs_subgradient": float(np.max(np.abs(traj.subgrad[-1]))),
             "lambda": lam, "method": "offline_exact"}
 
 

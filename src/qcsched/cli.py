@@ -37,8 +37,8 @@ Omitted ``solver`` keys take the ``SolverConfig`` defaults (in compare and
 sweep_regions modes the ``CompareSetup`` ones, where it has the key) and
 omitted RA knobs the ``CompareSetup`` defaults; ``rate_cap`` defaults to
 ``DEFAULT_RATE_CAP``. ``init`` and ``tol`` may be per-user lists in every
-mode, compare and sweep included. The β backoff and RA2's refinement are
-fixed in ``analysis`` and are not config keys.
+mode, compare and sweep included. Compare and sweep solve smooth points by
+damped Newton (first damping 1/``solver.beta``); RA2's refinement is fixed.
 
 Artifacts: every mode writes `summary.json` (final multipliers, rates, powers,
 convergence flag, wall time); solver modes add `trajectory.csv`

@@ -21,10 +21,12 @@ import numpy as np
 
 from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
-                        build_tables, gather_columns, smooth_weights,
-                        take_regions)
+                        build_tables, gather_columns, make_static,
+                        smooth_weights, take_regions)
 from .powerrate import PowerRate
 from .quantizer import QuantizerGrid
+
+_JAC_CHUNK = 2 ** 15    # column entries (channels × columns × users) per chunk
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,51 @@ def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
                           avg_power=served_power)
 
 
+def smooth_jacobian(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
+                    eps: float = 0.05, rate_cap: float = DEFAULT_RATE_CAP,
+                    space=None, static: tuple | None = None,
+                    tables: RateCostTables | None = None) -> np.ndarray:
+    """Analytic Jacobian ∂g/∂λ (M, M) of the smooth subgradient g = ř - r̄.
+
+    By the envelope theorem ∂C_n/∂λ_n = -R*_n. Per (channel, column) let
+    d = C - c*, s = argmin C, and on the ε-window a = (1 - d/ε)², Z = Σa,
+    w = a/Z, b = -2(1 - d/ε)/(εZ), A = Σb; then
+    ∂r̄_m/∂λ_n = Σ p·[δ_mn(w_m·R'_m - b_m·r_m²) + w_m·r_m·b_n·r_n
+                       - r_m·(w_m·A - b_m)·[s = n]·r_n],
+    with R' = ∂R*/∂λ from the family's ``rate_slope``, summed by einsum (BLAS
+    buffers would grow a small run's peak RSS) over channel chunks of at most
+    _JAC_CHUNK column entries. Arguments are those of exact_dual."""
+    cols0, probs = qz.column_space(grid) if space is None else space
+    static = make_static(grid, model) if static is None else static
+    if tables is None:
+        tables = build_tables(model, grid, mult, rate_cap, static)
+    M, mu = mult.num_users, mult.mu[:, None, None]
+    rprime = model.rate_slope(static, mult.lambda_r[:, None, None] / mu,
+                              tables.rate, tables.power, rate_cap) / mu
+    diag, jac = np.zeros(M), np.zeros((M, M))
+    step = max(1, _JAC_CHUNK // cols0.size)
+    for k0 in range(0, grid.num_channels, step):
+        part = slice(k0, k0 + step)
+        cost, rate, rp = gather_columns(cols0, tables.cost[:, part],
+                                        tables.rate[:, part], rprime[:, part])
+        p = probs[part, :, None]
+        cstar = cost.min(axis=2, keepdims=True)
+        d = cost - cstar
+        win = (d < eps) & (cstar < 0.0)
+        u = np.where(win, 1.0 - d / eps, 0.0)
+        z = np.sum(u * u, axis=2, keepdims=True)
+        z[z == 0.0] = np.inf                        # idle columns: w = b = 0
+        w, b = u * u / z, -2.0 * u / (eps * z)
+        pr = p * rate
+        diag += np.sum(p * w * rp - pr * b * rate, axis=(0, 1))
+        mixed = pr * (w * b.sum(axis=2, keepdims=True) - b)
+        at_min = np.where(np.arange(M) == cost.argmin(axis=2)[:, :, None],
+                          rate, 0.0)                # [s = n]·r_n
+        jac += (np.einsum("kcm,kcn->mn", pr * w, b * rate)
+                - np.einsum("kcm,kcn->mn", mixed, at_min))
+    return -(jac + np.diag(diag))
+
+
 def block_allocation(tables: RateCostTables, mult: Multipliers, qcsi,
                      eps: float):
     """Smooth allocation for realized Q-CSI, 1-based: one block's (M, K)
@@ -103,21 +150,6 @@ def block_allocation(tables: RateCostTables, mult: Multipliers, qcsi,
     served_cost = float((cost * w).sum())
     weighted_power = served_cost + float(mult.lambda_r @ served_rate)
     return served_rate, weighted_power, served_cost
-
-
-def stochastic_subgradient(model: PowerRate, grid: QuantizerGrid,
-                           mult: Multipliers, qcsi_block, eps: float = 0.05,
-                           rate_cap: float = DEFAULT_RATE_CAP,
-                           tables: RateCostTables | None = None) -> np.ndarray:
-    """Per-block subgradient estimate ř - Σ_k R*·w^s from one realization.
-
-    Unbiased for the exact smooth subgradient: its expectation over the
-    Q-CSI distribution equals exact_dual(..., mode="smooth").subgradient.
-    """
-    if tables is None:
-        tables = build_tables(model, grid, mult, rate_cap)
-    served_rate, _, _ = block_allocation(tables, mult, qcsi_block, eps)
-    return mult.targets - served_rate
 
 
 def jacobian_check(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,

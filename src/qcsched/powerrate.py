@@ -212,6 +212,14 @@ class PowerRate:
         slope ≤ Υ̇(0) and at most ``rate_cap``."""
         return linear_allocation(data[0], slope, rate_cap)
 
+    def rate_slope(self, data: tuple, slope, rate, power,
+                   rate_cap: float) -> np.ndarray:
+        """∂R*/∂slope per cell at (rate, power) = ``allocation(data, slope,
+        rate_cap)``, 0 on inactive and capped cells: 1/(slope·ln2) here."""
+        live = (rate > 0.0) & (rate < rate_cap)
+        with np.errstate(divide="ignore"):
+            return np.where(live, 1.0 / (slope * _LN2), 0.0)
+
     # -- generic closed forms for linear-coefficient families ---------------
     def power_of_rate(self, ctx: RegionContext, rate) -> np.ndarray:
         return linear_allocation(self.linear_coeff(ctx),
@@ -399,6 +407,17 @@ class ErgodicCapacity(PowerRate):
         rate, power = np.zeros(t.shape), np.zeros(t.shape)
         rate[active], power[active] = r, y
         return rate, power
+
+    def rate_slope(self, data: tuple, slope, rate, power,
+                   rate_cap: float) -> np.ndarray:
+        """Differentiating (Υ⁻¹)'(y*) = 1/t at the allocated power y* gives
+        ∂R*/∂t = -1/(t³·(Υ⁻¹)''(y*)) on active, uncapped cells."""
+        lo, hi, g, t, r, y = np.broadcast_arrays(*data, slope, rate, power)
+        live = (r > 0.0) & (r < rate_cap)
+        out = np.zeros(t.shape)
+        ctx = RegionContext(lo[live], hi[live], g[live])
+        out[live] = -1.0 / (t[live] ** 3 * self._closed_form(ctx, y[live])[2])
+        return out
 
 
 _FAMILIES = {

@@ -178,16 +178,6 @@ def quantize(grid: QuantizerGrid, gains: np.ndarray) -> np.ndarray:
     return pos - ladder + 1
 
 
-def region_prob(grid: QuantizerGrid, m: int, k: int, l: int) -> float:
-    """Pr{[J]_{m,k} = l} = e^{-q_l/ḡ} - e^{-q_{l+1}/ḡ} (l is 1-based)."""
-    if not (1 <= l <= grid.regions_per_channel):
-        raise ValueError("region index out of range")
-    q = grid.thresholds[m, k]
-    g = grid.mean_gain[m, k]
-    hi = 0.0 if np.isposinf(q[l]) else np.exp(-q[l] / g)
-    return float(np.exp(-q[l - 1] / g) - hi)
-
-
 def region_prob_table(grid: QuantizerGrid) -> np.ndarray:
     """All region probabilities at once, shape (M, K, L); rows sum to 1."""
     q = grid.thresholds
@@ -195,17 +185,6 @@ def region_prob_table(grid: QuantizerGrid) -> np.ndarray:
     with np.errstate(over="ignore"):
         surv = np.where(np.isposinf(q), 0.0, np.exp(-q / g))
     return surv[:, :, :-1] - surv[:, :, 1:]
-
-
-def column_prob(grid: QuantizerGrid, k: int, col) -> float:
-    """Pr{[J]_k = j}: product over users of their region probabilities."""
-    col = np.asarray(col, dtype=int)
-    if col.shape != (grid.num_users,):
-        raise ValueError("column must hold one region index per user")
-    p = 1.0
-    for m in range(grid.num_users):
-        p *= region_prob(grid, m, k, int(col[m]))
-    return p
 
 
 def enumerate_columns(num_users: int, regions: int,

@@ -21,13 +21,15 @@ from qcsched.allocator import (Multipliers, TieInstance, build_tables,
 from qcsched.analysis import CompareSetup, compare_schemes, sweep_regions
 from qcsched.channel import (FadingModel, sample_gain_blocks,
                              snr_db_to_mean_gain)
-from qcsched.dual import exact_dual, jacobian_check, stochastic_subgradient
+from qcsched.dual import exact_dual, jacobian_check
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity, RegionContext)
 from qcsched.quantizer import QuantizerGrid, build_equiprobable, quantize
 from qcsched.solver import (Problem, SolverConfig, multiplier_settled,
                             run_offline_nonsmooth, run_offline_smooth,
                             run_online)
+
+from oracles import stochastic_subgradient
 
 MODEL = OutageCapacity(outage_delta=0.0)
 
@@ -262,6 +264,16 @@ def test_criterion_7_region_sweep_trend():
             f"power strictly decreasing in L ({trend} dB); the fine-grid "
             f"reference gap shrinks with L: L=8 vs L=256 gap {gap8:.1f} < "
             f"L=2 vs L=256 gap {gap2:.1f} (linear); wall {wall:.0f}s")
+
+
+def test_newton_solves_every_sweep_shape_in_few_iterations():
+    # a return to constant-step limit cycles would take thousands
+    setup = reference_setup()
+    rows = sweep_regions(setup, [2, 3, 4, 6, 8], reference_regions=None)
+    for r in rows:
+        assert r["converged"], r["regions"]
+        assert r["iterations"] <= 30, (r["regions"], r["iterations"])
+        assert r["max_abs_subgradient"] < setup.tol
 
 
 # --- 8: oracle equivalence -----------------------------------------------------------

@@ -5,13 +5,14 @@ import pytest
 
 from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, TieInstance,
                                TieInfeasibleError, build_tables,
-                               find_tie_instances, hard_schedule,
-                               smooth_schedule, smooth_weights, solve_tie_lp,
-                               winner_sets)
+                               find_tie_instances, smooth_weights,
+                               solve_tie_lp)
 from qcsched.channel import FadingModel
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity, RegionContext, region_contexts)
 from qcsched.quantizer import QuantizerGrid, build_equiprobable, build_random
+
+from oracles import hard_schedule, smooth_schedule, winner_sets
 
 LN2 = np.log(2.0)
 

@@ -198,13 +198,23 @@ def test_ra3_point_converges_and_meets_targets():
     np.testing.assert_allclose(row["avg_rates"], setup.targets, atol=2e-3)
 
 
-def test_ra3_backoff_rescues_oversized_stepsize():
-    # beta far above the stability bound: the first attempts limit-cycle and
-    # the harness must walk the stepsize down until the run converges
+def test_ra3_newton_converges_from_small_initial_damping():
+    # beta far above the constant-step stability bound makes the first
+    # Newton damping 1/beta small: the step is nearly undamped, and the
+    # ‖subgradient‖ test must raise the damping until the solve converges
     setup = micro_setup(beta=2.0, max_iters=3_000)
     row = ra3_point(setup)
     assert row["converged"]
     np.testing.assert_allclose(row["avg_rates"], setup.targets, atol=2e-3)
+
+
+def test_smooth_rows_say_how_they_were_solved():
+    setup = micro_setup()
+    for row in (ra3_point(setup), ra4_point(setup), ra1_point(setup)):
+        assert 0 < row["iterations"] <= 30
+        assert row["max_abs_subgradient"] < setup.tol
+        assert row["max_abs_subgradient"] == pytest.approx(
+            np.max(np.abs(row["avg_rates"] - setup.targets)), abs=1e-12)
 
 
 def test_ra5_deterministic_meets_targets_and_costs_more():

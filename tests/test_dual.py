@@ -7,10 +7,13 @@ from qcsched.allocator import (Multipliers, block_statics, build_tables,
                                make_static, smooth_weights)
 from qcsched.channel import FadingModel, sample_gain_blocks
 from qcsched.dual import (block_allocation, exact_dual, jacobian_check,
-                          stochastic_subgradient)
-from qcsched.powerrate import ErgodicCapacity, OutageCapacity
+                          smooth_jacobian)
+from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
+                               OutageCapacity)
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
                                build_equiprobable, quantize)
+
+from oracles import stochastic_subgradient
 
 LN2 = np.log(2.0)
 MODEL = OutageCapacity(outage_delta=0.0)
@@ -219,6 +222,32 @@ def test_jacobian_entries_bounded_on_grid():
             _, rep = jacobian_check(MODEL, grid, mult.with_lambda([l0, l1]))
             caps.append(rep["max_abs_entry"])
     assert max(caps) < 1e3
+
+
+@pytest.mark.parametrize("model", [
+    MODEL, MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=1e-3),
+    MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=1e-3), ErgodicCapacity()],
+    ids=["outage", "inst_ber", "avg_ber", "ergodic"])
+def test_analytic_jacobian_matches_finite_differences(model):
+    # M=2, K=2, L=3 with mu = (1, 2), a rate cap of 3 and a wide window:
+    # across the three lambdas the tables hold inactive, capped and
+    # interior cells, and shared columns couple the two users
+    fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5]]), seed=3)
+    grid = build_equiprobable(fading, 3)
+    kinds, coupled = set(), False
+    for lam in ([1.0, 2.6], [3.0, 9.0], [1.5, 40.0]):
+        mult = Multipliers(np.array(lam), np.array([1.0, 2.0]),
+                           np.array([0.5, 0.7]))
+        rate = build_tables(model, grid, mult, 3.0).rate
+        kinds |= {"inactive"} if np.any(rate == 0.0) else set()
+        kinds |= {"capped"} if np.any(rate == 3.0) else set()
+        kinds |= {"interior"} if np.any((rate > 0) & (rate < 3.0)) else set()
+        fd, _ = jacobian_check(model, grid, mult, eps=0.5, rate_cap=3.0)
+        jac = smooth_jacobian(model, grid, mult, eps=0.5, rate_cap=3.0)
+        np.testing.assert_allclose(
+            jac, fd, rtol=0.0, atol=1e-6 * np.max(np.abs(fd)) + 1e-12)
+        coupled |= bool(fd[0, 1] != 0.0)
+    assert kinds == {"inactive", "capped", "interior"} and coupled
 
 
 def test_ergodic_family_identity_and_bound():

@@ -57,9 +57,9 @@ MICRO_SWEEP = {
 GOLDEN = {
     "micro_compare": {
         "compare.csv":
-            "1cfb03af97d895bf55cfefbab6ebb94064de5f9c1e178f58d5e876b7dc0bbcd9",
+            "55da19813893b8139ed497dd55a250e27f151643d8ee53ed2f244fefd1d9f72c",
         "summary.json":
-            "a86fbfdfcbdee3ccb3b4c46ee9b9e7517a98b706d6dc7e05c2e7db33298a4511",
+            "73359c3057c2b0b3f7e10d4bc2cf0f32972cb9a74777b1278f18e46d742dabab",
     },
     "micro_online": {
         "trajectory.csv":
@@ -69,9 +69,9 @@ GOLDEN = {
     },
     "micro_sweep": {
         "sweep.csv":
-            "5c4854ef4b617ca9946880d1dbc422ed3226aec72c08ae624917e6c9dc55d92c",
+            "89c32069868ba83f71d8d2d983afeee2107373e246f507d0f882e93777faaa20",
         "summary.json":
-            "1ca3e300b875cb34918db49af2a5c5da67d10d5b35910730e9b8ce70fdee13e9",
+            "a4df263c7bd018301e6ce499936b32a37abb81bfd47a4a5de7684a9d42c1d64c",
     },
     "overhead": {
         "summary.json":

@@ -11,9 +11,11 @@ from hypothesis.extra.numpy import arrays
 from qcsched import quantizer as qz
 from qcsched.channel import FadingModel, sample_gain_blocks
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
-                               build_equiprobable, build_random, column_prob,
+                               build_equiprobable, build_random,
                                column_space, enumerate_columns, quantize,
-                               region_prob, region_prob_table)
+                               region_prob_table)
+
+from oracles import column_prob, region_prob
 
 LN2 = np.log(2.0)
 

@@ -9,13 +9,14 @@ from qcsched import solver
 from qcsched.allocator import Multipliers, build_tables
 from qcsched.channel import (FadingModel, sample_gain_blocks, sample_gains,
                              snr_db_to_mean_gain)
-from qcsched.dual import block_allocation, exact_dual
+from qcsched.dual import block_allocation, exact_dual, smooth_jacobian
 from qcsched.powerrate import ErgodicCapacity, MaxAvgBer, OutageCapacity
 from qcsched.quantizer import (QuantizerGrid, build_equiprobable, build_random,
                                quantize)
 from qcsched.solver import (OnlineResult, Problem, SolverConfig, Trajectory,
-                            multiplier_settled, run_offline_nonsmooth,
-                            run_offline_smooth, run_online)
+                            multiplier_settled, run_offline_newton,
+                            run_offline_nonsmooth, run_offline_smooth,
+                            run_online)
 
 LN2 = np.log(2.0)
 MODEL = OutageCapacity(outage_delta=0.0)
@@ -334,6 +335,65 @@ def test_online_fused_path_matches_reference_loop(make, blocks, beta, rtol,
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+def micro_problem():
+    """The comparison harness's micro instance: M=2, K=4, 6 dB, L=4."""
+    fading = FadingModel(np.full((2, 4), snr_db_to_mean_gain(6.0)), seed=2)
+    return Problem(grid=build_equiprobable(fading, 4), model=MODEL,
+                   mu=np.ones(2), targets=np.array([1.0, 1.5]), fading=fading)
+
+
+def test_newton_agrees_with_the_constant_step():
+    # beta = 0.05 is inside this instance's stability range (2/14 = 0.14);
+    # two answers that each meet tol may differ by 2·sqrt(M)·tol/min|eig J|
+    # in lambda and by 2·tol·Σλ in power
+    problem, tol = micro_problem(), 1e-3
+    cfg = SolverConfig(beta=1e-3, tol=tol, max_iters=20_000)
+    lam, traj = run_offline_newton(problem, cfg)
+    ref, ref_traj = run_offline_smooth(
+        problem, SolverConfig(beta=0.05, tol=tol, max_iters=20_000))
+    assert traj.converged and ref_traj.converged
+    assert traj.reason == "converged"
+    assert np.all(np.abs(traj.subgrad[-1]) < tol)
+    jac = smooth_jacobian(MODEL, problem.grid, problem.multipliers(lam))
+    min_eig = np.min(np.abs(np.linalg.eigvalsh(0.5 * (jac + jac.T))))
+    assert np.max(np.abs(lam - ref)) <= 2 * np.sqrt(2) * tol / min_eig
+    assert abs(traj.power[-1] - ref_traj.power[-1]) <= 2 * tol * ref.sum()
+    np.testing.assert_array_equal(traj.lam[-1], lam)
+
+
+def test_newton_rerun_is_bitwise_identical():
+    problem = micro_problem()
+    cfg = SolverConfig(beta=1e-3, tol=1e-6, max_iters=20_000)
+    runs = [run_offline_newton(problem, cfg) for _ in range(2)]
+    assert runs[0][0].tobytes() == runs[1][0].tobytes()
+    for field in ("iters", "lam", "subgrad", "rates", "power"):
+        assert (getattr(runs[0][1], field).tobytes()
+                == getattr(runs[1][1], field).tobytes())
+
+
+def test_newton_counts_every_evaluation_toward_max_iters(monkeypatch):
+    # rejected trials count too: max_iters bounds the dual evaluations
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exact_dual(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "exact_dual", counted)
+    problem = micro_problem()
+    for n in (1, 2, 5):
+        calls.clear()
+        lam, traj = run_offline_newton(
+            problem, SolverConfig(beta=1e-3, tol=1e-12, max_iters=n))
+        assert len(calls) == n
+        assert not traj.converged and traj.reason == "max_iters"
+        assert traj.iters[-1] < n
+        np.testing.assert_array_equal(traj.lam[-1], lam)
+    one, _ = run_offline_newton(
+        problem, SolverConfig(beta=1e-3, tol=1e-12, max_iters=1))
+    np.testing.assert_array_equal(one, np.full(2, 0.1))
 
 
 def test_trajectory_csv_roundtrip():
