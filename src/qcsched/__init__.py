@@ -14,23 +14,23 @@ the fading gain fell into. This package provides:
 * a JSON-config experiment runner (``qcsched`` console script, ``cli``).
 """
 
-from .allocator import (DEFAULT_RATE_CAP, DEFAULT_TIE_RTOL, Multipliers,
-                        RateCostTables, TieInfeasibleError, TieInstance,
-                        TieSolution, build_tables, find_tie_instances,
+from .allocator import (DEFAULT_RATE_CAP, DEFAULT_TIE_RTOL,
+                        InfeasibleTargetsError, Multipliers, RateCostTables,
+                        TieInfeasibleError, TieInstance, TieSolution,
+                        build_tables, check_targets, find_tie_instances,
                         smooth_weights, solve_tie_lp)
-from .analysis import (CompareSetup, OverheadReport, cluster_audit,
-                       compare_schemes, feedback_bits, mc_primal,
-                       realize_probabilistic_access, sweep_regions)
+from .analysis import (CompareSetup, OverheadReport, compare_schemes,
+                       feedback_bits, mc_primal, sweep_regions)
 from .channel import (FadingModel, sample_gain_blocks, sample_gains,
                       snr_db_to_mean_gain)
 from .dual import (DualEvaluation, block_allocation, exact_dual,
-                   jacobian_check, smooth_jacobian)
+                   smooth_jacobian)
 from .powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer, NumericError,
                         OutageCapacity, PowerRate, RegionContext,
                         delta_outage_gain, make_model, region_contexts)
 from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                         QuantizerGrid, build_equiprobable, build_random,
-                        column_space, enumerate_columns, quantize,
+                        channel_classes, column_space, quantize,
                         region_prob_table)
 from .simplex import LPInfeasibleError, LPUnboundedError, solve_lp
 from .solver import (OnlineResult, Problem, SolverConfig, Trajectory,
@@ -43,20 +43,19 @@ __version__ = "0.1.0"
 __all__ = [
     "CompareSetup", "DEFAULT_ENUM_BUDGET", "DEFAULT_RATE_CAP",
     "DEFAULT_TIE_RTOL", "DualEvaluation", "EnumerationBudgetError",
-    "ErgodicCapacity", "FadingModel", "LPInfeasibleError",
-    "LPUnboundedError", "MaxAvgBer", "MaxInstBer", "Multipliers",
-    "NumericError", "OnlineResult", "OutageCapacity", "OverheadReport",
-    "PowerRate", "Problem", "QuantizerGrid", "RateCostTables",
-    "RegionContext", "SolverConfig", "TieInfeasibleError", "TieInstance",
-    "TieSolution", "Trajectory", "block_allocation", "build_equiprobable",
-    "build_random", "build_tables", "cluster_audit", "column_space",
-    "compare_schemes", "delta_outage_gain", "enumerate_columns",
-    "exact_dual", "exp1", "exp1_scaled", "feedback_bits",
-    "find_tie_instances", "jacobian_check", "make_model", "mc_primal",
-    "multiplier_settled", "quantize", "realize_probabilistic_access",
-    "region_contexts", "region_prob_table", "run_offline_newton",
-    "run_offline_nonsmooth", "run_offline_smooth", "run_online",
-    "sample_gain_blocks", "sample_gains", "smooth_jacobian",
-    "smooth_weights", "snr_db_to_mean_gain", "solve_lp", "solve_tie_lp",
-    "sweep_regions",
+    "ErgodicCapacity", "FadingModel", "InfeasibleTargetsError",
+    "LPInfeasibleError", "LPUnboundedError", "MaxAvgBer", "MaxInstBer",
+    "Multipliers", "NumericError", "OnlineResult", "OutageCapacity",
+    "OverheadReport", "PowerRate", "Problem", "QuantizerGrid",
+    "RateCostTables", "RegionContext", "SolverConfig",
+    "TieInfeasibleError", "TieInstance", "TieSolution", "Trajectory",
+    "block_allocation", "build_equiprobable", "build_random",
+    "build_tables", "channel_classes", "check_targets", "column_space",
+    "compare_schemes", "delta_outage_gain", "exact_dual", "exp1",
+    "exp1_scaled", "feedback_bits", "find_tie_instances", "make_model",
+    "mc_primal", "multiplier_settled", "quantize", "region_contexts",
+    "region_prob_table", "run_offline_newton", "run_offline_nonsmooth",
+    "run_offline_smooth", "run_online", "sample_gain_blocks",
+    "sample_gains", "smooth_jacobian", "smooth_weights",
+    "snr_db_to_mean_gain", "solve_lp", "solve_tie_lp", "sweep_regions",
 ]

@@ -30,6 +30,15 @@ class TieInfeasibleError(Exception):
     """The tie LP has no solution: λ is not at the tie-consistent point."""
 
 
+class InfeasibleTargetsError(ValueError):
+    """No allocation on the grid meets the rate targets; ``users`` is a
+    violated user subset, 1-based."""
+
+    def __init__(self, message: str, users: list):
+        super().__init__(message)
+        self.users = users
+
+
 @dataclass(frozen=True)
 class Multipliers:
     """Rate prices λ ≥ 0, priority weights μ > 0, rate targets ř ≥ 0."""
@@ -67,6 +76,35 @@ def make_static(grid: QuantizerGrid, model: PowerRate) -> tuple:
     """The family's λ-independent data for every (M, K, L) region of the
     grid (PowerRate.cell_data), cached across multiplier updates."""
     return model.cell_data(region_contexts(grid))
+
+
+def check_targets(grid: QuantizerGrid, model: PowerRate, targets,
+                  rate_cap: float = DEFAULT_RATE_CAP) -> None:
+    """Raise InfeasibleTargetsError unless every user subset S can draw its
+    targets: Σ_{m∈S} ř_m ≤ rate_cap · Σ_k Pr{some m ∈ S is out of outage
+    on k}. With the rate cap the rate region is a polymatroid, so the 2^M - 1
+    subsets decide feasibility; the smallest violated one is named. Each
+    channel class (channel_classes) is evaluated once, weighted by its size.
+    """
+    channels, sizes = qz.channel_classes(grid)
+    sub = QuantizerGrid(grid.thresholds[:, channels],
+                        grid.mean_gain[:, channels])
+    outage = model.is_outage(region_contexts(sub))
+    # Pr{user m in outage} per class, (M, n)
+    p_out = np.where(outage, qz.region_prob_table(sub), 0.0).sum(axis=2)
+    M = grid.num_users
+    sets = ((np.arange(1, 2 ** M)[:, None] >> np.arange(M)) & 1).astype(bool)
+    none_live = np.prod(np.where(sets[:, :, None], p_out, 1.0), axis=1)
+    reach = rate_cap * ((1.0 - none_live) @ sizes)
+    need = sets @ np.asarray(targets, dtype=float)
+    bad = np.flatnonzero(need > reach * (1.0 + 1e-12))
+    if len(bad):
+        s = bad[np.argmin(sets[bad].sum(axis=1))]
+        users = (np.flatnonzero(sets[s]) + 1).tolist()
+        raise InfeasibleTargetsError(
+            f"rate targets are infeasible: users {users} need "
+            f"{need[s]:.6g} in total, but with rate_cap {rate_cap:g} they "
+            f"can draw at most {reach[s]:.6g}", users)
 
 
 def take_regions(table: np.ndarray, j0) -> np.ndarray:
@@ -117,7 +155,7 @@ def build_tables(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
 def gather_columns(cols0, *tables) -> tuple:
     """Each (M, K, L) table read at every column of a channel's column space:
     the (K, C, M) arrays table[m, k, cols0[c, m]] for 0-based columns
-    cols0 (C, M)."""
+    cols0 (C, M); K is whatever channels the tables hold."""
     midx = np.arange(cols0.shape[1])
     return tuple(t.transpose(1, 2, 0)[:, cols0, midx] for t in tables)
 
@@ -134,8 +172,9 @@ def smooth_weights(costs: np.ndarray, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TieInstance:
-    """One (column, channel) cell where the hard minimum is attained by
-    several users; probability is the column's probability on that channel."""
+    """One (column, channel class) cell where the hard minimum is attained
+    by several users; probability is the column's probability summed over
+    the class, and ``channel`` is the class's representative channel."""
 
     prob: float
     channel: int
@@ -150,19 +189,22 @@ def find_tie_instances(grid: QuantizerGrid, model: PowerRate,
                        tables: RateCostTables | None = None,
                        rate_cap: float = DEFAULT_RATE_CAP,
                        budget: int = qz.DEFAULT_ENUM_BUDGET,
-                       tie_rtol: float = DEFAULT_TIE_RTOL):
-    """Enumerate the column space, splitting cells into single-winner mass
-    (accumulated into r̄_one) and tie instances.
+                       tie_rtol: float = DEFAULT_TIE_RTOL, space=None):
+    """Enumerate the column space (``space``, else qz.column_space), one
+    representative channel per class, splitting cells into single-winner
+    mass (accumulated into r̄_one) and tie instances.
 
     Returns (instances, r_bar_one); ř_tie = ř - r̄_one feeds solve_tie_lp.
     """
     if tables is None:
         tables = build_tables(model, grid, mult, rate_cap)
-    cols0, probs = qz.column_space(grid, budget)
-    costs, rates, wpow = gather_columns(          # (K, C, M) each
-        cols0, tables.cost, tables.rate,
-        tables.power * mult.mu[:, None, None])
-    cstar = costs.min(axis=2)                  # (K, C)
+    if space is None:
+        space = qz.column_space(grid, budget)
+    cols0, probs, channels = space
+    costs, rates, wpow = gather_columns(          # (n, C, M) each
+        cols0, tables.cost[:, channels], tables.rate[:, channels],
+        tables.power[:, channels] * mult.mu[:, None, None])
+    cstar = costs.min(axis=2)                  # (n, C)
     tol = tie_rtol * np.maximum(1.0, np.abs(cstar))
     member_mask = costs <= (cstar + tol)[:, :, None]
     n_members = member_mask.sum(axis=2)
@@ -178,7 +220,7 @@ def find_tie_instances(grid: QuantizerGrid, model: PowerRate,
     for k, c in zip(*np.nonzero(tied)):
         members = np.flatnonzero(member_mask[k, c])
         instances.append(TieInstance(
-            prob=float(probs[k, c]), channel=int(k),
+            prob=float(probs[k, c]), channel=int(channels[k]),
             column=cols0[c] + 1, members=members,
             rates=rates[k, c, members].copy(),
             weighted_powers=wpow[k, c, members].copy()))

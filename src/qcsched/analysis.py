@@ -1,4 +1,4 @@
-"""Overhead accounting, structure audits and the scheme-comparison harness.
+"""Overhead accounting and the scheme-comparison harness.
 
 The comparison harness benchmarks five allocation policies at matched average
 rates and reports average weighted power:
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantizer as qz
-from .allocator import (DEFAULT_RATE_CAP, DEFAULT_TIE_RTOL, Multipliers,
-                        RateCostTables, TieInfeasibleError, build_tables,
-                        find_tie_instances, solve_tie_lp)
+from .allocator import (DEFAULT_RATE_CAP, Multipliers, TieInfeasibleError,
+                        build_tables, find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
 from .dual import block_allocation, exact_dual
 from .powerrate import (NumericError, PowerRate, RegionContext,
@@ -68,78 +67,6 @@ def feedback_bits(num_users: int, num_channels: int, regions: int) -> OverheadRe
     alloc = math.ceil(K * math.log2(M * L + 1))
     return OverheadReport(full_qcsi_bits=full, allocation_bits=alloc,
                           per_channel_bits=per_channel)
-
-
-def realize_probabilistic_access(weights, draw: float):
-    """Sample the transmitting user for one channel from fractional weights.
-
-    ``draw`` is a uniform [0,1) variate supplied by the caller; returns the
-    user index, or None when the column is idle (all-zero weights). Long-run
-    frequencies match the weights.
-    """
-    w = np.asarray(weights, dtype=float)
-    total = w.sum()
-    if total <= 0.0:
-        return None
-    edges = np.cumsum(w) / total
-    return int(np.searchsorted(edges, draw, side="right"))
-
-
-def cluster_audit(tables: RateCostTables, k: int,
-                  budget: int = qz.DEFAULT_ENUM_BUDGET,
-                  tie_rtol: float = DEFAULT_TIE_RTOL) -> list:
-    """Verify the winner-cluster monotonicity on channel k by enumeration.
-
-    For every column and every single-region perturbation, membership in the
-    hard winner set must (i) survive improving the winner's own region,
-    (ii) survive degrading any other user's region, and (iii) a non-winner
-    must stay out when another user's region improves. Returns the list of
-    violations (expected empty for any cost table that is non-increasing in
-    the region index).
-    """
-    M, _, L = tables.cost.shape
-    costs_k = tables.cost[:, k, :]                   # (M, L)
-    count = L ** M
-    if count > budget:
-        raise qz.EnumerationBudgetError(count, budget)
-
-    def members(col0):
-        c = costs_k[np.arange(M), col0]
-        cstar = c.min()
-        if cstar >= 0.0:
-            return np.zeros(M, dtype=bool)
-        return c <= cstar + tie_rtol * max(1.0, abs(cstar))
-
-    violations = []
-    for col in qz.enumerate_columns(M, L, budget):
-        col0 = col - 1
-        mem = members(col0)
-        for m in range(M):
-            # (i) better own region keeps a winner in the set
-            if mem[m] and col0[m] + 1 < L:
-                up = col0.copy()
-                up[m] += 1
-                if not members(up)[m]:
-                    violations.append({"rule": "own_region_up", "user": m,
-                                       "column": col.tolist()})
-            for other in range(M):
-                if other == m:
-                    continue
-                if mem[m] and col0[other] - 1 >= 0:
-                    down = col0.copy()
-                    down[other] -= 1
-                    if not members(down)[m]:
-                        violations.append({"rule": "other_region_down",
-                                           "user": m, "other": other,
-                                           "column": col.tolist()})
-                if not mem[m] and col0[other] + 1 < L:
-                    up = col0.copy()
-                    up[other] += 1
-                    if members(up)[m]:
-                        violations.append({"rule": "other_region_up",
-                                           "user": m, "other": other,
-                                           "column": col.tolist()})
-    return violations
 
 
 # --- scheme comparison -------------------------------------------------------
@@ -277,7 +204,7 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     try:
         instances, r_one = find_tie_instances(
             grid, setup.model, mult, rate_cap=setup.rate_cap,
-            budget=setup.enum_budget, tie_rtol=_RA2_TIE_RTOL)
+            tie_rtol=_RA2_TIE_RTOL, space=space)
         sol = solve_tie_lp(mult, instances, r_one)
         rates = r_one.copy()
         for inst, w in zip(instances, sol.weights):

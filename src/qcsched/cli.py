@@ -47,7 +47,8 @@ columns are running sample means); compare adds `compare.csv`
 (`scheme,snr_db,avg_power_db,avg_rate_1..M`); sweep_regions adds `sweep.csv`.
 CSV bytes are identical across reruns of the same config + fading seed.
 
-Exit codes: 0 ok; 2 config/schema error (nothing written); 3 solver did not
+Exit codes: 0 ok; 2 config/schema error, or targets that no allocation can
+meet, named by a violated user subset (nothing written); 3 solver did not
 converge (artifacts still written); 4 numeric failure (and its residual).
 """
 
@@ -63,7 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocator import DEFAULT_RATE_CAP
+from .allocator import DEFAULT_RATE_CAP, check_targets
 from .analysis import CompareSetup, compare_schemes, feedback_bits, \
     power_db, sweep_regions
 from .channel import FadingModel, snr_db_to_mean_gain
@@ -394,6 +395,20 @@ def _compare_setup(rc: dict, fading: FadingModel) -> CompareSetup:
         **{k: v for k, v in knobs.items() if k in _RA_KNOBS})
 
 
+def _check_targets(rc: dict) -> None:
+    """Build what the mode solves and check its targets on every grid it
+    solves on (the configured one, or each swept L): InfeasibleTargetsError
+    names a user subset no allocation can serve."""
+    if rc["mode"] in ("offline_smooth", "offline_nonsmooth", "online"):
+        p = _build_problem(rc)
+        check_targets(p.grid, p.model, p.targets, p.rate_cap)
+    elif rc["mode"] in ("compare", "sweep_regions"):
+        setup = _compare_setup(rc, _build_fading(rc))
+        for L in rc.get("sweep", {}).get("regions", [setup.regions]):
+            check_targets(build_equiprobable(setup.fading, L), setup.model,
+                          setup.targets, setup.rate_cap)
+
+
 # --- output helpers ----------------------------------------------------------
 
 def _jsonable(v):
@@ -584,12 +599,9 @@ def main(argv=None) -> int:
             rc["fading"]["seed"] = args.seed
         if args.log_every is not None and args.log_every < 1:
             raise ConfigError("--log-every must be >= 1")
-        # build once so value errors (bad thresholds, shapes) surface before
-        # any artifact is written
-        if rc["mode"] in ("offline_smooth", "offline_nonsmooth", "online"):
-            _build_problem(rc)
-        elif rc["mode"] in ("compare", "sweep_regions"):
-            _compare_setup(rc, _build_fading(rc))
+        # build once so value errors (bad thresholds, shapes, targets no
+        # allocation can meet) surface before any artifact is written
+        _check_targets(rc)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,9 +8,12 @@ where the served cost is min(0, c*) under the hard winner-takes-all rule and
 value = avg_power + λ·subgradient, which the tests exploit as an internal
 consistency check.
 
-Only the per-channel column space (L^M, never L^{K·M}) is ever enumerated.
-Summations use numpy's pairwise reduction in a fixed order, so results are
-deterministic regardless of any outer parallelism.
+Only the per-channel column space (L^M, never L^{K·M}) is ever enumerated,
+and only once per class of identical channels (quantizer.column_space):
+channels with the same ladders and mean gains give the same term, so one
+representative carries the class's summed probabilities. Summations use
+numpy's pairwise reduction in a fixed order, so results are deterministic
+regardless of any outer parallelism.
 """
 
 from __future__ import annotations
@@ -46,33 +49,31 @@ def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
                budget: int = qz.DEFAULT_ENUM_BUDGET,
                space=None, static: tuple | None = None,
                tables: RateCostTables | None = None) -> DualEvaluation:
-    """Ensemble dual evaluation via per-channel enumeration, O(K·L^M·M).
+    """Ensemble dual evaluation by enumeration, O(n_classes·L^M·M).
 
     mode "hard" serves the cost minimizer when c* < 0 (ties broken to the
     lowest user index — the hard subgradient is set-valued at exact ties and
     this picks one selection); mode "smooth" serves the ε-smooth weights.
-    ``space`` (column_space), ``static`` (allocator.make_static: the
-    family's per-region cell data) and ``tables`` are reused when given.
+    ``space`` (column_space: columns, class probabilities and the
+    representative channels whose tables are read), ``static``
+    (allocator.make_static: the family's per-region cell data) and
+    ``tables`` are reused when given.
     """
     if mode not in ("hard", "smooth"):
         raise ValueError("mode must be 'hard' or 'smooth'")
     if space is None:
         space = qz.column_space(grid, budget)
-    cols0, probs = space
+    cols0, probs, channels = space
     if tables is None:
         tables = build_tables(model, grid, mult, rate_cap, static)
-    cost, rate = gather_columns(cols0, tables.cost, tables.rate)  # (K, C, M)
+    cost, rate = gather_columns(cols0, tables.cost[:, channels],
+                                tables.rate[:, channels])           # (n, C, M)
     wpow = cost + mult.lambda_r[None, None, :] * rate          # μΥ(R*)
     if mode == "smooth":
         w = smooth_weights(cost, eps)
-    else:
-        cstar = cost.min(axis=2, keepdims=True)
-        w = np.zeros_like(cost)
-        winner = cost.argmin(axis=2)
-        kk, cc = np.meshgrid(np.arange(cost.shape[0]), np.arange(cost.shape[1]),
-                             indexing="ij")
-        w[kk, cc, winner] = 1.0
-        w *= cstar < 0.0
+    else:                                   # one-hot on the argmin
+        w = ((np.arange(mult.num_users) == cost.argmin(axis=2)[:, :, None])
+             & (cost.min(axis=2, keepdims=True) < 0.0))
     served_rate = np.sum(rate * w * probs[:, :, None], axis=(0, 1))
     served_cost = float(np.sum(cost * w * probs[:, :, None]))
     served_power = float(np.sum(wpow * w * probs[:, :, None]))
@@ -95,21 +96,25 @@ def smooth_jacobian(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     ∂r̄_m/∂λ_n = Σ p·[δ_mn(w_m·R'_m - b_m·r_m²) + w_m·r_m·b_n·r_n
                        - r_m·(w_m·A - b_m)·[s = n]·r_n],
     with R' = ∂R*/∂λ from the family's ``rate_slope``, summed by einsum (BLAS
-    buffers would grow a small run's peak RSS) over channel chunks of at most
-    _JAC_CHUNK column entries. Arguments are those of exact_dual."""
-    cols0, probs = qz.column_space(grid) if space is None else space
+    buffers would grow a small run's peak RSS) over chunks of at most
+    _JAC_CHUNK column entries of the space's representative channels.
+    Arguments are those of exact_dual."""
+    cols0, probs, channels = qz.column_space(grid) if space is None else space
     static = make_static(grid, model) if static is None else static
     if tables is None:
         tables = build_tables(model, grid, mult, rate_cap, static)
     M, mu = mult.num_users, mult.mu[:, None, None]
-    rprime = model.rate_slope(static, mult.lambda_r[:, None, None] / mu,
-                              tables.rate, tables.power, rate_cap) / mu
+    cost_k, rate_k, power_k = (t[:, channels] for t in
+                               (tables.cost, tables.rate, tables.power))
+    rprime = model.rate_slope(tuple(a[:, channels] for a in static),
+                              mult.lambda_r[:, None, None] / mu,
+                              rate_k, power_k, rate_cap) / mu
     diag, jac = np.zeros(M), np.zeros((M, M))
     step = max(1, _JAC_CHUNK // cols0.size)
-    for k0 in range(0, grid.num_channels, step):
+    for k0 in range(0, len(channels), step):
         part = slice(k0, k0 + step)
-        cost, rate, rp = gather_columns(cols0, tables.cost[:, part],
-                                        tables.rate[:, part], rprime[:, part])
+        cost, rate, rp = gather_columns(cols0, cost_k[:, part],
+                                        rate_k[:, part], rprime[:, part])
         p = probs[part, :, None]
         cstar = cost.min(axis=2, keepdims=True)
         d = cost - cstar
@@ -150,38 +155,3 @@ def block_allocation(tables: RateCostTables, mult: Multipliers, qcsi,
     served_cost = float((cost * w).sum())
     weighted_power = served_cost + float(mult.lambda_r @ served_rate)
     return served_rate, weighted_power, served_cost
-
-
-def jacobian_check(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
-                   eps: float = 0.05, h=None,
-                   rate_cap: float = DEFAULT_RATE_CAP,
-                   budget: int = qz.DEFAULT_ENUM_BUDGET):
-    """Central-difference Jacobian of the smooth subgradient in λ.
-
-    Returns (jacobian, report) with the symmetric-part eigenvalues and the
-    largest |entry|; at interior multipliers (every user active) the
-    symmetric part should be negative definite with bounded eigenvalues.
-    """
-    M = mult.num_users
-    lam0 = mult.lambda_r.astype(float)
-    if h is None:
-        h = 1e-5 * (1.0 + np.abs(lam0))
-    h = np.broadcast_to(np.asarray(h, dtype=float), (M,))
-    space = qz.column_space(grid, budget)
-    static = None
-    J = np.zeros((M, M))
-    for j in range(M):
-        for sgn, w in ((1.0, 1.0), (-1.0, -1.0)):
-            lam = lam0.copy()
-            lam[j] += sgn * h[j]
-            ev = exact_dual(model, grid, mult.with_lambda(np.maximum(lam, 0.0)),
-                            "smooth", eps, rate_cap, budget, space, static)
-            J[:, j] += w * ev.subgradient / (2.0 * h[j])
-    sym = 0.5 * (J + J.T)
-    eig = np.linalg.eigvalsh(sym)
-    report = {
-        "symmetric_eigenvalues": eig,
-        "max_abs_entry": float(np.max(np.abs(J))),
-        "negative_definite": bool(np.all(eig < 0.0)),
-    }
-    return J, report

@@ -217,7 +217,7 @@ class PowerRate:
         """∂R*/∂slope per cell at (rate, power) = ``allocation(data, slope,
         rate_cap)``, 0 on inactive and capped cells: 1/(slope·ln2) here."""
         live = (rate > 0.0) & (rate < rate_cap)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return np.where(live, 1.0 / (slope * _LN2), 0.0)
 
     # -- generic closed forms for linear-coefficient families ---------------

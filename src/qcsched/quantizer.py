@@ -12,7 +12,6 @@ probability is the product across users (independent fading).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -187,31 +186,38 @@ def region_prob_table(grid: QuantizerGrid) -> np.ndarray:
     return surv[:, :, :-1] - surv[:, :, 1:]
 
 
-def enumerate_columns(num_users: int, regions: int,
-                      budget: int = DEFAULT_ENUM_BUDGET):
-    """Yield every Q-CSI column (1-based region per user) exactly once,
-    in lexicographic order. Raises EnumerationBudgetError if L^M > budget."""
-    count = regions ** num_users
-    if count > budget:
-        raise EnumerationBudgetError(count, budget)
-    for combo in itertools.product(range(1, regions + 1), repeat=num_users):
-        yield np.array(combo, dtype=int)
+def channel_classes(grid: QuantizerGrid):
+    """(channels, sizes): the first channel of each class of channels whose
+    ladders and mean gains are bitwise equal, in channel order, and the
+    class sizes as floats, the weights the class rows carry. Channels of
+    one class have identical column laws."""
+    keys = np.concatenate([grid.mean_gain[:, :, None], grid.thresholds],
+                          axis=2).transpose(1, 0, 2)
+    classes = {}
+    for k, key in enumerate(keys):
+        classes.setdefault(key.tobytes(), []).append(k)
+    return (np.array([ks[0] for ks in classes.values()]),
+            np.array([len(ks) for ks in classes.values()], dtype=float))
 
 
 def column_space(grid: QuantizerGrid, budget: int = DEFAULT_ENUM_BUDGET):
-    """Dense enumeration helper: (columns0, probs) with
+    """Dense enumeration, one representative channel per class
+    (channel_classes): (columns0, probs, channels) with
     columns0 -- (L^M, M) 0-based region indices, lexicographic;
-    probs    -- (K, L^M) per-channel column probabilities (each row sums to 1).
+    probs    -- (n_classes, L^M) column probabilities of each class summed
+                over its channels (a row sums to the class size);
+    channels -- (n_classes,) the representative channel of each row.
     """
-    M, K, L = grid.num_users, grid.num_channels, grid.regions_per_channel
+    M, L = grid.num_users, grid.regions_per_channel
     count = L ** M
     if count > budget:
         raise EnumerationBudgetError(count, budget)
+    channels, sizes = channel_classes(grid)
     ranges = [np.arange(L)] * M
     mesh = np.meshgrid(*ranges, indexing="ij")
     cols0 = np.stack([ax.reshape(-1) for ax in mesh], axis=1)   # (C, M)
-    rp = region_prob_table(grid).transpose(1, 0, 2)             # (K, M, L)
-    # probs[k, c] = prod_m rp[k, m, cols0[c, m]]
-    per_user = rp[:, np.arange(M), cols0]                       # (K, C, M)
-    probs = per_user.prod(axis=2)
-    return cols0, probs
+    rp = region_prob_table(grid)[:, channels].transpose(1, 0, 2)  # (n, M, L)
+    # probs[c, j] = sizes[c] · prod_m rp[c, m, cols0[j, m]]
+    per_user = rp[:, np.arange(M), cols0]                       # (n, C, M)
+    probs = per_user.prod(axis=2) * sizes[:, None]
+    return cols0, probs, channels

@@ -1,19 +1,24 @@
 """Per-column re-statements of the paper's definitions, used as test oracles.
 
 Each function evaluates one channel column (or one probability) the slow,
-literal way; the tests check the vectorized library paths against them.
+literal way, or enumerates every channel where the library enumerates one
+per class; the tests check the vectorized library paths against them. The
+test-only surfaces (the finite-difference Jacobian, the cluster audit, the
+access sampler) live here too.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from qcsched.allocator import (DEFAULT_RATE_CAP, DEFAULT_TIE_RTOL,
                                RateCostTables, build_tables, smooth_weights)
-from qcsched.dual import block_allocation
-from qcsched.quantizer import QuantizerGrid
+from qcsched.dual import block_allocation, exact_dual
+from qcsched.quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
+                               QuantizerGrid, region_prob_table)
 
 
 # --- winner sets and per-column schedules -------------------------------------
@@ -120,3 +125,170 @@ def stochastic_subgradient(model, grid: QuantizerGrid, mult, qcsi_block,
         tables = build_tables(model, grid, mult, rate_cap)
     served_rate, _, _ = block_allocation(tables, mult, qcsi_block, eps)
     return mult.targets - served_rate
+
+
+# --- the per-channel enumeration ----------------------------------------------
+
+def enumerate_columns(num_users: int, regions: int,
+                      budget: int = DEFAULT_ENUM_BUDGET):
+    """Yield every Q-CSI column (1-based region per user) exactly once,
+    in lexicographic order. Raises EnumerationBudgetError if L^M > budget."""
+    count = regions ** num_users
+    if count > budget:
+        raise EnumerationBudgetError(count, budget)
+    for combo in itertools.product(range(1, regions + 1), repeat=num_users):
+        yield np.array(combo, dtype=int)
+
+
+def per_channel_space(grid: QuantizerGrid):
+    """The column space with every channel its own row, in the layout of
+    quantizer.column_space: (columns0 (L^M, M), probs (K, L^M) whose rows
+    each sum to 1, channels = 0..K-1). Passed as ``space`` to exact_dual,
+    smooth_jacobian or find_tie_instances it enumerates every channel."""
+    M, K = grid.num_users, grid.num_channels
+    cols0 = np.stack(list(enumerate_columns(M, grid.regions_per_channel))) - 1
+    rp = region_prob_table(grid)
+    probs = np.array([[np.prod(rp[np.arange(M), k, c]) for c in cols0]
+                      for k in range(K)])
+    return cols0, probs, np.arange(K)
+
+
+@dataclass(frozen=True)
+class OracleDual:
+    value: float
+    subgradient: np.ndarray
+    per_user_avg_rate: np.ndarray
+    avg_power: float
+
+
+def per_channel_dual(model, grid: QuantizerGrid, mult, mode: str,
+                     eps: float = 0.05,
+                     rate_cap: float = DEFAULT_RATE_CAP) -> OracleDual:
+    """exact_dual summed literally over every channel and every column:
+    the hard rule serves the lowest-index cost minimizer when c* < 0, the
+    smooth rule smooth_schedule's weights."""
+    tables = build_tables(model, grid, mult, rate_cap)
+    M = grid.num_users
+    rate, cost, power = np.zeros(M), 0.0, 0.0
+    for k in range(grid.num_channels):
+        for col in enumerate_columns(M, grid.regions_per_channel):
+            if mode == "smooth":
+                w = smooth_schedule(tables, col, k, eps).weights
+            else:
+                s = hard_schedule(tables, col, k, tie_rtol=0.0)
+                w = (s.weights if s.tie_members is None
+                     else np.eye(M)[s.tie_members[0]])
+            p = column_prob(grid, k, col)
+            c = _col_costs(tables, col, k)
+            r = tables.rate[np.arange(M), k, col - 1]
+            rate += p * r * w
+            cost += p * float(c @ w)
+            power += p * float((c + mult.lambda_r * r) @ w)
+    return OracleDual(value=float(mult.lambda_r @ mult.targets) + cost,
+                      subgradient=mult.targets - rate,
+                      per_user_avg_rate=rate, avg_power=power)
+
+
+# --- test-only surfaces ---------------------------------------------------------
+
+def jacobian_check(model, grid: QuantizerGrid, mult, eps: float = 0.05,
+                   h=None, rate_cap: float = DEFAULT_RATE_CAP):
+    """Central-difference Jacobian of the smooth subgradient in λ.
+
+    Returns (jacobian, report) with the symmetric-part eigenvalues and the
+    largest |entry|; at interior multipliers (every user active) the
+    symmetric part should be negative definite with bounded eigenvalues.
+    """
+    M = mult.num_users
+    lam0 = mult.lambda_r.astype(float)
+    if h is None:
+        h = 1e-5 * (1.0 + np.abs(lam0))
+    h = np.broadcast_to(np.asarray(h, dtype=float), (M,))
+    J = np.zeros((M, M))
+    for j in range(M):
+        for sgn in (1.0, -1.0):
+            lam = lam0.copy()
+            lam[j] += sgn * h[j]
+            ev = exact_dual(model, grid, mult.with_lambda(np.maximum(lam, 0.0)),
+                            "smooth", eps, rate_cap)
+            J[:, j] += sgn * ev.subgradient / (2.0 * h[j])
+    sym = 0.5 * (J + J.T)
+    eig = np.linalg.eigvalsh(sym)
+    report = {
+        "symmetric_eigenvalues": eig,
+        "max_abs_entry": float(np.max(np.abs(J))),
+        "negative_definite": bool(np.all(eig < 0.0)),
+    }
+    return J, report
+
+
+def cluster_audit(tables: RateCostTables, k: int,
+                  budget: int = DEFAULT_ENUM_BUDGET,
+                  tie_rtol: float = DEFAULT_TIE_RTOL) -> list:
+    """Verify the winner-cluster monotonicity on channel k by enumeration.
+
+    For every column and every single-region perturbation, membership in the
+    hard winner set must (i) survive improving the winner's own region,
+    (ii) survive degrading any other user's region, and (iii) a non-winner
+    must stay out when another user's region improves. Returns the list of
+    violations (expected empty for any cost table that is non-increasing in
+    the region index).
+    """
+    M, _, L = tables.cost.shape
+    costs_k = tables.cost[:, k, :]                   # (M, L)
+    count = L ** M
+    if count > budget:
+        raise EnumerationBudgetError(count, budget)
+
+    def members(col0):
+        c = costs_k[np.arange(M), col0]
+        cstar = c.min()
+        if cstar >= 0.0:
+            return np.zeros(M, dtype=bool)
+        return c <= cstar + tie_rtol * max(1.0, abs(cstar))
+
+    violations = []
+    for col in enumerate_columns(M, L, budget):
+        col0 = col - 1
+        mem = members(col0)
+        for m in range(M):
+            # (i) better own region keeps a winner in the set
+            if mem[m] and col0[m] + 1 < L:
+                up = col0.copy()
+                up[m] += 1
+                if not members(up)[m]:
+                    violations.append({"rule": "own_region_up", "user": m,
+                                       "column": col.tolist()})
+            for other in range(M):
+                if other == m:
+                    continue
+                if mem[m] and col0[other] - 1 >= 0:
+                    down = col0.copy()
+                    down[other] -= 1
+                    if not members(down)[m]:
+                        violations.append({"rule": "other_region_down",
+                                           "user": m, "other": other,
+                                           "column": col.tolist()})
+                if not mem[m] and col0[other] + 1 < L:
+                    up = col0.copy()
+                    up[other] += 1
+                    if members(up)[m]:
+                        violations.append({"rule": "other_region_up",
+                                           "user": m, "other": other,
+                                           "column": col.tolist()})
+    return violations
+
+
+def realize_probabilistic_access(weights, draw: float):
+    """Sample the transmitting user for one channel from fractional weights.
+
+    ``draw`` is a uniform [0,1) variate supplied by the caller; returns the
+    user index, or None when the column is idle (all-zero weights). Long-run
+    frequencies match the weights.
+    """
+    w = np.asarray(weights, dtype=float)
+    total = w.sum()
+    if total <= 0.0:
+        return None
+    edges = np.cumsum(w) / total
+    return int(np.searchsorted(edges, draw, side="right"))

@@ -21,7 +21,7 @@ from qcsched.allocator import (Multipliers, TieInstance, build_tables,
 from qcsched.analysis import CompareSetup, compare_schemes, sweep_regions
 from qcsched.channel import (FadingModel, sample_gain_blocks,
                              snr_db_to_mean_gain)
-from qcsched.dual import exact_dual, jacobian_check
+from qcsched.dual import exact_dual
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity, RegionContext)
 from qcsched.quantizer import QuantizerGrid, build_equiprobable, quantize
@@ -29,7 +29,7 @@ from qcsched.solver import (Problem, SolverConfig, multiplier_settled,
                             run_offline_nonsmooth, run_offline_smooth,
                             run_online)
 
-from oracles import stochastic_subgradient
+from oracles import jacobian_check, stochastic_subgradient
 
 MODEL = OutageCapacity(outage_delta=0.0)
 

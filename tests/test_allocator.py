@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, TieInstance,
-                               TieInfeasibleError, build_tables,
+from qcsched.allocator import (DEFAULT_RATE_CAP, InfeasibleTargetsError,
+                               Multipliers, TieInstance, TieInfeasibleError,
+                               build_tables, check_targets,
                                find_tie_instances, smooth_weights,
                                solve_tie_lp)
 from qcsched.channel import FadingModel
@@ -57,6 +58,48 @@ def test_multipliers_with_lambda():
     np.testing.assert_array_equal(m1.lambda_r, [0.5, 0.6])
     assert m1.mu is m0.mu
     np.testing.assert_array_equal(m0.lambda_r, [0.3, 0.4])
+
+
+# --- the polymatroid check of the targets --------------------------------------
+
+def tc1_grid():
+    """K=16 flat channels, M=4, equiprobable L=4: region 1 of every user is
+    an outage region (q_lo = 0), Pr = 1/4."""
+    return build_equiprobable(FadingModel(np.full((4, 16), 4.0), seed=0), 4)
+
+
+def test_check_targets_names_the_smallest_violated_subset():
+    # one user alone draws at most 12·16·(1 - 1/4) = 144 < 200
+    model = OutageCapacity(outage_delta=0.0)
+    with pytest.raises(InfeasibleTargetsError) as ei:
+        check_targets(tc1_grid(), model, [200.0, 8.0, 12.0, 16.0])
+    assert ei.value.users == [1] and "users [1]" in str(ei.value)
+    # each of users 1, 2 alone fits in 144, the pair not in 12·16·15/16 = 180
+    with pytest.raises(InfeasibleTargetsError) as ei:
+        check_targets(tc1_grid(), model, [100.0, 100.0, 0.0, 0.0])
+    assert ei.value.users == [1, 2]
+    check_targets(tc1_grid(), model, [4.0, 8.0, 12.0, 16.0])
+
+
+def test_check_targets_feasible_on_the_boundary():
+    # the bound itself is reachable (every live cell at the rate cap), so it
+    # passes; anything above it fails, as does a positive target on a
+    # channel set that is always in outage
+    model = OutageCapacity(outage_delta=0.0)
+    check_targets(tc1_grid(), model, [144.0, 0.0, 0.0, 0.0])
+    # all four together: 12·16·(1 - 1/4⁴) = 191.25, split evenly
+    check_targets(tc1_grid(), model, [191.25 / 4] * 4)
+    with pytest.raises(InfeasibleTargetsError) as ei:
+        check_targets(tc1_grid(), model, [191.25 / 4 * (1 + 1e-9)] * 4)
+    assert ei.value.users == [1, 2, 3, 4]
+    with pytest.raises(InfeasibleTargetsError):
+        check_targets(tc1_grid(), model, [144.0 * (1 + 1e-9), 0.0, 0.0, 0.0])
+    one_region = QuantizerGrid(np.array([[[0.0, np.inf]]]), np.ones((1, 1)))
+    check_targets(one_region, model, [0.0])
+    with pytest.raises(InfeasibleTargetsError):
+        check_targets(one_region, model, [1e-9])
+    # no outage region in the ergodic family: the cap is rate_cap·K
+    check_targets(one_region, ErgodicCapacity(), [12.0])
 
 
 # --- build_tables ----------------------------------------------------------------

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from qcsched.allocator import Multipliers, RateCostTables, build_tables
-from qcsched.analysis import (CompareSetup, OverheadReport, cluster_audit,
-                              compare_schemes, feedback_bits, mc_primal,
-                              power_db, ra1_point, ra2_point, ra3_point,
-                              ra4_point, ra5_point,
-                              realize_probabilistic_access, sweep_regions)
+from qcsched.analysis import (CompareSetup, OverheadReport, compare_schemes,
+                              feedback_bits, mc_primal, power_db, ra1_point,
+                              ra2_point, ra3_point, ra4_point, ra5_point,
+                              sweep_regions)
 from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
 from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import ErgodicCapacity, OutageCapacity
 from qcsched.quantizer import EnumerationBudgetError, build_equiprobable
 from qcsched.solver import Problem, SolverConfig, run_online
+
+from oracles import cluster_audit, realize_probabilistic_access
 
 MODEL = OutageCapacity(outage_delta=0.0)
 

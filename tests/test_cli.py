@@ -10,6 +10,7 @@ import qcsched
 from qcsched.cli import main
 
 OK, CONFIG, NOT_CONVERGED, NUMERIC = 0, 2, 3, 4
+CONFIGS = Path(qcsched.__file__).parent / "configs"
 
 TRAJ_HEADER = ("iter,lambda_1,lambda_2,subgrad_1,subgrad_2,"
                "rate_1,rate_2,power")
@@ -259,6 +260,25 @@ def test_enum_budget_blowup_exit4(tmp_path, capsys):
     assert rc == NUMERIC
     assert "numeric failure" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_infeasible_targets_exit2_naming_the_subset(tmp_path, capsys):
+    # Test Case 1 with target 200 for user 1: alone it can draw at most
+    # 12·16·3/4 = 144, so the run stops before solving instead of running
+    # to max_iters
+    cfg = json.loads((CONFIGS / "testcase1.json").read_text())
+    cfg["targets"][0] = 200.0
+    rc, out = run(tmp_path, cfg)
+    assert rc == CONFIG
+    err = capsys.readouterr().err
+    assert "infeasible" in err and "users [1]" in err
+    assert not out.exists()
+    # a sweep checks every L it solves: at L=2 half of each user's states
+    # are outage, 12·2·1/2 = 12 < 13, while L=4 would allow 18
+    cfg = tiny("sweep_regions", targets=[13.0, 0.5],
+               sweep={"regions": [4, 2], "reference_regions": None})
+    rc, out = run(tmp_path, cfg)
+    assert rc == CONFIG and "users [1]" in capsys.readouterr().err
 
 
 def test_unconverged_root_find_exit4_prints_its_residual(tmp_path, capsys):

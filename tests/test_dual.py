@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qcsched.allocator import (Multipliers, block_statics, build_tables,
-                               make_static, smooth_weights)
+                               find_tie_instances, make_static,
+                               smooth_weights, solve_tie_lp)
 from qcsched.channel import FadingModel, sample_gain_blocks
-from qcsched.dual import (block_allocation, exact_dual, jacobian_check,
-                          smooth_jacobian)
+from qcsched.dual import block_allocation, exact_dual, smooth_jacobian
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity)
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
-                               build_equiprobable, quantize)
+                               build_equiprobable, build_random,
+                               channel_classes, quantize)
 
-from oracles import stochastic_subgradient
+from oracles import (jacobian_check, per_channel_dual, per_channel_space,
+                     stochastic_subgradient)
 
 LN2 = np.log(2.0)
 MODEL = OutageCapacity(outage_delta=0.0)
@@ -262,3 +266,91 @@ def test_ergodic_family_identity_and_bound():
     assert smooth.value < hard.value + 2 * 0.05
     rhs = smooth.avg_power + mult.lambda_r @ smooth.subgradient
     assert smooth.value == pytest.approx(rhs, rel=1e-12)
+
+
+# --- channel classes against the per-channel oracle ------------------------------
+
+FAMILIES = {"outage": MODEL, "outage_delta": OutageCapacity(outage_delta=0.1),
+            "inst_ber": MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=1e-3),
+            "avg_ber": MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=1e-3),
+            "ergodic": ErgodicCapacity()}
+
+
+@st.composite
+def class_instances(draw):
+    """A grid whose K channels copy ``base`` distinct ones (so repeated and
+    distinct channels mix), optionally with user 1 a twin of user 0 at the
+    same λ, which makes cost ties; ergodic examples stay tiny."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    tiny = family == "ergodic"
+    M = draw(st.integers(1, 2 if tiny else 3))
+    K = draw(st.integers(1, 3 if tiny else 4))
+    L = draw(st.integers(2, 3))
+    base = draw(st.integers(1, K))
+    owner = draw(st.lists(st.integers(0, base - 1), min_size=K, max_size=K))
+    gains = draw(arrays(float, (M, base), elements=st.floats(0.5, 3.0)))
+    fading = FadingModel(gains, seed=0)
+    if tiny or draw(st.booleans()):
+        grid = build_equiprobable(fading, L)
+    else:
+        grid = build_random(fading, L, (0.0, 3.0 * gains.max()),
+                            draw(st.integers(0, 2 ** 31)))
+    thr, mg = grid.thresholds[:, owner], grid.mean_gain[:, owner]
+    lam = draw(arrays(float, (M,), elements=st.floats(0.0, 8.0)))
+    if M > 1 and draw(st.booleans()):
+        thr[1], mg[1], lam[1] = thr[0], mg[0], lam[0]
+    targets = draw(arrays(float, (M,), elements=st.floats(0.0, 2.0)))
+    return (FAMILIES[family], QuantizerGrid(thr, mg),
+            Multipliers(lam, np.ones(M), targets),
+            draw(st.sampled_from([0.05, 0.5])),
+            draw(st.sampled_from([3.0, 12.0])))
+
+
+def _agree(got, want, rtol, scale=0.0):
+    """|got - want| <= rtol·max(|want|, scale) entrywise over the array."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    bound = rtol * max(float(np.max(np.abs(want))), scale)
+    assert np.all(np.abs(got - want) <= bound), (got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_instances())
+def test_channel_classes_match_the_per_channel_oracle(instance):
+    model, grid, mult, eps, rate_cap = instance
+    K, tscale = grid.num_channels, float(np.max(mult.targets))
+    ev = {}
+    for mode in ("hard", "smooth"):
+        ev[mode] = got = exact_dual(model, grid, mult, mode, eps, rate_cap)
+        want = per_channel_dual(model, grid, mult, mode, eps, rate_cap)
+        _agree(got.value, want.value, 1e-12)
+        _agree(got.per_user_avg_rate, want.per_user_avg_rate, 1e-12)
+        _agree(got.subgradient, want.subgradient, 1e-12, tscale)
+        _agree(got.avg_power, want.avg_power, 1e-12)
+        _agree(got.value, got.avg_power + mult.lambda_r @ got.subgradient,
+               1e-12, float(mult.lambda_r @ mult.targets))
+    hard, smooth = ev["hard"].value, ev["smooth"].value
+    assert hard <= smooth + 1e-12 * abs(smooth)
+    assert smooth < hard + K * eps
+
+    # J sums terms p·r²·b with |b| <= 2/eps that cancel where one user wins
+    # a capped cell, so an entry near 0 is compared at the terms' scale
+    full = per_channel_space(grid)
+    rmax = float(build_tables(model, grid, mult, rate_cap).rate.max())
+    _agree(smooth_jacobian(model, grid, mult, eps, rate_cap),
+           smooth_jacobian(model, grid, mult, eps, rate_cap, space=full),
+           1e-10, K * rmax ** 2 * 2.0 / eps)
+
+    ties, one = find_tie_instances(grid, model, mult, rate_cap=rate_cap)
+    ties_k, one_k = find_tie_instances(grid, model, mult, rate_cap=rate_cap,
+                                       space=full)
+    _agree(one, one_k, 1e-12)
+    size = dict(zip(*channel_classes(grid)))
+    assert len(ties_k) == sum(size[t.channel] for t in ties)
+    # targets that sharing every tie evenly meets: both tie LPs are feasible
+    reach = one_k + sum((np.bincount(t.members, t.prob * t.rates,
+                                     minlength=grid.num_users)
+                         / len(t.members) for t in ties_k),
+                        np.zeros(grid.num_users))
+    lp_mult = Multipliers(mult.lambda_r, mult.mu, reach)
+    _agree(solve_tie_lp(lp_mult, ties, one).objective,
+           solve_tie_lp(lp_mult, ties_k, one_k).objective, 1e-12)

@@ -57,9 +57,9 @@ MICRO_SWEEP = {
 GOLDEN = {
     "micro_compare": {
         "compare.csv":
-            "55da19813893b8139ed497dd55a250e27f151643d8ee53ed2f244fefd1d9f72c",
+            "91a2aa9b74561030d19a0968d38fb890d407c94e96a1d035736edb592ae1450a",
         "summary.json":
-            "73359c3057c2b0b3f7e10d4bc2cf0f32972cb9a74777b1278f18e46d742dabab",
+            "6d34ac0bd23e0aca6b20a5b093cb5a919e34331a1d2a4bbb143ab291453e0a67",
     },
     "micro_online": {
         "trajectory.csv":
@@ -69,9 +69,9 @@ GOLDEN = {
     },
     "micro_sweep": {
         "sweep.csv":
-            "89c32069868ba83f71d8d2d983afeee2107373e246f507d0f882e93777faaa20",
+            "1d73df15ec89344aa8e94e790b153b4d79e55b3abcd32e3a585c86ad933b719e",
         "summary.json":
-            "a4df263c7bd018301e6ce499936b32a37abb81bfd47a4a5de7684a9d42c1d64c",
+            "63351684c63467aeb486c2677b7a42cc4d5a1d851c07258004ffb08433d72f5a",
     },
     "overhead": {
         "summary.json":
@@ -79,9 +79,15 @@ GOLDEN = {
     },
     "testcase1": {
         "trajectory.csv":
-            "081f41d8ca7029abb424ea6b8d5ba277bec00338e9842b1b9fa89b3f30164bda",
+            "fc8df2fba8fafa0833b14b287922b9e4f0aaa48b87f3a73829d05f9803dda041",
         "summary.json":
             "c68ca46e93912e6dcd3465b53d4c07ad3f7c9bd000d4c52cd89285aad9266a88",
+    },
+    "testcase1_nonsmooth": {
+        "trajectory.csv":
+            "29e08402b40fce8e00a51f6f472d761dad369767514e1b970274df4296e013db",
+        "summary.json":
+            "9d57c05bd0782318a7127ce93b6a5e0508fef0fe579a3b484f9398084a453b9a",
     },
     "testcase2_online": {
         "trajectory.csv":

@@ -12,10 +12,10 @@ from qcsched import quantizer as qz
 from qcsched.channel import FadingModel, sample_gain_blocks
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
                                build_equiprobable, build_random,
-                               column_space, enumerate_columns, quantize,
+                               channel_classes, column_space, quantize,
                                region_prob_table)
 
-from oracles import column_prob, region_prob
+from oracles import column_prob, enumerate_columns, region_prob
 
 LN2 = np.log(2.0)
 
@@ -237,17 +237,37 @@ def test_enumeration_budget_error():
 
 
 def test_column_space_matches_bruteforce():
+    # channels 0 and 2 are copies, channel 1 differs: two classes, and each
+    # class row is the sum of its channels' brute-force rows
     model = FadingModel(np.array([[1.0, 2.0], [0.5, 3.0]]), seed=0)
-    grid = build_random(model, 3, (0.0, 5.0), seed=17)
-    cols0, probs = column_space(grid)
+    base = build_random(model, 3, (0.0, 5.0), seed=17)
+    grid = QuantizerGrid(base.thresholds[:, [0, 1, 0]],
+                         base.mean_gain[:, [0, 1, 0]])
+    cols0, probs, channels = column_space(grid)
     assert cols0.shape == (9, 2) and probs.shape == (2, 9)
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    for k in range(2):
+    np.testing.assert_array_equal(channels, [0, 1])
+    np.testing.assert_allclose(probs.sum(axis=1), [2.0, 1.0], atol=1e-12)
+    for row, members in enumerate(([0, 2], [1])):
         for c, col0 in enumerate(cols0):
-            assert abs(probs[k, c] - column_prob(grid, k, col0 + 1)) < 1e-15
+            brute = sum(column_prob(grid, k, col0 + 1) for k in members)
+            assert abs(probs[row, c] - brute) < 1e-15
     # lexicographic agreement with the iterator
     it = np.stack(list(enumerate_columns(2, 3))) - 1
     np.testing.assert_array_equal(cols0, it)
+
+
+def test_channel_classes_need_bitwise_equal_channels():
+    # same ladders, one mean gain one ulp apart: two classes; ladders and
+    # mean gains both equal: one class, represented by its first channel
+    mg = np.array([[1.0, 1.0, np.nextafter(1.0, 2.0), 1.0]])
+    thr = np.tile(np.array([0.0, 0.5, np.inf]), (1, 4, 1))
+    channels, counts = channel_classes(QuantizerGrid(thr, mg))
+    np.testing.assert_array_equal(channels, [0, 2])
+    np.testing.assert_array_equal(counts, [3, 1])
+    thr[0, 1, 1] = 0.25
+    channels, counts = channel_classes(QuantizerGrid(thr, mg))
+    np.testing.assert_array_equal(channels, [0, 1, 2])
+    np.testing.assert_array_equal(counts, [2, 1, 1])
 
 
 # --- serialization -------------------------------------------------------------
