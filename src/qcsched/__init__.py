@@ -23,8 +23,7 @@ from .analysis import (CompareSetup, OverheadReport, compare_schemes,
                        feedback_bits, mc_primal, sweep_regions)
 from .channel import (FadingModel, sample_gain_blocks, sample_gains,
                       snr_db_to_mean_gain)
-from .dual import (DualEvaluation, block_allocation, exact_dual,
-                   smooth_jacobian)
+from .dual import DualEvaluation, Problem, block_allocation, exact_dual
 from .powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer, NumericError,
                         OutageCapacity, PowerRate, RegionContext,
                         delta_outage_gain, make_model, region_contexts)
@@ -33,7 +32,7 @@ from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                         channel_classes, column_space, quantize,
                         region_prob_table)
 from .simplex import LPInfeasibleError, LPUnboundedError, solve_lp
-from .solver import (OnlineResult, Problem, SolverConfig, Trajectory,
+from .solver import (OnlineResult, SolverConfig, Trajectory,
                      multiplier_settled, run_offline_newton,
                      run_offline_nonsmooth, run_offline_smooth, run_online)
 from .special import exp1, exp1_scaled
@@ -56,6 +55,6 @@ __all__ = [
     "mc_primal", "multiplier_settled", "quantize", "region_contexts",
     "region_prob_table", "run_offline_newton", "run_offline_nonsmooth",
     "run_offline_smooth", "run_online", "sample_gain_blocks",
-    "sample_gains", "smooth_jacobian", "smooth_weights",
+    "sample_gains", "smooth_weights",
     "snr_db_to_mean_gain", "solve_lp", "solve_tie_lp", "sweep_regions",
 ]

@@ -184,26 +184,21 @@ class TieInstance:
     weighted_powers: np.ndarray     # μ_m·Υ(R*) of each member
 
 
-def find_tie_instances(grid: QuantizerGrid, model: PowerRate,
-                       mult: Multipliers,
-                       tables: RateCostTables | None = None,
-                       rate_cap: float = DEFAULT_RATE_CAP,
-                       budget: int = qz.DEFAULT_ENUM_BUDGET,
-                       tie_rtol: float = DEFAULT_TIE_RTOL, space=None):
-    """Enumerate the column space (``space``, else qz.column_space), one
-    representative channel per class, splitting cells into single-winner
-    mass (accumulated into r̄_one) and tie instances.
+def find_tie_instances(problem, lam, tie_rtol: float = DEFAULT_TIE_RTOL):
+    """Enumerate the column space of ``problem`` (a dual.Problem: its
+    ``space`` and its cell data at the classes' representative channels) at
+    λ, splitting cells into single-winner mass (accumulated into r̄_one) and
+    tie instances, one per class.
 
     Returns (instances, r_bar_one); ř_tie = ř - r̄_one feeds solve_tie_lp.
     """
-    if tables is None:
-        tables = build_tables(model, grid, mult, rate_cap)
-    if space is None:
-        space = qz.column_space(grid, budget)
-    cols0, probs, channels = space
+    mult = problem.multipliers(lam)
+    tables = build_tables(problem.model, problem.grid, mult, problem.rate_cap,
+                          problem.static)
+    cols0, probs, channels = problem.space
     costs, rates, wpow = gather_columns(          # (n, C, M) each
-        cols0, tables.cost[:, channels], tables.rate[:, channels],
-        tables.power[:, channels] * mult.mu[:, None, None])
+        cols0, tables.cost, tables.rate,
+        tables.power * mult.mu[:, None, None])
     cstar = costs.min(axis=2)                  # (n, C)
     tol = tie_rtol * np.maximum(1.0, np.abs(cstar))
     member_mask = costs <= (cstar + tol)[:, :, None]

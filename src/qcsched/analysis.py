@@ -34,7 +34,7 @@ from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, Multipliers, TieInfeasibleError,
                         build_tables, find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
-from .dual import block_allocation, exact_dual
+from .dual import block_allocation
 from .powerrate import (NumericError, PowerRate, RegionContext,
                         region_contexts)
 from .quantizer import QuantizerGrid, build_equiprobable, build_random, quantize
@@ -187,12 +187,8 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     problem, lam, traj = _smooth_point(setup, grid)
 
     best = None
-    space = problem.space()
-    static = problem.static()
     for i in range(_RA2_ITERS):
-        ev = exact_dual(setup.model, grid, problem.multipliers(lam), "hard",
-                        setup.eps, setup.rate_cap, setup.enum_budget,
-                        space, static)
+        ev = problem.evaluate(lam, "hard", setup.eps)
         if best is None or ev.value > best.value:
             best, best_lam = ev, lam.copy()
         lam = np.maximum(0.0, lam + _RA2_KAPPA * (i + 1) ** (-0.51)
@@ -202,9 +198,7 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
            "converged": traj.converged, "lambda": best_lam,
            "method": "hard_dual_refined"}
     try:
-        instances, r_one = find_tie_instances(
-            grid, setup.model, mult, rate_cap=setup.rate_cap,
-            tie_rtol=_RA2_TIE_RTOL, space=space)
+        instances, r_one = find_tie_instances(problem, best_lam, _RA2_TIE_RTOL)
         sol = solve_tie_lp(mult, instances, r_one)
         rates = r_one.copy()
         for inst, w in zip(instances, sol.weights):

@@ -400,8 +400,7 @@ def _check_targets(rc: dict) -> None:
     solves on (the configured one, or each swept L): InfeasibleTargetsError
     names a user subset no allocation can serve."""
     if rc["mode"] in ("offline_smooth", "offline_nonsmooth", "online"):
-        p = _build_problem(rc)
-        check_targets(p.grid, p.model, p.targets, p.rate_cap)
+        _build_problem(rc).check_targets()
     elif rc["mode"] in ("compare", "sweep_regions"):
         setup = _compare_setup(rc, _build_fading(rc))
         for L in rc.get("sweep", {}).get("regions", [setup.regions]):

@@ -12,7 +12,6 @@ probability is the product across users (independent fading).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,27 +78,6 @@ class QuantizerGrid:
     @property
     def regions_per_channel(self) -> int:
         return self.thresholds.shape[2] - 1
-
-    def to_json(self) -> str:
-        """Serialize to JSON; +inf thresholds are encoded as the string "inf"."""
-        def enc(v):
-            return "inf" if np.isposinf(v) else float(v)
-        payload = {
-            "mean_gain": self.mean_gain.tolist(),
-            "thresholds": [[[enc(v) for v in ladder] for ladder in row]
-                           for row in self.thresholds],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuantizerGrid":
-        payload = json.loads(text)
-
-        def dec(v):
-            return np.inf if v == "inf" else float(v)
-        thr = np.array([[[dec(v) for v in ladder] for ladder in row]
-                        for row in payload["thresholds"]])
-        return cls(thresholds=thr, mean_gain=np.array(payload["mean_gain"]))
 
 
 def build_equiprobable(model: FadingModel, regions: int) -> QuantizerGrid:

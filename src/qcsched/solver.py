@@ -1,13 +1,17 @@
 """Multiplier search: offline smooth/non-smooth iterations and the online
 stochastic estimator, with full trajectory recording.
 
-All updates project onto λ ≥ 0. The smooth offline iteration uses a constant
-stepsize on the exact ε-smooth subgradient (or damped Newton steps on its
-analytic Jacobian) and stops when every entry drops below the tolerance; the
-non-smooth baseline uses the hard subgradient with a diminishing schedule
-β_i = κ·i^{-0.51} (square-summable but not summable); the online iteration
-replaces the ensemble subgradient with the per-block estimate computed from
-the realized Q-CSI only — it never touches Pr{J}.
+All updates project onto λ ≥ 0. Every solver first checks that the
+Problem's targets are reachable (Problem.check_targets), so infeasible
+targets raise InfeasibleTargetsError before any evaluation. The offline
+iterations evaluate through Problem.evaluate (dual.Problem, re-exported
+here). The smooth offline iteration uses a constant stepsize on the exact
+ε-smooth subgradient (or damped Newton steps on its analytic Jacobian) and
+stops when every entry drops below the tolerance; the non-smooth baseline
+uses the hard subgradient with a diminishing schedule β_i = κ·i^{-0.51}
+(square-summable but not summable); the online iteration replaces the
+ensemble subgradient with the per-block estimate computed from the realized
+Q-CSI only — it never touches Pr{J}.
 """
 
 from __future__ import annotations
@@ -16,58 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quantizer as qz
-from .allocator import (DEFAULT_RATE_CAP, Multipliers, block_statics,
-                        build_tables, make_static)
-from .channel import FadingModel, sample_gain_blocks
-from .dual import block_allocation, exact_dual, smooth_jacobian
-from .powerrate import PowerRate
-from .quantizer import QuantizerGrid, quantize
+from .allocator import block_statics, build_tables, make_static
+from .channel import sample_gain_blocks
+from .dual import Problem, block_allocation
+from .quantizer import quantize
 
 ONLINE_CHUNK = 1024     # fading blocks sampled and quantized at once online
-
-
-@dataclass
-class Problem:
-    """One allocation instance: quantized channels, Υ family, weights/targets.
-
-    ``fading`` is only needed by the online path (it is sampled); offline
-    evaluations work entirely from the grid's region probabilities.
-    """
-
-    grid: QuantizerGrid
-    model: PowerRate
-    mu: np.ndarray
-    targets: np.ndarray
-    fading: FadingModel | None = None
-    rate_cap: float = DEFAULT_RATE_CAP
-    enum_budget: int = qz.DEFAULT_ENUM_BUDGET
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=float)
-        M = self.grid.num_users
-        if self.mu.shape != (M,) or self.targets.shape != (M,):
-            raise ValueError("mu and targets must have shape (M,)")
-        self._space = None
-        self._static: tuple | None = None
-
-    @property
-    def num_users(self) -> int:
-        return self.grid.num_users
-
-    def multipliers(self, lam) -> Multipliers:
-        return Multipliers(np.asarray(lam, dtype=float), self.mu, self.targets)
-
-    def space(self):
-        if self._space is None:
-            self._space = qz.column_space(self.grid, self.enum_budget)
-        return self._space
-
-    def static(self) -> tuple:
-        if self._static is None:
-            self._static = make_static(self.grid, self.model)
-        return self._static
 
 
 @dataclass(frozen=True)
@@ -171,17 +129,14 @@ def _tol_vector(cfg: SolverConfig, M: int) -> np.ndarray:
 
 
 def _run_offline(problem: Problem, cfg: SolverConfig, mode: str, progress=None):
+    problem.check_targets()
     M = problem.num_users
     lam = _init_lambda(cfg, M)
     tol = _tol_vector(cfg, M)
     rec = _Recorder(cfg.record_every)
-    space = problem.space()
-    static = problem.static()
     converged = False
     for i in range(cfg.max_iters):
-        ev = exact_dual(problem.model, problem.grid, problem.multipliers(lam),
-                        mode, cfg.eps, problem.rate_cap, problem.enum_budget,
-                        space, static)
+        ev = problem.evaluate(lam, mode, cfg.eps)
         done = bool(np.all(np.abs(ev.subgradient) < tol))
         last = i == cfg.max_iters - 1
         rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power,
@@ -221,24 +176,21 @@ def _solve(a, b):
 
 def run_offline_newton(problem: Problem, cfg: SolverConfig):
     """Damped Newton ascent on the smooth dual: λ ← [λ + (νI - J)⁻¹·g]⁺, with
-    J = dual.smooth_jacobian and ‖step‖∞ ≤ max(1, ‖λ‖∞). A trial whose ‖g‖
-    does not grow (non-strict: with no user active, J = 0 and g = ř) is
-    accepted and ν drops by 4, else ν rises by 4 (Levenberg–Marquardt,
-    Nocedal & Wright §10.3). ν starts at 1/β, so the first step and the stop
-    rule are run_offline_smooth's. Returns (λ, Trajectory); every evaluation
-    counts toward ``max_iters``, and the trajectory indexes accepted steps."""
+    J the accepted evaluation's ``jacobian()`` and ‖step‖∞ ≤ max(1, ‖λ‖∞).
+    A trial whose ‖g‖ does not grow (non-strict: with no user active, J = 0
+    and g = ř) is accepted and ν drops by 4, else ν rises by 4
+    (Levenberg–Marquardt, Nocedal & Wright §10.3). ν starts at 1/β, so the
+    first step and the stop rule are run_offline_smooth's. Returns
+    (λ, Trajectory); every evaluation counts toward ``max_iters``, and the
+    trajectory indexes accepted steps."""
+    problem.check_targets()
     M = problem.num_users
     tol = _tol_vector(cfg, M)
     rec = _Recorder(cfg.record_every)
-    space, static = problem.space(), problem.static()
     lam = trial = _init_lambda(cfg, M)
     nu, i, best, done = 4.0 / cfg.beta, -1, np.inf, False  # λ⁽⁰⁾: ν = 1/β
     for _ in range(cfg.max_iters):
-        mult = problem.multipliers(trial)
-        tables = build_tables(problem.model, problem.grid, mult,
-                              problem.rate_cap, static)
-        ev = exact_dual(problem.model, problem.grid, mult, "smooth", cfg.eps,
-                        space=space, tables=tables)
+        ev = problem.evaluate(trial, "smooth", cfg.eps)
         norm = np.linalg.norm(ev.subgradient)
         if norm <= best:                                # λ⁽⁰⁾ always is
             lam, kept, best, i, nu = trial, ev, norm, i + 1, nu / 4.0
@@ -246,8 +198,7 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
             rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power)
             if done:
                 break
-            jac = smooth_jacobian(problem.model, problem.grid, mult, cfg.eps,
-                                  problem.rate_cap, space, static, tables)
+            jac = ev.jacobian()
         else:
             nu *= 4.0
         step = _solve(nu * np.eye(M) - jac, kept.subgradient)
@@ -320,9 +271,10 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
         raise ValueError("online iteration requires problem.fading")
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
+    problem.check_targets()
     M = problem.num_users
     lam = _init_lambda(cfg, M)
-    static = problem.static()
+    static = make_static(problem.grid, problem.model)
     rec = _Recorder(cfg.record_every)
     lam_trace = np.empty((num_blocks, M))
     avg_rate = np.empty((num_blocks, M))

@@ -143,8 +143,9 @@ def enumerate_columns(num_users: int, regions: int,
 def per_channel_space(grid: QuantizerGrid):
     """The column space with every channel its own row, in the layout of
     quantizer.column_space: (columns0 (L^M, M), probs (K, L^M) whose rows
-    each sum to 1, channels = 0..K-1). Passed as ``space`` to exact_dual,
-    smooth_jacobian or find_tie_instances it enumerates every channel."""
+    each sum to 1, channels = 0..K-1). Seeded as a Problem's cached
+    ``space``, it makes that Problem's evaluations and tie search enumerate
+    every channel."""
     M, K = grid.num_users, grid.num_channels
     cols0 = np.stack(list(enumerate_columns(M, grid.regions_per_channel))) - 1
     rp = region_prob_table(grid)

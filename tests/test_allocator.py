@@ -9,6 +9,7 @@ from qcsched.allocator import (DEFAULT_RATE_CAP, InfeasibleTargetsError,
                                find_tie_instances, smooth_weights,
                                solve_tie_lp)
 from qcsched.channel import FadingModel
+from qcsched.dual import Problem
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity, RegionContext, region_contexts)
 from qcsched.quantizer import QuantizerGrid, build_equiprobable, build_random
@@ -353,7 +354,8 @@ def test_find_tie_instances_symmetric_two_user():
     grid = QuantizerGrid(np.tile(ladder(1.0), (2, 1, 1)), np.ones((2, 1)))
     model = OutageCapacity(outage_delta=0.0)
     m = mult([2 * LN2, 2 * LN2], targets=[0.4, 0.6])
-    instances, r_one = find_tie_instances(grid, model, m)
+    instances, r_one = find_tie_instances(
+        Problem(grid, model, m.mu, m.targets), m.lambda_r)
     assert len(instances) == 1
     inst = instances[0]
     np.testing.assert_array_equal(inst.members, [0, 1])
@@ -495,6 +497,7 @@ def test_find_tie_instances_generic_lambda_has_no_ties(grid_2x3):
     # over asymmetric users must classify every active cell single-winner
     model = OutageCapacity(outage_delta=0.0)
     m = mult([0.8317, 1.2743], targets=[1.0, 1.0])
-    instances, r_one = find_tie_instances(grid_2x3, model, m)
+    instances, r_one = find_tie_instances(
+        Problem(grid_2x3, model, m.mu, m.targets), m.lambda_r)
     assert instances == []
     assert np.all(r_one >= 0.0)

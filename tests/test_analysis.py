@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qcsched.allocator import Multipliers, RateCostTables, build_tables
+from qcsched import allocator, dual, solver
+from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
+                               build_tables)
 from qcsched.analysis import (CompareSetup, OverheadReport, compare_schemes,
                               feedback_bits, mc_primal, power_db, ra1_point,
                               ra2_point, ra3_point, ra4_point, ra5_point,
@@ -15,7 +17,8 @@ from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
 from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import ErgodicCapacity, OutageCapacity
 from qcsched.quantizer import EnumerationBudgetError, build_equiprobable
-from qcsched.solver import Problem, SolverConfig, run_online
+from qcsched.solver import (Problem, SolverConfig, run_offline_smooth,
+                            run_online)
 
 from oracles import cluster_audit, realize_probabilistic_access
 
@@ -327,3 +330,27 @@ def test_sweep_regions_monotone_micro():
     powers = [r["avg_power"] for r in rows]
     assert all(np.diff(powers) < 0)        # strictly better with finer CSI
     assert all(r["converged"] for r in rows)
+
+
+def test_offline_builds_read_the_class_representatives_only(monkeypatch):
+    # a flat K=16 grid is one channel class: a smooth solve and RA2 (its
+    # Newton start, hard steps and tie search) build (M, 1, L) tables; the
+    # online path still builds each block's (M, K) cells
+    shapes = []
+
+    def spy(model, grid, mult, rate_cap=DEFAULT_RATE_CAP, static=None):
+        shapes.append(None if static is None else static[0].shape)
+        return build_tables(model, grid, mult, rate_cap, static)
+
+    for mod in (allocator, dual, solver):
+        monkeypatch.setattr(mod, "build_tables", spy)
+    fading = FadingModel(np.full((2, 16), snr_db_to_mean_gain(6.0)), seed=2)
+    setup = micro_setup(fading=fading)
+    problem = Problem(grid=build_equiprobable(fading, 4), model=MODEL,
+                      mu=setup.mu, targets=setup.targets, fading=fading)
+    run_offline_smooth(problem, SolverConfig(beta=0.05, max_iters=50))
+    ra2_point(setup)
+    assert len(shapes) > 2_000 and set(shapes) == {(2, 1, 4)}
+    shapes.clear()
+    run_online(problem, SolverConfig(beta=1e-3), 20)
+    assert shapes == [(2, 16)] * 20

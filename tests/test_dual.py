@@ -9,7 +9,7 @@ from qcsched.allocator import (Multipliers, block_statics, build_tables,
                                find_tie_instances, make_static,
                                smooth_weights, solve_tie_lp)
 from qcsched.channel import FadingModel, sample_gain_blocks
-from qcsched.dual import block_allocation, exact_dual, smooth_jacobian
+from qcsched.dual import Problem, block_allocation, exact_dual
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity)
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
@@ -247,7 +247,8 @@ def test_analytic_jacobian_matches_finite_differences(model):
         kinds |= {"capped"} if np.any(rate == 3.0) else set()
         kinds |= {"interior"} if np.any((rate > 0) & (rate < 3.0)) else set()
         fd, _ = jacobian_check(model, grid, mult, eps=0.5, rate_cap=3.0)
-        jac = smooth_jacobian(model, grid, mult, eps=0.5, rate_cap=3.0)
+        jac = exact_dual(model, grid, mult, "smooth", eps=0.5,
+                         rate_cap=3.0).jacobian()
         np.testing.assert_allclose(
             jac, fd, rtol=0.0, atol=1e-6 * np.max(np.abs(fd)) + 1e-12)
         coupled |= bool(fd[0, 1] != 0.0)
@@ -333,16 +334,18 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
     assert smooth < hard + K * eps
 
     # J sums terms p·r²·b with |b| <= 2/eps that cancel where one user wins
-    # a capped cell, so an entry near 0 is compared at the terms' scale
-    full = per_channel_space(grid)
+    # a capped cell, so an entry near 0 is compared at the terms' scale;
+    # seeding a Problem's space with every channel enumerates each of them
+    classes, full = (Problem(grid, model, mult.mu, mult.targets,
+                             rate_cap=rate_cap) for _ in range(2))
+    full.space = per_channel_space(grid)
     rmax = float(build_tables(model, grid, mult, rate_cap).rate.max())
-    _agree(smooth_jacobian(model, grid, mult, eps, rate_cap),
-           smooth_jacobian(model, grid, mult, eps, rate_cap, space=full),
+    _agree(classes.evaluate(mult.lambda_r, "smooth", eps).jacobian(),
+           full.evaluate(mult.lambda_r, "smooth", eps).jacobian(),
            1e-10, K * rmax ** 2 * 2.0 / eps)
 
-    ties, one = find_tie_instances(grid, model, mult, rate_cap=rate_cap)
-    ties_k, one_k = find_tie_instances(grid, model, mult, rate_cap=rate_cap,
-                                       space=full)
+    ties, one = find_tie_instances(classes, mult.lambda_r)
+    ties_k, one_k = find_tie_instances(full, mult.lambda_r)
     _agree(one, one_k, 1e-12)
     size = dict(zip(*channel_classes(grid)))
     assert len(ties_k) == sum(size[t.channel] for t in ties)

@@ -1,7 +1,6 @@
 """Threshold ladders, region indexing and the Pr{J} probability machinery."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -268,26 +267,6 @@ def test_channel_classes_need_bitwise_equal_channels():
     channels, counts = channel_classes(QuantizerGrid(thr, mg))
     np.testing.assert_array_equal(channels, [0, 1, 2])
     np.testing.assert_array_equal(counts, [2, 1, 1])
-
-
-# --- serialization -------------------------------------------------------------
-
-def test_json_roundtrip_inf_sentinel():
-    grid = build_equiprobable(_unit_model(2, 2, mean=3.0), 4)
-    text = grid.to_json()
-    payload = json.loads(text)
-    assert payload["thresholds"][0][0][-1] == "inf"
-    back = QuantizerGrid.from_json(text)
-    np.testing.assert_array_equal(back.thresholds, grid.thresholds)
-    np.testing.assert_array_equal(back.mean_gain, grid.mean_gain)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 6), st.floats(0.2, 8.0), st.integers(0, 2 ** 31))
-def test_random_grid_roundtrip_property(L, mean, seed):
-    grid = build_random(_unit_model(mean=mean), L, (0.0, 4 * mean), seed=seed)
-    back = QuantizerGrid.from_json(grid.to_json())
-    np.testing.assert_array_equal(back.thresholds, grid.thresholds)
 
 
 @settings(max_examples=50, deadline=None)

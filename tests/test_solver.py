@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from qcsched import solver
-from qcsched.allocator import Multipliers, build_tables
+from qcsched.allocator import InfeasibleTargetsError, Multipliers, build_tables
 from qcsched.channel import (FadingModel, sample_gain_blocks, sample_gains,
                              snr_db_to_mean_gain)
-from qcsched.dual import block_allocation, exact_dual, smooth_jacobian
+from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import ErgodicCapacity, MaxAvgBer, OutageCapacity
 from qcsched.quantizer import (QuantizerGrid, build_equiprobable, build_random,
                                quantize)
@@ -356,7 +356,7 @@ def test_newton_agrees_with_the_constant_step():
     assert traj.converged and ref_traj.converged
     assert traj.reason == "converged"
     assert np.all(np.abs(traj.subgrad[-1]) < tol)
-    jac = smooth_jacobian(MODEL, problem.grid, problem.multipliers(lam))
+    jac = problem.evaluate(lam).jacobian()
     min_eig = np.min(np.abs(np.linalg.eigvalsh(0.5 * (jac + jac.T))))
     assert np.max(np.abs(lam - ref)) <= 2 * np.sqrt(2) * tol / min_eig
     assert abs(traj.power[-1] - ref_traj.power[-1]) <= 2 * tol * ref.sum()
@@ -376,12 +376,13 @@ def test_newton_rerun_is_bitwise_identical():
 def test_newton_counts_every_evaluation_toward_max_iters(monkeypatch):
     # rejected trials count too: max_iters bounds the dual evaluations
     calls = []
+    evaluate = Problem.evaluate
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return exact_dual(*args, **kwargs)
+        return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "exact_dual", counted)
+    monkeypatch.setattr(Problem, "evaluate", counted)
     problem = micro_problem()
     for n in (1, 2, 5):
         calls.clear()
@@ -394,6 +395,38 @@ def test_newton_counts_every_evaluation_toward_max_iters(monkeypatch):
     one, _ = run_offline_newton(
         problem, SolverConfig(beta=1e-3, tol=1e-12, max_iters=1))
     np.testing.assert_array_equal(one, np.full(2, 0.1))
+
+
+def tc1_problem(first_target):
+    """Test Case 1: M=4, K=16, L=4 at 6 dB, targets (ř₁, 8, 12, 16)."""
+    fading = FadingModel(np.full((4, 16), snr_db_to_mean_gain(6.0)), seed=0)
+    return Problem(grid=build_equiprobable(fading, 4), model=MODEL,
+                   mu=np.ones(4), targets=np.array([first_target, 8, 12, 16]),
+                   fading=fading)
+
+
+@pytest.mark.parametrize("run", [
+    run_offline_smooth, run_offline_nonsmooth, run_offline_newton,
+    lambda problem, cfg: run_online(problem, cfg, 10)],
+    ids=["smooth", "nonsmooth", "newton", "online"])
+def test_infeasible_targets_raise_before_any_evaluation(run, monkeypatch):
+    # user 1 alone can draw at most 12·16·3/4 = 144 < 200; the feasible
+    # run shows that the counters see the evaluations of each solver
+    calls = []
+    evaluate = Problem.evaluate
+
+    def counted(fn):
+        return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(Problem, "evaluate", counted(evaluate))
+    monkeypatch.setattr(solver, "build_tables", counted(build_tables))
+    cfg = SolverConfig(max_iters=3)
+    with pytest.raises(InfeasibleTargetsError) as err:
+        run(tc1_problem(200.0), cfg)
+    assert err.value.users == [1] and "users [1]" in str(err.value)
+    assert calls == []
+    run(tc1_problem(4.0), cfg)
+    assert calls
 
 
 def test_trajectory_csv_roundtrip():
