@@ -49,7 +49,8 @@ CSV bytes are identical across reruns of the same config + fading seed.
 
 Exit codes: 0 ok; 2 config/schema error, or targets that no allocation can
 meet, named by a violated user subset (nothing written); 3 solver did not
-converge (artifacts still written); 4 numeric failure (and its residual).
+converge (artifacts still written); 4 numeric failure, printed with the
+residual of a failed root-find, which summary.json then records too.
 """
 
 from __future__ import annotations
@@ -622,9 +623,13 @@ def main(argv=None) -> int:
         return _run_overhead(rc, outdir)
     except (NumericError, EnumerationBudgetError, LPInfeasibleError,
             LPUnboundedError, FloatingPointError) as exc:
-        tail = (f" (residual {exc.residual:.6g})"
-                if isinstance(exc, NumericError) else "")
+        numeric = isinstance(exc, NumericError)
+        tail = f" (residual {exc.residual:.6g})" if numeric else ""
         print(f"error: numeric failure: {exc}{tail}", file=sys.stderr)
+        if numeric:
+            _write_summary(outdir, {"mode": rc["mode"], "converged": False,
+                                    "error": str(exc),
+                                    "residual": exc.residual})
         return EXIT_NUMERIC
 
 

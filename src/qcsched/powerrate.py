@@ -35,10 +35,10 @@ constant c, which gives closed-form marginals:
 Every family is used through its methods, and only this module knows its
 shape. The scheduler's hook is ``allocation(cell_data(ctx), slope,
 rate_cap)``: ``cell_data`` is the λ-independent per-region data (c above; the
-region for ergodic) and ``allocation`` returns (R*, Υ(R*)) with R* =
-Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap``. Pointwise there are
-``power_of_rate`` (Υ), ``rate_of_power`` (Υ⁻¹), ``marginal_power`` (Υ̇) and
-``inv_marginal_power`` (R*).
+region's moments and edges for ergodic) and ``allocation`` returns
+(R*, Υ(R*)) with R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap``.
+Pointwise there are ``power_of_rate`` (Υ), ``rate_of_power`` (Υ⁻¹),
+``marginal_power`` (Υ̇) and ``inv_marginal_power`` (R*).
 """
 
 from __future__ import annotations
@@ -159,6 +159,7 @@ def _vec_newton(f_df, lo, hi, rel_tol, max_iter, what: str):
                        float(np.max(np.abs(f[live]))))
 
 
+@np.errstate(over="ignore")            # overflow is the expected exit
 def _grow_bracket(f, hi, what: str):
     """Double hi until f(hi) ≥ 0 elementwise; if hi overflows first, the
     residual is the worst finite |f| of the last bracket that had one."""
@@ -332,25 +333,31 @@ class ErgodicCapacity(PowerRate):
             raise ValueError("tolerances must be positive")
 
     # Υ⁻¹ and its derivatives in closed form --------------------------------
-    def rate_of_power(self, ctx: RegionContext, power) -> np.ndarray:
-        return self._closed_form(ctx, _nonneg(power, "power"))[0]
+    def cell_data(self, ctx: RegionContext) -> tuple:
+        """S_lo, S_hi, Pr, E[g|R], E[g²|R], q_lo, q_hi (0 where it is ∞, as
+        S_hi = 0 there) and ḡ: all that ``_closed_form`` reads but y."""
+        hi = np.where(np.isposinf(ctx.q_hi), 0.0, ctx.q_hi)
+        return tuple(np.broadcast_arrays(*_truncated_exp(ctx), ctx.q_lo, hi,
+                                         ctx.mean_gain))
 
-    def _closed_form(self, ctx: RegionContext, power) -> tuple:
-        """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' from one ``exp12_scaled`` call. With
-        e = e^t·E1(t), G = e^t·E2(t), u = 1/(yḡ) and S = (S_lo, -S_hi) summed
-        over the edges, (Υ⁻¹)' = Σ S·(G + q·e/ḡ)/(Pr·ln2·y) does not cancel as
-        y → 0; e' = -G/t and G' = G - e give (Υ⁻¹)'', which cancels like
-        1e-16/(y·E[g|R])²: below y·E[g|R] = 1e-5 it is its y = 0 value
-        -E[g²|R]/ln2, within about 3e-5 relative, ample for a Newton slope."""
-        lo, hi, g, y = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain,
-                                           power)
-        s_lo, s_hi, pr, m1, m2 = _truncated_exp(RegionContext(lo, hi, g))
+    def rate_of_power(self, ctx: RegionContext, power) -> np.ndarray:
+        return self._closed_form(self.cell_data(ctx),
+                                 _nonneg(power, "power"))[0]
+
+    def _closed_form(self, data: tuple, power) -> tuple:
+        """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' on ``cell_data`` from one exp12_scaled
+        call. With e = e^t·E1(t), G = e^t·E2(t), u = 1/(yḡ) and S = (S_lo,
+        -S_hi) summed over the edges, (Υ⁻¹)' = Σ S·(G + q·e/ḡ)/(Pr·ln2·y)
+        does not cancel as y → 0; e' = -G/t and G' = G - e give (Υ⁻¹)'',
+        which cancels like 1e-16/(y·E[g|R])²: below y·E[g|R] = 1e-5 it is its
+        y = 0 value -E[g²|R]/ln2, within 3e-5 relative, ample for Newton."""
+        s_lo, s_hi, pr, m1, m2, lo, hi, g, y = np.broadcast_arrays(*data,
+                                                                   power)
         ys = np.where(y > 0.0, y, 1.0)                 # dummy where y == 0
         u = 1.0 / (ys * g)
-        # t = ∞, e = G = 0 at q_hi = ∞, where S_hi = 0 as well
-        t = np.stack([lo, hi]) / g + u
+        q = np.stack([lo, hi])
+        t = q / g + u
         e, big_g = exp12_scaled(t)
-        q = np.stack([lo, np.where(np.isposinf(hi), 0.0, hi)])
         sv = np.stack([s_lo, -s_hi])
         rate = (sv * (np.log1p(ys * q) + e)).sum(0) / (pr * _LN2)
         deriv = (sv * (big_g + q / g * e)).sum(0) / (pr * _LN2 * ys)
@@ -365,11 +372,14 @@ class ErgodicCapacity(PowerRate):
 
     # numeric inversions: safeguarded Newton on the closed forms -------------
     def power_of_rate(self, ctx: RegionContext, rate) -> np.ndarray:
-        x = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain,
-                                _nonneg(rate, "rate"))[3]
+        return self._power(self.cell_data(ctx), _nonneg(rate, "rate"))
+
+    def _power(self, data: tuple, rate) -> np.ndarray:
+        """Υ(rate) on ``cell_data``: one root-find on Υ⁻¹ per cell."""
+        x = np.broadcast_arrays(*data, rate)[-1]
 
         def f_df(y):                           # f = 0 where x = 0: Υ(0) = 0
-            rate, deriv, _ = self._closed_form(ctx, y)
+            rate, deriv, _ = self._closed_form(data, y)
             return np.where(x > 0.0, rate - x, 0.0), deriv
 
         y = _vec_newton(f_df, 0.0, np.ones_like(x), self.root_tol,
@@ -377,19 +387,18 @@ class ErgodicCapacity(PowerRate):
         return np.where(x > 0.0, y, 0.0)
 
     def marginal_power(self, ctx: RegionContext, rate) -> np.ndarray:
-        return 1.0 / self._closed_form(ctx, self.power_of_rate(ctx, rate))[1]
-
-    def cell_data(self, ctx: RegionContext) -> tuple:
-        return tuple(np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain))
+        return 1.0 / self._closed_form(self.cell_data(ctx),
+                                       self.power_of_rate(ctx, rate))[1]
 
     def allocation(self, data: tuple, slope,
                    rate_cap: float | None = None) -> tuple:
         """One root-find per active cell, for the power y* with
         (Υ⁻¹)'(y*) = 1/slope; then R* = Υ⁻¹(y*) and Υ(R*) = y*. Cells
-        clipped at ``rate_cap`` get Υ(rate_cap) instead."""
-        lo, hi, g, t = np.broadcast_arrays(*data, _nonneg(slope, "slope"))
-        active = t > self.marginal_at_zero(RegionContext(lo, hi, g))
-        c = RegionContext(lo[active], hi[active], g[active])
+        clipped at ``rate_cap`` get Υ(rate_cap) instead. Active cells are
+        those with slope > Υ̇(0) = ln2/E[g|R]."""
+        *cells, t = np.broadcast_arrays(*data, _nonneg(slope, "slope"))
+        active = t > _LN2 / cells[3]
+        c = tuple(a[active] for a in cells)
         inv_t = 1.0 / t[active]
 
         def f_df(y):
@@ -398,12 +407,11 @@ class ErgodicCapacity(PowerRate):
 
         y = _vec_newton(f_df, 0.0, np.ones_like(inv_t), self.root_tol,
                         self.max_iter, "ergodic marginal inverse")
-        r = self.rate_of_power(c, y)
+        r = self._closed_form(c, y)[0]
         capped = r > (np.inf if rate_cap is None else rate_cap)
         if capped.any():
             r[capped] = rate_cap
-            y[capped] = self.power_of_rate(RegionContext(
-                c.q_lo[capped], c.q_hi[capped], c.mean_gain[capped]), rate_cap)
+            y[capped] = self._power(tuple(a[capped] for a in c), rate_cap)
         rate, power = np.zeros(t.shape), np.zeros(t.shape)
         rate[active], power[active] = r, y
         return rate, power
@@ -412,11 +420,11 @@ class ErgodicCapacity(PowerRate):
                    rate_cap: float) -> np.ndarray:
         """Differentiating (Υ⁻¹)'(y*) = 1/t at the allocated power y* gives
         ∂R*/∂t = -1/(t³·(Υ⁻¹)''(y*)) on active, uncapped cells."""
-        lo, hi, g, t, r, y = np.broadcast_arrays(*data, slope, rate, power)
+        *cells, t, r, y = np.broadcast_arrays(*data, slope, rate, power)
         live = (r > 0.0) & (r < rate_cap)
         out = np.zeros(t.shape)
-        ctx = RegionContext(lo[live], hi[live], g[live])
-        out[live] = -1.0 / (t[live] ** 3 * self._closed_form(ctx, y[live])[2])
+        curv = self._closed_form(tuple(a[live] for a in cells), y[live])[2]
+        out[live] = -1.0 / (t[live] ** 3 * curv)
         return out
 
 

@@ -293,3 +293,33 @@ def realize_probabilistic_access(weights, draw: float):
         return None
     edges = np.cumsum(w) / total
     return int(np.searchsorted(edges, draw, side="right"))
+
+
+# --- exponential integrals ------------------------------------------------------
+
+def lentz_scaled(x, n: int = 1) -> np.ndarray:
+    """e^x·E_n(x) for x ≥ 1 and n = 1, 2 by the modified Lentz evaluation of
+    the continued fraction 1/(x + n - 1·n/(x + n + 2 - 2·(n+1)/(x + n + 4 -
+    ...))), each element stepping until its own step ratio is within 1e-16
+    of 1. The loop ``special`` ran before its Gauss–Laguerre rule, whose
+    n-th convergent it is."""
+    tiny = 1e-300
+    x = np.asarray(x, dtype=float)
+    b = x + float(n)
+    c = np.full_like(x, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    live = np.ones(x.shape, dtype=bool)
+    for i in range(1, 301):
+        a = -float(i) * float(i + n - 1)
+        b = b + 2.0
+        d = a * d + b
+        d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+        c = b + a / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        delta = c * d
+        h = np.where(live, h * delta, h)
+        live &= ~(np.abs(delta - 1.0) < 1e-16)
+        if not live.any():
+            break
+    return h

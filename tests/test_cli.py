@@ -290,6 +290,19 @@ def test_unconverged_root_find_exit4_prints_its_residual(tmp_path, capsys):
     assert "did not converge" in err and "residual" in err
 
 
+def test_unconverged_root_find_exit4_writes_its_residual(tmp_path, capsys):
+    cfg = tiny(power_rate={"family": "ergodic_capacity",
+                           "params": {"max_iter": 2}})
+    rc, out = run(tmp_path, cfg)
+    assert rc == NUMERIC
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mode"] == "offline_smooth"
+    assert summary["converged"] is False
+    assert "did not converge" in summary["error"]
+    assert math.isfinite(summary["residual"]) and summary["residual"] > 0
+    assert f"residual {summary['residual']:.6g}" in capsys.readouterr().err
+
+
 def test_out_dir_from_config(tmp_path):
     target = tmp_path / "cfg_says_here"
     cfg = tiny(out_dir=str(target))

@@ -353,7 +353,8 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
     erg = ErgodicCapacity()
     slope = erg.marginal_at_zero(ctx) * (1.0 + 10.0 ** np.array(log_excess))
     # the marginal inverse: (Υ⁻¹)'(y*) = 1/slope, clipped at the cap
-    y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(ctx, y)[1],
+    data = erg.cell_data(ctx)
+    y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(data, y)[1],
                     0.0, 1.0)
     r_star = erg.rate_of_power(ctx, y_star)
     y_cap = bisect(lambda y: erg.rate_of_power(ctx, y) - cap, 0.0, 1.0)

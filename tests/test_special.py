@@ -1,10 +1,21 @@
-"""Exponential-integral tests against frozen mpmath references and scipy."""
+"""Exponential-integral tests against frozen mpmath references, scipy and
+the continued fraction the Gauss–Laguerre rule replaced."""
+
+import os
+import subprocess
+import sys
+from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import qcsched
+from qcsched import special
 from qcsched.special import exp1, exp1_scaled, exp12_scaled
+
+from oracles import lentz_scaled
 
 # mpmath.e1 at 30 digits, rounded to double
 E1_REF = [
@@ -36,6 +47,17 @@ E1_SCALED_REF = [
     (100.0, 0.0099019422867330184),
     (10000.0, 9.999000199940024e-5),
     (100000000.0, 9.999999900000002e-9),
+]
+
+# e^x·E2(x), mpmath.expint(2, x) at 30 digits, rounded to double
+E2_SCALED_REF = [
+    (1.0, 0.4036526376768059),
+    (1.000001, 0.4036524449821868),    # just above the series/rule split
+    (1.5, 0.32761499606262556),
+    (2.0, 0.2773427662235548),
+    (5.0, 0.147889118576339),
+    (10.0, 0.08436666060211918),
+    (100.0, 0.00980577132669816),
 ]
 
 
@@ -135,3 +157,63 @@ def test_exp12_scaled_edges():
     np.testing.assert_array_equal(e2, [1.0, 0.0])
     with pytest.raises(ValueError):
         exp12_scaled(np.array([0.5, -0.1]))
+
+
+@pytest.mark.parametrize("x,ref", E2_SCALED_REF)
+def test_exp2_scaled_reference_values(x, ref):
+    assert abs(exp12_scaled(x)[1][0] - ref) <= 1e-14 * ref
+
+
+def test_huge_arguments_keep_the_asymptote():
+    # x·e^x·E_n(x) → 1; a rule summing x·w·r² would underflow to 0 here
+    for x in (1e154, 1e200, 1e300):
+        e1, e2 = exp12_scaled(x)
+        assert abs(x * e1[0] - 1.0) <= 1e-14
+        assert abs(x * e2[0] - 1.0) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=12.0))
+def test_rule_agrees_with_the_continued_fraction(log10_x):
+    x = np.array([10.0 ** log10_x])
+    e1, e2 = exp12_scaled(x)
+    assert abs(e1[0] - lentz_scaled(x, 1)[0]) <= 1e-14 * e1[0]
+    assert abs(e2[0] - lentz_scaled(x, 2)[0]) <= 1e-14 * e2[0]
+
+
+def test_rule_matches_golub_welsch():
+    # the eigenvalues of the Jacobi matrix and the squared first components
+    # of its eigenvectors, by LAPACK; eigh's own error is about eps·‖T‖
+    u, w = special._laguerre_rule()
+    n = len(u)
+    off = np.arange(1.0, n)
+    jacobi = np.diag(2.0 * np.arange(n) + 1.0) + np.diag(off, 1) \
+        + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    np.testing.assert_allclose(u, nodes, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(w, vectors[0] ** 2, rtol=0.0, atol=1e-13)
+    # Gauss exactness: Σ w·u^j = ∫ u^j e^{-u} du = j!
+    for j in range(6):
+        assert (w * u ** j).sum() == pytest.approx(factorial(j), rel=1e-14)
+
+
+def test_each_element_is_independent_of_the_call():
+    # more elements than one slice, both regimes and the edges: every value
+    # equals that of a call on its element alone, to the bit
+    rng = np.random.default_rng(3)
+    x = np.concatenate([[0.0, np.inf, 1.0], rng.uniform(0.0, 2.0, 300),
+                        10.0 ** rng.uniform(0.0, 12.0, special._SLICE + 300)])
+    e1, e2 = exp12_scaled(x)
+    for i in range(len(x)):
+        one = exp12_scaled(x[i])
+        assert (one[0][0], one[1][0]) == (e1[i], e2[i])
+
+
+def test_import_does_not_build_the_rule():
+    src = str(Path(qcsched.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import qcsched, qcsched.special as s; "
+            "print(s._laguerre_rule.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
