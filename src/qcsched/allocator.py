@@ -24,6 +24,7 @@ from .simplex import LPInfeasibleError, solve_lp
 
 DEFAULT_RATE_CAP = 12.0     # bits/symbol; hardware ceiling for Υ̇⁻¹
 DEFAULT_TIE_RTOL = 1e-9     # relative cost gap treated as an exact tie
+DEFAULT_FEAS_TOL = 1e-9     # residual rate the tie LP treats as met
 
 
 class TieInfeasibleError(Exception):
@@ -230,7 +231,7 @@ class TieSolution:
 
 
 def solve_tie_lp(mult: Multipliers, instances, r_bar_one,
-                 feas_tol: float = 1e-9) -> TieSolution:
+                 feas_tol: float = DEFAULT_FEAS_TOL) -> TieSolution:
     """Share each tied channel so the residual rate targets are met exactly.
 
     min Σ prob·μΥ(R*)·w  s.t.  Σ_instances prob·R*·w = ř_tie per user,

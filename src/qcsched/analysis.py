@@ -10,12 +10,13 @@ rates and reports average weighted power:
   primal is evaluated there by seeded Monte Carlo. Either way the proxy
   *upper-bounds* the true perfect-CSI power (a finite quantizer can only do
   worse).
-* RA2 — hard-optimal policy: diminishing-step refinement of the hard dual
-  from the smooth solution; the reported power is the best hard dual value
-  (zero duality gap), and the tie LP is attempted at a widened tie tolerance
-  to exhibit the primal sharing weights.
+* RA2 — hard-optimal policy by ε-continuation: damped Newton solves the
+  smooth dual at ε, ε/4, … from the last λ, and after each stage the tie LP
+  shares the cells within the window ε·max(1, |c*|) so that the rates meet
+  the targets. The power P of that policy and the hard dual value D bracket
+  the optimum, D ≤ P* ≤ P; it stops once P - D ≤ λ·tol and reports both.
 * RA3 — the ε-smooth policy on the configured quantizer. Like every smooth
-  point here (RA1's exact branch, RA2's start, RA4, sweep rows) it is solved
+  point here (RA1's exact branch, RA2's stages, RA4, sweep rows) it is solved
   by damped Newton; the row records ``iterations`` and ``max_abs_subgradient``.
 * RA4 — the ε-smooth policy on a random quantizer (uninformed thresholds).
 * RA5 — fixed scheduling heuristic: user m owns channels k ≡ m (mod M),
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantizer as qz
-from .allocator import (DEFAULT_RATE_CAP, Multipliers, TieInfeasibleError,
+from .allocator import (DEFAULT_FEAS_TOL, DEFAULT_RATE_CAP, Multipliers,
                         build_tables, find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
 from .dual import block_allocation
@@ -72,12 +73,10 @@ def feedback_bits(num_users: int, num_channels: int, regions: int) -> OverheadRe
 # --- scheme comparison -------------------------------------------------------
 
 # rate sensitivities |dE[rate]/dlambda| here reach the thousands as L shrinks,
-# where constant steps above 2/|eig|max limit-cycle: hence damped Newton
-# RA2: diminishing steps _RA2_KAPPA·i^-0.51 on the hard dual for _RA2_ITERS
-# iterations, then the tie search at the relative tolerance _RA2_TIE_RTOL
-_RA2_ITERS = 2_000
-_RA2_KAPPA = 0.05
-_RA2_TIE_RTOL = 1e-3
+# where constant steps above 2/|eig|max limit-cycle: hence damped Newton.
+# RA2 solves each ε-stage below the tie LP's feasibility tolerance, so that
+# the smooth weights are a feasible point of the LP
+_RA2_STAGE_TOL = DEFAULT_FEAS_TOL / 4
 
 
 @dataclass
@@ -113,18 +112,16 @@ def _solver_cfg(setup: CompareSetup, **over) -> SolverConfig:
     return SolverConfig(**kw)
 
 
-def _smooth_point(setup: CompareSetup, grid: QuantizerGrid):
-    """Damped Newton smooth solve on ``grid``: (problem, λ, trajectory),
-    whose last row is the exact smooth evaluation at λ."""
-    problem = Problem(grid=grid, model=setup.model, mu=setup.mu,
-                      targets=setup.targets, fading=setup.fading,
-                      rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
-    lam, traj = run_offline_newton(problem, _solver_cfg(setup))
-    return problem, lam, traj
+def _problem(setup: CompareSetup, grid: QuantizerGrid) -> Problem:
+    return Problem(grid=grid, model=setup.model, mu=setup.mu,
+                   targets=setup.targets, fading=setup.fading,
+                   rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
 
 
 def _smooth_row(scheme: str, setup: CompareSetup, grid: QuantizerGrid) -> dict:
-    _, lam, traj = _smooth_point(setup, grid)
+    """Damped Newton smooth solve on ``grid``; the trajectory's last row is
+    the exact smooth evaluation at the final λ."""
+    lam, traj = run_offline_newton(_problem(setup, grid), _solver_cfg(setup))
     return {"scheme": scheme, "avg_power": float(traj.power[-1]),
             "avg_rates": traj.rates[-1], "converged": traj.converged,
             "iterations": int(traj.iters[-1]),
@@ -174,43 +171,44 @@ def ra4_point(setup: CompareSetup) -> dict:
 
 
 def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
-    """Hard-optimal policy: refine the hard dual from the smooth solution.
+    """Hard-optimal policy by ε-continuation and the tie LP.
 
-    Power is the best hard dual value encountered (zero duality gap makes it
-    the optimal primal power); the tie LP is attempted at a widened tie
-    tolerance to recover sharing weights (infeasibility is reported, not
-    fatal — it just means λ has not hit the exact tie-consistent point, and
-    the row then carries the rates the hard policy serves at that λ).
+    Damped Newton solves the smooth dual at ε = ``setup.eps``, ε/4, …, each
+    stage from the last λ and to _RA2_STAGE_TOL. The tie LP then shares the
+    cells within ε·max(1, |c*|) of each minimum, which hold every cell the
+    smooth weights share, so those weights are LP-feasible and D ≤ P* ≤ P ≤ Pˢ
+    at λ by weak duality and primal feasibility. P = D + Σ p·(Σ w·c - min c)
+    over the tie instances serves the targets; the row reports P, D as
+    ``dual_bound`` and the last ``eps``, and converges once P - D ≤ λ·tol. A
+    stage whose Newton fails ends the run unconverged, at its smooth point.
     """
     if grid is None:
         grid = build_equiprobable(setup.fading, setup.regions)
-    problem, lam, traj = _smooth_point(setup, grid)
-
-    best = None
-    for i in range(_RA2_ITERS):
-        ev = problem.evaluate(lam, "hard", setup.eps)
-        if best is None or ev.value > best.value:
-            best, best_lam = ev, lam.copy()
-        lam = np.maximum(0.0, lam + _RA2_KAPPA * (i + 1) ** (-0.51)
-                         * ev.subgradient)
-    mult = problem.multipliers(best_lam)
-    row = {"scheme": "RA2", "avg_power": best.value,
-           "converged": traj.converged, "lambda": best_lam,
-           "method": "hard_dual_refined"}
-    try:
-        instances, r_one = find_tie_instances(problem, best_lam, _RA2_TIE_RTOL)
-        sol = solve_tie_lp(mult, instances, r_one)
-        rates = r_one.copy()
+    problem = _problem(setup, grid)
+    eps, lam = setup.eps, setup.init
+    stage_tol = np.minimum(setup.tol, _RA2_STAGE_TOL)
+    while True:
+        cfg = _solver_cfg(setup, eps=eps, init=lam, tol=stage_tol)
+        lam, traj = run_offline_newton(problem, cfg)
+        dual = problem.evaluate(lam, "hard", eps).value
+        if not traj.converged:
+            power, rates, certified = traj.power[-1], traj.rates[-1], False
+            break
+        instances, rates = find_tie_instances(problem, lam, eps)
+        sol = solve_tie_lp(problem.multipliers(lam), instances, rates)
+        power = dual
         for inst, w in zip(instances, sol.weights):
             rates[inst.members] += inst.prob * inst.rates * w
-        row["avg_rates"] = rates
-        row["tie_lp_feasible"] = True
-    except TieInfeasibleError:
-        # report what the hard policy serves at best_lam (ties to the
-        # lowest user index), not the targets it was meant to meet
-        row["avg_rates"] = best.per_user_avg_rate
-        row["tie_lp_feasible"] = False
-    return row
+            cost = inst.weighted_powers - lam[inst.members] * inst.rates
+            power += float(inst.prob * (w @ cost - cost.min()))
+        certified = power - dual <= np.sum(lam * setup.tol)
+        # below the float resolution a narrower window separates nothing
+        if certified or eps < np.finfo(float).eps:
+            break
+        eps /= 4.0
+    return {"scheme": "RA2", "avg_power": power, "avg_rates": rates,
+            "dual_bound": dual, "eps": eps, "converged": bool(certified),
+            "lambda": lam, "method": "eps_continuation_tie_lp"}
 
 
 def ra5_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
@@ -270,9 +268,7 @@ def ra1_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
         row = _smooth_row("RA1", setup, grid)
         row["method"] = "offline_exact_fine_grid"
         return row
-    problem = Problem(grid=grid, model=setup.model, mu=setup.mu,
-                      targets=setup.targets, fading=setup.fading,
-                      rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
+    problem = _problem(setup, grid)
     cfg = _solver_cfg(setup, beta=setup.ra1_beta, record_every=1000)
     res = run_online(problem, cfg, setup.ra1_blocks)
     # Polyak–Ruppert tail average: the last iterate is one noisy β-step
@@ -301,10 +297,9 @@ def compare_schemes(setup: CompareSetup,
     """
     rows = []
     for name in schemes:
-        try:
-            row = _SCHEME_FUNCS[name](setup)
-        except KeyError:
+        if name not in _SCHEME_FUNCS:
             raise ValueError(f"unknown scheme {name!r}")
+        row = _SCHEME_FUNCS[name](setup)
         row["snr_db"] = snr_db
         row["power_db"] = power_db(row["avg_power"])
         rows.append(row)

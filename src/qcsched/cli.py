@@ -38,7 +38,8 @@ sweep_regions modes the ``CompareSetup`` ones, where it has the key) and
 omitted RA knobs the ``CompareSetup`` defaults; ``rate_cap`` defaults to
 ``DEFAULT_RATE_CAP``. ``init`` and ``tol`` may be per-user lists in every
 mode, compare and sweep included. Compare and sweep solve smooth points by
-damped Newton (first damping 1/``solver.beta``); RA2's refinement is fixed.
+damped Newton (first damping 1/``solver.beta``); RA2 repeats it at ε/4, ε/16,
+… until its tie-LP power and hard dual (``dual_bound``) differ by ≤ λ·tol.
 
 Artifacts: every mode writes `summary.json` (final multipliers, rates, powers,
 convergence flag, wall time); solver modes add `trajectory.csv`
@@ -49,8 +50,10 @@ CSV bytes are identical across reruns of the same config + fading seed.
 
 Exit codes: 0 ok; 2 config/schema error, or targets that no allocation can
 meet, named by a violated user subset (nothing written); 3 solver did not
-converge (artifacts still written); 4 numeric failure, printed with the
-residual of a failed root-find, which summary.json then records too.
+converge (artifacts still written); 4 numeric failure (a root-find, the
+enumeration budget, a tie LP or floating point), printed and written to
+summary.json as ``mode``, ``converged: false`` and ``error``, plus the
+``residual`` of a failed root-find.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocator import DEFAULT_RATE_CAP, check_targets
+from .allocator import DEFAULT_RATE_CAP, TieInfeasibleError, check_targets
 from .analysis import CompareSetup, compare_schemes, feedback_bits, \
     power_db, sweep_regions
 from .channel import FadingModel, snr_db_to_mean_gain
@@ -622,14 +625,14 @@ def main(argv=None) -> int:
             return _run_sweep(rc, outdir)
         return _run_overhead(rc, outdir)
     except (NumericError, EnumerationBudgetError, LPInfeasibleError,
-            LPUnboundedError, FloatingPointError) as exc:
-        numeric = isinstance(exc, NumericError)
-        tail = f" (residual {exc.residual:.6g})" if numeric else ""
+            LPUnboundedError, TieInfeasibleError, FloatingPointError) as exc:
+        failure = {"mode": rc["mode"], "converged": False, "error": str(exc)}
+        tail = ""
+        if isinstance(exc, NumericError):
+            failure["residual"] = exc.residual
+            tail = f" (residual {exc.residual:.6g})"
         print(f"error: numeric failure: {exc}{tail}", file=sys.stderr)
-        if numeric:
-            _write_summary(outdir, {"mode": rc["mode"], "converged": False,
-                                    "error": str(exc),
-                                    "residual": exc.residual})
+        _write_summary(outdir, failure)
         return EXIT_NUMERIC
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcsched import allocator, dual, solver
+from qcsched import allocator, analysis, dual, solver
 from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
                                build_tables)
 from qcsched.analysis import (CompareSetup, OverheadReport, compare_schemes,
@@ -15,7 +15,8 @@ from qcsched.analysis import (CompareSetup, OverheadReport, compare_schemes,
                               sweep_regions)
 from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
 from qcsched.dual import block_allocation, exact_dual
-from qcsched.powerrate import ErgodicCapacity, OutageCapacity
+from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
+                               OutageCapacity)
 from qcsched.quantizer import EnumerationBudgetError, build_equiprobable
 from qcsched.solver import (Problem, SolverConfig, run_offline_smooth,
                             run_online)
@@ -247,22 +248,55 @@ def test_ra2_within_smoothing_bound_of_ra3():
     K = setup.fading.mean_gain.shape[1]
     gap = ra3["avg_power"] - ra2["avg_power"]
     assert -1e-6 <= gap <= K * setup.eps + 0.02
-    assert ra2["method"] == "hard_dual_refined"
+    assert ra2["method"] == "eps_continuation_tie_lp"
 
 
-def test_ra2_infeasible_tie_lp_reports_hard_served_rates():
-    # the tie search finds no instance at this λ, so the LP cannot move the
-    # single-winner rates onto the targets; the row must carry what the
-    # hard policy actually serves there, not the targets
-    setup = micro_setup()
+RA2_CASES = {
+    "outage": (MODEL, [[4.0] * 4] * 2),
+    "inst_ber": (MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=1e-3),
+                 [[4.0] * 4] * 2),
+    "avg_ber": (MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=1e-3),
+                [[4.0] * 4] * 2),
+    "ergodic": (ErgodicCapacity(), [[4.0] * 4] * 2),
+    "outage_nonflat": (MODEL, [[1.0, 2.0, 3.0, 1.0], [2.5, 1.5, 0.8, 2.5]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RA2_CASES))
+def test_ra2_continuation_meets_the_targets_inside_its_bracket(case):
+    # the tie LP is feasible at every stage, so the row serves the targets;
+    # D ≤ P ≤ Pˢ(λ_ε) holds up to the λ·feas_tol by which the smooth weights
+    # may miss the LP's constraints, and the stop rule closes P - D
+    model, gains = RA2_CASES[case]
+    setup = micro_setup(fading=FadingModel(np.array(gains), seed=1),
+                        model=model, mu=np.array([1.0, 2.0]),
+                        tol=np.array([1e-3, 1e-4]))
     row = ra2_point(setup)
-    assert row["tie_lp_feasible"] is False
+    assert row["converged"]
+    np.testing.assert_allclose(row["avg_rates"], setup.targets, rtol=0,
+                               atol=allocator.DEFAULT_FEAS_TOL)
+    lam = row["lambda"]
     grid = build_equiprobable(setup.fading, setup.regions)
-    hard = exact_dual(MODEL, grid, Multipliers(row["lambda"], setup.mu,
-                                               setup.targets), "hard",
-                      setup.eps, setup.rate_cap)
-    np.testing.assert_array_equal(row["avg_rates"], hard.per_user_avg_rate)
-    assert np.any(row["avg_rates"] != setup.targets)
+    smooth = exact_dual(model, grid, Multipliers(lam, setup.mu, setup.targets),
+                        "smooth", row["eps"], setup.rate_cap)
+    slack = lam.sum() * allocator.DEFAULT_FEAS_TOL
+    assert row["dual_bound"] <= row["avg_power"] <= smooth.avg_power + slack
+    assert row["avg_power"] - row["dual_bound"] <= lam @ setup.tol
+
+
+def test_ra2_unconverged_stage_reports_its_smooth_point():
+    # a stage whose Newton stops at max_iters ends the continuation: the row
+    # carries the smooth point there and says so, with no tie LP run
+    setup = micro_setup(max_iters=3)
+    row = ra2_point(setup)
+    assert row["converged"] is False and row["eps"] == setup.eps
+    grid = build_equiprobable(setup.fading, setup.regions)
+    mult = Multipliers(row["lambda"], setup.mu, setup.targets)
+    smooth = exact_dual(MODEL, grid, mult, "smooth", setup.eps, setup.rate_cap)
+    hard = exact_dual(MODEL, grid, mult, "hard", setup.eps, setup.rate_cap)
+    np.testing.assert_array_equal(row["avg_rates"], smooth.per_user_avg_rate)
+    assert row["avg_power"] == smooth.avg_power
+    assert row["dual_bound"] == hard.value
 
 
 def test_ra4_random_quantizer_converges_at_matched_rates():
@@ -312,6 +346,15 @@ def test_compare_schemes_unknown_scheme():
         compare_schemes(micro_setup(), schemes=("RA9",))
 
 
+def test_compare_schemes_lets_a_schemes_key_error_through(monkeypatch):
+    def broken(setup):
+        raise KeyError("inside the scheme")
+
+    monkeypatch.setitem(analysis._SCHEME_FUNCS, "RA3", broken)
+    with pytest.raises(KeyError, match="inside the scheme"):
+        compare_schemes(micro_setup(), schemes=("RA3",))
+
+
 def test_zero_power_rows_are_minus_inf_db():
     # zero targets leave every user silent: rows and summaries share one
     # power_db, which maps 0 to -inf and keeps positive powers' bits
@@ -334,8 +377,8 @@ def test_sweep_regions_monotone_micro():
 
 def test_offline_builds_read_the_class_representatives_only(monkeypatch):
     # a flat K=16 grid is one channel class: a smooth solve and RA2 (its
-    # Newton start, hard steps and tie search) build (M, 1, L) tables; the
-    # online path still builds each block's (M, K) cells
+    # Newton stages, hard evaluations and tie search) build (M, 1, L)
+    # tables; the online path still builds each block's (M, K) cells
     shapes = []
 
     def spy(model, grid, mult, rate_cap=DEFAULT_RATE_CAP, static=None):
@@ -349,8 +392,9 @@ def test_offline_builds_read_the_class_representatives_only(monkeypatch):
     problem = Problem(grid=build_equiprobable(fading, 4), model=MODEL,
                       mu=setup.mu, targets=setup.targets, fading=fading)
     run_offline_smooth(problem, SolverConfig(beta=0.05, max_iters=50))
+    smooth_builds = len(shapes)
     ra2_point(setup)
-    assert len(shapes) > 2_000 and set(shapes) == {(2, 1, 4)}
+    assert len(shapes) > smooth_builds and set(shapes) == {(2, 1, 4)}
     shapes.clear()
     run_online(problem, SolverConfig(beta=1e-3), 20)
     assert shapes == [(2, 16)] * 20

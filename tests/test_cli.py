@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import qcsched
+from qcsched import analysis
+from qcsched.allocator import TieInfeasibleError
 from qcsched.cli import main
 
 OK, CONFIG, NOT_CONVERGED, NUMERIC = 0, 2, 3, 4
@@ -259,7 +261,23 @@ def test_enum_budget_blowup_exit4(tmp_path, capsys):
     rc, out = run(tmp_path, tiny(enum_budget=2))     # L^M = 16 columns > 2
     assert rc == NUMERIC
     assert "numeric failure" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mode"] == "offline_smooth"
+    assert summary["converged"] is False
+    assert "budget" in summary["error"]
+    assert "residual" not in summary        # only a root-find has one
+
+
+def test_infeasible_tie_lp_exit4_writes_summary(tmp_path, monkeypatch):
+    def infeasible(*args, **kwargs):
+        raise TieInfeasibleError("phase-1 residual")
+
+    monkeypatch.setattr(analysis, "solve_tie_lp", infeasible)
+    rc, out = run(tmp_path, tiny("compare", compare={"schemes": ["RA2"]}))
+    assert rc == NUMERIC
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"mode": "compare", "converged": False,
+                       "error": "phase-1 residual"}
 
 
 def test_infeasible_targets_exit2_naming_the_subset(tmp_path, capsys):

@@ -31,7 +31,7 @@ MICRO = {
 }
 
 # M=2, K=4: RA1 takes its online + Monte-Carlo path (64^2 > enum_budget)
-# and RA2 runs its hard-dual refinement
+# and RA2 runs its ε-continuation, three stages ending with no tie (P = D)
 MICRO_COMPARE = {
     **MICRO, "mode": "compare",
     "compare": {"schemes": ["RA1", "RA2", "RA3", "RA4", "RA5"],
@@ -57,9 +57,9 @@ MICRO_SWEEP = {
 GOLDEN = {
     "micro_compare": {
         "compare.csv":
-            "91a2aa9b74561030d19a0968d38fb890d407c94e96a1d035736edb592ae1450a",
+            "499454f9086eee013096b97eb4af495047122e83a0fac9f4abfb365ef73cf8bf",
         "summary.json":
-            "6d34ac0bd23e0aca6b20a5b093cb5a919e34331a1d2a4bbb143ab291453e0a67",
+            "dfbbd69c12a19118d976d9bacebb0b79507a3a86fabf88a34b43fac81fc55f56",
     },
     "micro_online": {
         "trajectory.csv":
