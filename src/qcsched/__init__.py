@@ -23,7 +23,8 @@ from .analysis import (CompareSetup, OverheadReport, compare_schemes,
                        feedback_bits, mc_primal, sweep_regions)
 from .channel import (FadingModel, sample_gain_blocks, sample_gains,
                       snr_db_to_mean_gain)
-from .dual import DualEvaluation, Problem, block_allocation, exact_dual
+from .dual import (DualEvaluation, PerfectCSI, Problem, block_allocation,
+                   exact_dual)
 from .powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer, NumericError,
                         OutageCapacity, PowerRate, RegionContext,
                         delta_outage_gain, make_model, region_contexts)
@@ -45,7 +46,7 @@ __all__ = [
     "ErgodicCapacity", "FadingModel", "InfeasibleTargetsError",
     "LPInfeasibleError", "LPUnboundedError", "MaxAvgBer", "MaxInstBer",
     "Multipliers", "NumericError", "OnlineResult", "OutageCapacity",
-    "OverheadReport", "PowerRate", "Problem", "QuantizerGrid",
+    "OverheadReport", "PerfectCSI", "PowerRate", "Problem", "QuantizerGrid",
     "RateCostTables", "RegionContext", "SolverConfig",
     "TieInfeasibleError", "TieInstance", "TieSolution", "Trajectory",
     "block_allocation", "build_equiprobable", "build_random",

@@ -93,7 +93,13 @@ def check_targets(grid: QuantizerGrid, model: PowerRate, targets,
     outage = model.is_outage(region_contexts(sub))
     # Pr{user m in outage} per class, (M, n)
     p_out = np.where(outage, qz.region_prob_table(sub), 0.0).sum(axis=2)
-    M = grid.num_users
+    check_reach(p_out, sizes, targets, rate_cap)
+
+
+def check_reach(p_out, sizes, targets, rate_cap: float) -> None:
+    """check_targets given Pr{user m in outage} (M, n) on n classes of
+    ``sizes`` channels each."""
+    M = len(p_out)
     sets = ((np.arange(1, 2 ** M)[:, None] >> np.arange(M)) & 1).astype(bool)
     none_live = np.prod(np.where(sets[:, :, None], p_out, 1.0), axis=1)
     reach = rate_cap * ((1.0 - none_live) @ sizes)

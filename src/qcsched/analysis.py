@@ -3,25 +3,27 @@
 The comparison harness benchmarks five allocation policies at matched average
 rates and reports average weighted power:
 
-* RA1 — perfect-CSI proxy: the same machinery with a fine quantizer
-  (default 256 regions/channel). When the column space fits the enumeration
-  budget it is solved exactly offline; otherwise the multipliers are found
-  online (no enumeration), averaged over the run's second half, and the
-  primal is evaluated there by seeded Monte Carlo. Either way the proxy
-  *upper-bounds* the true perfect-CSI power (a finite quantizer can only do
-  worse).
+* RA1 — perfect CSI: the scheduler knows the gains. With continuous gains
+  ties have probability 0, so the hard dual is differentiable, and
+  dual.PerfectCSI evaluates it exactly, one deterministic integral per user
+  and mean-gain column; damped Newton solves it. Its power at λ̂ is the
+  perfect-CSI optimum for the rates it serves, and the hard dual value there,
+  ``dual_bound``, is a weak-duality lower bound on every scheme's power.
 * RA2 — hard-optimal policy by ε-continuation: damped Newton solves the
   smooth dual at ε, ε/4, … from the last λ, and after each stage the tie LP
   shares the cells within the window ε·max(1, |c*|) so that the rates meet
   the targets. The power P of that policy and the hard dual value D bracket
   the optimum, D ≤ P* ≤ P; it stops once P - D ≤ λ·tol and reports both.
 * RA3 — the ε-smooth policy on the configured quantizer. Like every smooth
-  point here (RA1's exact branch, RA2's stages, RA4, sweep rows) it is solved
-  by damped Newton; the row records ``iterations`` and ``max_abs_subgradient``.
+  point here (RA2's stages, RA4, sweep rows) it is solved by damped Newton, as
+  RA1 is; those rows record ``iterations`` and ``max_abs_subgradient``.
 * RA4 — the ε-smooth policy on a random quantizer (uninformed thresholds).
 * RA5 — fixed scheduling heuristic: user m owns channels k ≡ m (mod M),
   transmits at constant power in non-outage regions (on/off power), rate
   adapting per region; the power level is root-found to meet the rate target.
+
+No row hard-codes ``converged``: it comes from the row's Newton solves (RA1,
+RA3, RA4), RA2's certificate, or RA5's served rates against ``tol``.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from . import quantizer as qz
 from .allocator import (DEFAULT_FEAS_TOL, DEFAULT_RATE_CAP, Multipliers,
                         build_tables, find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
-from .dual import block_allocation
+from .dual import PerfectCSI, block_allocation
 from .powerrate import (NumericError, PowerRate, RegionContext,
                         region_contexts)
 from .quantizer import QuantizerGrid, build_equiprobable, build_random, quantize
-from .solver import Problem, SolverConfig, run_offline_newton, run_online
+from .solver import Problem, SolverConfig, run_offline_newton
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,9 @@ def feedback_bits(num_users: int, num_channels: int, regions: int) -> OverheadRe
 # rate sensitivities |dE[rate]/dlambda| here reach the thousands as L shrinks,
 # where constant steps above 2/|eig|max limit-cycle: hence damped Newton.
 # RA2 solves each ε-stage below the tie LP's feasibility tolerance, so that
-# the smooth weights are a feasible point of the LP
-_RA2_STAGE_TOL = DEFAULT_FEAS_TOL / 4
+# the smooth weights are a feasible point of the LP; RA1 solves to it too, so
+# that its power and its dual bound meet
+_TIGHT_TOL = DEFAULT_FEAS_TOL / 4
 
 
 @dataclass
@@ -95,11 +98,6 @@ class CompareSetup:
     tol: float | np.ndarray = 1e-3      # tol, init: scalar or per user
     max_iters: int = 20_000
     init: float | np.ndarray = 0.1
-    # RA1 proxy
-    ra1_regions: int = 256
-    ra1_blocks: int = 30_000
-    ra1_beta: float = 2e-3
-    ra1_eval_blocks: int = 200_000
     # RA4 random quantizer
     ra4_seed: int = 7
     ra4_range_scale: float = 3.0
@@ -118,10 +116,11 @@ def _problem(setup: CompareSetup, grid: QuantizerGrid) -> Problem:
                    rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
 
 
-def _smooth_row(scheme: str, setup: CompareSetup, grid: QuantizerGrid) -> dict:
-    """Damped Newton smooth solve on ``grid``; the trajectory's last row is
-    the exact smooth evaluation at the final λ."""
-    lam, traj = run_offline_newton(_problem(setup, grid), _solver_cfg(setup))
+def _newton_row(scheme: str, problem, cfg: SolverConfig) -> dict:
+    """Damped Newton solve of ``problem`` (a Problem's smooth dual, or
+    PerfectCSI); the trajectory's last row is the exact evaluation at the
+    final λ."""
+    lam, traj = run_offline_newton(problem, cfg)
     return {"scheme": scheme, "avg_power": float(traj.power[-1]),
             "avg_rates": traj.rates[-1], "converged": traj.converged,
             "iterations": int(traj.iters[-1]),
@@ -160,21 +159,21 @@ def ra3_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     """Smooth policy on the configured (default equiprobable) quantizer."""
     if grid is None:
         grid = build_equiprobable(setup.fading, setup.regions)
-    return _smooth_row("RA3", setup, grid)
+    return _newton_row("RA3", _problem(setup, grid), _solver_cfg(setup))
 
 
 def ra4_point(setup: CompareSetup) -> dict:
     """Smooth policy on a random quantizer over a configured gain range."""
     hi = setup.ra4_range_scale * float(setup.fading.mean_gain.max())
     grid = build_random(setup.fading, setup.regions, (0.0, hi), setup.ra4_seed)
-    return _smooth_row("RA4", setup, grid)
+    return _newton_row("RA4", _problem(setup, grid), _solver_cfg(setup))
 
 
 def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     """Hard-optimal policy by ε-continuation and the tie LP.
 
     Damped Newton solves the smooth dual at ε = ``setup.eps``, ε/4, …, each
-    stage from the last λ and to _RA2_STAGE_TOL. The tie LP then shares the
+    stage from the last λ and to _TIGHT_TOL. The tie LP then shares the
     cells within ε·max(1, |c*|) of each minimum, which hold every cell the
     smooth weights share, so those weights are LP-feasible and D ≤ P* ≤ P ≤ Pˢ
     at λ by weak duality and primal feasibility. P = D + Σ p·(Σ w·c - min c)
@@ -186,7 +185,7 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
         grid = build_equiprobable(setup.fading, setup.regions)
     problem = _problem(setup, grid)
     eps, lam = setup.eps, setup.init
-    stage_tol = np.minimum(setup.tol, _RA2_STAGE_TOL)
+    stage_tol = np.minimum(setup.tol, _TIGHT_TOL)
     while True:
         cfg = _solver_cfg(setup, eps=eps, init=lam, tol=stage_tol)
         lam, traj = run_offline_newton(problem, cfg)
@@ -255,32 +254,24 @@ def ra5_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
             levels[m] = hi
         rates[m] = served(levels[m])
         power += float(setup.mu[m]) * levels[m] * float((pr * live).sum())
+    met = np.all(np.abs(rates - setup.targets) < setup.tol)
     return {"scheme": "RA5", "avg_power": power, "avg_rates": rates,
-            "converged": True, "power_levels": levels, "method": "heuristic"}
+            "converged": bool(met), "power_levels": levels,
+            "method": "heuristic"}
 
 
-def ra1_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
-    """Perfect-CSI proxy via a fine quantizer (upper bound on RA1 power);
-    ``grid`` defaults to the equiprobable one with ``ra1_regions``."""
-    if grid is None:
-        grid = build_equiprobable(setup.fading, setup.ra1_regions)
-    if grid.regions_per_channel ** grid.num_users <= setup.enum_budget:
-        row = _smooth_row("RA1", setup, grid)
-        row["method"] = "offline_exact_fine_grid"
-        return row
-    problem = _problem(setup, grid)
-    cfg = _solver_cfg(setup, beta=setup.ra1_beta, record_every=1000)
-    res = run_online(problem, cfg, setup.ra1_blocks)
-    # Polyak–Ruppert tail average: the last iterate is one noisy β-step
-    lam = res.lam_trace[setup.ra1_blocks // 2:].mean(axis=0)
-    mult = problem.multipliers(lam)
-    avg_rate, avg_power = mc_primal(setup.model, grid, mult, setup.eps,
-                                    setup.fading, setup.ra1_eval_blocks,
-                                    first_block=setup.ra1_blocks,
-                                    rate_cap=setup.rate_cap)
-    return {"scheme": "RA1", "avg_power": avg_power, "avg_rates": avg_rate,
-            "converged": True, "lambda": lam,
-            "method": "online_plus_monte_carlo"}
+def ra1_point(setup: CompareSetup) -> dict:
+    """Perfect CSI: dual.PerfectCSI solved by damped Newton to _TIGHT_TOL.
+    ``dual_bound`` is the hard dual there, avg_power + λ·(targets -
+    avg_rates), which differs from avg_power by that λ·subgradient only."""
+    problem = PerfectCSI(setup.fading.mean_gain, setup.model, setup.mu,
+                         setup.targets, setup.rate_cap)
+    cfg = _solver_cfg(setup, tol=np.minimum(setup.tol, _TIGHT_TOL))
+    row = _newton_row("RA1", problem, cfg)
+    row["dual_bound"] = row["avg_power"] + float(
+        row["lambda"] @ (setup.targets - row["avg_rates"]))
+    row["method"] = "perfect_csi"
+    return row
 
 
 _SCHEME_FUNCS = {"RA1": ra1_point, "RA2": ra2_point, "RA3": ra3_point,
@@ -307,23 +298,20 @@ def compare_schemes(setup: CompareSetup,
 
 
 def sweep_regions(setup: CompareSetup, regions_list,
-                  reference_regions: int | None = 256,
+                  reference_regions: float | None = math.inf,
                   snr_db: float | None = None) -> list:
     """Smooth-policy power as the number of regions L grows.
 
-    Returns one row per L (plus a fine-grid reference row when requested);
-    power decreases monotonically in L and approaches the reference.
+    Returns one row per L, then the perfect-CSI row (ra1_point, its
+    ``regions`` = inf), the limit L → ∞; ``reference_regions=None`` leaves
+    that row out. Power decreases monotonically in L towards it.
     """
-    rows = []
-    for L in regions_list:
-        row = ra3_point(setup, build_equiprobable(setup.fading, int(L)))
-        row.update(regions=int(L), snr_db=snr_db,
-                   power_db=power_db(row["avg_power"]))
-        rows.append(row)
-    if reference_regions:
-        row = ra1_point(setup, build_equiprobable(setup.fading,
-                                                  int(reference_regions)))
-        row.update(regions=int(reference_regions), snr_db=snr_db,
-                   power_db=power_db(row["avg_power"]))
-        rows.append(row)
+    if reference_regions not in (None, math.inf):
+        raise ValueError("reference_regions is math.inf (perfect CSI) or None")
+    rows = [{**ra3_point(setup, build_equiprobable(setup.fading, int(L))),
+             "regions": int(L)} for L in regions_list]
+    if reference_regions is not None:
+        rows.append({**ra1_point(setup), "regions": math.inf})
+    for row in rows:
+        row.update(snr_db=snr_db, power_db=power_db(row["avg_power"]))
     return rows

@@ -27,10 +27,8 @@ Config schema (strict — unknown keys anywhere are rejected):
              "record_every": 1},             # optional, all defaulted
   "online":  {"num_blocks": 10000},          # online mode
   "compare": {"schemes": [...], "snr_db": [...],            # compare mode
-              "ra1_regions": 256, "ra1_blocks": ..., "ra1_beta": ...,
-              "ra1_eval_blocks": ..., "ra4_seed": 7, "ra4_range_scale": 3.0},
-  "sweep":   {"regions": [2, 3, 4, 6, 8], "reference_regions": 256,
-              "ra1_blocks": ..., "ra1_beta": ..., "ra1_eval_blocks": ...}
+              "ra4_seed": 7, "ra4_range_scale": 3.0},
+  "sweep":   {"regions": [2, 3, 4, 6, 8]}          # sweep_regions mode
 }
 
 Omitted ``solver`` keys take the ``SolverConfig`` defaults (in compare and
@@ -40,6 +38,8 @@ omitted RA knobs the ``CompareSetup`` defaults; ``rate_cap`` defaults to
 mode, compare and sweep included. Compare and sweep solve smooth points by
 damped Newton (first damping 1/``solver.beta``); RA2 repeats it at ε/4, ε/16,
 … until its tie-LP power and hard dual (``dual_bound``) differ by ≤ λ·tol.
+RA1, perfect CSI, is the exact hard dual at known gains, solved by the same
+Newton; sweep_regions ends with its row, ``regions`` = inf.
 
 Artifacts: every mode writes `summary.json` (final multipliers, rates, powers,
 convergence flag, wall time); solver modes add `trajectory.csv`
@@ -94,10 +94,8 @@ _SOLVER_BOUNDS = {"beta": (None, False), "kappa": (None, False),
                   "init": (0.0, False), "tol": (None, False),
                   "max_iters": (1, True), "eps": (None, False),
                   "record_every": (1, True)}
-# RA knob -> (lower bound, integer), for the compare and sweep sections
-_RA_KNOBS = {"ra1_regions": (2, True), "ra1_blocks": (1, True),
-             "ra1_beta": (None, False), "ra1_eval_blocks": (1, True),
-             "ra4_seed": (0, True), "ra4_range_scale": (0.0, False)}
+# RA knob -> (lower bound, integer), for the compare section
+_RA_KNOBS = {"ra4_seed": (0, True), "ra4_range_scale": (0.0, False)}
 _SETUP_DEFAULTS = {f.name: f.default for f in fields(CompareSetup)}
 
 
@@ -153,8 +151,6 @@ def _ra_knobs(section: dict, where: str) -> dict:
         if key in section:
             out[key] = _number(section[key], f"{where}.{key}", lo=lo,
                                integer=integer)
-            if key == "ra1_beta" and out[key] <= 0:
-                raise ConfigError(f"{where}.ra1_beta: must be positive")
     return out
 
 
@@ -308,19 +304,13 @@ def resolve_config(raw: dict) -> dict:
 
     if mode == "sweep_regions":
         sw = _section(raw, "sweep")
-        _reject_unknown(sw, ("regions", "reference_regions", "ra1_blocks",
-                             "ra1_beta", "ra1_eval_blocks"), "sweep")
+        _reject_unknown(sw, ("regions",), "sweep")
         regions = _need(sw, "regions", "sweep")
         if not isinstance(regions, list) or not regions:
             raise ConfigError("sweep.regions: expected a nonempty list")
         rlist = [_number(x, f"sweep.regions[{i}]", lo=2, integer=True)
                  for i, x in enumerate(regions)]
-        ref = sw.get("reference_regions", 256)
-        if ref is not None:
-            ref = _number(ref, "sweep.reference_regions", lo=2, integer=True)
-        rsw = {"regions": rlist, "reference_regions": ref,
-               **_ra_knobs(sw, "sweep")}
-        resolved["sweep"] = rsw
+        resolved["sweep"] = {"regions": rlist}
     elif "sweep" in raw:
         raise ConfigError("config.sweep: only valid in sweep_regions mode")
 
@@ -387,7 +377,7 @@ def _solver_config(rc: dict, log_every: int | None) -> SolverConfig:
 
 def _compare_setup(rc: dict, fading: FadingModel) -> CompareSetup:
     sv = _solver_config(rc, None)
-    knobs = {**rc.get("compare", {}), **rc.get("sweep", {})}
+    knobs = rc.get("compare", {})
     return CompareSetup(
         fading=fading, regions=rc["quantizer"]["regions"],
         model=make_model(rc["power_rate"]["family"],
@@ -546,11 +536,10 @@ def _run_compare(rc: dict, outdir: Path) -> int:
 
 
 def _run_sweep(rc: dict, outdir: Path) -> int:
-    sw = rc["sweep"]
+    regions = rc["sweep"]["regions"]
     return _run_rows(rc, outdir, "sweep.csv", ["regions"],
-                     lambda setup, snr: sweep_regions(
-                         setup, sw["regions"], sw["reference_regions"],
-                         snr_db=snr))
+                     lambda setup, snr: sweep_regions(setup, regions,
+                                                      snr_db=snr))
 
 
 def _run_overhead(rc: dict, outdir: Path) -> int:

@@ -1,5 +1,6 @@
 """The allocation Problem and its dual: exact evaluations, the smooth
-Jacobian, and the smooth allocation of realized blocks.
+Jacobian, the perfect-CSI dual, and the smooth allocation of realized
+blocks.
 
 The dual value at λ decomposes per channel over the (column, channel) space:
 D(λ) = Σ_m λ_m·ř_m + Σ_k Σ_j Pr{[J]_k = j}·(served cost of column j on k),
@@ -19,25 +20,35 @@ those cells, gathers the (cost, rate) columns once, and derives the value,
 the subgradient and, on request, the smooth Jacobian from them. Summations
 use numpy's pairwise reduction in a fixed order, so results are
 deterministic regardless of any outer parallelism.
+
+PerfectCSI is the same evaluation when the scheduler knows the gains: no
+quantizer, no enumeration, one Gauss–Legendre integral per user and
+distinct mean-gain column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
 
 from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
-                        build_tables, check_targets, gather_columns,
-                        make_static, smooth_weights, take_regions)
+                        build_tables, check_reach, check_targets,
+                        gather_columns, make_static, smooth_weights,
+                        take_regions)
 from .channel import FadingModel
-from .powerrate import PowerRate
+from .powerrate import _LN2, PowerRate, _vec_newton, linear_allocation
 from .quantizer import QuantizerGrid
 
 _JAC_CHUNK = 2 ** 15    # column entries (channels × columns × users) per chunk
+# PerfectCSI: Gauss–Legendre nodes per piece, the last piece's reach past the
+# last split in mean gains, the forward-difference step over max(1, λ_n), and
+# the root-finds' tolerance and step limit
+_GL_NODES, _TAIL_MEANS, _FD_STEP = 64, 40.0, 1e-7
+_ROOT_TOL, _ROOT_ITERS = 1e-13, 256
 
 
 @dataclass(frozen=True)
@@ -45,7 +56,8 @@ class DualEvaluation:
     """value = Σλř + served cost; subgradient_m = ř_m - per_user_avg_rate_m;
     avg_power is the served weighted power Σ μ_m·E[Υ(R*)·w]. In smooth
     mode ``jacobian()`` returns ∂g/∂λ (M, M) from this evaluation's tables
-    and gathered columns (Problem.evaluate); in hard mode it is None."""
+    and gathered columns (Problem.evaluate); in hard mode it is None, except
+    for PerfectCSI's differentiable hard dual."""
 
     value: float
     subgradient: np.ndarray
@@ -188,6 +200,127 @@ class Problem:
             jac += (np.einsum("kcm,kcn->mn", pr * w, b * rate)
                     - np.einsum("kcm,kcn->mn", mixed, at_min))
         return -(jac + np.diag(diag))
+
+
+@cache
+def _legendre_rule() -> tuple:
+    return np.polynomial.legendre.leggauss(_GL_NODES)      # on first use
+
+
+def _unit_allocation(t, rate_cap: float) -> tuple:
+    """(R*, Υ(R*)/slope, cost/λ) at the gain g_on·e^t, g_on = s·ln2·μ/λ the
+    gain at which a user turns on: c = s/g gives slope/(c·ln2) = e^t, so
+    every user shares these functions of t. The cost falls from 0 at t = 0
+    towards the floor -rate_cap with slope -Υ/slope (envelope theorem)."""
+    rate, power = linear_allocation(np.exp(-t) / _LN2, 1.0, rate_cap)
+    return rate, power, power - rate
+
+
+def _unit_gain(cost, rate_cap: float) -> np.ndarray:
+    """t ≥ 0 with cost/λ = ``cost`` ∈ (-rate_cap, 0)."""
+    def f_df(t):
+        _, power, c = _unit_allocation(t, rate_cap)
+        return cost - c, power
+    return _vec_newton(f_df, 0.0, np.ones_like(cost), _ROOT_TOL, _ROOT_ITERS,
+                       "perfect-CSI gain")
+
+
+@dataclass
+class PerfectCSI:
+    """The exact hard dual when the scheduler knows the gains, independent
+    exponentials of mean ``mean_gain`` (M, K).
+
+    At a known gain g every family is Υ(x) = (s/g)·(2^x - 1), s =
+    ``model.perfect_csi_scale()``, so user n's cost is λ_n·h(t) at t =
+    ln(g/g_on,n) (_unit_allocation). n wins where that is below 0 and below
+    each rival m's cost: where m's gain is below g_on,m·exp(h⁻¹(λ_n·h(t)/λ_m)),
+    or always once it is below m's floor -λ_m·rate_cap. Ties have probability
+    0, so the hard dual is differentiable. n's rates, power and cost are one
+    integral over t, by Gauss–Legendre on pieces split where the integrand
+    kinks: at n's rate cap and where n's cost reaches a rival's cap cost or
+    floor; the last piece ends _TAIL_MEANS mean gains past the last split.
+    Channels with one mean-gain column share the integral.
+
+    It has what run_offline_newton uses of a Problem: ``num_users``,
+    ``check_targets()`` and ``evaluate``, whose ``jacobian()`` is a forward
+    difference.
+    """
+
+    mean_gain: np.ndarray
+    model: PowerRate
+    mu: np.ndarray
+    targets: np.ndarray
+    rate_cap: float = DEFAULT_RATE_CAP
+
+    def __post_init__(self):
+        self.mean_gain = np.atleast_2d(np.asarray(self.mean_gain, dtype=float))
+        self.mu = np.asarray(self.mu, dtype=float)
+        self.targets = np.asarray(self.targets, dtype=float)
+        M = self.num_users
+        if self.mu.shape != (M,) or self.targets.shape != (M,):
+            raise ValueError("mu and targets must have shape (M,)")
+        self.columns, self.counts = np.unique(self.mean_gain.T, axis=0,
+                                              return_counts=True)
+
+    @property
+    def num_users(self) -> int:
+        return self.mean_gain.shape[0]
+
+    def check_targets(self) -> None:
+        """allocator.check_targets, with no user ever in outage."""
+        check_reach(np.zeros((self.num_users, 1)), [self.mean_gain.shape[1]],
+                    self.targets, self.rate_cap)
+
+    def evaluate(self, lam, *_) -> DualEvaluation:
+        """The hard dual at λ, whatever mode and ε a Problem would take."""
+        lam = np.asarray(lam, dtype=float)
+        finite = (lam >= 0.0) & (lam < np.inf)          # False at NaN
+        if lam.shape != (self.num_users,) or not finite.all():
+            raise ValueError("lambda must be finite and nonnegative, (M,)")
+        cap, act = self.rate_cap, np.flatnonzero(lam > 0.0)
+        la = lam[act]                   # a user with λ = 0 has cost 0 always
+        g_on = self.model.perfect_csi_scale() * _LN2 * self.mu[act] / la
+        ratio = la[:, None] / la                        # λ_n/λ_m, (A, A)
+        # split costs over λ_n, λ_m·h(t_cap) and -λ_m·cap; those outside
+        # (-cap, 0) become empty pieces at t = 0
+        split = np.concatenate([_unit_allocation(cap * _LN2, cap)[2] / ratio,
+                                -cap / ratio], axis=1)
+        inside = (split > -cap) & (split < 0.0)
+        split[~inside] = 0.0
+        split[inside] = _unit_gain(split[inside], cap)
+        split.sort(axis=1)
+        last = split.max(axis=1, initial=0.0)           # (A,), A may be 0
+        x, w = _legendre_rule()
+        rivals = ~np.eye(len(act), dtype=bool)[:, :, None, None]
+        rates, power, served_cost = np.zeros(self.num_users), 0.0, 0.0
+        for col, count in zip(self.columns[:, act], self.counts):
+            tail = np.log(np.exp(last) + _TAIL_MEANS * col / g_on)
+            edges = np.column_stack([np.zeros(len(act)), split, tail])
+            half = np.diff(edges, axis=1)[:, :, None] / 2.0
+            t = edges[:, :-1, None] + half * (1.0 + x)          # (A, P, N)
+            rate, unit_power, cost = _unit_allocation(t, cap)
+            gain = (g_on / col)[:, None, None] * np.exp(t)       # g/ḡ
+            rival = cost[:, None] * ratio[:, :, None, None]     # (A, A, P, N)
+            live = rivals & (rival > -cap)
+            beaten = np.ones(rival.shape)                   # Pr{C_m > C_n}
+            beaten[live] = -np.expm1(-(g_on / col)[np.nonzero(live)[1]]
+                                     * np.exp(_unit_gain(rival[live], cap)))
+            weight = count * half * w * gain * np.exp(-gain) * beaten.prod(1)
+            rates[act] += np.sum(weight * rate, axis=(1, 2))
+            power += float(la @ np.sum(weight * unit_power, axis=(1, 2)))
+            served_cost += float(la @ np.sum(weight * cost, axis=(1, 2)))
+        subgradient = self.targets - rates
+        return DualEvaluation(
+            value=float(lam @ self.targets) + served_cost,
+            subgradient=subgradient, per_user_avg_rate=rates,
+            avg_power=power, jacobian=partial(self._jacobian, lam, subgradient))
+
+    def _jacobian(self, lam: np.ndarray, subgradient: np.ndarray) -> np.ndarray:
+        """∂g/∂λ by forward differences, one evaluation per user."""
+        steps = _FD_STEP * np.maximum(1.0, lam)
+        return np.column_stack([
+            (self.evaluate(lam + h * e).subgradient - subgradient) / h
+            for h, e in zip(steps, np.eye(len(lam)))])
 
 
 def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,

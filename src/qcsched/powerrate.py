@@ -38,7 +38,8 @@ rate_cap)``: ``cell_data`` is the λ-independent per-region data (c above; the
 region's moments and edges for ergodic) and ``allocation`` returns
 (R*, Υ(R*)) with R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap``.
 Pointwise there are ``power_of_rate`` (Υ), ``rate_of_power`` (Υ⁻¹),
-``marginal_power`` (Υ̇) and ``inv_marginal_power`` (R*).
+``marginal_power`` (Υ̇) and ``inv_marginal_power`` (R*). At a known gain g
+every family is Υ(x) = (s/g)·(2^x - 1), and ``perfect_csi_scale`` gives s.
 """
 
 from __future__ import annotations
@@ -240,6 +241,11 @@ class PowerRate:
     def marginal_at_zero(self, ctx: RegionContext) -> np.ndarray:
         return self.linear_coeff(ctx) * _LN2
 
+    def perfect_csi_scale(self) -> float:
+        """s with Υ(x) = (s/g)·(2^x - 1) at a known gain g, the limit of
+        g·c on shrinking regions: 1 for the capacity families."""
+        return 1.0
+
     def inv_marginal_power(self, ctx: RegionContext, slope,
                            rate_cap: float | None = None) -> np.ndarray:
         return self.allocation(self.cell_data(ctx), slope, rate_cap)[0]
@@ -279,9 +285,11 @@ class MaxInstBer(PowerRate):
         if not (0.0 < self.eps_max < self.kappa1):
             raise ValueError("eps_max must lie in (0, kappa1)")
 
+    def perfect_csi_scale(self) -> float:
+        return float(np.log(self.kappa1 / self.eps_max) / self.kappa2)
+
     def linear_coeff(self, ctx: RegionContext):
-        scale = np.log(self.kappa1 / self.eps_max) / self.kappa2
-        lo = ctx.q_lo
+        scale, lo = self.perfect_csi_scale(), ctx.q_lo
         with np.errstate(divide="ignore"):
             return np.where(lo > 0.0, scale / np.maximum(lo, 1e-300), np.inf)
 
@@ -303,6 +311,10 @@ class MaxAvgBer(PowerRate):
             raise ValueError("eps_avg must lie in (0, kappa1)")
         if self.root_tol <= 0 or self.max_iter <= 0:
             raise ValueError("tolerances must be positive")
+
+    def perfect_csi_scale(self) -> float:
+        # a region of zero width averages nothing: the instantaneous BER's s
+        return float(np.log(self.kappa1 / self.eps_avg) / self.kappa2)
 
     def linear_coeff(self, ctx: RegionContext):
         lo, hi, g = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain)

@@ -177,6 +177,8 @@ def _solve(a, b):
 def run_offline_newton(problem: Problem, cfg: SolverConfig):
     """Damped Newton ascent on the smooth dual: λ ← [λ + (νI - J)⁻¹·g]⁺, with
     J the accepted evaluation's ``jacobian()`` and ‖step‖∞ ≤ max(1, ‖λ‖∞).
+    ``problem`` may be any evaluator with a Problem's ``num_users``,
+    ``check_targets()`` and ``evaluate``, such as dual.PerfectCSI.
     A trial whose ‖g‖ does not grow (non-strict: with no user active, J = 0
     and g = ř) is accepted and ν drops by 4, else ν rises by 4
     (Levenberg–Marquardt, Nocedal & Wright §10.3). ν starts at 1/β, so the

@@ -10,6 +10,7 @@ access sampler) live here too.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,3 +324,71 @@ def lentz_scaled(x, n: int = 1) -> np.ndarray:
         if not live.any():
             break
     return h
+
+
+# --- perfect CSI ------------------------------------------------------------------
+
+def perfect_csi_quad(mean_gain, scale: float, mu, targets, lam,
+                     rate_cap: float = DEFAULT_RATE_CAP) -> tuple:
+    """The perfect-CSI hard dual the literal way: (rates, avg_power, value).
+
+    Υ(x) = (s/g)·(2^x - 1) at gain g, R* = log2(g·λ/(μ·s·ln2)) in
+    [0, rate_cap] and the cost μ·Υ(R*) - λ·R*, in scalar floats. Per user n
+    and distinct mean-gain column, scipy's ``quad`` integrates over n's gain
+    the density times Pr{each rival's cost is above n's} times (R*, μ·Υ,
+    cost), with ``points`` at the kinks: n's cap gain and the gains where its
+    cost reaches a rival's cap cost or floor -λ_m·rate_cap. A rival's gain at
+    equal cost is found by brentq; the range ends 40 mean gains past the last
+    kink.
+    """
+    from scipy import integrate, optimize
+
+    mean_gain = np.atleast_2d(np.asarray(mean_gain, dtype=float))
+    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+    M = len(lam)
+    ln2 = math.log(2.0)
+    g_on = [scale * ln2 * mu[m] / lam[m] if lam[m] > 0 else math.inf
+            for m in range(M)]
+
+    def alloc(m, g):
+        rate = math.log2(g * lam[m] / (mu[m] * scale * ln2))
+        rate = min(max(rate, 0.0), rate_cap)
+        power = scale / g * math.expm1(ln2 * rate)
+        return rate, power, mu[m] * power - lam[m] * rate
+
+    def gain_at(m, cost):               # cost in (-λ_m·rate_cap, 0)
+        hi = 2.0 * g_on[m]
+        while alloc(m, hi)[2] > cost:
+            hi *= 2.0
+        return optimize.brentq(lambda g: alloc(m, g)[2] - cost, g_on[m], hi,
+                               xtol=1e-300, rtol=1e-15, maxiter=500)
+
+    rates, power, served = np.zeros(M), 0.0, 0.0
+    columns, counts = np.unique(mean_gain.T, axis=0, return_counts=True)
+    for col, count in zip(columns, counts):
+        for n in np.flatnonzero(lam > 0):
+            floor = -lam[n] * rate_cap
+            kinks = [2.0 ** rate_cap * g_on[n]]
+            for m in np.flatnonzero(lam > 0):
+                if m != n:
+                    for cost in (alloc(m, 2.0 ** rate_cap * g_on[m])[2],
+                                 -lam[m] * rate_cap):
+                        if floor < cost < 0.0:
+                            kinks.append(gain_at(n, cost))
+
+            def integrand(g, what):
+                terms = alloc(n, g)
+                prob = math.exp(-g / col[n]) / col[n]
+                for m in range(M):
+                    if m != n and terms[2] > -lam[m] * rate_cap:
+                        prob *= -math.expm1(-gain_at(m, terms[2]) / col[m])
+                return prob * (terms[0], mu[n] * terms[1], terms[2])[what]
+
+            end = max(kinks) + 40.0 * col[n]
+            part = [integrate.quad(integrand, g_on[n], end, args=(what,),
+                                   points=kinks, epsabs=0.0, epsrel=1e-12,
+                                   limit=400)[0] for what in range(3)]
+            rates[n] += count * part[0]
+            power += count * part[1]
+            served += count * part[2]
+    return rates, power, float(lam @ np.asarray(targets, float)) + served

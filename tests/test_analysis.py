@@ -30,8 +30,7 @@ def micro_setup(**over):
     """M=2, K=4 instance small enough for every scheme path."""
     mg = np.full((2, 4), snr_db_to_mean_gain(6.0))
     kw = dict(fading=FadingModel(mg, seed=2), regions=4, model=MODEL,
-              mu=np.ones(2), targets=np.array([1.0, 1.5]),
-              ra1_regions=8, ra1_blocks=2_000, ra1_eval_blocks=20_000)
+              mu=np.ones(2), targets=np.array([1.0, 1.5]))
     kw.update(over)
     return CompareSetup(**kw)
 
@@ -311,21 +310,41 @@ def test_ra4_random_quantizer_converges_at_matched_rates():
     assert ra4_again["avg_power"] == ra4["avg_power"]   # seeded thresholds
 
 
-def test_ra1_exact_fine_grid_path():
+def test_ra1_perfect_csi_row_is_below_ra3():
     setup = micro_setup()
     row = ra1_point(setup)
     assert row["scheme"] == "RA1"
-    assert row["method"] == "offline_exact_fine_grid"   # 8^2 fits the budget
+    assert row["method"] == "perfect_csi"
     ra3 = ra3_point(setup)
     assert row["avg_power"] <= ra3["avg_power"] + 1e-9
 
 
-def test_ra1_monte_carlo_path_tagging():
-    setup = micro_setup(ra1_regions=64, enum_budget=1_000)
-    row = ra1_point(setup)
-    assert row["method"] == "online_plus_monte_carlo"
-    assert row["converged"]
-    np.testing.assert_allclose(row["avg_rates"], setup.targets, rtol=0.1)
+def test_ra1_is_the_bound_the_certified_quantized_optimum_falls_to():
+    # RA2's certified power P* on L regions strictly decreases in L and stays
+    # above the perfect-CSI hard dual, which bounds every policy's power
+    setup = micro_setup()
+    ra1 = ra1_point(setup)
+    powers = [ra2_point(setup, build_equiprobable(setup.fading, L))
+              for L in (2, 4, 8, 16, 32)]
+    assert all(r["converged"] for r in [ra1, *powers])
+    powers = [r["avg_power"] for r in powers]
+    assert all(np.diff(powers) < 0), powers
+    assert powers[-1] >= ra1["dual_bound"]
+    assert ra1["dual_bound"] == pytest.approx(ra1["avg_power"], rel=1e-9)
+
+
+def test_converged_rows_meet_their_targets():
+    # no row hard-codes its flag: every converged row serves its targets
+    setup = micro_setup()
+    rows = compare_schemes(setup) + sweep_regions(setup, [2, 4])
+    assert [r["scheme"] for r in rows] == ["RA1", "RA2", "RA3", "RA4", "RA5",
+                                           "RA3", "RA3", "RA1"]
+    for r in rows:
+        miss = np.max(np.abs(np.asarray(r["avg_rates"]) - setup.targets))
+        assert r["converged"] and miss < setup.tol, (r["scheme"], miss)
+    # RA5 computes its flag: a tol below its bisection's rate error fails it
+    strict = micro_setup(tol=1e-15)
+    assert not ra5_point(strict)["converged"]
 
 
 # --- harness drivers --------------------------------------------------------------------
@@ -368,11 +387,17 @@ def test_zero_power_rows_are_minus_inf_db():
 
 def test_sweep_regions_monotone_micro():
     setup = micro_setup()
-    rows = sweep_regions(setup, [2, 4, 8], reference_regions=16)
-    assert [r["regions"] for r in rows] == [2, 4, 8, 16]
+    rows = sweep_regions(setup, [2, 4, 8])
+    assert [r["regions"] for r in rows] == [2, 4, 8, math.inf]
     powers = [r["avg_power"] for r in rows]
     assert all(np.diff(powers) < 0)        # strictly better with finer CSI
     assert all(r["converged"] for r in rows)
+
+
+def test_sweep_reference_is_perfect_csi_or_none():
+    # a finite L would silently be served as L = inf
+    with pytest.raises(ValueError, match="reference_regions"):
+        sweep_regions(micro_setup(), [2], reference_regions=256)
 
 
 def test_offline_builds_read_the_class_representatives_only(monkeypatch):

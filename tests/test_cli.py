@@ -88,6 +88,11 @@ def test_malformed_json(tmp_path, capsys):
     (lambda c: c.update(mode="compare", compare={"ra2_tie_rtol": 1e-2}),
      "unknown keys ['ra2_tie_rtol']"),
     (lambda c: c["solver"].update(seed=3), "unknown keys ['seed']"),
+    (lambda c: c.update(mode="compare", compare={"ra1_regions": 256}),
+     "unknown keys ['ra1_regions']"),
+    (lambda c: c.update(mode="sweep_regions",
+                        sweep={"regions": [2], "reference_regions": 256}),
+     "unknown keys ['reference_regions']"),
 ])
 def test_config_rejections(tmp_path, capsys, mangle, needle):
     cfg = tiny()
@@ -294,7 +299,7 @@ def test_infeasible_targets_exit2_naming_the_subset(tmp_path, capsys):
     # a sweep checks every L it solves: at L=2 half of each user's states
     # are outage, 12·2·1/2 = 12 < 13, while L=4 would allow 18
     cfg = tiny("sweep_regions", targets=[13.0, 0.5],
-               sweep={"regions": [4, 2], "reference_regions": None})
+               sweep={"regions": [4, 2]})
     rc, out = run(tmp_path, cfg)
     assert rc == CONFIG and "users [1]" in capsys.readouterr().err
 
@@ -449,26 +454,29 @@ def test_compare_snr_sweep_needs_snr_fading(tmp_path):
 
 
 def test_sweep_zero_power_rows_report_minus_inf_db(tmp_path):
-    # zero targets: every user stays silent, so each row's power is 0 and its
-    # dB value is -inf, not a math domain error escaping main
+    # zero targets: every user stays silent, so each L row's power is 0 and
+    # its dB value is -inf, not a math domain error escaping main; the
+    # perfect-CSI row stops at |g| < tol with λ > 0, a tiny positive power
     cfg = compare_cfg(mode="sweep_regions", targets=[0.0, 0.0])
     del cfg["compare"]
-    cfg["sweep"] = {"regions": [2, 4], "reference_regions": None}
+    cfg["sweep"] = {"regions": [2, 4]}
     rc, out = run(tmp_path, cfg)
     assert rc == OK
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert [line.split(",")[1] for line in lines[1:]] == ["-inf", "-inf"]
+    assert [line.split(",")[1] for line in lines[1:3]] == ["-inf", "-inf"]
+    assert lines[3].startswith("inf,") and math.isfinite(
+        float(lines[3].split(",")[1]))
 
 
 def test_sweep_mode_power_decreases_in_regions(tmp_path):
     cfg = compare_cfg(mode="sweep_regions")
     del cfg["compare"]
-    cfg["sweep"] = {"regions": [2, 4], "reference_regions": 8}
+    cfg["sweep"] = {"regions": [2, 4]}
     rc, out = run(tmp_path, cfg)
     assert rc == OK
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "regions,avg_power_db,avg_rate_1,avg_rate_2"
-    regions = [int(line.split(",")[0]) for line in lines[1:]]
+    regions = [float(line.split(",")[0]) for line in lines[1:]]
     power_db = [float(line.split(",")[1]) for line in lines[1:]]
-    assert regions == [2, 4, 8]
+    assert regions == [2, 4, math.inf]
     assert power_db[0] > power_db[1] > power_db[2]

@@ -1,22 +1,30 @@
 """Exact/stochastic dual evaluations: hand values, bounds, identities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qcsched.allocator import (Multipliers, block_statics, build_tables,
+import qcsched
+from qcsched.allocator import (InfeasibleTargetsError, Multipliers,
+                               block_statics, build_tables,
                                find_tie_instances, make_static,
                                smooth_weights, solve_tie_lp)
 from qcsched.channel import FadingModel, sample_gain_blocks
-from qcsched.dual import Problem, block_allocation, exact_dual
+from qcsched.dual import PerfectCSI, Problem, block_allocation, exact_dual
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
-                               OutageCapacity)
+                               OutageCapacity, linear_allocation)
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
                                build_equiprobable, build_random,
                                channel_classes, quantize)
 
 from oracles import (jacobian_check, per_channel_dual, per_channel_space,
+                     perfect_csi_quad,
                      stochastic_subgradient)
 
 LN2 = np.log(2.0)
@@ -357,3 +365,129 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
     lp_mult = Multipliers(mult.lambda_r, mult.mu, reach)
     _agree(solve_tie_lp(lp_mult, ties, one).objective,
            solve_tie_lp(lp_mult, ties_k, one_k).objective, 1e-12)
+
+
+# --- perfect CSI ---------------------------------------------------------------------
+
+# (mean gains, family, μ, targets, λ, rate_cap): the bundled compare shape at
+# its optimum, a λ far above it, mean gains 100x apart at two rate caps, three
+# users of a scaled family, and very large and very small mean gains
+PERFECT_CSI_CASES = {
+    "bundled_flat": (np.full((3, 64), 10 ** 0.6), MODEL, [1.0, 1.0, 1.0],
+                     [40.0, 70.0, 100.0], [0.968, 1.153, 1.312], 12.0),
+    "large_lambda": (np.full((2, 4), 3.98), MODEL, [1.0, 1.0], [1.0, 1.5],
+                     [40.0, 30.0], 12.0),
+    "spread_cap12": ([[100.0, 1.0], [0.3, 30.0]], MODEL, [1.0, 2.0],
+                     [1.0, 1.5], [0.7, 1.3], 12.0),
+    "spread_cap4": ([[100.0, 1.0], [0.3, 30.0]], MODEL, [1.0, 2.0],
+                    [1.0, 1.5], [0.7, 1.3], 4.0),
+    "three_users": ([[2.0, 5.0], [4.0, 1.0], [3.0, 3.0]],
+                    MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=1e-3),
+                    [1.0, 2.0, 0.5], [1.0, 1.0, 1.0], [2.0, 1.0, 3.0], 6.0),
+    "gain_1000": (np.full((2, 2), 1000.0), MODEL, [1.0, 1.0], [1.0, 1.0],
+                  [0.3, 0.5], 12.0),
+    "gain_small": ([[0.02, 0.05], [0.03, 0.04]], MODEL, [1.0, 1.0],
+                   [1.0, 1.0], [50.0, 80.0], 12.0),
+}
+
+
+def _perfect_csi(case):
+    gains, model, mu, targets, lam, cap = PERFECT_CSI_CASES[case]
+    problem = PerfectCSI(np.array(gains), model, np.array(mu),
+                         np.array(targets), cap)
+    return problem, np.array(lam)
+
+
+@pytest.mark.parametrize("case", sorted(PERFECT_CSI_CASES))
+def test_perfect_csi_matches_the_quad_oracle(case):
+    pytest.importorskip("scipy")
+    problem, lam = _perfect_csi(case)
+    ev = problem.evaluate(lam)
+    rates, power, value = perfect_csi_quad(
+        problem.mean_gain, problem.model.perfect_csi_scale(), problem.mu,
+        problem.targets, lam, problem.rate_cap)
+    np.testing.assert_allclose(ev.per_user_avg_rate, rates, rtol=1e-10,
+                               atol=0)
+    assert ev.avg_power == pytest.approx(power, rel=1e-10, abs=0)
+    assert ev.value == pytest.approx(value, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("case", sorted(PERFECT_CSI_CASES))
+def test_perfect_csi_value_identity(case):
+    problem, lam = _perfect_csi(case)
+    for scale in (np.ones(len(lam)), np.eye(len(lam))[0], np.zeros(len(lam))):
+        ev = problem.evaluate(lam * scale)
+        rhs = ev.avg_power + (lam * scale) @ ev.subgradient
+        assert ev.value == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_perfect_csi_matches_continuous_gain_monte_carlo():
+    # sampled gains, the hard winner by brute-force argmin of the users'
+    # costs: rates and power within 5 standard errors of the quadrature
+    model = MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=1e-3)
+    mu, lam, cap = np.array([1.0, 2.0, 0.5]), np.array([1.5, 2.0, 1.2]), 6.0
+    fading = FadingModel(np.array([[2.0, 5.0, 1.0], [4.0, 1.0, 1.0],
+                                   [3.0, 3.0, 8.0]]), seed=11)
+    problem = PerfectCSI(fading.mean_gain, model, mu, np.ones(3), cap)
+    ev = problem.evaluate(lam)
+    gains = sample_gain_blocks(fading, 0, 40_000)                 # (N, M, K)
+    rate, power = linear_allocation(model.perfect_csi_scale() / gains,
+                                    (lam / mu)[:, None], cap)
+    cost = mu[:, None] * power - lam[:, None] * rate
+    win = ((np.arange(3)[:, None] == cost.argmin(axis=1)[:, None, :])
+           & (cost.min(axis=1, keepdims=True) < 0.0))
+    samples = np.concatenate([(rate * win).sum(axis=2),
+                              (mu[:, None] * power * win).sum(axis=(1, 2),
+                                                              keepdims=True)
+                              [:, :, 0]], axis=1)                 # (N, M+1)
+    mean = samples.mean(axis=0)
+    se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+    exact = np.append(ev.per_user_avg_rate, ev.avg_power)
+    assert np.all(np.abs(exact - mean) <= 5.0 * se), (exact, mean, se)
+
+
+def test_perfect_csi_jacobian_is_the_rate_slope():
+    # ∂g/∂λ = -∂r̄/∂λ: central differences of the rates agree with the
+    # forward-difference Jacobian, which is symmetric (the dual's Hessian)
+    # and negative definite where every user is served
+    problem, lam = _perfect_csi("three_users")
+    jac = problem.evaluate(lam).jacobian()
+    h = 1e-5
+    for n in range(3):
+        step = h * np.eye(3)[n]
+        up = problem.evaluate(lam + step).per_user_avg_rate
+        down = problem.evaluate(lam - step).per_user_avg_rate
+        np.testing.assert_allclose(jac[:, n], -(up - down) / (2 * h),
+                                   rtol=1e-4, atol=1e-6)
+    np.testing.assert_allclose(jac, jac.T, rtol=1e-4, atol=1e-6)
+    assert np.all(np.linalg.eigvalsh((jac + jac.T) / 2) < 0)
+
+
+def test_perfect_csi_names_the_smallest_infeasible_subset():
+    # two channels at rate_cap 3 carry 6 in all: user 2 alone fits, users 2
+    # and 3 together do not
+    problem = PerfectCSI(np.ones((3, 2)), MODEL, np.ones(3),
+                         np.array([0.5, 4.0, 2.5]), 3.0)
+    with pytest.raises(InfeasibleTargetsError) as err:
+        problem.check_targets()
+    assert err.value.users == [2, 3]
+    PerfectCSI(np.ones((3, 2)), MODEL, np.ones(3), np.array([0.5, 3.0, 2.5]),
+               3.0).check_targets()
+
+
+@pytest.mark.parametrize("lam", [[-0.1, 1.0], [np.nan, 1.0], [np.inf, 1.0],
+                                 [1.0]])
+def test_perfect_csi_rejects_bad_multipliers(lam):
+    problem, _ = _perfect_csi("large_lambda")
+    with pytest.raises(ValueError, match="lambda"):
+        problem.evaluate(np.array(lam))
+
+
+def test_import_does_not_build_the_legendre_rule():
+    src = str(Path(qcsched.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import qcsched, qcsched.dual as d; "
+            "print(d._legendre_rule.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"

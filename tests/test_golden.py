@@ -1,7 +1,8 @@
 """Golden-output guardrail: every artifact of a fixed set of CLI runs, hashed.
 
-Each case runs ``qcsched.cli.main`` in-process and compares the sha256 of
-every CSV it writes, and of ``summary.json`` with ``wall_time_s`` removed,
+The set is every bundled config and three micro configs. Each case runs
+``qcsched.cli.main`` in-process and compares the sha256 of every CSV it
+writes, and of ``summary.json`` with ``wall_time_s`` removed,
 against the hashes below. A refactor that claims to keep the output bits
 must keep these hashes; a change that moves them on purpose (a new random
 stream, a fixed bug) updates them and says why in CHANGES.md.
@@ -30,13 +31,11 @@ MICRO = {
     "enum_budget": 1000,
 }
 
-# M=2, K=4: RA1 takes its online + Monte-Carlo path (64^2 > enum_budget)
-# and RA2 runs its ε-continuation, three stages ending with no tie (P = D)
+# M=2, K=4: RA1 solves the perfect-CSI dual and RA2 runs its
+# ε-continuation, three stages ending with no tie (P = D)
 MICRO_COMPARE = {
     **MICRO, "mode": "compare",
-    "compare": {"schemes": ["RA1", "RA2", "RA3", "RA4", "RA5"],
-                "ra1_regions": 64, "ra1_blocks": 2000,
-                "ra1_eval_blocks": 20000},
+    "compare": {"schemes": ["RA1", "RA2", "RA3", "RA4", "RA5"]},
 }
 
 # M=3, K=3: M·K is not a multiple of 4, so each block's counter stride is
@@ -51,15 +50,21 @@ MICRO_ONLINE = {
 
 MICRO_SWEEP = {
     **MICRO, "mode": "sweep_regions", "enum_budget": 1000000,
-    "sweep": {"regions": [2, 3, 4], "reference_regions": 64},
+    "sweep": {"regions": [2, 3, 4]},
 }
 
 GOLDEN = {
+    "compare_schemes": {
+        "compare.csv":
+            "5e6782165be7721a47f0af0c1c7b72dbf3dec6a198bc8ed894c6774288ad740c",
+        "summary.json":
+            "bed5fcb6d21c80ce7f91b733d2e0f03cedd0a1c581245b8499df164e24215275",
+    },
     "micro_compare": {
         "compare.csv":
-            "499454f9086eee013096b97eb4af495047122e83a0fac9f4abfb365ef73cf8bf",
+            "d9205d928039fcb097bec3b5ecb4946c4314f068f79de87a969bbf4d84fc99c0",
         "summary.json":
-            "dfbbd69c12a19118d976d9bacebb0b79507a3a86fabf88a34b43fac81fc55f56",
+            "f06c220da90ee2446df9430f094516aab375dddd61592de3ba3a78ca53798f4e",
     },
     "micro_online": {
         "trajectory.csv":
@@ -69,9 +74,9 @@ GOLDEN = {
     },
     "micro_sweep": {
         "sweep.csv":
-            "1d73df15ec89344aa8e94e790b153b4d79e55b3abcd32e3a585c86ad933b719e",
+            "bcde78f1c58feb198edf1d13db982c1d9e12319e1aaaa18f0b73d77f555a521f",
         "summary.json":
-            "63351684c63467aeb486c2677b7a42cc4d5a1d851c07258004ffb08433d72f5a",
+            "15dd89e09ba28d0baffa6efb2aa1da4c6803def4d3aed433f0420832aa8529de",
     },
     "overhead": {
         "summary.json":
@@ -94,6 +99,12 @@ GOLDEN = {
             "d86c12a5a7a3b7b00956a61fbedb995f0d77e9f48c9422c05dc81b9830756143",
         "summary.json":
             "b612725b2a67978839bbb8e25512ac7e419509b72aa8ba000728b04ff08bdc84",
+    },
+    "sweep_regions": {
+        "sweep.csv":
+            "a1a5376218b9759cc2240d3944694f37a835f2c0718703159373a844ed0f2a4e",
+        "summary.json":
+            "06a0f9a00ed68eaf494683cf98c58d6e58186981e6c692170f0b9a165963f905",
     },
 }
 
@@ -125,3 +136,7 @@ def test_artifacts_match_golden_hashes(tmp_path, name):
     argv = ["--config", str(_config_path(name, tmp_path)), "--out", str(out)]
     assert main(argv) == 0
     assert _artifact_hashes(out) == GOLDEN[name]
+
+
+def test_every_bundled_config_is_hashed():
+    assert {path.stem for path in CONFIGS.glob("*.json")} <= set(GOLDEN)

@@ -291,6 +291,21 @@ def test_make_model_families():
         make_model("waterfilling")
 
 
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: repr(m)[:40])
+@pytest.mark.parametrize("g", [0.05, 1.3, 9.0])
+def test_perfect_csi_scale_is_the_shrinking_region_limit(model, g):
+    # on [g, g·(1+w)], g·c → s for the c·(2^x - 1) families and
+    # g·Υ̇(0)/ln2 = g/E[g|R] → s = 1 for ergodic, the error within w
+    s = model.perfect_csi_scale()
+    for w in (1e-2, 1e-4, 1e-6):
+        ctx = RegionContext(q_lo=g, q_hi=g * (1.0 + w), mean_gain=1.3)
+        if isinstance(model, ErgodicCapacity):
+            limit = g * model.marginal_at_zero(ctx) / LN2
+        else:
+            limit = g * model.linear_coeff(ctx)
+        assert abs(limit / s - 1.0) <= w, (w, limit, s)
+
+
 def test_numeric_error_carries_residual():
     err = NumericError("boom", residual=0.5)
     assert err.residual == 0.5
