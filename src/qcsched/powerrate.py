@@ -24,8 +24,10 @@ and strictly convex in x with Υ(0) = 0:
   Υ⁻¹(y) = [S_lo·(ln(1+y·q_lo) + e^{t_lo}E1(t_lo))
             - S_hi·(ln(1+y·q_hi) + e^{t_hi}E1(t_hi))] / (Pr·ln 2)
   with S = e^{-q/ḡ}, t = (1+y·q)/(y·ḡ), stable down to y → 0. Υ̇⁻¹ is one
-  root-find on (Υ⁻¹)' for the power y* = Υ(R*), Υ one on Υ⁻¹; no outage
-  regions. Every root-find here is safeguarded Newton (``_vec_newton``).
+  root-find on (Υ⁻¹)' for the power y* = Υ(R*), Υ one on Υ⁻¹, each from a
+  bracket that Jensen's inequality gives in terms of E[g|R] and E[g²|R];
+  no outage regions. Every root-find here is safeguarded Newton
+  (``_vec_newton``).
 
 The first three families share the shape Υ(x) = c·(2^x - 1) with a per-region
 constant c, which gives closed-form marginals:
@@ -347,34 +349,43 @@ class ErgodicCapacity(PowerRate):
     # Υ⁻¹ and its derivatives in closed form --------------------------------
     def cell_data(self, ctx: RegionContext) -> tuple:
         """S_lo, S_hi, Pr, E[g|R], E[g²|R], q_lo, q_hi (0 where it is ∞, as
-        S_hi = 0 there) and ḡ: all that ``_closed_form`` reads but y."""
+        S_hi = 0 there) and ḡ, from which ``_edges`` builds what
+        ``_closed_form`` reads."""
         hi = np.where(np.isposinf(ctx.q_hi), 0.0, ctx.q_hi)
         return tuple(np.broadcast_arrays(*_truncated_exp(ctx), ctx.q_lo, hi,
                                          ctx.mean_gain))
 
-    def rate_of_power(self, ctx: RegionContext, power) -> np.ndarray:
-        return self._closed_form(self.cell_data(ctx),
-                                 _nonneg(power, "power"))[0]
+    @staticmethod
+    def _edges(data: tuple, like) -> tuple:
+        """What ``_closed_form`` reads but the power, built once per call on
+        the cells of ``cell_data`` broadcast against ``like``: (S_lo, -S_hi)
+        and (q_lo, q_hi) stacked on a leading edge axis, q/ḡ, ḡ, Pr·ln2,
+        E[g|R] and E[g²|R]."""
+        s_lo, s_hi, pr, m1, m2, lo, hi, g, _ = np.broadcast_arrays(*data, like)
+        q = np.stack([lo, hi])
+        return np.stack([s_lo, -s_hi]), q, q / g, g, pr * _LN2, m1, m2
 
-    def _closed_form(self, data: tuple, power) -> tuple:
-        """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' on ``cell_data`` from one exp12_scaled
-        call. With e = e^t·E1(t), G = e^t·E2(t), u = 1/(yḡ) and S = (S_lo,
-        -S_hi) summed over the edges, (Υ⁻¹)' = Σ S·(G + q·e/ḡ)/(Pr·ln2·y)
-        does not cancel as y → 0; e' = -G/t and G' = G - e give (Υ⁻¹)'',
-        which cancels like 1e-16/(y·E[g|R])²: below y·E[g|R] = 1e-5 it is its
-        y = 0 value -E[g²|R]/ln2, within 3e-5 relative, ample for Newton."""
-        s_lo, s_hi, pr, m1, m2, lo, hi, g, y = np.broadcast_arrays(*data,
-                                                                   power)
+    def rate_of_power(self, ctx: RegionContext, power) -> np.ndarray:
+        y = _nonneg(power, "power")
+        return self._closed_form(self._edges(self.cell_data(ctx), y), y)[0]
+
+    def _closed_form(self, edges: tuple, y) -> tuple:
+        """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' on the cells of ``_edges`` from one
+        exp12_scaled call. With e = e^t·E1(t), G = e^t·E2(t), u = 1/(yḡ) and
+        S = (S_lo, -S_hi) summed over the edges, (Υ⁻¹)' = Σ S·(G + q·e/ḡ)/
+        (Pr·ln2·y) does not cancel as y → 0; e' = -G/t and G' = G - e give
+        (Υ⁻¹)'', which cancels like 1e-16/(y·E[g|R])²: below y·E[g|R] = 1e-5
+        it is its y = 0 value -E[g²|R]/ln2, within 3e-5 relative, ample for
+        Newton."""
+        sv, q, qg, g, prl, m1, m2 = edges
         ys = np.where(y > 0.0, y, 1.0)                 # dummy where y == 0
         u = 1.0 / (ys * g)
-        q = np.stack([lo, hi])
-        t = q / g + u
+        t = qg + u
         e, big_g = exp12_scaled(t)
-        sv = np.stack([s_lo, -s_hi])
-        rate = (sv * (np.log1p(ys * q) + e)).sum(0) / (pr * _LN2)
-        deriv = (sv * (big_g + q / g * e)).sum(0) / (pr * _LN2 * ys)
+        rate = (sv * (np.log1p(ys * q) + e)).sum(0) / prl
+        deriv = (sv * (big_g + qg * e)).sum(0) / (prl * ys)
         curv = -(deriv + u * (sv * (big_g * u / t - e)).sum(0)
-                 / (pr * _LN2 * ys)) / ys
+                 / (prl * ys)) / ys
         return (np.where(y > 0.0, rate, 0.0),
                 np.where(y > 0.0, deriv, m1 / _LN2),
                 np.where(y * m1 < 1e-5, -m2 / _LN2, curv))
@@ -387,39 +398,66 @@ class ErgodicCapacity(PowerRate):
         return self._power(self.cell_data(ctx), _nonneg(rate, "rate"))
 
     def _power(self, data: tuple, rate) -> np.ndarray:
-        """Υ(rate) on ``cell_data``: one root-find on Υ⁻¹ per cell."""
-        x = np.broadcast_arrays(*data, rate)[-1]
+        """Υ(rate) on ``cell_data``: one root-find on Υ⁻¹ per cell, inside a
+        bracket. Concavity of log gives Υ⁻¹(y) ≤ log2(1 + y·m1), and
+        integrating the lower Jensen bound on (Υ⁻¹)' (see ``allocation``)
+        gives Υ⁻¹(y) ≥ ρ·log2(1 + y·m2/m1), so Υ(x) lies in
+        [(2^x - 1)/m1, (2^{x/ρ} - 1)·m1/m2]. Where 2^{x/ρ} overflows, the
+        upper end is doubled from 1 instead."""
+        edges = self._edges(data, rate)
+        m1, m2 = edges[5:]
+        x = np.broadcast_to(rate, m1.shape)
 
         def f_df(y):                           # f = 0 where x = 0: Υ(0) = 0
-            rate, deriv, _ = self._closed_form(data, y)
+            rate, deriv, _ = self._closed_form(edges, y)
             return np.where(x > 0.0, rate - x, 0.0), deriv
 
-        y = _vec_newton(f_df, 0.0, np.ones_like(x), self.root_tol,
-                        self.max_iter, "ergodic power")
+        with np.errstate(over="ignore"):
+            lo = np.expm1(_LN2 * x) / m1
+            hi = np.expm1(_LN2 * x * m2 / (m1 * m1)) * m1 / m2
+        y = _vec_newton(f_df, lo, np.where(np.isfinite(hi), hi, 1.0),
+                        self.root_tol, self.max_iter, "ergodic power")
         return np.where(x > 0.0, y, 0.0)
 
     def marginal_power(self, ctx: RegionContext, rate) -> np.ndarray:
-        return 1.0 / self._closed_form(self.cell_data(ctx),
-                                       self.power_of_rate(ctx, rate))[1]
+        y = self.power_of_rate(ctx, rate)
+        return 1.0 / self._closed_form(self._edges(self.cell_data(ctx), y),
+                                       y)[1]
 
     def allocation(self, data: tuple, slope,
                    rate_cap: float | None = None) -> tuple:
         """One root-find per active cell, for the power y* with
         (Υ⁻¹)'(y*) = 1/slope; then R* = Υ⁻¹(y*) and Υ(R*) = y*. Cells
         clipped at ``rate_cap`` get Υ(rate_cap) instead. Active cells are
-        those with slope > Υ̇(0) = ln2/E[g|R]."""
+        those with slope > Υ̇(0) = ln2/m1, where m_k = E[g^k|R].
+
+        The root-find starts inside a bracket from Jensen's inequality on
+        (Υ⁻¹)'(y) = E[g/(1 + y·g) | R]/ln2. As g ↦ g/(1 + y·g) is concave,
+        (Υ⁻¹)'(y) ≤ m1/((1 + y·m1)·ln2); as g ↦ 1/(1 + y·g) is convex under
+        the size-biased law g·dP/m1, (Υ⁻¹)'(y) ≥ m1/((1 + y·m2/m1)·ln2).
+        Setting each bound to 1/slope gives ρ·y_hi ≤ y* ≤ y_hi with
+        y_hi = slope/ln2 - 1/m1, positive on exactly the active cells, and
+        ρ = m1²/m2 ≤ 1."""
         *cells, t = np.broadcast_arrays(*data, _nonneg(slope, "slope"))
         active = t > _LN2 / cells[3]
         c = tuple(a[active] for a in cells)
         inv_t = 1.0 / t[active]
+        edges = self._edges(c, inv_t)
+        m1, m2 = edges[5:]
 
         def f_df(y):
-            _, deriv, curv = self._closed_form(c, y)
+            _, deriv, curv = self._closed_form(edges, y)
             return inv_t - deriv, -curv
 
-        y = _vec_newton(f_df, 0.0, np.ones_like(inv_t), self.root_tol,
-                        self.max_iter, "ergodic marginal inverse")
-        r = self._closed_form(c, y)[0]
+        # widened by the root-find's absolute tolerance: ρ·y_hi is tight to
+        # first order as y* → 0, where rounding in (Υ⁻¹)' can put the root
+        # just below it, and y_hi cancels just above Υ̇(0)
+        y_hi = t[active] / _LN2 - 1.0 / m1
+        lo = np.maximum(m1 * m1 / m2 * y_hi - self.root_tol, 0.0)
+        hi = np.maximum(y_hi, self.root_tol)
+        y = _vec_newton(f_df, lo, hi, self.root_tol, self.max_iter,
+                        "ergodic marginal inverse")
+        r = self._closed_form(edges, y)[0]
         capped = r > (np.inf if rate_cap is None else rate_cap)
         if capped.any():
             r[capped] = rate_cap
@@ -435,8 +473,9 @@ class ErgodicCapacity(PowerRate):
         *cells, t, r, y = np.broadcast_arrays(*data, slope, rate, power)
         live = (r > 0.0) & (r < rate_cap)
         out = np.zeros(t.shape)
-        curv = self._closed_form(tuple(a[live] for a in cells), y[live])[2]
-        out[live] = -1.0 / (t[live] ** 3 * curv)
+        y = y[live]
+        edges = self._edges(tuple(a[live] for a in cells), y)
+        out[live] = -1.0 / (t[live] ** 3 * self._closed_form(edges, y)[2])
         return out
 
 

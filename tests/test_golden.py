@@ -1,6 +1,8 @@
 """Golden-output guardrail: every artifact of a fixed set of CLI runs, hashed.
 
-The set is every bundled config and three micro configs. Each case runs
+The set is every bundled config and seven micro configs, among them an
+offline and a compare run of the ergodic-capacity and average-BER families,
+whose root-finds no bundled config reaches. Each case runs
 ``qcsched.cli.main`` in-process and compares the sha256 of every CSV it
 writes, and of ``summary.json`` with ``wall_time_s`` removed,
 against the hashes below. A refactor that claims to keep the output bits
@@ -53,6 +55,22 @@ MICRO_SWEEP = {
     "sweep": {"regions": [2, 3, 4]},
 }
 
+# the two families with root-finds in their tables: Υ̇⁻¹ and Υ by
+# safeguarded Newton over exp12_scaled (ergodic), the region constant of
+# the average BER
+ERGODIC = {"family": "ergodic_capacity", "params": {}}
+AVG_BER = {"family": "max_avg_ber",
+           "params": {"kappa1": 0.2, "kappa2": 1.5, "eps_avg": 1e-3}}
+SOLVE = {"beta": 0.1, "tol": 1e-4, "max_iters": 2000, "record_every": 5}
+MICRO_FAMILIES = {
+    "micro_ergodic_offline": {**MICRO, "mode": "offline_smooth",
+                              "power_rate": ERGODIC, "solver": SOLVE},
+    "micro_ergodic_compare": {**MICRO_COMPARE, "power_rate": ERGODIC},
+    "micro_avg_ber_offline": {**MICRO, "mode": "offline_smooth",
+                              "power_rate": AVG_BER, "solver": SOLVE},
+    "micro_avg_ber_compare": {**MICRO_COMPARE, "power_rate": AVG_BER},
+}
+
 GOLDEN = {
     "compare_schemes": {
         "compare.csv":
@@ -60,11 +78,35 @@ GOLDEN = {
         "summary.json":
             "bed5fcb6d21c80ce7f91b733d2e0f03cedd0a1c581245b8499df164e24215275",
     },
+    "micro_avg_ber_compare": {
+        "compare.csv":
+            "a53ad54ff3150044d74ac917e99997cfd40522adc0b0d9c1df4fdd5e25e0eb55",
+        "summary.json":
+            "b6e614acdd9705c3e0d6df36150b8d454338005d2e9f7038226356bbf9915944",
+    },
+    "micro_avg_ber_offline": {
+        "trajectory.csv":
+            "14a9b7b39d43d88e3afe5f4f7f560a44a5dd8d2a924bb8c29e28f4258d48ba9f",
+        "summary.json":
+            "f9ac4e90ab65bc114b355a8286690e00a51bc7032f3922eff496ed149d2aeda6",
+    },
     "micro_compare": {
         "compare.csv":
             "d9205d928039fcb097bec3b5ecb4946c4314f068f79de87a969bbf4d84fc99c0",
         "summary.json":
             "f06c220da90ee2446df9430f094516aab375dddd61592de3ba3a78ca53798f4e",
+    },
+    "micro_ergodic_compare": {
+        "compare.csv":
+            "cdb10f102626d259fbb62bd4a906609546871e2ac28833617f556fad3c499e27",
+        "summary.json":
+            "56c5f6b6338848798fc97ccdaba3e68f3a39e454546e083f17ba4b3a85732a06",
+    },
+    "micro_ergodic_offline": {
+        "trajectory.csv":
+            "8292d337504a4ccff251027149ab3ce9a7324e5f0be070e84e43464661aa6bbc",
+        "summary.json":
+            "42b63a919e76809a3cfd8ddc45041cf5ace26962f56e069ea585492d1da29539",
     },
     "micro_online": {
         "trajectory.csv":
@@ -111,7 +153,7 @@ GOLDEN = {
 
 def _config_path(name, tmp_path):
     micro = {"micro_compare": MICRO_COMPARE, "micro_online": MICRO_ONLINE,
-             "micro_sweep": MICRO_SWEEP}
+             "micro_sweep": MICRO_SWEEP, **MICRO_FAMILIES}
     if name not in micro:
         return CONFIGS / f"{name}.json"
     path = tmp_path / f"{name}.json"

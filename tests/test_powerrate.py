@@ -7,13 +7,15 @@ forms / root-finds under test.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qcsched import powerrate
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                NumericError, OutageCapacity, RegionContext,
                                delta_outage_gain, make_model, region_contexts)
 from qcsched.quantizer import build_equiprobable
-from qcsched.channel import FadingModel
+from qcsched.channel import FadingModel, snr_db_to_mean_gain
+from qcsched.solver import Problem, SolverConfig, run_offline_smooth
 
 LN2 = np.log(2.0)
 FAMILIES = [
@@ -351,6 +353,9 @@ def bisect(f, lo, hi):
        width=st.one_of(st.just(np.inf), st.floats(0.3, 3.0)),
        log_excess=st.lists(st.floats(-12.0, 2.0), min_size=4, max_size=4),
        cap=st.floats(0.05, 6.0), eps_avg=st.floats(1e-4, 0.1))
+# 1e-10 above Υ̇(0) the root sits 1.2 units of eps/m1 below ρ·y_hi
+@example(g=1.0, lo=2.0, width=np.inf, log_excess=[0.0, 0.0, 0.0, -10.0],
+         cap=1.0, eps_avg=0.0625)
 def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
                                                    cap, eps_avg):
     # One region (q_lo, q_hi in units of its mean gain), four slopes from
@@ -368,8 +373,8 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
     erg = ErgodicCapacity()
     slope = erg.marginal_at_zero(ctx) * (1.0 + 10.0 ** np.array(log_excess))
     # the marginal inverse: (Υ⁻¹)'(y*) = 1/slope, clipped at the cap
-    data = erg.cell_data(ctx)
-    y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(data, y)[1],
+    edges = erg._edges(erg.cell_data(ctx), slope)
+    y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(edges, y)[1],
                     0.0, 1.0)
     r_star = erg.rate_of_power(ctx, y_star)
     y_cap = bisect(lambda y: erg.rate_of_power(ctx, y) - cap, 0.0, 1.0)
@@ -391,6 +396,80 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
     avg = MaxAvgBer(kappa1=k1, kappa2=k2, eps_avg=eps_avg)
     assert avg.linear_coeff(RegionContext(q_lo, q_hi, g)) == close(
         (a_star - 1.0 / g) / k2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(g=st.floats(0.25, 4.0), lo=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       width=st.one_of(st.just(np.inf), st.floats(0.3, 3.0)),
+       log_excess=st.lists(st.floats(-12.0, 4.0), min_size=4, max_size=4),
+       rate=st.lists(st.floats(0.0, 12.0), min_size=4, max_size=4))
+def test_jensen_brackets_hold_the_roots(g, lo, width, log_excess, rate):
+    # With m_k = E[g^k|R] and ρ = m1²/m2, the marginal inverse's power y*
+    # lies in [ρ·y_hi, y_hi], y_hi = slope/ln2 - 1/m1, and Υ(x) in
+    # [(2^x - 1)/m1, (2^{x/ρ} - 1)·m1/m2], both checked against the
+    # bisection oracle. As y* → 0 the lower end is tight to first order, so
+    # rounding in the oracle's (Υ⁻¹)' may put y* below it, by up to 14 units
+    # of eps/m1 in 4000 draws, which is why ``allocation`` lowers that end
+    # by root_tol. Each bound is allowed the root-finds' own stopping scale,
+    # root_tol·(1 + |root|).
+    n = len(log_excess)
+    ctx = RegionContext(np.full(n, lo * g), np.full(n, (lo + width) * g),
+                        np.full(n, g))
+    erg = ErgodicCapacity()
+    data = erg.cell_data(ctx)
+    m1, m2 = data[3], data[4]
+    rho = m1 * m1 / m2
+    slack = lambda root: erg.root_tol * (1.0 + root)
+    slope = erg.marginal_at_zero(ctx) * (1.0 + 10.0 ** np.array(log_excess))
+    edges = erg._edges(data, slope)
+    y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(edges, y)[1],
+                    0.0, 1.0)
+    y_hi = slope / LN2 - 1.0 / m1
+    assert np.all(rho * y_hi <= y_star + slack(y_star))
+    assert np.all(y_star <= y_hi + slack(y_star))
+    x = np.array(rate)
+    power = bisect(lambda y: erg.rate_of_power(ctx, y) - x, 0.0, 1.0)
+    assert np.all(np.expm1(LN2 * x) / m1 <= power + slack(power))
+    assert np.all(power <= np.expm1(LN2 * x / rho) * m1 / m2 + slack(power))
+
+
+def test_power_past_the_overflow_of_its_upper_bound():
+    # on [0, ∞) ρ = 1/2, so 2^{x/ρ} overflows at x = 600 while Υ(600) ≈
+    # 2^600/ḡ does not: the upper end is doubled from 1, as with no bracket
+    erg, x = ErgodicCapacity(), 600.0
+    ctx = RegionContext(q_lo=0.0, q_hi=np.inf, mean_gain=1.3)
+    want = bisect(lambda y: erg.rate_of_power(ctx, y) - x, 0.0, 1.0)
+    assert erg.power_of_rate(ctx, x) == pytest.approx(want, rel=1e-10)
+
+
+def test_ergodic_allocation_makes_at_most_seven_exp12_calls(monkeypatch):
+    # Along offline solves on a 6 dB, M=2, K=4, L=4 grid: one call confirms
+    # the Jensen bracket's upper end, the Newton steps take four or five and
+    # one more gives the rates; doubling from 1 took 8 to 14
+    calls, per_allocation = [0], []
+    exp12, allocation = powerrate.exp12_scaled, ErgodicCapacity.allocation
+
+    def counted_exp12(t):
+        calls[0] += 1
+        return exp12(t)
+
+    def counted_allocation(self, *args):
+        before = calls[0]
+        out = allocation(self, *args)
+        per_allocation.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(powerrate, "exp12_scaled", counted_exp12)
+    monkeypatch.setattr(ErgodicCapacity, "allocation", counted_allocation)
+    mean_gain = np.full((2, 4), float(snr_db_to_mean_gain(6.0)))
+    grid = build_equiprobable(FadingModel(mean_gain, seed=1), 4)
+    for init in (0.02, 0.3, 1.0):
+        problem = Problem(grid=grid, model=ErgodicCapacity(), mu=np.ones(2),
+                          targets=np.array([2.0, 3.0]))
+        traj = run_offline_smooth(problem, SolverConfig(
+            beta=0.1, tol=1e-3, init=np.full(2, init), max_iters=100))[1]
+        assert traj.converged
+    assert per_allocation and max(per_allocation) <= 7
 
 
 @settings(max_examples=30, deadline=None)
