@@ -14,6 +14,7 @@ program over the tie instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,30 @@ class InfeasibleTargetsError(ValueError):
         self.users = users
 
 
+def check_lambda(lam, num_users: int) -> np.ndarray:
+    """λ as a float (M,) array; ValueError unless it is finite and
+    nonnegative (one test, which NaN fails too)."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (num_users,):
+        raise ValueError("lambda_r must have shape (M,)")
+    if not ((lam >= 0.0) & (lam < np.inf)).all():
+        raise ValueError("lambda_r must be finite and nonnegative")
+    return lam
+
+
+def check_weights(mu, targets, num_users: int) -> tuple:
+    """(μ, ř) as float (M,) arrays; ValueError unless μ > 0 and ř ≥ 0."""
+    mu = np.asarray(mu, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if mu.shape != (num_users,) or targets.shape != (num_users,):
+        raise ValueError("mu and targets must have shape (M,)")
+    if not (mu > 0.0).all():
+        raise ValueError("mu must be strictly positive")
+    if not (targets >= 0.0).all():
+        raise ValueError("targets must be nonnegative")
+    return mu, targets
+
+
 @dataclass(frozen=True)
 class Multipliers:
     """Rate prices λ ≥ 0, priority weights μ > 0, rate targets ř ≥ 0."""
@@ -50,18 +75,10 @@ class Multipliers:
 
     def __post_init__(self):
         lam = np.asarray(self.lambda_r, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        tgt = np.asarray(self.targets, dtype=float)
-        if not (lam.shape == mu.shape == tgt.shape) or lam.ndim != 1:
+        if lam.ndim != 1:
             raise ValueError("lambda_r, mu, targets must share shape (M,)")
-        # array methods: this runs once per online block
-        if (lam < 0).any() or not np.isfinite(lam).all():
-            raise ValueError("lambda_r must be finite and nonnegative")
-        if (mu <= 0).any():
-            raise ValueError("mu must be strictly positive")
-        if (tgt < 0).any():
-            raise ValueError("targets must be nonnegative")
-        object.__setattr__(self, "lambda_r", lam)
+        mu, tgt = check_weights(self.mu, self.targets, len(lam))
+        object.__setattr__(self, "lambda_r", check_lambda(lam, len(lam)))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "targets", tgt)
 
@@ -69,8 +86,14 @@ class Multipliers:
     def num_users(self) -> int:
         return self.lambda_r.shape[0]
 
-    def with_lambda(self, lam) -> "Multipliers":
-        return Multipliers(np.asarray(lam, dtype=float), self.mu, self.targets)
+
+class Prices(NamedTuple):
+    """λ and μ as build_tables and block_allocation read them, unchecked:
+    for callers that checked μ once and λ once per call (check_weights,
+    check_lambda), such as a Problem's evaluation or the online loop."""
+
+    lambda_r: np.ndarray
+    mu: np.ndarray
 
 
 def make_static(grid: QuantizerGrid, model: PowerRate) -> tuple:
@@ -114,20 +137,28 @@ def check_reach(p_out, sizes, targets, rate_cap: float) -> None:
             f"can draw at most {reach[s]:.6g}", users)
 
 
-def take_regions(table: np.ndarray, j0) -> np.ndarray:
-    """table[m, k, j0[..., m, k]] for an (M, K, L) table and 0-based region
-    indices j0 of shape (..., M, K); the result has j0's shape."""
-    M, K, L = table.shape
-    if np.shape(j0)[-2:] != (M, K) or np.min(j0) < 0 or np.max(j0) >= L:
+def region_index(shape: tuple, j, first: int = 0,
+                 users_first: bool = False) -> np.ndarray:
+    """Flat indices into an (M, K, L) table of the cells table[m, k, l] with
+    l = j[..., m, k] - ``first``, for region indices j (..., M, K); shaped
+    like j or, with ``users_first``, with the user axis leading (M, ..., K)
+    and laid out in that order."""
+    M, K, L = shape
+    j = np.asarray(j)
+    if j.shape[-2:] != (M, K) or j.min() < first or j.max() >= L + first:
         raise IndexError("region indices must be in range, shape (..., M, K)")
-    cell = np.arange(0, M * K * L, L).reshape(M, K)
-    return np.ravel(table).take(cell + j0)
+    cell = np.arange(-first, M * K * L - first, L).reshape(M, K)
+    if users_first:
+        j = np.moveaxis(j, -2, 0)
+        cell = cell.reshape((M,) + (1,) * (j.ndim - 2) + (K,))
+    return np.add(cell, j, order="C")
 
 
 def block_statics(static: tuple, j0) -> list:
     """The static data of each block's cells, one tuple of (M, K) arrays per
     block of the 0-based Q-CSI stack j0 (N, M, K). Gathers once for all N."""
-    return list(zip(*(take_regions(a, j0) for a in static)))
+    index = region_index(static[0].shape, j0)
+    return list(zip(*(np.ravel(a).take(index) for a in static)))
 
 
 @dataclass(frozen=True)
@@ -140,7 +171,8 @@ class RateCostTables:
     cost: np.ndarray                # μΥ(R*) - λR*
 
 
-def build_tables(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
+def build_tables(model: PowerRate, grid: QuantizerGrid,
+                 mult: Multipliers | Prices,
                  rate_cap: float = DEFAULT_RATE_CAP,
                  static: tuple | None = None) -> RateCostTables:
     """Evaluate R*, Υ(R*) and C_W on every cell of ``static`` for the given λ.
@@ -159,22 +191,34 @@ def build_tables(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     return RateCostTables(rate=rate, power=power, cost=cost)
 
 
-def gather_columns(cols0, *tables) -> tuple:
-    """Each (M, K, L) table read at every column of a channel's column space:
-    the (K, C, M) arrays table[m, k, cols0[c, m]] for 0-based columns
-    cols0 (C, M); K is whatever channels the tables hold."""
-    midx = np.arange(cols0.shape[1])
-    return tuple(t.transpose(1, 2, 0)[:, cols0, midx] for t in tables)
+def user_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, (M, J) → (M,), accumulated column after column: the
+    order in which a reduction over the columns of the column-major (J, M)
+    layout adds them, so results keep those bits. The sums are copied out,
+    so they do not keep the (M, J) running sums alive."""
+    return x.cumsum(axis=1)[:, -1].copy()
+
+
+def smooth_window(costs: np.ndarray, eps: float) -> tuple:
+    """(u, c*) over the leading (user) axis of a cost array, (M,) or
+    (M, ...): u = 1 - (C - c*)/ε on the ε-window C - c* < ε, where it is
+    positive, and 0 outside it, where it would be ≤ 0."""
+    cstar = costs.min(axis=0)
+    u = costs - cstar
+    u /= eps
+    np.subtract(1.0, u, out=u)
+    np.maximum(u, 0.0, out=u)
+    return u, cstar
 
 
 def smooth_weights(costs: np.ndarray, eps: float) -> np.ndarray:
-    """Vectorized ε-smooth sharing over the last axis of a cost array."""
-    costs = np.asarray(costs, dtype=float)
-    cstar = costs.min(axis=-1, keepdims=True)
-    diff = costs - cstar
-    raw = np.where((diff < eps) & (cstar < 0.0), (1.0 - diff / eps) ** 2, 0.0)
-    z = raw.sum(axis=-1, keepdims=True)
-    return np.divide(raw, z, out=np.zeros_like(raw), where=z > 0.0)
+    """Vectorized ε-smooth sharing over the leading (user) axis of a cost
+    array, (M,) or (M, ...): u²/Σu² (smooth_window), with an idle column
+    (c* ≥ 0) divided by Z = ∞."""
+    w, cstar = smooth_window(np.asarray(costs, dtype=float), eps)
+    w *= w
+    w /= np.where(cstar < 0.0, w.sum(axis=0), np.inf)
+    return w
 
 
 @dataclass(frozen=True)
@@ -193,39 +237,39 @@ class TieInstance:
 
 def find_tie_instances(problem, lam, tie_rtol: float = DEFAULT_TIE_RTOL):
     """Enumerate the column space of ``problem`` (a dual.Problem: its
-    ``space`` and its cell data at the classes' representative channels) at
-    λ, splitting cells into single-winner mass (accumulated into r̄_one) and
-    tie instances, one per class.
+    ``space``, its flat ``columns`` and its cell data at the classes'
+    representative channels) at λ, splitting cells into single-winner mass
+    (accumulated into r̄_one) and tie instances, one per class.
 
     Returns (instances, r_bar_one); ř_tie = ř - r̄_one feeds solve_tie_lp.
     """
-    mult = problem.multipliers(lam)
-    tables = build_tables(problem.model, problem.grid, mult, problem.rate_cap,
-                          problem.static)
-    cols0, probs, channels = problem.space
-    costs, rates, wpow = gather_columns(          # (n, C, M) each
-        cols0, tables.cost, tables.rate,
-        tables.power * mult.mu[:, None, None])
-    cstar = costs.min(axis=2)                  # (n, C)
+    prices = Prices(check_lambda(lam, problem.num_users), problem.mu)
+    tables = build_tables(problem.model, problem.grid, prices,
+                          problem.rate_cap, problem.static)
+    cols0, _, channels = problem.space
+    index, probs = problem.columns
+    costs, rates = tables.cost.take(index), tables.rate.take(index)  # (M, J)
+    wpow = (tables.power * problem.mu[:, None, None]).take(index)
+    cstar = costs.min(axis=0)                   # (J,)
     tol = tie_rtol * np.maximum(1.0, np.abs(cstar))
-    member_mask = costs <= (cstar + tol)[:, :, None]
-    n_members = member_mask.sum(axis=2)
+    member_mask = costs <= cstar + tol
+    n_members = member_mask.sum(axis=0)
     active = cstar < 0.0
     single = active & (n_members == 1)
     tied = active & (n_members > 1)
 
     # single-winner average rates (tie cells excluded by construction)
-    served = np.where(single[:, :, None] & member_mask, rates, 0.0)
-    r_bar_one = (served * probs[:, :, None]).sum(axis=(0, 1))
+    served = np.where(single & member_mask, rates, 0.0)
+    r_bar_one = user_sums(served * probs)
 
     instances = []
-    for k, c in zip(*np.nonzero(tied)):
-        members = np.flatnonzero(member_mask[k, c])
+    for j in np.flatnonzero(tied):
+        k, c = divmod(j, len(cols0))
+        members = np.flatnonzero(member_mask[:, j])
         instances.append(TieInstance(
-            prob=float(probs[k, c]), channel=int(channels[k]),
+            prob=float(probs[j]), channel=int(channels[k]),
             column=cols0[c] + 1, members=members,
-            rates=rates[k, c, members].copy(),
-            weighted_powers=wpow[k, c, members].copy()))
+            rates=rates[members, j], weighted_powers=wpow[members, j]))
     return instances, r_bar_one
 
 

@@ -14,12 +14,16 @@ Only the per-channel column space (L^M, never L^{K·M}) is ever enumerated,
 and only once per class of identical channels (quantizer.column_space):
 channels with the same ladders and mean gains give the same term, so one
 representative carries the class's summed probabilities. A Problem caches
-that column space and the family's cell data at the representatives, and
-Problem.evaluate is the one offline evaluation: it builds the tables on
-those cells, gathers the (cost, rate) columns once, and derives the value,
-the subgradient and, on request, the smooth Jacobian from them. Summations
-use numpy's pairwise reduction in a fixed order, so results are
-deterministic regardless of any outer parallelism.
+that column space, the family's cell data at the representatives and one
+flat index of the columns into tables on those cells. Problem.evaluate is
+the one offline evaluation: it builds the tables, takes the (cost, rate)
+columns once and derives the value, the subgradient and, on request, the
+smooth Jacobian from them. The user axis leads: columns are (M, J) rows,
+J = n_classes·L^M in (class, column) order, so c*, the ε-window and Z are
+M - 1 operations on contiguous rows. Sums keep a fixed order, so results
+are deterministic regardless of any outer parallelism: a user's served
+rate accumulates column after column, and the scalar cost and power sums
+run over (column, user) pairs column-major.
 
 PerfectCSI is the same evaluation when the scheduler knows the gains: no
 quantizer, no enumeration, one Gauss–Legendre integral per user and
@@ -35,15 +39,16 @@ from typing import Callable
 import numpy as np
 
 from . import quantizer as qz
-from .allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
-                        build_tables, check_reach, check_targets,
-                        gather_columns, make_static, smooth_weights,
-                        take_regions)
+from .allocator import (DEFAULT_RATE_CAP, Multipliers, Prices,
+                        RateCostTables, build_tables, check_lambda,
+                        check_reach, check_targets, check_weights, make_static,
+                        region_index, smooth_weights, smooth_window,
+                        user_sums)
 from .channel import FadingModel
 from .powerrate import _LN2, PowerRate, _vec_newton, linear_allocation
 from .quantizer import QuantizerGrid
 
-_JAC_CHUNK = 2 ** 15    # column entries (channels × columns × users) per chunk
+_JAC_CHUNK = 2 ** 15    # column entries (classes × columns × users) per chunk
 # PerfectCSI: Gauss–Legendre nodes per piece, the last piece's reach past the
 # last split in mean gains, the forward-difference step over max(1, λ_n), and
 # the root-finds' tolerance and step limit
@@ -73,8 +78,9 @@ class Problem:
     and the offline evaluator of its dual.
 
     ``fading`` is only needed by the online path (it is sampled); offline
-    evaluations work entirely from the grid's region probabilities. ``space``
-    and ``static`` are computed on first use and kept.
+    evaluations work entirely from the grid's region probabilities. μ > 0
+    and ř ≥ 0 are checked at construction. ``space``, ``static`` and
+    ``columns`` are computed on first use and kept.
     """
 
     grid: QuantizerGrid
@@ -86,11 +92,8 @@ class Problem:
     enum_budget: int = qz.DEFAULT_ENUM_BUDGET
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=float)
-        M = self.grid.num_users
-        if self.mu.shape != (M,) or self.targets.shape != (M,):
-            raise ValueError("mu and targets must have shape (M,)")
+        self.mu, self.targets = check_weights(self.mu, self.targets,
+                                              self.grid.num_users)
         self._checked = False
 
     @property
@@ -115,6 +118,17 @@ class Problem:
         return tuple(a[:, channels]
                      for a in make_static(self.grid, self.model))
 
+    @cached_property
+    def columns(self) -> tuple:
+        """(index, probs): the flat index (M, J) of every (class, column)
+        into tables on ``static``'s (M, n_classes, L) cells, in (class,
+        column) order, and the column probabilities (J,) in that order."""
+        cols0, probs, _ = self.space
+        n, L = len(probs), self.grid.regions_per_channel
+        cell = np.arange(0, self.num_users * n * L, L).reshape(-1, n, 1)
+        index = cell + cols0.T[:, None, :]                  # (M, n, C)
+        return index.reshape(self.num_users, -1), probs.ravel()
+
     def check_targets(self) -> None:
         """allocator.check_targets, once per Problem: raises
         InfeasibleTargetsError naming a user subset no allocation serves."""
@@ -129,77 +143,89 @@ class Problem:
         mode "hard" serves the cost minimizer when c* < 0 (ties broken to the
         lowest user index — the hard subgradient is set-valued at exact ties
         and this picks one selection); mode "smooth" serves the ε-smooth
-        weights. The tables are built on the representative cells only and
-        the (cost, rate) columns gathered once; the smooth Jacobian reuses
-        both, and is computed only when ``jacobian()`` is called.
+        weights. λ is checked once. Cost and rate are each taken once
+        through ``columns`` as user-major (M, J) arrays, and the weights
+        reduce over the M user rows. The summation order is part of the
+        contract: served rates accumulate column after column, and the cost
+        and power sums run over (column, user) pairs column-major, so a
+        single-class grid gives the bits of a (C, M) column-major layout.
+        The smooth Jacobian reuses tables and columns, and is computed only
+        when ``jacobian()`` is called.
         """
         if mode not in ("hard", "smooth"):
             raise ValueError("mode must be 'hard' or 'smooth'")
-        mult = self.multipliers(lam)
-        cols0, probs, _ = self.space
-        tables = build_tables(self.model, self.grid, mult, self.rate_cap,
-                              self.static)
-        cost, rate = gather_columns(                            # (n, C, M)
-            cols0, tables.cost, tables.rate)
-        wpow = cost + mult.lambda_r[None, None, :] * rate          # μΥ(R*)
+        lam = check_lambda(lam, self.num_users)
+        index, probs = self.columns
+        tables = build_tables(self.model, self.grid, Prices(lam, self.mu),
+                              self.rate_cap, self.static)
+        cost, rate = tables.cost.take(index), tables.rate.take(index)
         jacobian = None
         if mode == "smooth":
             w = smooth_weights(cost, eps)
-            jacobian = partial(self._jacobian, mult, tables, cost, rate, eps)
+            jacobian = partial(self._jacobian, lam, tables, cost, rate, eps)
         else:                                   # one-hot on the argmin
-            w = ((np.arange(mult.num_users) == cost.argmin(axis=2)[:, :, None])
-                 & (cost.min(axis=2, keepdims=True) < 0.0))
-        served_rate = np.sum(rate * w * probs[:, :, None], axis=(0, 1))
-        served_cost = float(np.sum(cost * w * probs[:, :, None]))
-        served_power = float(np.sum(wpow * w * probs[:, :, None]))
-        value = float(mult.lambda_r @ mult.targets) + served_cost
+            w = ((np.arange(len(lam))[:, None] == cost.argmin(axis=0))
+                 & (cost.min(axis=0) < 0.0))
+        served_rate = user_sums(rate * w * probs)
+        served_cost = _column_major_sum(cost * w * probs)
+        served_power = _column_major_sum((cost + lam[:, None] * rate) * w
+                                         * probs)
+        value = float(lam @ self.targets) + served_cost
         return DualEvaluation(value=value,
-                              subgradient=mult.targets - served_rate,
+                              subgradient=self.targets - served_rate,
                               per_user_avg_rate=served_rate,
                               avg_power=served_power, jacobian=jacobian)
 
-    def _jacobian(self, mult: Multipliers, tables: RateCostTables,
+    def _jacobian(self, lam: np.ndarray, tables: RateCostTables,
                   cost_all: np.ndarray, rate_all: np.ndarray,
                   eps: float) -> np.ndarray:
         """Analytic Jacobian ∂g/∂λ (M, M) of the smooth subgradient
-        g = ř - r̄, from one evaluation's tables and gathered columns.
+        g = ř - r̄, from one evaluation's tables and (M, J) columns.
 
-        By the envelope theorem ∂C_n/∂λ_n = -R*_n. Per (class, column) let
+        By the envelope theorem ∂C_n/∂λ_n = -R*_n. Per column let
         d = C - c*, s = argmin C, and on the ε-window a = (1 - d/ε)²,
         Z = Σa, w = a/Z, b = -2(1 - d/ε)/(εZ), A = Σb; then
         ∂r̄_m/∂λ_n = Σ p·[δ_mn(w_m·R'_m - b_m·r_m²) + w_m·r_m·b_n·r_n
                            - r_m·(w_m·A - b_m)·[s = n]·r_n],
-        with R' = ∂R*/∂λ from the family's ``rate_slope``, summed by einsum
-        (BLAS buffers would grow a small run's peak RSS) over chunks of at
-        most _JAC_CHUNK column entries."""
-        cols0, probs, _ = self.space
-        M, mu = mult.num_users, mult.mu[:, None, None]
-        rprime = self.model.rate_slope(self.static,
-                                       mult.lambda_r[:, None, None] / mu,
+        with R' = ∂R*/∂λ from the family's ``rate_slope``, each sum over
+        the columns accumulated in column order, over chunks of whole
+        classes of at most _JAC_CHUNK column entries."""
+        index, probs = self.columns
+        M, C = len(lam), len(self.space[0])
+        mu = self.mu[:, None, None]
+        rprime = self.model.rate_slope(self.static, lam[:, None, None] / mu,
                                        tables.rate, tables.power,
                                        self.rate_cap) / mu
-        (rp_all,) = gather_columns(cols0, rprime)
+        rp_all = rprime.take(index)
+        user = np.arange(M)[:, None]
         diag, jac = np.zeros(M), np.zeros((M, M))
-        step = max(1, _JAC_CHUNK // cols0.size)
-        for k0 in range(0, len(probs), step):
-            part = slice(k0, k0 + step)
-            cost, rate, rp = cost_all[part], rate_all[part], rp_all[part]
-            p = probs[part, :, None]
-            cstar = cost.min(axis=2, keepdims=True)
-            d = cost - cstar
-            win = (d < eps) & (cstar < 0.0)
-            u = np.where(win, 1.0 - d / eps, 0.0)
-            z = np.sum(u * u, axis=2, keepdims=True)
-            z[z == 0.0] = np.inf                    # idle columns: w = b = 0
+        step = max(1, _JAC_CHUNK // (C * M)) * C
+        for j0 in range(0, index.shape[1], step):
+            part = slice(j0, j0 + step)
+            cost, rate = cost_all[:, part], rate_all[:, part]
+            rp, p = rp_all[:, part], probs[part]
+            u, cstar = smooth_window(cost, eps)
+            # an idle column (c* ≥ 0) has Z = ∞, so w = b = 0 there
+            z = np.where(cstar < 0.0, np.sum(u * u, axis=0), np.inf)
             w, b = u * u / z, -2.0 * u / (eps * z)
             pr = p * rate
-            diag += np.sum(p * w * rp - pr * b * rate, axis=(0, 1))
-            mixed = pr * (w * b.sum(axis=2, keepdims=True) - b)
-            at_min = np.where(np.arange(M) == cost.argmin(axis=2)[:, :, None],
-                              rate, 0.0)            # [s = n]·r_n
-            jac += (np.einsum("kcm,kcn->mn", pr * w, b * rate)
-                    - np.einsum("kcm,kcn->mn", mixed, at_min))
+            diag += user_sums(p * w * rp - pr * b * rate)
+            mixed = pr * (w * b.sum(axis=0) - b)
+            at_min = np.where(user == cost.argmin(axis=0), rate, 0.0)
+            jac += _pair_sums(pr * w, b * rate) - _pair_sums(mixed, at_min)
         return -(jac + np.diag(diag))
+
+
+def _column_major_sum(x: np.ndarray) -> float:
+    """Σ of an (M, J) array over its (column, user) pairs in column-major
+    order: numpy's pairwise sum of the (J, M) layout, whose bits it keeps."""
+    return float(np.ascontiguousarray(x.T).sum())
+
+
+def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σ_j a[m, j]·b[n, j], (M, M), accumulated column after column, one
+    column n at a time (an (M, M, J) product would grow peak RSS)."""
+    return np.column_stack([user_sums(a * row) for row in b])
 
 
 @cache
@@ -254,11 +280,8 @@ class PerfectCSI:
 
     def __post_init__(self):
         self.mean_gain = np.atleast_2d(np.asarray(self.mean_gain, dtype=float))
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=float)
-        M = self.num_users
-        if self.mu.shape != (M,) or self.targets.shape != (M,):
-            raise ValueError("mu and targets must have shape (M,)")
+        self.mu, self.targets = check_weights(self.mu, self.targets,
+                                              self.num_users)
         self.columns, self.counts = np.unique(self.mean_gain.T, axis=0,
                                               return_counts=True)
 
@@ -273,10 +296,7 @@ class PerfectCSI:
 
     def evaluate(self, lam, *_) -> DualEvaluation:
         """The hard dual at λ, whatever mode and ε a Problem would take."""
-        lam = np.asarray(lam, dtype=float)
-        finite = (lam >= 0.0) & (lam < np.inf)          # False at NaN
-        if lam.shape != (self.num_users,) or not finite.all():
-            raise ValueError("lambda must be finite and nonnegative, (M,)")
+        lam = check_lambda(lam, self.num_users)
         cap, act = self.rate_cap, np.flatnonzero(lam > 0.0)
         la = lam[act]                   # a user with λ = 0 has cost 0 always
         g_on = self.model.perfect_csi_scale() * _LN2 * self.mu[act] / la
@@ -334,25 +354,29 @@ def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     return problem.evaluate(mult.lambda_r, mode, eps)
 
 
-def block_allocation(tables: RateCostTables, mult: Multipliers, qcsi,
-                     eps: float):
+def block_allocation(tables: RateCostTables, mult: Multipliers | Prices,
+                     qcsi, eps: float):
     """Smooth allocation for realized Q-CSI, 1-based: one block's (M, K)
     matrix or an (N, M, K) stack of N blocks.
 
     ``tables`` either span every region, (M, K, L), and are read at
-    ``qcsi``, or were built on one block's cells alone, (M, K).
-    Returns (served_rate (M,), weighted_power, served_cost), summed over
-    the blocks of a stack.
+    ``qcsi`` user-major, (M, K) or (M, N, K), or were built on one block's
+    cells alone, (M, K). Returns (served_rate (M,), weighted_power,
+    served_cost), summed over the blocks of a stack.
     """
-    j0 = np.asarray(qcsi, dtype=int) - 1
     cost, rate = tables.cost, tables.rate
-    if cost.shape != j0.shape:
-        cost, rate = take_regions(cost, j0), take_regions(rate, j0)
-    cost, rate = cost.swapaxes(-1, -2), rate.swapaxes(-1, -2)   # (..., K, M)
+    read = cost.shape != np.shape(qcsi)
+    if read:
+        if cost.ndim != 3:
+            raise ValueError("Q-CSI of several blocks needs (M, K, L) tables")
+        index = region_index(cost.shape, qcsi, first=1, users_first=True)
+        cost, rate = cost.take(index), rate.take(index)
+        del index                       # w can reuse its pages
     w = smooth_weights(cost, eps)
-    served_rate = (rate * w).sum(axis=-2)
-    if served_rate.ndim == 2:                     # (N, M): sum the blocks
-        served_rate = served_rate.sum(axis=0)
-    served_cost = float((cost * w).sum())
+    # products overwrite arrays read here, so a stack makes no batch-sized
+    # temporary beyond the index, cost, rate and w
+    served_cost = float(np.multiply(cost, w, out=cost if read else None).sum())
+    w *= rate
+    served_rate = w.reshape(len(w), -1).sum(axis=1)
     weighted_power = served_cost + float(mult.lambda_r @ served_rate)
     return served_rate, weighted_power, served_cost

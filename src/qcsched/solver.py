@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import block_statics, build_tables, make_static
+from .allocator import (Prices, block_statics, build_tables, check_lambda,
+                        make_static)
 from .channel import sample_gain_blocks
 from .dual import Problem, block_allocation
 from .quantizer import quantize
@@ -265,9 +266,10 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     Needs problem.fading; never enumerates the column space. The Q-CSI does
     not depend on λ, so it is sampled and quantized ONLINE_CHUNK blocks at a
     time, with each block's static data gathered once per chunk; a block
-    then evaluates R*, Υ(R*) and C_W on its own M×K cells only. The fading
-    model's seed is the only seed of the block stream, so runs on the same
-    Problem are bitwise reproducible.
+    then evaluates R*, Υ(R*) and C_W on its own M×K cells only. λ is checked
+    once, at the start: each projected step keeps it finite and nonnegative.
+    The fading model's seed is the only seed of the block stream, so runs on
+    the same Problem are bitwise reproducible.
     """
     if problem.fading is None:
         raise ValueError("online iteration requires problem.fading")
@@ -275,7 +277,7 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
         raise ValueError("num_blocks must be >= 1")
     problem.check_targets()
     M = problem.num_users
-    lam = _init_lambda(cfg, M)
+    lam = check_lambda(_init_lambda(cfg, M), M)     # steps keep it so
     static = make_static(problem.grid, problem.model)
     rec = _Recorder(cfg.record_every)
     lam_trace = np.empty((num_blocks, M))
@@ -290,10 +292,11 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
         cells = block_statics(static, jmats - 1)
         for n, jmat, block in zip(range(first, first + count), jmats, cells):
             lam_trace[n] = lam
-            mult = problem.multipliers(lam)
-            tables = build_tables(problem.model, problem.grid, mult,
+            prices = Prices(lam, problem.mu)
+            tables = build_tables(problem.model, problem.grid, prices,
                                   problem.rate_cap, block)
-            served, wpower, _ = block_allocation(tables, mult, jmat, cfg.eps)
+            served, wpower, _ = block_allocation(tables, prices, jmat,
+                                                 cfg.eps)
             g = problem.targets - served
             csum_rate += served
             csum_power += wpower

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qcsched.allocator import (DEFAULT_RATE_CAP, DEFAULT_TIE_RTOL,
-                               RateCostTables, build_tables, smooth_weights)
+                               Multipliers, RateCostTables, build_tables,
+                               smooth_weights)
 from qcsched.dual import block_allocation, exact_dual
 from qcsched.quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                                QuantizerGrid, region_prob_table)
@@ -191,6 +192,97 @@ def per_channel_dual(model, grid: QuantizerGrid, mult, mode: str,
                       per_user_avg_rate=rate, avg_power=power)
 
 
+# --- the column-major layout ----------------------------------------------------
+
+def gather_columns(cols0, *tables) -> tuple:
+    """Each (M, K, L) table read at every column of a channel's column space:
+    the (K, C, M) arrays table[m, k, cols0[c, m]] for 0-based columns
+    cols0 (C, M); K is whatever channels the tables hold."""
+    midx = np.arange(cols0.shape[1])
+    return tuple(t.transpose(1, 2, 0)[:, cols0, midx] for t in tables)
+
+
+def last_axis_weights(costs: np.ndarray, eps: float) -> np.ndarray:
+    """The ε-smooth weights over the last (user) axis of a cost array."""
+    cstar = costs.min(axis=-1, keepdims=True)
+    diff = costs - cstar
+    raw = np.where((diff < eps) & (cstar < 0.0), (1.0 - diff / eps) ** 2, 0.0)
+    z = raw.sum(axis=-1, keepdims=True)
+    return np.divide(raw, z, out=np.zeros_like(raw), where=z > 0.0)
+
+
+def column_major_dual(problem, lam, mode: str, eps: float) -> tuple:
+    """Problem.evaluate on (n_classes, C, M) columns, users on the last
+    axis, with numpy's reductions over that layout: (OracleDual, the smooth
+    Jacobian or None). On a single-class grid its sums run in the order
+    Problem.evaluate keeps."""
+    mult = Multipliers(np.asarray(lam, dtype=float), problem.mu,
+                       problem.targets)
+    cols0, probs, _ = problem.space
+    tables = build_tables(problem.model, problem.grid, mult,
+                          problem.rate_cap, problem.static)
+    cost, rate = gather_columns(cols0, tables.cost, tables.rate)
+    wpow = cost + mult.lambda_r[None, None, :] * rate
+    jac = None
+    if mode == "smooth":
+        w = last_axis_weights(cost, eps)
+        jac = _column_major_jacobian(problem, mult, tables, cost, rate, eps)
+    else:
+        w = ((np.arange(mult.num_users) == cost.argmin(axis=2)[:, :, None])
+             & (cost.min(axis=2, keepdims=True) < 0.0))
+    p = probs[:, :, None]
+    rate_served = np.sum(rate * w * p, axis=(0, 1))
+    return OracleDual(
+        value=float(mult.lambda_r @ mult.targets) + float(np.sum(cost * w * p)),
+        subgradient=mult.targets - rate_served,
+        per_user_avg_rate=rate_served,
+        avg_power=float(np.sum(wpow * w * p))), jac
+
+
+def _column_major_jacobian(problem, mult, tables, cost, rate, eps):
+    """∂g/∂λ on the (n, C, M) columns, by the formula of
+    Problem._jacobian, each column sum by einsum over the whole space."""
+    cols0, probs, _ = problem.space
+    M, mu = mult.num_users, mult.mu[:, None, None]
+    rprime = problem.model.rate_slope(problem.static,
+                                      mult.lambda_r[:, None, None] / mu,
+                                      tables.rate, tables.power,
+                                      problem.rate_cap) / mu
+    (rp,) = gather_columns(cols0, rprime)
+    p = probs[:, :, None]
+    cstar = cost.min(axis=2, keepdims=True)
+    d = cost - cstar
+    u = np.where((d < eps) & (cstar < 0.0), 1.0 - d / eps, 0.0)
+    z = np.sum(u * u, axis=2, keepdims=True)
+    z[z == 0.0] = np.inf
+    w, b = u * u / z, -2.0 * u / (eps * z)
+    pr = p * rate
+    diag = np.sum(p * w * rp - pr * b * rate, axis=(0, 1))
+    mixed = pr * (w * b.sum(axis=2, keepdims=True) - b)
+    at_min = np.where(np.arange(M) == cost.argmin(axis=2)[:, :, None],
+                      rate, 0.0)
+    jac = (np.einsum("kcm,kcn->mn", pr * w, b * rate)
+           - np.einsum("kcm,kcn->mn", mixed, at_min))
+    return -(jac + np.diag(diag))
+
+
+def column_major_block(tables: RateCostTables, mult, qcsi, eps: float):
+    """block_allocation on one block's (K, M) columns, users on the last
+    axis: (served_rate, weighted_power, served_cost)."""
+    j0 = np.asarray(qcsi, dtype=int) - 1
+    cost, rate = tables.cost, tables.rate
+    if cost.shape != j0.shape:
+        M, K = j0.shape
+        cost = cost[np.arange(M)[:, None], np.arange(K), j0]
+        rate = rate[np.arange(M)[:, None], np.arange(K), j0]
+    cost, rate = cost.T, rate.T
+    w = last_axis_weights(cost, eps)
+    served_rate = (rate * w).sum(axis=0)
+    served_cost = float((cost * w).sum())
+    return (served_rate, served_cost + float(mult.lambda_r @ served_rate),
+            served_cost)
+
+
 # --- test-only surfaces ---------------------------------------------------------
 
 def jacobian_check(model, grid: QuantizerGrid, mult, eps: float = 0.05,
@@ -211,8 +303,8 @@ def jacobian_check(model, grid: QuantizerGrid, mult, eps: float = 0.05,
         for sgn in (1.0, -1.0):
             lam = lam0.copy()
             lam[j] += sgn * h[j]
-            ev = exact_dual(model, grid, mult.with_lambda(np.maximum(lam, 0.0)),
-                            "smooth", eps, rate_cap)
+            step = Multipliers(np.maximum(lam, 0.0), mult.mu, mult.targets)
+            ev = exact_dual(model, grid, step, "smooth", eps, rate_cap)
             J[:, j] += sgn * ev.subgradient / (2.0 * h[j])
     sym = 0.5 * (J + J.T)
     eig = np.linalg.eigvalsh(sym)

@@ -53,14 +53,6 @@ def test_multipliers_validation():
         Multipliers(np.array([np.inf]), np.array([1.0]), np.array([1.0]))
 
 
-def test_multipliers_with_lambda():
-    m0 = mult([0.3, 0.4])
-    m1 = m0.with_lambda([0.5, 0.6])
-    np.testing.assert_array_equal(m1.lambda_r, [0.5, 0.6])
-    assert m1.mu is m0.mu
-    np.testing.assert_array_equal(m0.lambda_r, [0.3, 0.4])
-
-
 # --- the polymatroid check of the targets --------------------------------------
 
 def tc1_grid():
@@ -295,9 +287,9 @@ def test_smooth_weights_singleton_and_idle():
 def test_smooth_weights_batched_shape():
     costs = np.array([[[-1.0, -0.99], [0.1, 0.2]],
                       [[-0.5, -0.5], [-2.0, -0.1]]])
-    w = smooth_weights(costs, 0.05)
+    w = smooth_weights(costs, 0.05)             # users lead: (M, ...)
     assert w.shape == costs.shape
-    sums = w.sum(axis=-1)
+    sums = w.sum(axis=0)
     assert set(np.round(sums.ravel(), 12)) <= {0.0, 1.0}
 
 

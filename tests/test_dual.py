@@ -23,8 +23,8 @@ from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
                                build_equiprobable, build_random,
                                channel_classes, quantize)
 
-from oracles import (jacobian_check, per_channel_dual, per_channel_space,
-                     perfect_csi_quad,
+from oracles import (column_major_block, column_major_dual, jacobian_check,
+                     per_channel_dual, per_channel_space, perfect_csi_quad,
                      stochastic_subgradient)
 
 LN2 = np.log(2.0)
@@ -40,7 +40,7 @@ def small_instance(L=4):
 
 def test_zero_lambda_both_modes():
     _, grid, mult = small_instance()
-    m0 = mult.with_lambda([0.0, 0.0])
+    m0 = Multipliers([0.0, 0.0], mult.mu, mult.targets)
     for mode in ("hard", "smooth"):
         ev = exact_dual(MODEL, grid, m0, mode)
         assert ev.value == 0.0
@@ -70,7 +70,8 @@ def test_value_identity(mode):
     _, grid, mult = small_instance()
     rng = np.random.default_rng(0)
     for _ in range(20):
-        m = mult.with_lambda(rng.uniform(0.0, 3.0, size=2))
+        m = Multipliers(rng.uniform(0.0, 3.0, size=2), mult.mu,
+                        mult.targets)
         ev = exact_dual(MODEL, grid, m, mode)
         rhs = ev.avg_power + m.lambda_r @ ev.subgradient
         assert ev.value == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -82,7 +83,8 @@ def test_smoothing_bound_random_lambdas():
     rng = np.random.default_rng(7)
     eps = 0.05
     for _ in range(25):
-        m = mult.with_lambda(rng.uniform(0.0, 3.0, size=2))
+        m = Multipliers(rng.uniform(0.0, 3.0, size=2), mult.mu,
+                        mult.targets)
         hard = exact_dual(MODEL, grid, m, "hard", eps)
         smooth = exact_dual(MODEL, grid, m, "smooth", eps)
         assert hard.value <= smooth.value + 1e-12
@@ -102,14 +104,17 @@ def test_smooth_equals_hard_when_sets_singleton():
 def test_hard_dual_concavity_probe():
     _, grid, mult = small_instance()
     rng = np.random.default_rng(21)
+
+    def hard(lam):
+        return exact_dual(MODEL, grid, Multipliers(lam, mult.mu, mult.targets),
+                          "hard").value
+
     for _ in range(20):
         l1 = rng.uniform(0.0, 3.0, size=2)
         l2 = rng.uniform(0.0, 3.0, size=2)
         t = float(rng.uniform())
-        dmid = exact_dual(MODEL, grid, mult.with_lambda(t * l1 + (1 - t) * l2),
-                          "hard").value
-        d1 = exact_dual(MODEL, grid, mult.with_lambda(l1), "hard").value
-        d2 = exact_dual(MODEL, grid, mult.with_lambda(l2), "hard").value
+        dmid = hard(t * l1 + (1 - t) * l2)
+        d1, d2 = hard(l1), hard(l2)
         assert dmid >= t * d1 + (1 - t) * d2 - 1e-9
 
 
@@ -121,7 +126,8 @@ def test_smooth_subgradient_coordinate_monotone():
         for lam_m in np.linspace(0.0, 3.0, 31):
             lam = mult.lambda_r.copy()
             lam[m] = lam_m
-            g = exact_dual(MODEL, grid, mult.with_lambda(lam), "smooth")
+            g = exact_dual(MODEL, grid,
+                           Multipliers(lam, mult.mu, mult.targets), "smooth")
             assert g.subgradient[m] <= prev + 1e-12
             prev = g.subgradient[m]
 
@@ -132,6 +138,27 @@ def test_exact_dual_validation():
         exact_dual(MODEL, grid, mult, "soft")
     with pytest.raises(EnumerationBudgetError):
         exact_dual(MODEL, grid, mult, "smooth", budget=3)
+
+
+@pytest.mark.parametrize("mu, targets", [([1.0, 0.0], [0.5, 0.7]),
+                                         ([1.0, -1.0], [0.5, 0.7]),
+                                         ([1.0, 1.0], [0.5, -0.1]),
+                                         ([1.0, np.nan], [0.5, 0.7]),
+                                         ([1.0], [0.5, 0.7])])
+def test_problem_checks_weights_at_construction(mu, targets):
+    _, grid, _ = small_instance()
+    with pytest.raises(ValueError):
+        Problem(grid, MODEL, mu, targets)
+
+
+@pytest.mark.parametrize("lam", [[-0.1, 1.0], [np.nan, 1.0], [np.inf, 1.0],
+                                 [1.0]])
+def test_problem_evaluate_rejects_bad_multipliers(lam):
+    _, grid, mult = small_instance()
+    problem = Problem(grid, MODEL, mult.mu, mult.targets)
+    for mode in ("smooth", "hard"):
+        with pytest.raises(ValueError, match="lambda"):
+            problem.evaluate(np.array(lam), mode)
 
 
 def test_block_allocation_by_hand():
@@ -153,6 +180,22 @@ def test_block_allocation_by_hand():
     np.testing.assert_allclose(served, exp_rate, atol=1e-15)
     assert scost == pytest.approx(exp_cost, abs=1e-15)
     assert wpower == pytest.approx(exp_pow, abs=1e-12)
+
+
+def test_block_allocation_one_block_matches_the_column_major_oracle():
+    # one block, read from (M, K, L) tables or from its own (M, K) tables,
+    # gives the bits of the (K, M) layout with users on the last axis
+    fading, grid, mult = small_instance()
+    tables = build_tables(MODEL, grid, mult)
+    qcsi = quantize(grid, sample_gain_blocks(fading, 0, 50))
+    cells = block_statics(make_static(grid, MODEL), qcsi - 1)
+    for n in range(50):
+        for block_tables in (tables, build_tables(MODEL, grid, mult,
+                                                  static=cells[n])):
+            got = block_allocation(block_tables, mult, qcsi[n], eps=0.05)
+            want = column_major_block(block_tables, mult, qcsi[n], 0.05)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1:] == want[1:]
 
 
 def test_block_allocation_stack_sums_its_blocks():
@@ -221,7 +264,8 @@ def test_jacobian_negative_definite_interior():
 
 def test_jacobian_flat_at_zero_lambda():
     _, grid, mult = small_instance()
-    J, rep = jacobian_check(MODEL, grid, mult.with_lambda([0.0, 0.0]))
+    J, rep = jacobian_check(MODEL, grid,
+                            Multipliers([0.0, 0.0], mult.mu, mult.targets))
     assert np.abs(J).max() < 1e-9
     assert not rep["negative_definite"]
 
@@ -231,7 +275,8 @@ def test_jacobian_entries_bounded_on_grid():
     caps = []
     for l0 in np.linspace(0.3, 3.0, 4):
         for l1 in np.linspace(0.3, 3.0, 4):
-            _, rep = jacobian_check(MODEL, grid, mult.with_lambda([l0, l1]))
+            _, rep = jacobian_check(
+                MODEL, grid, Multipliers([l0, l1], mult.mu, mult.targets))
             caps.append(rep["max_abs_entry"])
     assert max(caps) < 1e3
 
@@ -387,6 +432,44 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
     lp_mult = Multipliers(mult.lambda_r, mult.mu, reach)
     _agree(solve_tie_lp(lp_mult, ties, one).objective,
            solve_tie_lp(lp_mult, ties_k, one_k).objective, 1e-12)
+
+
+# --- the user-major layout against the column-major oracle -----------------------
+
+def _same_bits(got, want):
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_instances())
+@example(CANCELLING)
+def test_evaluate_matches_the_column_major_oracle(instance):
+    # a single-class grid keeps every bit of the (n, C, M) layout; with
+    # several classes the column sums run in another order and agree to
+    # rounding, at the scales of the per-channel test above. The oracle's
+    # einsum may unroll its sums, so the Jacobian agrees to rounding at the
+    # scale of its summed terms p·r²·b, |b| <= 2/eps
+    model, grid, mult, eps, rate_cap = instance
+    problem = Problem(grid, model, mult.mu, mult.targets, rate_cap=rate_cap)
+    single = len(problem.space[1]) == 1
+    vscale = float(mult.lambda_r @ mult.targets)
+    tscale = float(np.max(mult.targets))
+    rmax = float(build_tables(model, grid, mult, rate_cap).rate.max())
+    for mode in ("hard", "smooth"):
+        got = problem.evaluate(mult.lambda_r, mode, eps)
+        want, jac = column_major_dual(problem, mult.lambda_r, mode, eps)
+        pairs = [(got.value, want.value, vscale),
+                 (got.per_user_avg_rate, want.per_user_avg_rate, 0.0),
+                 (got.subgradient, want.subgradient, tscale),
+                 (got.avg_power, want.avg_power, 0.0)]
+        for a, b, scale in pairs:
+            if single:
+                _same_bits(a, b)
+            else:
+                _agree(a, b, 1e-13, scale)
+        if mode == "smooth":
+            _agree(got.jacobian(), jac, 1e-12,
+                   grid.num_channels * rmax ** 2 * 2.0 / eps)
 
 
 # --- perfect CSI ---------------------------------------------------------------------

@@ -74,15 +74,15 @@ MICRO_FAMILIES = {
 GOLDEN = {
     "compare_schemes": {
         "compare.csv":
-            "5e6782165be7721a47f0af0c1c7b72dbf3dec6a198bc8ed894c6774288ad740c",
+            "13d57617249b0c20684c92a571dd896433083b17806a88542678ada3aa829806",
         "summary.json":
-            "bed5fcb6d21c80ce7f91b733d2e0f03cedd0a1c581245b8499df164e24215275",
+            "ab239502f04a9fab882c0ad748f9e5c6533ab5b72426915effc531286d40e29f",
     },
     "micro_avg_ber_compare": {
         "compare.csv":
-            "a53ad54ff3150044d74ac917e99997cfd40522adc0b0d9c1df4fdd5e25e0eb55",
+            "78169dc89e90bdc8f5b7f8785113a457a10bce5557061e7aa01870734c1ac6e7",
         "summary.json":
-            "b6e614acdd9705c3e0d6df36150b8d454338005d2e9f7038226356bbf9915944",
+            "5019f3b8d39bcc7c954a66163553b66a5f6222df4c26aa3b5132ad43e3b350d2",
     },
     "micro_avg_ber_offline": {
         "trajectory.csv":
@@ -92,15 +92,15 @@ GOLDEN = {
     },
     "micro_compare": {
         "compare.csv":
-            "d9205d928039fcb097bec3b5ecb4946c4314f068f79de87a969bbf4d84fc99c0",
+            "346a9da4dcf3c22a30ccf6de91c77ce21f9aee519bac5e8ea25598903e6ae4f9",
         "summary.json":
-            "f06c220da90ee2446df9430f094516aab375dddd61592de3ba3a78ca53798f4e",
+            "d01261f572ed8fdba4f1f75259f887c3fe2ce5d42c7c8d2d7dd20615f37bd382",
     },
     "micro_ergodic_compare": {
         "compare.csv":
-            "cdb10f102626d259fbb62bd4a906609546871e2ac28833617f556fad3c499e27",
+            "7846595d4e97d202b237545047f189dd7535d58de99ae2c9d39efceb2de19b22",
         "summary.json":
-            "56c5f6b6338848798fc97ccdaba3e68f3a39e454546e083f17ba4b3a85732a06",
+            "5ceb6e0bab0fb2c7d9d654a3728144abbf8e7d8e7f9d7200bc710231980e638a",
     },
     "micro_ergodic_offline": {
         "trajectory.csv":
