@@ -20,7 +20,8 @@ rates and reports average weighted power:
 * RA4 — the ε-smooth policy on a random quantizer (uninformed thresholds).
 * RA5 — fixed scheduling heuristic: user m owns channels k ≡ m (mod M),
   transmits at constant power in non-outage regions (on/off power), rate
-  adapting per region; the power level is root-found to meet the rate target.
+  adapting per region; the power level is root-found to meet the rate target,
+  else, beyond what its channels carry at ``rate_cap``, is the saturation one.
 
 No row hard-codes ``converged``: it comes from the row's Newton solves (RA1,
 RA3, RA4), RA2's certificate, or RA5's served rates against ``tol``.
@@ -29,7 +30,7 @@ RA3, RA4), RA2's certificate, or RA5's served rates against ``tol``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +39,7 @@ from .allocator import (DEFAULT_FEAS_TOL, DEFAULT_RATE_CAP, Multipliers,
                         build_tables, find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
 from .dual import PerfectCSI, block_allocation
-from .powerrate import (NumericError, PowerRate, RegionContext,
-                        region_contexts)
+from .powerrate import PowerRate, RegionContext, region_contexts
 from .quantizer import QuantizerGrid, build_equiprobable, build_random, quantize
 from .solver import Problem, SolverConfig, run_offline_newton
 
@@ -110,10 +110,39 @@ def _solver_cfg(setup: CompareSetup, **over) -> SolverConfig:
     return SolverConfig(**kw)
 
 
-def _problem(setup: CompareSetup, grid: QuantizerGrid) -> Problem:
+def row_problem(setup: CompareSetup, scheme: str,
+                grid: QuantizerGrid | None = None) -> Problem | PerfectCSI:
+    """What the ``scheme`` row solves at ``setup``: RA1 the perfect-CSI dual
+    (dual.PerfectCSI); RA4 a Problem on the random ladder over [0,
+    ra4_range_scale·max ḡ) drawn from ra4_seed; RA2, RA3 and RA5 a Problem on
+    ``grid``, by default the equiprobable one on ``setup.regions``. RA5
+    solves no dual on its Problem; its check_targets is the scheduler's
+    feasibility bound, as for RA2 and RA3."""
+    if scheme == "RA1":
+        return PerfectCSI(setup.fading.mean_gain, setup.model, setup.mu,
+                          setup.targets, setup.rate_cap)
+    if grid is None and scheme == "RA4":
+        hi = setup.ra4_range_scale * float(setup.fading.mean_gain.max())
+        grid = build_random(setup.fading, setup.regions, (0.0, hi),
+                            setup.ra4_seed)
+    elif grid is None:
+        grid = build_equiprobable(setup.fading, setup.regions)
     return Problem(grid=grid, model=setup.model, mu=setup.mu,
                    targets=setup.targets, fading=setup.fading,
                    rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
+
+
+def run_problems(setup: CompareSetup, schemes=(), regions_list=()):
+    """The row problems (row_problem) of compare_schemes(setup, schemes),
+    then of sweep_regions(setup, regions_list): RA3 at each L, then RA1.
+    They are built one at a time, in row order. Neither harness function
+    calls this: each solve checks its own problem's targets first."""
+    for name in schemes:
+        yield row_problem(setup, name)
+    for L in regions_list:
+        yield row_problem(replace(setup, regions=int(L)), "RA3")
+    if len(regions_list):
+        yield row_problem(setup, "RA1")
 
 
 def _newton_row(scheme: str, problem, cfg: SolverConfig) -> dict:
@@ -157,16 +186,13 @@ def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
 
 def ra3_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     """Smooth policy on the configured (default equiprobable) quantizer."""
-    if grid is None:
-        grid = build_equiprobable(setup.fading, setup.regions)
-    return _newton_row("RA3", _problem(setup, grid), _solver_cfg(setup))
+    return _newton_row("RA3", row_problem(setup, "RA3", grid),
+                       _solver_cfg(setup))
 
 
 def ra4_point(setup: CompareSetup) -> dict:
     """Smooth policy on a random quantizer over a configured gain range."""
-    hi = setup.ra4_range_scale * float(setup.fading.mean_gain.max())
-    grid = build_random(setup.fading, setup.regions, (0.0, hi), setup.ra4_seed)
-    return _newton_row("RA4", _problem(setup, grid), _solver_cfg(setup))
+    return _newton_row("RA4", row_problem(setup, "RA4"), _solver_cfg(setup))
 
 
 def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
@@ -181,9 +207,7 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     ``dual_bound`` and the last ``eps``, and converges once P - D ≤ λ·tol. A
     stage whose Newton fails ends the run unconverged, at its smooth point.
     """
-    if grid is None:
-        grid = build_equiprobable(setup.fading, setup.regions)
-    problem = _problem(setup, grid)
+    problem = row_problem(setup, "RA2", grid)
     eps, lam = setup.eps, setup.init
     stage_tol = np.minimum(setup.tol, _TIGHT_TOL)
     while True:
@@ -211,9 +235,12 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
 
 
 def ra5_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
-    """Round-robin fixed scheduling with on/off constant power per user."""
-    if grid is None:
-        grid = build_equiprobable(setup.fading, setup.regions)
+    """Round-robin fixed scheduling with on/off constant power per user.
+
+    A user whose own channels cannot carry its target even at ``rate_cap``
+    gets the saturation power, the largest Υ(rate_cap) over its live
+    regions (or 0), and the row is unconverged at the rates served there."""
+    grid = row_problem(setup, "RA5", grid).grid
     M, K = grid.num_users, grid.num_channels
     ctx = region_contexts(grid)
     probs = qz.region_prob_table(grid)                  # (M, K, L)
@@ -221,6 +248,7 @@ def ra5_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     power = 0.0
     rates = np.zeros(M)
     levels = np.zeros(M)
+    saturated = False
     for m in range(M):
         own = np.arange(K) % M == m
         pr = probs[m, own]                              # (Km, L)
@@ -234,14 +262,14 @@ def ra5_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
             return float((pr * r * live).sum())
 
         target = float(setup.targets[m])
-        if target > 0:
+        if target > float((pr * setup.rate_cap * live).sum()):
+            cap_power = setup.model.power_of_rate(sub, setup.rate_cap)
+            levels[m] = np.max(cap_power[live], initial=0.0)
+            saturated = True
+        elif target > 0:
             hi = 1.0
-            for _ in range(200):
-                if served(hi) >= target:
-                    break
+            while served(hi) < target:
                 hi *= 2.0
-            else:
-                raise NumericError("RA5 cannot meet the rate target", target)
             lo = 0.0
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
@@ -256,7 +284,7 @@ def ra5_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
         power += float(setup.mu[m]) * levels[m] * float((pr * live).sum())
     met = np.all(np.abs(rates - setup.targets) < setup.tol)
     return {"scheme": "RA5", "avg_power": power, "avg_rates": rates,
-            "converged": bool(met), "power_levels": levels,
+            "converged": bool(met) and not saturated, "power_levels": levels,
             "method": "heuristic"}
 
 
@@ -264,10 +292,8 @@ def ra1_point(setup: CompareSetup) -> dict:
     """Perfect CSI: dual.PerfectCSI solved by damped Newton to _TIGHT_TOL.
     ``dual_bound`` is the hard dual there, avg_power + λ·(targets -
     avg_rates), which differs from avg_power by that λ·subgradient only."""
-    problem = PerfectCSI(setup.fading.mean_gain, setup.model, setup.mu,
-                         setup.targets, setup.rate_cap)
     cfg = _solver_cfg(setup, tol=np.minimum(setup.tol, _TIGHT_TOL))
-    row = _newton_row("RA1", problem, cfg)
+    row = _newton_row("RA1", row_problem(setup, "RA1"), cfg)
     row["dual_bound"] = row["avg_power"] + float(
         row["lambda"] @ (setup.targets - row["avg_rates"]))
     row["method"] = "perfect_csi"
@@ -308,8 +334,8 @@ def sweep_regions(setup: CompareSetup, regions_list,
     """
     if reference_regions not in (None, math.inf):
         raise ValueError("reference_regions is math.inf (perfect CSI) or None")
-    rows = [{**ra3_point(setup, build_equiprobable(setup.fading, int(L))),
-             "regions": int(L)} for L in regions_list]
+    rows = [{**ra3_point(replace(setup, regions=int(L))), "regions": int(L)}
+            for L in regions_list]
     if reference_regions is not None:
         rows.append({**ra1_point(setup), "regions": math.inf})
     for row in rows:

@@ -48,12 +48,16 @@ columns are running sample means); compare adds `compare.csv`
 (`scheme,snr_db,avg_power_db,avg_rate_1..M`); sweep_regions adds `sweep.csv`.
 CSV bytes are identical across reruns of the same config + fading seed.
 
+``power_rate.params`` are the family's physical ones only (the root-find
+tolerance and step budget are ``powerrate`` constants).
+
 Exit codes: 0 ok; 2 config/schema error, or targets that no allocation can
-meet, named by a violated user subset (nothing written); 3 solver did not
-converge (artifacts still written); 4 numeric failure (a root-find, the
-enumeration budget, a tie LP or floating point), printed and written to
-summary.json as ``mode``, ``converged: false`` and ``error``, plus the
-``residual`` of a failed root-find.
+meet on some row problem of some SNR point (analysis.run_problems), named by
+a violated user subset (nothing written); 3 solver did not converge, or RA5
+cannot serve a target (artifacts still written); 4 numeric failure (a
+root-find, the enumeration budget, a tie LP or floating point), printed and
+written to summary.json as ``mode``, ``converged: false`` and ``error``,
+plus the ``residual`` of a failed root-find.
 """
 
 from __future__ import annotations
@@ -68,24 +72,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocator import DEFAULT_RATE_CAP, TieInfeasibleError, check_targets
-from .analysis import CompareSetup, compare_schemes, feedback_bits, \
-    power_db, sweep_regions
+from .allocator import DEFAULT_RATE_CAP, TieInfeasibleError
+from .analysis import (CompareSetup, compare_schemes, feedback_bits,
+                       power_db, run_problems, sweep_regions)
 from .channel import FadingModel, snr_db_to_mean_gain
 from .powerrate import NumericError, make_model
 from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                         QuantizerGrid, build_equiprobable, build_random)
 from .simplex import LPInfeasibleError, LPUnboundedError
 from .solver import (Problem, SolverConfig, multiplier_settled,
-                     run_offline_nonsmooth, run_offline_smooth, run_online)
+                     run_offline_nonsmooth, run_offline_smooth, run_online,
+                     write_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_NUMERIC = 4
 
-MODES = ("offline_smooth", "offline_nonsmooth", "online", "compare",
-         "sweep_regions", "overhead")
+SOLVER_MODES = ("offline_smooth", "offline_nonsmooth", "online")
+MODES = (*SOLVER_MODES, "compare", "sweep_regions", "overhead")
 SCHEMES = ("RA1", "RA2", "RA3", "RA4", "RA5")
 
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
@@ -236,10 +241,6 @@ def resolve_config(raw: dict) -> dict:
     params = pr.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("power_rate.params: expected an object")
-    try:
-        make_model(family, **params)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"power_rate: {exc}") from None
 
     targets = _num_list(_need(raw, "targets", "config"), "targets",
                         length=M, lo=0.0)
@@ -263,11 +264,6 @@ def resolve_config(raw: dict) -> dict:
             rsv[key] = _num_list(v, where, length=M, lo=lo)
         else:
             rsv[key] = _number(v, where, lo=lo, integer=integer)
-    try:
-        SolverConfig(**{**rsv, "init": np.asarray(rsv["init"]),
-                        "tol": np.asarray(rsv["tol"])})
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from None
 
     resolved = {"mode": mode, "out_dir": out_dir, "fading": rfad,
                 "quantizer": rq,
@@ -319,8 +315,7 @@ def resolve_config(raw: dict) -> dict:
 
 # --- builders ----------------------------------------------------------------
 
-def _build_fading(rc: dict) -> FadingModel:
-    fad = rc["fading"]
+def _build_fading(fad: dict) -> FadingModel:
     M, K = fad["num_users"], fad["num_channels"]
     if "mean_gain" in fad:
         mg = np.asarray(fad["mean_gain"], dtype=float)
@@ -352,54 +347,59 @@ def _build_grid(rc: dict, fading: FadingModel) -> QuantizerGrid:
         raise ConfigError(f"quantizer.thresholds: {exc}") from None
 
 
-def _build_problem(rc: dict):
-    fading = _build_fading(rc)
-    grid = _build_grid(rc, fading)
-    model = make_model(rc["power_rate"]["family"], **rc["power_rate"]["params"])
-    if grid.num_users != fading.num_users:
-        raise ConfigError("quantizer.thresholds: user count mismatch")
-    problem = Problem(grid=grid, model=model,
-                      mu=np.asarray(rc["mu"], dtype=float),
-                      targets=np.asarray(rc["targets"], dtype=float),
-                      fading=fading, rate_cap=rc["rate_cap"],
-                      enum_budget=rc["enum_budget"])
-    return problem
-
-
-def _solver_config(rc: dict, log_every: int | None) -> SolverConfig:
+def _build_run(rc: dict, log_every: int | None):
+    """Build the run once and check its targets on what was built: returns
+    the SolverConfig and the Problem (solver modes), one (snr_db,
+    CompareSetup) per SNR point, each compare.snr_db entry else the fading
+    SNR or NaN, with every row problem checked (row modes), or None."""
+    family, params = rc["power_rate"]["family"], rc["power_rate"]["params"]
+    try:
+        model = make_model(family, **params)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"power_rate: {exc}") from None
     sv = dict(rc["solver"])
     if log_every:
         sv["record_every"] = log_every
     sv["init"] = np.asarray(sv["init"], dtype=float)
     sv["tol"] = np.asarray(sv["tol"], dtype=float)
-    return SolverConfig(**sv)
+    try:
+        cfg = SolverConfig(**sv)
+    except ValueError as exc:
+        raise ConfigError(f"solver: {exc}") from None
 
+    mode, fad = rc["mode"], rc["fading"]
+    if mode == "overhead":
+        return cfg, None
+    mu = np.asarray(rc["mu"], dtype=float)
+    targets = np.asarray(rc["targets"], dtype=float)
+    if mode in SOLVER_MODES:
+        fading = _build_fading(fad)
+        problem = Problem(grid=_build_grid(rc, fading), model=model, mu=mu,
+                          targets=targets, fading=fading,
+                          rate_cap=rc["rate_cap"],
+                          enum_budget=rc["enum_budget"])
+        problem.check_targets()
+        return cfg, problem
 
-def _compare_setup(rc: dict, fading: FadingModel) -> CompareSetup:
-    sv = _solver_config(rc, None)
     knobs = rc.get("compare", {})
-    return CompareSetup(
-        fading=fading, regions=rc["quantizer"]["regions"],
-        model=make_model(rc["power_rate"]["family"],
-                         **rc["power_rate"]["params"]),
-        mu=np.asarray(rc["mu"], dtype=float),
-        targets=np.asarray(rc["targets"], dtype=float), eps=sv.eps,
+    if "snr_db" in knobs:
+        points = [(snr, {**fad, "snr_db": snr}) for snr in knobs["snr_db"]]
+    else:
+        snr = fad.get("snr_db")
+        points = [(float(snr) if isinstance(snr, (int, float)) else math.nan,
+                   fad)]
+    setups = [(snr, CompareSetup(
+        fading=_build_fading(f), regions=rc["quantizer"]["regions"],
+        model=model, mu=mu, targets=targets, eps=cfg.eps,
         rate_cap=rc["rate_cap"], enum_budget=rc["enum_budget"],
-        beta=sv.beta, tol=sv.tol, max_iters=sv.max_iters, init=sv.init,
-        **{k: v for k, v in knobs.items() if k in _RA_KNOBS})
-
-
-def _check_targets(rc: dict) -> None:
-    """Build what the mode solves and check its targets on every grid it
-    solves on (the configured one, or each swept L): InfeasibleTargetsError
-    names a user subset no allocation can serve."""
-    if rc["mode"] in ("offline_smooth", "offline_nonsmooth", "online"):
-        _build_problem(rc).check_targets()
-    elif rc["mode"] in ("compare", "sweep_regions"):
-        setup = _compare_setup(rc, _build_fading(rc))
-        for L in rc.get("sweep", {}).get("regions", [setup.regions]):
-            check_targets(build_equiprobable(setup.fading, L), setup.model,
-                          setup.targets, setup.rate_cap)
+        beta=cfg.beta, tol=cfg.tol, max_iters=cfg.max_iters, init=cfg.init,
+        **{k: v for k, v in knobs.items() if k in _RA_KNOBS}))
+        for snr, f in points]
+    for _, setup in setups:
+        for problem in run_problems(setup, knobs.get("schemes", ()),
+                                    rc.get("sweep", {}).get("regions", ())):
+            problem.check_targets()
+    return cfg, setups
 
 
 # --- output helpers ----------------------------------------------------------
@@ -425,21 +425,6 @@ def _write_summary(outdir: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_rows_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            out = []
-            for v in row:
-                if isinstance(v, str):
-                    out.append(v)
-                elif isinstance(v, (int, np.integer)):
-                    out.append(str(int(v)))
-                else:
-                    out.append(repr(float(v)))
-            fh.write(",".join(out) + "\n")
-
-
 # --- mode runners ------------------------------------------------------------
 
 def _progress_printer(log_every: int | None, label: str):
@@ -454,9 +439,8 @@ def _progress_printer(log_every: int | None, label: str):
     return progress
 
 
-def _run_solver_mode(rc: dict, outdir: Path, log_every: int | None) -> int:
-    problem = _build_problem(rc)
-    cfg = _solver_config(rc, log_every)
+def _run_solver_mode(rc: dict, problem: Problem, cfg: SolverConfig,
+                     outdir: Path, log_every: int | None) -> int:
     mode = rc["mode"]
     t0 = time.perf_counter()
     if mode == "offline_smooth":
@@ -496,50 +480,35 @@ def _run_solver_mode(rc: dict, outdir: Path, log_every: int | None) -> int:
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
-def _run_rows(rc: dict, outdir: Path, csv_name: str, lead: list,
-              solve) -> int:
-    """Row modes (compare, sweep_regions): ``solve(setup, snr_db)`` returns
-    rows at each SNR point (the compare.snr_db list, else the fading SNR or
-    NaN); writes ``csv_name`` (the ``lead`` row keys, avg_power_db,
-    avg_rate_1..M) and summary.json, and returns the exit code."""
-    points = rc.get("compare", {}).get("snr_db")
+def _run_rows(rc: dict, setups: list, outdir: Path) -> int:
+    """Row modes: compare_schemes or sweep_regions at each (snr_db,
+    CompareSetup) point; writes compare.csv (scheme, snr_db) or sweep.csv
+    (regions), then avg_power_db and avg_rate_1..M, and summary.json, and
+    returns the exit code."""
     t0 = time.perf_counter()
     rows = []
-    if points is None:
-        fad = rc["fading"].get("snr_db")
-        snr = float(fad) if isinstance(fad, (int, float)) else math.nan
-        rows += solve(_compare_setup(rc, _build_fading(rc)), snr)
-    else:
-        for snr in points:
-            sub = {**rc, "fading": {**rc["fading"], "snr_db": snr}}
-            rows += solve(_compare_setup(sub, _build_fading(sub)), snr)
+    for snr, setup in setups:
+        if rc["mode"] == "compare":
+            rows += compare_schemes(setup, rc["compare"]["schemes"],
+                                    snr_db=snr)
+        else:
+            rows += sweep_regions(setup, rc["sweep"]["regions"], snr_db=snr)
     wall = time.perf_counter() - t0
 
+    csv_name, lead = (("compare.csv", ["scheme", "snr_db"])
+                      if rc["mode"] == "compare" else ("sweep.csv", ["regions"]))
     M = rc["fading"]["num_users"]
     header = [*lead, "avg_power_db"] + [f"avg_rate_{m+1}" for m in range(M)]
     csv_rows = [[*(r[k] for k in lead), r["power_db"],
                  *np.asarray(r["avg_rates"], dtype=float)] for r in rows]
-    _write_rows_csv(outdir / csv_name, header, csv_rows)
+    with open(outdir / csv_name, "w", newline="\n") as fh:
+        write_csv(fh, header, csv_rows)
     converged = all(r["converged"] for r in rows)
     _write_summary(outdir, {
         "mode": rc["mode"], "converged": converged,
         "rows": [{k: v for k, v in r.items() if k != "lambda"} for r in rows],
         "wall_time_s": wall})
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
-
-
-def _run_compare(rc: dict, outdir: Path) -> int:
-    schemes = rc["compare"]["schemes"]
-    return _run_rows(rc, outdir, "compare.csv", ["scheme", "snr_db"],
-                     lambda setup, snr: compare_schemes(setup, schemes,
-                                                        snr_db=snr))
-
-
-def _run_sweep(rc: dict, outdir: Path) -> int:
-    regions = rc["sweep"]["regions"]
-    return _run_rows(rc, outdir, "sweep.csv", ["regions"],
-                     lambda setup, snr: sweep_regions(setup, regions,
-                                                      snr_db=snr))
 
 
 def _run_overhead(rc: dict, outdir: Path) -> int:
@@ -591,9 +560,9 @@ def main(argv=None) -> int:
             rc["fading"]["seed"] = args.seed
         if args.log_every is not None and args.log_every < 1:
             raise ConfigError("--log-every must be >= 1")
-        # build once so value errors (bad thresholds, shapes, targets no
-        # allocation can meet) surface before any artifact is written
-        _check_targets(rc)
+        # value errors (bad thresholds, shapes, targets no allocation can
+        # meet) surface here, before any artifact is written
+        cfg, work = _build_run(rc, args.log_every)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -606,13 +575,11 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     try:
-        if rc["mode"] in ("offline_smooth", "offline_nonsmooth", "online"):
-            return _run_solver_mode(rc, outdir, args.log_every)
-        if rc["mode"] == "compare":
-            return _run_compare(rc, outdir)
-        if rc["mode"] == "sweep_regions":
-            return _run_sweep(rc, outdir)
-        return _run_overhead(rc, outdir)
+        if rc["mode"] in SOLVER_MODES:
+            return _run_solver_mode(rc, work, cfg, outdir, args.log_every)
+        if rc["mode"] == "overhead":
+            return _run_overhead(rc, outdir)
+        return _run_rows(rc, work, outdir)
     except (NumericError, EnumerationBudgetError, LPInfeasibleError,
             LPUnboundedError, TieInfeasibleError, FloatingPointError) as exc:
         failure = {"mode": rc["mode"], "converged": False, "error": str(exc)}

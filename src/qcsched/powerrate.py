@@ -54,6 +54,11 @@ from .quantizer import QuantizerGrid
 from .special import exp12_scaled
 
 _LN2 = float(np.log(2.0))
+# every family root-find (``_vec_newton``) stops each element once its step
+# or bracket is within ROOT_TOL·(1 + |x|), and gives up after ROOT_MAX_ITER
+# safeguarded steps; both are read at call time
+ROOT_TOL = 1e-12
+ROOT_MAX_ITER = 256
 
 
 class NumericError(Exception):
@@ -303,16 +308,12 @@ class MaxAvgBer(PowerRate):
     kappa1: float
     kappa2: float
     eps_avg: float
-    root_tol: float = 1e-12
-    max_iter: int = 256             # safeguarded Newton steps per root-find
 
     def __post_init__(self):
         if self.kappa1 <= 0 or self.kappa2 <= 0:
             raise ValueError("kappa1 and kappa2 must be positive")
         if not (0.0 < self.eps_avg < self.kappa1):
             raise ValueError("eps_avg must lie in (0, kappa1)")
-        if self.root_tol <= 0 or self.max_iter <= 0:
-            raise ValueError("tolerances must be positive")
 
     def perfect_csi_scale(self) -> float:
         # a region of zero width averages nothing: the instantaneous BER's s
@@ -330,7 +331,7 @@ class MaxAvgBer(PowerRate):
             return target - h, (lo * e_lo - hi_fin * e_hi + h) / a
 
         # root of h(a) = target lies in (1/ḡ, ∞) because h(1/ḡ) = ḡ·Pr > target
-        a = _vec_newton(f_df, 1.0 / g, 2.0 / g, self.root_tol, self.max_iter,
+        a = _vec_newton(f_df, 1.0 / g, 2.0 / g, ROOT_TOL, ROOT_MAX_ITER,
                         "average-BER region constant")
         return (a - 1.0 / g) / self.kappa2
 
@@ -338,13 +339,6 @@ class MaxAvgBer(PowerRate):
 @dataclass(frozen=True)
 class ErgodicCapacity(PowerRate):
     """Conditional-ergodic-capacity family (closed-form Υ⁻¹, numeric Υ)."""
-
-    root_tol: float = 1e-12
-    max_iter: int = 256             # safeguarded Newton steps per root-find
-
-    def __post_init__(self):
-        if self.root_tol <= 0 or self.max_iter <= 0:
-            raise ValueError("tolerances must be positive")
 
     # Υ⁻¹ and its derivatives in closed form --------------------------------
     def cell_data(self, ctx: RegionContext) -> tuple:
@@ -376,19 +370,24 @@ class ErgodicCapacity(PowerRate):
         (Pr·ln2·y) does not cancel as y → 0; e' = -G/t and G' = G - e give
         (Υ⁻¹)'', which cancels like 1e-16/(y·E[g|R])²: below y·E[g|R] = 1e-5
         it is its y = 0 value -E[g²|R]/ln2, within 3e-5 relative, ample for
-        Newton."""
+        Newton; its last division skips y there, where the cancellation
+        noise over y² can overflow. Below y·E[g|R] = 1e-300, where u
+        overflows for subnormal y, Υ⁻¹ and (Υ⁻¹)' are their first-order
+        limits y·E[g|R]/ln2 and E[g|R]/ln2."""
         sv, q, qg, g, prl, m1, m2 = edges
-        ys = np.where(y > 0.0, y, 1.0)                 # dummy where y == 0
+        ym1 = y * m1
+        tiny, small = ym1 < 1e-300, ym1 < 1e-5
+        ys = np.where(tiny, 1.0, y)                    # dummy where tiny
         u = 1.0 / (ys * g)
         t = qg + u
         e, big_g = exp12_scaled(t)
         rate = (sv * (np.log1p(ys * q) + e)).sum(0) / prl
         deriv = (sv * (big_g + qg * e)).sum(0) / (prl * ys)
         curv = -(deriv + u * (sv * (big_g * u / t - e)).sum(0)
-                 / (prl * ys)) / ys
-        return (np.where(y > 0.0, rate, 0.0),
-                np.where(y > 0.0, deriv, m1 / _LN2),
-                np.where(y * m1 < 1e-5, -m2 / _LN2, curv))
+                 / (prl * ys)) / np.where(small, 1.0, ys)
+        return (np.where(tiny, ym1 / _LN2, rate),
+                np.where(tiny, m1 / _LN2, deriv),
+                np.where(small, -m2 / _LN2, curv))
 
     def marginal_at_zero(self, ctx: RegionContext) -> np.ndarray:
         return _LN2 / _truncated_exp(ctx)[3]
@@ -416,7 +415,7 @@ class ErgodicCapacity(PowerRate):
             lo = np.expm1(_LN2 * x) / m1
             hi = np.expm1(_LN2 * x * m2 / (m1 * m1)) * m1 / m2
         y = _vec_newton(f_df, lo, np.where(np.isfinite(hi), hi, 1.0),
-                        self.root_tol, self.max_iter, "ergodic power")
+                        ROOT_TOL, ROOT_MAX_ITER, "ergodic power")
         return np.where(x > 0.0, y, 0.0)
 
     def marginal_power(self, ctx: RegionContext, rate) -> np.ndarray:
@@ -453,9 +452,9 @@ class ErgodicCapacity(PowerRate):
         # first order as y* → 0, where rounding in (Υ⁻¹)' can put the root
         # just below it, and y_hi cancels just above Υ̇(0)
         y_hi = t[active] / _LN2 - 1.0 / m1
-        lo = np.maximum(m1 * m1 / m2 * y_hi - self.root_tol, 0.0)
-        hi = np.maximum(y_hi, self.root_tol)
-        y = _vec_newton(f_df, lo, hi, self.root_tol, self.max_iter,
+        lo = np.maximum(m1 * m1 / m2 * y_hi - ROOT_TOL, 0.0)
+        hi = np.maximum(y_hi, ROOT_TOL)
+        y = _vec_newton(f_df, lo, hi, ROOT_TOL, ROOT_MAX_ITER,
                         "ergodic marginal inverse")
         r = self._closed_form(edges, y)[0]
         capped = r > (np.inf if rate_cap is None else rate_cap)

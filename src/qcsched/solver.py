@@ -75,22 +75,28 @@ class Trajectory:
     converged: bool = False
 
     def write_csv(self, fh) -> None:
-        """CSV rows `iter,lambda_*,subgrad_*,rate_*,power` with repr floats
-        (shortest round-trip form, '.' decimal, LF endings)."""
+        """CSV rows `iter,lambda_*,subgrad_*,rate_*,power` (write_csv)."""
         M = self.lam.shape[1]
         cols = (["iter"]
                 + [f"lambda_{m+1}" for m in range(M)]
                 + [f"subgrad_{m+1}" for m in range(M)]
                 + [f"rate_{m+1}" for m in range(M)]
                 + ["power"])
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(self.iters)):
-            row = [str(int(self.iters[i]))]
-            row += [repr(float(v)) for v in self.lam[i]]
-            row += [repr(float(v)) for v in self.subgrad[i]]
-            row += [repr(float(v)) for v in self.rates[i]]
-            row.append(repr(float(self.power[i])))
-            fh.write(",".join(row) + "\n")
+        write_csv(fh, cols, ([i, *lam, *sg, *r, p] for i, lam, sg, r, p in
+                             zip(self.iters, self.lam, self.subgrad,
+                                 self.rates, self.power)))
+
+
+def write_csv(fh, header, rows) -> None:
+    """One CSV line per row after the header, each ended by LF: strings as
+    they are, integers by str and every other value as the repr of its
+    float (shortest round-trip form, '.' decimal)."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(
+            v if isinstance(v, str) else str(int(v))
+            if isinstance(v, (int, np.integer)) else repr(float(v))
+            for v in row) + "\n")
 
 
 class _Recorder:

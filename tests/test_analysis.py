@@ -240,6 +240,22 @@ def test_ra5_zero_target_user_stays_silent():
     assert row["avg_rates"][0] == 0.0
 
 
+def test_ra5_reports_what_a_saturated_user_is_served():
+    # with K = M = 2 user 1 owns channel 1 alone and can carry at most
+    # rate_cap·Pr{not outage} = 12·3/4 = 9: it transmits at the saturation
+    # power, the largest Υ(rate_cap) over its live regions, and the row is
+    # unconverged instead of raising; user 2 keeps its bisection
+    fading = FadingModel(np.full((2, 2), snr_db_to_mean_gain(6.0)), seed=0)
+    setup = micro_setup(fading=fading, targets=np.array([12.0, 0.5]))
+    row = ra5_point(setup)
+    assert row["converged"] is False
+    floor = build_equiprobable(fading, 4).thresholds[0, 0, 1]
+    assert row["power_levels"][0] == pytest.approx((2.0 ** 12 - 1) / floor,
+                                                   rel=1e-12)
+    assert row["avg_rates"][0] == pytest.approx(9.0, rel=1e-12)
+    assert abs(row["avg_rates"][1] - 0.5) < setup.tol
+
+
 def test_ra2_within_smoothing_bound_of_ra3():
     setup = micro_setup()
     ra3 = ra3_point(setup)

@@ -2,14 +2,18 @@
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qcsched
-from qcsched import analysis
+from qcsched import analysis, cli, dual, powerrate
 from qcsched.allocator import TieInfeasibleError
+from qcsched.channel import snr_db_to_mean_gain
 from qcsched.cli import main
+from qcsched.quantizer import build_equiprobable
 
 OK, CONFIG, NOT_CONVERGED, NUMERIC = 0, 2, 3, 4
 CONFIGS = Path(qcsched.__file__).parent / "configs"
@@ -79,6 +83,9 @@ def test_malformed_json(tmp_path, capsys):
     (lambda c: c["fading"].update(tap_powers=[1.0, 0.5]), "unknown keys"),
     (lambda c: c["power_rate"]["params"].update(root_tol=1e-10),
      "power_rate"),
+    (lambda c: c.update(power_rate={"family": "ergodic_capacity",
+                                    "params": {"max_iter": 2}}),
+     "power_rate: ErgodicCapacity"),
     (lambda c: c.update(mode="compare", compare={"beta_backoffs": 6}),
      "unknown keys ['beta_backoffs']"),
     (lambda c: c.update(mode="compare", compare={"ra2_refine_iters": 10}),
@@ -304,18 +311,20 @@ def test_infeasible_targets_exit2_naming_the_subset(tmp_path, capsys):
     assert rc == CONFIG and "users [1]" in capsys.readouterr().err
 
 
-def test_unconverged_root_find_exit4_prints_its_residual(tmp_path, capsys):
-    cfg = tiny(power_rate={"family": "ergodic_capacity",
-                           "params": {"max_iter": 2}})
+def test_unconverged_root_find_exit4_prints_its_residual(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(powerrate, "ROOT_MAX_ITER", 2)
+    cfg = tiny(power_rate={"family": "ergodic_capacity"})
     rc, out = run(tmp_path, cfg)
     assert rc == NUMERIC
     err = capsys.readouterr().err
     assert "did not converge" in err and "residual" in err
 
 
-def test_unconverged_root_find_exit4_writes_its_residual(tmp_path, capsys):
-    cfg = tiny(power_rate={"family": "ergodic_capacity",
-                           "params": {"max_iter": 2}})
+def test_unconverged_root_find_exit4_writes_its_residual(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(powerrate, "ROOT_MAX_ITER", 2)
+    cfg = tiny(power_rate={"family": "ergodic_capacity"})
     rc, out = run(tmp_path, cfg)
     assert rc == NUMERIC
     summary = json.loads((out / "summary.json").read_text())
@@ -480,3 +489,105 @@ def test_sweep_mode_power_decreases_in_regions(tmp_path):
     power_db = [float(line.split(",")[1]) for line in lines[1:]]
     assert regions == [2, 4, math.inf]
     assert power_db[0] > power_db[1] > power_db[2]
+
+
+# --- one build per run, checked before anything runs -----------------------------
+
+@pytest.mark.parametrize("extra", [(), ("--dry-run",)])
+def test_targets_only_ra4_cannot_reach_exit2_before_anything_runs(
+        tmp_path, capsys, extra):
+    # RA3's equiprobable grid lets user 1 draw up to 36, RA4's random ladder
+    # at most 28.23: the RA4 row problem fails the check, so nothing runs
+    cfg = compare_cfg(targets=[30.0, 1.0], compare={"schemes": ["RA3", "RA4"]})
+    cfg["fading"]["seed"] = 0
+    rc, out = run(tmp_path, cfg, *extra)
+    assert rc == CONFIG
+    captured = capsys.readouterr()
+    assert "users [1]" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def _spy(calls, fn, name):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+EQUI = {"type": "equiprobable", "regions": 4}
+
+
+@pytest.mark.parametrize("mode, quantizer, section, builder", [
+    ("offline_smooth", EQUI, {}, "build_equiprobable"),
+    ("offline_nonsmooth", {"type": "random", "regions": 4,
+                           "gain_range": [0.0, 3.0], "seed": 0}, {},
+     "build_random"),
+    ("online", {"type": "explicit",
+                "thresholds": [[[0.0, 1.0, "inf"]] * 2] * 2},
+     {"online": {"num_blocks": 20}}, "QuantizerGrid"),
+    ("compare", EQUI, {"compare": {"schemes": ["RA3"], "snr_db": [4.0, 8.0]}},
+     None),
+    ("sweep_regions", EQUI, {"sweep": {"regions": [2, 4]}}, None),
+])
+def test_a_run_builds_its_model_and_grid_once(tmp_path, monkeypatch, mode,
+                                              quantizer, section, builder):
+    # row modes build their grids in the harness, once per row problem
+    calls = Counter()
+    for name in ("make_model", "build_equiprobable", "build_random",
+                 "QuantizerGrid"):
+        monkeypatch.setattr(cli, name, _spy(calls, getattr(cli, name), name))
+    cfg = tiny(mode, quantizer=quantizer, **section)
+    cfg["fading"] = {"num_users": 2, "num_channels": 2, "snr_db": 6.0}
+    cfg["solver"]["max_iters"] = 5
+    rc, _ = run(tmp_path, cfg)
+    assert rc in (OK, NOT_CONVERGED)
+    assert calls == Counter({"make_model": 1, **({builder: 1} if builder
+                                                  else {})})
+
+
+def test_the_check_sees_every_row_problem_of_every_snr_point_first(
+        tmp_path, monkeypatch):
+    events = []
+
+    def spy_check(cls):
+        check = cls.check_targets
+
+        def spied(self):
+            if isinstance(self, dual.PerfectCSI):
+                kind, gains = "RA1", self.mean_gain
+            else:
+                equi = build_equiprobable(self.fading, 4).thresholds
+                kind = ("RA3" if np.array_equal(self.grid.thresholds, equi)
+                        else "RA4")
+                gains = self.grid.mean_gain
+            events.append((kind, float(gains.max())))
+            return check(self)
+        monkeypatch.setattr(cls, "check_targets", spied)
+
+    spy_check(dual.Problem)
+    spy_check(dual.PerfectCSI)
+    solve = analysis.run_offline_newton
+    monkeypatch.setattr(analysis, "run_offline_newton",
+                        lambda *args: (events.append("solve"), solve(*args))[1])
+    cfg = compare_cfg(compare={"schemes": ["RA1", "RA3", "RA4"],
+                               "snr_db": [4.0, 8.0]})
+    rc, _ = run(tmp_path, cfg)
+    assert rc == OK
+    checked = events[:events.index("solve")]
+    assert [kind for kind, _ in checked] == ["RA1", "RA3", "RA4"] * 2
+    assert [g for _, g in checked] == pytest.approx(
+        [snr_db_to_mean_gain(snr) for snr in (4.0, 8.0) for _ in range(3)])
+
+
+def test_ra5_short_of_its_target_exits3_with_every_row(tmp_path):
+    # under RA5 user 1 owns channel 1 alone and can carry at most
+    # rate_cap·Pr{not outage} = 12·3/4 = 9 < 12; RA3 also uses channel 2
+    cfg = compare_cfg(targets=[12.0, 0.5])
+    cfg["fading"]["num_channels"] = 2
+    rc, out = run(tmp_path, cfg)
+    assert rc == NOT_CONVERGED
+    lines = (out / "compare.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["RA3", "RA5"]
+    ra3, ra5 = json.loads((out / "summary.json").read_text())["rows"]
+    assert ra3["converged"] and not ra5["converged"]
+    assert ra5["avg_rates"][0] == pytest.approx(9.0)

@@ -385,9 +385,19 @@ CANCELLING = (
     0.05, 3.0)
 
 
+def _twin_tie(model):
+    """Three identical channels, two twin users at λ = (1, 1), ř = 0: the
+    tie LP's objective is 1.8e-7 against λ·r̄_one = 3.4e-3."""
+    thr = np.array([[[0.0, 4.20426909, np.inf]] * 3] * 2)
+    return (model, QuantizerGrid(thr, np.full((2, 3), 0.5)),
+            Multipliers(np.ones(2), np.ones(2), np.zeros(2)), 0.05, 3.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(class_instances())
 @example(CANCELLING)
+@example(_twin_tie(FAMILIES["outage"]))
+@example(_twin_tie(FAMILIES["inst_ber"]))
 def test_channel_classes_match_the_per_channel_oracle(instance):
     model, grid, mult, eps, rate_cap = instance
     K, tscale = grid.num_channels, float(np.max(mult.targets))
@@ -430,8 +440,11 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
                          / len(t.members) for t in ties_k),
                         np.zeros(grid.num_users))
     lp_mult = Multipliers(mult.lambda_r, mult.mu, reach)
+    # the LP's residual targets are reach - one, so an ulp of r̄_one moves
+    # the objective by λ·ulp: it is compared at the scale of λ·r̄_one
     _agree(solve_tie_lp(lp_mult, ties, one).objective,
-           solve_tie_lp(lp_mult, ties_k, one_k).objective, 1e-12)
+           solve_tie_lp(lp_mult, ties_k, one_k).objective, 1e-12,
+           float(mult.lambda_r @ one))
 
 
 # --- the user-major layout against the column-major oracle -----------------------

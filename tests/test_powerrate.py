@@ -124,8 +124,6 @@ def test_family_param_validation():
         MaxInstBer(kappa1=0.2, kappa2=-1.0, eps_max=0.01)
     with pytest.raises(ValueError):
         MaxAvgBer(kappa1=0.2, kappa2=1.0, eps_avg=0.0)
-    with pytest.raises(ValueError):
-        ErgodicCapacity(root_tol=0.0)
 
 
 # --- average BER: quadrature oracle ----------------------------------------------
@@ -313,13 +311,14 @@ def test_numeric_error_carries_residual():
     assert err.residual == 0.5
 
 
-def test_unconverged_root_find_raises_with_its_residual():
+def test_unconverged_root_find_raises_with_its_residual(monkeypatch):
+    monkeypatch.setattr(powerrate, "ROOT_MAX_ITER", 3)
     ctx = RegionContext(q_lo=np.array([0.0, 0.4]), q_hi=np.array([0.4, 2.0]),
                         mean_gain=1.3)
     for call in (
-            lambda: MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01,
-                              max_iter=3).linear_coeff(ctx),
-            lambda: ErgodicCapacity(max_iter=3).inv_marginal_power(ctx, 5.0)):
+            lambda: MaxAvgBer(kappa1=0.2, kappa2=1.5,
+                              eps_avg=0.01).linear_coeff(ctx),
+            lambda: ErgodicCapacity().inv_marginal_power(ctx, 5.0)):
         with pytest.raises(NumericError, match="did not converge") as info:
             call()
         assert np.isfinite(info.value.residual) and info.value.residual > 0
@@ -356,12 +355,13 @@ def bisect(f, lo, hi):
 # 1e-10 above Υ̇(0) the root sits 1.2 units of eps/m1 below ρ·y_hi
 @example(g=1.0, lo=2.0, width=np.inf, log_excess=[0.0, 0.0, 0.0, -10.0],
          cap=1.0, eps_avg=0.0625)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
                                                    cap, eps_avg):
     # One region (q_lo, q_hi in units of its mean gain), four slopes from
     # 1e-12 to 100 relative above Υ̇(0), and a rate cap. Agreement is to
     # 1e-10 relative, with pytest's 1e-12 absolute floor, the scale at which
-    # the root-finds themselves stop (root_tol·(1 + |root|)). Regions narrower
+    # the root-finds themselves stop (ROOT_TOL·(1 + |root|)). Regions narrower
     # than 0.3·ḡ are left out: the two edges of the closed form of (Υ⁻¹)'
     # cancel there, and near Υ̇(0), where the root is ill-conditioned, that
     # rounding alone moves it by up to 2.4e-12 (at 0.1·ḡ, from q_lo = 0)
@@ -403,6 +403,7 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
        width=st.one_of(st.just(np.inf), st.floats(0.3, 3.0)),
        log_excess=st.lists(st.floats(-12.0, 4.0), min_size=4, max_size=4),
        rate=st.lists(st.floats(0.0, 12.0), min_size=4, max_size=4))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_jensen_brackets_hold_the_roots(g, lo, width, log_excess, rate):
     # With m_k = E[g^k|R] and ρ = m1²/m2, the marginal inverse's power y*
     # lies in [ρ·y_hi, y_hi], y_hi = slope/ln2 - 1/m1, and Υ(x) in
@@ -410,8 +411,8 @@ def test_jensen_brackets_hold_the_roots(g, lo, width, log_excess, rate):
     # bisection oracle. As y* → 0 the lower end is tight to first order, so
     # rounding in the oracle's (Υ⁻¹)' may put y* below it, by up to 14 units
     # of eps/m1 in 4000 draws, which is why ``allocation`` lowers that end
-    # by root_tol. Each bound is allowed the root-finds' own stopping scale,
-    # root_tol·(1 + |root|).
+    # by ROOT_TOL. Each bound is allowed the root-finds' own stopping scale,
+    # ROOT_TOL·(1 + |root|).
     n = len(log_excess)
     ctx = RegionContext(np.full(n, lo * g), np.full(n, (lo + width) * g),
                         np.full(n, g))
@@ -419,7 +420,7 @@ def test_jensen_brackets_hold_the_roots(g, lo, width, log_excess, rate):
     data = erg.cell_data(ctx)
     m1, m2 = data[3], data[4]
     rho = m1 * m1 / m2
-    slack = lambda root: erg.root_tol * (1.0 + root)
+    slack = lambda root: powerrate.ROOT_TOL * (1.0 + root)
     slope = erg.marginal_at_zero(ctx) * (1.0 + 10.0 ** np.array(log_excess))
     edges = erg._edges(data, slope)
     y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(edges, y)[1],
@@ -431,6 +432,19 @@ def test_jensen_brackets_hold_the_roots(g, lo, width, log_excess, rate):
     power = bisect(lambda y: erg.rate_of_power(ctx, y) - x, 0.0, 1.0)
     assert np.all(np.expm1(LN2 * x) / m1 <= power + slack(power))
     assert np.all(power <= np.expm1(LN2 * x / rho) * m1 / m2 + slack(power))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ergodic_closed_form_at_subnormal_powers():
+    # u = 1/(y·ḡ) overflows below y·ḡ ≈ 5.6e-309; below y·E[g|R] = 1e-300
+    # Υ⁻¹ and (Υ⁻¹)' are their first-order limits y·m1/ln2 and m1/ln2
+    erg = ErgodicCapacity()
+    ctx = RegionContext(q_lo=0.0, q_hi=2.0, mean_gain=1.0)
+    m1 = float(erg.cell_data(ctx)[3])
+    y = 1e-310
+    assert abs(erg.rate_of_power(ctx, y) - y * m1 / LN2) <= 1e-15 * y * m1
+    assert erg.marginal_power(ctx, y) == pytest.approx(LN2 / m1, rel=1e-12)
+    assert erg.marginal_power(ctx, 0.0) == pytest.approx(LN2 / m1, rel=1e-12)
 
 
 def test_power_past_the_overflow_of_its_upper_bound():
