@@ -88,7 +88,7 @@ class Multipliers:
 
 
 class Prices(NamedTuple):
-    """λ and μ as build_tables and block_allocation read them, unchecked:
+    """λ and μ as build_tables reads them, unchecked:
     for callers that checked μ once and λ once per call (check_weights,
     check_lambda), such as a Problem's evaluation or the online loop."""
 
@@ -137,27 +137,27 @@ def check_reach(p_out, sizes, targets, rate_cap: float) -> None:
             f"can draw at most {reach[s]:.6g}", users)
 
 
-def region_index(shape: tuple, j, first: int = 0,
-                 users_first: bool = False) -> np.ndarray:
+def region_index(shape: tuple, j, users_first: bool = False) -> np.ndarray:
     """Flat indices into an (M, K, L) table of the cells table[m, k, l] with
-    l = j[..., m, k] - ``first``, for region indices j (..., M, K); shaped
-    like j or, with ``users_first``, with the user axis leading (M, ..., K)
-    and laid out in that order."""
+    l = j[..., m, k] - 1, for 1-based region indices j (..., M, K), the
+    Q-CSI that quantizer.quantize returns; shaped like j or, with
+    ``users_first``, with the user axis leading (M, ..., K) and laid out in
+    that order."""
     M, K, L = shape
     j = np.asarray(j)
-    if j.shape[-2:] != (M, K) or j.min() < first or j.max() >= L + first:
+    if j.shape[-2:] != (M, K) or j.min() < 1 or j.max() > L:
         raise IndexError("region indices must be in range, shape (..., M, K)")
-    cell = np.arange(-first, M * K * L - first, L).reshape(M, K)
+    cell = np.arange(-1, M * K * L - 1, L).reshape(M, K)
     if users_first:
         j = np.moveaxis(j, -2, 0)
         cell = cell.reshape((M,) + (1,) * (j.ndim - 2) + (K,))
     return np.add(cell, j, order="C")
 
 
-def block_statics(static: tuple, j0) -> list:
+def block_statics(static: tuple, qcsi) -> list:
     """The static data of each block's cells, one tuple of (M, K) arrays per
-    block of the 0-based Q-CSI stack j0 (N, M, K). Gathers once for all N."""
-    index = region_index(static[0].shape, j0)
+    block of the 1-based Q-CSI stack (N, M, K). Gathers once for all N."""
+    index = region_index(static[0].shape, qcsi)
     return list(zip(*(np.ravel(a).take(index) for a in static)))
 
 
@@ -280,31 +280,30 @@ class TieSolution:
     objective: float
 
 
-def solve_tie_lp(mult: Multipliers, instances, r_bar_one,
-                 feas_tol: float = DEFAULT_FEAS_TOL) -> TieSolution:
+def solve_tie_lp(targets, instances, r_bar_one) -> TieSolution:
     """Share each tied channel so the residual rate targets are met exactly.
 
     min Σ prob·μΥ(R*)·w  s.t.  Σ_instances prob·R*·w = ř_tie per user,
-    Σ_members w = 1 per instance, w ≥ 0. Users appearing in no instance must
-    have ř_tie ≈ 0 (their row is dropped); otherwise the targets are
+    Σ_members w = 1 per instance, w ≥ 0, with ř_tie = ``targets`` - r̄_one
+    (M,). Users appearing in no instance must have |ř_tie| ≤
+    DEFAULT_FEAS_TOL (their row is dropped); otherwise the targets are
     unreachable and a TieInfeasibleError is raised, as it is when the LP
     itself has no feasible point (λ is not at the tie-consistent multiplier).
     """
-    r_tie = mult.targets - np.asarray(r_bar_one, dtype=float)
-    M = mult.num_users
+    r_tie = np.subtract(targets, r_bar_one, dtype=float)
     nvar = sum(len(t.members) for t in instances)
     if nvar == 0:
-        bad = np.flatnonzero(np.abs(r_tie) > feas_tol)
+        bad = np.flatnonzero(np.abs(r_tie) > DEFAULT_FEAS_TOL)
         if len(bad):
             raise TieInfeasibleError(
                 f"no tie instances but residual targets remain for users {bad.tolist()}")
         return TieSolution(weights=[], r_tie=r_tie, objective=0.0)
 
     offsets = np.cumsum([0] + [len(t.members) for t in instances])
-    present = np.zeros(M, dtype=bool)
+    present = np.zeros(len(r_tie), dtype=bool)
     for t in instances:
         present[t.members] = True
-    bad = np.flatnonzero(~present & (np.abs(r_tie) > feas_tol))
+    bad = np.flatnonzero(~present & (np.abs(r_tie) > DEFAULT_FEAS_TOL))
     if len(bad):
         raise TieInfeasibleError(
             f"users {bad.tolist()} have nonzero residual targets but appear "
@@ -323,7 +322,7 @@ def solve_tie_lp(mult: Multipliers, instances, r_bar_one,
         for j, m in enumerate(t.members):
             A[row_of_user[int(m)], offsets[ti] + j] = t.prob * t.rates[j]
     b[:len(rows_u)] = r_tie[rows_u]
-    if np.any(b[:len(rows_u)] < -feas_tol):
+    if np.any(b[:len(rows_u)] < -DEFAULT_FEAS_TOL):
         raise TieInfeasibleError(
             "single-winner rates already exceed a target; λ is past the "
             "tie-consistent point")

@@ -110,22 +110,21 @@ def _solver_cfg(setup: CompareSetup, **over) -> SolverConfig:
     return SolverConfig(**kw)
 
 
-def row_problem(setup: CompareSetup, scheme: str,
-                grid: QuantizerGrid | None = None) -> Problem | PerfectCSI:
+def row_problem(setup: CompareSetup, scheme: str) -> Problem | PerfectCSI:
     """What the ``scheme`` row solves at ``setup``: RA1 the perfect-CSI dual
     (dual.PerfectCSI); RA4 a Problem on the random ladder over [0,
     ra4_range_scale·max ḡ) drawn from ra4_seed; RA2, RA3 and RA5 a Problem on
-    ``grid``, by default the equiprobable one on ``setup.regions``. RA5
-    solves no dual on its Problem; its check_targets is the scheduler's
-    feasibility bound, as for RA2 and RA3."""
+    the equiprobable ladder with ``setup.regions`` regions. RA5 solves no
+    dual on its Problem; its check_targets is the scheduler's feasibility
+    bound, as for RA2 and RA3."""
     if scheme == "RA1":
         return PerfectCSI(setup.fading.mean_gain, setup.model, setup.mu,
                           setup.targets, setup.rate_cap)
-    if grid is None and scheme == "RA4":
+    if scheme == "RA4":
         hi = setup.ra4_range_scale * float(setup.fading.mean_gain.max())
         grid = build_random(setup.fading, setup.regions, (0.0, hi),
                             setup.ra4_seed)
-    elif grid is None:
+    else:
         grid = build_equiprobable(setup.fading, setup.regions)
     return Problem(grid=grid, model=setup.model, mu=setup.mu,
                    targets=setup.targets, fading=setup.fading,
@@ -178,16 +177,15 @@ def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     for done in range(0, num_blocks, batch):
         n = min(batch, num_blocks - done)
         qcsi = quantize(grid, sample_gain_blocks(fading, first_block + done, n))
-        served, wpower, _ = block_allocation(tables, mult, qcsi, eps)
+        served, wpower, _ = block_allocation(tables, mult.lambda_r, qcsi, eps)
         sum_rate += served
         sum_power += wpower
     return sum_rate / num_blocks, sum_power / num_blocks
 
 
-def ra3_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
-    """Smooth policy on the configured (default equiprobable) quantizer."""
-    return _newton_row("RA3", row_problem(setup, "RA3", grid),
-                       _solver_cfg(setup))
+def ra3_point(setup: CompareSetup) -> dict:
+    """Smooth policy on the equiprobable quantizer."""
+    return _newton_row("RA3", row_problem(setup, "RA3"), _solver_cfg(setup))
 
 
 def ra4_point(setup: CompareSetup) -> dict:
@@ -195,7 +193,7 @@ def ra4_point(setup: CompareSetup) -> dict:
     return _newton_row("RA4", row_problem(setup, "RA4"), _solver_cfg(setup))
 
 
-def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
+def ra2_point(setup: CompareSetup) -> dict:
     """Hard-optimal policy by ε-continuation and the tie LP.
 
     Damped Newton solves the smooth dual at ε = ``setup.eps``, ε/4, …, each
@@ -207,7 +205,7 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
     ``dual_bound`` and the last ``eps``, and converges once P - D ≤ λ·tol. A
     stage whose Newton fails ends the run unconverged, at its smooth point.
     """
-    problem = row_problem(setup, "RA2", grid)
+    problem = row_problem(setup, "RA2")
     eps, lam = setup.eps, setup.init
     stage_tol = np.minimum(setup.tol, _TIGHT_TOL)
     while True:
@@ -218,7 +216,7 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
             power, rates, certified = traj.power[-1], traj.rates[-1], False
             break
         instances, rates = find_tie_instances(problem, lam, eps)
-        sol = solve_tie_lp(problem.multipliers(lam), instances, rates)
+        sol = solve_tie_lp(problem.targets, instances, rates)
         power = dual
         for inst, w in zip(instances, sol.weights):
             rates[inst.members] += inst.prob * inst.rates * w
@@ -234,13 +232,13 @@ def ra2_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
             "lambda": lam, "method": "eps_continuation_tie_lp"}
 
 
-def ra5_point(setup: CompareSetup, grid: QuantizerGrid | None = None) -> dict:
+def ra5_point(setup: CompareSetup) -> dict:
     """Round-robin fixed scheduling with on/off constant power per user.
 
     A user whose own channels cannot carry its target even at ``rate_cap``
     gets the saturation power, the largest Υ(rate_cap) over its live
     regions (or 0), and the row is unconverged at the rates served there."""
-    grid = row_problem(setup, "RA5", grid).grid
+    grid = row_problem(setup, "RA5").grid
     M, K = grid.num_users, grid.num_channels
     ctx = region_contexts(grid)
     probs = qz.region_prob_table(grid)                  # (M, K, L)
@@ -305,32 +303,31 @@ _SCHEME_FUNCS = {"RA1": ra1_point, "RA2": ra2_point, "RA3": ra3_point,
 
 
 def compare_schemes(setup: CompareSetup,
-                    schemes=("RA1", "RA2", "RA3", "RA4", "RA5"),
-                    snr_db: float | None = None) -> list:
+                    schemes=("RA1", "RA2", "RA3", "RA4", "RA5")) -> list:
     """Run the requested schemes and return one result row per scheme.
 
     Rows carry linear weighted power, dB power, per-user average rates and a
     method tag; solver non-convergence is reported in the row, not raised.
+    The caller, which knows the setup's SNR, labels the rows with it.
     """
     rows = []
     for name in schemes:
         if name not in _SCHEME_FUNCS:
             raise ValueError(f"unknown scheme {name!r}")
         row = _SCHEME_FUNCS[name](setup)
-        row["snr_db"] = snr_db
         row["power_db"] = power_db(row["avg_power"])
         rows.append(row)
     return rows
 
 
 def sweep_regions(setup: CompareSetup, regions_list,
-                  reference_regions: float | None = math.inf,
-                  snr_db: float | None = None) -> list:
+                  reference_regions: float | None = math.inf) -> list:
     """Smooth-policy power as the number of regions L grows.
 
     Returns one row per L, then the perfect-CSI row (ra1_point, its
     ``regions`` = inf), the limit L → ∞; ``reference_regions=None`` leaves
-    that row out. Power decreases monotonically in L towards it.
+    that row out. Power decreases monotonically in L towards it. Rows carry
+    dB power but no SNR label, as in compare_schemes.
     """
     if reference_regions not in (None, math.inf):
         raise ValueError("reference_regions is math.inf (perfect CSI) or None")
@@ -339,5 +336,5 @@ def sweep_regions(setup: CompareSetup, regions_list,
     if reference_regions is not None:
         rows.append({**ra1_point(setup), "regions": math.inf})
     for row in rows:
-        row.update(snr_db=snr_db, power_db=power_db(row["avg_power"]))
+        row["power_db"] = power_db(row["avg_power"])
     return rows

@@ -123,8 +123,9 @@ def _need(d: dict, key: str, where: str):
 
 
 def _number(v, where: str, lo=None, hi=None, integer=False):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {v!r}")
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) < math.inf):      # JSON's NaN and ±Infinity
+        raise ConfigError(f"{where}: expected a finite number, got {v!r}")
     if integer and int(v) != v:
         raise ConfigError(f"{where}: expected an integer, got {v!r}")
     if lo is not None and v < lo:
@@ -431,9 +432,8 @@ def _progress_printer(log_every: int | None, label: str):
     if not log_every:
         return None
 
-    def progress(i, lam, ev):
+    def progress(i, lam, g):
         if i % log_every == 0:
-            g = ev.subgradient if hasattr(ev, "subgradient") else ev
             print(f"{label} iter={i} max|subgrad|={np.max(np.abs(g)):.6g}",
                   file=sys.stderr)
     return progress
@@ -482,17 +482,17 @@ def _run_solver_mode(rc: dict, problem: Problem, cfg: SolverConfig,
 
 def _run_rows(rc: dict, setups: list, outdir: Path) -> int:
     """Row modes: compare_schemes or sweep_regions at each (snr_db,
-    CompareSetup) point; writes compare.csv (scheme, snr_db) or sweep.csv
-    (regions), then avg_power_db and avg_rate_1..M, and summary.json, and
-    returns the exit code."""
+    CompareSetup) point, each row labelled with its point's snr_db; writes
+    compare.csv (scheme, snr_db) or sweep.csv (regions), then avg_power_db
+    and avg_rate_1..M, and summary.json, and returns the exit code."""
     t0 = time.perf_counter()
     rows = []
     for snr, setup in setups:
         if rc["mode"] == "compare":
-            rows += compare_schemes(setup, rc["compare"]["schemes"],
-                                    snr_db=snr)
+            point = compare_schemes(setup, rc["compare"]["schemes"])
         else:
-            rows += sweep_regions(setup, rc["sweep"]["regions"], snr_db=snr)
+            point = sweep_regions(setup, rc["sweep"]["regions"])
+        rows += [{**row, "snr_db": snr} for row in point]
     wall = time.perf_counter() - t0
 
     csv_name, lead = (("compare.csv", ["scheme", "snr_db"])

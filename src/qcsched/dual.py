@@ -100,9 +100,6 @@ class Problem:
     def num_users(self) -> int:
         return self.grid.num_users
 
-    def multipliers(self, lam) -> Multipliers:
-        return Multipliers(np.asarray(lam, dtype=float), self.mu, self.targets)
-
     @cached_property
     def space(self):
         """quantizer.column_space: the columns, each class's column
@@ -354,10 +351,10 @@ def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     return problem.evaluate(mult.lambda_r, mode, eps)
 
 
-def block_allocation(tables: RateCostTables, mult: Multipliers | Prices,
-                     qcsi, eps: float):
-    """Smooth allocation for realized Q-CSI, 1-based: one block's (M, K)
-    matrix or an (N, M, K) stack of N blocks.
+def block_allocation(tables: RateCostTables, lam: np.ndarray, qcsi,
+                     eps: float):
+    """Smooth allocation at prices λ (M,) for realized Q-CSI, 1-based: one
+    block's (M, K) matrix or an (N, M, K) stack of N blocks.
 
     ``tables`` either span every region, (M, K, L), and are read at
     ``qcsi`` user-major, (M, K) or (M, N, K), or were built on one block's
@@ -369,7 +366,7 @@ def block_allocation(tables: RateCostTables, mult: Multipliers | Prices,
     if read:
         if cost.ndim != 3:
             raise ValueError("Q-CSI of several blocks needs (M, K, L) tables")
-        index = region_index(cost.shape, qcsi, first=1, users_first=True)
+        index = region_index(cost.shape, qcsi, users_first=True)
         cost, rate = cost.take(index), rate.take(index)
         del index                       # w can reuse its pages
     w = smooth_weights(cost, eps)
@@ -378,5 +375,5 @@ def block_allocation(tables: RateCostTables, mult: Multipliers | Prices,
     served_cost = float(np.multiply(cost, w, out=cost if read else None).sum())
     w *= rate
     served_rate = w.reshape(len(w), -1).sum(axis=1)
-    weighted_power = served_cost + float(mult.lambda_r @ served_rate)
+    weighted_power = served_cost + float(lam @ served_rate)
     return served_rate, weighted_power, served_cost

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+_TOL = 1e-10    # pivot, ratio-tie and phase-1 residual tolerance
 
 class LPInfeasibleError(Exception):
     """Phase-one optimum left a residual: the constraints are inconsistent."""
@@ -19,12 +20,12 @@ class LPUnboundedError(Exception):
     pass
 
 
-def _bland_step(T, basis, allowed, tol):
+def _bland_step(T, basis, allowed):
     """One simplex pivot using Bland's rule; returns False at optimality."""
     obj = T[-1, :-1]
     enter = -1
     for j in allowed:
-        if obj[j] < -tol:
+        if obj[j] < -_TOL:
             enter = j
             break
     if enter < 0:
@@ -33,11 +34,11 @@ def _bland_step(T, basis, allowed, tol):
     rhs = T[:-1, -1]
     best_ratio, leave = None, -1
     for i in range(len(basis)):
-        if col[i] > tol:
+        if col[i] > _TOL:
             ratio = rhs[i] / col[i]
             # ties resolved toward the smallest basis index (anti-cycling)
-            if (best_ratio is None or ratio < best_ratio - tol
-                    or (abs(ratio - best_ratio) <= tol
+            if (best_ratio is None or ratio < best_ratio - _TOL
+                    or (abs(ratio - best_ratio) <= _TOL
                         and basis[i] < basis[leave])):
                 best_ratio, leave = ratio, i
     if leave < 0:
@@ -54,7 +55,7 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def solve_lp(c, A, b, tol: float = 1e-10):
+def solve_lp(c, A, b):
     """Return (x, objective) for min c'x, Ax = b, x >= 0."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).copy()
@@ -76,9 +77,9 @@ def solve_lp(c, A, b, tol: float = 1e-10):
     T[-1, -1] = -b.sum()
     basis = list(range(n, n + m))
     allowed = range(n)                      # artificials never re-enter
-    while _bland_step(T, basis, allowed, tol):
+    while _bland_step(T, basis, allowed):
         pass
-    if T[-1, -1] < -np.sqrt(tol):
+    if T[-1, -1] < -np.sqrt(_TOL):
         raise LPInfeasibleError(
             f"phase-1 residual {-T[-1, -1]:.3e} (constraints inconsistent)")
 
@@ -86,7 +87,7 @@ def solve_lp(c, A, b, tol: float = 1e-10):
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            piv = next((j for j in range(n) if abs(T[i, j]) > tol), None)
+            piv = next((j for j in range(n) if abs(T[i, j]) > _TOL), None)
             if piv is None:
                 continue                    # redundant row, drop it
             _pivot(T, basis, i, piv)
@@ -98,7 +99,7 @@ def solve_lp(c, A, b, tol: float = 1e-10):
     T[-1, :n] = c
     for i, j in enumerate(basis):
         T[-1] -= T[-1, j] * T[i]
-    while _bland_step(T, basis, range(n), tol):
+    while _bland_step(T, basis, range(n)):
         pass
 
     x = np.zeros(n)

@@ -11,7 +11,8 @@ stops when every entry drops below the tolerance; the non-smooth baseline
 uses the hard subgradient with a diminishing schedule β_i = κ·i^{-0.51}
 (square-summable but not summable); the online iteration replaces the
 ensemble subgradient with the per-block estimate computed from the realized
-Q-CSI only — it never touches Pr{J}.
+Q-CSI only — it never touches Pr{J}. ``progress``, where a solver takes
+it, is called as progress(i, λ, subgradient) at each iterate or block.
 """
 
 from __future__ import annotations
@@ -127,19 +128,16 @@ class _Recorder:
         return Trajectory(iters, lam, sg, rates, power, reason, converged)
 
 
-def _init_lambda(cfg: SolverConfig, M: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(cfg.init, dtype=float), (M,)).copy()
-
-
-def _tol_vector(cfg: SolverConfig, M: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(cfg.tol, dtype=float), (M,)).copy()
+def _per_user(value, M: int) -> np.ndarray:
+    """A scalar or length-M setting (init, tol) as a fresh float (M,) array."""
+    return np.broadcast_to(np.asarray(value, dtype=float), (M,)).copy()
 
 
 def _run_offline(problem: Problem, cfg: SolverConfig, mode: str, progress=None):
     problem.check_targets()
     M = problem.num_users
-    lam = _init_lambda(cfg, M)
-    tol = _tol_vector(cfg, M)
+    lam = _per_user(cfg.init, M)
+    tol = _per_user(cfg.tol, M)
     rec = _Recorder(cfg.record_every)
     converged = False
     for i in range(cfg.max_iters):
@@ -149,7 +147,7 @@ def _run_offline(problem: Problem, cfg: SolverConfig, mode: str, progress=None):
         rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power,
                 force=done or last)
         if progress is not None:
-            progress(i, lam, ev)
+            progress(i, lam, ev.subgradient)
         if done:
             converged = True
             break
@@ -194,9 +192,9 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
     trajectory indexes accepted steps."""
     problem.check_targets()
     M = problem.num_users
-    tol = _tol_vector(cfg, M)
+    tol = _per_user(cfg.tol, M)
     rec = _Recorder(cfg.record_every)
-    lam = trial = _init_lambda(cfg, M)
+    lam = trial = _per_user(cfg.init, M)
     nu, i, best, done = 4.0 / cfg.beta, -1, np.inf, False  # λ⁽⁰⁾: ν = 1/β
     for _ in range(cfg.max_iters):
         ev = problem.evaluate(trial, "smooth", cfg.eps)
@@ -229,23 +227,22 @@ def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
     return traj
 
 
-def multiplier_settled(traj: Trajectory, tail_frac: float = 0.1,
-                       rel_tol: float = 0.01) -> bool:
+def multiplier_settled(traj: Trajectory) -> bool:
     """Whether the multiplier trace stopped moving.
 
     The hard-dual baseline hovers in the primal forever, so its subgradient
     stop rule never fires; dual convergence is instead judged on the trace:
-    per user, the λ spread over the trailing ``tail_frac`` of the iteration
-    range, relative to the mean |λ| there, must stay below ``rel_tol``.
+    per user, the λ spread over the trailing 10% of the iteration range,
+    relative to the mean |λ| there, must stay below 1%.
     """
     if len(traj.iters) == 0:
         return False
     span = traj.iters[-1] - traj.iters[0]
-    sel = traj.iters >= traj.iters[-1] - tail_frac * span
+    sel = traj.iters >= traj.iters[-1] - 0.1 * span
     lam = traj.lam[sel]
     spread = lam.max(axis=0) - lam.min(axis=0)
     scale = np.maximum(np.abs(lam).mean(axis=0), 1e-12)
-    return bool(np.all(spread / scale < rel_tol))
+    return bool(np.all(spread / scale < 0.01))
 
 
 @dataclass
@@ -283,7 +280,7 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
         raise ValueError("num_blocks must be >= 1")
     problem.check_targets()
     M = problem.num_users
-    lam = check_lambda(_init_lambda(cfg, M), M)     # steps keep it so
+    lam = check_lambda(_per_user(cfg.init, M), M)   # steps keep it so
     static = make_static(problem.grid, problem.model)
     rec = _Recorder(cfg.record_every)
     lam_trace = np.empty((num_blocks, M))
@@ -295,14 +292,13 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
         count = min(ONLINE_CHUNK, num_blocks - first)
         gains = sample_gain_blocks(problem.fading, first, count)
         jmats = quantize(problem.grid, gains)
-        cells = block_statics(static, jmats - 1)
+        cells = block_statics(static, jmats)
         for n, jmat, block in zip(range(first, first + count), jmats, cells):
             lam_trace[n] = lam
-            prices = Prices(lam, problem.mu)
-            tables = build_tables(problem.model, problem.grid, prices,
-                                  problem.rate_cap, block)
-            served, wpower, _ = block_allocation(tables, prices, jmat,
-                                                 cfg.eps)
+            tables = build_tables(problem.model, problem.grid,
+                                  Prices(lam, problem.mu), problem.rate_cap,
+                                  block)
+            served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps)
             g = problem.targets - served
             csum_rate += served
             csum_power += wpower

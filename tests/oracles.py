@@ -125,7 +125,8 @@ def stochastic_subgradient(model, grid: QuantizerGrid, mult, qcsi_block,
     """
     if tables is None:
         tables = build_tables(model, grid, mult, rate_cap)
-    served_rate, _, _ = block_allocation(tables, mult, qcsi_block, eps)
+    served_rate, _, _ = block_allocation(tables, mult.lambda_r, qcsi_block,
+                                         eps)
     return mult.targets - served_rate
 
 
@@ -266,7 +267,7 @@ def _column_major_jacobian(problem, mult, tables, cost, rate, eps):
     return -(jac + np.diag(diag))
 
 
-def column_major_block(tables: RateCostTables, mult, qcsi, eps: float):
+def column_major_block(tables: RateCostTables, lam, qcsi, eps: float):
     """block_allocation on one block's (K, M) columns, users on the last
     axis: (served_rate, weighted_power, served_cost)."""
     j0 = np.asarray(qcsi, dtype=int) - 1
@@ -279,7 +280,7 @@ def column_major_block(tables: RateCostTables, mult, qcsi, eps: float):
     w = last_axis_weights(cost, eps)
     served_rate = (rate * w).sum(axis=0)
     served_cost = float((cost * w).sum())
-    return (served_rate, served_cost + float(mult.lambda_r @ served_rate),
+    return (served_rate, served_cost + float(lam @ served_rate),
             served_cost)
 
 

@@ -355,7 +355,7 @@ def test_criterion_8_oracle_equivalence():
     for inst, w in zip(instances, planted):
         targets[inst.members] += inst.prob * inst.rates * w
     mult = Multipliers(np.ones(4), np.ones(4), targets)
-    sol = solve_tie_lp(mult, instances, np.zeros(4))
+    sol = solve_tie_lp(targets, instances, np.zeros(4))
     d_lp = abs(sol.objective - _vertex_opt_tie(instances, mult, np.zeros(4)))
 
     # (iii) stochastic subgradient Monte-Carlo mean vs exact smooth value

@@ -367,8 +367,7 @@ def test_tie_lp_deterministic_channel_three_seven_split():
     inst = TieInstance(prob=1.0, channel=0, column=np.array([1, 1]),
                        members=np.array([0, 1]), rates=np.array([r, r]),
                        weighted_powers=np.array([3.0, 3.0]))
-    m = mult([1.0, 1.0], targets=[0.3 * r, 0.7 * r])
-    sol = solve_tie_lp(m, [inst], np.zeros(2))
+    sol = solve_tie_lp([0.3 * r, 0.7 * r], [inst], np.zeros(2))
     np.testing.assert_allclose(sol.weights[0], [0.3, 0.7], atol=1e-12)
     assert sol.objective == pytest.approx(3.0)
 
@@ -377,35 +376,33 @@ def test_tie_lp_single_member_forced():
     inst = TieInstance(prob=0.5, channel=0, column=np.array([2]),
                        members=np.array([0]), rates=np.array([2.0]),
                        weighted_powers=np.array([1.0]))
-    m = mult([1.0], targets=[1.0])              # 0.5 * 2.0 * w = 1 -> w = 1
-    sol = solve_tie_lp(m, [inst], np.zeros(1))
+    sol = solve_tie_lp([1.0], [inst], np.zeros(1))  # 0.5·2.0·w = 1: w = 1
     np.testing.assert_allclose(sol.weights[0], [1.0])
 
 
 def test_tie_lp_no_instances_zero_residual():
-    m = mult([1.0, 1.0], targets=[0.4, 0.6])
-    sol = solve_tie_lp(m, [], np.array([0.4, 0.6]))
+    sol = solve_tie_lp([0.4, 0.6], [], np.array([0.4, 0.6]))
     assert sol.weights == []
     assert sol.objective == 0.0
 
 
 def test_tie_lp_infeasibility_modes():
-    m = mult([1.0, 1.0], targets=[0.4, 0.6])
+    targets = [0.4, 0.6]
     # residual demand but no tie instances at all
     with pytest.raises(TieInfeasibleError):
-        solve_tie_lp(m, [], np.array([0.4, 0.0]))
+        solve_tie_lp(targets, [], np.array([0.4, 0.0]))
     # user 1 has residual demand but appears in no instance
     inst = TieInstance(prob=0.5, channel=0, column=np.array([2, 1]),
                        members=np.array([0]), rates=np.array([1.0]),
                        weighted_powers=np.array([1.0]))
     with pytest.raises(TieInfeasibleError):
-        solve_tie_lp(m, [inst], np.array([0.0, 0.0]))
+        solve_tie_lp(targets, [inst], np.array([0.0, 0.0]))
     # single-winner service already past the target
     with pytest.raises(TieInfeasibleError):
-        solve_tie_lp(m, [inst], np.array([0.9, 0.6]))
+        solve_tie_lp(targets, [inst], np.array([0.9, 0.6]))
     # structurally present but unreachable target (w <= 1 caps the rate)
     with pytest.raises(TieInfeasibleError):
-        solve_tie_lp(mult([1.0], targets=[10.0]), [TieInstance(
+        solve_tie_lp([10.0], [TieInstance(
             prob=0.5, channel=0, column=np.array([2]),
             members=np.array([0]), rates=np.array([2.0]),
             weighted_powers=np.array([1.0]))], np.zeros(1))
@@ -471,7 +468,7 @@ def test_tie_lp_three_instance_vs_vertex_oracle():
     for inst, w in zip(instances, planted):
         targets[inst.members] += inst.prob * inst.rates * w
     m = mult([1.0] * 4, targets=targets)
-    sol = solve_tie_lp(m, instances, np.zeros(4))
+    sol = solve_tie_lp(m.targets, instances, np.zeros(4))
     # constraint families hold to 1e-9
     got = np.zeros(4)
     for inst, w in zip(instances, sol.weights):

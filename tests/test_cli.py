@@ -100,6 +100,22 @@ def test_malformed_json(tmp_path, capsys):
     (lambda c: c.update(mode="sweep_regions",
                         sweep={"regions": [2], "reference_regions": 256}),
      "unknown keys ['reference_regions']"),
+    # JSON's NaN and Infinity are rejected where they are read: NaN passes
+    # every bound check, and all but the mean gain got past validation
+    (lambda c: c["solver"].update(init=math.nan),
+     "solver.init: expected a finite number, got nan"),
+    (lambda c: c["solver"].update(eps=math.nan),
+     "solver.eps: expected a finite number, got nan"),
+    (lambda c: c.update(rate_cap=math.nan),
+     "rate_cap: expected a finite number, got nan"),
+    (lambda c: c["solver"].update(beta=math.inf),
+     "solver.beta: expected a finite number, got inf"),
+    (lambda c: c["solver"].update(tol=math.nan),
+     "solver.tol: expected a finite number, got nan"),
+    (lambda c: c["fading"].update(num_users=math.inf),
+     "fading.num_users: expected a finite number, got inf"),
+    (lambda c: c["fading"]["mean_gain"][0].__setitem__(1, math.inf),
+     "fading.mean_gain[0][1]: expected a finite number, got inf"),
 ])
 def test_config_rejections(tmp_path, capsys, mangle, needle):
     cfg = tiny()
@@ -460,6 +476,31 @@ def test_compare_snr_sweep_needs_snr_fading(tmp_path):
                      "mean_gain": [[1.0] * 4, [2.0] * 4]}
     rc, _ = run(tmp_path, cfg)
     assert rc == CONFIG
+
+
+def test_row_modes_label_each_row_with_its_snr_point(tmp_path):
+    # compare: each compare.snr_db entry, in order, in the CSV and summary
+    cfg = compare_cfg(compare={"schemes": ["RA3", "RA5"],
+                               "snr_db": [4.0, 8.0]})
+    rc, out = run(tmp_path, cfg, out="compare")
+    assert rc == OK
+    lines = (out / "compare.csv").read_text().splitlines()[1:]
+    want = ["4.0", "4.0", "8.0", "8.0"]
+    assert [line.split(",")[1] for line in lines] == want
+    rows = json.loads((out / "summary.json").read_text())["rows"]
+    assert [row["snr_db"] for row in rows] == [4.0, 4.0, 8.0, 8.0]
+    # sweep: the fading SNR, or NaN when the fading gives mean gains
+    for fading, snr in ((None, 6.0),
+                        ({"num_users": 2, "num_channels": 4,
+                          "mean_gain": [[4.0] * 4, [3.0] * 4]}, "nan")):
+        cfg = compare_cfg(mode="sweep_regions")
+        del cfg["compare"]
+        cfg["sweep"] = {"regions": [2, 4]}
+        cfg["fading"] = fading or cfg["fading"]
+        rc, out = run(tmp_path, cfg, out=f"sweep_{snr}")
+        assert rc == OK
+        rows = json.loads((out / "summary.json").read_text())["rows"]
+        assert [row["snr_db"] for row in rows] == [snr] * 3
 
 
 def test_sweep_zero_power_rows_report_minus_inf_db(tmp_path):

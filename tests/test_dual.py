@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qcsched
+from qcsched import dual
 from qcsched.allocator import (InfeasibleTargetsError, Multipliers,
                                block_statics, build_tables,
                                find_tie_instances, make_static,
@@ -165,7 +166,8 @@ def test_block_allocation_by_hand():
     _, grid, mult = small_instance()
     tables = build_tables(MODEL, grid, mult)
     qcsi = np.array([[4, 2], [3, 4]])
-    served, wpower, scost = block_allocation(tables, mult, qcsi, eps=0.05)
+    served, wpower, scost = block_allocation(tables, mult.lambda_r, qcsi,
+                                             eps=0.05)
     # recompute from the tables directly
     exp_rate = np.zeros(2)
     exp_cost = 0.0
@@ -188,12 +190,14 @@ def test_block_allocation_one_block_matches_the_column_major_oracle():
     fading, grid, mult = small_instance()
     tables = build_tables(MODEL, grid, mult)
     qcsi = quantize(grid, sample_gain_blocks(fading, 0, 50))
-    cells = block_statics(make_static(grid, MODEL), qcsi - 1)
+    cells = block_statics(make_static(grid, MODEL), qcsi)
     for n in range(50):
         for block_tables in (tables, build_tables(MODEL, grid, mult,
                                                   static=cells[n])):
-            got = block_allocation(block_tables, mult, qcsi[n], eps=0.05)
-            want = column_major_block(block_tables, mult, qcsi[n], 0.05)
+            got = block_allocation(block_tables, mult.lambda_r, qcsi[n],
+                                   eps=0.05)
+            want = column_major_block(block_tables, mult.lambda_r, qcsi[n],
+                                      0.05)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1:] == want[1:]
 
@@ -205,14 +209,16 @@ def test_block_allocation_stack_sums_its_blocks():
     fading, grid, mult = small_instance()
     tables = build_tables(MODEL, grid, mult)
     qcsi = quantize(grid, sample_gain_blocks(fading, 0, 7))      # (7, M, K)
-    served, wpower, scost = block_allocation(tables, mult, qcsi, eps=0.05)
+    served, wpower, scost = block_allocation(tables, mult.lambda_r, qcsi,
+                                             eps=0.05)
     assert served.shape == (2,)
     assert np.all(served > 0.0)
-    cells = block_statics(make_static(grid, MODEL), qcsi - 1)
+    cells = block_statics(make_static(grid, MODEL), qcsi)
     for per_block in (lambda n: tables,
                       lambda n: build_tables(MODEL, grid, mult,
                                              static=cells[n])):
-        calls = [block_allocation(per_block(n), mult, qcsi[n], eps=0.05)
+        calls = [block_allocation(per_block(n), mult.lambda_r, qcsi[n],
+                                  eps=0.05)
                  for n in range(7)]
         np.testing.assert_allclose(served, sum(c[0] for c in calls),
                                    rtol=1e-13)
@@ -220,7 +226,7 @@ def test_block_allocation_stack_sums_its_blocks():
         assert scost == pytest.approx(sum(c[2] for c in calls), rel=1e-13)
     with pytest.raises(ValueError):         # one block's tables, 7 blocks
         block_allocation(build_tables(MODEL, grid, mult, static=cells[0]),
-                         mult, qcsi, eps=0.05)
+                         mult.lambda_r, qcsi, eps=0.05)
 
 
 def test_stochastic_subgradient_unbiased():
@@ -439,11 +445,10 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
                                      minlength=grid.num_users)
                          / len(t.members) for t in ties_k),
                         np.zeros(grid.num_users))
-    lp_mult = Multipliers(mult.lambda_r, mult.mu, reach)
     # the LP's residual targets are reach - one, so an ulp of r̄_one moves
     # the objective by λ·ulp: it is compared at the scale of λ·r̄_one
-    _agree(solve_tie_lp(lp_mult, ties, one).objective,
-           solve_tie_lp(lp_mult, ties_k, one_k).objective, 1e-12,
+    _agree(solve_tie_lp(reach, ties, one).objective,
+           solve_tie_lp(reach, ties_k, one_k).objective, 1e-12,
            float(mult.lambda_r @ one))
 
 
@@ -483,6 +488,35 @@ def test_evaluate_matches_the_column_major_oracle(instance):
         if mode == "smooth":
             _agree(got.jacobian(), jac, 1e-12,
                    grid.num_channels * rmax ** 2 * 2.0 / eps)
+
+
+def test_jacobian_chunks_of_one_class_match_one_chunk(monkeypatch):
+    # a random ladder gives every channel its own class; a _JAC_CHUNK of one
+    # class's column entries runs the chunk loop once per class, which
+    # regroups the column sums but not their terms
+    M, K, L, eps = 3, 6, 3, 0.5
+    fading = FadingModel(np.array([[1.0, 2.0, 0.8, 1.5, 2.5, 1.2],
+                                   [0.6, 1.4, 2.2, 1.0, 0.9, 3.0],
+                                   [2.0, 0.7, 1.1, 2.6, 1.3, 0.5]]), seed=0)
+    grid = build_random(fading, L, (0.0, 9.0), 11)
+    problem = Problem(grid, MODEL, np.ones(M), np.array([0.5, 0.7, 0.9]))
+    assert len(problem.space[1]) == K
+    lam = np.array([1.5, 2.0, 2.5])
+    ev = problem.evaluate(lam, "smooth", eps)
+    one = ev.jacobian()
+    chunks = []
+    pair_sums = dual._pair_sums
+    monkeypatch.setattr(dual, "_pair_sums",
+                        lambda a, b: chunks.append(1) or pair_sums(a, b))
+    monkeypatch.setattr(dual, "_JAC_CHUNK", L ** M * M)
+    split = ev.jacobian()
+    assert len(chunks) == 2 * K                 # two pair sums per chunk
+    assert np.count_nonzero(one) == M * M
+    _agree(split, one, 1e-13)
+    _, jac = column_major_dual(problem, lam, "smooth", eps)
+    mult = Multipliers(lam, problem.mu, problem.targets)
+    rmax = float(build_tables(MODEL, grid, mult).rate.max())
+    _agree(split, jac, 1e-12, K * rmax ** 2 * 2.0 / eps)
 
 
 # --- perfect CSI ---------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Golden-output guardrail: every artifact of a fixed set of CLI runs, hashed.
 
-The set is every bundled config and seven micro configs, among them an
-offline and a compare run of the ergodic-capacity and average-BER families,
-whose root-finds no bundled config reaches. Each case runs
-``qcsched.cli.main`` in-process and compares the sha256 of every CSV it
-writes, and of ``summary.json`` with ``wall_time_s`` removed,
-against the hashes below. A refactor that claims to keep the output bits
-must keep these hashes; a change that moves them on purpose (a new random
-stream, a fixed bug) updates them and says why in CHANGES.md.
+The set is every bundled config and nine micro configs, among them an
+offline and a compare run of each family no bundled config uses: ergodic
+capacity and average BER, whose root-finds no bundled config reaches, and
+instantaneous BER, whose tables and RA1 row scale with its
+``perfect_csi_scale``. Each case runs ``qcsched.cli.main`` in-process and
+compares the sha256 of every CSV it writes, and of ``summary.json`` with
+``wall_time_s`` removed, against the hashes below. A refactor that claims
+to keep the output bits must keep these hashes; a change that moves them on
+purpose (a new random stream, a fixed bug) updates them and says why in
+CHANGES.md.
 
 The hashes hold for Python 3.11.7 and numpy 2.4.6; another numpy may round
 a reduction differently and move them without any change to qcsched.
@@ -61,6 +63,8 @@ MICRO_SWEEP = {
 ERGODIC = {"family": "ergodic_capacity", "params": {}}
 AVG_BER = {"family": "max_avg_ber",
            "params": {"kappa1": 0.2, "kappa2": 1.5, "eps_avg": 1e-3}}
+INST_BER = {"family": "max_inst_ber",
+            "params": {"kappa1": 0.2, "kappa2": 1.5, "eps_max": 1e-3}}
 SOLVE = {"beta": 0.1, "tol": 1e-4, "max_iters": 2000, "record_every": 5}
 MICRO_FAMILIES = {
     "micro_ergodic_offline": {**MICRO, "mode": "offline_smooth",
@@ -69,6 +73,9 @@ MICRO_FAMILIES = {
     "micro_avg_ber_offline": {**MICRO, "mode": "offline_smooth",
                               "power_rate": AVG_BER, "solver": SOLVE},
     "micro_avg_ber_compare": {**MICRO_COMPARE, "power_rate": AVG_BER},
+    "micro_inst_ber_offline": {**MICRO, "mode": "offline_smooth",
+                               "power_rate": INST_BER, "solver": SOLVE},
+    "micro_inst_ber_compare": {**MICRO_COMPARE, "power_rate": INST_BER},
 }
 
 GOLDEN = {
@@ -89,6 +96,18 @@ GOLDEN = {
             "14a9b7b39d43d88e3afe5f4f7f560a44a5dd8d2a924bb8c29e28f4258d48ba9f",
         "summary.json":
             "f9ac4e90ab65bc114b355a8286690e00a51bc7032f3922eff496ed149d2aeda6",
+    },
+    "micro_inst_ber_compare": {
+        "compare.csv":
+            "a1831782365e800323d5c81af75595409b350b89056fab8463a0d23d5ecb1e28",
+        "summary.json":
+            "34cf535409cffc53e1ff4c16299bb1edf3d4c5a62bd9975dd39480b93bdf93af",
+    },
+    "micro_inst_ber_offline": {
+        "trajectory.csv":
+            "dd47bb1e863f50efe624f0c5d5cbe5d68cfd48235216bfeba7c8941213e1f2b1",
+        "summary.json":
+            "a58114fe06a317e5561e18789385c6b7e12318662e6558e0c804054875476d56",
     },
     "micro_compare": {
         "compare.csv":

@@ -227,7 +227,7 @@ def reference_online(problem, cfg, num_blocks):
         mult = Multipliers(lam, problem.mu, problem.targets)
         tables = build_tables(problem.model, problem.grid, mult,
                               problem.rate_cap)
-        served, wpower, _ = block_allocation(tables, mult, jmat, cfg.eps)
+        served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps)
         csum_rate += served
         csum_power += wpower
         avg_rate.append(csum_rate / (n + 1))
@@ -265,7 +265,7 @@ def test_ergodic_family_solved_end_to_end():
     cfg = SolverConfig(beta=0.2, tol=tol, eps=eps, max_iters=200)
     lam, traj = run_offline_smooth(problem, cfg)
     assert traj.converged
-    mult = problem.multipliers(lam)
+    mult = Multipliers(lam, problem.mu, problem.targets)
     smooth = exact_dual(problem.model, problem.grid, mult, "smooth", eps)
     hard = exact_dual(problem.model, problem.grid, mult, "hard", eps)
     assert np.all(np.abs(smooth.subgradient) < tol)
@@ -297,10 +297,10 @@ def test_ergodic_family_online_end_to_end():
     lam, traj = run_offline_smooth(problem, SolverConfig(
         beta=0.2, tol=1e-3, eps=0.05, max_iters=200))
     assert traj.converged
-    mult = problem.multipliers(lam)
+    mult = Multipliers(lam, problem.mu, problem.targets)
     tables = build_tables(problem.model, problem.grid, mult)
     qcsi = quantize(problem.grid, sample_gain_blocks(problem.fading, 0, 4000))
-    served = np.array([block_allocation(tables, mult, j, 0.05)[0]
+    served = np.array([block_allocation(tables, lam, j, 0.05)[0]
                        for j in qcsi])
     se = served.std(axis=0, ddof=1) / np.sqrt(len(served))
     exact = exact_dual(problem.model, problem.grid, mult, "smooth", 0.05)
@@ -464,4 +464,4 @@ def test_multiplier_settled_semantics():
     settled_late = drift.copy()
     settled_late[50:] = drift[50]
     t_late = Trajectory(iters, settled_late, zeros, zeros, np.zeros(100))
-    assert multiplier_settled(t_late, tail_frac=0.3)
+    assert multiplier_settled(t_late)
