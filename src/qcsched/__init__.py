@@ -14,11 +14,11 @@ the fading gain fell into. This package provides:
 * a JSON-config experiment runner (``qcsched`` console script, ``cli``).
 """
 
-from .allocator import (DEFAULT_RATE_CAP, DEFAULT_TIE_RTOL,
-                        InfeasibleTargetsError, Multipliers, RateCostTables,
-                        TieInfeasibleError, TieInstance, TieSolution,
-                        build_tables, check_targets, find_tie_instances,
-                        smooth_weights, solve_tie_lp)
+from .allocator import (DEFAULT_RATE_CAP, InfeasibleTargetsError,
+                        Multipliers, RateCostTables, TieInfeasibleError,
+                        TieInstance, TieSolution, build_tables,
+                        check_targets, find_tie_instances, smooth_weights,
+                        solve_tie_lp)
 from .analysis import (CompareSetup, OverheadReport, compare_schemes,
                        feedback_bits, mc_primal, sweep_regions)
 from .channel import (FadingModel, sample_gain_blocks, sample_gains,
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompareSetup", "DEFAULT_ENUM_BUDGET", "DEFAULT_RATE_CAP",
-    "DEFAULT_TIE_RTOL", "DualEvaluation", "EnumerationBudgetError",
+    "DualEvaluation", "EnumerationBudgetError",
     "ErgodicCapacity", "FadingModel", "InfeasibleTargetsError",
     "LPInfeasibleError", "LPUnboundedError", "MaxAvgBer", "MaxInstBer",
     "Multipliers", "NumericError", "OnlineResult", "OutageCapacity",

@@ -24,7 +24,6 @@ from .quantizer import QuantizerGrid
 from .simplex import LPInfeasibleError, solve_lp
 
 DEFAULT_RATE_CAP = 12.0     # bits/symbol; hardware ceiling for Υ̇⁻¹
-DEFAULT_TIE_RTOL = 1e-9     # relative cost gap treated as an exact tie
 DEFAULT_FEAS_TOL = 1e-9     # residual rate the tie LP treats as met
 
 
@@ -81,10 +80,6 @@ class Multipliers:
         object.__setattr__(self, "lambda_r", check_lambda(lam, len(lam)))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "targets", tgt)
-
-    @property
-    def num_users(self) -> int:
-        return self.lambda_r.shape[0]
 
 
 class Prices(NamedTuple):
@@ -235,11 +230,12 @@ class TieInstance:
     weighted_powers: np.ndarray     # μ_m·Υ(R*) of each member
 
 
-def find_tie_instances(problem, lam, tie_rtol: float = DEFAULT_TIE_RTOL):
+def find_tie_instances(problem, lam, tie_rtol: float):
     """Enumerate the column space of ``problem`` (a dual.Problem: its
     ``space``, its flat ``columns`` and its cell data at the classes'
     representative channels) at λ, splitting cells into single-winner mass
-    (accumulated into r̄_one) and tie instances, one per class.
+    (accumulated into r̄_one) and tie instances, one per class: cells whose
+    minimum c* < 0 several users' costs reach within tie_rtol·max(1, |c*|).
 
     Returns (instances, r_bar_one); ř_tie = ř - r̄_one feeds solve_tie_lp.
     """
@@ -275,8 +271,8 @@ def find_tie_instances(problem, lam, tie_rtol: float = DEFAULT_TIE_RTOL):
 
 @dataclass(frozen=True)
 class TieSolution:
+    """The tie LP's optimum: member weights and the shared cells' power."""
     weights: list                   # one array per instance, aligned
-    r_tie: np.ndarray
     objective: float
 
 
@@ -290,20 +286,20 @@ def solve_tie_lp(targets, instances, r_bar_one) -> TieSolution:
     unreachable and a TieInfeasibleError is raised, as it is when the LP
     itself has no feasible point (λ is not at the tie-consistent multiplier).
     """
-    r_tie = np.subtract(targets, r_bar_one, dtype=float)
+    residual = np.subtract(targets, r_bar_one, dtype=float)
     nvar = sum(len(t.members) for t in instances)
     if nvar == 0:
-        bad = np.flatnonzero(np.abs(r_tie) > DEFAULT_FEAS_TOL)
+        bad = np.flatnonzero(np.abs(residual) > DEFAULT_FEAS_TOL)
         if len(bad):
             raise TieInfeasibleError(
                 f"no tie instances but residual targets remain for users {bad.tolist()}")
-        return TieSolution(weights=[], r_tie=r_tie, objective=0.0)
+        return TieSolution(weights=[], objective=0.0)
 
     offsets = np.cumsum([0] + [len(t.members) for t in instances])
-    present = np.zeros(len(r_tie), dtype=bool)
+    present = np.zeros(len(residual), dtype=bool)
     for t in instances:
         present[t.members] = True
-    bad = np.flatnonzero(~present & (np.abs(r_tie) > DEFAULT_FEAS_TOL))
+    bad = np.flatnonzero(~present & (np.abs(residual) > DEFAULT_FEAS_TOL))
     if len(bad):
         raise TieInfeasibleError(
             f"users {bad.tolist()} have nonzero residual targets but appear "
@@ -321,7 +317,7 @@ def solve_tie_lp(targets, instances, r_bar_one) -> TieSolution:
         b[len(rows_u) + ti] = 1.0
         for j, m in enumerate(t.members):
             A[row_of_user[int(m)], offsets[ti] + j] = t.prob * t.rates[j]
-    b[:len(rows_u)] = r_tie[rows_u]
+    b[:len(rows_u)] = residual[rows_u]
     if np.any(b[:len(rows_u)] < -DEFAULT_FEAS_TOL):
         raise TieInfeasibleError(
             "single-winner rates already exceed a target; λ is past the "
@@ -331,4 +327,4 @@ def solve_tie_lp(targets, instances, r_bar_one) -> TieSolution:
     except LPInfeasibleError as e:
         raise TieInfeasibleError(str(e)) from e
     weights = [x[offsets[i]:offsets[i + 1]] for i in range(len(instances))]
-    return TieSolution(weights=weights, r_tie=r_tie, objective=obj)
+    return TieSolution(weights=weights, objective=obj)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quantizer as qz
+from . import solver
 from .allocator import (DEFAULT_FEAS_TOL, DEFAULT_RATE_CAP, Multipliers,
                         build_tables, find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
@@ -158,24 +159,26 @@ def _newton_row(scheme: str, problem, cfg: SolverConfig) -> dict:
 
 def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
               eps: float, fading: FadingModel, num_blocks: int,
-              first_block: int = 0, rate_cap: float = DEFAULT_RATE_CAP,
-              batch: int = 1024):
+              first_block: int = 0):
     """Monte-Carlo primal evaluation at frozen multipliers.
 
     Sample-average served rates (M,) and weighted power over ``num_blocks``
-    fading blocks. The rate/cost tables are built once, since λ is frozen;
-    each batch of ``batch`` blocks is sampled and quantized at once and
-    reads only the M×K cells its Q-CSI selects, so memory grows with
-    batch·M·K, not with L. Block streams are the ones the online solver
-    sees, so comparisons share random numbers.
+    fading blocks at the default rate cap; ValueError unless num_blocks ≥ 1
+    and 0 < ε < ∞. The tables are built once, since λ is frozen; as online,
+    solver.ONLINE_CHUNK blocks are sampled and quantized at once and read
+    only the M×K cells their Q-CSI selects, so memory does not grow with L.
+    Block streams are the online solver's, so comparisons share them.
     """
-    if batch < 1 or num_blocks < 1:
-        raise ValueError("batch and num_blocks must be >= 1")
-    tables = build_tables(model, grid, mult, rate_cap)
+    if num_blocks < 1:
+        raise ValueError("num_blocks must be >= 1")
+    if not 0.0 < eps < np.inf:                          # NaN fails too
+        raise ValueError("smooth eps must be positive and finite")
+    tables = build_tables(model, grid, mult)
     sum_rate = np.zeros(grid.num_users)
     sum_power = 0.0
-    for done in range(0, num_blocks, batch):
-        n = min(batch, num_blocks - done)
+    chunk = solver.ONLINE_CHUNK
+    for done in range(0, num_blocks, chunk):
+        n = min(chunk, num_blocks - done)
         qcsi = quantize(grid, sample_gain_blocks(fading, first_block + done, n))
         served, wpower, _ = block_allocation(tables, mult.lambda_r, qcsi, eps)
         sum_rate += served

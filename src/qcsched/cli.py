@@ -354,6 +354,8 @@ def _build_run(rc: dict, log_every: int | None):
     CompareSetup) per SNR point, each compare.snr_db entry else the fading
     SNR or NaN, with every row problem checked (row modes), or None."""
     family, params = rc["power_rate"]["family"], rc["power_rate"]["params"]
+    params = {k: _number(v, f"power_rate.params.{k}")
+              for k, v in params.items()}
     try:
         model = make_model(family, **params)
     except (ValueError, TypeError) as exc:
@@ -539,7 +541,8 @@ def main(argv=None) -> int:
     parser.add_argument("--dry-run", action="store_true",
                         help="validate, print the resolved config, exit")
     parser.add_argument("--log-every", type=int, default=None, metavar="S",
-                        help="record/report every S-th iterate")
+                        help="record/report every S-th iterate (solver "
+                        "modes only)")
     args = parser.parse_args(argv)
 
     try:
@@ -558,8 +561,9 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be a nonnegative integer")
             rc["fading"]["seed"] = args.seed
-        if args.log_every is not None and args.log_every < 1:
-            raise ConfigError("--log-every must be >= 1")
+        if args.log_every is not None and not (
+                args.log_every >= 1 and rc["mode"] in SOLVER_MODES):
+            raise ConfigError("--log-every: solver modes only, S >= 1")
         # value errors (bad thresholds, shapes, targets no allocation can
         # meet) surface here, before any artifact is written
         cfg, work = _build_run(rc, args.log_every)

@@ -139,18 +139,21 @@ class Problem:
 
         mode "hard" serves the cost minimizer when c* < 0 (ties broken to the
         lowest user index — the hard subgradient is set-valued at exact ties
-        and this picks one selection); mode "smooth" serves the ε-smooth
-        weights. λ is checked once. Cost and rate are each taken once
-        through ``columns`` as user-major (M, J) arrays, and the weights
-        reduce over the M user rows. The summation order is part of the
-        contract: served rates accumulate column after column, and the cost
-        and power sums run over (column, user) pairs column-major, so a
-        single-class grid gives the bits of a (C, M) column-major layout.
-        The smooth Jacobian reuses tables and columns, and is computed only
-        when ``jacobian()`` is called.
+        and this picks one selection; it ignores ε); mode "smooth" serves
+        the ε-smooth weights and raises ValueError unless 0 < ε < ∞. λ is
+        checked once. Cost and rate are each taken once through ``columns``
+        as user-major (M, J) arrays, and the weights reduce over the M user
+        rows. The summation order is part of the contract: served rates
+        accumulate column after column, and the cost and power sums run over
+        (column, user) pairs column-major, so a single-class grid gives the
+        bits of a (C, M) column-major layout. The smooth Jacobian reuses
+        tables and columns, and is computed only when ``jacobian()`` is
+        called.
         """
         if mode not in ("hard", "smooth"):
             raise ValueError("mode must be 'hard' or 'smooth'")
+        if mode == "smooth" and not 0.0 < eps < np.inf:     # NaN fails too
+            raise ValueError("smooth eps must be positive and finite")
         lam = check_lambda(lam, self.num_users)
         index, probs = self.columns
         tables = build_tables(self.model, self.grid, Prices(lam, self.mu),
@@ -341,14 +344,11 @@ class PerfectCSI:
 
 
 def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
-               mode: str = "smooth", eps: float = 0.05,
-               rate_cap: float = DEFAULT_RATE_CAP,
-               budget: int = qz.DEFAULT_ENUM_BUDGET) -> DualEvaluation:
-    """Problem.evaluate in one call, on a throwaway Problem for ``mult``'s
-    weights and targets: the exact dual at ``mult.lambda_r``."""
-    problem = Problem(grid, model, mult.mu, mult.targets, rate_cap=rate_cap,
-                      enum_budget=budget)
-    return problem.evaluate(mult.lambda_r, mode, eps)
+               mode: str = "smooth", eps: float = 0.05) -> DualEvaluation:
+    """Problem.evaluate at ``mult.lambda_r`` in one call, on a throwaway
+    Problem with the default rate cap and enumeration budget."""
+    return Problem(grid, model, mult.mu, mult.targets).evaluate(
+        mult.lambda_r, mode, eps)
 
 
 def block_allocation(tables: RateCostTables, lam: np.ndarray, qcsi,

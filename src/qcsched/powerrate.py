@@ -32,16 +32,18 @@ and strictly convex in x with Υ(0) = 0:
 The first three families share the shape Υ(x) = c·(2^x - 1) with a per-region
 constant c, which gives closed-form marginals:
 Υ̇(x) = c·ln2·2^x and Υ̇⁻¹(t) = log2(t/(c·ln2)) for t > c·ln2, else 0.
-``linear_allocation`` is the one implementation of Υ̇⁻¹ and Υ for that shape.
+``linear_allocation`` is the one implementation of Υ̇⁻¹ for that shape, and
+``_linear_power`` the one of Υ.
 
 Every family is used through its methods, and only this module knows its
-shape. The scheduler's hook is ``allocation(cell_data(ctx), slope,
-rate_cap)``: ``cell_data`` is the λ-independent per-region data (c above; the
-region's moments and edges for ergodic) and ``allocation`` returns
-(R*, Υ(R*)) with R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap``.
-Pointwise there are ``power_of_rate`` (Υ), ``rate_of_power`` (Υ⁻¹),
-``marginal_power`` (Υ̇) and ``inv_marginal_power`` (R*). At a known gain g
-every family is Υ(x) = (s/g)·(2^x - 1), and ``perfect_csi_scale`` gives s.
+shape. Υ̇⁻¹ is the scheduler's hook, ``allocation(cell_data(ctx), slope,
+rate_cap)``: ``cell_data`` is the λ-independent per-region data (c above;
+the region's moments and edges for ergodic) and ``allocation`` returns
+(R*, Υ(R*)) with R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap``,
+which every caller gives (``math.inf`` for none). Pointwise there are
+``power_of_rate`` (Υ), ``rate_of_power`` (Υ⁻¹) and ``marginal_power`` (Υ̇).
+At a known gain g every family is Υ(x) = (s/g)·(2^x - 1), and
+``perfect_csi_scale`` gives s.
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ class RegionContext:
         lo = np.asarray(self.q_lo, dtype=float)
         hi = np.asarray(self.q_hi, dtype=float)
         g = np.asarray(self.mean_gain, dtype=float)
-        if np.any(lo < 0) or np.any(lo >= hi):
+        if not (np.all(lo >= 0) and np.all(lo < hi)):     # NaN fails too
             raise ValueError("regions need 0 <= q_lo < q_hi")
-        if np.any(g <= 0) or not np.all(np.isfinite(g)):
+        if not np.all((g > 0) & (g < np.inf)):
             raise ValueError("mean gain must be finite and positive")
         object.__setattr__(self, "q_lo", lo)
         object.__setattr__(self, "q_hi", hi)
@@ -183,23 +185,23 @@ def _grow_bracket(f, hi, what: str):
     raise NumericError(f"could not bracket the root for {what}", resid)
 
 
-def linear_allocation(c, slope=None, rate_cap: float | None = None,
-                      rate=None):
-    """(rate, power) for Υ(x) = c·(2^x - 1), c = +inf in outage regions.
-
-    The rate is ``rate`` when given, else Υ̇⁻¹(slope) = log2(slope/(c·ln2)),
-    0 where slope ≤ c·ln2 (always in outage regions) and at most
-    ``rate_cap``. The power is Υ(rate), exactly 0 where the rate is 0, since
-    c·0 is NaN in outage regions.
-    """
+def linear_allocation(c, slope, rate_cap: float):
+    """(R*, Υ(R*)) for Υ(x) = c·(2^x - 1), c = +inf in outage regions:
+    R* = Υ̇⁻¹(slope) = log2(slope/(c·ln2)), 0 where slope ≤ c·ln2 (always in
+    outage regions) and at most ``rate_cap``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        if rate is None:
-            ratio = np.asarray(slope, dtype=float) / (c * _LN2)
-            rate = np.where(ratio > 1.0, np.log2(np.maximum(ratio, 1.0)), 0.0)
-            if rate_cap is not None:
-                rate = np.minimum(rate, rate_cap)
+        ratio = np.asarray(slope, dtype=float) / (c * _LN2)
+        rate = np.where(ratio > 1.0, np.log2(np.maximum(ratio, 1.0)), 0.0)
+    rate = np.minimum(rate, rate_cap)
+    return rate, _linear_power(c, rate)
+
+
+def _linear_power(c, rate) -> np.ndarray:
+    """Υ(rate) = c·(2^rate - 1), exactly 0 where the rate is 0, since c·0 is
+    NaN in outage regions."""
+    with np.errstate(invalid="ignore"):
         power = c * np.expm1(_LN2 * rate)
-    return rate, np.where(rate == 0.0, 0.0, power)
+    return np.where(rate == 0.0, 0.0, power)
 
 
 class PowerRate:
@@ -215,10 +217,9 @@ class PowerRate:
         ``allocation`` reads: (c,) for the c·(2^x-1) families."""
         return (self.linear_coeff(ctx),)
 
-    def allocation(self, data: tuple, slope,
-                   rate_cap: float | None = None) -> tuple:
+    def allocation(self, data: tuple, slope, rate_cap: float) -> tuple:
         """(R*, Υ(R*)) per cell of ``cell_data``: R* = Υ̇⁻¹(slope), 0 where
-        slope ≤ Υ̇(0) and at most ``rate_cap``."""
+        slope ≤ Υ̇(0) and at most ``rate_cap`` (``math.inf`` for no cap)."""
         return linear_allocation(data[0], slope, rate_cap)
 
     def rate_slope(self, data: tuple, slope, rate, power,
@@ -231,8 +232,7 @@ class PowerRate:
 
     # -- generic closed forms for linear-coefficient families ---------------
     def power_of_rate(self, ctx: RegionContext, rate) -> np.ndarray:
-        return linear_allocation(self.linear_coeff(ctx),
-                                 rate=_nonneg(rate, "rate"))[1]
+        return _linear_power(self.linear_coeff(ctx), _nonneg(rate, "rate"))
 
     def rate_of_power(self, ctx: RegionContext, power) -> np.ndarray:
         y, c = _nonneg(power, "power"), self.linear_coeff(ctx)
@@ -252,10 +252,6 @@ class PowerRate:
         """s with Υ(x) = (s/g)·(2^x - 1) at a known gain g, the limit of
         g·c on shrinking regions: 1 for the capacity families."""
         return 1.0
-
-    def inv_marginal_power(self, ctx: RegionContext, slope,
-                           rate_cap: float | None = None) -> np.ndarray:
-        return self.allocation(self.cell_data(ctx), slope, rate_cap)[0]
 
     def is_outage(self, ctx: RegionContext) -> np.ndarray:
         """Regions where even the first bit costs infinite marginal power."""
@@ -287,8 +283,8 @@ class MaxInstBer(PowerRate):
     eps_max: float
 
     def __post_init__(self):
-        if self.kappa1 <= 0 or self.kappa2 <= 0:
-            raise ValueError("kappa1 and kappa2 must be positive")
+        if not (0 < self.kappa1 < np.inf and 0 < self.kappa2 < np.inf):
+            raise ValueError("kappa1 and kappa2 must be positive and finite")
         if not (0.0 < self.eps_max < self.kappa1):
             raise ValueError("eps_max must lie in (0, kappa1)")
 
@@ -310,8 +306,8 @@ class MaxAvgBer(PowerRate):
     eps_avg: float
 
     def __post_init__(self):
-        if self.kappa1 <= 0 or self.kappa2 <= 0:
-            raise ValueError("kappa1 and kappa2 must be positive")
+        if not (0 < self.kappa1 < np.inf and 0 < self.kappa2 < np.inf):
+            raise ValueError("kappa1 and kappa2 must be positive and finite")
         if not (0.0 < self.eps_avg < self.kappa1):
             raise ValueError("eps_avg must lie in (0, kappa1)")
 
@@ -423,8 +419,7 @@ class ErgodicCapacity(PowerRate):
         return 1.0 / self._closed_form(self._edges(self.cell_data(ctx), y),
                                        y)[1]
 
-    def allocation(self, data: tuple, slope,
-                   rate_cap: float | None = None) -> tuple:
+    def allocation(self, data: tuple, slope, rate_cap: float) -> tuple:
         """One root-find per active cell, for the power y* with
         (Υ⁻¹)'(y*) = 1/slope; then R* = Υ⁻¹(y*) and Υ(R*) = y*. Cells
         clipped at ``rate_cap`` get Υ(rate_cap) instead. Active cells are
@@ -457,7 +452,7 @@ class ErgodicCapacity(PowerRate):
         y = _vec_newton(f_df, lo, hi, ROOT_TOL, ROOT_MAX_ITER,
                         "ergodic marginal inverse")
         r = self._closed_form(edges, y)[0]
-        capped = r > (np.inf if rate_cap is None else rate_cap)
+        capped = r > rate_cap
         if capped.any():
             r[capped] = rate_cap
             y[capped] = self._power(tuple(a[capped] for a in c), rate_cap)

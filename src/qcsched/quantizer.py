@@ -58,7 +58,7 @@ class QuantizerGrid:
             raise ValueError("every ladder must start at q_1 = 0")
         if not np.all(np.isposinf(thr[:, :, -1])):
             raise ValueError("every ladder must end at q_{L+1} = +inf")
-        if np.any(np.diff(thr, axis=2) <= 0):
+        if not np.all(np.diff(thr, axis=2) > 0):        # NaN fails too
             raise ValueError("thresholds must be strictly increasing")
         thr = thr.copy()
         thr.setflags(write=False)

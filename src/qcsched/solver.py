@@ -51,16 +51,16 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.beta <= 0 or self.kappa <= 0:
-            raise ValueError("stepsizes must be positive")
-        if np.any(np.asarray(self.tol) <= 0):
+        if not (0 < self.beta < np.inf and 0 < self.kappa < np.inf):
+            raise ValueError("stepsizes must be positive and finite")
+        if not np.all(np.asarray(self.tol) > 0):
             raise ValueError("tol must be positive")
-        if np.any(np.asarray(self.init) < 0):
-            raise ValueError("init must be nonnegative")
-        if self.max_iters < 1 or self.record_every < 1:
+        if not np.all((np.asarray(self.init) >= 0) & np.isfinite(self.init)):
+            raise ValueError("init must be finite and nonnegative")
+        if not (self.max_iters >= 1 and self.record_every >= 1):
             raise ValueError("max_iters and record_every must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
 
 
 @dataclass
@@ -114,18 +114,11 @@ class _Recorder:
                               float(power)))
             self.last_iter = i
 
-    def build(self, reason: str, converged: bool, M: int) -> Trajectory:
-        if self.rows:
-            iters = np.array([r[0] for r in self.rows])
-            lam = np.stack([r[1] for r in self.rows])
-            sg = np.stack([r[2] for r in self.rows])
-            rates = np.stack([r[3] for r in self.rows])
-            power = np.array([r[4] for r in self.rows])
-        else:
-            iters = np.zeros(0, dtype=int)
-            lam = sg = rates = np.zeros((0, M))
-            power = np.zeros(0)
-        return Trajectory(iters, lam, sg, rates, power, reason, converged)
+    def build(self, reason: str, converged: bool) -> Trajectory:
+        # every solver records its first iterate, so rows is never empty
+        iters, lam, sg, rates, power = zip(*self.rows)
+        return Trajectory(np.array(iters), np.stack(lam), np.stack(sg),
+                          np.stack(rates), np.array(power), reason, converged)
 
 
 def _per_user(value, M: int) -> np.ndarray:
@@ -156,7 +149,7 @@ def _run_offline(problem: Problem, cfg: SolverConfig, mode: str, progress=None):
         step = cfg.beta if mode == "smooth" else cfg.kappa * (i + 1) ** (-0.51)
         lam = np.maximum(0.0, lam + step * ev.subgradient)
     reason = "converged" if converged else "max_iters"
-    return lam, rec.build(reason, converged, M)
+    return lam, rec.build(reason, converged)
 
 
 def run_offline_smooth(problem: Problem, cfg: SolverConfig, progress=None):
@@ -213,7 +206,7 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
         trial = np.maximum(0.0, lam + step * min(1.0, cap))
     rec.add(i, lam, kept.subgradient, kept.per_user_avg_rate, kept.avg_power,
             force=True)
-    return lam, rec.build("converged" if done else "max_iters", done, M)
+    return lam, rec.build("converged" if done else "max_iters", done)
 
 
 def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
@@ -309,7 +302,7 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
             if progress is not None:
                 progress(n, lam, g)
             lam = np.maximum(0.0, lam + cfg.beta * g)
-    traj = rec.build("completed", False, M)
+    traj = rec.build("completed", False)
     return OnlineResult(lam_trace=lam_trace, sample_avg_rate=avg_rate,
                         sample_avg_power=avg_power, final_lambda=lam,
                         trajectory=traj)

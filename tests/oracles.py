@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qcsched.allocator import (DEFAULT_RATE_CAP, DEFAULT_TIE_RTOL,
-                               Multipliers, RateCostTables, build_tables,
-                               smooth_weights)
-from qcsched.dual import block_allocation, exact_dual
+from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
+                               build_tables, smooth_weights)
+from qcsched.dual import Problem, block_allocation
 from qcsched.quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                                QuantizerGrid, region_prob_table)
+
+TIE_RTOL = 1e-9     # relative cost gap the oracles treat as an exact tie
 
 
 # --- winner sets and per-column schedules -------------------------------------
@@ -34,7 +35,7 @@ def _col_costs(tables: RateCostTables, col, k: int) -> np.ndarray:
 
 
 def winner_sets(tables: RateCostTables, col, k: int, eps: float,
-                tie_rtol: float = DEFAULT_TIE_RTOL):
+                tie_rtol: float = TIE_RTOL):
     """Hard and smooth winner sets plus the minimum cost c* for channel k.
 
     Hard set: cost minimizers (within the relative tie tolerance) if c* < 0,
@@ -67,7 +68,7 @@ class ScheduleColumn:
 
 
 def hard_schedule(tables: RateCostTables, col, k: int,
-                  tie_rtol: float = DEFAULT_TIE_RTOL) -> ScheduleColumn:
+                  tie_rtol: float = TIE_RTOL) -> ScheduleColumn:
     """Winner-takes-all column: indicator of the unique minimizer, all-zero
     when idle, or a tie marker when several users attain the minimum."""
     hard, _, cstar = winner_sets(tables, col, k, eps=np.inf, tie_rtol=tie_rtol)
@@ -229,7 +230,7 @@ def column_major_dual(problem, lam, mode: str, eps: float) -> tuple:
         w = last_axis_weights(cost, eps)
         jac = _column_major_jacobian(problem, mult, tables, cost, rate, eps)
     else:
-        w = ((np.arange(mult.num_users) == cost.argmin(axis=2)[:, :, None])
+        w = ((np.arange(len(mult.lambda_r)) == cost.argmin(axis=2)[:, :, None])
              & (cost.min(axis=2, keepdims=True) < 0.0))
     p = probs[:, :, None]
     rate_served = np.sum(rate * w * p, axis=(0, 1))
@@ -244,7 +245,7 @@ def _column_major_jacobian(problem, mult, tables, cost, rate, eps):
     """∂g/∂λ on the (n, C, M) columns, by the formula of
     Problem._jacobian, each column sum by einsum over the whole space."""
     cols0, probs, _ = problem.space
-    M, mu = mult.num_users, mult.mu[:, None, None]
+    M, mu = len(mult.lambda_r), mult.mu[:, None, None]
     rprime = problem.model.rate_slope(problem.static,
                                       mult.lambda_r[:, None, None] / mu,
                                       tables.rate, tables.power,
@@ -294,7 +295,8 @@ def jacobian_check(model, grid: QuantizerGrid, mult, eps: float = 0.05,
     largest |entry|; at interior multipliers (every user active) the
     symmetric part should be negative definite with bounded eigenvalues.
     """
-    M = mult.num_users
+    M = len(mult.lambda_r)
+    problem = Problem(grid, model, mult.mu, mult.targets, rate_cap=rate_cap)
     lam0 = mult.lambda_r.astype(float)
     if h is None:
         h = 1e-5 * (1.0 + np.abs(lam0))
@@ -304,8 +306,7 @@ def jacobian_check(model, grid: QuantizerGrid, mult, eps: float = 0.05,
         for sgn in (1.0, -1.0):
             lam = lam0.copy()
             lam[j] += sgn * h[j]
-            step = Multipliers(np.maximum(lam, 0.0), mult.mu, mult.targets)
-            ev = exact_dual(model, grid, step, "smooth", eps, rate_cap)
+            ev = problem.evaluate(np.maximum(lam, 0.0), "smooth", eps)
             J[:, j] += sgn * ev.subgradient / (2.0 * h[j])
     sym = 0.5 * (J + J.T)
     eig = np.linalg.eigvalsh(sym)
@@ -319,7 +320,7 @@ def jacobian_check(model, grid: QuantizerGrid, mult, eps: float = 0.05,
 
 def cluster_audit(tables: RateCostTables, k: int,
                   budget: int = DEFAULT_ENUM_BUDGET,
-                  tie_rtol: float = DEFAULT_TIE_RTOL) -> list:
+                  tie_rtol: float = TIE_RTOL) -> list:
     """Verify the winner-cluster monotonicity on channel k by enumeration.
 
     For every column and every single-region perturbation, membership in the

@@ -284,7 +284,7 @@ def _vertex_opt_tie(instances, m, r_bar_one, tol=1e-9):
     r_tie = m.targets - r_bar_one
     nvar = sum(len(t.members) for t in instances)
     offsets = np.cumsum([0] + [len(t.members) for t in instances])
-    present = np.zeros(m.num_users, dtype=bool)
+    present = np.zeros(len(m.lambda_r), dtype=bool)
     for t in instances:
         present[t.members] = True
     rows_u = np.flatnonzero(present)

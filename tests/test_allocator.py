@@ -156,8 +156,9 @@ def test_tables_match_scalar_powerrate_calls(grid_2x3):
                 for l in range(4):
                     ctx = RegionContext(thr[m, k, l], thr[m, k, l + 1],
                                         grid_2x3.mean_gain[m, k])
-                    r = float(model.inv_marginal_power(ctx, lam[m] / muv[m],
-                                                       DEFAULT_RATE_CAP))
+                    r = float(model.allocation(model.cell_data(ctx),
+                                               lam[m] / muv[m],
+                                               DEFAULT_RATE_CAP)[0])
                     assert t.rate[m, k, l] == pytest.approx(r, abs=1e-12)
                     p = float(model.power_of_rate(ctx, r))
                     assert t.cost[m, k, l] == pytest.approx(
@@ -347,7 +348,7 @@ def test_find_tie_instances_symmetric_two_user():
     model = OutageCapacity(outage_delta=0.0)
     m = mult([2 * LN2, 2 * LN2], targets=[0.4, 0.6])
     instances, r_one = find_tie_instances(
-        Problem(grid, model, m.mu, m.targets), m.lambda_r)
+        Problem(grid, model, m.mu, m.targets), m.lambda_r, 1e-9)
     assert len(instances) == 1
     inst = instances[0]
     np.testing.assert_array_equal(inst.members, [0, 1])
@@ -415,7 +416,7 @@ def _vertex_opt_tie(instances, m, r_bar_one, tol=1e-9):
     r_tie = m.targets - r_bar_one
     nvar = sum(len(t.members) for t in instances)
     offsets = np.cumsum([0] + [len(t.members) for t in instances])
-    present = np.zeros(m.num_users, dtype=bool)
+    present = np.zeros(len(m.lambda_r), dtype=bool)
     for t in instances:
         present[t.members] = True
     rows_u = np.flatnonzero(present)
@@ -487,6 +488,6 @@ def test_find_tie_instances_generic_lambda_has_no_ties(grid_2x3):
     model = OutageCapacity(outage_delta=0.0)
     m = mult([0.8317, 1.2743], targets=[1.0, 1.0])
     instances, r_one = find_tie_instances(
-        Problem(grid_2x3, model, m.mu, m.targets), m.lambda_r)
+        Problem(grid_2x3, model, m.mu, m.targets), m.lambda_r, 1e-9)
     assert instances == []
     assert np.all(r_one >= 0.0)

@@ -122,13 +122,14 @@ def test_cluster_audit_budget():
 
 # --- Monte-Carlo primal ----------------------------------------------------------------
 
-def test_mc_primal_matches_blockwise_loop():
+def test_mc_primal_matches_blockwise_loop(monkeypatch):
+    monkeypatch.setattr(solver, "ONLINE_CHUNK", 7)
     fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5]]), seed=3)
     grid = build_equiprobable(fading, 4)
     mult = Multipliers(np.array([0.8, 1.1]), np.ones(2), np.array([0.5, 0.7]))
     n = 64
     rate_mc, power_mc = mc_primal(MODEL, grid, mult, 0.05, fading, n,
-                                  first_block=5, batch=7)
+                                  first_block=5)
     tables = build_tables(MODEL, grid, mult)
     acc_r = np.zeros(2)
     acc_p = 0.0
@@ -154,16 +155,26 @@ def test_mc_primal_converges_to_exact_dual():
 
 
 @pytest.mark.parametrize("batch", [1, 7])
-def test_mc_primal_batch_size_only_regroups_sums(batch):
+def test_mc_primal_batch_size_only_regroups_sums(batch, monkeypatch):
     fading = FadingModel(np.array([[1.0, 2.0, 0.8], [0.5, 1.5, 2.5]]), seed=9)
     grid = build_equiprobable(fading, 16)
     mult = Multipliers(np.array([0.8, 1.1]), np.ones(2), np.array([0.5, 0.7]))
     ref_rate, ref_power = mc_primal(MODEL, grid, mult, 0.05, fading, 300,
                                     first_block=11)
+    monkeypatch.setattr(solver, "ONLINE_CHUNK", batch)
     rate, power = mc_primal(MODEL, grid, mult, 0.05, fading, 300,
-                            first_block=11, batch=batch)
+                            first_block=11)
     np.testing.assert_allclose(rate, ref_rate, rtol=1e-12, atol=0.0)
     assert power == pytest.approx(ref_power, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_mc_primal_rejects_a_bad_eps(eps):
+    fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5]]), seed=3)
+    grid = build_equiprobable(fading, 4)
+    mult = Multipliers(np.array([0.8, 1.1]), np.ones(2), np.array([0.5, 0.7]))
+    with pytest.raises(ValueError, match="eps"):
+        mc_primal(MODEL, grid, mult, eps, fading, 10)
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -293,8 +304,9 @@ def test_ra2_continuation_meets_the_targets_inside_its_bracket(case):
                                atol=allocator.DEFAULT_FEAS_TOL)
     lam = row["lambda"]
     grid = build_equiprobable(setup.fading, setup.regions)
-    smooth = exact_dual(model, grid, Multipliers(lam, setup.mu, setup.targets),
-                        "smooth", row["eps"], setup.rate_cap)
+    smooth = Problem(grid, model, setup.mu, setup.targets,
+                     rate_cap=setup.rate_cap).evaluate(lam, "smooth",
+                                                       row["eps"])
     slack = lam.sum() * allocator.DEFAULT_FEAS_TOL
     assert row["dual_bound"] <= row["avg_power"] <= smooth.avg_power + slack
     assert row["avg_power"] - row["dual_bound"] <= lam @ setup.tol
@@ -307,9 +319,10 @@ def test_ra2_unconverged_stage_reports_its_smooth_point():
     row = ra2_point(setup)
     assert row["converged"] is False and row["eps"] == setup.eps
     grid = build_equiprobable(setup.fading, setup.regions)
-    mult = Multipliers(row["lambda"], setup.mu, setup.targets)
-    smooth = exact_dual(MODEL, grid, mult, "smooth", setup.eps, setup.rate_cap)
-    hard = exact_dual(MODEL, grid, mult, "hard", setup.eps, setup.rate_cap)
+    problem = Problem(grid, MODEL, setup.mu, setup.targets,
+                      rate_cap=setup.rate_cap)
+    smooth = problem.evaluate(row["lambda"], "smooth", setup.eps)
+    hard = problem.evaluate(row["lambda"], "hard", setup.eps)
     np.testing.assert_array_equal(row["avg_rates"], smooth.per_user_avg_rate)
     assert row["avg_power"] == smooth.avg_power
     assert row["dual_bound"] == hard.value

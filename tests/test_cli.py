@@ -116,6 +116,15 @@ def test_malformed_json(tmp_path, capsys):
      "fading.num_users: expected a finite number, got inf"),
     (lambda c: c["fading"]["mean_gain"][0].__setitem__(1, math.inf),
      "fading.mean_gain[0][1]: expected a finite number, got inf"),
+    # family parameters too: these ran to max_iters (exit 3) with --out made
+    (lambda c: c.update(power_rate={
+        "family": "max_avg_ber",
+        "params": {"kappa1": 0.2, "kappa2": math.nan, "eps_avg": 1e-3}}),
+     "power_rate.params.kappa2: expected a finite number, got nan"),
+    (lambda c: c.update(power_rate={
+        "family": "max_inst_ber",
+        "params": {"kappa1": 0.2, "kappa2": math.inf, "eps_max": 1e-3}}),
+     "power_rate.params.kappa2: expected a finite number, got inf"),
 ])
 def test_config_rejections(tmp_path, capsys, mangle, needle):
     cfg = tiny()
@@ -124,6 +133,17 @@ def test_config_rejections(tmp_path, capsys, mangle, needle):
     assert rc == CONFIG
     assert needle in capsys.readouterr().err
     assert not out.exists()          # rejected before any artifact
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("compare", {}), ("sweep_regions", {"sweep": {"regions": [2]}}),
+    ("overhead", {})])
+def test_log_every_is_for_solver_modes_only(tmp_path, capsys, mode, extra):
+    # row and overhead modes record and print nothing per iterate
+    rc, out = run(tmp_path, tiny(mode, **extra), "--log-every", "5")
+    assert rc == CONFIG
+    assert "--log-every: solver modes only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_online_mode_requires_num_blocks(tmp_path):

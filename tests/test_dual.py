@@ -138,7 +138,8 @@ def test_exact_dual_validation():
     with pytest.raises(ValueError):
         exact_dual(MODEL, grid, mult, "soft")
     with pytest.raises(EnumerationBudgetError):
-        exact_dual(MODEL, grid, mult, "smooth", budget=3)
+        Problem(grid, MODEL, mult.mu, mult.targets,
+                enum_budget=3).evaluate(mult.lambda_r)
 
 
 @pytest.mark.parametrize("mu, targets", [([1.0, 0.0], [0.5, 0.7]),
@@ -150,6 +151,20 @@ def test_problem_checks_weights_at_construction(mu, targets):
     _, grid, _ = small_instance()
     with pytest.raises(ValueError):
         Problem(grid, MODEL, mu, targets)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_smooth_evaluation_rejects_a_bad_eps(eps):
+    # ε = 0 gave NaN with RuntimeWarnings, ε = -1 a meaningless number;
+    # hard mode ignores ε
+    _, grid, mult = small_instance()
+    problem = Problem(grid, MODEL, mult.mu, mult.targets)
+    with pytest.raises(ValueError, match="eps"):
+        problem.evaluate(np.ones(2), "smooth", eps)
+    with pytest.raises(ValueError, match="eps"):
+        exact_dual(MODEL, grid, mult, "smooth", eps)
+    assert (problem.evaluate(np.ones(2), "hard", eps).value
+            == problem.evaluate(np.ones(2), "hard").value)
 
 
 @pytest.mark.parametrize("lam", [[-0.1, 1.0], [np.nan, 1.0], [np.inf, 1.0],
@@ -306,8 +321,8 @@ def test_analytic_jacobian_matches_finite_differences(model):
         kinds |= {"capped"} if np.any(rate == 3.0) else set()
         kinds |= {"interior"} if np.any((rate > 0) & (rate < 3.0)) else set()
         fd, _ = jacobian_check(model, grid, mult, eps=0.5, rate_cap=3.0)
-        jac = exact_dual(model, grid, mult, "smooth", eps=0.5,
-                         rate_cap=3.0).jacobian()
+        jac = Problem(grid, model, mult.mu, mult.targets,
+                      rate_cap=3.0).evaluate(mult.lambda_r, eps=0.5).jacobian()
         np.testing.assert_allclose(
             jac, fd, rtol=0.0, atol=1e-6 * np.max(np.abs(fd)) + 1e-12)
         coupled |= bool(fd[0, 1] != 0.0)
@@ -410,9 +425,11 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
     # the value is λ·ř plus the expected cost, so it is compared at the
     # scale of λ·ř, which it may cancel to far below
     vscale = float(mult.lambda_r @ mult.targets)
+    classes, full = (Problem(grid, model, mult.mu, mult.targets,
+                             rate_cap=rate_cap) for _ in range(2))
     ev = {}
     for mode in ("hard", "smooth"):
-        ev[mode] = got = exact_dual(model, grid, mult, mode, eps, rate_cap)
+        ev[mode] = got = classes.evaluate(mult.lambda_r, mode, eps)
         want = per_channel_dual(model, grid, mult, mode, eps, rate_cap)
         _agree(got.value, want.value, 1e-12, vscale)
         _agree(got.per_user_avg_rate, want.per_user_avg_rate, 1e-12)
@@ -427,16 +444,14 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
     # J sums terms p·r²·b with |b| <= 2/eps that cancel where one user wins
     # a capped cell, so an entry near 0 is compared at the terms' scale;
     # seeding a Problem's space with every channel enumerates each of them
-    classes, full = (Problem(grid, model, mult.mu, mult.targets,
-                             rate_cap=rate_cap) for _ in range(2))
     full.space = per_channel_space(grid)
     rmax = float(build_tables(model, grid, mult, rate_cap).rate.max())
     _agree(classes.evaluate(mult.lambda_r, "smooth", eps).jacobian(),
            full.evaluate(mult.lambda_r, "smooth", eps).jacobian(),
            1e-10, K * rmax ** 2 * 2.0 / eps)
 
-    ties, one = find_tie_instances(classes, mult.lambda_r)
-    ties_k, one_k = find_tie_instances(full, mult.lambda_r)
+    ties, one = find_tie_instances(classes, mult.lambda_r, 1e-9)
+    ties_k, one_k = find_tie_instances(full, mult.lambda_r, 1e-9)
     _agree(one, one_k, 1e-12)
     size = dict(zip(*channel_classes(grid)))
     assert len(ties_k) == sum(size[t.channel] for t in ties)

@@ -5,6 +5,8 @@ The quadrature oracles integrate the defining region averages directly
 forms / root-finds under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +29,11 @@ FAMILIES = [
 ]
 # a region away from zero so no family sees an outage
 CTX = RegionContext(q_lo=0.4, q_hi=2.1, mean_gain=1.3)
+
+
+def inv_marginal(model, ctx, slope, rate_cap=math.inf):
+    """R* = Υ̇⁻¹(slope) through the family's one hook, ``allocation``."""
+    return model.allocation(model.cell_data(ctx), slope, rate_cap)[0]
 
 
 # --- delta-outage gain ----------------------------------------------------------
@@ -52,12 +59,13 @@ def test_delta_outage_gain_validation():
 
 
 def test_region_context_validation():
-    with pytest.raises(ValueError):
-        RegionContext(q_lo=1.0, q_hi=1.0, mean_gain=1.0)
-    with pytest.raises(ValueError):
-        RegionContext(q_lo=-0.1, q_hi=1.0, mean_gain=1.0)
-    with pytest.raises(ValueError):
-        RegionContext(q_lo=0.0, q_hi=1.0, mean_gain=0.0)
+    nan, inf = math.nan, math.inf
+    for q_lo, q_hi, mean_gain in ((1.0, 1.0, 1.0), (-0.1, 1.0, 1.0),
+                                  (0.0, 1.0, 0.0), (nan, 1.0, 1.0),
+                                  (0.0, nan, 1.0), (0.0, 1.0, nan),
+                                  (0.0, 1.0, inf)):
+        with pytest.raises(ValueError):
+            RegionContext(q_lo=q_lo, q_hi=q_hi, mean_gain=mean_gain)
 
 
 def test_region_contexts_covers_grid():
@@ -88,7 +96,7 @@ def test_outage_region_semantics():
     assert np.isposinf(model.power_of_rate(out, 1.0))
     assert model.power_of_rate(out, 0.0) == 0.0
     assert model.rate_of_power(out, 5.0) == 0.0
-    assert model.inv_marginal_power(out, 100.0) == 0.0
+    assert inv_marginal(model, out, 100.0) == 0.0
     # positive delta lifts the first region out of outage
     d = OutageCapacity(outage_delta=0.2)
     assert not d.is_outage(out)
@@ -98,10 +106,10 @@ def test_outage_region_semantics():
 def test_outage_inv_marginal_by_hand():
     model = OutageCapacity(outage_delta=0.0)
     ctx = RegionContext(q_lo=1.0, q_hi=np.inf, mean_gain=1.0)
-    assert abs(model.inv_marginal_power(ctx, 2.0 * LN2) - 1.0) < 1e-15
-    assert model.inv_marginal_power(ctx, LN2) == 0.0        # clip boundary
-    assert model.inv_marginal_power(ctx, 0.5 * LN2) == 0.0
-    assert model.inv_marginal_power(ctx, 1e9, rate_cap=6.0) == 6.0
+    assert abs(inv_marginal(model, ctx, 2.0 * LN2) - 1.0) < 1e-15
+    assert inv_marginal(model, ctx, LN2) == 0.0        # clip boundary
+    assert inv_marginal(model, ctx, 0.5 * LN2) == 0.0
+    assert inv_marginal(model, ctx, 1e9, 6.0) == 6.0
 
 
 def test_max_inst_ber_closed_form():
@@ -116,12 +124,20 @@ def test_max_inst_ber_closed_form():
 
 
 def test_family_param_validation():
+    nan, inf = math.nan, math.inf
     with pytest.raises(ValueError):
         OutageCapacity(outage_delta=1.0)
     with pytest.raises(ValueError):
-        MaxInstBer(kappa1=0.2, kappa2=1.0, eps_max=0.25)     # eps >= kappa1
+        OutageCapacity(outage_delta=nan)
     with pytest.raises(ValueError):
-        MaxInstBer(kappa1=0.2, kappa2=-1.0, eps_max=0.01)
+        MaxInstBer(kappa1=0.2, kappa2=1.0, eps_max=0.25)     # eps >= kappa1
+    # κ1 and κ2 are positive and finite: NaN fails each check
+    for k1, k2 in ((0.2, -1.0), (0.2, nan), (0.2, inf), (nan, 1.5),
+                   (inf, 1.5)):
+        with pytest.raises(ValueError):
+            MaxInstBer(kappa1=k1, kappa2=k2, eps_max=0.01)
+        with pytest.raises(ValueError):
+            MaxAvgBer(kappa1=k1, kappa2=k2, eps_avg=0.01)
     with pytest.raises(ValueError):
         MaxAvgBer(kappa1=0.2, kappa2=1.0, eps_avg=0.0)
 
@@ -201,9 +217,9 @@ def test_ergodic_inv_marginal_consistency():
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.3, q_hi=1.8, mean_gain=0.9)
     zero_slope = float(model.marginal_at_zero(ctx))
-    assert model.inv_marginal_power(ctx, 0.5 * zero_slope) == 0.0
+    assert inv_marginal(model, ctx, 0.5 * zero_slope) == 0.0
     for t in (1.5 * zero_slope, 4.0 * zero_slope):
-        r = float(model.inv_marginal_power(ctx, t))
+        r = float(inv_marginal(model, ctx, t))
         assert r > 0
         assert model.marginal_power(ctx, r) == pytest.approx(t, rel=1e-7)
 
@@ -318,7 +334,7 @@ def test_unconverged_root_find_raises_with_its_residual(monkeypatch):
     for call in (
             lambda: MaxAvgBer(kappa1=0.2, kappa2=1.5,
                               eps_avg=0.01).linear_coeff(ctx),
-            lambda: ErgodicCapacity().inv_marginal_power(ctx, 5.0)):
+            lambda: inv_marginal(ErgodicCapacity(), ctx, 5.0)):
         with pytest.raises(NumericError, match="did not converge") as info:
             call()
         assert np.isfinite(info.value.residual) and info.value.residual > 0

@@ -58,8 +58,9 @@ def test_grid_validation():
         QuantizerGrid(np.array([[[0.1, 1.0, np.inf]]]), np.ones((1, 1)))
     with pytest.raises(ValueError):        # must end at +inf
         QuantizerGrid(np.array([[[0.0, 1.0, 2.0]]]), np.ones((1, 1)))
-    with pytest.raises(ValueError):        # strictly increasing
-        QuantizerGrid(np.array([[[0.0, 1.0, 1.0, np.inf]]]), np.ones((1, 1)))
+    for thr in ([0.0, 1.0, 1.0, np.inf], [0.0, np.nan, np.inf]):
+        with pytest.raises(ValueError):    # strictly increasing, NaN fails
+            QuantizerGrid(np.array([[thr]]), np.ones((1, 1)))
     with pytest.raises(ValueError):        # mean gain positive
         QuantizerGrid(ok, np.zeros((1, 1)))
     with pytest.raises(ValueError):        # shape agreement

@@ -145,9 +145,17 @@ def test_record_every_thinning():
 
 
 def test_solver_config_validation():
+    nan, inf = np.nan, np.inf
     for bad in (dict(beta=0.0), dict(kappa=-1.0), dict(tol=0.0),
                 dict(init=-0.1), dict(max_iters=0), dict(record_every=0),
-                dict(eps=0.0), dict(tol=np.array([1e-3, 0.0]))):
+                dict(eps=0.0), dict(tol=np.array([1e-3, 0.0])),
+                # NaN fails every check, and a stepsize, init or ε is finite
+                dict(beta=nan), dict(kappa=nan), dict(tol=nan),
+                dict(tol=np.array([1e-3, nan])), dict(init=nan),
+                dict(init=np.array([0.1, nan])), dict(max_iters=nan),
+                dict(record_every=nan), dict(eps=nan), dict(eps=-1.0),
+                dict(beta=inf), dict(kappa=inf), dict(init=inf),
+                dict(eps=inf)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 

@@ -1,0 +1,28 @@
+"""One checked pass of each benchmark workload: the calls perfbench makes into
+qcsched, by name and call form, and the checks it applies to their outputs
+must keep working.
+
+    PYTHONPATH=src python3 -m pytest tests/test_workloads.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
+
+import workloads   # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_checked_pass_of_each_workload(name):
+    w = workloads.WORKLOADS[name](seed=1)
+    tally = workloads.Tally()
+    done = workloads.run_pass(w, 0, tally)
+    if hasattr(w, "global_checks"):
+        for what, problems in w.global_checks():
+            tally.record(what, problems)
+    workloads.check_all(w, done, tally)
+    assert done and tally.failed == 0, tally.problems
