@@ -34,8 +34,8 @@ from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                         region_prob_table)
 from .simplex import LPInfeasibleError, LPUnboundedError, solve_lp
 from .solver import (OnlineResult, SolverConfig, Trajectory,
-                     multiplier_settled, run_offline_newton,
-                     run_offline_nonsmooth, run_offline_smooth, run_online)
+                     run_offline_newton, run_offline_nonsmooth,
+                     run_offline_smooth, run_online)
 from .special import exp1, exp1_scaled
 
 __version__ = "0.1.0"
@@ -53,7 +53,7 @@ __all__ = [
     "build_tables", "channel_classes", "check_targets", "column_space",
     "compare_schemes", "delta_outage_gain", "exact_dual", "exp1",
     "exp1_scaled", "feedback_bits", "find_tie_instances", "make_model",
-    "mc_primal", "multiplier_settled", "quantize", "region_contexts",
+    "mc_primal", "quantize", "region_contexts",
     "region_prob_table", "run_offline_newton", "run_offline_nonsmooth",
     "run_offline_smooth", "run_online", "sample_gain_blocks",
     "sample_gains", "smooth_weights",

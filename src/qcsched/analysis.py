@@ -23,8 +23,8 @@ rates and reports average weighted power:
   adapting per region; the power level is root-found to meet the rate target,
   else, beyond what its channels carry at ``rate_cap``, is the saturation one.
 
-No row hard-codes ``converged``: it comes from the row's Newton solves (RA1,
-RA3, RA4), RA2's certificate, or RA5's served rates against ``tol``.
+No row hard-codes ``converged``: solver.serves_targets judges what each row
+serves at ``tol``, and RA1's and RA2's power against their ``dual_bound``.
 """
 
 from __future__ import annotations
@@ -132,17 +132,19 @@ def row_problem(setup: CompareSetup, scheme: str) -> Problem | PerfectCSI:
                    rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
 
 
-def run_problems(setup: CompareSetup, schemes=(), regions_list=()):
-    """The row problems (row_problem) of compare_schemes(setup, schemes),
-    then of sweep_regions(setup, regions_list): RA3 at each L, then RA1.
-    They are built one at a time, in row order. Neither harness function
-    calls this: each solve checks its own problem's targets first."""
-    for name in schemes:
-        yield row_problem(setup, name)
-    for L in regions_list:
-        yield row_problem(replace(setup, regions=int(L)), "RA3")
+def check_rows(setup: CompareSetup, schemes=(), regions_list=()) -> None:
+    """Check, in row order, the targets of the row problems (row_problem) of
+    compare_schemes(setup, schemes), then of sweep_regions(setup,
+    regions_list), and the enumeration budget of RA2-RA4, which enumerate."""
+    rows = [(name, setup) for name in schemes]
+    rows += [("RA3", replace(setup, regions=int(L))) for L in regions_list]
     if len(regions_list):
-        yield row_problem(setup, "RA1")
+        rows.append(("RA1", setup))
+    for name, point in rows:
+        problem = row_problem(point, name)
+        problem.check_targets()
+        if name in ("RA2", "RA3", "RA4"):   # raises EnumerationBudgetError
+            problem.space                   # over enum_budget
 
 
 def _newton_row(scheme: str, problem, cfg: SolverConfig) -> dict:
@@ -150,8 +152,8 @@ def _newton_row(scheme: str, problem, cfg: SolverConfig) -> dict:
     PerfectCSI); the trajectory's last row is the exact evaluation at the
     final λ."""
     lam, traj = run_offline_newton(problem, cfg)
-    return {"scheme": scheme, "avg_power": float(traj.power[-1]),
-            "avg_rates": traj.rates[-1], "converged": traj.converged,
+    return {"scheme": scheme, "avg_power": traj.served_power,
+            "avg_rates": traj.served_rates, "converged": traj.converged,
             "iterations": int(traj.iters[-1]),
             "max_abs_subgradient": float(np.max(np.abs(traj.subgrad[-1]))),
             "lambda": lam, "method": "offline_exact"}
@@ -205,8 +207,9 @@ def ra2_point(setup: CompareSetup) -> dict:
     smooth weights share, so those weights are LP-feasible and D ≤ P* ≤ P ≤ Pˢ
     at λ by weak duality and primal feasibility. P = D + Σ p·(Σ w·c - min c)
     over the tie instances serves the targets; the row reports P, D as
-    ``dual_bound`` and the last ``eps``, and converges once P - D ≤ λ·tol. A
-    stage whose Newton fails ends the run unconverged, at its smooth point.
+    ``dual_bound`` and the last ``eps``, and stops once solver.serves_targets
+    holds for its rates, P and D. A stage whose Newton fails ends the run at
+    its smooth point.
     """
     problem = row_problem(setup, "RA2")
     eps, lam = setup.eps, setup.init
@@ -215,23 +218,23 @@ def ra2_point(setup: CompareSetup) -> dict:
         cfg = _solver_cfg(setup, eps=eps, init=lam, tol=stage_tol)
         lam, traj = run_offline_newton(problem, cfg)
         dual = problem.evaluate(lam, "hard", eps).value
-        if not traj.converged:
-            power, rates, certified = traj.power[-1], traj.rates[-1], False
-            break
-        instances, rates = find_tie_instances(problem, lam, eps)
-        sol = solve_tie_lp(problem.targets, instances, rates)
-        power = dual
-        for inst, w in zip(instances, sol.weights):
-            rates[inst.members] += inst.prob * inst.rates * w
-            cost = inst.weighted_powers - lam[inst.members] * inst.rates
-            power += float(inst.prob * (w @ cost - cost.min()))
-        certified = power - dual <= np.sum(lam * setup.tol)
+        power, rates = traj.served_power, traj.served_rates
+        if traj.converged:
+            instances, rates = find_tie_instances(problem, lam, eps)
+            sol = solve_tie_lp(problem.targets, instances, rates)
+            power = dual
+            for inst, w in zip(instances, sol.weights):
+                rates[inst.members] += inst.prob * inst.rates * w
+                cost = inst.weighted_powers - lam[inst.members] * inst.rates
+                power += float(inst.prob * (w @ cost - cost.min()))
+        converged = solver.serves_targets(rates, problem.targets, setup.tol,
+                                          power, dual, lam)
         # below the float resolution a narrower window separates nothing
-        if certified or eps < np.finfo(float).eps:
+        if converged or not traj.converged or eps < np.finfo(float).eps:
             break
         eps /= 4.0
     return {"scheme": "RA2", "avg_power": power, "avg_rates": rates,
-            "dual_bound": dual, "eps": eps, "converged": bool(certified),
+            "dual_bound": dual, "eps": eps, "converged": converged,
             "lambda": lam, "method": "eps_continuation_tie_lp"}
 
 
@@ -240,7 +243,7 @@ def ra5_point(setup: CompareSetup) -> dict:
 
     A user whose own channels cannot carry its target even at ``rate_cap``
     gets the saturation power, the largest Υ(rate_cap) over its live
-    regions (or 0), and the row is unconverged at the rates served there."""
+    regions (or 0), and the row reports the rates served there."""
     grid = row_problem(setup, "RA5").grid
     M, K = grid.num_users, grid.num_channels
     ctx = region_contexts(grid)
@@ -249,7 +252,6 @@ def ra5_point(setup: CompareSetup) -> dict:
     power = 0.0
     rates = np.zeros(M)
     levels = np.zeros(M)
-    saturated = False
     for m in range(M):
         own = np.arange(K) % M == m
         pr = probs[m, own]                              # (Km, L)
@@ -266,7 +268,6 @@ def ra5_point(setup: CompareSetup) -> dict:
         if target > float((pr * setup.rate_cap * live).sum()):
             cap_power = setup.model.power_of_rate(sub, setup.rate_cap)
             levels[m] = np.max(cap_power[live], initial=0.0)
-            saturated = True
         elif target > 0:
             hi = 1.0
             while served(hi) < target:
@@ -283,9 +284,9 @@ def ra5_point(setup: CompareSetup) -> dict:
             levels[m] = hi
         rates[m] = served(levels[m])
         power += float(setup.mu[m]) * levels[m] * float((pr * live).sum())
-    met = np.all(np.abs(rates - setup.targets) < setup.tol)
+    converged = solver.serves_targets(rates, setup.targets, setup.tol)
     return {"scheme": "RA5", "avg_power": power, "avg_rates": rates,
-            "converged": bool(met) and not saturated, "power_levels": levels,
+            "converged": converged, "power_levels": levels,
             "method": "heuristic"}
 
 
@@ -297,6 +298,9 @@ def ra1_point(setup: CompareSetup) -> dict:
     row = _newton_row("RA1", row_problem(setup, "RA1"), cfg)
     row["dual_bound"] = row["avg_power"] + float(
         row["lambda"] @ (setup.targets - row["avg_rates"]))
+    row["converged"] = solver.serves_targets(
+        row["avg_rates"], setup.targets, setup.tol, row["avg_power"],
+        row["dual_bound"], row["lambda"])
     row["method"] = "perfect_csi"
     return row
 

@@ -41,23 +41,26 @@ damped Newton (first damping 1/``solver.beta``); RA2 repeats it at ε/4, ε/16,
 RA1, perfect CSI, is the exact hard dual at known gains, solved by the same
 Newton; sweep_regions ends with its row, ``regions`` = inf.
 
-Artifacts: every mode writes `summary.json` (final multipliers, rates, powers,
-convergence flag, wall time); solver modes add `trajectory.csv`
-(`iter,lambda_1..M,subgrad_1..M,rate_1..M,power`; for the online mode the rate
-columns are running sample means); compare adds `compare.csv`
+Artifacts: every mode writes `summary.json`, with a solver mode's final
+multipliers, `reason` (why the loop stopped) and the rates and power the run
+serves (its last iterate; the non-smooth baseline's step-weighted average
+over the second half of `max_iters`; the final online sample average), or a
+row mode's rows; `converged` is solver.serves_targets on each. Solver modes
+add `trajectory.csv` (`iter,lambda_1..M,subgrad_1..M,rate_1..M,power`; online
+rate columns are running sample means); compare adds `compare.csv`
 (`scheme,snr_db,avg_power_db,avg_rate_1..M`); sweep_regions adds `sweep.csv`.
 CSV bytes are identical across reruns of the same config + fading seed.
 
 ``power_rate.params`` are the family's physical ones only (the root-find
 tolerance and step budget are ``powerrate`` constants).
 
-Exit codes: 0 ok; 2 config/schema error, or targets that no allocation can
-meet on some row problem of some SNR point (analysis.run_problems), named by
-a violated user subset (nothing written); 3 solver did not converge, or RA5
-cannot serve a target (artifacts still written); 4 numeric failure (a
-root-find, the enumeration budget, a tie LP or floating point), printed and
-written to summary.json as ``mode``, ``converged: false`` and ``error``,
-plus the ``residual`` of a failed root-find.
+Exit codes: 0 ok; 2 config/schema error, targets no allocation can meet
+(named by a violated user subset) or a column space beyond ``enum_budget``,
+on any problem of any SNR point the run solves (nothing written); 3 the run
+or a row did not converge (artifacts still written); 4 numeric failure (a
+root-find, a tie LP or floating point), printed and written to summary.json
+as ``mode``, ``converged: false`` and ``error``, plus the ``residual`` of a
+failed root-find.
 """
 
 from __future__ import annotations
@@ -73,16 +76,15 @@ from pathlib import Path
 import numpy as np
 
 from .allocator import DEFAULT_RATE_CAP, TieInfeasibleError
-from .analysis import (CompareSetup, compare_schemes, feedback_bits,
-                       power_db, run_problems, sweep_regions)
+from .analysis import (CompareSetup, check_rows, compare_schemes,
+                       feedback_bits, power_db, sweep_regions)
 from .channel import FadingModel, snr_db_to_mean_gain
 from .powerrate import NumericError, make_model
 from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                         QuantizerGrid, build_equiprobable, build_random)
 from .simplex import LPInfeasibleError, LPUnboundedError
-from .solver import (Problem, SolverConfig, multiplier_settled,
-                     run_offline_nonsmooth, run_offline_smooth, run_online,
-                     write_csv)
+from .solver import (Problem, SolverConfig, run_offline_nonsmooth,
+                     run_offline_smooth, run_online, write_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -349,10 +351,11 @@ def _build_grid(rc: dict, fading: FadingModel) -> QuantizerGrid:
 
 
 def _build_run(rc: dict, log_every: int | None):
-    """Build the run once and check its targets on what was built: returns
-    the SolverConfig and the Problem (solver modes), one (snr_db,
-    CompareSetup) per SNR point, each compare.snr_db entry else the fading
-    SNR or NaN, with every row problem checked (row modes), or None."""
+    """Build the run once and check its targets and enumeration budget on
+    what was built: returns the SolverConfig and the Problem (solver modes),
+    one (snr_db, CompareSetup) per SNR point, each compare.snr_db entry else
+    the fading SNR or NaN, with every row problem checked (row modes), or
+    None."""
     family, params = rc["power_rate"]["family"], rc["power_rate"]["params"]
     params = {k: _number(v, f"power_rate.params.{k}")
               for k, v in params.items()}
@@ -382,6 +385,8 @@ def _build_run(rc: dict, log_every: int | None):
                           rate_cap=rc["rate_cap"],
                           enum_budget=rc["enum_budget"])
         problem.check_targets()
+        if mode != "online":    # the online loop never enumerates; the
+            problem.space       # space raises EnumerationBudgetError
         return cfg, problem
 
     knobs = rc.get("compare", {})
@@ -399,9 +404,8 @@ def _build_run(rc: dict, log_every: int | None):
         **{k: v for k, v in knobs.items() if k in _RA_KNOBS}))
         for snr, f in points]
     for _, setup in setups:
-        for problem in run_problems(setup, knobs.get("schemes", ()),
-                                    rc.get("sweep", {}).get("regions", ())):
-            problem.check_targets()
+        check_rows(setup, knobs.get("schemes", ()),
+                   rc.get("sweep", {}).get("regions", ()))
     return cfg, setups
 
 
@@ -444,42 +448,30 @@ def _progress_printer(log_every: int | None, label: str):
 def _run_solver_mode(rc: dict, problem: Problem, cfg: SolverConfig,
                      outdir: Path, log_every: int | None) -> int:
     mode = rc["mode"]
+    progress = _progress_printer(log_every, mode.split("_")[-1])
     t0 = time.perf_counter()
-    if mode == "offline_smooth":
-        lam, traj = run_offline_smooth(
-            problem, cfg, _progress_printer(log_every, "smooth"))
-        converged = traj.converged
-        final_lambda, rates, power = lam, traj.rates[-1], traj.power[-1]
-        reason = traj.reason
-    elif mode == "offline_nonsmooth":
-        traj = run_offline_nonsmooth(
-            problem, cfg, _progress_printer(log_every, "nonsmooth"))
-        # the hard subgradient never meets the stop rule by design; judge
-        # dual convergence on the settled multiplier trace instead
-        converged = multiplier_settled(traj)
-        final_lambda, rates, power = traj.lam[-1], traj.rates[-1], traj.power[-1]
-        reason = "settled" if converged else "hovering"
+    if mode == "online":
+        res = run_online(problem, cfg, rc["online"]["num_blocks"], progress)
+        traj, final_lambda = res.trajectory, res.final_lambda
     else:
-        res = run_online(problem, cfg, rc["online"]["num_blocks"],
-                         _progress_printer(log_every, "online"))
-        traj = res.trajectory
-        converged = True
-        final_lambda = res.final_lambda
-        rates, power = res.sample_avg_rate[-1], res.sample_avg_power[-1]
-        reason = "completed"
+        traj = (run_offline_smooth(problem, cfg, progress)[1]
+                if mode == "offline_smooth"
+                else run_offline_nonsmooth(problem, cfg, progress))
+        final_lambda = traj.lam[-1]
     wall = time.perf_counter() - t0
 
     with open(outdir / "trajectory.csv", "w", newline="\n") as fh:
         traj.write_csv(fh)
     K = problem.grid.num_channels
     _write_summary(outdir, {
-        "mode": mode, "converged": bool(converged), "reason": reason,
-        "final_lambda": final_lambda, "avg_rates": rates,
-        "avg_power": power, "avg_power_db": power_db(float(power)),
+        "mode": mode, "converged": traj.converged, "reason": traj.reason,
+        "final_lambda": final_lambda, "avg_rates": traj.served_rates,
+        "avg_power": traj.served_power,
+        "avg_power_db": power_db(traj.served_power),
         "targets": problem.targets, "eps": cfg.eps,
         "eps_prime": K * cfg.eps, "iterations": int(traj.iters[-1]) + 1,
         "wall_time_s": wall})
-    return EXIT_OK if converged else EXIT_NOT_CONVERGED
+    return EXIT_OK if traj.converged else EXIT_NOT_CONVERGED
 
 
 def _run_rows(rc: dict, setups: list, outdir: Path) -> int:
@@ -564,10 +556,10 @@ def main(argv=None) -> int:
         if args.log_every is not None and not (
                 args.log_every >= 1 and rc["mode"] in SOLVER_MODES):
             raise ConfigError("--log-every: solver modes only, S >= 1")
-        # value errors (bad thresholds, shapes, targets no allocation can
-        # meet) surface here, before any artifact is written
+        # value errors (bad thresholds, shapes, unreachable targets) and
+        # enumeration budgets surface here, before any artifact is written
         cfg, work = _build_run(rc, args.log_every)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -584,8 +576,8 @@ def main(argv=None) -> int:
         if rc["mode"] == "overhead":
             return _run_overhead(rc, outdir)
         return _run_rows(rc, work, outdir)
-    except (NumericError, EnumerationBudgetError, LPInfeasibleError,
-            LPUnboundedError, TieInfeasibleError, FloatingPointError) as exc:
+    except (NumericError, LPInfeasibleError, LPUnboundedError,
+            TieInfeasibleError, FloatingPointError) as exc:
         failure = {"mode": rc["mode"], "converged": False, "error": str(exc)}
         tail = ""
         if isinstance(exc, NumericError):

@@ -22,7 +22,7 @@ DEFAULT_ENUM_BUDGET = 10 ** 6
 
 
 class EnumerationBudgetError(Exception):
-    """Raised when L^M exceeds the configured column-enumeration budget."""
+    """Raised when n_classes·L^M exceeds the column-enumeration budget."""
 
     def __init__(self, num_columns: int, budget: int):
         super().__init__(
@@ -58,7 +58,7 @@ class QuantizerGrid:
             raise ValueError("every ladder must start at q_1 = 0")
         if not np.all(np.isposinf(thr[:, :, -1])):
             raise ValueError("every ladder must end at q_{L+1} = +inf")
-        if not np.all(np.diff(thr, axis=2) > 0):        # NaN fails too
+        if not np.all(thr[:, :, 1:] > thr[:, :, :-1]):  # NaN, inf fail too
             raise ValueError("thresholds must be strictly increasing")
         thr = thr.copy()
         thr.setflags(write=False)
@@ -185,12 +185,13 @@ def column_space(grid: QuantizerGrid, budget: int = DEFAULT_ENUM_BUDGET):
     probs    -- (n_classes, L^M) column probabilities of each class summed
                 over its channels (a row sums to the class size);
     channels -- (n_classes,) the representative channel of each row.
+    EnumerationBudgetError if n_classes·L^M exceeds ``budget``.
     """
     M, L = grid.num_users, grid.regions_per_channel
-    count = L ** M
+    channels, sizes = channel_classes(grid)
+    count = len(channels) * L ** M
     if count > budget:
         raise EnumerationBudgetError(count, budget)
-    channels, sizes = channel_classes(grid)
     ranges = [np.arange(L)] * M
     mesh = np.meshgrid(*ranges, indexing="ij")
     cols0 = np.stack([ax.reshape(-1) for ax in mesh], axis=1)   # (C, M)

@@ -6,13 +6,14 @@ Problem's targets are reachable (Problem.check_targets), so infeasible
 targets raise InfeasibleTargetsError before any evaluation. The offline
 iterations evaluate through Problem.evaluate (dual.Problem, re-exported
 here). The smooth offline iteration uses a constant stepsize on the exact
-ε-smooth subgradient (or damped Newton steps on its analytic Jacobian) and
-stops when every entry drops below the tolerance; the non-smooth baseline
-uses the hard subgradient with a diminishing schedule β_i = κ·i^{-0.51}
-(square-summable but not summable); the online iteration replaces the
-ensemble subgradient with the per-block estimate computed from the realized
-Q-CSI only — it never touches Pr{J}. ``progress``, where a solver takes
-it, is called as progress(i, λ, subgradient) at each iterate or block.
+ε-smooth subgradient (or damped Newton steps on its analytic Jacobian); the
+non-smooth baseline uses the hard subgradient with a diminishing schedule
+β_i = κ·i^{-0.51} (square-summable but not summable); the online iteration
+replaces the ensemble subgradient with the per-block estimate computed from
+the realized Q-CSI only — it never touches Pr{J}. serves_targets, the one
+convergence verdict, judges what each result serves. ``progress``, where
+a solver takes it, is called as progress(i, λ, subgradient) at each iterate
+or block.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class SolverConfig:
     beta — constant stepsize (smooth offline and online);
     kappa — scale of the diminishing schedule κ·i^{-0.51} (non-smooth only);
     init — λ^(0), scalar or length-M;
-    tol — stop when every |subgradient entry| < tol (scalar or length-M);
+    tol — serves_targets' rate tolerance (scalar or length-M);
     record_every — trajectory thinning stride (the final iterate is always
     recorded).
     """
@@ -65,7 +66,8 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded iterates: λ, subgradient, per-user rates, weighted power."""
+    """Recorded iterates: λ, subgradient, per-user rates, weighted power;
+    why the loop stopped, what the run serves and serves_targets on it."""
 
     iters: np.ndarray
     lam: np.ndarray
@@ -74,6 +76,8 @@ class Trajectory:
     power: np.ndarray
     reason: str = ""
     converged: bool = False
+    served_rates: np.ndarray | None = None
+    served_power: float | None = None
 
     def write_csv(self, fh) -> None:
         """CSV rows `iter,lambda_*,subgrad_*,rate_*,power` (write_csv)."""
@@ -114,11 +118,23 @@ class _Recorder:
                               float(power)))
             self.last_iter = i
 
-    def build(self, reason: str, converged: bool) -> Trajectory:
+    def build(self, reason: str, targets, tol, served=None) -> Trajectory:
         # every solver records its first iterate, so rows is never empty
         iters, lam, sg, rates, power = zip(*self.rows)
+        r, p = served or (rates[-1], power[-1])
         return Trajectory(np.array(iters), np.stack(lam), np.stack(sg),
-                          np.stack(rates), np.array(power), reason, converged)
+                          np.stack(rates), np.array(power), reason,
+                          serves_targets(r, targets, tol), r, float(p))
+
+
+def serves_targets(rates, targets, tol, power=None, dual_bound=None,
+                   lam=None) -> bool:
+    """The convergence verdict of every solver result and harness row: each
+    |ř_m - rates_m| < tol_m, the offline stop rule on the subgradient, and,
+    given a hard dual bound D on the served power, power - D ≤ λ·tol."""
+    met = (np.abs(np.subtract(targets, rates)) < tol).all()
+    return bool(met and (dual_bound is None
+                         or power - dual_bound <= np.sum(lam * tol)))
 
 
 def _per_user(value, M: int) -> np.ndarray:
@@ -132,31 +148,33 @@ def _run_offline(problem: Problem, cfg: SolverConfig, mode: str, progress=None):
     lam = _per_user(cfg.init, M)
     tol = _per_user(cfg.tol, M)
     rec = _Recorder(cfg.record_every)
-    converged = False
+    weight, rate_sum, power_sum = 0.0, np.zeros(M), 0.0
     for i in range(cfg.max_iters):
         ev = problem.evaluate(lam, mode, cfg.eps)
-        done = bool(np.all(np.abs(ev.subgradient) < tol))
+        done = serves_targets(ev.per_user_avg_rate, problem.targets, tol)
         last = i == cfg.max_iters - 1
         rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power,
                 force=done or last)
         if progress is not None:
             progress(i, lam, ev.subgradient)
-        if done:
-            converged = True
-            break
-        if last:
-            break
         step = cfg.beta if mode == "smooth" else cfg.kappa * (i + 1) ** (-0.51)
+        if mode == "hard" and i >= cfg.max_iters // 2:
+            weight += step
+            rate_sum += step * ev.per_user_avg_rate
+            power_sum += step * ev.avg_power
+        if done or last:
+            break
         lam = np.maximum(0.0, lam + step * ev.subgradient)
-    reason = "converged" if converged else "max_iters"
-    return lam, rec.build(reason, converged)
+    served = None if done or not weight else (rate_sum / weight,
+                                              power_sum / weight)
+    return lam, rec.build("converged" if done else "max_iters",
+                          problem.targets, tol, served)
 
 
 def run_offline_smooth(problem: Problem, cfg: SolverConfig, progress=None):
     """Constant-stepsize ascent on the smooth dual: λ ← [λ + β·∂ˢD]⁺.
 
-    Returns (λ, Trajectory); at convergence the per-user average rates match
-    the targets within the stop tolerance.
+    Returns (λ, Trajectory), which serves its last iterate.
     """
     return _run_offline(problem, cfg, "smooth", progress)
 
@@ -194,7 +212,7 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
         norm = np.linalg.norm(ev.subgradient)
         if norm <= best:                                # λ⁽⁰⁾ always is
             lam, kept, best, i, nu = trial, ev, norm, i + 1, nu / 4.0
-            done = bool(np.all(np.abs(ev.subgradient) < tol))
+            done = serves_targets(ev.per_user_avg_rate, problem.targets, tol)
             rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power)
             if done:
                 break
@@ -206,7 +224,8 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
         trial = np.maximum(0.0, lam + step * min(1.0, cap))
     rec.add(i, lam, kept.subgradient, kept.per_user_avg_rate, kept.avg_power,
             force=True)
-    return lam, rec.build("converged" if done else "max_iters", done)
+    return lam, rec.build("converged" if done else "max_iters",
+                          problem.targets, tol)
 
 
 def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
@@ -214,28 +233,12 @@ def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
 
     The multipliers settle but the hard primal allocation generally keeps
     hovering (winner flips near ties), which is the behavior this baseline
-    exists to demonstrate. Returns the Trajectory only.
+    exists to demonstrate; unless the stop rule fires, the run serves the
+    ergodic average (Larsson, Patriksson & Strömberg 1999) of the iterates
+    i ≥ max_iters // 2, weighted by their steps. Returns the Trajectory only.
     """
     _, traj = _run_offline(problem, cfg, "hard", progress)
     return traj
-
-
-def multiplier_settled(traj: Trajectory) -> bool:
-    """Whether the multiplier trace stopped moving.
-
-    The hard-dual baseline hovers in the primal forever, so its subgradient
-    stop rule never fires; dual convergence is instead judged on the trace:
-    per user, the λ spread over the trailing 10% of the iteration range,
-    relative to the mean |λ| there, must stay below 1%.
-    """
-    if len(traj.iters) == 0:
-        return False
-    span = traj.iters[-1] - traj.iters[0]
-    sel = traj.iters >= traj.iters[-1] - 0.1 * span
-    lam = traj.lam[sel]
-    spread = lam.max(axis=0) - lam.min(axis=0)
-    scale = np.maximum(np.abs(lam).mean(axis=0), 1e-12)
-    return bool(np.all(spread / scale < 0.01))
 
 
 @dataclass
@@ -302,7 +305,7 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
             if progress is not None:
                 progress(n, lam, g)
             lam = np.maximum(0.0, lam + cfg.beta * g)
-    traj = rec.build("completed", False)
+    traj = rec.build("completed", problem.targets, _per_user(cfg.tol, M))
     return OnlineResult(lam_trace=lam_trace, sample_avg_rate=avg_rate,
                         sample_avg_power=avg_power, final_lambda=lam,
                         trajectory=traj)

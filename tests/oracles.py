@@ -4,7 +4,7 @@ Each function evaluates one channel column (or one probability) the slow,
 literal way, or enumerates every channel where the library enumerates one
 per class; the tests check the vectorized library paths against them. The
 test-only surfaces (the finite-difference Jacobian, the cluster audit, the
-access sampler) live here too.
+access sampler, the multiplier-trace verdict) live here too.
 """
 
 from __future__ import annotations
@@ -489,3 +489,33 @@ def perfect_csi_quad(mean_gain, scale: float, mu, targets, lam,
             power += count * part[1]
             served += count * part[2]
     return rates, power, float(lam @ np.asarray(targets, float)) + served
+
+
+# --- solver verdicts ------------------------------------------------------------
+
+def multiplier_settled(traj) -> bool:
+    """Whether the multiplier trace stopped moving.
+
+    The hard-dual baseline hovers in the primal forever, so its subgradient
+    stop rule never fires; dual convergence is instead judged on the trace:
+    per user, the λ spread over the trailing 10% of the iteration range,
+    relative to the mean |λ| there, must stay below 1%.
+    """
+    if len(traj.iters) == 0:
+        return False
+    span = traj.iters[-1] - traj.iters[0]
+    sel = traj.iters >= traj.iters[-1] - 0.1 * span
+    lam = traj.lam[sel]
+    spread = lam.max(axis=0) - lam.min(axis=0)
+    scale = np.maximum(np.abs(lam).mean(axis=0), 1e-12)
+    return bool(np.all(spread / scale < 0.01))
+
+
+def step_weighted_average(traj, kappa: float, max_iters: int) -> tuple:
+    """(rates, power) the non-smooth baseline serves, from a record_every=1
+    trajectory of all ``max_iters`` iterates: the iterates i ≥ max_iters // 2
+    averaged with the weights κ·(i+1)^{-0.51}, their steps."""
+    assert np.array_equal(traj.iters, np.arange(max_iters))
+    sel = traj.iters >= max_iters // 2
+    w = kappa * (traj.iters[sel] + 1.0) ** -0.51
+    return (w @ traj.rates[sel] / w.sum(), float(w @ traj.power[sel] / w.sum()))

@@ -25,11 +25,10 @@ from qcsched.dual import exact_dual
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity, RegionContext)
 from qcsched.quantizer import QuantizerGrid, build_equiprobable, quantize
-from qcsched.solver import (Problem, SolverConfig, multiplier_settled,
-                            run_offline_nonsmooth, run_offline_smooth,
-                            run_online)
+from qcsched.solver import (Problem, SolverConfig, run_offline_nonsmooth,
+                            run_offline_smooth, run_online)
 
-from oracles import jacobian_check, stochastic_subgradient
+from oracles import jacobian_check, multiplier_settled, stochastic_subgradient
 
 MODEL = OutageCapacity(outage_delta=0.0)
 

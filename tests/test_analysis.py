@@ -19,8 +19,8 @@ from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity)
 from qcsched.quantizer import EnumerationBudgetError, build_equiprobable
-from qcsched.solver import (Problem, SolverConfig, run_offline_smooth,
-                            run_online)
+from qcsched.solver import (Problem, SolverConfig, run_offline_nonsmooth,
+                            run_offline_smooth, run_online)
 
 from oracles import cluster_audit, realize_probabilistic_access
 
@@ -363,7 +363,8 @@ def test_ra1_is_the_bound_the_certified_quantized_optimum_falls_to():
 
 
 def test_converged_rows_meet_their_targets():
-    # no row hard-codes its flag: every converged row serves its targets
+    # no row or solver result hard-codes its flag: every one that says
+    # converged serves its targets
     setup = micro_setup()
     rows = compare_schemes(setup) + sweep_regions(setup, [2, 4])
     assert [r["scheme"] for r in rows] == ["RA1", "RA2", "RA3", "RA4", "RA5",
@@ -374,6 +375,21 @@ def test_converged_rows_meet_their_targets():
     # RA5 computes its flag: a tol below its bisection's rate error fails it
     strict = micro_setup(tol=1e-15)
     assert not ra5_point(strict)["converged"]
+    # the three solvers on the tc1 shape: the constant step serves its last
+    # iterate, the non-smooth baseline the average of its second half (its
+    # last iterate hovers), the online run its final sample average
+    fading = FadingModel(np.full((4, 16), snr_db_to_mean_gain(6.0)), seed=0)
+    problem = Problem(grid=build_equiprobable(fading, 4), model=MODEL,
+                      mu=np.ones(4), targets=np.array([4.0, 8.0, 12.0, 16.0]),
+                      fading=fading)
+    cfg = SolverConfig(beta=8e-3, kappa=0.1, tol=1e-3, max_iters=1000)
+    results = [run_offline_smooth(problem, cfg)[1],
+               run_offline_nonsmooth(problem, cfg),
+               run_online(problem, cfg, 1000).trajectory]
+    for traj in results:
+        miss = np.max(np.abs(traj.served_rates - problem.targets))
+        assert traj.converged == (miss < cfg.tol), (traj.reason, miss)
+    assert [traj.converged for traj in results] == [True, True, False]
 
 
 # --- harness drivers --------------------------------------------------------------------

@@ -5,11 +5,11 @@ offline and a compare run of each family no bundled config uses: ergodic
 capacity and average BER, whose root-finds no bundled config reaches, and
 instantaneous BER, whose tables and RA1 row scale with its
 ``perfect_csi_scale``. Each case runs ``qcsched.cli.main`` in-process and
-compares the sha256 of every CSV it writes, and of ``summary.json`` with
-``wall_time_s`` removed, against the hashes below. A refactor that claims
-to keep the output bits must keep these hashes; a change that moves them on
-purpose (a new random stream, a fixed bug) updates them and says why in
-CHANGES.md.
+compares its exit code and the sha256 of every CSV it writes, and of
+``summary.json`` with ``wall_time_s`` removed, against the values below. A
+refactor that claims to keep the output bits must keep these hashes; a
+change that moves them on purpose (a new random stream, a fixed bug)
+updates them and says why in CHANGES.md.
 
 The hashes hold for Python 3.11.7 and numpy 2.4.6; another numpy may round
 a reduction differently and move them without any change to qcsched.
@@ -131,7 +131,7 @@ GOLDEN = {
         "trajectory.csv":
             "654873efc26b86f154a05d5377e6e88fe50b0b8687f5bae5bd3d69a27cf561b1",
         "summary.json":
-            "0b618821904bd82b3e5aaf3a679a9355ef64021b1609a19c8e856465932275f4",
+            "5e647c65b2691dc18dbfc571436e438b9d96c1369b4e422be5df9a57fa640e7c",
     },
     "micro_sweep": {
         "sweep.csv":
@@ -153,13 +153,13 @@ GOLDEN = {
         "trajectory.csv":
             "29e08402b40fce8e00a51f6f472d761dad369767514e1b970274df4296e013db",
         "summary.json":
-            "9d57c05bd0782318a7127ce93b6a5e0508fef0fe579a3b484f9398084a453b9a",
+            "4d2f32f3affefd94d2ad453b033c6cf61208fa1faa7b67509fefd76ec1428b30",
     },
     "testcase2_online": {
         "trajectory.csv":
             "d86c12a5a7a3b7b00956a61fbedb995f0d77e9f48c9422c05dc81b9830756143",
         "summary.json":
-            "b612725b2a67978839bbb8e25512ac7e419509b72aa8ba000728b04ff08bdc84",
+            "66eafb473a31d8ce7ac5cd963c7f5f441e9915c0cdbbac6dc38fd15c85be4030",
     },
     "sweep_regions": {
         "sweep.csv":
@@ -168,6 +168,11 @@ GOLDEN = {
             "06a0f9a00ed68eaf494683cf98c58d6e58186981e6c692170f0b9a165963f905",
     },
 }
+
+
+# the online runs' final sample averages miss their targets by more than
+# tol = 1e-3 (by 0.0449 and 0.0971), so they exit 3; every other case exits 0
+EXIT_CODES = {"micro_online": 3, "testcase2_online": 3}
 
 
 def _config_path(name, tmp_path):
@@ -195,7 +200,7 @@ def _artifact_hashes(out: Path) -> dict:
 def test_artifacts_match_golden_hashes(tmp_path, name):
     out = tmp_path / "art"
     argv = ["--config", str(_config_path(name, tmp_path)), "--out", str(out)]
-    assert main(argv) == 0
+    assert main(argv) == EXIT_CODES.get(name, 0)
     assert _artifact_hashes(out) == GOLDEN[name]
 
 

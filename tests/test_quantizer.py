@@ -1,6 +1,7 @@
 """Threshold ladders, region indexing and the Pr{J} probability machinery."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -58,8 +59,11 @@ def test_grid_validation():
         QuantizerGrid(np.array([[[0.1, 1.0, np.inf]]]), np.ones((1, 1)))
     with pytest.raises(ValueError):        # must end at +inf
         QuantizerGrid(np.array([[[0.0, 1.0, 2.0]]]), np.ones((1, 1)))
-    for thr in ([0.0, 1.0, 1.0, np.inf], [0.0, np.nan, np.inf]):
-        with pytest.raises(ValueError):    # strictly increasing, NaN fails
+    for thr in ([0.0, 1.0, 1.0, np.inf], [0.0, np.nan, np.inf],
+                [0.0, np.inf, np.inf]):
+        # strictly increasing, NaN fails, and no warning comes first
+        with pytest.raises(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("error")
             QuantizerGrid(np.array([[thr]]), np.ones((1, 1)))
     with pytest.raises(ValueError):        # mean gain positive
         QuantizerGrid(ok, np.zeros((1, 1)))

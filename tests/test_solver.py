@@ -14,9 +14,10 @@ from qcsched.powerrate import ErgodicCapacity, MaxAvgBer, OutageCapacity
 from qcsched.quantizer import (QuantizerGrid, build_equiprobable, build_random,
                                quantize)
 from qcsched.solver import (OnlineResult, Problem, SolverConfig, Trajectory,
-                            multiplier_settled, run_offline_newton,
-                            run_offline_nonsmooth, run_offline_smooth,
-                            run_online)
+                            run_offline_newton, run_offline_nonsmooth,
+                            run_offline_smooth, run_online, serves_targets)
+
+from oracles import multiplier_settled, step_weighted_average
 
 LN2 = np.log(2.0)
 MODEL = OutageCapacity(outage_delta=0.0)
@@ -77,6 +78,27 @@ def test_scalar_nonsmooth_reaches_same_fixed_point():
         problem, SolverConfig(kappa=0.5, max_iters=20_000, tol=1e-6,
                               record_every=100))
     assert abs(traj.lam[-1, 0] - smooth_lam[0]) < 1e-3
+
+
+@pytest.mark.parametrize("max_iters", [1000, 1001])
+def test_nonsmooth_serves_its_step_weighted_average(max_iters):
+    # on the bundled M=4, K=16 shape the hard iterates hover, so the stop
+    # rule never fires and the run serves the average its loop keeps as
+    # running sums
+    problem = tc2_problem()
+    cfg = SolverConfig(kappa=0.1, tol=1e-3, max_iters=max_iters)
+    traj = run_offline_nonsmooth(problem, cfg)
+    assert traj.reason == "max_iters"
+    rates, power = step_weighted_average(traj, cfg.kappa, max_iters)
+    np.testing.assert_allclose(traj.served_rates, rates, rtol=1e-12)
+    assert traj.served_power == pytest.approx(power, rel=1e-12)
+    assert traj.converged == serves_targets(rates, problem.targets, cfg.tol)
+    assert np.max(np.abs(traj.rates[-1] - problem.targets)) > 0.5
+    # a stop rule that fires serves the iterate that met it
+    stopped = run_offline_nonsmooth(scalar_problem(0.0), SolverConfig(
+        init=0.0, max_iters=100))
+    assert stopped.reason == "converged" and stopped.converged
+    np.testing.assert_array_equal(stopped.served_rates, stopped.rates[-1])
 
 
 def test_zero_targets_stay_at_zero():
