@@ -23,6 +23,10 @@ rates and reports average weighted power:
   adapting per region; the power level is root-found to meet the rate target,
   else, beyond what its channels carry at ``rate_cap``, is the saturation one.
 
+A run's rows are data, (label, setup, problem): compare_rows and sweep_rows
+alone know which rows a run has and build each row problem once, and
+solve_rows solves those same objects, so the CLI can check them first.
+
 No row hard-codes ``converged``: solver.serves_targets judges what each row
 serves at ``tol``, and RA1's and RA2's power against their ``dual_bound``.
 """
@@ -111,54 +115,6 @@ def _solver_cfg(setup: CompareSetup, **over) -> SolverConfig:
     return SolverConfig(**kw)
 
 
-def row_problem(setup: CompareSetup, scheme: str) -> Problem | PerfectCSI:
-    """What the ``scheme`` row solves at ``setup``: RA1 the perfect-CSI dual
-    (dual.PerfectCSI); RA4 a Problem on the random ladder over [0,
-    ra4_range_scale·max ḡ) drawn from ra4_seed; RA2, RA3 and RA5 a Problem on
-    the equiprobable ladder with ``setup.regions`` regions. RA5 solves no
-    dual on its Problem; its check_targets is the scheduler's feasibility
-    bound, as for RA2 and RA3."""
-    if scheme == "RA1":
-        return PerfectCSI(setup.fading.mean_gain, setup.model, setup.mu,
-                          setup.targets, setup.rate_cap)
-    if scheme == "RA4":
-        hi = setup.ra4_range_scale * float(setup.fading.mean_gain.max())
-        grid = build_random(setup.fading, setup.regions, (0.0, hi),
-                            setup.ra4_seed)
-    else:
-        grid = build_equiprobable(setup.fading, setup.regions)
-    return Problem(grid=grid, model=setup.model, mu=setup.mu,
-                   targets=setup.targets, fading=setup.fading,
-                   rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
-
-
-def check_rows(setup: CompareSetup, schemes=(), regions_list=()) -> None:
-    """Check, in row order, the targets of the row problems (row_problem) of
-    compare_schemes(setup, schemes), then of sweep_regions(setup,
-    regions_list), and the enumeration budget of RA2-RA4, which enumerate."""
-    rows = [(name, setup) for name in schemes]
-    rows += [("RA3", replace(setup, regions=int(L))) for L in regions_list]
-    if len(regions_list):
-        rows.append(("RA1", setup))
-    for name, point in rows:
-        problem = row_problem(point, name)
-        problem.check_targets()
-        if name in ("RA2", "RA3", "RA4"):   # raises EnumerationBudgetError
-            problem.space                   # over enum_budget
-
-
-def _newton_row(scheme: str, problem, cfg: SolverConfig) -> dict:
-    """Damped Newton solve of ``problem`` (a Problem's smooth dual, or
-    PerfectCSI); the trajectory's last row is the exact evaluation at the
-    final λ."""
-    lam, traj = run_offline_newton(problem, cfg)
-    return {"scheme": scheme, "avg_power": traj.served_power,
-            "avg_rates": traj.served_rates, "converged": traj.converged,
-            "iterations": int(traj.iters[-1]),
-            "max_abs_subgradient": float(np.max(np.abs(traj.subgrad[-1]))),
-            "lambda": lam, "method": "offline_exact"}
-
-
 def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
               eps: float, fading: FadingModel, num_blocks: int,
               first_block: int = 0):
@@ -188,17 +144,18 @@ def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     return sum_rate / num_blocks, sum_power / num_blocks
 
 
-def ra3_point(setup: CompareSetup) -> dict:
-    """Smooth policy on the equiprobable quantizer."""
-    return _newton_row("RA3", row_problem(setup, "RA3"), _solver_cfg(setup))
+def newton_point(setup: CompareSetup, problem) -> dict:
+    """RA3 and RA4: damped Newton solve of ``problem``'s smooth dual (or of
+    PerfectCSI, for RA1); the trajectory's last row is the exact evaluation
+    at the final λ."""
+    lam, traj = run_offline_newton(problem, _solver_cfg(setup))
+    return {"avg_power": traj.served_power, "avg_rates": traj.served_rates,
+            "converged": traj.converged, "iterations": int(traj.iters[-1]),
+            "max_abs_subgradient": float(np.max(np.abs(traj.subgrad[-1]))),
+            "lambda": lam, "method": "offline_exact"}
 
 
-def ra4_point(setup: CompareSetup) -> dict:
-    """Smooth policy on a random quantizer over a configured gain range."""
-    return _newton_row("RA4", row_problem(setup, "RA4"), _solver_cfg(setup))
-
-
-def ra2_point(setup: CompareSetup) -> dict:
+def ra2_point(setup: CompareSetup, problem: Problem) -> dict:
     """Hard-optimal policy by ε-continuation and the tie LP.
 
     Damped Newton solves the smooth dual at ε = ``setup.eps``, ε/4, …, each
@@ -211,7 +168,6 @@ def ra2_point(setup: CompareSetup) -> dict:
     holds for its rates, P and D. A stage whose Newton fails ends the run at
     its smooth point.
     """
-    problem = row_problem(setup, "RA2")
     eps, lam = setup.eps, setup.init
     stage_tol = np.minimum(setup.tol, _TIGHT_TOL)
     while True:
@@ -233,18 +189,18 @@ def ra2_point(setup: CompareSetup) -> dict:
         if converged or not traj.converged or eps < np.finfo(float).eps:
             break
         eps /= 4.0
-    return {"scheme": "RA2", "avg_power": power, "avg_rates": rates,
+    return {"avg_power": power, "avg_rates": rates,
             "dual_bound": dual, "eps": eps, "converged": converged,
             "lambda": lam, "method": "eps_continuation_tie_lp"}
 
 
-def ra5_point(setup: CompareSetup) -> dict:
+def ra5_point(setup: CompareSetup, problem: Problem) -> dict:
     """Round-robin fixed scheduling with on/off constant power per user.
 
     A user whose own channels cannot carry its target even at ``rate_cap``
     gets the saturation power, the largest Υ(rate_cap) over its live
     regions (or 0), and the row reports the rates served there."""
-    grid = row_problem(setup, "RA5").grid
+    grid = problem.grid
     M, K = grid.num_users, grid.num_channels
     ctx = region_contexts(grid)
     probs = qz.region_prob_table(grid)                  # (M, K, L)
@@ -285,17 +241,17 @@ def ra5_point(setup: CompareSetup) -> dict:
         rates[m] = served(levels[m])
         power += float(setup.mu[m]) * levels[m] * float((pr * live).sum())
     converged = solver.serves_targets(rates, setup.targets, setup.tol)
-    return {"scheme": "RA5", "avg_power": power, "avg_rates": rates,
+    return {"avg_power": power, "avg_rates": rates,
             "converged": converged, "power_levels": levels,
             "method": "heuristic"}
 
 
-def ra1_point(setup: CompareSetup) -> dict:
-    """Perfect CSI: dual.PerfectCSI solved by damped Newton to _TIGHT_TOL.
+def ra1_point(setup: CompareSetup, problem: PerfectCSI) -> dict:
+    """Perfect CSI: newton_point on dual.PerfectCSI, solved to _TIGHT_TOL.
     ``dual_bound`` is the hard dual there, avg_power + λ·(targets -
     avg_rates), which differs from avg_power by that λ·subgradient only."""
-    cfg = _solver_cfg(setup, tol=np.minimum(setup.tol, _TIGHT_TOL))
-    row = _newton_row("RA1", row_problem(setup, "RA1"), cfg)
+    tight = replace(setup, tol=np.minimum(setup.tol, _TIGHT_TOL))
+    row = newton_point(tight, problem)
     row["dual_bound"] = row["avg_power"] + float(
         row["lambda"] @ (setup.targets - row["avg_rates"]))
     row["converged"] = solver.serves_targets(
@@ -305,43 +261,83 @@ def ra1_point(setup: CompareSetup) -> dict:
     return row
 
 
-_SCHEME_FUNCS = {"RA1": ra1_point, "RA2": ra2_point, "RA3": ra3_point,
-                 "RA4": ra4_point, "RA5": ra5_point}
+_SCHEME_FUNCS = {"RA1": ra1_point, "RA2": ra2_point, "RA3": newton_point,
+                 "RA4": newton_point, "RA5": ra5_point}
+
+
+def _problem(setup: CompareSetup, kind: str) -> Problem | PerfectCSI:
+    """RA1 the perfect-CSI dual (dual.PerfectCSI); RA4 a Problem on the random
+    ladder over [0, ra4_range_scale·max ḡ) drawn from ra4_seed; RA3 a Problem
+    on the equiprobable ladder with ``setup.regions`` regions."""
+    if kind == "RA1":
+        return PerfectCSI(setup.fading.mean_gain, setup.model, setup.mu,
+                          setup.targets, setup.rate_cap)
+    if kind == "RA4":
+        hi = setup.ra4_range_scale * float(setup.fading.mean_gain.max())
+        grid = build_random(setup.fading, setup.regions, (0.0, hi),
+                            setup.ra4_seed)
+    else:
+        grid = build_equiprobable(setup.fading, setup.regions)
+    return Problem(grid=grid, model=setup.model, mu=setup.mu,
+                   targets=setup.targets, fading=setup.fading,
+                   rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
+
+
+def compare_rows(setup: CompareSetup, schemes) -> list:
+    """The rows (label, setup, problem) of compare_schemes(setup, schemes),
+    in order. RA2, RA3 and RA5 share one Problem on the equiprobable ladder
+    (RA5 solves no dual on it; its check_targets is the scheduler's
+    feasibility bound), RA4 solves its random-ladder Problem and RA1
+    PerfectCSI; each is built when a row first needs it."""
+    problems, rows = {}, []
+    for name in schemes:
+        if name not in _SCHEME_FUNCS:
+            raise ValueError(f"unknown scheme {name!r}")
+        kind = name if name in ("RA1", "RA4") else "RA3"
+        if kind not in problems:
+            problems[kind] = _problem(setup, kind)
+        rows.append(({"scheme": name}, setup, problems[kind]))
+    return rows
+
+
+def sweep_rows(setup: CompareSetup, regions_list, reference_regions) -> list:
+    """The rows of sweep_regions: one RA3 row per L on its own equiprobable
+    Problem, then the perfect-CSI RA1 row (``regions`` = inf), the limit
+    L → ∞, unless ``reference_regions`` is None."""
+    if reference_regions not in (None, math.inf):
+        raise ValueError("reference_regions is math.inf (perfect CSI) or None")
+    rows = []
+    for L in regions_list:
+        point = replace(setup, regions=int(L))
+        rows.append(({"scheme": "RA3", "regions": int(L)}, point,
+                     _problem(point, "RA3")))
+    if reference_regions is not None:
+        rows.append(({"scheme": "RA1", "regions": math.inf}, setup,
+                     _problem(setup, "RA1")))
+    return rows
+
+
+def solve_rows(rows) -> list:
+    """Solve each row's problem with its scheme; every result carries the
+    row's label, its linear and dB power, per-user average rates and a
+    method tag. Non-convergence is reported in the result, not raised."""
+    out = []
+    for label, setup, problem in rows:
+        row = {**label, **_SCHEME_FUNCS[label["scheme"]](setup, problem)}
+        row["power_db"] = power_db(row["avg_power"])
+        out.append(row)
+    return out
 
 
 def compare_schemes(setup: CompareSetup,
                     schemes=("RA1", "RA2", "RA3", "RA4", "RA5")) -> list:
-    """Run the requested schemes and return one result row per scheme.
-
-    Rows carry linear weighted power, dB power, per-user average rates and a
-    method tag; solver non-convergence is reported in the row, not raised.
-    The caller, which knows the setup's SNR, labels the rows with it.
-    """
-    rows = []
-    for name in schemes:
-        if name not in _SCHEME_FUNCS:
-            raise ValueError(f"unknown scheme {name!r}")
-        row = _SCHEME_FUNCS[name](setup)
-        row["power_db"] = power_db(row["avg_power"])
-        rows.append(row)
-    return rows
+    """solve_rows(compare_rows(setup, schemes)); the caller, which knows the
+    setup's SNR, labels the rows with it."""
+    return solve_rows(compare_rows(setup, schemes))
 
 
 def sweep_regions(setup: CompareSetup, regions_list,
                   reference_regions: float | None = math.inf) -> list:
-    """Smooth-policy power as the number of regions L grows.
-
-    Returns one row per L, then the perfect-CSI row (ra1_point, its
-    ``regions`` = inf), the limit L → ∞; ``reference_regions=None`` leaves
-    that row out. Power decreases monotonically in L towards it. Rows carry
-    dB power but no SNR label, as in compare_schemes.
-    """
-    if reference_regions not in (None, math.inf):
-        raise ValueError("reference_regions is math.inf (perfect CSI) or None")
-    rows = [{**ra3_point(replace(setup, regions=int(L))), "regions": int(L)}
-            for L in regions_list]
-    if reference_regions is not None:
-        rows.append({**ra1_point(setup), "regions": math.inf})
-    for row in rows:
-        row["power_db"] = power_db(row["avg_power"])
-    return rows
+    """Smooth-policy power as L grows, decreasing towards the perfect-CSI
+    row: solve_rows(sweep_rows(...)), with no SNR label."""
+    return solve_rows(sweep_rows(setup, regions_list, reference_regions))

@@ -10,7 +10,7 @@ Config schema (strict — unknown keys anywhere are rejected):
     "num_users": 4, "num_channels": 16,
     "snr_db": 6.0,                           # scalar or one per user …
     "mean_gain": [[...], ...],               # … or an explicit M x K matrix
-    "seed": 0                                # u64; --seed overrides
+    "seed": 0                                # u64; online --seed overrides
   },
   "quantizer": {
     "type": "equiprobable" | "random" | "explicit",
@@ -76,8 +76,8 @@ from pathlib import Path
 import numpy as np
 
 from .allocator import DEFAULT_RATE_CAP, TieInfeasibleError
-from .analysis import (CompareSetup, check_rows, compare_schemes,
-                       feedback_bits, power_db, sweep_regions)
+from .analysis import (CompareSetup, compare_rows, feedback_bits, power_db,
+                       solve_rows, sweep_rows)
 from .channel import FadingModel, snr_db_to_mean_gain
 from .powerrate import NumericError, make_model
 from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
@@ -353,8 +353,8 @@ def _build_grid(rc: dict, fading: FadingModel) -> QuantizerGrid:
 def _build_run(rc: dict, log_every: int | None):
     """Build the run once and check its targets and enumeration budget on
     what was built: returns the SolverConfig and the Problem (solver modes),
-    one (snr_db, CompareSetup) per SNR point, each compare.snr_db entry else
-    the fading SNR or NaN, with every row problem checked (row modes), or
+    one (snr_db, rows) per SNR point, each compare.snr_db entry else the
+    fading SNR or NaN, with every row checked in row order (row modes), or
     None."""
     family, params = rc["power_rate"]["family"], rc["power_rate"]["params"]
     params = {k: _number(v, f"power_rate.params.{k}")
@@ -403,10 +403,17 @@ def _build_run(rc: dict, log_every: int | None):
         beta=cfg.beta, tol=cfg.tol, max_iters=cfg.max_iters, init=cfg.init,
         **{k: v for k, v in knobs.items() if k in _RA_KNOBS}))
         for snr, f in points]
-    for _, setup in setups:
-        check_rows(setup, knobs.get("schemes", ()),
-                   rc.get("sweep", {}).get("regions", ()))
-    return cfg, setups
+    runs = [(snr, compare_rows(setup, knobs["schemes"]) if mode == "compare"
+             else sweep_rows(setup, rc["sweep"]["regions"], math.inf))
+            for snr, setup in setups]
+    # in row order, the targets of each problem (a Problem checks once) and
+    # the space RA2-RA4 enumerate, kept for the solve: it raises
+    # EnumerationBudgetError
+    for label, _, problem in (row for _, rows in runs for row in rows):
+        problem.check_targets()
+        if label["scheme"] in ("RA2", "RA3", "RA4"):
+            problem.space
+    return cfg, runs
 
 
 # --- output helpers ----------------------------------------------------------
@@ -474,19 +481,14 @@ def _run_solver_mode(rc: dict, problem: Problem, cfg: SolverConfig,
     return EXIT_OK if traj.converged else EXIT_NOT_CONVERGED
 
 
-def _run_rows(rc: dict, setups: list, outdir: Path) -> int:
-    """Row modes: compare_schemes or sweep_regions at each (snr_db,
-    CompareSetup) point, each row labelled with its point's snr_db; writes
-    compare.csv (scheme, snr_db) or sweep.csv (regions), then avg_power_db
-    and avg_rate_1..M, and summary.json, and returns the exit code."""
+def _run_rows(rc: dict, runs: list, outdir: Path) -> int:
+    """Row modes: solve the rows of each (snr_db, rows) point, each result
+    labelled with its point's snr_db; writes compare.csv (scheme, snr_db) or
+    sweep.csv (regions), then avg_power_db and avg_rate_1..M, and
+    summary.json, and returns the exit code."""
     t0 = time.perf_counter()
-    rows = []
-    for snr, setup in setups:
-        if rc["mode"] == "compare":
-            point = compare_schemes(setup, rc["compare"]["schemes"])
-        else:
-            point = sweep_regions(setup, rc["sweep"]["regions"])
-        rows += [{**row, "snr_db": snr} for row in point]
+    rows = [{**row, "snr_db": snr}
+            for snr, point in runs for row in solve_rows(point)]
     wall = time.perf_counter() - t0
 
     csv_name, lead = (("compare.csv", ["scheme", "snr_db"])
@@ -529,7 +531,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory "
                         "(default: config out_dir, else '.')")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the fading seed")
+                        help="override the fading seed (online mode only)")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate, print the resolved config, exit")
     parser.add_argument("--log-every", type=int, default=None, metavar="S",
@@ -550,8 +552,9 @@ def main(argv=None) -> int:
     try:
         rc = resolve_config(raw)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be a nonnegative integer")
+            if not (args.seed >= 0 and rc["mode"] == "online"):
+                raise ConfigError("--seed: online mode only, a nonnegative "
+                                  "integer")
             rc["fading"]["seed"] = args.seed
         if args.log_every is not None and not (
                 args.log_every >= 1 and rc["mode"] in SOLVER_MODES):

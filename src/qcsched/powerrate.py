@@ -41,7 +41,7 @@ rate_cap)``: ``cell_data`` is the λ-independent per-region data (c above;
 the region's moments and edges for ergodic) and ``allocation`` returns
 (R*, Υ(R*)) with R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap``,
 which every caller gives (``math.inf`` for none). Pointwise there are
-``power_of_rate`` (Υ), ``rate_of_power`` (Υ⁻¹) and ``marginal_power`` (Υ̇).
+``power_of_rate`` (Υ) and ``rate_of_power`` (Υ⁻¹).
 At a known gain g every family is Υ(x) = (s/g)·(2^x - 1), and
 ``perfect_csi_scale`` gives s.
 """
@@ -240,11 +240,6 @@ class PowerRate:
             r = np.log1p(y / c) / _LN2
         return np.where(np.isposinf(c), 0.0, r)
 
-    def marginal_power(self, ctx: RegionContext, rate) -> np.ndarray:
-        c = self.linear_coeff(ctx)
-        x = np.asarray(rate, dtype=float)
-        return c * _LN2 * np.exp2(x)
-
     def marginal_at_zero(self, ctx: RegionContext) -> np.ndarray:
         return self.linear_coeff(ctx) * _LN2
 
@@ -413,11 +408,6 @@ class ErgodicCapacity(PowerRate):
         y = _vec_newton(f_df, lo, np.where(np.isfinite(hi), hi, 1.0),
                         ROOT_TOL, ROOT_MAX_ITER, "ergodic power")
         return np.where(x > 0.0, y, 0.0)
-
-    def marginal_power(self, ctx: RegionContext, rate) -> np.ndarray:
-        y = self.power_of_rate(ctx, rate)
-        return 1.0 / self._closed_form(self._edges(self.cell_data(ctx), y),
-                                       y)[1]
 
     def allocation(self, data: tuple, slope, rate_cap: float) -> tuple:
         """One root-find per active cell, for the power y* with

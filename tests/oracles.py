@@ -4,7 +4,8 @@ Each function evaluates one channel column (or one probability) the slow,
 literal way, or enumerates every channel where the library enumerates one
 per class; the tests check the vectorized library paths against them. The
 test-only surfaces (the finite-difference Jacobian, the cluster audit, the
-access sampler, the multiplier-trace verdict) live here too.
+access sampler, the multiplier-trace verdict, the pointwise marginal power)
+live here too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
                                build_tables, smooth_weights)
 from qcsched.dual import Problem, block_allocation
+from qcsched.powerrate import ErgodicCapacity
 from qcsched.quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                                QuantizerGrid, region_prob_table)
 
@@ -421,6 +423,19 @@ def lentz_scaled(x, n: int = 1) -> np.ndarray:
         if not live.any():
             break
     return h.astype(float)
+
+
+# --- power-rate marginals -------------------------------------------------------
+
+def marginal_power(model, ctx, rate) -> np.ndarray:
+    """Υ̇ at ``rate``: c·ln2·2^x for the families with Υ(x) = c·(2^x - 1),
+    and for ergodic capacity 1/(Υ⁻¹)′ at y = Υ(x), from its closed form."""
+    if isinstance(model, ErgodicCapacity):
+        y = model.power_of_rate(ctx, rate)
+        edges = model._edges(model.cell_data(ctx), y)
+        return 1.0 / model._closed_form(edges, y)[1]
+    x = np.asarray(rate, dtype=float)
+    return model.linear_coeff(ctx) * math.log(2.0) * np.exp2(x)
 
 
 # --- perfect CSI ------------------------------------------------------------------

@@ -10,10 +10,9 @@ import pytest
 from qcsched import allocator, analysis, dual, solver
 from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
                                build_tables)
-from qcsched.analysis import (CompareSetup, OverheadReport, compare_schemes,
-                              feedback_bits, mc_primal, power_db, ra1_point,
-                              ra2_point, ra3_point, ra4_point, ra5_point,
-                              sweep_regions)
+from qcsched.analysis import (CompareSetup, OverheadReport, compare_rows,
+                              compare_schemes, feedback_bits, mc_primal,
+                              power_db, sweep_regions)
 from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
 from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
@@ -34,6 +33,12 @@ def micro_setup(**over):
               mu=np.ones(2), targets=np.array([1.0, 1.5]))
     kw.update(over)
     return CompareSetup(**kw)
+
+
+def point(setup, scheme):
+    """The one solved row of ``scheme`` at ``setup``."""
+    row, = compare_schemes(setup, (scheme,))
+    return row
 
 
 # --- feedback overhead --------------------------------------------------------------
@@ -207,7 +212,7 @@ def test_online_and_mc_on_outage_grid_raise_no_runtime_warning():
 
 def test_ra3_point_converges_and_meets_targets():
     setup = micro_setup()
-    row = ra3_point(setup)
+    row = point(setup, "RA3")
     assert row["scheme"] == "RA3"
     assert row["converged"]
     assert row["method"] == "offline_exact"
@@ -219,14 +224,14 @@ def test_ra3_newton_converges_from_small_initial_damping():
     # Newton damping 1/beta small: the step is nearly undamped, and the
     # ‖subgradient‖ test must raise the damping until the solve converges
     setup = micro_setup(beta=2.0, max_iters=3_000)
-    row = ra3_point(setup)
+    row = point(setup, "RA3")
     assert row["converged"]
     np.testing.assert_allclose(row["avg_rates"], setup.targets, atol=2e-3)
 
 
 def test_smooth_rows_say_how_they_were_solved():
     setup = micro_setup()
-    for row in (ra3_point(setup), ra4_point(setup), ra1_point(setup)):
+    for row in (point(setup, name) for name in ("RA3", "RA4", "RA1")):
         assert 0 < row["iterations"] <= 30
         assert row["max_abs_subgradient"] < setup.tol
         assert row["max_abs_subgradient"] == pytest.approx(
@@ -235,19 +240,19 @@ def test_smooth_rows_say_how_they_were_solved():
 
 def test_ra5_deterministic_meets_targets_and_costs_more():
     setup = micro_setup()
-    a = ra5_point(setup)
-    b = ra5_point(setup)
+    a = point(setup, "RA5")
+    b = point(setup, "RA5")
     assert a["method"] == "heuristic"
     np.testing.assert_array_equal(a["power_levels"], b["power_levels"])
     assert a["avg_power"] == b["avg_power"]
     assert np.all(np.asarray(a["avg_rates"]) >= setup.targets - 1e-9)
-    ra3 = ra3_point(setup)
+    ra3 = point(setup, "RA3")
     assert ra3["avg_power"] <= a["avg_power"] + 1e-9
 
 
 def test_ra5_zero_target_user_stays_silent():
     setup = micro_setup(targets=np.array([0.0, 1.5]))
-    row = ra5_point(setup)
+    row = point(setup, "RA5")
     assert row["power_levels"][0] == 0.0
     assert row["avg_rates"][0] == 0.0
 
@@ -259,7 +264,7 @@ def test_ra5_reports_what_a_saturated_user_is_served():
     # unconverged instead of raising; user 2 keeps its bisection
     fading = FadingModel(np.full((2, 2), snr_db_to_mean_gain(6.0)), seed=0)
     setup = micro_setup(fading=fading, targets=np.array([12.0, 0.5]))
-    row = ra5_point(setup)
+    row = point(setup, "RA5")
     assert row["converged"] is False
     floor = build_equiprobable(fading, 4).thresholds[0, 0, 1]
     assert row["power_levels"][0] == pytest.approx((2.0 ** 12 - 1) / floor,
@@ -270,8 +275,8 @@ def test_ra5_reports_what_a_saturated_user_is_served():
 
 def test_ra2_within_smoothing_bound_of_ra3():
     setup = micro_setup()
-    ra3 = ra3_point(setup)
-    ra2 = ra2_point(setup)
+    ra3 = point(setup, "RA3")
+    ra2 = point(setup, "RA2")
     K = setup.fading.mean_gain.shape[1]
     gap = ra3["avg_power"] - ra2["avg_power"]
     assert -1e-6 <= gap <= K * setup.eps + 0.02
@@ -298,7 +303,7 @@ def test_ra2_continuation_meets_the_targets_inside_its_bracket(case):
     setup = micro_setup(fading=FadingModel(np.array(gains), seed=1),
                         model=model, mu=np.array([1.0, 2.0]),
                         tol=np.array([1e-3, 1e-4]))
-    row = ra2_point(setup)
+    row = point(setup, "RA2")
     assert row["converged"]
     np.testing.assert_allclose(row["avg_rates"], setup.targets, rtol=0,
                                atol=allocator.DEFAULT_FEAS_TOL)
@@ -316,7 +321,7 @@ def test_ra2_unconverged_stage_reports_its_smooth_point():
     # a stage whose Newton stops at max_iters ends the continuation: the row
     # carries the smooth point there and says so, with no tie LP run
     setup = micro_setup(max_iters=3)
-    row = ra2_point(setup)
+    row = point(setup, "RA2")
     assert row["converged"] is False and row["eps"] == setup.eps
     grid = build_equiprobable(setup.fading, setup.regions)
     problem = Problem(grid, MODEL, setup.mu, setup.targets,
@@ -332,20 +337,20 @@ def test_ra4_random_quantizer_converges_at_matched_rates():
     # no ordering claim vs RA3 here: a lucky random ladder can beat the
     # equiprobable heuristic on small instances (it does on this one)
     setup = micro_setup()
-    ra4 = ra4_point(setup)
+    ra4 = point(setup, "RA4")
     assert ra4["scheme"] == "RA4"
     assert ra4["converged"]
     np.testing.assert_allclose(ra4["avg_rates"], setup.targets, atol=2e-3)
-    ra4_again = ra4_point(setup)
+    ra4_again = point(setup, "RA4")
     assert ra4_again["avg_power"] == ra4["avg_power"]   # seeded thresholds
 
 
 def test_ra1_perfect_csi_row_is_below_ra3():
     setup = micro_setup()
-    row = ra1_point(setup)
+    row = point(setup, "RA1")
     assert row["scheme"] == "RA1"
     assert row["method"] == "perfect_csi"
-    ra3 = ra3_point(setup)
+    ra3 = point(setup, "RA3")
     assert row["avg_power"] <= ra3["avg_power"] + 1e-9
 
 
@@ -353,8 +358,9 @@ def test_ra1_is_the_bound_the_certified_quantized_optimum_falls_to():
     # RA2's certified power P* on L regions strictly decreases in L and stays
     # above the perfect-CSI hard dual, which bounds every policy's power
     setup = micro_setup()
-    ra1 = ra1_point(setup)
-    powers = [ra2_point(replace(setup, regions=L)) for L in (2, 4, 8, 16, 32)]
+    ra1 = point(setup, "RA1")
+    powers = [point(replace(setup, regions=L), "RA2")
+              for L in (2, 4, 8, 16, 32)]
     assert all(r["converged"] for r in [ra1, *powers])
     powers = [r["avg_power"] for r in powers]
     assert all(np.diff(powers) < 0), powers
@@ -374,7 +380,7 @@ def test_converged_rows_meet_their_targets():
         assert r["converged"] and miss < setup.tol, (r["scheme"], miss)
     # RA5 computes its flag: a tol below its bisection's rate error fails it
     strict = micro_setup(tol=1e-15)
-    assert not ra5_point(strict)["converged"]
+    assert not point(strict, "RA5")["converged"]
     # the three solvers on the tc1 shape: the constant step serves its last
     # iterate, the non-smooth baseline the average of its second half (its
     # last iterate hovers), the online run its final sample average
@@ -404,13 +410,26 @@ def test_compare_schemes_rows_and_ordering():
     assert rows[0]["avg_power"] <= rows[1]["avg_power"]
 
 
+def test_compare_rows_build_each_problem_once():
+    # RA2, RA3 and RA5 share the equiprobable Problem, RA4 its random ladder
+    # and RA1 PerfectCSI, whatever the scheme order
+    setup = micro_setup()
+    schemes = ("RA5", "RA4", "RA3", "RA2", "RA1", "RA3")
+    labels, setups, problems = zip(*compare_rows(setup, schemes))
+    assert labels == tuple({"scheme": name} for name in schemes)
+    assert all(s is setup for s in setups)
+    ra5, ra4, ra3, ra2, ra1, again = problems
+    assert ra5 is ra3 is ra2 is again and ra4 is not ra3
+    assert isinstance(ra1, dual.PerfectCSI)
+
+
 def test_compare_schemes_unknown_scheme():
     with pytest.raises(ValueError, match="unknown scheme"):
         compare_schemes(micro_setup(), schemes=("RA9",))
 
 
 def test_compare_schemes_lets_a_schemes_key_error_through(monkeypatch):
-    def broken(setup):
+    def broken(setup, problem):
         raise KeyError("inside the scheme")
 
     monkeypatch.setitem(analysis._SCHEME_FUNCS, "RA3", broken)
@@ -462,7 +481,7 @@ def test_offline_builds_read_the_class_representatives_only(monkeypatch):
                       mu=setup.mu, targets=setup.targets, fading=fading)
     run_offline_smooth(problem, SolverConfig(beta=0.05, max_iters=50))
     smooth_builds = len(shapes)
-    ra2_point(setup)
+    point(setup, "RA2")
     assert len(shapes) > smooth_builds and set(shapes) == {(2, 1, 4)}
     shapes.clear()
     run_online(problem, SolverConfig(beta=1e-3), 20)

@@ -146,6 +146,18 @@ def test_log_every_is_for_solver_modes_only(tmp_path, capsys, mode, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, extra", [
+    ("offline_smooth", {}), ("offline_nonsmooth", {}), ("compare", {}),
+    ("sweep_regions", {"sweep": {"regions": [2]}}), ("overhead", {})])
+def test_seed_is_for_online_mode_only(tmp_path, capsys, mode, extra):
+    # only the online loop samples the fading stream; elsewhere the seed
+    # would change no artifact, so the flag is refused and nothing written
+    rc, out = run(tmp_path, tiny(mode, **extra), "--seed", "5")
+    assert rc == CONFIG
+    assert "--seed: online mode only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_online_mode_requires_num_blocks(tmp_path):
     rc, out = run(tmp_path, tiny(mode="online"))
     assert rc == CONFIG
@@ -473,6 +485,7 @@ def compare_cfg(**over):
     (compare_cfg(enum_budget=15, compare={"schemes": ["RA3"]}), CONFIG),
     (compare_cfg(enum_budget=63, compare={"schemes": ["RA4"]}), CONFIG),
     (compare_cfg(enum_budget=64, compare={"schemes": ["RA4"]}), OK),
+    (compare_cfg(enum_budget=15, compare={"schemes": ["RA5", "RA3"]}), CONFIG),
 ])
 def test_enum_budget_binds_each_problem_that_enumerates(tmp_path, cfg, want):
     # the offline solvers and the RA2-RA4 rows enumerate n_classes·L^M
@@ -603,6 +616,18 @@ def _spy(calls, fn, name):
 EQUI = {"type": "equiprobable", "regions": 4}
 
 
+# what a run builds besides its model and a solver mode's grid: each
+# problem's column space, unless online, and per SNR point of a row mode one
+# equiprobable grid (RA2, RA3, RA5), one random ladder (RA4) and one
+# PerfectCSI (RA1), or one grid per L and then one PerfectCSI
+BUILDS = {"offline_smooth": {"column_space": 1},
+          "offline_nonsmooth": {"column_space": 1}, "online": {},
+          "compare": {"build_equiprobable": 2, "build_random": 2,
+                      "PerfectCSI": 2, "column_space": 4},
+          "sweep_regions": {"build_equiprobable": 2, "PerfectCSI": 1,
+                            "column_space": 2}}
+
+
 @pytest.mark.parametrize("mode, quantizer, section, builder", [
     ("offline_smooth", EQUI, {}, "build_equiprobable"),
     ("offline_nonsmooth", {"type": "random", "regions": 4,
@@ -611,29 +636,37 @@ EQUI = {"type": "equiprobable", "regions": 4}
     ("online", {"type": "explicit",
                 "thresholds": [[[0.0, 1.0, "inf"]] * 2] * 2},
      {"online": {"num_blocks": 20}}, "QuantizerGrid"),
-    ("compare", EQUI, {"compare": {"schemes": ["RA3"], "snr_db": [4.0, 8.0]}},
-     None),
+    ("compare", EQUI, {"compare": {"schemes": list(cli.SCHEMES[::-1]),
+                                   "snr_db": [4.0, 8.0]}}, None),
     ("sweep_regions", EQUI, {"sweep": {"regions": [2, 4]}}, None),
 ])
 def test_a_run_builds_its_model_and_grid_once(tmp_path, monkeypatch, mode,
                                               quantizer, section, builder):
-    # row modes build their grids in the harness, once per row problem
+    # row modes build their grids in the harness, once per row problem,
+    # and the check and the solve share them
     calls = Counter()
     for name in ("make_model", "build_equiprobable", "build_random",
                  "QuantizerGrid"):
         monkeypatch.setattr(cli, name, _spy(calls, getattr(cli, name), name))
+    for name in ("build_equiprobable", "build_random", "PerfectCSI"):
+        monkeypatch.setattr(analysis, name,
+                            _spy(calls, getattr(analysis, name), name))
+    space = qcsched.quantizer.column_space
+    monkeypatch.setattr(qcsched.quantizer, "column_space",
+                        _spy(calls, space, "column_space"))
     cfg = tiny(mode, quantizer=quantizer, **section)
     cfg["fading"] = {"num_users": 2, "num_channels": 2, "snr_db": 6.0}
     cfg["solver"]["max_iters"] = 5
     rc, _ = run(tmp_path, cfg)
     assert rc in (OK, NOT_CONVERGED)
     assert calls == Counter({"make_model": 1, **({builder: 1} if builder
-                                                  else {})})
+                                                  else {}), **BUILDS[mode]})
 
 
 def test_the_check_sees_every_row_problem_of_every_snr_point_first(
         tmp_path, monkeypatch):
-    events = []
+    # ... and the solve gets the very objects the check saw
+    events, seen, solved = [], [], []
 
     def spy_check(cls):
         check = cls.check_targets
@@ -647,6 +680,7 @@ def test_the_check_sees_every_row_problem_of_every_snr_point_first(
                         else "RA4")
                 gains = self.grid.mean_gain
             events.append((kind, float(gains.max())))
+            seen.append(self)
             return check(self)
         monkeypatch.setattr(cls, "check_targets", spied)
 
@@ -654,7 +688,9 @@ def test_the_check_sees_every_row_problem_of_every_snr_point_first(
     spy_check(dual.PerfectCSI)
     solve = analysis.run_offline_newton
     monkeypatch.setattr(analysis, "run_offline_newton",
-                        lambda *args: (events.append("solve"), solve(*args))[1])
+                        lambda problem, cfg: (events.append("solve"),
+                                              solved.append(problem),
+                                              solve(problem, cfg))[2])
     cfg = compare_cfg(compare={"schemes": ["RA1", "RA3", "RA4"],
                                "snr_db": [4.0, 8.0]})
     rc, _ = run(tmp_path, cfg)
@@ -663,6 +699,9 @@ def test_the_check_sees_every_row_problem_of_every_snr_point_first(
     assert [kind for kind, _ in checked] == ["RA1", "RA3", "RA4"] * 2
     assert [g for _, g in checked] == pytest.approx(
         [snr_db_to_mean_gain(snr) for snr in (4.0, 8.0) for _ in range(3)])
+    checked_objects = seen[:len(checked)]
+    assert len(solved) == 6
+    assert all(any(p is q for q in checked_objects) for p in solved)
 
 
 def test_ra5_short_of_its_target_exits3_with_every_row(tmp_path):

@@ -1,6 +1,6 @@
 """Golden-output guardrail: every artifact of a fixed set of CLI runs, hashed.
 
-The set is every bundled config and nine micro configs, among them an
+The set is every bundled config and ten micro configs, among them an
 offline and a compare run of each family no bundled config uses: ergodic
 capacity and average BER, whose root-finds no bundled config reaches, and
 instantaneous BER, whose tables and RA1 row scale with its
@@ -40,6 +40,14 @@ MICRO = {
 MICRO_COMPARE = {
     **MICRO, "mode": "compare",
     "compare": {"schemes": ["RA1", "RA2", "RA3", "RA4", "RA5"]},
+}
+
+# two SNR points, RA5 first: RA5, RA3 and RA2 share one equiprobable Problem
+# per point, which RA5 builds and RA3 enumerates
+MICRO_COMPARE_SNR_POINTS = {
+    **MICRO, "mode": "compare",
+    "compare": {"schemes": ["RA5", "RA4", "RA3", "RA2", "RA1"],
+                "snr_db": [4.0, 8.0]},
 }
 
 # M=3, K=3: M·K is not a multiple of 4, so each block's counter stride is
@@ -115,6 +123,12 @@ GOLDEN = {
         "summary.json":
             "d01261f572ed8fdba4f1f75259f887c3fe2ce5d42c7c8d2d7dd20615f37bd382",
     },
+    "micro_compare_snr_points": {
+        "compare.csv":
+            "4ae61d1cd0253f18e6e33b088e8880c174b49427816d0b17a0089b85cee3bde7",
+        "summary.json":
+            "d01bfa2f22b4a59672b07db57c707b023fa5338cca56a64000ee8e72e5ca3ac8",
+    },
     "micro_ergodic_compare": {
         "compare.csv":
             "7846595d4e97d202b237545047f189dd7535d58de99ae2c9d39efceb2de19b22",
@@ -176,8 +190,10 @@ EXIT_CODES = {"micro_online": 3, "testcase2_online": 3}
 
 
 def _config_path(name, tmp_path):
-    micro = {"micro_compare": MICRO_COMPARE, "micro_online": MICRO_ONLINE,
-             "micro_sweep": MICRO_SWEEP, **MICRO_FAMILIES}
+    micro = {"micro_compare": MICRO_COMPARE,
+             "micro_compare_snr_points": MICRO_COMPARE_SNR_POINTS,
+             "micro_online": MICRO_ONLINE, "micro_sweep": MICRO_SWEEP,
+             **MICRO_FAMILIES}
     if name not in micro:
         return CONFIGS / f"{name}.json"
     path = tmp_path / f"{name}.json"
