@@ -1,45 +1,51 @@
 """Batch experiment runner: JSON config in, CSV tables + summary.json out.
 
-Config schema (strict — unknown keys anywhere are rejected):
+Config schema. It is strict: a key no mode reads exits 2, and so does a key
+only other modes read (``READS``). Overhead reads the keys marked "all";
+the other modes read those, every unmarked key and the keys marked theirs.
 
 {
   "mode": "offline_smooth" | "offline_nonsmooth" | "online" | "compare"
-          | "sweep_regions" | "overhead",
-  "out_dir": "results",                      # optional; --out overrides
+          | "sweep_regions" | "overhead",    # all
+  "out_dir": "results",                      # all; --out overrides
   "fading": {
-    "num_users": 4, "num_channels": 16,
+    "num_users": 4, "num_channels": 16,      # all
     "snr_db": 6.0,                           # scalar or one per user …
-    "mean_gain": [[...], ...],               # … or an explicit M x K matrix
-    "seed": 0                                # u64; online --seed overrides
+    "mean_gain": [[...], ...],               # … or an M x K matrix; neither
+                                             # with compare.snr_db
+    "seed": 0                                # online; u64, --seed overrides
   },
-  "quantizer": {
+  "quantizer": {                             # all
     "type": "equiprobable" | "random" | "explicit",
     "regions": 4,
     "gain_range": [0.0, 12.0], "seed": 7,    # random only
     "thresholds": [[[0.0, ..., "inf"]]]      # explicit only
   },
-  "power_rate": {"family": "outage_capacity", "params": {...}},
+  "power_rate": {"family": "outage_capacity",
+                 "params": {...}},           # the family's physical ones
   "targets": [4, 8, 12, 16],
   "mu": [1, 1, 1, 1],                        # optional, defaults to ones
-  "rate_cap": 12.0, "enum_budget": 1000000,  # optional
-  "solver": {"beta": 0.01, "kappa": 0.1, "init": 0.1, "tol": 0.001,
-             "max_iters": 200000, "eps": 0.05,
-             "record_every": 1},             # optional, all defaulted
-  "online":  {"num_blocks": 10000},          # online mode
-  "compare": {"schemes": [...], "snr_db": [...],            # compare mode
+  "rate_cap": 12.0,                          # optional
+  "enum_budget": 1000000,                    # optional; not online
+  "solver": {"init": 0.1, "tol": 0.001, "eps": 0.05,   # optional, defaulted
+             "beta": 0.01,                   # not offline_nonsmooth
+             "kappa": 0.1,                   # offline_nonsmooth only
+             "max_iters": 200000,            # not online
+             "record_every": 1},             # solver modes (--log-every)
+  "online":  {"num_blocks": 10000},          # online
+  "compare": {"schemes": [...], "snr_db": [...],            # compare
               "ra4_seed": 7, "ra4_range_scale": 3.0},
-  "sweep":   {"regions": [2, 3, 4, 6, 8]}          # sweep_regions mode
+  "sweep":   {"regions": [2, 3, 4, 6, 8]}          # sweep_regions
 }
 
-Omitted ``solver`` keys take the ``SolverConfig`` defaults (in compare and
-sweep_regions modes the ``CompareSetup`` ones, where it has the key) and
-omitted RA knobs the ``CompareSetup`` defaults; ``rate_cap`` defaults to
-``DEFAULT_RATE_CAP``. ``init`` and ``tol`` may be per-user lists in every
-mode, compare and sweep included. Compare and sweep solve smooth points by
-damped Newton (first damping 1/``solver.beta``); RA2 repeats it at ε/4, ε/16,
-… until its tie-LP power and hard dual (``dual_bound``) differ by ≤ λ·tol.
-RA1, perfect CSI, is the exact hard dual at known gains, solved by the same
-Newton; sweep_regions ends with its row, ``regions`` = inf.
+Omitted ``solver`` keys take the ``SolverConfig`` defaults, in compare and
+sweep_regions the ``CompareSetup`` ones, as do omitted RA4 knobs;
+``rate_cap`` defaults to ``DEFAULT_RATE_CAP``; ``init`` and ``tol`` may be
+per-user lists. Compare and sweep solve smooth points by damped Newton
+(first damping 1/``solver.beta``); RA2 repeats it at ε/4, ε/16, … until its
+tie-LP power and hard dual (``dual_bound``) differ by ≤ λ·tol. RA1, perfect
+CSI, is the exact hard dual at known gains, solved by the same Newton;
+sweep_regions ends with its row, ``regions`` = inf.
 
 Artifacts: every mode writes `summary.json`, with a solver mode's final
 multipliers, `reason` (why the loop stopped) and the rates and power the run
@@ -50,9 +56,6 @@ add `trajectory.csv` (`iter,lambda_1..M,subgrad_1..M,rate_1..M,power`; online
 rate columns are running sample means); compare adds `compare.csv`
 (`scheme,snr_db,avg_power_db,avg_rate_1..M`); sweep_regions adds `sweep.csv`.
 CSV bytes are identical across reruns of the same config + fading seed.
-
-``power_rate.params`` are the family's physical ones only (the root-find
-tolerance and step budget are ``powerrate`` constants).
 
 Exit codes: 0 ok; 2 config/schema error, targets no allocation can meet
 (named by a violated user subset) or a column space beyond ``enum_budget``,
@@ -70,7 +73,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -95,15 +98,38 @@ SOLVER_MODES = ("offline_smooth", "offline_nonsmooth", "online")
 MODES = (*SOLVER_MODES, "compare", "sweep_regions", "overhead")
 SCHEMES = ("RA1", "RA2", "RA3", "RA4", "RA5")
 
-_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
-# solver key -> (lower bound, integer); init and tol also take per-user lists
-_SOLVER_BOUNDS = {"beta": (None, False), "kappa": (None, False),
-                  "init": (0.0, False), "tol": (None, False),
-                  "max_iters": (1, True), "eps": (None, False),
-                  "record_every": (1, True)}
-# RA knob -> (lower bound, integer), for the compare section
-_RA_KNOBS = {"ra4_seed": (0, True), "ra4_range_scale": (0.0, False)}
+_SIZE = ("mode", "out_dir", "fading.num_users", "fading.num_channels",
+         "quantizer")
+_GAINS = ("fading.snr_db", "fading.mean_gain")
+_PROBLEM = (*_SIZE, *_GAINS, "power_rate.family", "power_rate.params",
+            "targets", "mu", "rate_cap", "solver.init", "solver.tol",
+            "solver.eps")
+_BUDGETED = (*_PROBLEM, "enum_budget", "solver.max_iters")
+# mode -> the config keys it reads, as dotted paths ("quantizer" stands for
+# its keys, which its type decides). A config may set only keys its mode
+# reads: one that only other modes read exits 2. Only these are resolved.
+READS = {
+    "offline_smooth": (*_BUDGETED, "solver.beta", "solver.record_every"),
+    "offline_nonsmooth": (*_BUDGETED, "solver.kappa", "solver.record_every"),
+    "online": (*_PROBLEM, "fading.seed", "solver.beta", "solver.record_every",
+               "online.num_blocks"),
+    "compare": (*_BUDGETED, "solver.beta", "compare.schemes", "compare.snr_db",
+                "compare.ra4_seed", "compare.ra4_range_scale"),
+    "sweep_regions": (*_BUDGETED, "solver.beta", "sweep.regions"),
+    "overhead": _SIZE,
+}
+
 _SETUP_DEFAULTS = {f.name: f.default for f in fields(CompareSetup)}
+# quantizer type -> the quantizer keys it reads besides type
+_QUANTIZER_READS = {"equiprobable": ("regions",),
+                    "random": ("regions", "gain_range", "seed"),
+                    "explicit": ("thresholds",)}
+# key -> (lower bound, integer), for the solver section (init and tol also
+# take per-user lists) and compare's RA4 knobs
+_BOUNDS = {"beta": (None, False), "kappa": (None, False), "init": (0.0, False),
+           "tol": (None, False), "max_iters": (1, True), "eps": (None, False),
+           "record_every": (1, True), "ra4_seed": (0, True),
+           "ra4_range_scale": (0.0, False)}
 
 
 class ConfigError(Exception):
@@ -111,12 +137,6 @@ class ConfigError(Exception):
 
 
 # --- strict schema helpers ---------------------------------------------------
-
-def _reject_unknown(d: dict, allowed, where: str) -> None:
-    extra = sorted(set(d) - set(allowed))
-    if extra:
-        raise ConfigError(f"{where}: unknown keys {extra}")
-
 
 def _need(d: dict, key: str, where: str):
     if key not in d:
@@ -145,58 +165,65 @@ def _num_list(v, where: str, length=None, lo=None):
     return [_number(x, f"{where}[{i}]", lo=lo) for i, x in enumerate(v)]
 
 
-def _section(cfg: dict, key: str, where="config") -> dict:
+def _section(cfg: dict, key: str) -> dict:
     v = cfg.get(key, {})
     if not isinstance(v, dict):
-        raise ConfigError(f"{where}.{key}: expected an object")
+        raise ConfigError(f"config.{key}: expected an object")
     return v
 
 
-def _ra_knobs(section: dict, where: str) -> dict:
-    """The RA knobs present in ``section``, validated."""
-    out = {}
-    for key, (lo, integer) in _RA_KNOBS.items():
-        if key in section:
-            out[key] = _number(section[key], f"{where}.{key}", lo=lo,
-                               integer=integer)
-    return out
+def _check_keys(raw: dict, reads, where: str) -> None:
+    """Refuse each key of ``raw`` and of its sections that no mode reads,
+    then each that ``reads`` lacks (another mode's key)."""
+    def read(keys, path):       # a section is read with any key in it
+        return any(f"{k}.".startswith(f"{path}.") or path.startswith(f"{k}.")
+                   for k in keys)
+    subkeys = [f"{k}.{s}" for k, v in raw.items() if isinstance(v, dict)
+               for s in v]
+    for path in (*raw, *subkeys):
+        if not any(read(keys, path) for keys in READS.values()):
+            section, _, key = path.rpartition(".")
+            raise ConfigError(f"{section or 'config'}: unknown keys {[key]}")
+    for path in (*subkeys, *raw):
+        if not read(reads, path):
+            raise ConfigError(f"{path}: not read in {where}")
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate the raw JSON document and fill in every default."""
+    """Validate the raw JSON document and fill in the defaults of every key
+    its mode reads, and only of those."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, ("mode", "out_dir", "fading", "quantizer",
-                          "power_rate", "targets", "mu", "rate_cap",
-                          "enum_budget", "solver", "online", "compare",
-                          "sweep"), "config")
     mode = _need(raw, "mode", "config")
     if mode not in MODES:
         raise ConfigError(f"config.mode: expected one of {MODES}, got {mode!r}")
+    reads, where = READS[mode], f"{mode} mode"
+    if mode == "compare" and "snr_db" in _section(raw, "compare"):
+        # each SNR point's gains come from compare.snr_db
+        reads = tuple(k for k in reads if k not in _GAINS)
+        where += " with compare.snr_db"
+    _check_keys(raw, reads, where)
     out_dir = raw.get("out_dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigError("config.out_dir: expected a string")
 
-    fad = _need(raw, "fading", "config")
-    if not isinstance(fad, dict):
-        raise ConfigError("config.fading: expected an object")
-    _reject_unknown(fad, ("num_users", "num_channels", "snr_db", "mean_gain",
-                          "seed"), "fading")
+    fad = _section(raw, "fading")
     M = _number(_need(fad, "num_users", "fading"), "fading.num_users",
                 lo=1, integer=True)
     K = _number(_need(fad, "num_channels", "fading"), "fading.num_channels",
                 lo=1, integer=True)
-    seed = _number(fad.get("seed", 0), "fading.seed", lo=0,
-                   hi=2 ** 64 - 1, integer=True)
-    rfad = {"num_users": M, "num_channels": K, "seed": seed}
-    if ("snr_db" in fad) == ("mean_gain" in fad):
+    rfad = {"num_users": M, "num_channels": K}
+    if "fading.seed" in reads:
+        rfad["seed"] = _number(fad.get("seed", 0), "fading.seed", lo=0,
+                               hi=2 ** 64 - 1, integer=True)
+    if "fading.snr_db" in reads and ("snr_db" in fad) == ("mean_gain" in fad):
         raise ConfigError("fading: give exactly one of snr_db / mean_gain")
     if "snr_db" in fad:
         v = fad["snr_db"]
         rfad["snr_db"] = (_num_list(v, "fading.snr_db", length=M)
                           if isinstance(v, list)
                           else _number(v, "fading.snr_db"))
-    else:
+    elif "mean_gain" in fad:
         mg = fad["mean_gain"]
         if (not isinstance(mg, list) or len(mg) != M
                 or any(not isinstance(r, list) or len(r) != K for r in mg)):
@@ -206,113 +233,90 @@ def resolve_config(raw: dict) -> dict:
         if min(min(r) for r in rfad["mean_gain"]) <= 0:
             raise ConfigError("fading.mean_gain: entries must be positive")
 
-    qc = _need(raw, "quantizer", "config")
-    if not isinstance(qc, dict):
-        raise ConfigError("config.quantizer: expected an object")
-    _reject_unknown(qc, ("type", "regions", "gain_range", "seed",
-                         "thresholds"), "quantizer")
+    qc = _section(raw, "quantizer")
     qtype = qc.get("type", "equiprobable")
     if qtype not in ("equiprobable", "random", "explicit"):
         raise ConfigError(f"quantizer.type: unknown type {qtype!r}")
     if mode in ("compare", "sweep_regions", "overhead") and qtype != "equiprobable":
         raise ConfigError(f"quantizer.type: {mode} mode builds its own "
                           "ladders and needs type 'equiprobable'")
+    extra = sorted(set(qc) - {"type", *_QUANTIZER_READS[qtype]})
+    if extra:
+        raise ConfigError(f"quantizer: type {qtype!r} reads no {extra}")
     rq = {"type": qtype}
     if qtype == "explicit":
-        if "regions" in qc or "gain_range" in qc or "seed" in qc:
-            raise ConfigError("quantizer: explicit type takes only thresholds")
         rq["thresholds"] = _need(qc, "thresholds", "quantizer")
     else:
         rq["regions"] = _number(_need(qc, "regions", "quantizer"),
                                 "quantizer.regions", lo=2, integer=True)
-        if qtype == "random":
-            lohi = _num_list(_need(qc, "gain_range", "quantizer"),
-                             "quantizer.gain_range", length=2, lo=0.0)
-            if lohi[0] >= lohi[1]:
-                raise ConfigError("quantizer.gain_range: need lo < hi")
-            rq["gain_range"] = lohi
-            rq["seed"] = _number(qc.get("seed", 0), "quantizer.seed", lo=0,
-                                 integer=True)
-        elif "gain_range" in qc or "seed" in qc or "thresholds" in qc:
-            raise ConfigError("quantizer: equiprobable type takes only regions")
+    if qtype == "random":
+        lohi = _num_list(_need(qc, "gain_range", "quantizer"),
+                         "quantizer.gain_range", length=2, lo=0.0)
+        if lohi[0] >= lohi[1]:
+            raise ConfigError("quantizer.gain_range: need lo < hi")
+        rq["gain_range"] = lohi
+        rq["seed"] = _number(qc.get("seed", 0), "quantizer.seed", lo=0,
+                             integer=True)
+    resolved = {"mode": mode, "out_dir": out_dir, "fading": rfad,
+                "quantizer": rq}
+    if mode == "overhead":      # feedback bits count M, K and L alone
+        return resolved
 
-    pr = _need(raw, "power_rate", "config")
-    if not isinstance(pr, dict):
-        raise ConfigError("config.power_rate: expected an object")
-    _reject_unknown(pr, ("family", "params"), "power_rate")
-    family = _need(pr, "family", "power_rate")
+    pr = _section(raw, "power_rate")
     params = pr.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("power_rate.params: expected an object")
-
-    targets = _num_list(_need(raw, "targets", "config"), "targets",
-                        length=M, lo=0.0)
-    mu = _num_list(raw.get("mu", [1.0] * M), "mu", length=M)
+    resolved["power_rate"] = {"family": _need(pr, "family", "power_rate"),
+                              "params": params}
+    resolved["targets"] = _num_list(_need(raw, "targets", "config"),
+                                    "targets", length=M, lo=0.0)
+    resolved["mu"] = mu = _num_list(raw.get("mu", [1.0] * M), "mu", length=M)
     if min(mu) <= 0:
         raise ConfigError("mu: entries must be positive")
-    rate_cap = _number(raw.get("rate_cap", DEFAULT_RATE_CAP), "rate_cap",
-                       lo=0.0)
-    enum_budget = _number(raw.get("enum_budget", DEFAULT_ENUM_BUDGET),
-                          "enum_budget", lo=1, integer=True)
-
-    sv = _section(raw, "solver")
-    _reject_unknown(sv, _SOLVER_DEFAULTS, "solver")
-    rsv = {}
-    for key, default in _SOLVER_DEFAULTS.items():
-        if mode in ("compare", "sweep_regions"):    # solved via CompareSetup
-            default = _SETUP_DEFAULTS.get(key, default)
-        v, where = sv.get(key, default), f"solver.{key}"
-        lo, integer = _SOLVER_BOUNDS[key]
-        if key in ("init", "tol") and isinstance(v, list):
-            rsv[key] = _num_list(v, where, length=M, lo=lo)
-        else:
-            rsv[key] = _number(v, where, lo=lo, integer=integer)
-
-    resolved = {"mode": mode, "out_dir": out_dir, "fading": rfad,
-                "quantizer": rq,
-                "power_rate": {"family": family, "params": params},
-                "targets": targets, "mu": mu, "rate_cap": rate_cap,
-                "enum_budget": enum_budget, "solver": rsv}
+    resolved["rate_cap"] = _number(raw.get("rate_cap", DEFAULT_RATE_CAP),
+                                   "rate_cap", lo=0.0)
+    if "enum_budget" in reads:
+        budget = raw.get("enum_budget", DEFAULT_ENUM_BUDGET)
+        resolved["enum_budget"] = _number(budget, "enum_budget", lo=1,
+                                          integer=True)
 
     if mode == "online":
-        on = _section(raw, "online")
-        _reject_unknown(on, ("num_blocks",), "online")
-        resolved["online"] = {
-            "num_blocks": _number(_need(on, "num_blocks", "online"),
-                                  "online.num_blocks", lo=1, integer=True)}
-    elif "online" in raw:
-        raise ConfigError("config.online: only valid in online mode")
+        blocks = _need(_section(raw, "online"), "num_blocks", "online")
+        resolved["online"] = {"num_blocks": _number(
+            blocks, "online.num_blocks", lo=1, integer=True)}
 
     if mode == "compare":
         cp = _section(raw, "compare")
-        _reject_unknown(cp, ("schemes", "snr_db", *_RA_KNOBS), "compare")
         schemes = cp.get("schemes", list(SCHEMES))
         if (not isinstance(schemes, list) or not schemes
                 or any(s not in SCHEMES for s in schemes)):
             raise ConfigError(f"compare.schemes: expected a subset of {SCHEMES}")
-        rcp = {"schemes": schemes}
+        resolved["compare"] = rcp = {"schemes": schemes}
         if "snr_db" in cp:
-            if "snr_db" not in rfad:
-                raise ConfigError(
-                    "compare.snr_db sweep requires snr_db-style fading")
             rcp["snr_db"] = _num_list(cp["snr_db"], "compare.snr_db")
-        rcp.update(_ra_knobs({**_SETUP_DEFAULTS, **cp}, "compare"))
-        resolved["compare"] = rcp
-    elif "compare" in raw:
-        raise ConfigError("config.compare: only valid in compare mode")
 
     if mode == "sweep_regions":
-        sw = _section(raw, "sweep")
-        _reject_unknown(sw, ("regions",), "sweep")
-        regions = _need(sw, "regions", "sweep")
+        regions = _need(_section(raw, "sweep"), "regions", "sweep")
         if not isinstance(regions, list) or not regions:
             raise ConfigError("sweep.regions: expected a nonempty list")
         rlist = [_number(x, f"sweep.regions[{i}]", lo=2, integer=True)
                  for i, x in enumerate(regions)]
         resolved["sweep"] = {"regions": rlist}
-    elif "sweep" in raw:
-        raise ConfigError("config.sweep: only valid in sweep_regions mode")
 
+    # the bounded knobs: compare and sweep_regions solve through CompareSetup
+    # and take its defaults, the solver modes SolverConfig's
+    defaults = (_SETUP_DEFAULTS if mode in ("compare", "sweep_regions")
+                else {f.name: f.default for f in fields(SolverConfig)})
+    for path in reads:
+        section, _, key = path.partition(".")
+        if key in _BOUNDS:
+            lo, integer = _BOUNDS[key]
+            v = _section(raw, section).get(key, defaults[key])
+            knobs = resolved.setdefault(section, {})
+            if key in ("init", "tol") and isinstance(v, list):
+                knobs[key] = _num_list(v, path, length=M, lo=lo)
+            else:
+                knobs[key] = _number(v, path, lo=lo, integer=integer)
     return resolved
 
 
@@ -326,7 +330,7 @@ def _build_fading(fad: dict) -> FadingModel:
         snr = np.asarray(fad["snr_db"], dtype=float)
         per_user = np.broadcast_to(snr_db_to_mean_gain(snr), (M,))
         mg = np.repeat(per_user[:, None], K, axis=1)
-    return FadingModel(mean_gain=mg, seed=fad["seed"])
+    return FadingModel(mean_gain=mg, seed=fad.get("seed", 0))   # online
 
 
 def _build_grid(rc: dict, fading: FadingModel) -> QuantizerGrid:
@@ -350,12 +354,15 @@ def _build_grid(rc: dict, fading: FadingModel) -> QuantizerGrid:
         raise ConfigError(f"quantizer.thresholds: {exc}") from None
 
 
-def _build_run(rc: dict, log_every: int | None):
+def _build_run(rc: dict):
     """Build the run once and check its targets and enumeration budget on
     what was built: returns the SolverConfig and the Problem (solver modes),
     one (snr_db, rows) per SNR point, each compare.snr_db entry else the
     fading SNR or NaN, with every row checked in row order (row modes), or
-    None."""
+    None, None (overhead)."""
+    mode, fad = rc["mode"], rc["fading"]
+    if mode == "overhead":
+        return None, None
     family, params = rc["power_rate"]["family"], rc["power_rate"]["params"]
     params = {k: _number(v, f"power_rate.params.{k}")
               for k, v in params.items()}
@@ -364,8 +371,6 @@ def _build_run(rc: dict, log_every: int | None):
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"power_rate: {exc}") from None
     sv = dict(rc["solver"])
-    if log_every:
-        sv["record_every"] = log_every
     sv["init"] = np.asarray(sv["init"], dtype=float)
     sv["tol"] = np.asarray(sv["tol"], dtype=float)
     try:
@@ -373,9 +378,6 @@ def _build_run(rc: dict, log_every: int | None):
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
 
-    mode, fad = rc["mode"], rc["fading"]
-    if mode == "overhead":
-        return cfg, None
     mu = np.asarray(rc["mu"], dtype=float)
     targets = np.asarray(rc["targets"], dtype=float)
     if mode in SOLVER_MODES:
@@ -383,10 +385,11 @@ def _build_run(rc: dict, log_every: int | None):
         problem = Problem(grid=_build_grid(rc, fading), model=model, mu=mu,
                           targets=targets, fading=fading,
                           rate_cap=rc["rate_cap"],
-                          enum_budget=rc["enum_budget"])
+                          enum_budget=rc.get("enum_budget",
+                                             DEFAULT_ENUM_BUDGET))
         problem.check_targets()
-        if mode != "online":    # the online loop never enumerates; the
-            problem.space       # space raises EnumerationBudgetError
+        if "enum_budget" in rc:     # the online loop never enumerates; the
+            problem.space           # space raises EnumerationBudgetError
         return cfg, problem
 
     knobs = rc.get("compare", {})
@@ -398,10 +401,9 @@ def _build_run(rc: dict, log_every: int | None):
                    fad)]
     setups = [(snr, CompareSetup(
         fading=_build_fading(f), regions=rc["quantizer"]["regions"],
-        model=model, mu=mu, targets=targets, eps=cfg.eps,
-        rate_cap=rc["rate_cap"], enum_budget=rc["enum_budget"],
-        beta=cfg.beta, tol=cfg.tol, max_iters=cfg.max_iters, init=cfg.init,
-        **{k: v for k, v in knobs.items() if k in _RA_KNOBS}))
+        model=model, mu=mu, targets=targets, rate_cap=rc["rate_cap"],
+        enum_budget=rc["enum_budget"],
+        **{k: v for k, v in {**sv, **knobs}.items() if k in _SETUP_DEFAULTS}))
         for snr, f in points]
     runs = [(snr, compare_rows(setup, knobs["schemes"]) if mode == "compare"
              else sweep_rows(setup, rc["sweep"]["regions"], math.inf))
@@ -508,15 +510,11 @@ def _run_rows(rc: dict, runs: list, outdir: Path) -> int:
 
 
 def _run_overhead(rc: dict, outdir: Path) -> int:
-    fad = rc["fading"]
-    regions = rc["quantizer"]["regions"]
+    fad, regions = rc["fading"], rc["quantizer"]["regions"]
     rep = feedback_bits(fad["num_users"], fad["num_channels"], regions)
-    _write_summary(outdir, {
-        "mode": "overhead", "converged": True,
-        "num_users": fad["num_users"], "num_channels": fad["num_channels"],
-        "regions": regions, "full_qcsi_bits": rep.full_qcsi_bits,
-        "allocation_bits": rep.allocation_bits,
-        "per_channel_bits": rep.per_channel_bits, "wall_time_s": 0.0})
+    _write_summary(outdir, {        # fad: num_users and num_channels alone
+        "mode": "overhead", "converged": True, **fad, "regions": regions,
+        **asdict(rep), "wall_time_s": 0.0})
     return EXIT_OK
 
 
@@ -551,17 +549,19 @@ def main(argv=None) -> int:
 
     try:
         rc = resolve_config(raw)
-        if args.seed is not None:
-            if not (args.seed >= 0 and rc["mode"] == "online"):
-                raise ConfigError("--seed: online mode only, a nonnegative "
-                                  "integer")
-            rc["fading"]["seed"] = args.seed
-        if args.log_every is not None and not (
-                args.log_every >= 1 and rc["mode"] in SOLVER_MODES):
-            raise ConfigError("--log-every: solver modes only, S >= 1")
+        # each flag overrides one key, and only where the mode reads it
+        for value, section, key, lo, error in (
+                (args.seed, "fading", "seed", 0,
+                 "--seed: online mode only, a nonnegative integer"),
+                (args.log_every, "solver", "record_every", 1,
+                 "--log-every: solver modes only, S >= 1")):
+            if value is not None:
+                if not (value >= lo and key in rc.get(section, {})):
+                    raise ConfigError(error)
+                rc[section][key] = value
         # value errors (bad thresholds, shapes, unreachable targets) and
         # enumeration budgets surface here, before any artifact is written
-        cfg, work = _build_run(rc, args.log_every)
+        cfg, work = _build_run(rc)
     except (ConfigError, ValueError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,17 +29,26 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 
 
 def tiny(mode="offline_smooth", **over):
-    """M=2, K=2 instance that converges in well under a second."""
+    """M=2, K=2 instance that converges in well under a second, with only
+    the keys ``mode`` reads."""
     cfg = {
         "mode": mode,
         "fading": {"num_users": 2, "num_channels": 2,
-                   "mean_gain": [[1.0, 2.0], [0.5, 1.5]], "seed": 1},
+                   "mean_gain": [[1.0, 2.0], [0.5, 1.5]]},
         "quantizer": {"type": "equiprobable", "regions": 4},
         "power_rate": {"family": "outage_capacity",
                        "params": {"outage_delta": 0.0}},
         "targets": [0.5, 0.7],
         "solver": {"beta": 0.5, "tol": 1e-5, "max_iters": 20000, "eps": 0.05},
     }
+    if mode == "offline_nonsmooth":     # steps by kappa
+        del cfg["solver"]["beta"]
+    if mode == "online":                # samples num_blocks fading blocks
+        del cfg["solver"]["max_iters"]
+        cfg["fading"]["seed"] = 1
+    if mode == "overhead":              # counts the feedback bits of M, K, L
+        cfg = {"mode": mode, "fading": {"num_users": 2, "num_channels": 2},
+               "quantizer": cfg["quantizer"]}
     cfg.update(over)
     return cfg
 
@@ -76,8 +85,10 @@ def test_malformed_json(tmp_path, capsys):
     (lambda c: c.update(targets=[0.5, -0.1]), "targets"),
     (lambda c: c.update(mu=[1.0, 0.0]), "mu"),
     (lambda c: c["solver"].update(gamma=1.0), "unknown key"),
-    (lambda c: c.update(online={"num_blocks": 10}), "only valid in online"),
-    (lambda c: c.update(compare={"schemes": ["RA3"]}), "only valid in compare"),
+    (lambda c: c.update(online={"num_blocks": 10}),
+     "online.num_blocks: not read in offline_smooth mode"),
+    (lambda c: c.update(compare={"schemes": ["RA3"]}),
+     "compare.schemes: not read in offline_smooth mode"),
     (lambda c: c["quantizer"].update(regions=1), "regions"),
     (lambda c: c["solver"].update(beta=-0.5), "stepsize"),
     (lambda c: c["fading"].update(tap_powers=[1.0, 0.5]), "unknown keys"),
@@ -155,6 +166,69 @@ def test_seed_is_for_online_mode_only(tmp_path, capsys, mode, extra):
     rc, out = run(tmp_path, tiny(mode, **extra), "--seed", "5")
     assert rc == CONFIG
     assert "--seed: online mode only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def reads_only(name):
+    """A config that sets every section its mode needs and no key the mode
+    leaves unread: compare_cfg() for compare, else tiny()."""
+    if name == "compare":
+        return compare_cfg()
+    if name == "compare_snr_points":
+        return compare_cfg(compare={"schemes": ["RA3"], "snr_db": [4.0, 8.0]})
+    sections = {"online": {"online": {"num_blocks": 20}},
+                "sweep_regions": {"sweep": {"regions": [2]}}}
+    return tiny(name, **sections.get(name, {}))
+
+
+SOLVER_KEYS = {"beta": 0.01, "kappa": 0.1, "init": 0.1, "tol": 1e-3,
+               "max_iters": 100, "eps": 0.05, "record_every": 1}
+
+# each key a mode leaves unread though another mode reads it, with a value
+# another mode would accept: setting it there changed no artifact
+UNREAD = [
+    ("offline_smooth", "fading.seed", 0),
+    ("offline_smooth", "solver.kappa", 0.1),
+    ("offline_nonsmooth", "fading.seed", 0),
+    ("offline_nonsmooth", "solver.beta", 0.01),
+    ("online", "solver.kappa", 0.1),
+    ("online", "solver.max_iters", 100),
+    ("online", "enum_budget", 1000),
+    ("compare", "fading.seed", 0),
+    ("compare", "solver.kappa", 0.1),
+    ("compare", "solver.record_every", 1),
+    ("compare_snr_points", "fading.snr_db", 6.0),
+    ("sweep_regions", "fading.seed", 0),
+    ("sweep_regions", "solver.kappa", 0.1),
+    ("sweep_regions", "solver.record_every", 1),
+    ("overhead", "fading.seed", 0),
+    ("overhead", "fading.snr_db", 6.0),
+    ("overhead", "fading.mean_gain", [[1.0, 2.0], [0.5, 1.5]]),
+    ("overhead", "power_rate.family", "outage_capacity"),
+    ("overhead", "power_rate.params", {"outage_delta": 0.0}),
+    ("overhead", "targets", [0.5, 0.7]),
+    ("overhead", "mu", [1.0, 1.0]),
+    ("overhead", "rate_cap", 12.0),
+    ("overhead", "enum_budget", 1000),
+    *(("overhead", f"solver.{k}", v) for k, v in SOLVER_KEYS.items()),
+]
+
+
+@pytest.mark.parametrize("extra", [(), ("--dry-run",)])
+@pytest.mark.parametrize("name, key, value", UNREAD)
+def test_a_key_the_mode_does_not_read_exit2(tmp_path, capsys, name, key,
+                                            value, extra):
+    cfg = reads_only(name)
+    assert run(tmp_path, cfg, "--dry-run")[0] == OK    # valid without it
+    capsys.readouterr()
+    section, _, leaf = key.rpartition(".")
+    (cfg.setdefault(section, {}) if section else cfg)[leaf] = value
+    rc, out = run(tmp_path, cfg, *extra)
+    assert rc == CONFIG
+    mode = cfg["mode"]
+    captured = capsys.readouterr()
+    assert f"error: {key}: not read in {mode} mode" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -256,7 +330,7 @@ def test_omitted_solver_keys_take_the_mode_defaults(tmp_path, capsys, mode,
     assert rc == OK
     solver = json.loads(capsys.readouterr().out)["solver"]
     assert (solver["beta"], solver["max_iters"]) == (beta, max_iters)
-    assert solver["kappa"] == 0.1
+    assert "kappa" not in solver        # only offline_nonsmooth reads it
 
 
 # --- offline smooth ------------------------------------------------------------
@@ -395,7 +469,7 @@ def test_out_dir_from_config(tmp_path):
 
 def test_offline_nonsmooth_settles(tmp_path):
     cfg = tiny(mode="offline_nonsmooth")
-    cfg["solver"].update(beta=0.2, kappa=0.2, max_iters=4000, record_every=10)
+    cfg["solver"].update(kappa=0.2, max_iters=4000, record_every=10)
     rc, out = run(tmp_path, cfg)
     assert rc == OK
     summary = json.loads((out / "summary.json").read_text())
@@ -441,12 +515,8 @@ def test_online_seed_flag_changes_the_draw(tmp_path):
 def test_overhead_mode_reference_counts(tmp_path):
     cfg = {
         "mode": "overhead",
-        "fading": {"num_users": 3, "num_channels": 64, "snr_db": 6.0},
+        "fading": {"num_users": 3, "num_channels": 64},
         "quantizer": {"type": "equiprobable", "regions": 4},
-        "power_rate": {"family": "outage_capacity",
-                       "params": {"outage_delta": 0.0}},
-        "targets": [1.0, 1.0, 1.0],
-        "solver": {},
     }
     rc, out = run(tmp_path, cfg)
     assert rc == OK
@@ -471,6 +541,8 @@ def compare_cfg(**over):
         "compare": {"schemes": ["RA3", "RA5"]},
     }
     cfg.update(over)
+    if "snr_db" in cfg["compare"]:      # the gains of each SNR point
+        del cfg["fading"]["snr_db"]
     return cfg
 
 
@@ -478,7 +550,7 @@ def compare_cfg(**over):
     (tiny(enum_budget=31), CONFIG),                 # 2 classes, 4^2 columns
     (tiny(enum_budget=32), OK),
     (tiny("offline_nonsmooth", enum_budget=31), CONFIG),
-    (tiny("online", enum_budget=1, online={"num_blocks": 20}), NOT_CONVERGED),
+    (tiny("online", enum_budget=1, online={"num_blocks": 20}), CONFIG),
     (tiny("sweep_regions", enum_budget=7, sweep={"regions": [2]}), CONFIG),
     (compare_cfg(enum_budget=1, compare={"schemes": ["RA1", "RA5"]}), OK),
     (compare_cfg(enum_budget=15, compare={"schemes": ["RA2"]}), CONFIG),
@@ -489,7 +561,8 @@ def compare_cfg(**over):
 ])
 def test_enum_budget_binds_each_problem_that_enumerates(tmp_path, cfg, want):
     # the offline solvers and the RA2-RA4 rows enumerate n_classes·L^M
-    # (class, column) pairs; the online loop, RA1 and RA5 enumerate nothing
+    # (class, column) pairs; RA1 and RA5 enumerate nothing, and the online
+    # loop reads no enum_budget
     rc, out = run(tmp_path, cfg)
     assert rc == want
     assert out.exists() == (want != CONFIG)
@@ -528,12 +601,16 @@ def test_compare_unknown_scheme_rejected(tmp_path):
     assert not out.exists()
 
 
-def test_compare_snr_sweep_needs_snr_fading(tmp_path):
+def test_compare_snr_sweep_needs_snr_fading(tmp_path, capsys):
+    # each SNR point's gains come from compare.snr_db, so mean gains would
+    # go unread
     cfg = compare_cfg(compare={"schemes": ["RA3"], "snr_db": [4.0, 8.0]})
     cfg["fading"] = {"num_users": 2, "num_channels": 4,
                      "mean_gain": [[1.0] * 4, [2.0] * 4]}
     rc, _ = run(tmp_path, cfg)
     assert rc == CONFIG
+    assert ("fading.mean_gain: not read in compare mode with compare.snr_db"
+            in capsys.readouterr().err)
 
 
 def test_row_modes_label_each_row_with_its_snr_point(tmp_path):
@@ -598,7 +675,6 @@ def test_targets_only_ra4_cannot_reach_exit2_before_anything_runs(
     # RA3's equiprobable grid lets user 1 draw up to 36, RA4's random ladder
     # at most 28.23: the RA4 row problem fails the check, so nothing runs
     cfg = compare_cfg(targets=[30.0, 1.0], compare={"schemes": ["RA3", "RA4"]})
-    cfg["fading"]["seed"] = 0
     rc, out = run(tmp_path, cfg, *extra)
     assert rc == CONFIG
     captured = capsys.readouterr()
@@ -656,7 +732,10 @@ def test_a_run_builds_its_model_and_grid_once(tmp_path, monkeypatch, mode,
                         _spy(calls, space, "column_space"))
     cfg = tiny(mode, quantizer=quantizer, **section)
     cfg["fading"] = {"num_users": 2, "num_channels": 2, "snr_db": 6.0}
-    cfg["solver"]["max_iters"] = 5
+    if "snr_db" in section.get("compare", {}):  # the gains of each point
+        del cfg["fading"]["snr_db"]
+    if mode != "online":                # which runs its 20 blocks
+        cfg["solver"]["max_iters"] = 5
     rc, _ = run(tmp_path, cfg)
     assert rc in (OK, NOT_CONVERGED)
     assert calls == Counter({"make_model": 1, **({builder: 1} if builder

@@ -6,7 +6,8 @@ capacity and average BER, whose root-finds no bundled config reaches, and
 instantaneous BER, whose tables and RA1 row scale with its
 ``perfect_csi_scale``. Each case runs ``qcsched.cli.main`` in-process and
 compares its exit code and the sha256 of every CSV it writes, and of
-``summary.json`` with ``wall_time_s`` removed, against the values below. A
+``summary.json`` with ``wall_time_s`` removed, against the values below;
+the ``--dry-run`` output of each bundled config is hashed as well. A
 refactor that claims to keep the output bits must keep these hashes; a
 change that moves them on purpose (a new random stream, a fixed bug)
 updates them and says why in CHANGES.md.
@@ -27,7 +28,7 @@ from qcsched.cli import main
 CONFIGS = Path(qcsched.__file__).parent / "configs"
 
 MICRO = {
-    "fading": {"num_users": 2, "num_channels": 4, "snr_db": 6.0, "seed": 2},
+    "fading": {"num_users": 2, "num_channels": 4, "snr_db": 6.0},
     "quantizer": {"type": "equiprobable", "regions": 4},
     "power_rate": {"family": "outage_capacity",
                    "params": {"outage_delta": 0.0}},
@@ -45,15 +46,16 @@ MICRO_COMPARE = {
 # two SNR points, RA5 first: RA5, RA3 and RA2 share one equiprobable Problem
 # per point, which RA5 builds and RA3 enumerates
 MICRO_COMPARE_SNR_POINTS = {
-    **MICRO, "mode": "compare",
+    **MICRO, "mode": "compare", "fading": {"num_users": 2, "num_channels": 4},
     "compare": {"schemes": ["RA5", "RA4", "RA3", "RA2", "RA1"],
                 "snr_db": [4.0, 8.0]},
 }
 
 # M=3, K=3: M·K is not a multiple of 4, so each block's counter stride is
-# padded (three Philox steps, twelve words, nine gains)
+# padded (three Philox steps, twelve words, nine gains); the online loop
+# enumerates nothing and reads no enum_budget
 MICRO_ONLINE = {
-    **MICRO, "mode": "online",
+    **{k: v for k, v in MICRO.items() if k != "enum_budget"}, "mode": "online",
     "fading": {"num_users": 3, "num_channels": 3, "snr_db": 6.0, "seed": 5},
     "targets": [0.5, 0.8, 1.1],
     "solver": {"beta": 5e-3, "record_every": 10},
@@ -221,4 +223,30 @@ def test_artifacts_match_golden_hashes(tmp_path, name):
 
 
 def test_every_bundled_config_is_hashed():
-    assert {path.stem for path in CONFIGS.glob("*.json")} <= set(GOLDEN)
+    bundled = {path.stem for path in CONFIGS.glob("*.json")}
+    assert bundled <= set(GOLDEN) and bundled == set(DRY_RUN)
+
+
+# sha256 of the --dry-run stdout of each bundled config: the resolved
+# config, which holds the keys its mode reads and only those
+DRY_RUN = {
+    "compare_schemes":
+        "42f8749936b32780ff046c5815750678ef6b4ae6a588ee33ff27df43855d5425",
+    "overhead":
+        "77256f277cae99afe0005ada10c6b4a74b4cb166bbc71a6169faaf48556bb91d",
+    "sweep_regions":
+        "0657bb5a40b5bc531f7c3dc384c5ef592b7923af82814b734ee6e3bb56589a09",
+    "testcase1":
+        "5041b679bbcda07c6d3d595662c454723ca518e9968fca6eeefcfbc0e81da6b9",
+    "testcase1_nonsmooth":
+        "7b9f14528a74df62cd1825e0fdfb7952db1570d403081126d0eb8ffed7bd3165",
+    "testcase2_online":
+        "115954bbfb90777c7ab58ddd3bcc5413883b5d317cccece891f2800f6821b95a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRY_RUN))
+def test_dry_run_matches_golden_hash(capsys, name):
+    assert main(["--config", str(CONFIGS / f"{name}.json"), "--dry-run"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == DRY_RUN[name]
