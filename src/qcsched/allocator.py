@@ -108,7 +108,7 @@ def check_targets(grid: QuantizerGrid, model: PowerRate, targets,
     channels, sizes = qz.channel_classes(grid)
     sub = QuantizerGrid(grid.thresholds[:, channels],
                         grid.mean_gain[:, channels])
-    outage = model.is_outage(region_contexts(sub))
+    outage = model.is_outage(make_static(sub, model))
     # Pr{user m in outage} per class, (M, n)
     p_out = np.where(outage, qz.region_prob_table(sub), 0.0).sum(axis=2)
     check_reach(p_out, sizes, targets, rate_cap)

@@ -44,7 +44,7 @@ from .allocator import (DEFAULT_FEAS_TOL, DEFAULT_RATE_CAP, Multipliers,
                         build_tables, find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
 from .dual import PerfectCSI, block_allocation
-from .powerrate import PowerRate, RegionContext, region_contexts
+from .powerrate import PowerRate, region_contexts
 from .quantizer import QuantizerGrid, build_equiprobable, build_random, quantize
 from .solver import Problem, SolverConfig, run_offline_newton
 
@@ -202,27 +202,24 @@ def ra5_point(setup: CompareSetup, problem: Problem) -> dict:
     regions (or 0), and the row reports the rates served there."""
     grid = problem.grid
     M, K = grid.num_users, grid.num_channels
-    ctx = region_contexts(grid)
+    data = setup.model.cell_data(region_contexts(grid))
     probs = qz.region_prob_table(grid)                  # (M, K, L)
-    outage = setup.model.is_outage(ctx)
     power = 0.0
     rates = np.zeros(M)
     levels = np.zeros(M)
     for m in range(M):
         own = np.arange(K) % M == m
         pr = probs[m, own]                              # (Km, L)
-        live = ~outage[m, own]
-
-        sub = RegionContext(ctx.q_lo[m, own], ctx.q_hi[m, own],
-                            ctx.mean_gain[m, own])
+        cells = tuple(a[m, own] for a in data)
+        live = ~setup.model.is_outage(cells)
 
         def served(p):
-            r = np.minimum(setup.model.rate_of_power(sub, p), setup.rate_cap)
+            r = np.minimum(setup.model.rate_of_power(cells, p), setup.rate_cap)
             return float((pr * r * live).sum())
 
         target = float(setup.targets[m])
         if target > float((pr * setup.rate_cap * live).sum()):
-            cap_power = setup.model.power_of_rate(sub, setup.rate_cap)
+            cap_power = setup.model.power_of_rate(cells, setup.rate_cap)
             levels[m] = np.max(cap_power[live], initial=0.0)
         elif target > 0:
             hi = 1.0

@@ -6,9 +6,10 @@ The dual value at λ decomposes per channel over the (column, channel) space:
 D(λ) = Σ_m λ_m·ř_m + Σ_k Σ_j Pr{[J]_k = j}·(served cost of column j on k),
 where the served cost is min(0, c*) under the hard winner-takes-all rule and
 Σ_{m∈M^s} C_W·w^s under the ε-smooth rule. The subgradient entry m is
-ř_m - (average rate served to m). By construction every evaluation satisfies
-value = avg_power + λ·subgradient, which the tests exploit as an internal
-consistency check.
+ř_m - (average rate served to m), a subgradient of the hard dual; under the
+smooth rule it is the rate deficit, not a gradient. By construction every
+evaluation satisfies value = avg_power + λ·subgradient, which the tests
+exploit as an internal consistency check.
 
 Only the per-channel column space (L^M, never L^{K·M}) is ever enumerated,
 and only once per class of identical channels (quantizer.column_space):
@@ -78,9 +79,10 @@ class Problem:
     and the offline evaluator of its dual.
 
     ``fading`` is only needed by the online path (it is sampled); offline
-    evaluations work entirely from the grid's region probabilities. μ > 0
-    and ř ≥ 0 are checked at construction. ``space``, ``static`` and
-    ``columns`` are computed on first use and kept.
+    evaluations work entirely from the grid's region probabilities. μ > 0,
+    ř ≥ 0 and, with ``fading``, its mean gains equal to the grid's are
+    checked at construction. ``space``, ``static`` and ``columns`` are
+    computed on first use and kept.
     """
 
     grid: QuantizerGrid
@@ -94,6 +96,9 @@ class Problem:
     def __post_init__(self):
         self.mu, self.targets = check_weights(self.mu, self.targets,
                                               self.grid.num_users)
+        if not (self.fading is None or np.array_equal(
+                self.fading.mean_gain, self.grid.mean_gain)):
+            raise ValueError("fading and grid mean gains differ")
         self._checked = False
 
     @property
@@ -108,12 +113,13 @@ class Problem:
 
     @cached_property
     def static(self) -> tuple:
-        """The family's cell data (allocator.make_static) at the space's
-        representative channels, (M, n_classes, L) each: the only cells an
-        offline evaluation reads."""
+        """The family's cell data (allocator.make_static), built on the
+        space's representative channels only, (M, n_classes, L) each: the
+        only cells an offline evaluation reads."""
         channels = self.space[2]
-        return tuple(a[:, channels]
-                     for a in make_static(self.grid, self.model))
+        return make_static(QuantizerGrid(self.grid.thresholds[:, channels],
+                                         self.grid.mean_gain[:, channels]),
+                           self.model)
 
     @cached_property
     def columns(self) -> tuple:
@@ -179,8 +185,8 @@ class Problem:
     def _jacobian(self, lam: np.ndarray, tables: RateCostTables,
                   cost_all: np.ndarray, rate_all: np.ndarray,
                   eps: float) -> np.ndarray:
-        """Analytic Jacobian ∂g/∂λ (M, M) of the smooth subgradient
-        g = ř - r̄, from one evaluation's tables and (M, J) columns.
+        """Analytic Jacobian ∂g/∂λ (M, M), not symmetric, of the smooth rate
+        deficit g = ř - r̄, from one evaluation's tables and (M, J) columns.
 
         By the envelope theorem ∂C_n/∂λ_n = -R*_n. Per column let
         d = C - c*, s = argmin C, and on the ε-window a = (1 - d/ε)²,

@@ -36,12 +36,13 @@ constant c, which gives closed-form marginals:
 ``_linear_power`` the one of Υ.
 
 Every family is used through its methods, and only this module knows its
-shape. Υ̇⁻¹ is the scheduler's hook, ``allocation(cell_data(ctx), slope,
-rate_cap)``: ``cell_data`` is the λ-independent per-region data (c above;
-the region's moments and edges for ergodic) and ``allocation`` returns
-(R*, Υ(R*)) with R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap``,
-which every caller gives (``math.inf`` for none). Pointwise there are
-``power_of_rate`` (Υ) and ``rate_of_power`` (Υ⁻¹).
+shape. Only ``cell_data(ctx)`` reads regions: it gives the λ-independent
+per-region data ((c,) above; the region's moments and edges for ergodic),
+which a caller builds once and passes to the other methods. Υ̇⁻¹ is the
+scheduler's hook: ``allocation(data, slope, rate_cap)`` gives (R*, Υ(R*))
+with R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap`` (``math.inf``
+for none). Pointwise there are ``power_of_rate`` (Υ), ``rate_of_power``
+(Υ⁻¹) and ``is_outage``.
 At a known gain g every family is Υ(x) = (s/g)·(2^x - 1), and
 ``perfect_csi_scale`` gives s.
 """
@@ -208,14 +209,11 @@ class PowerRate:
     """Shared behavior for all Υ families (see module docstring)."""
 
     # -- family hooks -------------------------------------------------------
-    def linear_coeff(self, ctx: RegionContext):
-        """Per-region c with Υ(x) = c·(2^x-1); outage regions carry +inf."""
-        raise NotImplementedError
-
     def cell_data(self, ctx: RegionContext) -> tuple:
-        """λ-independent per-region arrays, all of one shape, that
-        ``allocation`` reads: (c,) for the c·(2^x-1) families."""
-        return (self.linear_coeff(ctx),)
+        """λ-independent per-region arrays, all of one shape, that every
+        other method reads: (c,) for the c·(2^x-1) families, with c = +inf
+        in outage regions."""
+        raise NotImplementedError
 
     def allocation(self, data: tuple, slope, rate_cap: float) -> tuple:
         """(R*, Υ(R*)) per cell of ``cell_data``: R* = Υ̇⁻¹(slope), 0 where
@@ -231,26 +229,23 @@ class PowerRate:
             return np.where(live, 1.0 / (slope * _LN2), 0.0)
 
     # -- generic closed forms for linear-coefficient families ---------------
-    def power_of_rate(self, ctx: RegionContext, rate) -> np.ndarray:
-        return _linear_power(self.linear_coeff(ctx), _nonneg(rate, "rate"))
+    def power_of_rate(self, data: tuple, rate) -> np.ndarray:
+        return _linear_power(data[0], _nonneg(rate, "rate"))
 
-    def rate_of_power(self, ctx: RegionContext, power) -> np.ndarray:
-        y, c = _nonneg(power, "power"), self.linear_coeff(ctx)
+    def rate_of_power(self, data: tuple, power) -> np.ndarray:
+        y, c = _nonneg(power, "power"), data[0]
         with np.errstate(invalid="ignore"):
             r = np.log1p(y / c) / _LN2
         return np.where(np.isposinf(c), 0.0, r)
-
-    def marginal_at_zero(self, ctx: RegionContext) -> np.ndarray:
-        return self.linear_coeff(ctx) * _LN2
 
     def perfect_csi_scale(self) -> float:
         """s with Υ(x) = (s/g)·(2^x - 1) at a known gain g, the limit of
         g·c on shrinking regions: 1 for the capacity families."""
         return 1.0
 
-    def is_outage(self, ctx: RegionContext) -> np.ndarray:
-        """Regions where even the first bit costs infinite marginal power."""
-        return np.isposinf(self.marginal_at_zero(ctx))
+    def is_outage(self, data: tuple) -> np.ndarray:
+        """Cells with c = +inf, where the first bit costs infinite power."""
+        return np.isposinf(data[0])
 
 
 @dataclass(frozen=True)
@@ -263,10 +258,10 @@ class OutageCapacity(PowerRate):
         if not (0.0 <= self.outage_delta < 1.0):
             raise ValueError("outage_delta must lie in [0, 1)")
 
-    def linear_coeff(self, ctx: RegionContext):
+    def cell_data(self, ctx: RegionContext) -> tuple:
         gd = delta_outage_gain(ctx, self.outage_delta)
         with np.errstate(divide="ignore"):
-            return np.where(gd > 0.0, 1.0 / np.maximum(gd, 1e-300), np.inf)
+            return (np.where(gd > 0.0, 1.0 / np.maximum(gd, 1e-300), np.inf),)
 
 
 @dataclass(frozen=True)
@@ -286,10 +281,10 @@ class MaxInstBer(PowerRate):
     def perfect_csi_scale(self) -> float:
         return float(np.log(self.kappa1 / self.eps_max) / self.kappa2)
 
-    def linear_coeff(self, ctx: RegionContext):
-        scale, lo = self.perfect_csi_scale(), ctx.q_lo
+    def cell_data(self, ctx: RegionContext) -> tuple:
+        s, lo = self.perfect_csi_scale(), ctx.q_lo
         with np.errstate(divide="ignore"):
-            return np.where(lo > 0.0, scale / np.maximum(lo, 1e-300), np.inf)
+            return (np.where(lo > 0.0, s / np.maximum(lo, 1e-300), np.inf),)
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,7 @@ class MaxAvgBer(PowerRate):
         # a region of zero width averages nothing: the instantaneous BER's s
         return float(np.log(self.kappa1 / self.eps_avg) / self.kappa2)
 
-    def linear_coeff(self, ctx: RegionContext):
+    def cell_data(self, ctx: RegionContext) -> tuple:
         lo, hi, g = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain)
         target = self.eps_avg * g * _survivals(ctx)[2] / self.kappa1
         hi_fin = np.where(np.isposinf(hi), 0.0, hi)    # e^{-a·q_hi} = 0 there
@@ -324,7 +319,7 @@ class MaxAvgBer(PowerRate):
         # root of h(a) = target lies in (1/ḡ, ∞) because h(1/ḡ) = ḡ·Pr > target
         a = _vec_newton(f_df, 1.0 / g, 2.0 / g, ROOT_TOL, ROOT_MAX_ITER,
                         "average-BER region constant")
-        return (a - 1.0 / g) / self.kappa2
+        return ((a - 1.0 / g) / self.kappa2,)
 
 
 @dataclass(frozen=True)
@@ -350,9 +345,9 @@ class ErgodicCapacity(PowerRate):
         q = np.stack([lo, hi])
         return np.stack([s_lo, -s_hi]), q, q / g, g, pr * _LN2, m1, m2
 
-    def rate_of_power(self, ctx: RegionContext, power) -> np.ndarray:
+    def rate_of_power(self, data: tuple, power) -> np.ndarray:
         y = _nonneg(power, "power")
-        return self._closed_form(self._edges(self.cell_data(ctx), y), y)[0]
+        return self._closed_form(self._edges(data, y), y)[0]
 
     def _closed_form(self, edges: tuple, y) -> tuple:
         """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' on the cells of ``_edges`` from one
@@ -380,14 +375,12 @@ class ErgodicCapacity(PowerRate):
                 np.where(tiny, m1 / _LN2, deriv),
                 np.where(small, -m2 / _LN2, curv))
 
-    def marginal_at_zero(self, ctx: RegionContext) -> np.ndarray:
-        return _LN2 / _truncated_exp(ctx)[3]
+    def is_outage(self, data: tuple) -> np.ndarray:
+        """No outage regions: Υ̇(0) = ln2/E[g|R] is finite."""
+        return np.zeros(data[0].shape, dtype=bool)
 
     # numeric inversions: safeguarded Newton on the closed forms -------------
-    def power_of_rate(self, ctx: RegionContext, rate) -> np.ndarray:
-        return self._power(self.cell_data(ctx), _nonneg(rate, "rate"))
-
-    def _power(self, data: tuple, rate) -> np.ndarray:
+    def power_of_rate(self, data: tuple, rate) -> np.ndarray:
         """Υ(rate) on ``cell_data``: one root-find on Υ⁻¹ per cell, inside a
         bracket. Concavity of log gives Υ⁻¹(y) ≤ log2(1 + y·m1), and
         integrating the lower Jensen bound on (Υ⁻¹)' (see ``allocation``)
@@ -396,7 +389,7 @@ class ErgodicCapacity(PowerRate):
         upper end is doubled from 1 instead."""
         edges = self._edges(data, rate)
         m1, m2 = edges[5:]
-        x = np.broadcast_to(rate, m1.shape)
+        x = np.broadcast_to(_nonneg(rate, "rate"), m1.shape)
 
         def f_df(y):                           # f = 0 where x = 0: Υ(0) = 0
             rate, deriv, _ = self._closed_form(edges, y)
@@ -445,7 +438,8 @@ class ErgodicCapacity(PowerRate):
         capped = r > rate_cap
         if capped.any():
             r[capped] = rate_cap
-            y[capped] = self._power(tuple(a[capped] for a in c), rate_cap)
+            y[capped] = self.power_of_rate(tuple(a[capped] for a in c),
+                                           rate_cap)
         rate, power = np.zeros(t.shape), np.zeros(t.shape)
         rate[active], power[active] = r, y
         return rate, power

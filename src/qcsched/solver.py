@@ -5,15 +5,17 @@ All updates project onto λ ≥ 0. Every solver first checks that the
 Problem's targets are reachable (Problem.check_targets), so infeasible
 targets raise InfeasibleTargetsError before any evaluation. The offline
 iterations evaluate through Problem.evaluate (dual.Problem, re-exported
-here). The smooth offline iteration uses a constant stepsize on the exact
-ε-smooth subgradient (or damped Newton steps on its analytic Jacobian); the
-non-smooth baseline uses the hard subgradient with a diminishing schedule
-β_i = κ·i^{-0.51} (square-summable but not summable); the online iteration
-replaces the ensemble subgradient with the per-block estimate computed from
-the realized Q-CSI only — it never touches Pr{J}. serves_targets, the one
-convergence verdict, judges what each result serves. ``progress``, where
-a solver takes it, is called as progress(i, λ, subgradient) at each iterate
-or block.
+here). The smooth offline iteration takes constant steps (or damped Newton
+steps on its analytic Jacobian) on the smooth policy's exact rate deficit
+g = ř - r̄, which is not a gradient: its fixed point r̄ = ř, what
+serves_targets judges, is not in general where the smooth dual value is
+largest. The non-smooth baseline uses the hard subgradient with a
+diminishing schedule β_i = κ·i^{-0.51} (square-summable but not summable);
+the online iteration replaces the ensemble subgradient with the per-block
+estimate computed from the realized Q-CSI only — it never touches Pr{J}.
+serves_targets, the one convergence verdict, judges what each result serves.
+``progress``, where a solver takes it, is called as progress(i, λ,
+subgradient) at each iterate or block.
 """
 
 from __future__ import annotations

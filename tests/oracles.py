@@ -392,6 +392,48 @@ def realize_probabilistic_access(weights, draw: float):
     return int(np.searchsorted(edges, draw, side="right"))
 
 
+# --- the tie LP ------------------------------------------------------------------
+
+def vertex_opt_tie(instances, m, r_bar_one, tol=1e-9):
+    """Brute-force optimum of the tie LP by basic-solution enumeration: the
+    smallest objective over every feasible basis."""
+    r_tie = m.targets - r_bar_one
+    nvar = sum(len(t.members) for t in instances)
+    offsets = np.cumsum([0] + [len(t.members) for t in instances])
+    present = np.zeros(len(m.lambda_r), dtype=bool)
+    for t in instances:
+        present[t.members] = True
+    rows_u = np.flatnonzero(present)
+    A = np.zeros((len(rows_u) + len(instances), nvar))
+    b = np.zeros(len(rows_u) + len(instances))
+    c = np.zeros(nvar)
+    row_of = {int(u): i for i, u in enumerate(rows_u)}
+    for ti, t in enumerate(instances):
+        sl = slice(offsets[ti], offsets[ti + 1])
+        c[sl] = t.prob * t.weighted_powers
+        A[len(rows_u) + ti, sl] = 1.0
+        b[len(rows_u) + ti] = 1.0
+        for j, u in enumerate(t.members):
+            A[row_of[int(u)], offsets[ti] + j] = t.prob * t.rates[j]
+    b[:len(rows_u)] = r_tie[rows_u]
+
+    best = None
+    mrows, n = A.shape
+    for cols in itertools.combinations(range(n), mrows):
+        B = A[:, list(cols)]
+        if abs(np.linalg.det(B)) < 1e-12:
+            continue
+        xb = np.linalg.solve(B, b)
+        if np.any(xb < -tol):
+            continue
+        x = np.zeros(n)
+        x[list(cols)] = xb
+        val = c @ x
+        if best is None or val < best:
+            best = val
+    return best
+
+
 # --- exponential integrals ------------------------------------------------------
 
 def lentz_scaled(x, n: int = 1) -> np.ndarray:
@@ -430,12 +472,13 @@ def lentz_scaled(x, n: int = 1) -> np.ndarray:
 def marginal_power(model, ctx, rate) -> np.ndarray:
     """Υ̇ at ``rate``: c·ln2·2^x for the families with Υ(x) = c·(2^x - 1),
     and for ergodic capacity 1/(Υ⁻¹)′ at y = Υ(x), from its closed form."""
+    data = model.cell_data(ctx)
     if isinstance(model, ErgodicCapacity):
-        y = model.power_of_rate(ctx, rate)
-        edges = model._edges(model.cell_data(ctx), y)
+        y = model.power_of_rate(data, rate)
+        edges = model._edges(data, y)
         return 1.0 / model._closed_form(edges, y)[1]
     x = np.asarray(rate, dtype=float)
-    return model.linear_coeff(ctx) * math.log(2.0) * np.exp2(x)
+    return data[0] * math.log(2.0) * np.exp2(x)
 
 
 # --- perfect CSI ------------------------------------------------------------------

@@ -29,7 +29,7 @@ from qcsched.solver import (Problem, SolverConfig, run_offline_nonsmooth,
                             run_offline_smooth, run_online)
 
 from oracles import (jacobian_check, marginal_power, multiplier_settled,
-                     stochastic_subgradient)
+                     stochastic_subgradient, vertex_opt_tie)
 
 MODEL = OutageCapacity(outage_delta=0.0)
 
@@ -279,45 +279,6 @@ def test_newton_solves_every_sweep_shape_in_few_iterations():
 
 # --- 8: oracle equivalence -----------------------------------------------------------
 
-def _vertex_opt_tie(instances, m, r_bar_one, tol=1e-9):
-    """Brute-force optimum of the tie LP by basic-solution enumeration."""
-    r_tie = m.targets - r_bar_one
-    nvar = sum(len(t.members) for t in instances)
-    offsets = np.cumsum([0] + [len(t.members) for t in instances])
-    present = np.zeros(len(m.lambda_r), dtype=bool)
-    for t in instances:
-        present[t.members] = True
-    rows_u = np.flatnonzero(present)
-    A = np.zeros((len(rows_u) + len(instances), nvar))
-    b = np.zeros(len(rows_u) + len(instances))
-    c = np.zeros(nvar)
-    row_of = {int(u): i for i, u in enumerate(rows_u)}
-    for ti, t in enumerate(instances):
-        sl = slice(offsets[ti], offsets[ti + 1])
-        c[sl] = t.prob * t.weighted_powers
-        A[len(rows_u) + ti, sl] = 1.0
-        b[len(rows_u) + ti] = 1.0
-        for j, u in enumerate(t.members):
-            A[row_of[int(u)], offsets[ti] + j] = t.prob * t.rates[j]
-    b[:len(rows_u)] = r_tie[rows_u]
-
-    best = None
-    mrows, n = A.shape
-    for cols in itertools.combinations(range(n), mrows):
-        B = A[:, list(cols)]
-        if abs(np.linalg.det(B)) < 1e-12:
-            continue
-        xb = np.linalg.solve(B, b)
-        if np.any(xb < -tol):
-            continue
-        x = np.zeros(n)
-        x[list(cols)] = xb
-        val = c @ x
-        if best is None or val < best:
-            best = val
-    return best
-
-
 def test_criterion_8_oracle_equivalence():
     # (i) scalar fixed point vs bisection on the same smooth subgradient map
     target = 0.3
@@ -356,7 +317,7 @@ def test_criterion_8_oracle_equivalence():
         targets[inst.members] += inst.prob * inst.rates * w
     mult = Multipliers(np.ones(4), np.ones(4), targets)
     sol = solve_tie_lp(targets, instances, np.zeros(4))
-    d_lp = abs(sol.objective - _vertex_opt_tie(instances, mult, np.zeros(4)))
+    d_lp = abs(sol.objective - vertex_opt_tie(instances, mult, np.zeros(4)))
 
     # (iii) stochastic subgradient Monte-Carlo mean vs exact smooth value
     fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5]]), seed=3)
@@ -396,12 +357,14 @@ def test_criterion_9_model_numerics():
     convex_ok, fd_worst = True, 0.0
     xs = np.linspace(0.0, 10.0, 41)
     for fam in families:
-        y = np.array([float(fam.power_of_rate(ctx, x)) for x in xs])
+        y = np.array([float(fam.power_of_rate(fam.cell_data(ctx), x))
+                      for x in xs])
         convex_ok &= bool(np.all(np.diff(y, 2) > 0))
         h = 1e-6
         for x in (0.4, 1.3, 3.0, 7.5):
-            fd = (float(fam.power_of_rate(ctx, x + h))
-                  - float(fam.power_of_rate(ctx, x - h))) / (2 * h)
+            fd = (float(fam.power_of_rate(fam.cell_data(ctx), x + h))
+                  - float(fam.power_of_rate(fam.cell_data(ctx), x - h))
+                  ) / (2 * h)
             rel = abs(float(marginal_power(fam, ctx, x)) / fd - 1.0)
             fd_worst = max(fd_worst, rel)
 
@@ -412,8 +375,8 @@ def test_criterion_9_model_numerics():
     for y in (0.1, 1.0, 10.0):
         val, _ = quad(lambda t: np.log2(1.0 + y * t) * np.exp(-t),
                       0.2, 3.0, epsabs=1e-13, limit=200)
-        erg_worst = max(erg_worst,
-                        abs(float(erg.rate_of_power(qctx, y)) - val / pr))
+        erg_worst = max(erg_worst, abs(float(
+            erg.rate_of_power(erg.cell_data(qctx), y)) - val / pr))
 
     fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5], [1.2, 0.8]]),
                          seed=9)

@@ -14,7 +14,8 @@ from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity, RegionContext, region_contexts)
 from qcsched.quantizer import QuantizerGrid, build_equiprobable, build_random
 
-from oracles import hard_schedule, smooth_schedule, winner_sets
+from oracles import (hard_schedule, smooth_schedule, vertex_opt_tie,
+                     winner_sets)
 
 LN2 = np.log(2.0)
 
@@ -160,7 +161,7 @@ def test_tables_match_scalar_powerrate_calls(grid_2x3):
                                                lam[m] / muv[m],
                                                DEFAULT_RATE_CAP)[0])
                     assert t.rate[m, k, l] == pytest.approx(r, abs=1e-12)
-                    p = float(model.power_of_rate(ctx, r))
+                    p = float(model.power_of_rate(model.cell_data(ctx), r))
                     assert t.cost[m, k, l] == pytest.approx(
                         muv[m] * p - lam[m] * r, abs=1e-12)
 
@@ -174,7 +175,7 @@ def test_root_finds_do_not_depend_on_the_batch():
     avg = MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01)
     erg = ErgodicCapacity()
     lam, muv, cap = np.array([0.8, 4.0]), np.array([1.0, 2.0]), 1.5
-    coeff = avg.linear_coeff(ctx)
+    coeff = avg.cell_data(ctx)[0]
     t = build_tables(erg, grid, mult(lam, mu=muv), rate_cap=cap)
     # the grid holds idle, interior and capped ergodic cells
     assert np.any(t.rate == 0) and np.any(t.rate == cap)
@@ -182,7 +183,7 @@ def test_root_finds_do_not_depend_on_the_batch():
     for m, k, l in np.ndindex(coeff.shape):
         cell = RegionContext(ctx.q_lo[m, k, l], ctx.q_hi[m, k, l],
                              ctx.mean_gain[m, k, 0])
-        assert avg.linear_coeff(cell) == coeff[m, k, l]
+        assert avg.cell_data(cell)[0] == coeff[m, k, l]
         rate, power = erg.allocation(erg.cell_data(cell), lam[m] / muv[m], cap)
         assert rate == t.rate[m, k, l] and power == t.power[m, k, l]
 
@@ -409,47 +410,6 @@ def test_tie_lp_infeasibility_modes():
             weighted_powers=np.array([1.0]))], np.zeros(1))
 
 
-def _vertex_opt_tie(instances, m, r_bar_one, tol=1e-9):
-    """Brute-force optimum of the tie LP by vertex enumeration."""
-    import itertools
-
-    r_tie = m.targets - r_bar_one
-    nvar = sum(len(t.members) for t in instances)
-    offsets = np.cumsum([0] + [len(t.members) for t in instances])
-    present = np.zeros(len(m.lambda_r), dtype=bool)
-    for t in instances:
-        present[t.members] = True
-    rows_u = np.flatnonzero(present)
-    A = np.zeros((len(rows_u) + len(instances), nvar))
-    b = np.zeros(len(rows_u) + len(instances))
-    c = np.zeros(nvar)
-    row_of = {int(u): i for i, u in enumerate(rows_u)}
-    for ti, t in enumerate(instances):
-        sl = slice(offsets[ti], offsets[ti + 1])
-        c[sl] = t.prob * t.weighted_powers
-        A[len(rows_u) + ti, sl] = 1.0
-        b[len(rows_u) + ti] = 1.0
-        for j, u in enumerate(t.members):
-            A[row_of[int(u)], offsets[ti] + j] = t.prob * t.rates[j]
-    b[:len(rows_u)] = r_tie[rows_u]
-
-    best = None
-    mrows, n = A.shape
-    for cols in itertools.combinations(range(n), mrows):
-        B = A[:, list(cols)]
-        if abs(np.linalg.det(B)) < 1e-12:
-            continue
-        xb = np.linalg.solve(B, b)
-        if np.any(xb < -tol):
-            continue
-        x = np.zeros(n)
-        x[list(cols)] = xb
-        val = c @ x
-        if best is None or val < best:
-            best = val
-    return best
-
-
 def test_tie_lp_three_instance_vs_vertex_oracle():
     # four users, three tie realizations on one channel; randomized but
     # feasible by construction (targets assembled from a known weighting)
@@ -478,7 +438,7 @@ def test_tie_lp_three_instance_vs_vertex_oracle():
         got[inst.members] += inst.prob * inst.rates * w
     np.testing.assert_allclose(got, targets, atol=1e-9)
     # and the simplex value matches exhaustive vertex enumeration
-    oracle = _vertex_opt_tie(instances, m, np.zeros(4))
+    oracle = vertex_opt_tie(instances, m, np.zeros(4))
     assert sol.objective == pytest.approx(oracle, abs=1e-9)
 
 

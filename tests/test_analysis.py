@@ -250,6 +250,26 @@ def test_ra5_deterministic_meets_targets_and_costs_more():
     assert ra3["avg_power"] <= a["avg_power"] + 1e-9
 
 
+@pytest.mark.parametrize("model", [
+    MODEL, ErgodicCapacity(),
+    MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=0.01),
+    MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01)],
+    ids=lambda m: type(m).__name__)
+def test_ra5_builds_the_family_data_once(model, monkeypatch):
+    # on the whole (M, K, L) grid; each user's bisection slices its cells
+    setup = micro_setup(model=model)
+    (_, _, problem), = compare_rows(setup, ("RA5",))
+    shapes, cell_data = [], type(model).cell_data
+
+    def spy(self, ctx):
+        shapes.append(ctx.q_lo.shape)
+        return cell_data(self, ctx)
+
+    monkeypatch.setattr(type(model), "cell_data", spy)
+    analysis.ra5_point(setup, problem)
+    assert shapes == [(2, 4, 4)]
+
+
 def test_ra5_zero_target_user_stays_silent():
     setup = micro_setup(targets=np.array([0.0, 1.5]))
     row = point(setup, "RA5")

@@ -467,6 +467,29 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
            float(mult.lambda_r @ one))
 
 
+@pytest.mark.parametrize("model", FAMILIES.values(), ids=list(FAMILIES))
+def test_static_builds_cell_data_on_the_class_representatives(model,
+                                                              monkeypatch):
+    # K = 4 channels in two classes: the data of channels 0 and 2 only,
+    # bitwise those of the whole grid's data at those channels
+    fading = FadingModel(np.array([[1.0, 1.0, 2.0, 2.0],
+                                   [0.5, 0.5, 1.5, 1.5]]), seed=0)
+    grid = build_equiprobable(fading, 3)
+    problem = Problem(grid, model, np.ones(2), np.array([0.5, 0.7]))
+    want = tuple(a[:, [0, 2]] for a in make_static(grid, model))
+    shapes, cell_data = [], type(model).cell_data
+
+    def spy(self, ctx):
+        shapes.append(np.broadcast(ctx.q_lo, ctx.q_hi, ctx.mean_gain).shape)
+        return cell_data(self, ctx)
+
+    monkeypatch.setattr(type(model), "cell_data", spy)
+    got = problem.static
+    assert shapes == [(2, 2, 3)]
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w)
+
+
 # --- the user-major layout against the column-major oracle -----------------------
 
 def _same_bits(got, want):

@@ -84,25 +84,26 @@ def test_region_contexts_covers_grid():
 def test_outage_capacity_hand_values():
     model = OutageCapacity(outage_delta=0.0)
     ctx = RegionContext(q_lo=1.0, q_hi=2.0, mean_gain=1.0)   # g^0 = 1
-    assert model.power_of_rate(ctx, 1.0) == 1.0             # (2^1 - 1)/1
-    assert model.power_of_rate(ctx, 0.0) == 0.0
+    assert model.power_of_rate(model.cell_data(ctx), 1.0) == 1.0  # (2^1-1)/1
+    assert model.power_of_rate(model.cell_data(ctx), 0.0) == 0.0
     ctx3 = RegionContext(q_lo=3.0, q_hi=np.inf, mean_gain=1.0)
-    assert abs(model.rate_of_power(ctx3, 1.0) - 2.0) < 1e-15   # log2(1+3)
-    assert model.rate_of_power(ctx3, 0.0) == 0.0
+    assert abs(model.rate_of_power(model.cell_data(ctx3), 1.0)
+               - 2.0) < 1e-15                       # log2(1+3)
+    assert model.rate_of_power(model.cell_data(ctx3), 0.0) == 0.0
 
 
 def test_outage_region_semantics():
     model = OutageCapacity(outage_delta=0.0)
     out = RegionContext(q_lo=0.0, q_hi=0.5, mean_gain=1.0)
-    assert model.is_outage(out)
-    assert np.isposinf(model.power_of_rate(out, 1.0))
-    assert model.power_of_rate(out, 0.0) == 0.0
-    assert model.rate_of_power(out, 5.0) == 0.0
+    assert model.is_outage(model.cell_data(out))
+    assert np.isposinf(model.power_of_rate(model.cell_data(out), 1.0))
+    assert model.power_of_rate(model.cell_data(out), 0.0) == 0.0
+    assert model.rate_of_power(model.cell_data(out), 5.0) == 0.0
     assert inv_marginal(model, out, 100.0) == 0.0
     # positive delta lifts the first region out of outage
     d = OutageCapacity(outage_delta=0.2)
-    assert not d.is_outage(out)
-    assert np.isfinite(d.power_of_rate(out, 1.0))
+    assert not d.is_outage(d.cell_data(out))
+    assert np.isfinite(d.power_of_rate(d.cell_data(out), 1.0))
 
 
 def test_outage_inv_marginal_by_hand():
@@ -120,9 +121,9 @@ def test_max_inst_ber_closed_form():
     ctx = RegionContext(q_lo=0.8, q_hi=2.0, mean_gain=1.0)
     x = 1.7
     expect = (2 ** x - 1) * np.log(k1 / em) / (k2 * 0.8)
-    assert abs(model.power_of_rate(ctx, x) - expect) < 1e-12
+    assert abs(model.power_of_rate(model.cell_data(ctx), x) - expect) < 1e-12
     # first region (floor 0) is an outage region
-    assert model.is_outage(RegionContext(0.0, 0.8, 1.0))
+    assert model.is_outage(model.cell_data(RegionContext(0.0, 0.8, 1.0)))
 
 
 def test_family_param_validation():
@@ -165,7 +166,7 @@ def test_max_avg_ber_meets_the_ber_target(rate):
     model = MaxAvgBer(kappa1=k1, kappa2=k2, eps_avg=eps)
     for ctx in (RegionContext(0.3, 1.7, 1.2), RegionContext(0.0, 0.9, 0.6),
                 RegionContext(2.0, np.inf, 1.0)):
-        y = float(model.power_of_rate(ctx, rate))
+        y = float(model.power_of_rate(model.cell_data(ctx), rate))
         assert _avg_ber_quadrature(y, rate, ctx, k1, k2) == pytest.approx(
             eps, rel=1e-8)
 
@@ -173,8 +174,8 @@ def test_max_avg_ber_meets_the_ber_target(rate):
 def test_max_avg_ber_has_no_outage_region():
     model = MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01)
     ctx = RegionContext(q_lo=0.0, q_hi=0.5, mean_gain=1.0)
-    assert not model.is_outage(ctx)
-    assert np.isfinite(model.power_of_rate(ctx, 2.0))
+    assert not model.is_outage(model.cell_data(ctx))
+    assert np.isfinite(model.power_of_rate(model.cell_data(ctx), 2.0))
 
 
 # --- ergodic capacity: quadrature oracle ------------------------------------------
@@ -196,7 +197,7 @@ def _cond_ergodic_quadrature(y, ctx):
 def test_ergodic_rate_matches_quadrature(y):
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.2, q_hi=3.0, mean_gain=1.0)
-    assert model.rate_of_power(ctx, y) == pytest.approx(
+    assert model.rate_of_power(model.cell_data(ctx), y) == pytest.approx(
         _cond_ergodic_quadrature(y, ctx), abs=1e-8)
 
 
@@ -204,21 +205,22 @@ def test_ergodic_rate_matches_quadrature_unbounded_region():
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=LN2, q_hi=np.inf, mean_gain=2.0)
     for y in (0.05, 0.7, 4.0):
-        assert model.rate_of_power(ctx, y) == pytest.approx(
+        assert model.rate_of_power(model.cell_data(ctx), y) == pytest.approx(
             _cond_ergodic_quadrature(y, ctx), abs=1e-8)
 
 
 def test_ergodic_power_roundtrip():
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.5, q_hi=2.0, mean_gain=1.0)
-    x = float(model.rate_of_power(ctx, 2.0))
-    assert model.power_of_rate(ctx, x) == pytest.approx(2.0, abs=1e-8)
+    x = float(model.rate_of_power(model.cell_data(ctx), 2.0))
+    assert model.power_of_rate(model.cell_data(ctx), x) == pytest.approx(
+        2.0, abs=1e-8)
 
 
 def test_ergodic_inv_marginal_consistency():
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.3, q_hi=1.8, mean_gain=0.9)
-    zero_slope = float(model.marginal_at_zero(ctx))
+    zero_slope = float(LN2 / model.cell_data(ctx)[3])
     assert inv_marginal(model, ctx, 0.5 * zero_slope) == 0.0
     for t in (1.5 * zero_slope, 4.0 * zero_slope):
         r = float(inv_marginal(model, ctx, t))
@@ -247,7 +249,7 @@ def test_ergodic_marginal_stays_accurate_at_small_power(y):
     for ctx in (RegionContext(q_lo=0.2, q_hi=3.0, mean_gain=1.0),
                 RegionContext(q_lo=0.0, q_hi=0.3, mean_gain=1.0),
                 RegionContext(q_lo=LN2, q_hi=np.inf, mean_gain=2.0)):
-        x = float(model.rate_of_power(ctx, y))
+        x = float(model.rate_of_power(model.cell_data(ctx), y))
         assert float(marginal_power(model, ctx, x)) == pytest.approx(
             1.0 / _cond_ergodic_marginal_quadrature(y, ctx), rel=1e-10)
 
@@ -257,15 +259,16 @@ def test_ergodic_marginal_stays_accurate_at_small_power(y):
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
 def test_roundtrip_rate_power(model):
     x = np.linspace(0.0, 12.0, 25)
-    y = model.power_of_rate(CTX, x)
-    np.testing.assert_allclose(model.rate_of_power(CTX, y), x,
+    y = model.power_of_rate(model.cell_data(CTX), x)
+    np.testing.assert_allclose(model.rate_of_power(model.cell_data(CTX), y), x,
                                rtol=1e-8, atol=1e-8)
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
 def test_strict_convexity_and_monotonicity(model):
     x = np.linspace(0.0, 10.0, 41)
-    y = np.array([float(model.power_of_rate(CTX, xi)) for xi in x])
+    y = np.array([float(model.power_of_rate(model.cell_data(CTX), xi))
+                  for xi in x])
     assert np.all(np.diff(y) > 0)
     assert np.all(np.diff(y, 2) > 0)
 
@@ -274,8 +277,9 @@ def test_strict_convexity_and_monotonicity(model):
 def test_marginal_matches_finite_differences(model):
     h = 1e-6
     for x in (0.4, 1.3, 3.0, 7.5):
-        fd = (float(model.power_of_rate(CTX, x + h))
-              - float(model.power_of_rate(CTX, x - h))) / (2 * h)
+        fd = (float(model.power_of_rate(model.cell_data(CTX), x + h))
+              - float(model.power_of_rate(model.cell_data(CTX), x - h))
+              ) / (2 * h)
         got = float(marginal_power(model, CTX, x))
         assert got == pytest.approx(fd, rel=1e-6)
 
@@ -290,9 +294,9 @@ def test_marginal_strictly_increasing(model):
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
 def test_negative_inputs_rejected(model):
     with pytest.raises(ValueError):
-        model.power_of_rate(CTX, -0.5)
+        model.power_of_rate(model.cell_data(CTX), -0.5)
     with pytest.raises(ValueError):
-        model.rate_of_power(CTX, -1.0)
+        model.rate_of_power(model.cell_data(CTX), -1.0)
 
 
 def test_make_model_families():
@@ -310,6 +314,15 @@ def test_make_model_families():
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: repr(m)[:40])
+def test_cell_data_is_the_only_method_that_reads_regions(model):
+    # every other method reads the tuple cell_data returns
+    public = {n for n in dir(model)
+              if not n.startswith("_") and callable(getattr(model, n))}
+    assert public == {"cell_data", "allocation", "rate_slope", "power_of_rate",
+                      "rate_of_power", "is_outage", "perfect_csi_scale"}
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: repr(m)[:40])
 @pytest.mark.parametrize("g", [0.05, 1.3, 9.0])
 def test_perfect_csi_scale_is_the_shrinking_region_limit(model, g):
     # on [g, g·(1+w)], g·c → s for the c·(2^x - 1) families and
@@ -318,9 +331,9 @@ def test_perfect_csi_scale_is_the_shrinking_region_limit(model, g):
     for w in (1e-2, 1e-4, 1e-6):
         ctx = RegionContext(q_lo=g, q_hi=g * (1.0 + w), mean_gain=1.3)
         if isinstance(model, ErgodicCapacity):
-            limit = g * model.marginal_at_zero(ctx) / LN2
+            limit = g * (LN2 / model.cell_data(ctx)[3]) / LN2
         else:
-            limit = g * model.linear_coeff(ctx)
+            limit = g * model.cell_data(ctx)[0]
         assert abs(limit / s - 1.0) <= w, (w, limit, s)
 
 
@@ -335,7 +348,7 @@ def test_unconverged_root_find_raises_with_its_residual(monkeypatch):
                         mean_gain=1.3)
     for call in (
             lambda: MaxAvgBer(kappa1=0.2, kappa2=1.5,
-                              eps_avg=0.01).linear_coeff(ctx),
+                              eps_avg=0.01).cell_data(ctx)[0],
             lambda: inv_marginal(ErgodicCapacity(), ctx, 5.0)):
         with pytest.raises(NumericError, match="did not converge") as info:
             call()
@@ -346,7 +359,8 @@ def test_unbracketed_root_find_reports_its_residual():
     # Υ(2000 bits) overflows a double: the report is the rate still missing
     # at the last finite bracket, not the bracket itself
     with pytest.raises(NumericError, match="could not bracket") as info:
-        ErgodicCapacity().power_of_rate(CTX, 2000.0)
+        ErgodicCapacity().power_of_rate(ErgodicCapacity().cell_data(CTX),
+                                        2000.0)
     assert 900.0 < info.value.residual < 2000.0
 
 
@@ -389,13 +403,14 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
                         np.full(n, g))
     close = lambda want: pytest.approx(want, rel=1e-10)
     erg = ErgodicCapacity()
-    slope = erg.marginal_at_zero(ctx) * (1.0 + 10.0 ** np.array(log_excess))
+    slope = LN2 / erg.cell_data(ctx)[3] * (1.0 + 10.0 ** np.array(log_excess))
     # the marginal inverse: (Υ⁻¹)'(y*) = 1/slope, clipped at the cap
     edges = erg._edges(erg.cell_data(ctx), slope)
     y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(edges, y)[1],
                     0.0, 1.0)
-    r_star = erg.rate_of_power(ctx, y_star)
-    y_cap = bisect(lambda y: erg.rate_of_power(ctx, y) - cap, 0.0, 1.0)
+    r_star = erg.rate_of_power(erg.cell_data(ctx), y_star)
+    y_cap = bisect(lambda y: erg.rate_of_power(erg.cell_data(ctx), y) - cap,
+                   0.0, 1.0)
     rate, power = erg.allocation(erg.cell_data(ctx), slope, cap)
     assert rate == close(np.minimum(r_star, cap))
     assert power == close(np.where(r_star > cap, y_cap, y_star))
@@ -403,8 +418,9 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
     x = np.append(r_star, [cap, 4.0 * cap])
     wide = RegionContext(*(np.full(n + 2, v[0])
                            for v in (ctx.q_lo, ctx.q_hi, ctx.mean_gain)))
-    want = bisect(lambda y: erg.rate_of_power(wide, y) - x, 0.0, 1.0)
-    assert erg.power_of_rate(wide, x) == close(want)
+    want = bisect(lambda y: erg.rate_of_power(erg.cell_data(wide), y) - x,
+                  0.0, 1.0)
+    assert erg.power_of_rate(erg.cell_data(wide), x) == close(want)
     # the average-BER region constant: ∫_region e^{-a·g} dg = ε·ḡ·Pr/κ1
     k1, k2 = 0.2, 1.5
     q_lo, q_hi = lo * g, (lo + width) * g
@@ -412,7 +428,7 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
     h = lambda a: (np.exp(-a * q_lo) - np.exp(-a * q_hi)) / a
     a_star = bisect(lambda a: eps_avg * g * pr / k1 - h(a), 1.0 / g, 2.0 / g)
     avg = MaxAvgBer(kappa1=k1, kappa2=k2, eps_avg=eps_avg)
-    assert avg.linear_coeff(RegionContext(q_lo, q_hi, g)) == close(
+    assert avg.cell_data(RegionContext(q_lo, q_hi, g))[0] == close(
         (a_star - 1.0 / g) / k2)
 
 
@@ -439,7 +455,7 @@ def test_jensen_brackets_hold_the_roots(g, lo, width, log_excess, rate):
     m1, m2 = data[3], data[4]
     rho = m1 * m1 / m2
     slack = lambda root: powerrate.ROOT_TOL * (1.0 + root)
-    slope = erg.marginal_at_zero(ctx) * (1.0 + 10.0 ** np.array(log_excess))
+    slope = LN2 / erg.cell_data(ctx)[3] * (1.0 + 10.0 ** np.array(log_excess))
     edges = erg._edges(data, slope)
     y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(edges, y)[1],
                     0.0, 1.0)
@@ -447,7 +463,8 @@ def test_jensen_brackets_hold_the_roots(g, lo, width, log_excess, rate):
     assert np.all(rho * y_hi <= y_star + slack(y_star))
     assert np.all(y_star <= y_hi + slack(y_star))
     x = np.array(rate)
-    power = bisect(lambda y: erg.rate_of_power(ctx, y) - x, 0.0, 1.0)
+    power = bisect(lambda y: erg.rate_of_power(erg.cell_data(ctx), y) - x,
+                   0.0, 1.0)
     assert np.all(np.expm1(LN2 * x) / m1 <= power + slack(power))
     assert np.all(power <= np.expm1(LN2 * x / rho) * m1 / m2 + slack(power))
 
@@ -460,7 +477,8 @@ def test_ergodic_closed_form_at_subnormal_powers():
     ctx = RegionContext(q_lo=0.0, q_hi=2.0, mean_gain=1.0)
     m1 = float(erg.cell_data(ctx)[3])
     y = 1e-310
-    assert abs(erg.rate_of_power(ctx, y) - y * m1 / LN2) <= 1e-15 * y * m1
+    assert abs(erg.rate_of_power(erg.cell_data(ctx), y)
+               - y * m1 / LN2) <= 1e-15 * y * m1
     assert marginal_power(erg, ctx, y) == pytest.approx(LN2 / m1, rel=1e-12)
     assert marginal_power(erg, ctx, 0.0) == pytest.approx(LN2 / m1, rel=1e-12)
 
@@ -470,8 +488,10 @@ def test_power_past_the_overflow_of_its_upper_bound():
     # 2^600/ḡ does not: the upper end is doubled from 1, as with no bracket
     erg, x = ErgodicCapacity(), 600.0
     ctx = RegionContext(q_lo=0.0, q_hi=np.inf, mean_gain=1.3)
-    want = bisect(lambda y: erg.rate_of_power(ctx, y) - x, 0.0, 1.0)
-    assert erg.power_of_rate(ctx, x) == pytest.approx(want, rel=1e-10)
+    want = bisect(lambda y: erg.rate_of_power(erg.cell_data(ctx), y) - x,
+                  0.0, 1.0)
+    assert erg.power_of_rate(erg.cell_data(ctx), x) == pytest.approx(
+        want, rel=1e-10)
 
 
 def test_ergodic_allocation_makes_at_most_seven_exp12_calls(monkeypatch):
@@ -509,5 +529,6 @@ def test_ergodic_allocation_makes_at_most_seven_exp12_calls(monkeypatch):
 def test_outage_roundtrip_property(lo, width, x):
     model = OutageCapacity(outage_delta=0.0)
     ctx = RegionContext(q_lo=lo, q_hi=lo + width, mean_gain=1.0)
-    y = float(model.power_of_rate(ctx, x))
-    assert float(model.rate_of_power(ctx, y)) == pytest.approx(x, abs=1e-9)
+    y = float(model.power_of_rate(model.cell_data(ctx), x))
+    assert float(model.rate_of_power(model.cell_data(ctx),
+                                     y)) == pytest.approx(x, abs=1e-9)

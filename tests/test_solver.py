@@ -190,6 +190,16 @@ def test_problem_validation():
                 targets=np.array([1.0]), fading=fading)
 
 
+def test_problem_rejects_fading_that_disagrees_with_its_grid():
+    # the online loop would sample one gain law while the ladders and every
+    # offline evaluation use another
+    grid = build_equiprobable(FadingModel(np.full((2, 4), 4.0), seed=0), 4)
+    with pytest.raises(ValueError, match="mean gains differ"):
+        Problem(grid=grid, model=MODEL, mu=np.ones(2),
+                targets=np.array([1.0, 1.5]),
+                fading=FadingModel(np.full((2, 4), 0.5), seed=0))
+
+
 def test_online_requires_fading_and_blocks():
     problem = two_user_problem()
     problem.fading = None
