@@ -108,15 +108,14 @@ def check_targets(grid: QuantizerGrid, model: PowerRate, targets,
     channels, sizes = qz.channel_classes(grid)
     sub = QuantizerGrid(grid.thresholds[:, channels],
                         grid.mean_gain[:, channels])
-    outage = model.is_outage(make_static(sub, model))
-    # Pr{user m in outage} per class, (M, n)
-    p_out = np.where(outage, qz.region_prob_table(sub), 0.0).sum(axis=2)
-    check_reach(p_out, sizes, targets, rate_cap)
+    check_reach(model.is_outage(make_static(sub, model)),
+                qz.region_prob_table(sub), sizes, targets, rate_cap)
 
 
-def check_reach(p_out, sizes, targets, rate_cap: float) -> None:
-    """check_targets given Pr{user m in outage} (M, n) on n classes of
-    ``sizes`` channels each."""
+def check_reach(outage, probs, sizes, targets, rate_cap: float) -> None:
+    """check_targets on n classes of ``sizes`` channels each, given each
+    class's outage mask and region probabilities, (M, n, L)."""
+    p_out = np.where(outage, probs, 0.0).sum(axis=2)    # Pr{m in outage}
     M = len(p_out)
     sets = ((np.arange(1, 2 ** M)[:, None] >> np.arange(M)) & 1).astype(bool)
     none_live = np.prod(np.where(sets[:, :, None], p_out, 1.0), axis=1)

@@ -26,7 +26,9 @@ the other modes read those, every unmarked key and the keys marked theirs.
   "targets": [4, 8, 12, 16],
   "mu": [1, 1, 1, 1],                        # optional, defaults to ones
   "rate_cap": 12.0,                          # optional
-  "enum_budget": 1000000,                    # optional; not online
+  "enum_budget": 1000000,                    # optional; offline_smooth,
+                                             # sweep_regions, compare with
+                                             # RA2, RA3 or RA4
   "solver": {"init": 0.1, "tol": 0.001, "eps": 0.05,   # optional, defaulted
              "beta": 0.01,                   # not offline_nonsmooth
              "kappa": 0.1,                   # offline_nonsmooth only
@@ -34,7 +36,7 @@ the other modes read those, every unmarked key and the keys marked theirs.
              "record_every": 1},             # solver modes (--log-every)
   "online":  {"num_blocks": 10000},          # online
   "compare": {"schemes": [...], "snr_db": [...],            # compare
-              "ra4_seed": 7, "ra4_range_scale": 3.0},
+              "ra4_seed": 7, "ra4_range_scale": 3.0},   # with RA4
   "sweep":   {"regions": [2, 3, 4, 6, 8]}          # sweep_regions
 }
 
@@ -59,7 +61,9 @@ CSV bytes are identical across reruns of the same config + fading seed.
 
 Exit codes: 0 ok; 2 config/schema error, targets no allocation can meet
 (named by a violated user subset) or a column space beyond ``enum_budget``,
-on any problem of any SNR point the run solves (nothing written); 3 the run
+on any problem of any SNR point the run solves (nothing written): only the
+smooth dual and the tie search enumerate, so offline_smooth, sweep rows and
+RA2-RA4 rows are budgeted, and the hard dual is not; 3 the run
 or a row did not converge (artifacts still written); 4 numeric failure (a
 root-find, a tie LP or floating point), printed and written to summary.json
 as ``mode``, ``converged: false`` and ``error``, plus the ``residual`` of a
@@ -110,7 +114,8 @@ _BUDGETED = (*_PROBLEM, "enum_budget", "solver.max_iters")
 # reads: one that only other modes read exits 2. Only these are resolved.
 READS = {
     "offline_smooth": (*_BUDGETED, "solver.beta", "solver.record_every"),
-    "offline_nonsmooth": (*_BUDGETED, "solver.kappa", "solver.record_every"),
+    "offline_nonsmooth": (*_PROBLEM, "solver.max_iters", "solver.kappa",
+                          "solver.record_every"),
     "online": (*_PROBLEM, "fading.seed", "solver.beta", "solver.record_every",
                "online.num_blocks"),
     "compare": (*_BUDGETED, "solver.beta", "compare.schemes", "compare.snr_db",
@@ -198,10 +203,25 @@ def resolve_config(raw: dict) -> dict:
     if mode not in MODES:
         raise ConfigError(f"config.mode: expected one of {MODES}, got {mode!r}")
     reads, where = READS[mode], f"{mode} mode"
-    if mode == "compare" and "snr_db" in _section(raw, "compare"):
-        # each SNR point's gains come from compare.snr_db
-        reads = tuple(k for k in reads if k not in _GAINS)
-        where += " with compare.snr_db"
+    if mode == "compare":
+        cp = _section(raw, "compare")
+        schemes = cp.get("schemes", list(SCHEMES))
+        if (not isinstance(schemes, list) or not schemes
+                or any(s not in SCHEMES for s in schemes)):
+            raise ConfigError(f"compare.schemes: expected a subset of {SCHEMES}")
+        unread, given = set(), []
+        if "snr_db" in cp:      # each SNR point's gains come from it
+            unread.update(_GAINS)
+            given.append("compare.snr_db")
+        if not {"RA2", "RA3", "RA4"} & set(schemes):    # which enumerate
+            unread.add("enum_budget")
+        if "RA4" not in schemes:                    # which draws a ladder
+            unread.update(("compare.ra4_seed", "compare.ra4_range_scale"))
+        if unread - set(_GAINS):
+            given.append(f"schemes {schemes}")
+        if given:
+            where += " with " + " and ".join(given)
+        reads = tuple(k for k in reads if k not in unread)
     _check_keys(raw, reads, where)
     out_dir = raw.get("out_dir", ".")
     if not isinstance(out_dir, str):
@@ -286,11 +306,6 @@ def resolve_config(raw: dict) -> dict:
             blocks, "online.num_blocks", lo=1, integer=True)}
 
     if mode == "compare":
-        cp = _section(raw, "compare")
-        schemes = cp.get("schemes", list(SCHEMES))
-        if (not isinstance(schemes, list) or not schemes
-                or any(s not in SCHEMES for s in schemes)):
-            raise ConfigError(f"compare.schemes: expected a subset of {SCHEMES}")
         resolved["compare"] = rcp = {"schemes": schemes}
         if "snr_db" in cp:
             rcp["snr_db"] = _num_list(cp["snr_db"], "compare.snr_db")
@@ -388,7 +403,7 @@ def _build_run(rc: dict):
                           enum_budget=rc.get("enum_budget",
                                              DEFAULT_ENUM_BUDGET))
         problem.check_targets()
-        if "enum_budget" in rc:     # the online loop never enumerates; the
+        if "enum_budget" in rc:     # offline_smooth alone enumerates; the
             problem.space           # space raises EnumerationBudgetError
         return cfg, problem
 
@@ -402,7 +417,7 @@ def _build_run(rc: dict):
     setups = [(snr, CompareSetup(
         fading=_build_fading(f), regions=rc["quantizer"]["regions"],
         model=model, mu=mu, targets=targets, rate_cap=rc["rate_cap"],
-        enum_budget=rc["enum_budget"],
+        enum_budget=rc.get("enum_budget", DEFAULT_ENUM_BUDGET),
         **{k: v for k, v in {**sv, **knobs}.items() if k in _SETUP_DEFAULTS}))
         for snr, f in points]
     runs = [(snr, compare_rows(setup, knobs["schemes"]) if mode == "compare"

@@ -11,20 +11,28 @@ smooth rule it is the rate deficit, not a gradient. By construction every
 evaluation satisfies value = avg_power + λ·subgradient, which the tests
 exploit as an internal consistency check.
 
-Only the per-channel column space (L^M, never L^{K·M}) is ever enumerated,
-and only once per class of identical channels (quantizer.column_space):
-channels with the same ladders and mean gains give the same term, so one
-representative carries the class's summed probabilities. A Problem caches
-that column space, the family's cell data at the representatives and one
-flat index of the columns into tables on those cells. Problem.evaluate is
-the one offline evaluation: it builds the tables, takes the (cost, rate)
-columns once and derives the value, the subgradient and, on request, the
-smooth Jacobian from them. The user axis leads: columns are (M, J) rows,
-J = n_classes·L^M in (class, column) order, so c*, the ε-window and Z are
-M - 1 operations on contiguous rows. Sums keep a fixed order, so results
-are deterministic regardless of any outer parallelism: a user's served
-rate accumulates column after column, and the scalar cost and power sums
-run over (column, user) pairs column-major.
+Every term is evaluated once per class of identical channels
+(quantizer.channel_classes): channels with the same ladders and mean gains
+give the same term, so one representative carries the class's weight. A
+Problem caches the classes and the family's cell data and region
+probabilities at the representatives, (M, n_classes, L) each.
+Problem.evaluate is the one offline evaluation: it builds the tables on
+those cells and derives the value, the subgradient and, in smooth mode and
+on request, the Jacobian from them.
+
+The hard rule needs no enumeration. Fading is independent across users, so
+user m wins channel class c in region l with probability
+p[m,c,l]·1{C[m,c,l] < 0}·Π_{n≠m} Pr{rival n does not beat C[m,c,l]}, each
+factor a sum over the rival's L regions: O(n_classes·M²·L²) per evaluation.
+The smooth weights couple every user of a column, so the smooth dual, its
+Jacobian and the tie search enumerate the per-channel column space (L^M,
+never L^{K·M}) once per class (quantizer.column_space), through one flat
+index of the columns into the tables. The user axis leads: columns are
+(M, J) rows, J = n_classes·L^M in (class, column) order, so c*, the
+ε-window and Z are M - 1 operations on contiguous rows. Sums keep a fixed
+order, so results are deterministic regardless of any outer parallelism: a
+user's smooth served rate accumulates column after column, and the scalar
+cost and power sums run over (column, user) pairs column-major.
 
 PerfectCSI is the same evaluation when the scheduler knows the gains: no
 quantizer, no enumeration, one Gauss–Legendre integral per user and
@@ -42,7 +50,7 @@ import numpy as np
 from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, Multipliers, Prices,
                         RateCostTables, build_tables, check_lambda,
-                        check_reach, check_targets, check_weights, make_static,
+                        check_reach, check_weights, make_static,
                         region_index, smooth_weights, smooth_window,
                         user_sums)
 from .channel import FadingModel
@@ -50,6 +58,7 @@ from .powerrate import _LN2, PowerRate, _vec_newton, linear_allocation
 from .quantizer import QuantizerGrid
 
 _JAC_CHUNK = 2 ** 15    # column entries (classes × columns × users) per chunk
+_HARD_CHUNK = 2 ** 15   # hard-rule comparisons (classes × M² × L²) per chunk
 # PerfectCSI: Gauss–Legendre nodes per piece, the last piece's reach past the
 # last split in mean gains, the forward-difference step over max(1, λ_n), and
 # the root-finds' tolerance and step limit
@@ -81,8 +90,9 @@ class Problem:
     ``fading`` is only needed by the online path (it is sampled); offline
     evaluations work entirely from the grid's region probabilities. μ > 0,
     ř ≥ 0 and, with ``fading``, its mean gains equal to the grid's are
-    checked at construction. ``space``, ``static`` and ``columns`` are
-    computed on first use and kept.
+    checked at construction. ``classes``, ``static``, ``region_probs``,
+    ``space`` and ``columns`` are computed on first use and kept; only the
+    smooth dual and the tie search build ``space``.
     """
 
     grid: QuantizerGrid
@@ -106,20 +116,33 @@ class Problem:
         return self.grid.num_users
 
     @cached_property
-    def space(self):
-        """quantizer.column_space: the columns, each class's column
-        probabilities and the classes' representative channels."""
-        return qz.column_space(self.grid, self.enum_budget)
+    def classes(self) -> tuple:
+        """quantizer.channel_classes: (channels, sizes), the representative
+        channel and the size of each class."""
+        return qz.channel_classes(self.grid)
 
     @cached_property
     def static(self) -> tuple:
         """The family's cell data (allocator.make_static), built on the
-        space's representative channels only, (M, n_classes, L) each: the
-        only cells an offline evaluation reads."""
-        channels = self.space[2]
+        classes' representative channels only, (M, n_classes, L) each: the
+        only cells an offline evaluation or the target check reads."""
+        channels = self.classes[0]
         return make_static(QuantizerGrid(self.grid.thresholds[:, channels],
                                          self.grid.mean_gain[:, channels]),
                            self.model)
+
+    @cached_property
+    def region_probs(self) -> np.ndarray:
+        """The region probabilities of ``static``'s cells, (M, n_classes,
+        L), each class's rows summing to 1."""
+        return qz.region_prob_table(self.grid)[:, self.classes[0]]
+
+    @cached_property
+    def space(self):
+        """quantizer.column_space: the columns, each class's column
+        probabilities and the classes' representative channels, in the
+        order of ``classes``."""
+        return qz.column_space(self.grid, self.enum_budget)
 
     @cached_property
     def columns(self) -> tuple:
@@ -133,54 +156,77 @@ class Problem:
         return index.reshape(self.num_users, -1), probs.ravel()
 
     def check_targets(self) -> None:
-        """allocator.check_targets, once per Problem: raises
-        InfeasibleTargetsError naming a user subset no allocation serves."""
+        """allocator.check_targets, once per Problem and on its cached
+        ``static`` and ``region_probs``: raises InfeasibleTargetsError naming
+        a user subset no allocation serves."""
         if not self._checked:
-            check_targets(self.grid, self.model, self.targets, self.rate_cap)
+            check_reach(self.model.is_outage(self.static), self.region_probs,
+                        self.classes[1], self.targets, self.rate_cap)
             self._checked = True
 
     def evaluate(self, lam, mode: str = "smooth",
                  eps: float = 0.05) -> DualEvaluation:
-        """Ensemble dual evaluation at λ by enumeration, O(n_classes·L^M·M).
+        """Ensemble dual evaluation at λ; λ is checked once.
 
         mode "hard" serves the cost minimizer when c* < 0 (ties broken to the
         lowest user index — the hard subgradient is set-valued at exact ties
-        and this picks one selection; it ignores ε); mode "smooth" serves
-        the ε-smooth weights and raises ValueError unless 0 < ε < ∞. λ is
-        checked once. Cost and rate are each taken once through ``columns``
-        as user-major (M, J) arrays, and the weights reduce over the M user
-        rows. The summation order is part of the contract: served rates
-        accumulate column after column, and the cost and power sums run over
-        (column, user) pairs column-major, so a single-class grid gives the
-        bits of a (C, M) column-major layout. The smooth Jacobian reuses
-        tables and columns, and is computed only when ``jacobian()`` is
-        called.
+        and this picks one selection; it ignores ε). It works on the
+        (M, n_classes, L) tables in product form (_hard_wins),
+        O(n_classes·M²·L²), and enumerates nothing: served rate and cost
+        sum R·win and C·win over the cells, and the power is the served
+        cost plus λ·(served rate).
+
+        mode "smooth" serves the ε-smooth weights and raises ValueError
+        unless 0 < ε < ∞. It enumerates, O(n_classes·L^M·M): cost and rate
+        are each taken once through ``columns`` as user-major (M, J) arrays,
+        and the weights reduce over the M user rows. The summation order is
+        part of the contract: served rates accumulate column after column,
+        and the cost and power sums run over (column, user) pairs
+        column-major, so a single-class grid gives the bits of a (C, M)
+        column-major layout. The Jacobian reuses tables and columns, and is
+        computed only when ``jacobian()`` is called.
         """
         if mode not in ("hard", "smooth"):
             raise ValueError("mode must be 'hard' or 'smooth'")
         if mode == "smooth" and not 0.0 < eps < np.inf:     # NaN fails too
             raise ValueError("smooth eps must be positive and finite")
         lam = check_lambda(lam, self.num_users)
-        index, probs = self.columns
         tables = build_tables(self.model, self.grid, Prices(lam, self.mu),
                               self.rate_cap, self.static)
-        cost, rate = tables.cost.take(index), tables.rate.take(index)
         jacobian = None
-        if mode == "smooth":
+        if mode == "hard":
+            w = self._hard_wins(tables.cost)
+            served_rate = (tables.rate * w).reshape(len(lam), -1).sum(axis=1)
+            served_cost = float((tables.cost * w).sum())
+            served_power = served_cost + float(lam @ served_rate)
+        else:
+            index, probs = self.columns
+            cost, rate = tables.cost.take(index), tables.rate.take(index)
             w = smooth_weights(cost, eps)
             jacobian = partial(self._jacobian, lam, tables, cost, rate, eps)
-        else:                                   # one-hot on the argmin
-            w = ((np.arange(len(lam))[:, None] == cost.argmin(axis=0))
-                 & (cost.min(axis=0) < 0.0))
-        served_rate = user_sums(rate * w * probs)
-        served_cost = _column_major_sum(cost * w * probs)
-        served_power = _column_major_sum((cost + lam[:, None] * rate) * w
-                                         * probs)
+            served_rate = user_sums(rate * w * probs)
+            served_cost = _column_major_sum(cost * w * probs)
+            served_power = _column_major_sum((cost + lam[:, None] * rate) * w
+                                             * probs)
         value = float(lam @ self.targets) + served_cost
         return DualEvaluation(value=value,
                               subgradient=self.targets - served_rate,
                               per_user_avg_rate=served_rate,
                               avg_power=served_power, jacobian=jacobian)
+
+    def _hard_wins(self, cost: np.ndarray) -> np.ndarray:
+        """Pr{the hard rule serves cell (m, c, l)}, summed over class c's
+        channels, from the (M, n_classes, L) costs: size_c·p[m,c,l]·
+        1{C[m,c,l] < 0}·_unbeaten, over chunks of whole classes of at most
+        _HARD_CHUNK comparisons."""
+        probs, sizes = self.region_probs, self.classes[1]
+        M, n, L = cost.shape
+        wins = np.where(cost < 0.0, sizes[:, None] * probs, 0.0)
+        step = max(1, _HARD_CHUNK // (M * M * L * L))
+        for c0 in range(0, n, step):
+            part = slice(c0, c0 + step)
+            wins[:, part] *= _unbeaten(cost[:, part], probs[:, part])
+        return wins
 
     def _jacobian(self, lam: np.ndarray, tables: RateCostTables,
                   cost_all: np.ndarray, rate_all: np.ndarray,
@@ -220,6 +266,34 @@ class Problem:
             at_min = np.where(user == cost.argmin(axis=0), rate, 0.0)
             jac += _pair_sums(pr * w, b * rate) - _pair_sums(mixed, at_min)
         return -(jac + np.diag(diag))
+
+
+def _unbeaten(cost: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Π_{n≠m} Pr{rival n does not beat cell (m, c, l)}, (M, n, L), from the
+    costs and region probabilities of whole classes, (M, n, L) each: each
+    factor sums rival n's probabilities over its L regions, by (M, M, n, L,
+    L) comparisons. An earlier rival n < m must cost more than C[m,c,l],
+    and a later one more than the float below it, so a later rival that
+    ties does not beat it: ties go to the lowest user index."""
+    later, rivals = _user_pairs(len(cost))
+    # the cost rival n must stay above, [m, n, class, l]
+    over = np.where(later, np.nextafter(cost, -np.inf)[:, None],
+                    cost[:, None])
+    keep = np.where(cost[None, :, :, None] > over[..., None],
+                    probs[None, :, :, None], 0.0).sum(axis=-1)
+    return keep.prod(axis=1, where=rivals)
+
+
+@cache
+def _user_pairs(num_users: int) -> tuple:
+    """(later, rivals), read-only (M, M, 1, 1) masks of the user pairs
+    [m, n] with n > m and with n ≠ m."""
+    user = np.arange(num_users)
+    masks = ((user[:, None] < user)[:, :, None, None],
+             (user[:, None] != user)[:, :, None, None])
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
 
 
 def _column_major_sum(x: np.ndarray) -> float:
@@ -297,8 +371,9 @@ class PerfectCSI:
 
     def check_targets(self) -> None:
         """allocator.check_targets, with no user ever in outage."""
-        check_reach(np.zeros((self.num_users, 1)), [self.mean_gain.shape[1]],
-                    self.targets, self.rate_cap)
+        one_cell = (self.num_users, 1, 1)
+        check_reach(np.zeros(one_cell, dtype=bool), np.ones(one_cell),
+                    [self.mean_gain.shape[1]], self.targets, self.rate_cap)
 
     def evaluate(self, lam, *_) -> DualEvaluation:
         """The hard dual at λ, whatever mode and ε a Problem would take."""

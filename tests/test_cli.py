@@ -176,6 +176,8 @@ def reads_only(name):
         return compare_cfg()
     if name == "compare_snr_points":
         return compare_cfg(compare={"schemes": ["RA3"], "snr_db": [4.0, 8.0]})
+    if name == "compare_no_columns":            # no row enumerates
+        return compare_cfg(compare={"schemes": ["RA1", "RA5"]})
     sections = {"online": {"online": {"num_blocks": 20}},
                 "sweep_regions": {"sweep": {"regions": [2]}}}
     return tiny(name, **sections.get(name, {}))
@@ -211,6 +213,11 @@ UNREAD = [
     ("overhead", "rate_cap", 12.0),
     ("overhead", "enum_budget", 1000),
     *(("overhead", f"solver.{k}", v) for k, v in SOLVER_KEYS.items()),
+    # read only where a run enumerates, or where it has an RA4 row
+    ("offline_nonsmooth", "enum_budget", 31),
+    ("compare_no_columns", "enum_budget", 1000),
+    ("compare", "compare.ra4_seed", 7),
+    ("compare", "compare.ra4_range_scale", 3.0),
 ]
 
 
@@ -549,10 +556,11 @@ def compare_cfg(**over):
 @pytest.mark.parametrize("cfg, want", [
     (tiny(enum_budget=31), CONFIG),                 # 2 classes, 4^2 columns
     (tiny(enum_budget=32), OK),
-    (tiny("offline_nonsmooth", enum_budget=31), CONFIG),
+    (tiny("sweep_regions", enum_budget=8, sweep={"regions": [2, 3]}),
+     CONFIG),                                       # 2·2^2 then 2·3^2
     (tiny("online", enum_budget=1, online={"num_blocks": 20}), CONFIG),
     (tiny("sweep_regions", enum_budget=7, sweep={"regions": [2]}), CONFIG),
-    (compare_cfg(enum_budget=1, compare={"schemes": ["RA1", "RA5"]}), OK),
+    (compare_cfg(enum_budget=1, compare={"schemes": ["RA1", "RA5"]}), CONFIG),
     (compare_cfg(enum_budget=15, compare={"schemes": ["RA2"]}), CONFIG),
     (compare_cfg(enum_budget=15, compare={"schemes": ["RA3"]}), CONFIG),
     (compare_cfg(enum_budget=63, compare={"schemes": ["RA4"]}), CONFIG),
@@ -560,9 +568,10 @@ def compare_cfg(**over):
     (compare_cfg(enum_budget=15, compare={"schemes": ["RA5", "RA3"]}), CONFIG),
 ])
 def test_enum_budget_binds_each_problem_that_enumerates(tmp_path, cfg, want):
-    # the offline solvers and the RA2-RA4 rows enumerate n_classes·L^M
-    # (class, column) pairs; RA1 and RA5 enumerate nothing, and the online
-    # loop reads no enum_budget
+    # the smooth offline solver and the RA2-RA4 rows enumerate
+    # n_classes·L^M (class, column) pairs; RA1 and RA5 enumerate nothing, so
+    # a compare run of those alone reads no enum_budget, and neither do the
+    # online loop and the non-smooth baseline
     rc, out = run(tmp_path, cfg)
     assert rc == want
     assert out.exists() == (want != CONFIG)
@@ -693,11 +702,11 @@ EQUI = {"type": "equiprobable", "regions": 4}
 
 
 # what a run builds besides its model and a solver mode's grid: each
-# problem's column space, unless online, and per SNR point of a row mode one
-# equiprobable grid (RA2, RA3, RA5), one random ladder (RA4) and one
-# PerfectCSI (RA1), or one grid per L and then one PerfectCSI
+# problem's column space, unless online or non-smooth, and per SNR point of
+# a row mode one equiprobable grid (RA2, RA3, RA5), one random ladder (RA4)
+# and one PerfectCSI (RA1), or one grid per L and then one PerfectCSI
 BUILDS = {"offline_smooth": {"column_space": 1},
-          "offline_nonsmooth": {"column_space": 1}, "online": {},
+          "offline_nonsmooth": {}, "online": {},
           "compare": {"build_equiprobable": 2, "build_random": 2,
                       "PerfectCSI": 2, "column_space": 4},
           "sweep_regions": {"build_equiprobable": 2, "PerfectCSI": 1,

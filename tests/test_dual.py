@@ -23,6 +23,7 @@ from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
                                build_equiprobable, build_random,
                                channel_classes, quantize)
+from qcsched.solver import SolverConfig, run_offline_nonsmooth
 
 from oracles import (column_major_block, column_major_dual, jacobian_check,
                      per_channel_dual, per_channel_space, perfect_csi_quad,
@@ -443,7 +444,9 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
 
     # J sums terms p·r²·b with |b| <= 2/eps that cancel where one user wins
     # a capped cell, so an entry near 0 is compared at the terms' scale;
-    # seeding a Problem's space with every channel enumerates each of them
+    # seeding a Problem's classes and space with every channel its own class
+    # enumerates each of them
+    full.classes = (np.arange(K), np.ones(K))
     full.space = per_channel_space(grid)
     rmax = float(build_tables(model, grid, mult, rate_cap).rate.max())
     _agree(classes.evaluate(mult.lambda_r, "smooth", eps).jacobian(),
@@ -471,7 +474,8 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
 def test_static_builds_cell_data_on_the_class_representatives(model,
                                                               monkeypatch):
     # K = 4 channels in two classes: the data of channels 0 and 2 only,
-    # bitwise those of the whole grid's data at those channels
+    # bitwise those of the whole grid's data at those channels, built once
+    # for the target check and the evaluations of both modes
     fading = FadingModel(np.array([[1.0, 1.0, 2.0, 2.0],
                                    [0.5, 0.5, 1.5, 1.5]]), seed=0)
     grid = build_equiprobable(fading, 3)
@@ -484,6 +488,9 @@ def test_static_builds_cell_data_on_the_class_representatives(model,
         return cell_data(self, ctx)
 
     monkeypatch.setattr(type(model), "cell_data", spy)
+    problem.check_targets()
+    for mode in ("hard", "smooth"):
+        problem.evaluate(np.array([1.0, 1.5]), mode)
     got = problem.static
     assert shapes == [(2, 2, 3)]
     for g, w in zip(got, want, strict=True):
@@ -500,8 +507,9 @@ def _same_bits(got, want):
 @given(class_instances())
 @example(CANCELLING)
 def test_evaluate_matches_the_column_major_oracle(instance):
-    # a single-class grid keeps every bit of the (n, C, M) layout; with
-    # several classes the column sums run in another order and agree to
+    # in smooth mode a single-class grid keeps every bit of the (n, C, M)
+    # layout; with several classes, and in hard mode, which sums per cell
+    # and not per column, the sums run in another order and agree to
     # rounding, at the scales of the per-channel test above. The oracle's
     # einsum may unroll its sums, so the Jacobian agrees to rounding at the
     # scale of its summed terms p·r²·b, |b| <= 2/eps
@@ -519,7 +527,7 @@ def test_evaluate_matches_the_column_major_oracle(instance):
                  (got.subgradient, want.subgradient, tscale),
                  (got.avg_power, want.avg_power, 0.0)]
         for a, b, scale in pairs:
-            if single:
+            if single and mode == "smooth":
                 _same_bits(a, b)
             else:
                 _agree(a, b, 1e-13, scale)
@@ -555,6 +563,94 @@ def test_jacobian_chunks_of_one_class_match_one_chunk(monkeypatch):
     mult = Multipliers(lam, problem.mu, problem.targets)
     rmax = float(build_tables(MODEL, grid, mult).rate.max())
     _agree(split, jac, 1e-12, K * rmax ** 2 * 2.0 / eps)
+
+
+# --- the hard rule in product form against enumeration ----------------------------
+
+@st.composite
+def hard_instances(draw):
+    """Grids of two or three channel classes, one or two channels each, for
+    the hard rule's corner cases: users that copy user 0's ladders and λ
+    (exact cost ties in every column), users at λ = 0 (cost 0 everywhere)
+    and outage cells (the families' lowest regions at δ = 0 or δ > 0)."""
+    model = FAMILIES[draw(st.sampled_from(["outage", "outage_delta",
+                                           "inst_ber"]))]
+    M, L, n = (draw(st.integers(2, 4)), draw(st.integers(2, 3)),
+               draw(st.integers(2, 3)))
+    owner = np.repeat(np.arange(n), draw(st.lists(st.integers(1, 2),
+                                                  min_size=n, max_size=n)))
+    gains = draw(arrays(float, (M, n), elements=st.floats(0.5, 3.0)))
+    fading = FadingModel(gains, seed=0)
+    grid = (build_equiprobable(fading, L) if draw(st.booleans()) else
+            build_random(fading, L, (0.0, 3.0 * gains.max()),
+                         draw(st.integers(0, 2 ** 31))))
+    thr, mg = grid.thresholds[:, owner], grid.mean_gain[:, owner]
+    lam = draw(arrays(float, (M,), elements=st.floats(0.0, 8.0)))
+    for m in range(1, M):
+        if draw(st.booleans()):                 # a twin of user 0
+            thr[m], mg[m], lam[m] = thr[0], mg[0], lam[0]
+    lam[draw(st.lists(st.integers(0, M - 1), max_size=M))] = 0.0
+    targets = draw(arrays(float, (M,), elements=st.floats(0.0, 2.0)))
+    return (model, QuantizerGrid(thr, mg),
+            Multipliers(lam, np.ones(M), targets), 0.05, 3.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hard_instances())
+@example(_twin_tie(FAMILIES["outage"]))
+def test_hard_product_form_matches_both_enumerations(instance):
+    # the product form sums per cell, the oracles per column: they agree to
+    # rounding, at the scales of the per-channel test, and pick the same
+    # winner at every exact tie
+    model, grid, mult, eps, rate_cap = instance
+    problem = Problem(grid, model, mult.mu, mult.targets, rate_cap=rate_cap)
+    got = problem.evaluate(mult.lambda_r, "hard", eps)
+    vscale = float(mult.lambda_r @ mult.targets)
+    tscale = float(np.max(mult.targets))
+    for want in (column_major_dual(problem, mult.lambda_r, "hard", eps)[0],
+                 per_channel_dual(model, grid, mult, "hard", eps, rate_cap)):
+        _agree(got.value, want.value, 1e-13, vscale)
+        _agree(got.per_user_avg_rate, want.per_user_avg_rate, 1e-13)
+        _agree(got.subgradient, want.subgradient, 1e-13, tscale)
+        _agree(got.avg_power, want.avg_power, 1e-13)
+    _agree(got.value, got.avg_power + mult.lambda_r @ got.subgradient, 1e-13,
+           vscale)
+
+
+def test_hard_chunks_of_one_class_keep_every_bit(monkeypatch):
+    # a random ladder gives every channel its own class; a _HARD_CHUNK of
+    # one class's comparisons runs the chunk loop once per class, and each
+    # cell's product does not depend on the chunk it is in
+    fading = FadingModel(np.array([[1.0, 2.0, 0.8, 1.5],
+                                   [0.6, 1.4, 2.2, 1.0],
+                                   [2.0, 0.7, 1.1, 2.6]]), seed=0)
+    problem = Problem(build_random(fading, 3, (0.0, 9.0), 11), MODEL,
+                      np.ones(3), np.array([0.5, 0.7, 0.9]))
+    lam = np.array([1.5, 2.0, 2.5])
+    one = problem.evaluate(lam, "hard")
+    chunks, unbeaten = [], dual._unbeaten
+    monkeypatch.setattr(dual, "_unbeaten",
+                        lambda cost, probs: chunks.append(cost.shape[1])
+                        or unbeaten(cost, probs))
+    monkeypatch.setattr(dual, "_HARD_CHUNK", 3 * 3 * 3 * 3)
+    split = problem.evaluate(lam, "hard")
+    assert chunks == [1, 1, 1, 1]
+    for a, b in ((split.value, one.value), (split.avg_power, one.avg_power),
+                 (split.per_user_avg_rate, one.per_user_avg_rate)):
+        _same_bits(a, b)
+
+
+def test_a_hard_only_problem_never_builds_its_column_space():
+    # 2 classes of 4^2 columns against a budget of 1: the hard dual and the
+    # non-smooth baseline never enumerate, and the smooth dual still raises
+    _, grid, mult = small_instance()
+    problem = Problem(grid, MODEL, mult.mu, mult.targets, enum_budget=1)
+    problem.evaluate(mult.lambda_r, "hard")
+    traj = run_offline_nonsmooth(problem, SolverConfig(max_iters=50))
+    assert len(traj.iters) == 50
+    assert "space" not in vars(problem) and "columns" not in vars(problem)
+    with pytest.raises(EnumerationBudgetError):
+        problem.evaluate(mult.lambda_r, "smooth")
 
 
 # --- perfect CSI ---------------------------------------------------------------------

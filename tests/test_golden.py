@@ -93,7 +93,7 @@ GOLDEN = {
         "compare.csv":
             "13d57617249b0c20684c92a571dd896433083b17806a88542678ada3aa829806",
         "summary.json":
-            "ab239502f04a9fab882c0ad748f9e5c6533ab5b72426915effc531286d40e29f",
+            "3995cb4c97dec66f8c4941bd12e466460ebdaaece6fac93a78f4990be3f6745d",
     },
     "micro_avg_ber_compare": {
         "compare.csv":
@@ -167,9 +167,9 @@ GOLDEN = {
     },
     "testcase1_nonsmooth": {
         "trajectory.csv":
-            "29e08402b40fce8e00a51f6f472d761dad369767514e1b970274df4296e013db",
+            "005aa2506ac29d0f98ec7c8f2fdfc1294e532bb82df16c23cc4d9815cf2b5abe",
         "summary.json":
-            "4d2f32f3affefd94d2ad453b033c6cf61208fa1faa7b67509fefd76ec1428b30",
+            "e5db5f3d1bb09cc562f70467a5d5455e888641eeb9cfe330d08e1e01713a32c7",
     },
     "testcase2_online": {
         "trajectory.csv":
@@ -239,7 +239,7 @@ DRY_RUN = {
     "testcase1":
         "5041b679bbcda07c6d3d595662c454723ca518e9968fca6eeefcfbc0e81da6b9",
     "testcase1_nonsmooth":
-        "7b9f14528a74df62cd1825e0fdfb7952db1570d403081126d0eb8ffed7bd3165",
+        "daddcc7213f0c87548bfbcae79d1aed9b707f256421e2dcd6f6ac1380d7af514",
     "testcase2_online":
         "115954bbfb90777c7ab58ddd3bcc5413883b5d317cccece891f2800f6821b95a",
 }
