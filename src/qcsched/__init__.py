@@ -17,8 +17,7 @@ the fading gain fell into. This package provides:
 from .allocator import (DEFAULT_RATE_CAP, InfeasibleTargetsError,
                         Multipliers, RateCostTables, TieInfeasibleError,
                         TieInstance, TieSolution, build_tables,
-                        check_targets, find_tie_instances, smooth_weights,
-                        solve_tie_lp)
+                        find_tie_instances, smooth_weights, solve_tie_lp)
 from .analysis import (CompareSetup, OverheadReport, compare_schemes,
                        feedback_bits, mc_primal, sweep_regions)
 from .channel import (FadingModel, sample_gain_blocks, sample_gains,
@@ -50,7 +49,7 @@ __all__ = [
     "RateCostTables", "RegionContext", "SolverConfig",
     "TieInfeasibleError", "TieInstance", "TieSolution", "Trajectory",
     "block_allocation", "build_equiprobable", "build_random",
-    "build_tables", "channel_classes", "check_targets", "column_space",
+    "build_tables", "channel_classes", "column_space",
     "compare_schemes", "delta_outage_gain", "exact_dual", "exp1",
     "exp1_scaled", "feedback_bits", "find_tie_instances", "make_model",
     "mc_primal", "quantize", "region_contexts",

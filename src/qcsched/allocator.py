@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import quantizer as qz
 from .powerrate import PowerRate, region_contexts
 from .quantizer import QuantizerGrid
 from .simplex import LPInfeasibleError, solve_lp
@@ -97,24 +96,13 @@ def make_static(grid: QuantizerGrid, model: PowerRate) -> tuple:
     return model.cell_data(region_contexts(grid))
 
 
-def check_targets(grid: QuantizerGrid, model: PowerRate, targets,
-                  rate_cap: float = DEFAULT_RATE_CAP) -> None:
+def check_reach(outage, probs, sizes, targets, rate_cap: float) -> None:
     """Raise InfeasibleTargetsError unless every user subset S can draw its
     targets: Σ_{m∈S} ř_m ≤ rate_cap · Σ_k Pr{some m ∈ S is out of outage
-    on k}. With the rate cap the rate region is a polymatroid, so the 2^M - 1
-    subsets decide feasibility; the smallest violated one is named. Each
-    channel class (channel_classes) is evaluated once, weighted by its size.
-    """
-    channels, sizes = qz.channel_classes(grid)
-    sub = QuantizerGrid(grid.thresholds[:, channels],
-                        grid.mean_gain[:, channels])
-    check_reach(model.is_outage(make_static(sub, model)),
-                qz.region_prob_table(sub), sizes, targets, rate_cap)
-
-
-def check_reach(outage, probs, sizes, targets, rate_cap: float) -> None:
-    """check_targets on n classes of ``sizes`` channels each, given each
-    class's outage mask and region probabilities, (M, n, L)."""
+    on k}, over n channel classes of ``sizes`` channels each, given each
+    class's outage mask and region probabilities, (M, n, L). With the rate
+    cap the rate region is a polymatroid, so the 2^M - 1 subsets decide
+    feasibility; the smallest violated one is named."""
     p_out = np.where(outage, probs, 0.0).sum(axis=2)    # Pr{m in outage}
     M = len(p_out)
     sets = ((np.arange(1, 2 ** M)[:, None] >> np.arange(M)) & 1).astype(bool)
@@ -185,14 +173,6 @@ def build_tables(model: PowerRate, grid: QuantizerGrid,
     return RateCostTables(rate=rate, power=power, cost=cost)
 
 
-def user_sums(x: np.ndarray) -> np.ndarray:
-    """Each row's sum, (M, J) → (M,), accumulated column after column: the
-    order in which a reduction over the columns of the column-major (J, M)
-    layout adds them, so results keep those bits. The sums are copied out,
-    so they do not keep the (M, J) running sums alive."""
-    return x.cumsum(axis=1)[:, -1].copy()
-
-
 def smooth_window(costs: np.ndarray, eps: float) -> tuple:
     """(u, c*) over the leading (user) axis of a cost array, (M,) or
     (M, ...): u = 1 - (C - c*)/ε on the ε-window C - c* < ε, where it is
@@ -255,7 +235,7 @@ def find_tie_instances(problem, lam, tie_rtol: float):
 
     # single-winner average rates (tie cells excluded by construction)
     served = np.where(single & member_mask, rates, 0.0)
-    r_bar_one = user_sums(served * probs)
+    r_bar_one = (served * probs).sum(axis=1)
 
     instances = []
     for j in np.flatnonzero(tied):

@@ -29,8 +29,8 @@ the other modes read those, every unmarked key and the keys marked theirs.
   "enum_budget": 1000000,                    # optional; offline_smooth,
                                              # sweep_regions, compare with
                                              # RA2, RA3 or RA4
-  "solver": {"init": 0.1, "tol": 0.001, "eps": 0.05,   # optional, defaulted
-             "beta": 0.01,                   # not offline_nonsmooth
+  "solver": {"init": 0.1, "tol": 0.001,     # optional, defaulted
+             "eps": 0.05, "beta": 0.01,      # not offline_nonsmooth
              "kappa": 0.1,                   # offline_nonsmooth only
              "max_iters": 200000,            # not online
              "record_every": 1},             # solver modes (--log-every)
@@ -106,9 +106,8 @@ _SIZE = ("mode", "out_dir", "fading.num_users", "fading.num_channels",
          "quantizer")
 _GAINS = ("fading.snr_db", "fading.mean_gain")
 _PROBLEM = (*_SIZE, *_GAINS, "power_rate.family", "power_rate.params",
-            "targets", "mu", "rate_cap", "solver.init", "solver.tol",
-            "solver.eps")
-_BUDGETED = (*_PROBLEM, "enum_budget", "solver.max_iters")
+            "targets", "mu", "rate_cap", "solver.init", "solver.tol")
+_BUDGETED = (*_PROBLEM, "enum_budget", "solver.max_iters", "solver.eps")
 # mode -> the config keys it reads, as dotted paths ("quantizer" stands for
 # its keys, which its type decides). A config may set only keys its mode
 # reads: one that only other modes read exits 2. Only these are resolved.
@@ -116,8 +115,8 @@ READS = {
     "offline_smooth": (*_BUDGETED, "solver.beta", "solver.record_every"),
     "offline_nonsmooth": (*_PROBLEM, "solver.max_iters", "solver.kappa",
                           "solver.record_every"),
-    "online": (*_PROBLEM, "fading.seed", "solver.beta", "solver.record_every",
-               "online.num_blocks"),
+    "online": (*_PROBLEM, "fading.seed", "solver.eps", "solver.beta",
+               "solver.record_every", "online.num_blocks"),
     "compare": (*_BUDGETED, "solver.beta", "compare.schemes", "compare.snr_db",
                 "compare.ra4_seed", "compare.ra4_range_scale"),
     "sweep_regions": (*_BUDGETED, "solver.beta", "sweep.regions"),
@@ -486,15 +485,16 @@ def _run_solver_mode(rc: dict, problem: Problem, cfg: SolverConfig,
 
     with open(outdir / "trajectory.csv", "w", newline="\n") as fh:
         traj.write_csv(fh)
-    K = problem.grid.num_channels
+    # the non-smooth baseline serves the hard rule, which reads no ε
+    smooth = {} if mode == "offline_nonsmooth" else {
+        "eps": cfg.eps, "eps_prime": problem.grid.num_channels * cfg.eps}
     _write_summary(outdir, {
         "mode": mode, "converged": traj.converged, "reason": traj.reason,
         "final_lambda": final_lambda, "avg_rates": traj.served_rates,
         "avg_power": traj.served_power,
         "avg_power_db": power_db(traj.served_power),
-        "targets": problem.targets, "eps": cfg.eps,
-        "eps_prime": K * cfg.eps, "iterations": int(traj.iters[-1]) + 1,
-        "wall_time_s": wall})
+        "targets": problem.targets, **smooth,
+        "iterations": int(traj.iters[-1]) + 1, "wall_time_s": wall})
     return EXIT_OK if traj.converged else EXIT_NOT_CONVERGED
 
 

@@ -29,10 +29,11 @@ Jacobian and the tie search enumerate the per-channel column space (L^M,
 never L^{K·M}) once per class (quantizer.column_space), through one flat
 index of the columns into the tables. The user axis leads: columns are
 (M, J) rows, J = n_classes·L^M in (class, column) order, so c*, the
-ε-window and Z are M - 1 operations on contiguous rows. Sums keep a fixed
-order, so results are deterministic regardless of any outer parallelism: a
-user's smooth served rate accumulates column after column, and the scalar
-cost and power sums run over (column, user) pairs column-major.
+ε-window and Z are M - 1 operations on contiguous rows. Every sum over the
+columns is a numpy reduction (ndarray.sum, or np.einsum without its BLAS
+path), never a dot product or matmul, which a threaded BLAS may split over
+J: results are deterministic whatever the thread count or any outer
+parallelism, and agree with other summation orders to rounding.
 
 PerfectCSI is the same evaluation when the scheduler knows the gains: no
 quantizer, no enumeration, one Gauss–Legendre integral per user and
@@ -51,8 +52,7 @@ from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, Multipliers, Prices,
                         RateCostTables, build_tables, check_lambda,
                         check_reach, check_weights, make_static,
-                        region_index, smooth_weights, smooth_window,
-                        user_sums)
+                        region_index, smooth_weights, smooth_window)
 from .channel import FadingModel
 from .powerrate import _LN2, PowerRate, _vec_newton, linear_allocation
 from .quantizer import QuantizerGrid
@@ -156,9 +156,10 @@ class Problem:
         return index.reshape(self.num_users, -1), probs.ravel()
 
     def check_targets(self) -> None:
-        """allocator.check_targets, once per Problem and on its cached
-        ``static`` and ``region_probs``: raises InfeasibleTargetsError naming
-        a user subset no allocation serves."""
+        """allocator.check_reach, once per Problem and on its cached
+        ``static`` and ``region_probs``, each class weighted by its size:
+        raises InfeasibleTargetsError naming a user subset no allocation
+        serves."""
         if not self._checked:
             check_reach(self.model.is_outage(self.static), self.region_probs,
                         self.classes[1], self.targets, self.rate_cap)
@@ -173,18 +174,17 @@ class Problem:
         and this picks one selection; it ignores ε). It works on the
         (M, n_classes, L) tables in product form (_hard_wins),
         O(n_classes·M²·L²), and enumerates nothing: served rate and cost
-        sum R·win and C·win over the cells, and the power is the served
-        cost plus λ·(served rate).
+        sum R·win and C·win over the cells.
 
         mode "smooth" serves the ε-smooth weights and raises ValueError
         unless 0 < ε < ∞. It enumerates, O(n_classes·L^M·M): cost and rate
         are each taken once through ``columns`` as user-major (M, J) arrays,
-        and the weights reduce over the M user rows. The summation order is
-        part of the contract: served rates accumulate column after column,
-        and the cost and power sums run over (column, user) pairs
-        column-major, so a single-class grid gives the bits of a (C, M)
-        column-major layout. The Jacobian reuses tables and columns, and is
-        computed only when ``jacobian()`` is called.
+        and the weights reduce over the M user rows. Served rates are the
+        row sums of R·w·p and the served cost the sum of C·w·p. The
+        Jacobian reuses tables and columns, and is computed only when
+        ``jacobian()`` is called.
+
+        In both modes the power is the served cost plus λ·(served rate).
         """
         if mode not in ("hard", "smooth"):
             raise ValueError("mode must be 'hard' or 'smooth'")
@@ -195,19 +195,17 @@ class Problem:
                               self.rate_cap, self.static)
         jacobian = None
         if mode == "hard":
-            w = self._hard_wins(tables.cost)
-            served_rate = (tables.rate * w).reshape(len(lam), -1).sum(axis=1)
-            served_cost = float((tables.cost * w).sum())
-            served_power = served_cost + float(lam @ served_rate)
+            cost, rate = tables.cost, tables.rate
+            w = self._hard_wins(cost)
         else:
             index, probs = self.columns
             cost, rate = tables.cost.take(index), tables.rate.take(index)
-            w = smooth_weights(cost, eps)
             jacobian = partial(self._jacobian, lam, tables, cost, rate, eps)
-            served_rate = user_sums(rate * w * probs)
-            served_cost = _column_major_sum(cost * w * probs)
-            served_power = _column_major_sum((cost + lam[:, None] * rate) * w
-                                             * probs)
+            w = smooth_weights(cost, eps)
+            w *= probs
+        served_rate = (rate * w).reshape(len(lam), -1).sum(axis=1)
+        served_cost = float((cost * w).sum())
+        served_power = served_cost + float(lam @ served_rate)
         value = float(lam @ self.targets) + served_cost
         return DualEvaluation(value=value,
                               subgradient=self.targets - served_rate,
@@ -239,9 +237,10 @@ class Problem:
         Z = Σa, w = a/Z, b = -2(1 - d/ε)/(εZ), A = Σb; then
         ∂r̄_m/∂λ_n = Σ p·[δ_mn(w_m·R'_m - b_m·r_m²) + w_m·r_m·b_n·r_n
                            - r_m·(w_m·A - b_m)·[s = n]·r_n],
-        with R' = ∂R*/∂λ from the family's ``rate_slope``, each sum over
-        the columns accumulated in column order, over chunks of whole
-        classes of at most _JAC_CHUNK column entries."""
+        with R' = ∂R*/∂λ from the family's ``rate_slope``. Over chunks of
+        whole classes of at most _JAC_CHUNK column entries, the δ_mn term
+        is a row sum and the two cross terms are (M, J)·(J, M) einsum
+        contractions, which make no (M, M, J) temporary."""
         index, probs = self.columns
         M, C = len(lam), len(self.space[0])
         mu = self.mu[:, None, None]
@@ -261,10 +260,11 @@ class Problem:
             z = np.where(cstar < 0.0, np.sum(u * u, axis=0), np.inf)
             w, b = u * u / z, -2.0 * u / (eps * z)
             pr = p * rate
-            diag += user_sums(p * w * rp - pr * b * rate)
+            diag += (p * w * rp - pr * b * rate).sum(axis=1)
             mixed = pr * (w * b.sum(axis=0) - b)
             at_min = np.where(user == cost.argmin(axis=0), rate, 0.0)
-            jac += _pair_sums(pr * w, b * rate) - _pair_sums(mixed, at_min)
+            jac += (np.einsum("mj,nj->mn", pr * w, b * rate)
+                    - np.einsum("mj,nj->mn", mixed, at_min))
         return -(jac + np.diag(diag))
 
 
@@ -294,18 +294,6 @@ def _user_pairs(num_users: int) -> tuple:
     for mask in masks:
         mask.setflags(write=False)
     return masks
-
-
-def _column_major_sum(x: np.ndarray) -> float:
-    """Σ of an (M, J) array over its (column, user) pairs in column-major
-    order: numpy's pairwise sum of the (J, M) layout, whose bits it keeps."""
-    return float(np.ascontiguousarray(x.T).sum())
-
-
-def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Σ_j a[m, j]·b[n, j], (M, M), accumulated column after column, one
-    column n at a time (an (M, M, J) product would grow peak RSS)."""
-    return np.column_stack([user_sums(a * row) for row in b])
 
 
 @cache
@@ -370,7 +358,7 @@ class PerfectCSI:
         return self.mean_gain.shape[0]
 
     def check_targets(self) -> None:
-        """allocator.check_targets, with no user ever in outage."""
+        """allocator.check_reach, with no user ever in outage."""
         one_cell = (self.num_users, 1, 1)
         check_reach(np.zeros(one_cell, dtype=bool), np.ones(one_cell),
                     [self.mean_gain.shape[1]], self.targets, self.rate_cap)

@@ -218,8 +218,8 @@ def last_axis_weights(costs: np.ndarray, eps: float) -> np.ndarray:
 def column_major_dual(problem, lam, mode: str, eps: float) -> tuple:
     """Problem.evaluate on (n_classes, C, M) columns, users on the last
     axis, with numpy's reductions over that layout: (OracleDual, the smooth
-    Jacobian or None). On a single-class grid its sums run in the order
-    Problem.evaluate keeps."""
+    Jacobian or None). Its sums run in another order than Problem.evaluate's
+    user-major ones, so the two agree to rounding."""
     mult = Multipliers(np.asarray(lam, dtype=float), problem.mu,
                        problem.targets)
     cols0, probs, _ = problem.space

@@ -5,8 +5,7 @@ import pytest
 
 from qcsched.allocator import (DEFAULT_RATE_CAP, InfeasibleTargetsError,
                                Multipliers, TieInstance, TieInfeasibleError,
-                               build_tables, check_targets,
-                               find_tie_instances, smooth_weights,
+                               build_tables, find_tie_instances, smooth_weights,
                                solve_tie_lp)
 from qcsched.channel import FadingModel
 from qcsched.dual import Problem
@@ -60,6 +59,11 @@ def tc1_grid():
     """K=16 flat channels, M=4, equiprobable L=4: region 1 of every user is
     an outage region (q_lo = 0), Pr = 1/4."""
     return build_equiprobable(FadingModel(np.full((4, 16), 4.0), seed=0), 4)
+
+
+def check_targets(grid, model, targets):
+    """Problem.check_targets on a Problem of ``grid`` with unit weights."""
+    Problem(grid, model, np.ones(grid.num_users), targets).check_targets()
 
 
 def test_check_targets_names_the_smallest_violated_subset():

@@ -41,8 +41,8 @@ def tiny(mode="offline_smooth", **over):
         "targets": [0.5, 0.7],
         "solver": {"beta": 0.5, "tol": 1e-5, "max_iters": 20000, "eps": 0.05},
     }
-    if mode == "offline_nonsmooth":     # steps by kappa
-        del cfg["solver"]["beta"]
+    if mode == "offline_nonsmooth":     # steps by kappa, serves the hard rule
+        del cfg["solver"]["beta"], cfg["solver"]["eps"]
     if mode == "online":                # samples num_blocks fading blocks
         del cfg["solver"]["max_iters"]
         cfg["fading"]["seed"] = 1
@@ -218,6 +218,8 @@ UNREAD = [
     ("compare_no_columns", "enum_budget", 1000),
     ("compare", "compare.ra4_seed", 7),
     ("compare", "compare.ra4_range_scale", 3.0),
+    # the non-smooth baseline serves the hard rule, which reads no ε
+    ("offline_nonsmooth", "solver.eps", 0.05),
 ]
 
 
@@ -482,6 +484,7 @@ def test_offline_nonsmooth_settles(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["reason"] == "converged"
     assert summary["converged"] is True
+    assert "eps" not in summary and "eps_prime" not in summary  # hard rule
 
 
 # --- online --------------------------------------------------------------------

@@ -507,15 +507,13 @@ def _same_bits(got, want):
 @given(class_instances())
 @example(CANCELLING)
 def test_evaluate_matches_the_column_major_oracle(instance):
-    # in smooth mode a single-class grid keeps every bit of the (n, C, M)
-    # layout; with several classes, and in hard mode, which sums per cell
-    # and not per column, the sums run in another order and agree to
-    # rounding, at the scales of the per-channel test above. The oracle's
-    # einsum may unroll its sums, so the Jacobian agrees to rounding at the
-    # scale of its summed terms p·r²·b, |b| <= 2/eps
+    # the user-major sums run in another order than the oracle's (n, C, M)
+    # layout, and the hard rule sums per cell and not per column: both
+    # modes agree to rounding, at the scales of the per-channel test above.
+    # The einsums may unroll their sums, so the Jacobian agrees to rounding
+    # at the scale of its summed terms p·r²·b, |b| <= 2/eps
     model, grid, mult, eps, rate_cap = instance
     problem = Problem(grid, model, mult.mu, mult.targets, rate_cap=rate_cap)
-    single = len(problem.space[1]) == 1
     vscale = float(mult.lambda_r @ mult.targets)
     tscale = float(np.max(mult.targets))
     rmax = float(build_tables(model, grid, mult, rate_cap).rate.max())
@@ -527,10 +525,7 @@ def test_evaluate_matches_the_column_major_oracle(instance):
                  (got.subgradient, want.subgradient, tscale),
                  (got.avg_power, want.avg_power, 0.0)]
         for a, b, scale in pairs:
-            if single and mode == "smooth":
-                _same_bits(a, b)
-            else:
-                _agree(a, b, 1e-13, scale)
+            _agree(a, b, 1e-13, scale)
         if mode == "smooth":
             _agree(got.jacobian(), jac, 1e-12,
                    grid.num_channels * rmax ** 2 * 2.0 / eps)
@@ -538,8 +533,9 @@ def test_evaluate_matches_the_column_major_oracle(instance):
 
 def test_jacobian_chunks_of_one_class_match_one_chunk(monkeypatch):
     # a random ladder gives every channel its own class; a _JAC_CHUNK of one
-    # class's column entries runs the chunk loop once per class, which
-    # regroups the column sums but not their terms
+    # class's column entries runs the chunk loop, and its one smooth_window
+    # call, once per class, which regroups the column sums but not their
+    # terms
     M, K, L, eps = 3, 6, 3, 0.5
     fading = FadingModel(np.array([[1.0, 2.0, 0.8, 1.5, 2.5, 1.2],
                                    [0.6, 1.4, 2.2, 1.0, 0.9, 3.0],
@@ -550,13 +546,13 @@ def test_jacobian_chunks_of_one_class_match_one_chunk(monkeypatch):
     lam = np.array([1.5, 2.0, 2.5])
     ev = problem.evaluate(lam, "smooth", eps)
     one = ev.jacobian()
-    chunks = []
-    pair_sums = dual._pair_sums
-    monkeypatch.setattr(dual, "_pair_sums",
-                        lambda a, b: chunks.append(1) or pair_sums(a, b))
+    chunks, window = [], dual.smooth_window
+    monkeypatch.setattr(dual, "smooth_window",
+                        lambda cost, eps: chunks.append(cost.shape[1])
+                        or window(cost, eps))
     monkeypatch.setattr(dual, "_JAC_CHUNK", L ** M * M)
     split = ev.jacobian()
-    assert len(chunks) == 2 * K                 # two pair sums per chunk
+    assert chunks == [L ** M] * K
     assert np.count_nonzero(one) == M * M
     _agree(split, one, 1e-13)
     _, jac = column_major_dual(problem, lam, "smooth", eps)
@@ -565,14 +561,15 @@ def test_jacobian_chunks_of_one_class_match_one_chunk(monkeypatch):
     _agree(split, jac, 1e-12, K * rmax ** 2 * 2.0 / eps)
 
 
-# --- the hard rule in product form against enumeration ----------------------------
+# --- both rules' corner cases against enumeration ---------------------------------
 
 @st.composite
 def hard_instances(draw):
     """Grids of two or three channel classes, one or two channels each, for
-    the hard rule's corner cases: users that copy user 0's ladders and λ
+    the corner cases of both rules: users that copy user 0's ladders and λ
     (exact cost ties in every column), users at λ = 0 (cost 0 everywhere)
-    and outage cells (the families' lowest regions at δ = 0 or δ > 0)."""
+    and outage cells (the families' lowest regions at δ = 0 or δ > 0), so
+    the column with every user in outage is idle (c* ≥ 0)."""
     model = FAMILIES[draw(st.sampled_from(["outage", "outage_delta",
                                            "inst_ber"]))]
     M, L, n = (draw(st.integers(2, 4)), draw(st.integers(2, 3)),
@@ -595,26 +592,49 @@ def hard_instances(draw):
             Multipliers(lam, np.ones(M), targets), 0.05, 3.0)
 
 
+def _corners(model):
+    """Two channels of one class; users 0 and 1 twins at λ = 1.5, user 2 at
+    λ = 0: users 0 and 1 tie in every column where they share a region, and
+    the columns with both in outage are idle, c* = 0."""
+    thr = np.array([[[0.0, 1.0, 3.0, np.inf]] * 2] * 3)
+    mean = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+    return (model, QuantizerGrid(thr, mean),
+            Multipliers(np.array([1.5, 1.5, 0.0]), np.ones(3),
+                        np.array([0.3, 0.3, 0.5])), 0.05, 3.0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(hard_instances())
 @example(_twin_tie(FAMILIES["outage"]))
+@example(_corners(FAMILIES["outage"]))
 def test_hard_product_form_matches_both_enumerations(instance):
     # the product form sums per cell, the oracles per column: they agree to
     # rounding, at the scales of the per-channel test, and pick the same
-    # winner at every exact tie
+    # winner at every exact tie. At the same corners the smooth dual's
+    # user-major sums agree with the column-major oracle's to rounding, and
+    # so does its Jacobian, at the scale of its summed terms p·r²·b,
+    # |b| <= 2/eps
     model, grid, mult, eps, rate_cap = instance
     problem = Problem(grid, model, mult.mu, mult.targets, rate_cap=rate_cap)
-    got = problem.evaluate(mult.lambda_r, "hard", eps)
     vscale = float(mult.lambda_r @ mult.targets)
     tscale = float(np.max(mult.targets))
-    for want in (column_major_dual(problem, mult.lambda_r, "hard", eps)[0],
-                 per_channel_dual(model, grid, mult, "hard", eps, rate_cap)):
+    smooth, jac = column_major_dual(problem, mult.lambda_r, "smooth", eps)
+    for mode, want in (
+            ("hard", column_major_dual(problem, mult.lambda_r, "hard",
+                                       eps)[0]),
+            ("hard", per_channel_dual(model, grid, mult, "hard", eps,
+                                      rate_cap)),
+            ("smooth", smooth)):
+        got = problem.evaluate(mult.lambda_r, mode, eps)
         _agree(got.value, want.value, 1e-13, vscale)
         _agree(got.per_user_avg_rate, want.per_user_avg_rate, 1e-13)
         _agree(got.subgradient, want.subgradient, 1e-13, tscale)
         _agree(got.avg_power, want.avg_power, 1e-13)
-    _agree(got.value, got.avg_power + mult.lambda_r @ got.subgradient, 1e-13,
-           vscale)
+        _agree(got.value, got.avg_power + mult.lambda_r @ got.subgradient,
+               1e-13, vscale)
+    rmax = float(build_tables(model, grid, mult, rate_cap).rate.max())
+    _agree(problem.evaluate(mult.lambda_r, "smooth", eps).jacobian(), jac,
+           1e-12, grid.num_channels * rmax ** 2 * 2.0 / eps)
 
 
 def test_hard_chunks_of_one_class_keep_every_bit(monkeypatch):

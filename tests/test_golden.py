@@ -91,57 +91,57 @@ MICRO_FAMILIES = {
 GOLDEN = {
     "compare_schemes": {
         "compare.csv":
-            "13d57617249b0c20684c92a571dd896433083b17806a88542678ada3aa829806",
+            "87f2b03250fff04eb6713d149bf8bc130e6230ba7b9569b347a6eb7fbbce3bb9",
         "summary.json":
-            "3995cb4c97dec66f8c4941bd12e466460ebdaaece6fac93a78f4990be3f6745d",
+            "eac055e6e1100c391a0a0efbc642a9ee1f312fc85a05cdeeb6225c1290f56591",
     },
     "micro_avg_ber_compare": {
         "compare.csv":
-            "78169dc89e90bdc8f5b7f8785113a457a10bce5557061e7aa01870734c1ac6e7",
+            "0edc56cede402456e0259f544d4a6e210c20deeb1a180504bd3ce5e73175ee74",
         "summary.json":
-            "5019f3b8d39bcc7c954a66163553b66a5f6222df4c26aa3b5132ad43e3b350d2",
+            "2499230c716b3c880b5e43c34f864b259e2ce490f7902433cc91c14cfa288d66",
     },
     "micro_avg_ber_offline": {
         "trajectory.csv":
-            "14a9b7b39d43d88e3afe5f4f7f560a44a5dd8d2a924bb8c29e28f4258d48ba9f",
+            "629a0e0410856e470d2b0c56cd204cd84e6119e2e1ca10ea52f02c7c2306dee0",
         "summary.json":
-            "f9ac4e90ab65bc114b355a8286690e00a51bc7032f3922eff496ed149d2aeda6",
+            "aaf1ce301f469aa9a7a90cf4aff3142dfbdc35af989af932f7d0bcc849a2c91f",
     },
     "micro_inst_ber_compare": {
         "compare.csv":
-            "a1831782365e800323d5c81af75595409b350b89056fab8463a0d23d5ecb1e28",
+            "6d430ce34e6e62ab1d60f55222f19d27bdae45bf4d97c1f0247fccbe90453031",
         "summary.json":
-            "34cf535409cffc53e1ff4c16299bb1edf3d4c5a62bd9975dd39480b93bdf93af",
+            "46a407f6994c7802241a28ad3d137f952b9bbd6f8104fa2ad1a563f7389907af",
     },
     "micro_inst_ber_offline": {
         "trajectory.csv":
-            "dd47bb1e863f50efe624f0c5d5cbe5d68cfd48235216bfeba7c8941213e1f2b1",
+            "594999dbe9f6edce8b328f73a4a5d636acebedc911127ebe760973daaf8f4783",
         "summary.json":
-            "a58114fe06a317e5561e18789385c6b7e12318662e6558e0c804054875476d56",
+            "d594e60f29f4f13057b6ed459d0123f95549c871ad8baa675d1f4e9e381d0635",
     },
     "micro_compare": {
         "compare.csv":
-            "346a9da4dcf3c22a30ccf6de91c77ce21f9aee519bac5e8ea25598903e6ae4f9",
+            "30dd5fb948695d3ea21c0b7b2e012192352d1dfdcaf9470a513c29f7263664a3",
         "summary.json":
-            "d01261f572ed8fdba4f1f75259f887c3fe2ce5d42c7c8d2d7dd20615f37bd382",
+            "110ac724e9fd092c44c3a78a833dce76729f785bfb9307ef0f2333d4efdcb0f0",
     },
     "micro_compare_snr_points": {
         "compare.csv":
-            "4ae61d1cd0253f18e6e33b088e8880c174b49427816d0b17a0089b85cee3bde7",
+            "e91520d12edb33e323792c7a64cf06347a719915f3df7c3d99fa9a287f997d36",
         "summary.json":
-            "d01bfa2f22b4a59672b07db57c707b023fa5338cca56a64000ee8e72e5ca3ac8",
+            "d32e4eae487e2cda75c811bceca0373a06390d21b1b0766c49a25e6836f6c776",
     },
     "micro_ergodic_compare": {
         "compare.csv":
-            "7846595d4e97d202b237545047f189dd7535d58de99ae2c9d39efceb2de19b22",
+            "9135f7a2b7fa72f6327acb21a9aa108f237506614ff9234b716f5a494b876b14",
         "summary.json":
-            "5ceb6e0bab0fb2c7d9d654a3728144abbf8e7d8e7f9d7200bc710231980e638a",
+            "3604fb9e1a757aa7a452c4b0dcca420c2042ba26e1944b7395365f6ab745f019",
     },
     "micro_ergodic_offline": {
         "trajectory.csv":
-            "8292d337504a4ccff251027149ab3ce9a7324e5f0be070e84e43464661aa6bbc",
+            "113b3021cbacd440f396b8ac2255951606542ea2f8c7bf2698c3c82cd80f0894",
         "summary.json":
-            "42b63a919e76809a3cfd8ddc45041cf5ace26962f56e069ea585492d1da29539",
+            "393eeda7366227abe48692badce928918aaedaf2ff6661a605c2a5d9042de8ea",
     },
     "micro_online": {
         "trajectory.csv":
@@ -151,9 +151,9 @@ GOLDEN = {
     },
     "micro_sweep": {
         "sweep.csv":
-            "bcde78f1c58feb198edf1d13db982c1d9e12319e1aaaa18f0b73d77f555a521f",
+            "c1db465d6769cc2f3430b66213cf25f77178c2a8cbe829986a9e9472edea9e12",
         "summary.json":
-            "15dd89e09ba28d0baffa6efb2aa1da4c6803def4d3aed433f0420832aa8529de",
+            "584bc9999e6a431314a10b9f5b4fa53c83d3ef29b4515f639699e452de8c855c",
     },
     "overhead": {
         "summary.json":
@@ -161,15 +161,15 @@ GOLDEN = {
     },
     "testcase1": {
         "trajectory.csv":
-            "fc8df2fba8fafa0833b14b287922b9e4f0aaa48b87f3a73829d05f9803dda041",
+            "a1bfaf3d78e18a1b77b2f9129961521a8c2b4590abc4c9698fb3f11663502c6d",
         "summary.json":
-            "c68ca46e93912e6dcd3465b53d4c07ad3f7c9bd000d4c52cd89285aad9266a88",
+            "79fc90bbb1a9c9b3707f502874aa4e8ad11b3848830dfe1e9ebf6b18f33e7bfe",
     },
     "testcase1_nonsmooth": {
         "trajectory.csv":
             "005aa2506ac29d0f98ec7c8f2fdfc1294e532bb82df16c23cc4d9815cf2b5abe",
         "summary.json":
-            "e5db5f3d1bb09cc562f70467a5d5455e888641eeb9cfe330d08e1e01713a32c7",
+            "0826ca09c755b14f72631d086e55fc81f96f044f7b8cc586c9d5dae4cd78c742",
     },
     "testcase2_online": {
         "trajectory.csv":
@@ -179,9 +179,9 @@ GOLDEN = {
     },
     "sweep_regions": {
         "sweep.csv":
-            "a1a5376218b9759cc2240d3944694f37a835f2c0718703159373a844ed0f2a4e",
+            "de218c75188fb8febe88e734e6707b947d256d55b7b832eca09a2da4f76d3942",
         "summary.json":
-            "06a0f9a00ed68eaf494683cf98c58d6e58186981e6c692170f0b9a165963f905",
+            "9790e211387891accbe69334a05fd7b6eacb5fa152588b5bd844eab5ffd0a6ec",
     },
 }
 
@@ -239,7 +239,7 @@ DRY_RUN = {
     "testcase1":
         "5041b679bbcda07c6d3d595662c454723ca518e9968fca6eeefcfbc0e81da6b9",
     "testcase1_nonsmooth":
-        "daddcc7213f0c87548bfbcae79d1aed9b707f256421e2dcd6f6ac1380d7af514",
+        "75b026092574017475ec185f1534457ad394e720f159bf5fcb43c629c145cade",
     "testcase2_online":
         "115954bbfb90777c7ab58ddd3bcc5413883b5d317cccece891f2800f6821b95a",
 }
