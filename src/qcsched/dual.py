@@ -70,9 +70,9 @@ _ROOT_TOL, _ROOT_ITERS = 1e-13, 256
 class DualEvaluation:
     """value = Σλř + served cost; subgradient_m = ř_m - per_user_avg_rate_m;
     avg_power is the served weighted power Σ μ_m·E[Υ(R*)·w]. In smooth
-    mode ``jacobian()`` returns ∂g/∂λ (M, M) from this evaluation's tables
-    and gathered columns (Problem.evaluate); in hard mode it is None, except
-    for PerfectCSI's differentiable hard dual."""
+    mode ``jacobian()`` returns ∂g/∂λ (M, M) from this evaluation's tables,
+    gathered columns and ε-window (Problem.evaluate); in hard mode it is
+    None, except for PerfectCSI's differentiable hard dual."""
 
     value: float
     subgradient: np.ndarray
@@ -181,8 +181,8 @@ class Problem:
         are each taken once through ``columns`` as user-major (M, J) arrays,
         and the weights reduce over the M user rows. Served rates are the
         row sums of R·w·p and the served cost the sum of C·w·p. The
-        Jacobian reuses tables and columns, and is computed only when
-        ``jacobian()`` is called.
+        Jacobian reuses tables, columns and the ε-window u with its sums Z,
+        and is computed only when ``jacobian()`` is called.
 
         In both modes the power is the served cost plus λ·(served rate).
         """
@@ -200,8 +200,13 @@ class Problem:
         else:
             index, probs = self.columns
             cost, rate = tables.cost.take(index), tables.rate.take(index)
-            jacobian = partial(self._jacobian, lam, tables, cost, rate, eps)
-            w = smooth_weights(cost, eps)
+            u, cstar = smooth_window(cost, eps)
+            w = u * u
+            # an idle column (c* ≥ 0) has Z = ∞, so w = 0 there
+            z = np.where(cstar < 0.0, w.sum(axis=0), np.inf)
+            jacobian = partial(self._jacobian, lam, tables, cost, rate, u, z,
+                               eps)
+            w /= z
             w *= probs
         served_rate = (rate * w).reshape(len(lam), -1).sum(axis=1)
         served_cost = float((cost * w).sum())
@@ -228,9 +233,11 @@ class Problem:
 
     def _jacobian(self, lam: np.ndarray, tables: RateCostTables,
                   cost_all: np.ndarray, rate_all: np.ndarray,
+                  u_all: np.ndarray, z_all: np.ndarray,
                   eps: float) -> np.ndarray:
         """Analytic Jacobian ∂g/∂λ (M, M), not symmetric, of the smooth rate
-        deficit g = ř - r̄, from one evaluation's tables and (M, J) columns.
+        deficit g = ř - r̄, from one evaluation's tables, (M, J) columns and
+        ε-window u with its (J,) sums Z.
 
         By the envelope theorem ∂C_n/∂λ_n = -R*_n. Per column let
         d = C - c*, s = argmin C, and on the ε-window a = (1 - d/ε)²,
@@ -255,9 +262,7 @@ class Problem:
             part = slice(j0, j0 + step)
             cost, rate = cost_all[:, part], rate_all[:, part]
             rp, p = rp_all[:, part], probs[part]
-            u, cstar = smooth_window(cost, eps)
-            # an idle column (c* ≥ 0) has Z = ∞, so w = b = 0 there
-            z = np.where(cstar < 0.0, np.sum(u * u, axis=0), np.inf)
+            u, z = u_all[:, part], z_all[part]
             w, b = u * u / z, -2.0 * u / (eps * z)
             pr = p * rate
             diag += (p * w * rp - pr * b * rate).sum(axis=1)

@@ -24,10 +24,10 @@ and strictly convex in x with Υ(0) = 0:
   Υ⁻¹(y) = [S_lo·(ln(1+y·q_lo) + e^{t_lo}E1(t_lo))
             - S_hi·(ln(1+y·q_hi) + e^{t_hi}E1(t_hi))] / (Pr·ln 2)
   with S = e^{-q/ḡ}, t = (1+y·q)/(y·ḡ), stable down to y → 0. Υ̇⁻¹ is one
-  root-find on (Υ⁻¹)' for the power y* = Υ(R*), Υ one on Υ⁻¹, each from a
-  bracket that Jensen's inequality gives in terms of E[g|R] and E[g²|R];
-  no outage regions. Every root-find here is safeguarded Newton
-  (``_vec_newton``).
+  root-find on 1/(Υ⁻¹)', nearly linear, for the power y* = Υ(R*), Υ one
+  on Υ⁻¹, each from a bracket that Jensen's inequality gives in terms of
+  E[g|R] and E[g²|R]; no outage regions. Every root-find here is
+  safeguarded Newton (``_vec_newton``) started at the bracket's upper end.
 
 The first three families share the shape Υ(x) = c·(2^x - 1) with a per-region
 constant c, which gives closed-form marginals:
@@ -145,16 +145,15 @@ def _truncated_exp(ctx: RegionContext):
 
 def _vec_newton(f_df, lo, hi, rel_tol, max_iter, what: str):
     """Safeguarded Newton ("rtsafe") on an increasing f, elementwise: ``f_df``
-    gives (f, f'), f(lo) ≤ 0, and hi is doubled until f(hi) ≥ 0. A step
-    narrows the bracket by the sign of f and takes the Newton point if it is
-    finite and strictly inside, else the midpoint. An element stops on its
-    own once its step or bracket is within rel_tol·(1 + |x|); ``max_iter``
-    counts these safeguarded steps."""
-    hi = _grow_bracket(lambda v: f_df(v)[0], hi, what)
-    x = 0.5 * (lo + hi)
-    live = np.ones(x.shape, dtype=bool)
+    gives (f, f'), f(lo) ≤ 0, and hi is doubled until f(hi) ≥ 0. The first
+    step starts at hi, from the evaluation that confirmed it. A step narrows
+    the bracket by the sign of f and takes the Newton point if it is finite
+    and strictly inside, else the midpoint. An element stops on its own once
+    its step or bracket is within rel_tol·(1 + |x|); ``max_iter`` counts
+    these safeguarded steps."""
+    hi, f, df = _grow_bracket(f_df, hi, what)
+    x, live = hi, np.ones(hi.shape, dtype=bool)
     for _ in range(max_iter):
-        f, df = f_df(x)
         lo = np.where(live & (f < 0.0), x, lo)
         hi = np.where(live & (f > 0.0), x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -166,20 +165,22 @@ def _vec_newton(f_df, lo, hi, rel_tol, max_iter, what: str):
         live &= ~(small | (hi - lo <= rel_tol * (1.0 + np.abs(hi))))
         if not live.any():
             return x
+        f, df = f_df(x)
     raise NumericError(f"root-find for {what} did not converge",
                        float(np.max(np.abs(f[live]))))
 
 
 @np.errstate(over="ignore")            # overflow is the expected exit
-def _grow_bracket(f, hi, what: str):
-    """Double hi until f(hi) ≥ 0 elementwise; if hi overflows first, the
+def _grow_bracket(f_df, hi, what: str):
+    """Double hi until f(hi) ≥ 0 elementwise and return (hi, f(hi), f'(hi)),
+    the last evaluation, which is Newton's first; if hi overflows first, the
     residual is the worst finite |f| of the last bracket that had one."""
     resid = np.nan
     while np.all(np.isfinite(hi)):
-        fh = f(hi)
+        fh, dfh = f_df(hi)
         short = ~(fh >= 0.0)
         if not short.any():
-            return hi
+            return hi, fh, dfh
         finite = short & np.isfinite(fh)
         resid = float(np.max(np.abs(fh[finite]))) if finite.any() else resid
         hi = np.where(short, 2.0 * hi, hi)
@@ -414,22 +415,24 @@ class ErgodicCapacity(PowerRate):
         the size-biased law g·dP/m1, (Υ⁻¹)'(y) ≥ m1/((1 + y·m2/m1)·ln2).
         Setting each bound to 1/slope gives ρ·y_hi ≤ y* ≤ y_hi with
         y_hi = slope/ln2 - 1/m1, positive on exactly the active cells, and
-        ρ = m1²/m2 ≤ 1."""
+        ρ = m1²/m2 ≤ 1. The root-find is on F(y) = 1/(Υ⁻¹)'(y) - slope,
+        F' = -(Υ⁻¹)''/((Υ⁻¹)')², which the bounds put between the lines
+        ln2·(1 + y·m1)/m1 - slope and ln2·(1 + y·m2/m1)/m1 - slope, equal
+        for a point-mass gain: Newton from y_hi lands almost on the root."""
         *cells, t = np.broadcast_arrays(*data, _nonneg(slope, "slope"))
         active = t > _LN2 / cells[3]
-        c = tuple(a[active] for a in cells)
-        inv_t = 1.0 / t[active]
-        edges = self._edges(c, inv_t)
+        c, t = tuple(a[active] for a in cells), t[active]
+        edges = self._edges(c, t)
         m1, m2 = edges[5:]
 
         def f_df(y):
             _, deriv, curv = self._closed_form(edges, y)
-            return inv_t - deriv, -curv
+            return 1.0 / deriv - t, -curv / (deriv * deriv)
 
         # widened by the root-find's absolute tolerance: ρ·y_hi is tight to
         # first order as y* → 0, where rounding in (Υ⁻¹)' can put the root
         # just below it, and y_hi cancels just above Υ̇(0)
-        y_hi = t[active] / _LN2 - 1.0 / m1
+        y_hi = t / _LN2 - 1.0 / m1
         lo = np.maximum(m1 * m1 / m2 * y_hi - ROOT_TOL, 0.0)
         hi = np.maximum(y_hi, ROOT_TOL)
         y = _vec_newton(f_df, lo, hi, ROOT_TOL, ROOT_MAX_ITER,
@@ -440,7 +443,7 @@ class ErgodicCapacity(PowerRate):
             r[capped] = rate_cap
             y[capped] = self.power_of_rate(tuple(a[capped] for a in c),
                                            rate_cap)
-        rate, power = np.zeros(t.shape), np.zeros(t.shape)
+        rate, power = np.zeros(active.shape), np.zeros(active.shape)
         rate[active], power[active] = r, y
         return rate, power
 

@@ -533,9 +533,9 @@ def test_evaluate_matches_the_column_major_oracle(instance):
 
 def test_jacobian_chunks_of_one_class_match_one_chunk(monkeypatch):
     # a random ladder gives every channel its own class; a _JAC_CHUNK of one
-    # class's column entries runs the chunk loop, and its one smooth_window
-    # call, once per class, which regroups the column sums but not their
-    # terms
+    # class's column entries runs the chunk loop, and its two einsum
+    # contractions, once per class, which regroups the column sums but not
+    # their terms
     M, K, L, eps = 3, 6, 3, 0.5
     fading = FadingModel(np.array([[1.0, 2.0, 0.8, 1.5, 2.5, 1.2],
                                    [0.6, 1.4, 2.2, 1.0, 0.9, 3.0],
@@ -546,13 +546,13 @@ def test_jacobian_chunks_of_one_class_match_one_chunk(monkeypatch):
     lam = np.array([1.5, 2.0, 2.5])
     ev = problem.evaluate(lam, "smooth", eps)
     one = ev.jacobian()
-    chunks, window = [], dual.smooth_window
-    monkeypatch.setattr(dual, "smooth_window",
-                        lambda cost, eps: chunks.append(cost.shape[1])
-                        or window(cost, eps))
+    chunks, einsum = [], np.einsum
+    monkeypatch.setattr(np, "einsum",
+                        lambda spec, a, b: chunks.append(a.shape[1])
+                        or einsum(spec, a, b))
     monkeypatch.setattr(dual, "_JAC_CHUNK", L ** M * M)
     split = ev.jacobian()
-    assert chunks == [L ** M] * K
+    assert chunks == [L ** M] * (2 * K)
     assert np.count_nonzero(one) == M * M
     _agree(split, one, 1e-13)
     _, jac = column_major_dual(problem, lam, "smooth", eps)

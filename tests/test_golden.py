@@ -91,27 +91,27 @@ MICRO_FAMILIES = {
 GOLDEN = {
     "compare_schemes": {
         "compare.csv":
-            "87f2b03250fff04eb6713d149bf8bc130e6230ba7b9569b347a6eb7fbbce3bb9",
+            "d8a35a553f6d26bf341f6d50121288c727cbbdbd9498ff7f3fd8764093b71fab",
         "summary.json":
-            "eac055e6e1100c391a0a0efbc642a9ee1f312fc85a05cdeeb6225c1290f56591",
+            "356df05e15c3bdd9b82d68b9c8341e5c3221e41a90ee29306580af568ef3af97",
     },
     "micro_avg_ber_compare": {
         "compare.csv":
-            "0edc56cede402456e0259f544d4a6e210c20deeb1a180504bd3ce5e73175ee74",
+            "332ef2d40ad135d6012a8b9ef75ed9deb0275b8beadf4735a5d2239844e6a8fd",
         "summary.json":
-            "2499230c716b3c880b5e43c34f864b259e2ce490f7902433cc91c14cfa288d66",
+            "a4dac9b25878b68d6119edbad7772eb311f01f8f1dcafec2a7ca8bbc7feae8de",
     },
     "micro_avg_ber_offline": {
         "trajectory.csv":
-            "629a0e0410856e470d2b0c56cd204cd84e6119e2e1ca10ea52f02c7c2306dee0",
+            "ab00625c564b6c8c8e86a580c03eeb85ce33d4d526c0a3ad4b234b02b2f8dda7",
         "summary.json":
-            "aaf1ce301f469aa9a7a90cf4aff3142dfbdc35af989af932f7d0bcc849a2c91f",
+            "ba4b30deecd4127305b5fdf9c3419094b860844ecb536418e5ab05b26f4e5be1",
     },
     "micro_inst_ber_compare": {
         "compare.csv":
-            "6d430ce34e6e62ab1d60f55222f19d27bdae45bf4d97c1f0247fccbe90453031",
+            "df82b5cd74c8f0f43e116fe200f711dab8d65b37a8bc95f4df031aca985b9c98",
         "summary.json":
-            "46a407f6994c7802241a28ad3d137f952b9bbd6f8104fa2ad1a563f7389907af",
+            "0b9231c52946896be6a09a1eb2d3c9a3da0ffa19ebfef97aa3cc64634ca88801",
     },
     "micro_inst_ber_offline": {
         "trajectory.csv":
@@ -121,27 +121,27 @@ GOLDEN = {
     },
     "micro_compare": {
         "compare.csv":
-            "30dd5fb948695d3ea21c0b7b2e012192352d1dfdcaf9470a513c29f7263664a3",
+            "4806785c04a92f184a0fec13f998ca7412928dc7c74746ef77230ca4ae07f02a",
         "summary.json":
-            "110ac724e9fd092c44c3a78a833dce76729f785bfb9307ef0f2333d4efdcb0f0",
+            "3c215817c94274bebab2fb358ffc108dc0d59ffb974bfec222f34cd7c72bd37a",
     },
     "micro_compare_snr_points": {
         "compare.csv":
-            "e91520d12edb33e323792c7a64cf06347a719915f3df7c3d99fa9a287f997d36",
+            "e0f25220c01d170b61faf8a8e78cd7e7b8172b05506f1f7e8c04547eab6fb80c",
         "summary.json":
-            "d32e4eae487e2cda75c811bceca0373a06390d21b1b0766c49a25e6836f6c776",
+            "759a5622883cf437fe29fbd73c829ff026f378d6b68eaf7d4e09ccc863048e90",
     },
     "micro_ergodic_compare": {
         "compare.csv":
-            "9135f7a2b7fa72f6327acb21a9aa108f237506614ff9234b716f5a494b876b14",
+            "27e6537f7a2c1b6d5f4aa910ae2ab970b50c0bbda97d009e5e704792b9cf098f",
         "summary.json":
-            "3604fb9e1a757aa7a452c4b0dcca420c2042ba26e1944b7395365f6ab745f019",
+            "f71acb673d506984da46d8cc67fa277d1b46751e6553703a6003112cb5cc04b6",
     },
     "micro_ergodic_offline": {
         "trajectory.csv":
-            "113b3021cbacd440f396b8ac2255951606542ea2f8c7bf2698c3c82cd80f0894",
+            "f5c8394db2c8e5773981f467f1b0dd71c1a4dc68b71944883a1bcc446d7c2819",
         "summary.json":
-            "393eeda7366227abe48692badce928918aaedaf2ff6661a605c2a5d9042de8ea",
+            "58c536990dbc1b8727740b589e99751a5a4355b9c23fe3054d96778f143e3ae7",
     },
     "micro_online": {
         "trajectory.csv":
@@ -151,9 +151,9 @@ GOLDEN = {
     },
     "micro_sweep": {
         "sweep.csv":
-            "c1db465d6769cc2f3430b66213cf25f77178c2a8cbe829986a9e9472edea9e12",
+            "bd991b5b16a506a0a8ff85aa5c4a59872dee9cb047bf7fddf1d304c890381430",
         "summary.json":
-            "584bc9999e6a431314a10b9f5b4fa53c83d3ef29b4515f639699e452de8c855c",
+            "91b10bb8e1ff592c41fece7111a10840e774fdb32232128b80da4e788e879c5a",
     },
     "overhead": {
         "summary.json":
@@ -179,9 +179,9 @@ GOLDEN = {
     },
     "sweep_regions": {
         "sweep.csv":
-            "de218c75188fb8febe88e734e6707b947d256d55b7b832eca09a2da4f76d3942",
+            "642f3eb47bfb932b3f0a2decf156e4582800ba2debf5d1d80c7cc5bffa9f4998",
         "summary.json":
-            "9790e211387891accbe69334a05fd7b6eacb5fa152588b5bd844eab5ffd0a6ec",
+            "261c0b5ea3b4a2b1512083074c3d9c37eaf33172de170faa25e77ab8ee703df4",
     },
 }
 
