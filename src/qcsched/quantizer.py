@@ -13,6 +13,7 @@ probability is the product across users (independent fading).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,12 @@ class QuantizerGrid:
     def regions_per_channel(self) -> int:
         return self.thresholds.shape[2] - 1
 
+    @cached_property
+    def _guide(self):
+        # windows three buckets wide over L - 1 thresholds make the width at
+        # least 3, so below L = 9 the table cannot save two levels
+        return _guide_table(self) if self.regions_per_channel > 8 else None
+
 
 def build_equiprobable(model: FadingModel, regions: int) -> QuantizerGrid:
     """Ladders with Pr{region l} = 1/L exactly under the exponential gain law.
@@ -127,32 +134,77 @@ def build_random(model: FadingModel, regions: int, gain_range, seed: int) -> Qua
     return QuantizerGrid(thresholds=thr, mean_gain=model.mean_gain)
 
 
-def quantize(grid: QuantizerGrid, gains: np.ndarray) -> np.ndarray:
-    """Map an (M, K) gain matrix (or a stacked (..., M, K) batch) to 1-based
-    region indices.
-
-    Membership is half-open, [q_l, q_{l+1}); a gain exactly at an interior
-    threshold lands in the upper region.
-
-    Each gain costs ⌈log2 L⌉ threshold comparisons: a branchless binary
-    search for the last q_l ≤ g, run on every gain of the batch at once.
-    """
-    gains = np.asarray(gains, dtype=float)
-    M, K, L1 = grid.thresholds.shape
-    if gains.shape[-2:] != (M, K):
-        raise ValueError("gain matrix shape does not match the grid")
-    flat = grid.thresholds.reshape(-1)
-    ladder = np.arange(0, M * K * L1, L1).reshape(M, K)    # q_1 of each cell
-    # pos is a flat threshold index; invariant: the last q_l <= g lies in
-    # [pos, pos + n), which holds at the start because q_1 = 0
-    pos = ladder + np.zeros(gains.shape, dtype=np.intp)
-    n = L1 - 1
+def _descend(flat, pos, n, gains):
+    # moves flat indices pos in place to the last q_l <= g in [pos, pos + n)
     while n > 1:
         half = n // 2
         # ties go up because of <=
         pos += half * (flat.take(pos + half) <= gains)
         n -= half
-    return pos - ladder + 1
+    return pos
+
+
+def _guide_table(grid: QuantizerGrid):
+    """``quantize``'s guide table (Chen & Asau, 1974): flat starts laid out
+    like the ladders (entry B repeats B-1, for u = 1) and the width n, or None
+    when n does not save two search levels."""
+    M, K, L1 = grid.thresholds.shape
+    L = L1 - 1
+    with np.errstate(divide="ignore"):
+        base = -np.log1p(-np.clip(np.arange(-1, L + 2), 0, L) / L)
+    edges = base[:, None, None] * grid.mean_gain          # E_{-1} .. E_{L+1}
+    ladder = np.arange(0, M * K * L1, L1).reshape(M, K)
+    region = _descend(grid.thresholds.reshape(-1),
+                      ladder + np.zeros(edges.shape, dtype=np.intp), L,
+                      edges) - ladder
+    n = int((region[3:] - region[:-3]).max()) + 1       # E_{b-1} .. E_{b+2}
+    if (n - 1).bit_length() > (L - 1).bit_length() - 2:
+        return None
+    # start + n stays at or below q_{L+1}, which must never be read
+    starts = np.minimum(region[np.r_[:L, L - 1]], L - n)   # (L+1, M, K)
+    table = (np.moveaxis(starts, 0, -1) + ladder[:, :, None]).reshape(-1)
+    table.setflags(write=False)
+    return table, n
+
+
+def quantize(grid: QuantizerGrid, gains: np.ndarray) -> np.ndarray:
+    """Map an (M, K) gain matrix (or a stacked (..., M, K) batch) to 1-based
+    region indices.
+
+    Membership is half-open, [q_l, q_{l+1}); a gain exactly at an interior
+    threshold lands in the upper region, and +inf in region L. NaN and
+    negative gains raise ValueError.
+
+    A branchless binary search for the last q_l <= g runs on the whole batch,
+    each level about four array passes: ⌈log2 L⌉ levels from q_1. The grid's
+    guide table splits each cell's CDF u = -expm1(-g/ḡ) into B = L buckets;
+    bucket b starts at the region of E_{b-1} = -ḡ·log1p(-(b-1)/B), and the
+    search then needs ⌈log2 n⌉ levels, n the widest region span from E_{b-1}
+    to E_{b+2}. Finding b costs about two levels, so the table serves only
+    where it saves two: equiprobable ladders have n <= 4, 2 levels for 8 at
+    L = 256. It is exact, since rounding moves u and the edges by a few ulps,
+    far less than the one bucket of padding on each side of b.
+    """
+    gains = np.asarray(gains, dtype=float)
+    M, K, L1 = grid.thresholds.shape
+    if gains.shape[-2:] != (M, K):
+        raise ValueError("gain matrix shape does not match the grid")
+    if gains.size and not gains.min() >= 0.0:               # NaN fails too
+        raise ValueError(
+            f"gains must be non-negative: {np.count_nonzero(np.isnan(gains))} "
+            f"NaN and {np.count_nonzero(gains < 0.0)} negative")
+    ladder = np.arange(0, M * K * L1, L1).reshape(M, K)    # q_1 of each cell
+    guide = grid._guide
+    if guide is None:                                       # q_1 = 0 <= g
+        pos, n = ladder + np.zeros(gains.shape, dtype=np.intp), L1 - 1
+    else:
+        starts, n = guide
+        with np.errstate(over="ignore"):                  # huge g/ḡ: u = 1
+            t = gains / -grid.mean_gain
+        np.expm1(t, out=t)
+        t *= -(L1 - 1)                                      # B·u in [0, B]
+        pos = starts.take(t.astype(np.intp) + ladder)
+    return _descend(grid.thresholds.reshape(-1), pos, n, gains) - ladder + 1
 
 
 def region_prob_table(grid: QuantizerGrid) -> np.ndarray:

@@ -167,6 +167,94 @@ def test_quantize_matches_threshold_count(L, ladder, seed, gains):
         np.testing.assert_array_equal(quantize(grid, gains[i]), got[i])
 
 
+def _ladder(kind, L, mean_gain, seed=0):
+    """A grid on ``mean_gain`` whose ladders are equiprobable for it, random,
+    or equiprobable for `scale`·ḡ (mismatched 10×, near 1.5×)."""
+    if L == 1:
+        return QuantizerGrid(np.tile([0.0, np.inf], mean_gain.shape + (1,)),
+                             mean_gain)
+    if kind == "random":
+        return build_random(FadingModel(mean_gain, seed=0), L, (0.0, 6.0),
+                            seed=seed)
+    scale = {"equiprobable": 1.0, "mismatched": 10.0, "near": 1.5}[kind]
+    base = build_equiprobable(FadingModel(scale * mean_gain, seed=0), L)
+    return QuantizerGrid(base.thresholds, mean_gain)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4, 15, 16, 17, 64, 256])
+@pytest.mark.parametrize("kind", ["equiprobable", "random", "mismatched",
+                                  "near"])
+def test_quantize_exact_at_bucket_edges(L, kind):
+    # the guide table's buckets split u = 1 - e^{-g/ḡ} at E_b; a gain at an
+    # edge or one ulp either side sits where rounding could pick the wrong
+    # bucket, so every one of them must still match the defining rule
+    rng = np.random.default_rng(L)
+    mg = rng.uniform(0.2, 5.0, size=(2, 3))
+    grid = _ladder(kind, L, mg, seed=L)
+    with np.errstate(divide="ignore"):
+        edges = -np.log1p(-np.arange(L + 1) / L)[:, None, None] * mg
+    special = np.array([0.0, 5e-324, 1e300, np.inf])[:, None, None]
+    gains = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf),
+                            np.broadcast_to(special, (4, 2, 3))])
+    got = quantize(grid, gains)
+    np.testing.assert_array_equal(got, _threshold_count(grid, gains))
+    for i in range(len(gains)):
+        np.testing.assert_array_equal(quantize(grid, gains[i]), got[i])
+
+
+@pytest.mark.parametrize("L", [16, 64, 256, 1024])
+def test_guide_table_width_size_and_caching(L, monkeypatch):
+    builds = []
+    real = qz._guide_table
+    monkeypatch.setattr(qz, "_guide_table",
+                        lambda grid: builds.append(grid) or real(grid))
+    gains = sample_gain_blocks(FadingModel(np.ones((2, 3)), seed=4), 0, 5)
+    for mg in (np.ones((2, 3)), np.array([[0.3, 1.0, 7.0], [2.0, 0.05, 1.0]])):
+        grid = build_equiprobable(FadingModel(mg, seed=0), L)
+        table, n = grid._guide
+        assert n <= 4
+        assert table.nbytes <= grid.thresholds.nbytes
+        quantize(grid, gains)
+        quantize(grid, gains)
+    assert len(builds) == 2                 # once per grid, not per call
+
+
+def test_small_ladders_never_build_a_guide_table(monkeypatch):
+    monkeypatch.setattr(qz, "_guide_table", lambda grid: pytest.fail("built"))
+    model = FadingModel(np.ones((2, 3)), seed=4)
+    for L in range(1, 9):
+        grid = _ladder("equiprobable", L, model.mean_gain)
+        j = quantize(grid, sample_gain_blocks(model, 0, 20))
+        assert grid._guide is None and j.max() <= L
+
+
+@pytest.mark.parametrize("L", [4, 256])
+def test_quantize_refuses_nan_and_negative_gains(L):
+    grid = build_equiprobable(_unit_model(2, 3), L)
+    gains = np.ones((4, 2, 3))
+    gains[0, 1, 2] = gains[3, 0, 0] = np.nan
+    gains[2, 1, 1] = -1e-300
+    with pytest.raises(ValueError, match="2 NaN and 1 negative"):
+        quantize(grid, gains)
+    with pytest.raises(ValueError, match="0 NaN and 6 negative"):
+        quantize(grid, -np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("L", [4, 256])
+def test_quantize_infinite_and_huge_gains(L):
+    # +inf lands in region L, and no finite gain overflows on its way to a
+    # bucket, not even the largest double on a tiny mean gain
+    grid = build_equiprobable(_unit_model(2, 3, mean=1e-3), L)
+    values = [np.inf, 1e300, np.finfo(float).max, 5e-324]
+    gains = np.multiply.outer(values, np.ones((2, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = quantize(grid, gains)
+    np.testing.assert_array_equal(got[:3], L)
+    np.testing.assert_array_equal(got[3], 1)
+
+
 # --- probabilities -------------------------------------------------------------
 
 def test_region_prob_by_hand():
