@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_SEED = 2 ** 64 - 1  # a seed is one word of a two-word Philox key
+
 
 def snr_db_to_mean_gain(snr_db) -> np.ndarray:
     """Map average SNR in dB to mean linear gain under unit noise variance."""
@@ -36,7 +38,7 @@ class FadingModel:
             raise ValueError("mean_gain must be a nonempty M x K matrix")
         if not np.all(np.isfinite(mg)) or np.any(mg <= 0.0):
             raise ValueError("mean gains must be finite and strictly positive")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not 0 <= int(self.seed) <= MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
         mg = mg.copy()
         mg.setflags(write=False)

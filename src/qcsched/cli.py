@@ -1,53 +1,45 @@
 """Batch experiment runner: JSON config in, CSV tables + summary.json out.
 
-Config schema. It is strict: a key no mode reads exits 2, and so does a key
-only other modes read (``READS``). Overhead reads the keys marked "all";
-the other modes read those, every unmarked key and the keys marked theirs.
+Config shape. ``SCHEMA`` states, for each key, the modes that read it, the
+values it takes and its default. A config may set only the keys its mode
+reads (``READS``); any other key exits 2.
 
 {
   "mode": "offline_smooth" | "offline_nonsmooth" | "online" | "compare"
-          | "sweep_regions" | "overhead",    # all
-  "out_dir": "results",                      # all; --out overrides
+          | "sweep_regions" | "overhead",
+  "out_dir": "results",                      # --out overrides
   "fading": {
-    "num_users": 4, "num_channels": 16,      # all
+    "num_users": 4, "num_channels": 16,
     "snr_db": 6.0,                           # scalar or one per user …
-    "mean_gain": [[...], ...],               # … or an M x K matrix; neither
-                                             # with compare.snr_db
-    "seed": 0                                # online; u64, --seed overrides
+    "mean_gain": [[...], ...],               # … or an M x K matrix
+    "seed": 0                                # u64, --seed overrides
   },
-  "quantizer": {                             # all
+  "quantizer": {
     "type": "equiprobable" | "random" | "explicit",
     "regions": 4,
-    "gain_range": [0.0, 12.0], "seed": 7,    # random only
-    "thresholds": [[[0.0, ..., "inf"]]]      # explicit only
+    "gain_range": [0.0, 12.0], "seed": 7,    # random
+    "thresholds": [[[0.0, ..., "inf"]]]      # explicit
   },
   "power_rate": {"family": "outage_capacity",
                  "params": {...}},           # the family's physical ones
   "targets": [4, 8, 12, 16],
-  "mu": [1, 1, 1, 1],                        # optional, defaults to ones
-  "rate_cap": 12.0,                          # optional
-  "enum_budget": 1000000,                    # optional; offline_smooth,
-                                             # sweep_regions, compare with
-                                             # RA2, RA3 or RA4
-  "solver": {"init": 0.1, "tol": 0.001,     # optional, defaulted
-             "eps": 0.05, "beta": 0.01,      # not offline_nonsmooth
-             "kappa": 0.1,                   # offline_nonsmooth only
-             "max_iters": 200000,            # not online
-             "record_every": 1},             # solver modes (--log-every)
-  "online":  {"num_blocks": 10000},          # online
-  "compare": {"schemes": [...], "snr_db": [...],            # compare
-              "ra4_seed": 7, "ra4_range_scale": 3.0},   # with RA4
-  "sweep":   {"regions": [2, 3, 4, 6, 8]}          # sweep_regions
+  "mu": [1, 1, 1, 1],
+  "rate_cap": 12.0,
+  "enum_budget": 1000000,
+  "solver": {"init": 0.1, "tol": 0.001,      # init, tol: scalar or per user
+             "eps": 0.05, "beta": 0.01, "kappa": 0.1, "max_iters": 200000,
+             "record_every": 1},             # --log-every overrides
+  "online":  {"num_blocks": 10000},
+  "compare": {"schemes": [...], "snr_db": [...],
+              "ra4_seed": 7, "ra4_range_scale": 3.0},
+  "sweep":   {"regions": [2, 3, 4, 6, 8]}
 }
 
-Omitted ``solver`` keys take the ``SolverConfig`` defaults, in compare and
-sweep_regions the ``CompareSetup`` ones, as do omitted RA4 knobs;
-``rate_cap`` defaults to ``DEFAULT_RATE_CAP``; ``init`` and ``tol`` may be
-per-user lists. Compare and sweep solve smooth points by damped Newton
-(first damping 1/``solver.beta``); RA2 repeats it at ε/4, ε/16, … until its
-tie-LP power and hard dual (``dual_bound``) differ by ≤ λ·tol. RA1, perfect
-CSI, is the exact hard dual at known gains, solved by the same Newton;
-sweep_regions ends with its row, ``regions`` = inf.
+Compare and sweep solve smooth points by damped Newton (first damping
+1/``solver.beta``); RA2 repeats it at ε/4, ε/16, … until its tie-LP power
+and hard dual (``dual_bound``) differ by ≤ λ·tol. RA1, perfect CSI, is the
+exact hard dual at known gains, solved by the same Newton; sweep_regions
+ends with its row, ``regions`` = inf.
 
 Artifacts: every mode writes `summary.json`, with a solver mode's final
 multipliers, `reason` (why the loop stopped) and the rates and power the run
@@ -79,13 +71,14 @@ import sys
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .allocator import DEFAULT_RATE_CAP, TieInfeasibleError
 from .analysis import (CompareSetup, compare_rows, feedback_bits, power_db,
                        solve_rows, sweep_rows)
-from .channel import FadingModel, snr_db_to_mean_gain
+from .channel import MAX_SEED, FadingModel, snr_db_to_mean_gain
 from .powerrate import NumericError, make_model
 from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                         QuantizerGrid, build_equiprobable, build_random)
@@ -99,41 +92,87 @@ EXIT_NOT_CONVERGED = 3
 EXIT_NUMERIC = 4
 
 SOLVER_MODES = ("offline_smooth", "offline_nonsmooth", "online")
-MODES = (*SOLVER_MODES, "compare", "sweep_regions", "overhead")
+ROW_MODES = ("compare", "sweep_regions")
+MODES = (*SOLVER_MODES, *ROW_MODES, "overhead")
 SCHEMES = ("RA1", "RA2", "RA3", "RA4", "RA5")
+QUANTIZERS = ("equiprobable", "random", "explicit")
 
-_SIZE = ("mode", "out_dir", "fading.num_users", "fading.num_channels",
-         "quantizer")
-_GAINS = ("fading.snr_db", "fading.mean_gain")
-_PROBLEM = (*_SIZE, *_GAINS, "power_rate.family", "power_rate.params",
-            "targets", "mu", "rate_cap", "solver.init", "solver.tol")
-_BUDGETED = (*_PROBLEM, "enum_budget", "solver.max_iters", "solver.eps")
-# mode -> the config keys it reads, as dotted paths ("quantizer" stands for
-# its keys, which its type decides). A config may set only keys its mode
-# reads: one that only other modes read exits 2. Only these are resolved.
-READS = {
-    "offline_smooth": (*_BUDGETED, "solver.beta", "solver.record_every"),
-    "offline_nonsmooth": (*_PROBLEM, "solver.max_iters", "solver.kappa",
-                          "solver.record_every"),
-    "online": (*_PROBLEM, "fading.seed", "solver.eps", "solver.beta",
-               "solver.record_every", "online.num_blocks"),
-    "compare": (*_BUDGETED, "solver.beta", "compare.schemes", "compare.snr_db",
-                "compare.ra4_seed", "compare.ra4_range_scale"),
-    "sweep_regions": (*_BUDGETED, "solver.beta", "sweep.regions"),
-    "overhead": _SIZE,
+REQUIRED, UNSET, FIELD = "required", "absent unless set", "field"
+
+
+class Key(NamedTuple):
+    """One config key, read by ``modes``. ``kind`` is int, float, str, dict,
+    object (any value, checked where it is built) or a tuple of choices;
+    ``shape`` the list lengths around it, outermost first: None any, a
+    number or the value of a key (``or_one``: one value may stand for the
+    outer list). Numbers lie in [lo, hi]. ``default`` is a value (repeated
+    over a list's length), REQUIRED, UNSET or FIELD: the field of that name
+    of CompareSetup in row modes, else of SolverConfig. Only a run whose
+    quantizer type is one of ``types`` reads the key, and in compare only
+    one with one of ``schemes``."""
+    modes: tuple
+    kind: type | tuple = float
+    shape: tuple = ()
+    lo: float | None = None
+    hi: float | None = None
+    default: object = REQUIRED
+    or_one: bool = False
+    types: tuple = QUANTIZERS
+    schemes: tuple = SCHEMES
+
+
+_M, _K = "fading.num_users", "fading.num_channels"
+_SOLVED = (*SOLVER_MODES, *ROW_MODES)       # overhead counts bits alone
+_SMOOTH = ("offline_smooth", "online", *ROW_MODES)
+# the keys of the config, in the order they are resolved: a shape names
+# only keys resolved before it
+SCHEMA = {
+    "mode": Key(MODES, MODES),
+    "out_dir": Key(MODES, str, default="."),
+    _M: Key(MODES, int, lo=1),
+    _K: Key(MODES, int, lo=1),
+    "fading.seed": Key(("online",), int, lo=0, hi=MAX_SEED, default=0),
+    "fading.snr_db": Key(_SOLVED, shape=(_M,), or_one=True, default=UNSET),
+    "fading.mean_gain": Key(_SOLVED, shape=(_M, _K), default=UNSET),
+    "quantizer.type": Key(MODES, QUANTIZERS, default="equiprobable"),
+    "quantizer.regions": Key(MODES, int, lo=2,
+                             types=("equiprobable", "random")),
+    "quantizer.gain_range": Key(MODES, shape=(2,), lo=0.0, types=("random",)),
+    "quantizer.seed": Key(MODES, int, lo=0, hi=MAX_SEED, default=0,
+                          types=("random",)),
+    "quantizer.thresholds": Key(MODES, object, types=("explicit",)),
+    "power_rate.family": Key(_SOLVED, object),
+    "power_rate.params": Key(_SOLVED, dict, default={}),
+    "targets": Key(_SOLVED, shape=(_M,), lo=0.0),
+    "mu": Key(_SOLVED, shape=(_M,), default=1.0),
+    # 2^rate_cap overflows past 1024, and RA1's dual from about 1023
+    "rate_cap": Key(_SOLVED, lo=0.0, hi=1000.0, default=DEFAULT_RATE_CAP),
+    "enum_budget": Key(("offline_smooth", *ROW_MODES), int, lo=1,
+                       default=DEFAULT_ENUM_BUDGET,
+                       schemes=("RA2", "RA3", "RA4")),     # which enumerate
+    "solver.init": Key(_SOLVED, shape=(_M,), or_one=True, lo=0.0,
+                       default=FIELD),
+    "solver.tol": Key(_SOLVED, shape=(_M,), or_one=True, default=FIELD),
+    "solver.eps": Key(_SMOOTH, default=FIELD),
+    "solver.beta": Key(_SMOOTH, default=FIELD),
+    "solver.kappa": Key(("offline_nonsmooth",), default=FIELD),
+    "solver.max_iters": Key(("offline_smooth", "offline_nonsmooth",
+                             *ROW_MODES), int, lo=1, default=FIELD),
+    "solver.record_every": Key(SOLVER_MODES, int, lo=1, default=FIELD),
+    "online.num_blocks": Key(("online",), int, lo=1),
+    "compare.schemes": Key(("compare",), SCHEMES, (None,),
+                           default=list(SCHEMES)),
+    "compare.snr_db": Key(("compare",), shape=(None,), default=UNSET),
+    "compare.ra4_seed": Key(("compare",), int, lo=0, hi=MAX_SEED,
+                            default=FIELD, schemes=("RA4",)),  # its ladder
+    "compare.ra4_range_scale": Key(("compare",), lo=0.0, default=FIELD,
+                                   schemes=("RA4",)),
+    "sweep.regions": Key(("sweep_regions",), int, (None,), lo=2),
 }
-
-_SETUP_DEFAULTS = {f.name: f.default for f in fields(CompareSetup)}
-# quantizer type -> the quantizer keys it reads besides type
-_QUANTIZER_READS = {"equiprobable": ("regions",),
-                    "random": ("regions", "gain_range", "seed"),
-                    "explicit": ("thresholds",)}
-# key -> (lower bound, integer), for the solver section (init and tol also
-# take per-user lists) and compare's RA4 knobs
-_BOUNDS = {"beta": (None, False), "kappa": (None, False), "init": (0.0, False),
-           "tol": (None, False), "max_iters": (1, True), "eps": (None, False),
-           "record_every": (1, True), "ra4_seed": (0, True),
-           "ra4_range_scale": (0.0, False)}
+SECTIONS = {path.partition(".")[0] for path in SCHEMA if "." in path}
+# mode -> the keys it reads with some quantizer type and schemes
+READS = {mode: tuple(path for path, key in SCHEMA.items() if mode in key.modes)
+         for mode in MODES}
 
 
 class ConfigError(Exception):
@@ -141,12 +180,6 @@ class ConfigError(Exception):
 
 
 # --- strict schema helpers ---------------------------------------------------
-
-def _need(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"{where}: missing required key '{key}'")
-    return d[key]
-
 
 def _number(v, where: str, lo=None, hi=None, integer=False):
     if (isinstance(v, bool) or not isinstance(v, (int, float))
@@ -161,12 +194,28 @@ def _number(v, where: str, lo=None, hi=None, integer=False):
     return int(v) if integer else float(v)
 
 
-def _num_list(v, where: str, length=None, lo=None):
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{where}: expected a nonempty list")
-    if length is not None and len(v) != length:
-        raise ConfigError(f"{where}: expected {length} entries, got {len(v)}")
-    return [_number(x, f"{where}[{i}]", lo=lo) for i, x in enumerate(v)]
+def _parse(key: Key, v, where: str, values: dict):
+    """``v`` checked against ``key``; ``values`` holds the resolved keys
+    its shape names."""
+    if key.shape and not (key.or_one and not isinstance(v, list)):
+        n = values.get(key.shape[0], key.shape[0])
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{where}: expected a nonempty list")
+        if n is not None and len(v) != n:
+            raise ConfigError(f"{where}: expected {n} entries, got {len(v)}")
+        item = key._replace(shape=key.shape[1:], or_one=False)
+        return [_parse(item, x, f"{where}[{i}]", values)
+                for i, x in enumerate(v)]
+    if key.kind in (int, float):
+        return _number(v, where, key.lo, key.hi, key.kind is int)
+    if isinstance(key.kind, tuple):
+        if v not in key.kind:
+            raise ConfigError(f"{where}: expected one of {key.kind}, "
+                              f"got {v!r}")
+    elif not isinstance(v, key.kind):
+        raise ConfigError(f"{where}: expected "
+                          + ("a string" if key.kind is str else "an object"))
+    return v
 
 
 def _section(cfg: dict, key: str) -> dict:
@@ -176,21 +225,23 @@ def _section(cfg: dict, key: str) -> dict:
     return v
 
 
-def _check_keys(raw: dict, reads, where: str) -> None:
-    """Refuse each key of ``raw`` and of its sections that no mode reads,
-    then each that ``reads`` lacks (another mode's key)."""
-    def read(keys, path):       # a section is read with any key in it
-        return any(f"{k}.".startswith(f"{path}.") or path.startswith(f"{k}.")
-                   for k in keys)
-    subkeys = [f"{k}.{s}" for k, v in raw.items() if isinstance(v, dict)
-               for s in v]
-    for path in (*raw, *subkeys):
-        if not any(read(keys, path) for keys in READS.values()):
-            section, _, key = path.rpartition(".")
-            raise ConfigError(f"{section or 'config'}: unknown keys {[key]}")
-    for path in (*subkeys, *raw):
-        if not read(reads, path):
-            raise ConfigError(f"{path}: not read in {where}")
+def _value(raw: dict, path: str, knobs: type, values: dict):
+    """The value of ``path`` in ``raw`` or else its default, parsed; UNSET
+    if it has neither. FIELD defaults come from the class ``knobs``."""
+    key = SCHEMA[path]
+    section, _, leaf = path.rpartition(".")
+    given = _section(raw, section) if section else raw
+    if leaf in given:
+        return _parse(key, given[leaf], path, values)
+    if key.default == UNSET:
+        return UNSET
+    if key.default == REQUIRED:
+        raise ConfigError(f"{section or 'config'}: missing required key "
+                          f"'{leaf}'")
+    v = getattr(knobs, leaf) if key.default == FIELD else key.default
+    if key.shape and not (key.or_one or isinstance(v, list)):
+        v = [v] * values[key.shape[0]]
+    return _parse(key, v, path, values)
 
 
 def resolve_config(raw: dict) -> dict:
@@ -198,139 +249,55 @@ def resolve_config(raw: dict) -> dict:
     its mode reads, and only of those."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    mode = _need(raw, "mode", "config")
-    if mode not in MODES:
-        raise ConfigError(f"config.mode: expected one of {MODES}, got {mode!r}")
-    reads, where = READS[mode], f"{mode} mode"
-    if mode == "compare":
-        cp = _section(raw, "compare")
-        schemes = cp.get("schemes", list(SCHEMES))
-        if (not isinstance(schemes, list) or not schemes
-                or any(s not in SCHEMES for s in schemes)):
-            raise ConfigError(f"compare.schemes: expected a subset of {SCHEMES}")
-        unread, given = set(), []
-        if "snr_db" in cp:      # each SNR point's gains come from it
-            unread.update(_GAINS)
-            given.append("compare.snr_db")
-        if not {"RA2", "RA3", "RA4"} & set(schemes):    # which enumerate
-            unread.add("enum_budget")
-        if "RA4" not in schemes:                    # which draws a ladder
-            unread.update(("compare.ra4_seed", "compare.ra4_range_scale"))
-        if unread - set(_GAINS):
-            given.append(f"schemes {schemes}")
-        if given:
-            where += " with " + " and ".join(given)
-        reads = tuple(k for k in reads if k not in unread)
-    _check_keys(raw, reads, where)
-    out_dir = raw.get("out_dir", ".")
-    if not isinstance(out_dir, str):
-        raise ConfigError("config.out_dir: expected a string")
-
-    fad = _section(raw, "fading")
-    M = _number(_need(fad, "num_users", "fading"), "fading.num_users",
-                lo=1, integer=True)
-    K = _number(_need(fad, "num_channels", "fading"), "fading.num_channels",
-                lo=1, integer=True)
-    rfad = {"num_users": M, "num_channels": K}
-    if "fading.seed" in reads:
-        rfad["seed"] = _number(fad.get("seed", 0), "fading.seed", lo=0,
-                               hi=2 ** 64 - 1, integer=True)
-    if "fading.snr_db" in reads and ("snr_db" in fad) == ("mean_gain" in fad):
-        raise ConfigError("fading: give exactly one of snr_db / mean_gain")
-    if "snr_db" in fad:
-        v = fad["snr_db"]
-        rfad["snr_db"] = (_num_list(v, "fading.snr_db", length=M)
-                          if isinstance(v, list)
-                          else _number(v, "fading.snr_db"))
-    elif "mean_gain" in fad:
-        mg = fad["mean_gain"]
-        if (not isinstance(mg, list) or len(mg) != M
-                or any(not isinstance(r, list) or len(r) != K for r in mg)):
-            raise ConfigError("fading.mean_gain: expected an M x K matrix")
-        rfad["mean_gain"] = [_num_list(r, f"fading.mean_gain[{i}]", length=K)
-                             for i, r in enumerate(mg)]
-        if min(min(r) for r in rfad["mean_gain"]) <= 0:
-            raise ConfigError("fading.mean_gain: entries must be positive")
-
-    qc = _section(raw, "quantizer")
-    qtype = qc.get("type", "equiprobable")
-    if qtype not in ("equiprobable", "random", "explicit"):
-        raise ConfigError(f"quantizer.type: unknown type {qtype!r}")
-    if mode in ("compare", "sweep_regions", "overhead") and qtype != "equiprobable":
+    mode = _value(raw, "mode", None, {})
+    qtype = _value(raw, "quantizer.type", None, {})
+    if mode not in SOLVER_MODES and qtype != "equiprobable":
         raise ConfigError(f"quantizer.type: {mode} mode builds its own "
                           "ladders and needs type 'equiprobable'")
-    extra = sorted(set(qc) - {"type", *_QUANTIZER_READS[qtype]})
-    if extra:
-        raise ConfigError(f"quantizer: type {qtype!r} reads no {extra}")
-    rq = {"type": qtype}
-    if qtype == "explicit":
-        rq["thresholds"] = _need(qc, "thresholds", "quantizer")
-    else:
-        rq["regions"] = _number(_need(qc, "regions", "quantizer"),
-                                "quantizer.regions", lo=2, integer=True)
-    if qtype == "random":
-        lohi = _num_list(_need(qc, "gain_range", "quantizer"),
-                         "quantizer.gain_range", length=2, lo=0.0)
-        if lohi[0] >= lohi[1]:
-            raise ConfigError("quantizer.gain_range: need lo < hi")
-        rq["gain_range"] = lohi
-        rq["seed"] = _number(qc.get("seed", 0), "quantizer.seed", lo=0,
-                             integer=True)
-    resolved = {"mode": mode, "out_dir": out_dir, "fading": rfad,
-                "quantizer": rq}
-    if mode == "overhead":      # feedback bits count M, K and L alone
-        return resolved
-
-    pr = _section(raw, "power_rate")
-    params = pr.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("power_rate.params: expected an object")
-    resolved["power_rate"] = {"family": _need(pr, "family", "power_rate"),
-                              "params": params}
-    resolved["targets"] = _num_list(_need(raw, "targets", "config"),
-                                    "targets", length=M, lo=0.0)
-    resolved["mu"] = mu = _num_list(raw.get("mu", [1.0] * M), "mu", length=M)
-    if min(mu) <= 0:
-        raise ConfigError("mu: entries must be positive")
-    resolved["rate_cap"] = _number(raw.get("rate_cap", DEFAULT_RATE_CAP),
-                                   "rate_cap", lo=0.0)
-    if "enum_budget" in reads:
-        budget = raw.get("enum_budget", DEFAULT_ENUM_BUDGET)
-        resolved["enum_budget"] = _number(budget, "enum_budget", lo=1,
-                                          integer=True)
-
-    if mode == "online":
-        blocks = _need(_section(raw, "online"), "num_blocks", "online")
-        resolved["online"] = {"num_blocks": _number(
-            blocks, "online.num_blocks", lo=1, integer=True)}
-
+    reads = [path for path in READS[mode] if qtype in SCHEMA[path].types]
+    where = f"{mode} mode"
     if mode == "compare":
-        resolved["compare"] = rcp = {"schemes": schemes}
-        if "snr_db" in cp:
-            rcp["snr_db"] = _num_list(cp["snr_db"], "compare.snr_db")
+        schemes = _value(raw, "compare.schemes", None, {})
+        unread = [p for p in reads if not {*SCHEMA[p].schemes} & {*schemes}]
+        given = [f"schemes {schemes}"] if unread else []
+        if "snr_db" in _section(raw, "compare"):    # each point's gains
+            unread += ["fading.snr_db", "fading.mean_gain"]
+            given.insert(0, "compare.snr_db")
+        reads = [p for p in reads if p not in unread]
+        where += " with " + " and ".join(given) if given else ""
 
-    if mode == "sweep_regions":
-        regions = _need(_section(raw, "sweep"), "regions", "sweep")
-        if not isinstance(regions, list) or not regions:
-            raise ConfigError("sweep.regions: expected a nonempty list")
-        rlist = [_number(x, f"sweep.regions[{i}]", lo=2, integer=True)
-                 for i, x in enumerate(regions)]
-        resolved["sweep"] = {"regions": rlist}
+    subkeys = [f"{s}.{k}" for s, v in raw.items() if s in SECTIONS
+               and isinstance(v, dict) for k in v]
+    for path in (*raw, *subkeys):
+        if path not in SCHEMA and path not in SECTIONS:
+            section, _, key = path.rpartition(".")
+            raise ConfigError(f"{section or 'config'}: unknown keys {[key]}")
+    for path in (*subkeys, *raw):
+        if not any(p == path or p.startswith(f"{path}.") for p in reads):
+            scope = (f"{mode} mode with quantizer type {qtype!r}"
+                     if path.startswith("quantizer.") else where)
+            raise ConfigError(f"{path}: not read in {scope}")
 
-    # the bounded knobs: compare and sweep_regions solve through CompareSetup
-    # and take its defaults, the solver modes SolverConfig's
-    defaults = (_SETUP_DEFAULTS if mode in ("compare", "sweep_regions")
-                else {f.name: f.default for f in fields(SolverConfig)})
+    knobs = CompareSetup if mode in ROW_MODES else SolverConfig
+    values = {}
     for path in reads:
-        section, _, key = path.partition(".")
-        if key in _BOUNDS:
-            lo, integer = _BOUNDS[key]
-            v = _section(raw, section).get(key, defaults[key])
-            knobs = resolved.setdefault(section, {})
-            if key in ("init", "tol") and isinstance(v, list):
-                knobs[key] = _num_list(v, path, length=M, lo=lo)
-            else:
-                knobs[key] = _number(v, path, lo=lo, integer=integer)
+        v = _value(raw, path, knobs, values)
+        if v is not UNSET:
+            values[path] = v
+    if "fading.snr_db" in reads and (
+            ("fading.snr_db" in values) == ("fading.mean_gain" in values)):
+        raise ConfigError("fading: give exactly one of snr_db / mean_gain")
+    for path in ("mu", "fading.mean_gain"):
+        if path in values and np.min(values[path]) <= 0:
+            raise ConfigError(f"{path}: entries must be positive")
+    lo_hi = values.get("quantizer.gain_range")
+    if lo_hi and lo_hi[0] >= lo_hi[1]:
+        raise ConfigError("quantizer.gain_range: need lo < hi")
+
+    resolved = {}
+    for path, v in values.items():
+        section, _, leaf = path.rpartition(".")
+        (resolved.setdefault(section, {}) if section else resolved)[leaf] = v
     return resolved
 
 
@@ -344,7 +311,8 @@ def _build_fading(fad: dict) -> FadingModel:
         snr = np.asarray(fad["snr_db"], dtype=float)
         per_user = np.broadcast_to(snr_db_to_mean_gain(snr), (M,))
         mg = np.repeat(per_user[:, None], K, axis=1)
-    return FadingModel(mean_gain=mg, seed=fad.get("seed", 0))   # online
+    seed = {"seed": fad["seed"]} if "seed" in fad else {}     # online
+    return FadingModel(mean_gain=mg, **seed)
 
 
 def _build_grid(rc: dict, fading: FadingModel) -> QuantizerGrid:
@@ -394,13 +362,11 @@ def _build_run(rc: dict):
 
     mu = np.asarray(rc["mu"], dtype=float)
     targets = np.asarray(rc["targets"], dtype=float)
+    caps = {k: rc[k] for k in ("rate_cap", "enum_budget") if k in rc}
     if mode in SOLVER_MODES:
         fading = _build_fading(fad)
         problem = Problem(grid=_build_grid(rc, fading), model=model, mu=mu,
-                          targets=targets, fading=fading,
-                          rate_cap=rc["rate_cap"],
-                          enum_budget=rc.get("enum_budget",
-                                             DEFAULT_ENUM_BUDGET))
+                          targets=targets, fading=fading, **caps)
         problem.check_targets()
         if "enum_budget" in rc:     # offline_smooth alone enumerates; the
             problem.space           # space raises EnumerationBudgetError
@@ -413,11 +379,11 @@ def _build_run(rc: dict):
         snr = fad.get("snr_db")
         points = [(float(snr) if isinstance(snr, (int, float)) else math.nan,
                    fad)]
+    names = {f.name for f in fields(CompareSetup)}
     setups = [(snr, CompareSetup(
         fading=_build_fading(f), regions=rc["quantizer"]["regions"],
-        model=model, mu=mu, targets=targets, rate_cap=rc["rate_cap"],
-        enum_budget=rc.get("enum_budget", DEFAULT_ENUM_BUDGET),
-        **{k: v for k, v in {**sv, **knobs}.items() if k in _SETUP_DEFAULTS}))
+        model=model, mu=mu, targets=targets, **caps,
+        **{k: v for k, v in {**sv, **knobs}.items() if k in names}))
         for snr, f in points]
     runs = [(snr, compare_rows(setup, knobs["schemes"]) if mode == "compare"
              else sweep_rows(setup, rc["sweep"]["regions"], math.inf))
@@ -564,20 +530,23 @@ def main(argv=None) -> int:
 
     try:
         rc = resolve_config(raw)
-        # each flag overrides one key, and only where the mode reads it
-        for value, section, key, lo, error in (
-                (args.seed, "fading", "seed", 0,
-                 "--seed: online mode only, a nonnegative integer"),
-                (args.log_every, "solver", "record_every", 1,
-                 "--log-every: solver modes only, S >= 1")):
+        # each flag overrides one key, only where the mode reads it, and is
+        # parsed by that key's entry
+        for flag, value, path, only in (
+                ("--seed", args.seed, "fading.seed", "online mode only"),
+                ("--log-every", args.log_every, "solver.record_every",
+                 "solver modes only")):
             if value is not None:
-                if not (value >= lo and key in rc.get(section, {})):
-                    raise ConfigError(error)
-                rc[section][key] = value
-        # value errors (bad thresholds, shapes, unreachable targets) and
-        # enumeration budgets surface here, before any artifact is written
+                if rc["mode"] not in SCHEMA[path].modes:
+                    raise ConfigError(f"{flag}: {only}")
+                section, _, key = path.partition(".")
+                rc[section][key] = _parse(SCHEMA[path], value, flag, {})
+        # value errors (bad thresholds, shapes, unreachable targets), sizes
+        # past a machine integer and enumeration budgets surface here,
+        # before any artifact is written
         cfg, work = _build_run(rc)
-    except (ConfigError, ValueError, EnumerationBudgetError) as exc:
+    except (ConfigError, ValueError, OverflowError,
+            EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

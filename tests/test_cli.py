@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -136,6 +138,20 @@ def test_malformed_json(tmp_path, capsys):
         "family": "max_inst_ber",
         "params": {"kappa1": 0.2, "kappa2": math.inf, "eps_max": 1e-3}}),
      "power_rate.params.kappa2: expected a finite number, got inf"),
+    # 2^rate_cap overflows past 1024, so a larger cap never binds; RA1's
+    # dual overflowed from about 1023, compare failed at 1100 after writing
+    # summary.json, and every mode warned at 1e308
+    (lambda c: c.update(rate_cap=1000.5),
+     "rate_cap: must be <= 1000.0, got 1000.5"),
+    # seeds are Philox key words; past 64 bits these raised OverflowError
+    (lambda c: c.update(quantizer={"type": "random", "regions": 4,
+                                   "gain_range": [0.0, 3.0], "seed": 2 ** 64}),
+     "quantizer.seed: must be <= 18446744073709551615"),
+    (lambda c: c.update(mode="compare", compare={"ra4_seed": 2 ** 64}),
+     "compare.ra4_seed: must be <= 18446744073709551615"),
+    # and so did a channel count past a machine integer
+    (lambda c: c.update(fading={"num_users": 2, "num_channels": 2 ** 64,
+                                "snr_db": 6.0}), "too large to convert"),
 ])
 def test_config_rejections(tmp_path, capsys, mangle, needle):
     cfg = tiny()
@@ -241,18 +257,149 @@ def test_a_key_the_mode_does_not_read_exit2(tmp_path, capsys, name, key,
     assert not out.exists()
 
 
+# the read matrix, written out: the keys each mode reads with an
+# equiprobable quantizer and, in compare, every scheme and no compare.snr_db
+_SIZE = {"mode", "out_dir", "fading.num_users", "fading.num_channels",
+         "quantizer.type", "quantizer.regions"}
+_PROBLEM = {*_SIZE, "fading.snr_db", "fading.mean_gain", "power_rate.family",
+            "power_rate.params", "targets", "mu", "rate_cap", "solver.init",
+            "solver.tol"}
+_BUDGETED = {*_PROBLEM, "enum_budget", "solver.max_iters", "solver.eps"}
+READ_MATRIX = {
+    "offline_smooth": {*_BUDGETED, "solver.beta", "solver.record_every"},
+    "offline_nonsmooth": {*_PROBLEM, "solver.max_iters", "solver.kappa",
+                          "solver.record_every"},
+    "online": {*_PROBLEM, "fading.seed", "solver.eps", "solver.beta",
+               "solver.record_every", "online.num_blocks"},
+    "compare": {*_BUDGETED, "solver.beta", "compare.schemes",
+                "compare.snr_db", "compare.ra4_seed",
+                "compare.ra4_range_scale"},
+    "sweep_regions": {*_BUDGETED, "solver.beta", "sweep.regions"},
+    "overhead": _SIZE,
+}
+RANDOM_ONLY = {"quantizer.gain_range", "quantizer.seed"}
+ALL_KEYS = {*set().union(*READ_MATRIX.values()), *RANDOM_ONLY,
+            "quantizer.thresholds"}
+RA4_ONLY = {"compare.ra4_seed", "compare.ra4_range_scale"}
+GAINS = {"fading.snr_db", "fading.mean_gain"}
+
+# a valid value of each key on the tiny() shape, M = K = 2
+VALID = {
+    "out_dir": "elsewhere", "fading.num_users": 2, "fading.num_channels": 2,
+    "fading.seed": 3, "fading.snr_db": 6.0,
+    "fading.mean_gain": [[1.0, 2.0], [0.5, 1.5]], "quantizer.regions": 4,
+    "quantizer.gain_range": [0.0, 3.0], "quantizer.seed": 0,
+    "quantizer.thresholds": [[[0.0, 1.0, "inf"]] * 2] * 2,
+    "power_rate.family": "outage_capacity",
+    "power_rate.params": {"outage_delta": 0.0}, "targets": [0.5, 0.7],
+    "mu": [1.0, 2.0], "rate_cap": 12.0, "enum_budget": 1000,
+    **{f"solver.{k}": v for k, v in SOLVER_KEYS.items()},
+    "online.num_blocks": 20, "compare.schemes": ["RA3"],
+    "compare.snr_db": [4.0, 8.0], "compare.ra4_seed": 7,
+    "compare.ra4_range_scale": 3.0, "sweep.regions": [2],
+}
+
+
+def _snr_points(cfg):
+    del cfg["fading"]["mean_gain"]
+    return cfg
+
+
+# config -> the keys it reads, narrowed by its quantizer type and by
+# compare's schemes and SNR points
+NARROWED = {
+    "offline_smooth": (tiny(), READ_MATRIX["offline_smooth"]),
+    "offline_nonsmooth, random quantizer": (
+        tiny("offline_nonsmooth", quantizer={
+            "type": "random", "regions": 4, "gain_range": [0.0, 3.0]}),
+        READ_MATRIX["offline_nonsmooth"] | RANDOM_ONLY),
+    "online, explicit quantizer": (
+        tiny("online", online={"num_blocks": 20}, quantizer={
+            "type": "explicit", "thresholds": VALID["quantizer.thresholds"]}),
+        READ_MATRIX["online"] - {"quantizer.regions"}
+        | {"quantizer.thresholds"}),
+    "compare": (tiny("compare"), READ_MATRIX["compare"]),
+    "compare RA2": (tiny("compare", compare={"schemes": ["RA2"]}),
+                    READ_MATRIX["compare"] - RA4_ONLY),
+    "compare RA3": (tiny("compare", compare={"schemes": ["RA3"]}),
+                    READ_MATRIX["compare"] - RA4_ONLY),
+    "compare RA4": (tiny("compare", compare={"schemes": ["RA4"]}),
+                    READ_MATRIX["compare"]),
+    "compare RA1 RA5": (tiny("compare", compare={"schemes": ["RA1", "RA5"]}),
+                        READ_MATRIX["compare"] - RA4_ONLY - {"enum_budget"}),
+    "compare RA3 snr_db": (
+        _snr_points(tiny("compare", compare={"schemes": ["RA3"],
+                                             "snr_db": [4.0, 8.0]})),
+        READ_MATRIX["compare"] - RA4_ONLY - GAINS),
+    "sweep_regions": (tiny("sweep_regions", sweep={"regions": [2]}),
+                      READ_MATRIX["sweep_regions"]),
+    "overhead": (tiny("overhead"), READ_MATRIX["overhead"]),
+}
+
+
+def test_the_schema_has_exactly_the_keys_of_the_read_matrix():
+    assert set(cli.SCHEMA) == ALL_KEYS
+
+
+@pytest.mark.parametrize("name", NARROWED)
+def test_each_key_passes_dry_run_exactly_where_it_is_read(tmp_path, capsys,
+                                                         name):
+    # a valid value of every key: accepted where the matrix says the config
+    # reads the key, else refused as not read; the value a config already
+    # sets is kept, so that its narrowing stays as it is
+    base, reads = NARROWED[name]
+    wrong = []
+    for key in sorted(ALL_KEYS):
+        cfg = json.loads(json.dumps(base))
+        section, _, leaf = key.rpartition(".")
+        holder = cfg.setdefault(section, {}) if section else cfg
+        value = holder.get(leaf, VALID.get(key))
+        if key in reads and key in {*GAINS, "compare.snr_db"}:
+            for gains in GAINS:         # the key sets the gains alone
+                cfg["fading"].pop(gains.partition(".")[2], None)
+        holder[leaf] = value
+        rc = main(["--config", write_cfg(tmp_path, cfg), "--dry-run"])
+        err = capsys.readouterr().err
+        if key in reads and rc != OK:
+            wrong.append((key, "refused", err))
+        if key not in reads and not (rc == CONFIG and "not read in" in err):
+            wrong.append((key, "accepted", err))
+    assert wrong == []
+
+
+def test_readme_key_table_names_exactly_the_schema_keys():
+    # README's sections quantizer and power_rate stand for their keys
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| key | read by |")[1].split("\n\n")[0]
+    named = set()
+    for row in table.strip().splitlines()[1:]:
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            named |= ({k for k in cli.SCHEMA if k.startswith(f"{name}.")}
+                      if name in ("quantizer", "power_rate") else {name})
+    assert named == set(cli.SCHEMA)
+
+
 def test_online_mode_requires_num_blocks(tmp_path):
     rc, out = run(tmp_path, tiny(mode="online"))
     assert rc == CONFIG
     assert not out.exists()
 
 
-def test_bad_cli_flags(tmp_path):
+def test_bad_cli_flags(tmp_path, capsys):
     cfg = tiny()
     rc, _ = run(tmp_path, cfg, "--log-every", "0")
     assert rc == CONFIG
     rc, _ = run(tmp_path, cfg, "--seed", "-1")
     assert rc == CONFIG
+    # a flag is parsed by the entry of the key it overrides, so the message
+    # names the flag
+    capsys.readouterr()
+    cfg = json.loads((CONFIGS / "testcase2_online.json").read_text())
+    rc, out = run(tmp_path, cfg, "--seed", str(2 ** 64))
+    assert rc == CONFIG
+    assert ("error: --seed: must be <= 18446744073709551615, got "
+            "18446744073709551616") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_random_quantizer_rejected_in_compare(tmp_path, capsys):
@@ -322,10 +469,17 @@ def test_bundled_configs_pass_dry_run(capsys):
         capsys.readouterr()
 
 
+# the other solver keys a mode reads, with the defaults they take
+OTHER_SOLVER_DEFAULTS = {"offline_nonsmooth": {"kappa": 0.1, "record_every": 1},
+                         "online": {"eps": 0.05, "record_every": 1}}
+
+
 @pytest.mark.parametrize("mode, beta, max_iters", [
     ("offline_smooth", 0.01, 200_000),
     ("compare", 1e-3, 20_000),
     ("sweep_regions", 1e-3, 20_000),
+    ("offline_nonsmooth", None, 200_000),       # None: the mode reads no key
+    ("online", 0.01, None),
 ])
 def test_omitted_solver_keys_take_the_mode_defaults(tmp_path, capsys, mode,
                                                     beta, max_iters):
@@ -335,11 +489,32 @@ def test_omitted_solver_keys_take_the_mode_defaults(tmp_path, capsys, mode,
     del cfg["solver"]
     if mode == "sweep_regions":
         cfg["sweep"] = {"regions": [2, 4]}
+    if mode == "online":
+        cfg["online"] = {"num_blocks": 20}
     rc, _ = run(tmp_path, cfg, "--dry-run")
     assert rc == OK
     solver = json.loads(capsys.readouterr().out)["solver"]
-    assert (solver["beta"], solver["max_iters"]) == (beta, max_iters)
-    assert "kappa" not in solver        # only offline_nonsmooth reads it
+    assert (solver.get("beta"), solver.get("max_iters")) == (beta, max_iters)
+    # only offline_nonsmooth reads kappa
+    assert ("kappa" in solver) == (mode == "offline_nonsmooth")
+    for key, value in OTHER_SOLVER_DEFAULTS.get(mode, {}).items():
+        assert solver[key] == value, key
+
+
+def test_rate_cap_at_its_bound_passes_dry_run_and_runs_clean(tmp_path,
+                                                             capsys):
+    # the bound is a cap at which all six bundled configs run without a
+    # floating-point warning; the perfect-CSI dual is the first to overflow
+    # above it, so compare_schemes and its RA1 row are the closest
+    cfg = json.loads((CONFIGS / "compare_schemes.json").read_text())
+    cfg["rate_cap"] = 1000.0
+    rc, out = run(tmp_path, cfg, "--dry-run")
+    assert rc == OK
+    assert json.loads(capsys.readouterr().out)["rate_cap"] == 1000.0
+    assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, cfg)[0] == OK
 
 
 # --- offline smooth ------------------------------------------------------------
