@@ -51,15 +51,15 @@ rate columns are running sample means); compare adds `compare.csv`
 (`scheme,snr_db,avg_power_db,avg_rate_1..M`); sweep_regions adds `sweep.csv`.
 CSV bytes are identical across reruns of the same config + fading seed.
 
-Exit codes: 0 ok; 2 config/schema error, targets no allocation can meet
-(named by a violated user subset) or a column space beyond ``enum_budget``,
-on any problem of any SNR point the run solves (nothing written): only the
-smooth dual and the tie search enumerate, so offline_smooth, sweep rows and
-RA2-RA4 rows are budgeted, and the hard dual is not; 3 the run
-or a row did not converge (artifacts still written); 4 numeric failure (a
-root-find, a tie LP or floating point), printed and written to summary.json
-as ``mode``, ``converged: false`` and ``error``, plus the ``residual`` of a
-failed root-find.
+Exit codes: 0 ok; 2 config/schema error, a run too large to build in
+memory, targets no allocation can meet (named by a violated user subset) or
+a column space beyond ``enum_budget``, on any problem of any SNR point the
+run solves (nothing written): only the smooth dual and the tie search
+enumerate, so offline_smooth, sweep rows and RA2-RA4 rows are budgeted, and
+the hard dual is not; 3 the run or a row did not converge (artifacts still
+written); 4 numeric failure (a root-find, a tie LP or floating point),
+printed and written to summary.json as ``mode``, ``converged: false`` and
+``error``, plus the ``residual`` of a failed root-find.
 """
 
 from __future__ import annotations
@@ -122,6 +122,10 @@ class Key(NamedTuple):
 
 
 _M, _K = "fading.num_users", "fading.num_channels"
+# the SNR bound in dB: all six bundled configs run without a floating-point
+# warning at ±100; from about 120 the harness's damped Newton divides by a
+# zero step, and 10^(snr/10) overflows past 3083
+_SNR_DB = 100.0
 _SOLVED = (*SOLVER_MODES, *ROW_MODES)       # overhead counts bits alone
 _SMOOTH = ("offline_smooth", "online", *ROW_MODES)
 # the keys of the config, in the order they are resolved: a shape names
@@ -132,7 +136,8 @@ SCHEMA = {
     _M: Key(MODES, int, lo=1),
     _K: Key(MODES, int, lo=1),
     "fading.seed": Key(("online",), int, lo=0, hi=MAX_SEED, default=0),
-    "fading.snr_db": Key(_SOLVED, shape=(_M,), or_one=True, default=UNSET),
+    "fading.snr_db": Key(_SOLVED, shape=(_M,), or_one=True, lo=-_SNR_DB,
+                         hi=_SNR_DB, default=UNSET),
     "fading.mean_gain": Key(_SOLVED, shape=(_M, _K), default=UNSET),
     "quantizer.type": Key(MODES, QUANTIZERS, default="equiprobable"),
     "quantizer.regions": Key(MODES, int, lo=2,
@@ -162,7 +167,8 @@ SCHEMA = {
     "online.num_blocks": Key(("online",), int, lo=1),
     "compare.schemes": Key(("compare",), SCHEMES, (None,),
                            default=list(SCHEMES)),
-    "compare.snr_db": Key(("compare",), shape=(None,), default=UNSET),
+    "compare.snr_db": Key(("compare",), shape=(None,), lo=-_SNR_DB,
+                          hi=_SNR_DB, default=UNSET),
     "compare.ra4_seed": Key(("compare",), int, lo=0, hi=MAX_SEED,
                             default=FIELD, schemes=("RA4",)),  # its ladder
     "compare.ra4_range_scale": Key(("compare",), lo=0.0, default=FIELD,
@@ -542,12 +548,16 @@ def main(argv=None) -> int:
                 section, _, key = path.partition(".")
                 rc[section][key] = _parse(SCHEMA[path], value, flag, {})
         # value errors (bad thresholds, shapes, unreachable targets), sizes
-        # past a machine integer and enumeration budgets surface here,
-        # before any artifact is written
+        # past a machine integer or past memory and enumeration budgets
+        # surface here, before any artifact is written
         cfg, work = _build_run(rc)
     except (ConfigError, ValueError, OverflowError,
             EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:      # sizes that fit an integer, not memory
+        print(f"error: the run does not fit in memory: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
     if args.dry_run:

@@ -150,8 +150,15 @@ def _vec_newton(f_df, lo, hi, rel_tol, max_iter, what: str):
     the bracket by the sign of f and takes the Newton point if it is finite
     and strictly inside, else the midpoint. An element stops on its own once
     its step or bracket is within rel_tol·(1 + |x|); ``max_iter`` counts
-    these safeguarded steps."""
-    hi, f, df = _grow_bracket(f_df, hi, what)
+    these safeguarded steps.
+
+    ``f_df`` may give arrays after (f, f'); then the root comes back with
+    those of each element's last evaluation while it was live, the one its
+    last step started from, as (x, *extras). A stopped element is evaluated
+    again only while others are live, so its later evaluations are not
+    kept: they would make its extras depend on the rest of the call."""
+    hi, (f, df, *extras) = _grow_bracket(f_df, hi, what)
+    kept = [np.array(e) for e in extras]
     x, live = hi, np.ones(hi.shape, dtype=bool)
     for _ in range(max_iter):
         lo = np.where(live & (f < 0.0), x, lo)
@@ -164,23 +171,27 @@ def _vec_newton(f_df, lo, hi, rel_tol, max_iter, what: str):
             small, x, 0.5 * (lo + hi))), x)
         live &= ~(small | (hi - lo <= rel_tol * (1.0 + np.abs(hi))))
         if not live.any():
-            return x
-        f, df = f_df(x)
+            return (x, *kept) if kept else x
+        f, df, *extras = f_df(x)
+        for k, e in zip(kept, extras):
+            np.copyto(k, e, where=live)
     raise NumericError(f"root-find for {what} did not converge",
                        float(np.max(np.abs(f[live]))))
 
 
 @np.errstate(over="ignore")            # overflow is the expected exit
 def _grow_bracket(f_df, hi, what: str):
-    """Double hi until f(hi) ≥ 0 elementwise and return (hi, f(hi), f'(hi)),
-    the last evaluation, which is Newton's first; if hi overflows first, the
-    residual is the worst finite |f| of the last bracket that had one."""
+    """Double hi until f(hi) ≥ 0 elementwise and return hi with the last
+    evaluation, (f(hi), f'(hi), …), which is Newton's first; if hi overflows
+    first, the residual is the worst finite |f| of the last bracket that had
+    one."""
     resid = np.nan
     while np.all(np.isfinite(hi)):
-        fh, dfh = f_df(hi)
+        out = f_df(hi)
+        fh = out[0]
         short = ~(fh >= 0.0)
         if not short.any():
-            return hi, fh, dfh
+            return hi, out
         finite = short & np.isfinite(fh)
         resid = float(np.max(np.abs(fh[finite]))) if finite.any() else resid
         hi = np.where(short, 2.0 * hi, hi)
@@ -323,6 +334,12 @@ class MaxAvgBer(PowerRate):
         return ((a - 1.0 / g) / self.kappa2,)
 
 
+def _edge_sum(a) -> np.ndarray:
+    """a[0] + a[1] over the (lo, hi) edge axis of ``ErgodicCapacity._edges``:
+    the bits of ``a.sum(0)``, without the cost of a reduction."""
+    return a[0] + a[1]
+
+
 @dataclass(frozen=True)
 class ErgodicCapacity(PowerRate):
     """Conditional-ergodic-capacity family (closed-form Υ⁻¹, numeric Υ)."""
@@ -368,9 +385,9 @@ class ErgodicCapacity(PowerRate):
         u = 1.0 / (ys * g)
         t = qg + u
         e, big_g = exp12_scaled(t)
-        rate = (sv * (np.log1p(ys * q) + e)).sum(0) / prl
-        deriv = (sv * (big_g + qg * e)).sum(0) / (prl * ys)
-        curv = -(deriv + u * (sv * (big_g * u / t - e)).sum(0)
+        rate = _edge_sum(sv * (np.log1p(ys * q) + e)) / prl
+        deriv = _edge_sum(sv * (big_g + qg * e)) / (prl * ys)
+        curv = -(deriv + u * _edge_sum(sv * (big_g * u / t - e))
                  / (prl * ys)) / np.where(small, 1.0, ys)
         return (np.where(tiny, ym1 / _LN2, rate),
                 np.where(tiny, m1 / _LN2, deriv),
@@ -405,9 +422,12 @@ class ErgodicCapacity(PowerRate):
 
     def allocation(self, data: tuple, slope, rate_cap: float) -> tuple:
         """One root-find per active cell, for the power y* with
-        (Υ⁻¹)'(y*) = 1/slope; then R* = Υ⁻¹(y*) and Υ(R*) = y*. Cells
-        clipped at ``rate_cap`` get Υ(rate_cap) instead. Active cells are
-        those with slope > Υ̇(0) = ln2/m1, where m_k = E[g^k|R].
+        (Υ⁻¹)'(y*) = 1/slope; then Υ(R*) = y* and R* = Υ⁻¹(y*), taken from
+        the root-find's last live evaluation y' of the cell as Υ⁻¹(y') +
+        (Υ⁻¹)'(y')·(y* - y'): |y* - y'| is within the root-find's tolerance,
+        so the dropped term (Υ⁻¹)''·(y* - y')²/2 is near 1e-24. Cells
+        clipped at ``rate_cap`` get Υ(rate_cap) instead. Active cells are those with slope > Υ̇(0) =
+        ln2/m1, where m_k = E[g^k|R].
 
         The root-find starts inside a bracket from Jensen's inequality on
         (Υ⁻¹)'(y) = E[g/(1 + y·g) | R]/ln2. As g ↦ g/(1 + y·g) is concave,
@@ -426,8 +446,8 @@ class ErgodicCapacity(PowerRate):
         m1, m2 = edges[5:]
 
         def f_df(y):
-            _, deriv, curv = self._closed_form(edges, y)
-            return 1.0 / deriv - t, -curv / (deriv * deriv)
+            rate, deriv, curv = self._closed_form(edges, y)
+            return 1.0 / deriv - t, -curv / (deriv * deriv), rate, deriv, y
 
         # widened by the root-find's absolute tolerance: ρ·y_hi is tight to
         # first order as y* → 0, where rounding in (Υ⁻¹)' can put the root
@@ -435,9 +455,10 @@ class ErgodicCapacity(PowerRate):
         y_hi = t / _LN2 - 1.0 / m1
         lo = np.maximum(m1 * m1 / m2 * y_hi - ROOT_TOL, 0.0)
         hi = np.maximum(y_hi, ROOT_TOL)
-        y = _vec_newton(f_df, lo, hi, ROOT_TOL, ROOT_MAX_ITER,
-                        "ergodic marginal inverse")
-        r = self._closed_form(edges, y)[0]
+        y, r, deriv, y_eval = _vec_newton(f_df, lo, hi, ROOT_TOL,
+                                          ROOT_MAX_ITER,
+                                          "ergodic marginal inverse")
+        r += deriv * (y - y_eval)
         capped = r > rate_cap
         if capped.any():
             r[capped] = rate_cap

@@ -467,6 +467,18 @@ def lentz_scaled(x, n: int = 1) -> np.ndarray:
     return h.astype(float)
 
 
+def horner_series(x) -> np.ndarray:
+    """E1(x) for 0 < x < 1 from the series -γ - ln(x) + Σ_{n=1}^{19}
+    (-1)^{n+1} x^n/(n·n!) (Abramowitz & Stegun 5.1.11), summed by Horner's
+    rule: 19 multiply-adds per element, highest coefficient first. The loop
+    ``special`` ran before it evaluated the sum from a table of powers."""
+    x = np.asarray(x, dtype=float)
+    total = np.zeros_like(x)
+    for n in range(19, 0, -1):
+        total = (total + (-1.0) ** (n + 1) / (n * math.factorial(n))) * x
+    return -0.5772156649015328606 - np.log(x) + total
+
+
 # --- power-rate marginals -------------------------------------------------------
 
 def marginal_power(model, ctx, rate) -> np.ndarray:

@@ -152,6 +152,13 @@ def test_malformed_json(tmp_path, capsys):
     # and so did a channel count past a machine integer
     (lambda c: c.update(fading={"num_users": 2, "num_channels": 2 ** 64,
                                 "snr_db": 6.0}), "too large to convert"),
+    # an SNR whose gain overflows was refused only as a bad mean gain
+    (lambda c: c.update(fading={"num_users": 2, "num_channels": 2,
+                                "snr_db": [6.0, 1e30]}),
+     "fading.snr_db[1]: must be <= 100.0, got 1e+30"),
+    (lambda c: c.update(mode="compare", fading={
+        "num_users": 2, "num_channels": 2}, compare={"snr_db": [-1e30]}),
+     "compare.snr_db[0]: must be >= -100.0, got -1e+30"),
 ])
 def test_config_rejections(tmp_path, capsys, mangle, needle):
     cfg = tiny()
@@ -402,6 +409,28 @@ def test_bad_cli_flags(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_run_past_memory_exit2_writes_nothing(tmp_path, capsys,
+                                                monkeypatch):
+    # 2^40 channels fit a machine integer but not memory: numpy refused the
+    # (M, K) mean gains with a MemoryError, a traceback under --dry-run too.
+    # The builder is replaced, so nothing here allocates
+    def past_memory(fad):
+        raise MemoryError("Unable to allocate 32.0 TiB for an array with "
+                          f"shape (4, {fad['num_channels']}) and data type "
+                          "float64")
+
+    monkeypatch.setattr(cli, "_build_fading", past_memory)
+    cfg = json.loads((CONFIGS / "testcase1.json").read_text())
+    cfg["fading"]["num_channels"] = 2 ** 40
+    for extra in (("--dry-run",), ()):
+        rc, out = run(tmp_path, cfg, *extra)
+        assert rc == CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: the run does not fit in memory: ")
+        assert "32.0 TiB" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_random_quantizer_rejected_in_compare(tmp_path, capsys):
     cfg = tiny(mode="compare", compare={"schemes": ["RA3"]})
     cfg["quantizer"] = {"type": "random", "regions": 4,
@@ -515,6 +544,49 @@ def test_rate_cap_at_its_bound_passes_dry_run_and_runs_clean(tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(tmp_path, cfg)[0] == OK
+
+
+@pytest.mark.parametrize("section", ["fading", "compare"])
+def test_snr_db_past_its_bound_exit2_names_it_without_a_warning(
+        tmp_path, capsys, section):
+    # 10^(snr/10) overflowed at 1e30 dB: numpy warned, and the run was then
+    # refused for its mean gains, naming neither the key nor a bound
+    cfg = json.loads((CONFIGS / "compare_schemes.json").read_text())
+    if section == "fading":
+        cfg["fading"]["snr_db"] = 1e30
+    else:
+        del cfg["fading"]["snr_db"]
+        cfg["compare"]["snr_db"] = [6.0, 1e30]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for extra in (("--dry-run",), ()):
+            rc, out = run(tmp_path, cfg, *extra)
+            assert rc == CONFIG
+            where = "fading.snr_db" if section == "fading" \
+                else "compare.snr_db[1]"
+            assert (f"error: {where}: must be <= 100.0, got 1e+30"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+
+
+def test_snr_db_at_its_bound_runs_clean(tmp_path, capsys):
+    # the bound is an SNR at which all six bundled configs run without a
+    # floating-point warning; from about 120 dB compare_schemes' damped
+    # Newton divides by a zero step. Here both ends of it pass --dry-run on
+    # compare_schemes, and a small compare run solves them clean
+    cfg = json.loads((CONFIGS / "compare_schemes.json").read_text())
+    for snr in (-100.0, 100.0):
+        cfg["fading"]["snr_db"] = snr
+        assert run(tmp_path, cfg, "--dry-run")[0] == OK
+        assert json.loads(capsys.readouterr().out)["fading"]["snr_db"] == snr
+    cfg = tiny(mode="compare", compare={"snr_db": [-100.0, 100.0]})
+    del cfg["fading"]["mean_gain"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out = run(tmp_path, cfg)
+    assert rc in (OK, NOT_CONVERGED)
+    rows = json.loads((out / "summary.json").read_text())["rows"]
+    assert sorted({row["snr_db"] for row in rows}) == [-100.0, 100.0]
 
 
 # --- offline smooth ------------------------------------------------------------

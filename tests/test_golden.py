@@ -133,15 +133,15 @@ GOLDEN = {
     },
     "micro_ergodic_compare": {
         "compare.csv":
-            "27e6537f7a2c1b6d5f4aa910ae2ab970b50c0bbda97d009e5e704792b9cf098f",
+            "00bbb66b2d2c5b5b551bfa30f662727946bb55c7de73b9c54cb333066856af8d",
         "summary.json":
-            "f71acb673d506984da46d8cc67fa277d1b46751e6553703a6003112cb5cc04b6",
+            "ef6f7fff4174c8399d0a2d8e3dc808530deed26a2c16f7c99d1ed33825179c07",
     },
     "micro_ergodic_offline": {
         "trajectory.csv":
-            "f5c8394db2c8e5773981f467f1b0dd71c1a4dc68b71944883a1bcc446d7c2819",
+            "6d5608e36d271e9fac72d8e6a1594fe964e014dc88fad4e4f236f9c0089a82f4",
         "summary.json":
-            "58c536990dbc1b8727740b589e99751a5a4355b9c23fe3054d96778f143e3ae7",
+            "159d0d57d85936d3e96bd136dfc7581e83416893bac89dbb954607ee87fd17bc",
     },
     "micro_online": {
         "trajectory.csv":
