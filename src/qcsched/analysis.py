@@ -20,8 +20,8 @@ rates and reports average weighted power:
 * RA4 — the ε-smooth policy on a random quantizer (uninformed thresholds).
 * RA5 — fixed scheduling heuristic: user m owns channels k ≡ m (mod M),
   transmits at constant power in non-outage regions (on/off power), rate
-  adapting per region; the power level is root-found to meet the rate target,
-  else, beyond what its channels carry at ``rate_cap``, is the saturation one.
+  adapting per region; one safeguarded Newton call finds every user's level,
+  or, beyond what its channels carry at ``rate_cap``, the saturation one.
 
 A run's rows are data, (label, setup, problem): compare_rows and sweep_rows
 alone know which rows a run has and build each row problem once, and
@@ -38,13 +38,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import powerrate, solver
 from . import quantizer as qz
-from . import solver
 from .allocator import (DEFAULT_FEAS_TOL, DEFAULT_RATE_CAP, Multipliers,
                         build_tables, find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
 from .dual import PerfectCSI, block_allocation
-from .powerrate import PowerRate, region_contexts
+from .powerrate import PowerRate, _vec_newton, region_contexts
 from .quantizer import QuantizerGrid, build_equiprobable, build_random, quantize
 from .solver import Problem, SolverConfig, run_offline_newton
 
@@ -197,50 +197,45 @@ def ra2_point(setup: CompareSetup, problem: Problem) -> dict:
 def ra5_point(setup: CompareSetup, problem: Problem) -> dict:
     """Round-robin fixed scheduling with on/off constant power per user.
 
-    A user whose own channels cannot carry its target even at ``rate_cap``
-    gets the saturation power, the largest Υ(rate_cap) over its live
-    regions (or 0), and the row reports the rates served there."""
-    grid = problem.grid
+    User m's level is the root of f_m(y) = Σ p·min(Υ⁻¹(y), rate_cap) - ř_m
+    over its own cells, concave and increasing, by one safeguarded Newton
+    for all users. At the upper end, max Υ(min(ř_m/Σ p, rate_cap)) over m's
+    live cells, each carries that rate at least. A user they cannot serve
+    even at ``rate_cap`` stops there, at the saturation power, and the row
+    reports its rates; an end past the float range gives the level +inf."""
+    grid, model, cap = problem.grid, setup.model, setup.rate_cap
     M, K = grid.num_users, grid.num_channels
-    data = setup.model.cell_data(region_contexts(grid))
-    probs = qz.region_prob_table(grid)                  # (M, K, L)
-    power = 0.0
-    rates = np.zeros(M)
-    levels = np.zeros(M)
-    for m in range(M):
-        own = np.arange(K) % M == m
-        pr = probs[m, own]                              # (Km, L)
-        cells = tuple(a[m, own] for a in data)
-        live = ~setup.model.is_outage(cells)
+    own = np.arange(K) % M == np.arange(M)[:, None]     # (M, K)
+    owner = np.nonzero(own)[0]
+    cells = tuple(a[own] for a in model.cell_data(region_contexts(grid)))
+    live = ~model.is_outage(cells)
+    pr = qz.region_prob_table(grid)[own] * live         # (K, L), by owner
+    share = np.bincount(owner, pr.sum(1), M)
+    saturated = setup.targets > cap * share
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho = np.fmin(setup.targets / share, cap)       # cap where share = 0
+        ends = np.where(live, model.power_of_rate(cells, rho[owner, None]), 0)
+    hi = np.zeros(M)
+    np.maximum.at(hi, owner, ends.max(1))
+    past = np.isinf(hi)
 
-        def served(p):
-            r = np.minimum(setup.model.rate_of_power(cells, p), setup.rate_cap)
-            return float((pr * r * live).sum())
+    def served(y):                      # rates at levels y, and d/dy
+        r, deriv = model.rate_and_derivative(cells, y[owner, None])
+        return (np.bincount(owner, (pr * np.minimum(r, cap)).sum(1), M),
+                np.bincount(owner, (pr * deriv * (r < cap)).sum(1), M))
 
-        target = float(setup.targets[m])
-        if target > float((pr * setup.rate_cap * live).sum()):
-            cap_power = setup.model.power_of_rate(cells, setup.rate_cap)
-            levels[m] = np.max(cap_power[live], initial=0.0)
-        elif target > 0:
-            hi = 1.0
-            while served(hi) < target:
-                hi *= 2.0
-            lo = 0.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if served(mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-12 * (1.0 + hi):
-                    break
-            levels[m] = hi
-        rates[m] = served(levels[m])
-        power += float(setup.mu[m]) * levels[m] * float((pr * live).sum())
+    def f_df(y):                        # 0 where the upper end is the root
+        rates, deriv = served(y)
+        return np.where(saturated | past, 0.0, rates - setup.targets), deriv
+
+    levels = np.where(past, hi, _vec_newton(
+        f_df, np.zeros(M), np.where(past, 0.0, hi), powerrate.ROOT_TOL,
+        powerrate.ROOT_MAX_ITER, "RA5 power level"))
+    rates = served(levels)[0]
     converged = solver.serves_targets(rates, setup.targets, setup.tol)
-    return {"avg_power": power, "avg_rates": rates,
-            "converged": converged, "power_levels": levels,
-            "method": "heuristic"}
+    return {"avg_power": float(setup.mu @ (levels * share)),
+            "avg_rates": rates, "converged": converged,
+            "power_levels": levels, "method": "heuristic"}
 
 
 def ra1_point(setup: CompareSetup, problem: PerfectCSI) -> dict:

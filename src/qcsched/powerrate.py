@@ -42,7 +42,7 @@ which a caller builds once and passes to the other methods. Υ̇⁻¹ is the
 scheduler's hook: ``allocation(data, slope, rate_cap)`` gives (R*, Υ(R*))
 with R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap`` (``math.inf``
 for none). Pointwise there are ``power_of_rate`` (Υ), ``rate_of_power``
-(Υ⁻¹) and ``is_outage``.
+(Υ⁻¹), ``rate_and_derivative`` (Υ⁻¹ and (Υ⁻¹)') and ``is_outage``.
 At a known gain g every family is Υ(x) = (s/g)·(2^x - 1), and
 ``perfect_csi_scale`` gives s.
 """
@@ -245,10 +245,14 @@ class PowerRate:
         return _linear_power(data[0], _nonneg(rate, "rate"))
 
     def rate_of_power(self, data: tuple, power) -> np.ndarray:
+        return self.rate_and_derivative(data, power)[0]
+
+    def rate_and_derivative(self, data: tuple, power) -> tuple:
+        """(Υ⁻¹(y), (Υ⁻¹)'(y)): log2(1 + y/c), 1/((c + y)·ln2); 0 in outage"""
         y, c = _nonneg(power, "power"), data[0]
         with np.errstate(invalid="ignore"):
             r = np.log1p(y / c) / _LN2
-        return np.where(np.isposinf(c), 0.0, r)
+        return np.where(np.isposinf(c), 0.0, r), 1.0 / ((c + y) * _LN2)
 
     def perfect_csi_scale(self) -> float:
         """s with Υ(x) = (s/g)·(2^x - 1) at a known gain g, the limit of
@@ -363,9 +367,9 @@ class ErgodicCapacity(PowerRate):
         q = np.stack([lo, hi])
         return np.stack([s_lo, -s_hi]), q, q / g, g, pr * _LN2, m1, m2
 
-    def rate_of_power(self, data: tuple, power) -> np.ndarray:
+    def rate_and_derivative(self, data: tuple, power) -> tuple:
         y = _nonneg(power, "power")
-        return self._closed_form(self._edges(data, y), y)[0]
+        return self._closed_form(self._edges(data, y), y)[:2]
 
     def _closed_form(self, edges: tuple, y) -> tuple:
         """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' on the cells of ``_edges`` from one

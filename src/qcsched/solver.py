@@ -200,34 +200,38 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
     A trial whose ‖g‖ does not grow (non-strict: with no user active, J = 0
     and g = ř) is accepted and ν drops by 4, else ν rises by 4
     (Levenberg–Marquardt, Nocedal & Wright §10.3). ν starts at 1/β, so the
-    first step and the stop rule are run_offline_smooth's. Returns
-    (λ, Trajectory); every evaluation counts toward ``max_iters``, and the
-    trajectory indexes accepted steps."""
+    first step and the stop rule are run_offline_smooth's; a step that ν
+    rounds to all zero would repeat λ, so it stops the run, "stalled".
+    Returns (λ, Trajectory); every evaluation counts toward ``max_iters``,
+    and the trajectory indexes accepted steps."""
     problem.check_targets()
     M = problem.num_users
     tol = _per_user(cfg.tol, M)
     rec = _Recorder(cfg.record_every)
     lam = trial = _per_user(cfg.init, M)
-    nu, i, best, done = 4.0 / cfg.beta, -1, np.inf, False  # λ⁽⁰⁾: ν = 1/β
+    nu, i, best = 4.0 / cfg.beta, -1, np.inf            # λ⁽⁰⁾: ν = 1/β
+    reason = "max_iters"
     for _ in range(cfg.max_iters):
         ev = problem.evaluate(trial, "smooth", cfg.eps)
         norm = np.linalg.norm(ev.subgradient)
         if norm <= best:                                # λ⁽⁰⁾ always is
             lam, kept, best, i, nu = trial, ev, norm, i + 1, nu / 4.0
-            done = serves_targets(ev.per_user_avg_rate, problem.targets, tol)
             rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power)
-            if done:
+            if serves_targets(ev.per_user_avg_rate, problem.targets, tol):
+                reason = "converged"
                 break
             jac = ev.jacobian()
         else:
             nu *= 4.0
         step = _solve(nu * np.eye(M) - jac, kept.subgradient)
+        if not step.any():
+            reason = "stalled"
+            break
         cap = max(1.0, float(lam.max())) / np.abs(step).max()
         trial = np.maximum(0.0, lam + step * min(1.0, cap))
     rec.add(i, lam, kept.subgradient, kept.per_user_avg_rate, kept.avg_power,
             force=True)
-    return lam, rec.build("converged" if done else "max_iters",
-                          problem.targets, tol)
+    return lam, rec.build(reason, problem.targets, tol)
 
 
 def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):

@@ -19,7 +19,7 @@ import numpy as np
 from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
                                build_tables, smooth_weights)
 from qcsched.dual import Problem, block_allocation
-from qcsched.powerrate import ErgodicCapacity
+from qcsched.powerrate import ErgodicCapacity, region_contexts
 from qcsched.quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                                QuantizerGrid, region_prob_table)
 
@@ -487,10 +487,52 @@ def marginal_power(model, ctx, rate) -> np.ndarray:
     data = model.cell_data(ctx)
     if isinstance(model, ErgodicCapacity):
         y = model.power_of_rate(data, rate)
-        edges = model._edges(data, y)
-        return 1.0 / model._closed_form(edges, y)[1]
+        return 1.0 / model.rate_and_derivative(data, y)[1]
     x = np.asarray(rate, dtype=float)
     return data[0] * math.log(2.0) * np.exp2(x)
+
+
+# --- RA5 power levels -------------------------------------------------------------
+
+def ra5_bisection(setup, problem) -> tuple:
+    """RA5's (levels, rates) user by user: doubling from 1 until the user's
+    own cells serve its target, then bisection to a width of
+    1e-12·(1 + hi); a user its cells cannot serve even at ``rate_cap``
+    gets the largest Υ(rate_cap) over its live regions (or 0)."""
+    grid, model = problem.grid, setup.model
+    M, K = grid.num_users, grid.num_channels
+    data = model.cell_data(region_contexts(grid))
+    probs = region_prob_table(grid)
+    levels, rates = np.zeros(M), np.zeros(M)
+    for m in range(M):
+        own = np.arange(K) % M == m
+        pr = probs[m, own]
+        cells = tuple(a[m, own] for a in data)
+        live = ~model.is_outage(cells)
+
+        def served(p):
+            r = np.minimum(model.rate_of_power(cells, p), setup.rate_cap)
+            return float((pr * r * live).sum())
+
+        target = float(setup.targets[m])
+        if target > float((pr * setup.rate_cap * live).sum()):
+            cap_power = model.power_of_rate(cells, setup.rate_cap)
+            levels[m] = np.max(cap_power[live], initial=0.0)
+        elif target > 0:
+            lo, hi = 0.0, 1.0
+            while served(hi) < target:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if served(mid) < target:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= 1e-12 * (1.0 + hi):
+                    break
+            levels[m] = hi
+        rates[m] = served(levels[m])
+    return levels, rates
 
 
 # --- perfect CSI ------------------------------------------------------------------

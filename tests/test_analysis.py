@@ -21,7 +21,7 @@ from qcsched.quantizer import EnumerationBudgetError, build_equiprobable
 from qcsched.solver import (Problem, SolverConfig, run_offline_nonsmooth,
                             run_offline_smooth, run_online)
 
-from oracles import cluster_audit, realize_probabilistic_access
+from oracles import cluster_audit, ra5_bisection, realize_probabilistic_access
 
 MODEL = OutageCapacity(outage_delta=0.0)
 
@@ -256,7 +256,7 @@ def test_ra5_deterministic_meets_targets_and_costs_more():
     MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01)],
     ids=lambda m: type(m).__name__)
 def test_ra5_builds_the_family_data_once(model, monkeypatch):
-    # on the whole (M, K, L) grid; each user's bisection slices its cells
+    # on the whole (M, K, L) grid; RA5 gathers each user's cells from it
     setup = micro_setup(model=model)
     (_, _, problem), = compare_rows(setup, ("RA5",))
     shapes, cell_data = [], type(model).cell_data
@@ -281,7 +281,7 @@ def test_ra5_reports_what_a_saturated_user_is_served():
     # with K = M = 2 user 1 owns channel 1 alone and can carry at most
     # rate_cap·Pr{not outage} = 12·3/4 = 9: it transmits at the saturation
     # power, the largest Υ(rate_cap) over its live regions, and the row is
-    # unconverged instead of raising; user 2 keeps its bisection
+    # unconverged instead of raising; user 2 still meets its target
     fading = FadingModel(np.full((2, 2), snr_db_to_mean_gain(6.0)), seed=0)
     setup = micro_setup(fading=fading, targets=np.array([12.0, 0.5]))
     row = point(setup, "RA5")
@@ -291,6 +291,90 @@ def test_ra5_reports_what_a_saturated_user_is_served():
                                                    rel=1e-12)
     assert row["avg_rates"][0] == pytest.approx(9.0, rel=1e-12)
     assert abs(row["avg_rates"][1] - 0.5) < setup.tol
+
+
+FAMILIES = [MODEL, ErgodicCapacity(),
+            MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=0.01),
+            MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01)]
+# M=3 users on K=6 channels, two each: user 1's target is beyond what any
+# family's two channels carry at rate_cap (at most 12·2 = 24), user 2's is 0
+RA5_TARGETS = np.array([30.0, 0.0, 1.5])
+
+
+def ra5_row(model, targets=RA5_TARGETS, gain_scale=1.0):
+    """The RA5 row and its setup and Problem on the M=3, K=6 instance at
+    6 dB, every mean gain times ``gain_scale``."""
+    mg = np.full((3, 6), snr_db_to_mean_gain(6.0) * gain_scale)
+    setup = micro_setup(fading=FadingModel(mg, seed=2), model=model,
+                        mu=np.array([1.0, 2.0, 0.5]), targets=targets)
+    (_, _, problem), = compare_rows(setup, ("RA5",))
+    return analysis.ra5_point(setup, problem), setup, problem
+
+
+@pytest.mark.parametrize("target", [1490.0, 1900.0])
+def test_ra5_level_past_the_float_range_is_inf(target):
+    # at -100 dB and rate_cap 1000 user 1's two channels carry at most
+    # 1000·2·3/4 = 1500: 1490 needs about 2^993/g on its best live region and
+    # 1900 saturates, both past the float range; the level is +inf, every
+    # live cell is served at the cap, and user 2 keeps its finite level
+    fading = FadingModel(np.full((2, 4), snr_db_to_mean_gain(-100.0)), seed=2)
+    setup = micro_setup(fading=fading, rate_cap=1000.0,
+                        targets=np.array([target, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = point(setup, "RA5")
+    assert row["power_levels"][0] == row["avg_power"] == np.inf
+    assert row["avg_rates"][0] == 1500.0 and not row["converged"]
+    assert np.isfinite(row["power_levels"][1])
+    assert abs(row["avg_rates"][1] - 1.0) < setup.tol
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
+def test_ra5_levels_match_the_bisection_oracle(model):
+    # the oracle stops at a bracket 1e-12·(1 + hi) wide, on levels near 1;
+    # the saturated user's level is the same Υ(rate_cap) on both paths
+    row, setup, problem = ra5_row(model)
+    levels, rates = ra5_bisection(setup, problem)
+    assert levels[1] == row["power_levels"][1] == 0.0
+    np.testing.assert_allclose(row["power_levels"], levels, rtol=1e-11)
+    np.testing.assert_allclose(row["avg_rates"], rates, rtol=1e-11)
+    assert not row["converged"] and rates[0] < 30.0
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
+def test_ra5_user_level_ignores_the_other_users_targets(model):
+    # every element of the one root-find evaluates its own cells only, so
+    # no other user's target, zero, saturating or neither, moves a bit of it
+    base = ra5_row(model)[0]
+    for m in range(3):
+        for other in (0.0, 30.0, 0.9):
+            targets = np.full(3, other)
+            targets[m] = RA5_TARGETS[m]
+            row = ra5_row(model, targets)[0]
+            assert row["power_levels"][m] == base["power_levels"][m]
+            assert row["avg_rates"][m] == base["avg_rates"][m]
+
+
+def test_ra2_stage_that_stalls_ends_the_run_without_dividing(monkeypatch):
+    # at μ = 1e-12 on compare's shape RA2's last ε-stage rejects trials
+    # until its step rounds to zero; the stage stops there instead of
+    # dividing by that step until max_iters, and the run ends at its point
+    reasons, solve = [], analysis.run_offline_newton
+
+    def spy(problem, cfg):
+        lam, traj = solve(problem, cfg)
+        reasons.append(traj.reason)
+        return lam, traj
+
+    monkeypatch.setattr(analysis, "run_offline_newton", spy)
+    fading = FadingModel(np.full((3, 64), snr_db_to_mean_gain(6.0)), seed=0)
+    setup = micro_setup(fading=fading, mu=np.full(3, 1e-12),
+                        targets=np.array([40.0, 70.0, 100.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = point(setup, "RA2")
+    assert reasons[-1] == "stalled" and set(reasons[:-1]) == {"converged"}
+    assert not row["converged"]
 
 
 def test_ra2_within_smoothing_bound_of_ra3():
@@ -398,9 +482,11 @@ def test_converged_rows_meet_their_targets():
     for r in rows:
         miss = np.max(np.abs(np.asarray(r["avg_rates"]) - setup.targets))
         assert r["converged"] and miss < setup.tol, (r["scheme"], miss)
-    # RA5 computes its flag: a tol below its bisection's rate error fails it
+    # RA5 computes its flag: serves_targets on its own rates, even at 1e-15
     strict = micro_setup(tol=1e-15)
-    assert not point(strict, "RA5")["converged"]
+    row = point(strict, "RA5")
+    assert row["converged"] == solver.serves_targets(row["avg_rates"],
+                                                     strict.targets, 1e-15)
     # the three solvers on the tc1 shape: the constant step serves its last
     # iterate, the non-smooth baseline the average of its second half (its
     # last iterate hovers), the online run its final sample average
@@ -416,6 +502,51 @@ def test_converged_rows_meet_their_targets():
         miss = np.max(np.abs(traj.served_rates - problem.targets))
         assert traj.converged == (miss < cfg.tol), (traj.reason, miss)
     assert [traj.converged for traj in results] == [True, True, False]
+
+
+# --- relations between runs --------------------------------------------------------
+# each states its tolerance and why; RA4's ladders are drawn in (m, k) order
+# and RA5 gives channel k to user k mod M, so neither is permutation-free
+
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
+def test_ra5_gain_scale_divides_levels_and_power(model):
+    # every family's power is ∝ 1/g and the ladders scale with ḡ, so RA5's
+    # levels and power scale by 1/a and its rates stay, up to the root-find's
+    # relative tolerance (measured at rounding, ≤ 1.6e-15); at +100 dB its
+    # stop rule, ROOT_TOL·(1 + |x|), is absolute on levels near 1e-10
+    base, *_ = ra5_row(model)
+    for snr_shift in (-100.0, -50.0, 50.0):
+        a = 10.0 ** (snr_shift / 10.0)
+        row, *_ = ra5_row(model, gain_scale=a)
+        np.testing.assert_allclose(row["power_levels"] * a,
+                                   base["power_levels"], rtol=1e-12, atol=0)
+        assert row["avg_power"] * a == pytest.approx(base["avg_power"],
+                                                     rel=1e-12)
+        np.testing.assert_allclose(row["avg_rates"], base["avg_rates"],
+                                   rtol=1e-12, atol=0)
+
+
+def test_user_permutation_permutes_ra1_to_ra3():
+    # permuting ḡ, μ and ř permutes RA1-RA3's rates and λ and keeps their
+    # power, up to rounding: the sums over users run in another order
+    # through the same Newton steps (measured ≤ 9e-16), so iteration counts
+    # and RA2's last ε are equal
+    mg = np.outer([snr_db_to_mean_gain(db) for db in (4.0, 6.0, 8.0)],
+                  np.ones(4))
+    mu, targets = np.array([1.0, 2.0, 0.5]), np.array([1.0, 1.5, 0.8])
+    perm = np.array([2, 0, 1])
+    rows = [compare_schemes(micro_setup(
+        fading=FadingModel(mg[p], seed=2), mu=mu[p], targets=targets[p]),
+        ("RA1", "RA2", "RA3")) for p in (np.arange(3), perm)]
+    for base, row in zip(*rows):
+        assert base["converged"] and row["converged"], base["scheme"]
+        assert row["avg_power"] == pytest.approx(base["avg_power"], rel=1e-12)
+        np.testing.assert_allclose(row["avg_rates"], base["avg_rates"][perm],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row["lambda"], base["lambda"][perm],
+                                   rtol=1e-12)
+        for key in ("iterations", "eps"):
+            assert row.get(key) == base.get(key), (base["scheme"], key)
 
 
 # --- harness drivers --------------------------------------------------------------------

@@ -91,15 +91,15 @@ MICRO_FAMILIES = {
 GOLDEN = {
     "compare_schemes": {
         "compare.csv":
-            "d8a35a553f6d26bf341f6d50121288c727cbbdbd9498ff7f3fd8764093b71fab",
+            "1822c90044ad3fd8f6d784f86be99a914218a203d22cbcee184bff87309b6221",
         "summary.json":
-            "356df05e15c3bdd9b82d68b9c8341e5c3221e41a90ee29306580af568ef3af97",
+            "a5c4c38475067abafa78fc4474f70e471edb49ee2785ba58ec63126b41c09837",
     },
     "micro_avg_ber_compare": {
         "compare.csv":
-            "332ef2d40ad135d6012a8b9ef75ed9deb0275b8beadf4735a5d2239844e6a8fd",
+            "101828a8ed4c0fdcb6663ad98a359b4bf92f09c451ddc65a70ca5bbbf6d61d22",
         "summary.json":
-            "a4dac9b25878b68d6119edbad7772eb311f01f8f1dcafec2a7ca8bbc7feae8de",
+            "750f8444973ac6e58b144893a52283b238a08e0ebe4801c27f64362c86bb6f74",
     },
     "micro_avg_ber_offline": {
         "trajectory.csv":
@@ -109,9 +109,9 @@ GOLDEN = {
     },
     "micro_inst_ber_compare": {
         "compare.csv":
-            "df82b5cd74c8f0f43e116fe200f711dab8d65b37a8bc95f4df031aca985b9c98",
+            "3010c9aa229fbf7ddec50efb446c20c9ead38dc04996a4190fb42268f7a59646",
         "summary.json":
-            "0b9231c52946896be6a09a1eb2d3c9a3da0ffa19ebfef97aa3cc64634ca88801",
+            "9ff20cca698c82c3f224fc32cc52dc5dc4681b5b2b41c7e52550f2bf1e81d1c1",
     },
     "micro_inst_ber_offline": {
         "trajectory.csv":
@@ -121,21 +121,21 @@ GOLDEN = {
     },
     "micro_compare": {
         "compare.csv":
-            "4806785c04a92f184a0fec13f998ca7412928dc7c74746ef77230ca4ae07f02a",
+            "f3d34582a009b48f0301a5e801145c1a2388001b2cc985f4e03634867d4131d9",
         "summary.json":
-            "3c215817c94274bebab2fb358ffc108dc0d59ffb974bfec222f34cd7c72bd37a",
+            "c4f77e03f80ea077fa343aff8c9d20c4140a5816a5baeaff53ce4d324ca52f15",
     },
     "micro_compare_snr_points": {
         "compare.csv":
-            "e0f25220c01d170b61faf8a8e78cd7e7b8172b05506f1f7e8c04547eab6fb80c",
+            "4f484e9739f117cd95cebc0f1a935143ba2242072296f311097fa6e071cd891c",
         "summary.json":
-            "759a5622883cf437fe29fbd73c829ff026f378d6b68eaf7d4e09ccc863048e90",
+            "4335b13edc17fc2ffd3396d726f7d7b448052a7105b7846ef1e2f4f3e58271be",
     },
     "micro_ergodic_compare": {
         "compare.csv":
-            "00bbb66b2d2c5b5b551bfa30f662727946bb55c7de73b9c54cb333066856af8d",
+            "c9bd349bc65676076b76d38fd4bc489017d2c80242e1787ed04df96991aa07d5",
         "summary.json":
-            "ef6f7fff4174c8399d0a2d8e3dc808530deed26a2c16f7c99d1ed33825179c07",
+            "404410b8f4414604de001b5550536715407e3b4996d489f0aad2f16a86b43be7",
     },
     "micro_ergodic_offline": {
         "trajectory.csv":

@@ -285,6 +285,28 @@ def test_marginal_matches_finite_differences(model):
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
+def test_rate_derivative_matches_a_central_difference(model):
+    # (Υ⁻¹)' against Υ⁻¹'s central difference, step 1e-4·y: truncation
+    # near 1e-8 relative, rounding far below; the first region is outage for
+    # the δ = 0 and instantaneous-BER families, where both are exactly 0,
+    # and ergodic y reaches down to its first-order branch below
+    # y·E[g|R] = 1e-300
+    ctx = RegionContext(q_lo=np.array([0.0, 0.4, 2.1]),
+                        q_hi=np.array([0.4, 2.1, np.inf]), mean_gain=1.3)
+    data = model.cell_data(ctx)
+    outage = model.is_outage(data)
+    for y in (1e-305, 1e-9, 1e-3, 0.5, 5.0, 80.0):
+        h = 1e-4 * y
+        rate, deriv = model.rate_and_derivative(data, y)
+        np.testing.assert_array_equal(rate, model.rate_of_power(data, y))
+        fd = (model.rate_of_power(data, y + h)
+              - model.rate_of_power(data, y - h)) / (2 * h)
+        np.testing.assert_array_equal(deriv[outage], 0.0)
+        np.testing.assert_array_equal(fd[outage], 0.0)
+        np.testing.assert_allclose(deriv[~outage], fd[~outage], rtol=1e-6)
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
 def test_marginal_strictly_increasing(model):
     x = np.linspace(0.05, 9.0, 30)
     d = np.array([float(marginal_power(model, CTX, xi)) for xi in x])
@@ -319,7 +341,8 @@ def test_cell_data_is_the_only_method_that_reads_regions(model):
     public = {n for n in dir(model)
               if not n.startswith("_") and callable(getattr(model, n))}
     assert public == {"cell_data", "allocation", "rate_slope", "power_of_rate",
-                      "rate_of_power", "is_outage", "perfect_csi_scale"}
+                      "rate_of_power", "rate_and_derivative", "is_outage",
+                      "perfect_csi_scale"}
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: repr(m)[:40])

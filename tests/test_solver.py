@@ -1,6 +1,7 @@
 """Multiplier iterations: scalar oracles, trajectories, online determinism."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,27 @@ def test_newton_counts_every_evaluation_toward_max_iters(monkeypatch):
     one, _ = run_offline_newton(
         problem, SolverConfig(beta=1e-3, tol=1e-12, max_iters=1))
     np.testing.assert_array_equal(one, np.full(2, 0.1))
+
+
+def test_newton_stops_on_a_zero_step(monkeypatch):
+    # a step that rounds to all zero would repeat λ until max_iters and
+    # divide by zero in the step cap: the run stops at once, "stalled"
+    calls = []
+    evaluate = Problem.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(Problem, "evaluate", counted)
+    monkeypatch.setattr(solver, "_solve", lambda a, b: np.zeros_like(b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lam, traj = run_offline_newton(
+            micro_problem(), SolverConfig(beta=1e-3, max_iters=100))
+    assert len(calls) == 1 and traj.reason == "stalled"
+    assert not traj.converged and list(traj.iters) == [0]
+    np.testing.assert_array_equal(lam, np.full(2, 0.1))
 
 
 def tc1_problem(first_target):
