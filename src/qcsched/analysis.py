@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import powerrate, solver
+from . import solver
 from . import quantizer as qz
 from .allocator import (DEFAULT_FEAS_TOL, DEFAULT_RATE_CAP, Multipliers,
                         build_tables, find_tie_instances, solve_tie_lp)
@@ -229,8 +229,7 @@ def ra5_point(setup: CompareSetup, problem: Problem) -> dict:
         return np.where(saturated | past, 0.0, rates - setup.targets), deriv
 
     levels = np.where(past, hi, _vec_newton(
-        f_df, np.zeros(M), np.where(past, 0.0, hi), powerrate.ROOT_TOL,
-        powerrate.ROOT_MAX_ITER, "RA5 power level"))
+        f_df, np.zeros(M), np.where(past, 0.0, hi), "RA5 power level"))
     rates = served(levels)[0]
     converged = solver.serves_targets(rates, setup.targets, setup.tol)
     return {"avg_power": float(setup.mu @ (levels * share)),

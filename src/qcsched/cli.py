@@ -123,8 +123,8 @@ class Key(NamedTuple):
 
 _M, _K = "fading.num_users", "fading.num_channels"
 # the SNR bound in dB: all six bundled configs run without a floating-point
-# warning at ±100; from about 110 an RA1 row runs over a minute (its forward
-# difference step is absolute), and 10^(snr/10) overflows past 3083
+# warning at ±100; at 110 an RA1 row runs about 30 s to max_iters (its first
+# λ and Newton damping are absolute), and 10^(snr/10) overflows past 3083
 _SNR_DB = 100.0
 _SOLVED = (*SOLVER_MODES, *ROW_MODES)       # overhead counts bits alone
 _SMOOTH = ("offline_smooth", "online", *ROW_MODES)

@@ -54,16 +54,14 @@ from .allocator import (DEFAULT_RATE_CAP, Multipliers, Prices,
                         check_reach, check_weights, make_static,
                         region_index, smooth_weights, smooth_window)
 from .channel import FadingModel
-from .powerrate import _LN2, PowerRate, _vec_newton, linear_allocation
+from .powerrate import _LN2, PowerRate, linear_allocation
 from .quantizer import QuantizerGrid
 
 _JAC_CHUNK = 2 ** 15    # column entries (classes × columns × users) per chunk
 _HARD_CHUNK = 2 ** 15   # hard-rule comparisons (classes × M² × L²) per chunk
 # PerfectCSI: Gauss–Legendre nodes per piece, the last piece's reach past the
-# last split in mean gains, the forward-difference step over max(1, λ_n), and
-# the root-finds' tolerance and step limit
+# last split in mean gains, and the forward-difference step relative to λ_n
 _GL_NODES, _TAIL_MEANS, _FD_STEP = 64, 40.0, 1e-7
-_ROOT_TOL, _ROOT_ITERS = 1e-13, 256
 
 
 @dataclass(frozen=True)
@@ -316,12 +314,20 @@ def _unit_allocation(t, rate_cap: float) -> tuple:
 
 
 def _unit_gain(cost, rate_cap: float) -> np.ndarray:
-    """t ≥ 0 with cost/λ = ``cost`` ∈ (-rate_cap, 0)."""
-    def f_df(t):
-        _, power, c = _unit_allocation(t, rate_cap)
-        return cost - c, power
-    return _vec_newton(f_df, 0.0, np.ones_like(cost), _ROOT_TOL, _ROOT_ITERS,
-                       "perfect-CSI gain")
+    """h⁻¹(y), the t ≥ 0 at which _unit_allocation's cost/λ is y = ``cost``:
+    0 for y ≥ 0, +inf for y ≤ -rate_cap, t = ln(2^cap - 1) - ln((y + cap)·ln2)
+    on the capped piece. Below it φ(t) = t + e^{-t} - 1 = s = -y·ln2, φ convex:
+    Newton from above the root, √(3s) for s < 0.6 (φ ≥ t²/3 there) else s + 1
+    (φ ≥ t - 1), descends monotonically to the last bit in 4 steps."""
+    s = np.maximum(-_LN2 * cost, 0.0)
+    t = np.where(s < 0.6, np.sqrt(3.0 * s), s + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(4):                      # 0/0 at s = 0 is masked
+            dphi = -np.expm1(-t)
+            t = t - (t - dphi - s) / dphi
+        capped = (rate_cap * _LN2 + np.log1p(-np.exp2(-rate_cap))
+                  - np.log(np.maximum(cost + rate_cap, 0.0) * _LN2))
+    return np.where(cost < 0.0, np.where(t <= rate_cap * _LN2, t, capped), 0.0)
 
 
 @dataclass
@@ -379,13 +385,10 @@ class PerfectCSI:
         # (-cap, 0) become empty pieces at t = 0
         split = np.concatenate([_unit_allocation(cap * _LN2, cap)[2] / ratio,
                                 -cap / ratio], axis=1)
-        inside = (split > -cap) & (split < 0.0)
-        split[~inside] = 0.0
-        split[inside] = _unit_gain(split[inside], cap)
-        split.sort(axis=1)
+        split = np.sort(np.where(split > -cap, _unit_gain(split, cap), 0), 1)
         last = split.max(axis=1, initial=0.0)           # (A,), A may be 0
         x, w = _legendre_rule()
-        rivals = ~np.eye(len(act), dtype=bool)[:, :, None, None]
+        rivals = _user_pairs(len(act))[1]
         rates, power, served_cost = np.zeros(self.num_users), 0.0, 0.0
         for col, count in zip(self.columns[:, act], self.counts):
             tail = np.log(np.exp(last) + _TAIL_MEANS * col / g_on)
@@ -395,10 +398,9 @@ class PerfectCSI:
             rate, unit_power, cost = _unit_allocation(t, cap)
             gain = (g_on / col)[:, None, None] * np.exp(t)       # g/ḡ
             rival = cost[:, None] * ratio[:, :, None, None]     # (A, A, P, N)
-            live = rivals & (rival > -cap)
-            beaten = np.ones(rival.shape)                   # Pr{C_m > C_n}
-            beaten[live] = -np.expm1(-(g_on / col)[np.nonzero(live)[1]]
-                                     * np.exp(_unit_gain(rival[live], cap)))
+            # Pr{C_m > C_n}, m ≠ n; 1 where C_n ≤ m's floor (t = +inf)
+            beaten = np.where(rivals, -np.expm1(-(g_on / col)[:, None, None]
+                              * np.exp(_unit_gain(rival, cap))), 1.0)
             weight = count * half * w * gain * np.exp(-gain) * beaten.prod(1)
             rates[act] += np.sum(weight * rate, axis=(1, 2))
             power += float(la @ np.sum(weight * unit_power, axis=(1, 2)))
@@ -410,8 +412,8 @@ class PerfectCSI:
             avg_power=power, jacobian=partial(self._jacobian, lam, subgradient))
 
     def _jacobian(self, lam: np.ndarray, subgradient: np.ndarray) -> np.ndarray:
-        """∂g/∂λ by forward differences, one evaluation per user."""
-        steps = _FD_STEP * np.maximum(1.0, lam)
+        """∂g/∂λ by forward steps _FD_STEP·λ_n, one evaluation per user."""
+        steps = _FD_STEP * np.where(lam > 0.0, lam, lam.max() or 1.0)
         return np.column_stack([
             (self.evaluate(lam + h * e).subgradient - subgradient) / h
             for h, e in zip(steps, np.eye(len(lam)))])

@@ -57,9 +57,9 @@ from .quantizer import QuantizerGrid
 from .special import exp12_scaled
 
 _LN2 = float(np.log(2.0))
-# every family root-find (``_vec_newton``) stops each element once its step
-# or bracket is within ROOT_TOL·(1 + |x|), and gives up after ROOT_MAX_ITER
-# safeguarded steps; both are read at call time
+# every root-find (``_vec_newton``: the families' and RA5's) stops each
+# element once its step or bracket is within ROOT_TOL·(1 + |x|), and gives up
+# after ROOT_MAX_ITER safeguarded steps; both are read at call time
 ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 256
 
@@ -143,13 +143,13 @@ def _truncated_exp(ctx: RegionContext):
     return s_lo, s_hi, pr, m1, m2
 
 
-def _vec_newton(f_df, lo, hi, rel_tol, max_iter, what: str):
+def _vec_newton(f_df, lo, hi, what: str):
     """Safeguarded Newton ("rtsafe") on an increasing f, elementwise: ``f_df``
     gives (f, f'), f(lo) ≤ 0, and hi is doubled until f(hi) ≥ 0. The first
     step starts at hi, from the evaluation that confirmed it. A step narrows
     the bracket by the sign of f and takes the Newton point if it is finite
     and strictly inside, else the midpoint. An element stops on its own once
-    its step or bracket is within rel_tol·(1 + |x|); ``max_iter`` counts
+    its step or bracket is within ROOT_TOL·(1 + |x|); ROOT_MAX_ITER counts
     these safeguarded steps.
 
     ``f_df`` may give arrays after (f, f'); then the root comes back with
@@ -160,16 +160,16 @@ def _vec_newton(f_df, lo, hi, rel_tol, max_iter, what: str):
     hi, (f, df, *extras) = _grow_bracket(f_df, hi, what)
     kept = [np.array(e) for e in extras]
     x, live = hi, np.ones(hi.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         lo = np.where(live & (f < 0.0), x, lo)
         hi = np.where(live & (f > 0.0), x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - f / df
-        small = (f == 0.0) | (abs(newton - x) <= rel_tol * (1.0 + abs(x)))
+        small = (f == 0.0) | (abs(newton - x) <= ROOT_TOL * (1.0 + abs(x)))
         inside = (newton > lo) & (newton < hi)
         x = np.where(live, np.where(inside, newton, np.where(
             small, x, 0.5 * (lo + hi))), x)
-        live &= ~(small | (hi - lo <= rel_tol * (1.0 + np.abs(hi))))
+        live &= ~(small | (hi - lo <= ROOT_TOL * (1.0 + np.abs(hi))))
         if not live.any():
             return (x, *kept) if kept else x
         f, df, *extras = f_df(x)
@@ -333,8 +333,7 @@ class MaxAvgBer(PowerRate):
             return target - h, (lo * e_lo - hi_fin * e_hi + h) / a
 
         # root of h(a) = target lies in (1/ḡ, ∞) because h(1/ḡ) = ḡ·Pr > target
-        a = _vec_newton(f_df, 1.0 / g, 2.0 / g, ROOT_TOL, ROOT_MAX_ITER,
-                        "average-BER region constant")
+        a = _vec_newton(f_df, 1.0 / g, 2.0 / g, "average-BER region constant")
         return ((a - 1.0 / g) / self.kappa2,)
 
 
@@ -421,7 +420,7 @@ class ErgodicCapacity(PowerRate):
             lo = np.expm1(_LN2 * x) / m1
             hi = np.expm1(_LN2 * x * m2 / (m1 * m1)) * m1 / m2
         y = _vec_newton(f_df, lo, np.where(np.isfinite(hi), hi, 1.0),
-                        ROOT_TOL, ROOT_MAX_ITER, "ergodic power")
+                        "ergodic power")
         return np.where(x > 0.0, y, 0.0)
 
     def allocation(self, data: tuple, slope, rate_cap: float) -> tuple:
@@ -459,8 +458,7 @@ class ErgodicCapacity(PowerRate):
         y_hi = t / _LN2 - 1.0 / m1
         lo = np.maximum(m1 * m1 / m2 * y_hi - ROOT_TOL, 0.0)
         hi = np.maximum(y_hi, ROOT_TOL)
-        y, r, deriv, y_eval = _vec_newton(f_df, lo, hi, ROOT_TOL,
-                                          ROOT_MAX_ITER,
+        y, r, deriv, y_eval = _vec_newton(f_df, lo, hi,
                                           "ergodic marginal inverse")
         r += deriv * (y - y_eval)
         capped = r > rate_cap

@@ -188,7 +188,8 @@ def _solve(a, b):
     for c in range(len(b)):
         p = c + int(np.argmax(np.abs(ab[c:, c])))
         ab[[c, p]] = ab[[p, c]]
-        ab -= np.outer(ab[:, c] - (np.arange(len(b)) == c), ab[c] / ab[c, c])
+        ab[c] /= ab[c, c]           # first, or a pivot past 2⁵³ zeroes row c
+        ab -= np.outer(ab[:, c] - (np.arange(len(b)) == c), ab[c])
     return ab[:, -1]
 
 

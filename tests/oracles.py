@@ -18,7 +18,7 @@ import numpy as np
 
 from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
                                build_tables, smooth_weights)
-from qcsched.dual import Problem, block_allocation
+from qcsched.dual import Problem, _unit_allocation, block_allocation
 from qcsched.powerrate import ErgodicCapacity, region_contexts
 from qcsched.quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                                QuantizerGrid, region_prob_table)
@@ -601,6 +601,31 @@ def perfect_csi_quad(mean_gain, scale: float, mu, targets, lam,
             power += count * part[1]
             served += count * part[2]
     return rates, power, float(lam @ np.asarray(targets, float)) + served
+
+
+def unit_gain_bisection(cost, rate_cap: float) -> np.ndarray:
+    """dual._unit_gain the slow way: the t at which _unit_allocation's
+    computed cost/λ crosses each ``cost`` in (-rate_cap, 0), by last-bit
+    bisection on [0, rate_cap·ln2 + 40]. The computed cost holds each float
+    over a run of t, widest near -rate_cap where one ulp of rate_cap spans
+    a run of about ulp/(cost + rate_cap), so this is the run's midpoint: the
+    mean of the ends of {h(t) > cost} and of {h(t) ≥ cost}."""
+    y = np.asarray(cost, dtype=float)
+
+    def end(above):
+        lo = np.zeros_like(y)
+        hi = np.full_like(y, rate_cap * math.log(2.0) + 40.0)
+        while True:
+            mid = 0.5 * (lo + hi)
+            live = (lo < mid) & (mid < hi)
+            if not live.any():
+                return lo, hi
+            # e^{-t} leaves the normal range past t ≈ 708: h overflows there
+            with np.errstate(over="ignore", divide="ignore"):
+                up = above(_unit_allocation(mid, rate_cap)[2])
+            lo, hi = np.where(live & up, mid, lo), np.where(live & ~up, mid, hi)
+
+    return 0.5 * (end(lambda h: h > y)[1] + end(lambda h: h >= y)[0])
 
 
 # --- solver verdicts ------------------------------------------------------------

@@ -355,10 +355,11 @@ def test_ra5_user_level_ignores_the_other_users_targets(model):
             assert row["avg_rates"][m] == base["avg_rates"][m]
 
 
-def test_ra2_stage_that_stalls_ends_the_run_without_dividing(monkeypatch):
-    # at μ = 1e-12 on compare's shape RA2's last ε-stage rejects trials
-    # until its step rounds to zero; the stage stops there instead of
-    # dividing by that step until max_iters, and the run ends at its point
+def test_ra2_at_a_tiny_mu_converges_without_a_warning(monkeypatch):
+    # at μ = 1e-12 on compare's shape RA2's last ε-stage solves a Newton
+    # system whose pivots pass 2⁵³; solver._solve keeps its step there, so
+    # every stage converges and the row serves the targets, with no
+    # division by a zero step
     reasons, solve = [], analysis.run_offline_newton
 
     def spy(problem, cfg):
@@ -373,8 +374,10 @@ def test_ra2_stage_that_stalls_ends_the_run_without_dividing(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         row = point(setup, "RA2")
-    assert reasons[-1] == "stalled" and set(reasons[:-1]) == {"converged"}
-    assert not row["converged"]
+    assert set(reasons) == {"converged"} and row["converged"]
+    np.testing.assert_allclose(row["avg_rates"], setup.targets, rtol=1e-12)
+    # P - D measured 1.4e-15 on P = 1.5e-10; the flag allows λ·tol ≈ 5.5e-15
+    assert 0.0 <= row["avg_power"] - row["dual_bound"] <= 1e-14
 
 
 def test_ra2_within_smoothing_bound_of_ra3():
@@ -524,6 +527,32 @@ def test_ra5_gain_scale_divides_levels_and_power(model):
                                                      rel=1e-12)
         np.testing.assert_allclose(row["avg_rates"], base["avg_rates"],
                                    rtol=1e-12, atol=0)
+
+
+def test_ra1_gain_scale_shifts_power_and_lambda():
+    # scaling every mean gain by a scales RA1's power and λ by 1/a and keeps
+    # its rates; with the forward step relative to λ the solve takes the same
+    # path up to rounding (measured ≤ 3.6e-12 in rates, 5.5e-12 in λ·a and
+    # 2.4e-11 dB), and above 6 dB no more Newton steps. Below, the absolute
+    # λ⁽⁰⁾ = 0.1 and damping 1/β still add steps
+    def ra1(snr_db):
+        mg = np.full((3, 64), snr_db_to_mean_gain(snr_db))
+        setup = micro_setup(fading=FadingModel(mg, seed=0), mu=np.ones(3),
+                            targets=np.array([40.0, 70.0, 100.0]))
+        return point(setup, "RA1")
+
+    base = ra1(6.0)
+    for snr_db in (-100.0, -50.0, 50.0, 100.0):
+        row, shift = ra1(snr_db), snr_db - 6.0
+        assert row["converged"], snr_db
+        np.testing.assert_allclose(row["avg_rates"], base["avg_rates"],
+                                   rtol=1e-9, atol=0)
+        np.testing.assert_allclose(row["lambda"] * 10.0 ** (shift / 10.0),
+                                   base["lambda"], rtol=1e-9, atol=0)
+        assert row["power_db"] == pytest.approx(base["power_db"] - shift,
+                                                abs=1e-9)
+        if shift > 0.0:
+            assert row["iterations"] <= base["iterations"], snr_db
 
 
 def test_user_permutation_permutes_ra1_to_ra3():

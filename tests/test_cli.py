@@ -571,9 +571,9 @@ def test_snr_db_past_its_bound_exit2_names_it_without_a_warning(
 
 def test_snr_db_at_its_bound_runs_clean(tmp_path, capsys):
     # the bound is an SNR at which all six bundled configs run without a
-    # floating-point warning; from about 110 dB compare_schemes' RA1 row
-    # runs for over a minute. Here both ends of it pass --dry-run on
-    # compare_schemes, and a small compare run solves them clean
+    # floating-point warning; at 110 dB compare_schemes' RA1 row runs to
+    # max_iters from its absolute first λ and damping. Both ends of it pass
+    # --dry-run on compare_schemes, and a small compare run solves them clean
     cfg = json.loads((CONFIGS / "compare_schemes.json").read_text())
     for snr in (-100.0, 100.0):
         cfg["fading"]["snr_db"] = snr

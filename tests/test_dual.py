@@ -27,7 +27,7 @@ from qcsched.solver import SolverConfig, run_offline_nonsmooth
 
 from oracles import (column_major_block, column_major_dual, jacobian_check,
                      per_channel_dual, per_channel_space, perfect_csi_quad,
-                     stochastic_subgradient)
+                     stochastic_subgradient, unit_gain_bisection)
 
 LN2 = np.log(2.0)
 MODEL = OutageCapacity(outage_delta=0.0)
@@ -750,6 +750,33 @@ def test_perfect_csi_matches_continuous_gain_monte_carlo():
     se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
     exact = np.append(ev.per_user_avg_rate, ev.avg_power)
     assert np.all(np.abs(exact - mean) <= 5.0 * se), (exact, mean, se)
+
+
+@pytest.mark.parametrize("cap", [1.0, 12.0, 100.0, 1000.0])
+def test_unit_gain_inverts_the_computed_unit_cost(cap):
+    # the closed form against a last-bit bisection of _unit_allocation's
+    # cost, over 20 000 log-spaced costs from -1e-12 to within 0.2% of -cap:
+    # measured ≤ 4.8e-16·(1 + t); the root-find it replaced missed by up to
+    # 2.7e-15·(1 + t)
+    cost = -np.logspace(-12, np.log10(cap), 20_001)[:-1]
+    t, ref = dual._unit_gain(cost, cap), unit_gain_bisection(cost, cap)
+    assert np.all(np.abs(t - ref) <= 1e-15 * (1.0 + ref))
+
+
+def test_unit_gain_edges():
+    # 0 where the cost is not negative and +inf at or below the floor -cap,
+    # with no RuntimeWarning anywhere (the suite makes qcsched's an error):
+    # at cap 1000 a cost within 1e-13 of -cap has t = ln(2^cap - 1) -
+    # ln((cost + cap)·ln2) ≈ 723, where 2^cap/(cost + cap) is past the
+    # float range, and t falls as the cost rises
+    for cap in (1.0, 12.0, 1000.0):
+        cost = np.array([0.0, 5e-324, 3.0, np.inf, -cap, -2.0 * cap, -np.inf])
+        np.testing.assert_array_equal(dual._unit_gain(cost, cap),
+                                      [0.0] * 4 + [np.inf] * 3)
+    near = -1000.0 + np.array([1e-13, 2e-13, 1e-12, 1e-9])
+    t = dual._unit_gain(near, 1000.0)
+    assert np.all(np.diff(t) < 0.0) and t[-1] > 1000.0 * LN2
+    assert 723.0 < t[0] < 724.0
 
 
 def test_perfect_csi_jacobian_is_the_rate_slope():

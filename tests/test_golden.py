@@ -91,15 +91,15 @@ MICRO_FAMILIES = {
 GOLDEN = {
     "compare_schemes": {
         "compare.csv":
-            "1822c90044ad3fd8f6d784f86be99a914218a203d22cbcee184bff87309b6221",
+            "a22b7d06388f1106cbf91922109b93ab83d9218c804f5ee110063ebeb3344244",
         "summary.json":
-            "a5c4c38475067abafa78fc4474f70e471edb49ee2785ba58ec63126b41c09837",
+            "c12e5b244f725aedd11b5ebb72e5b8104f998105757e90cf81691ac21abff63f",
     },
     "micro_avg_ber_compare": {
         "compare.csv":
-            "101828a8ed4c0fdcb6663ad98a359b4bf92f09c451ddc65a70ca5bbbf6d61d22",
+            "26a5c1358242f96dcece35596beed905d7a59b8ffd81812d97a20981d7f144e6",
         "summary.json":
-            "750f8444973ac6e58b144893a52283b238a08e0ebe4801c27f64362c86bb6f74",
+            "aafcb718cd1fe422f5b4410930db4a21add0fe31cd0bcc898dfbb9e710504e64",
     },
     "micro_avg_ber_offline": {
         "trajectory.csv":
@@ -109,9 +109,9 @@ GOLDEN = {
     },
     "micro_inst_ber_compare": {
         "compare.csv":
-            "3010c9aa229fbf7ddec50efb446c20c9ead38dc04996a4190fb42268f7a59646",
+            "42cdf2fd72ad5a9f9dd93ace74ed6ee6af68fa63dbc5d25d1b9f91f3dd6b1ca9",
         "summary.json":
-            "9ff20cca698c82c3f224fc32cc52dc5dc4681b5b2b41c7e52550f2bf1e81d1c1",
+            "2e6b528d586eb132bcaaae75fab98529d5c860e0a97c587abfcce7d6a7867af1",
     },
     "micro_inst_ber_offline": {
         "trajectory.csv":
@@ -121,21 +121,21 @@ GOLDEN = {
     },
     "micro_compare": {
         "compare.csv":
-            "f3d34582a009b48f0301a5e801145c1a2388001b2cc985f4e03634867d4131d9",
+            "4bc9ab4be99dbb90d1880518d3f1f6df91c3caf8f8207990a50c9b117c9b183d",
         "summary.json":
-            "c4f77e03f80ea077fa343aff8c9d20c4140a5816a5baeaff53ce4d324ca52f15",
+            "c17a9fdde4a32c1ad6e0da385bca83eeee19b5f6940b5e6553365b724f79cca6",
     },
     "micro_compare_snr_points": {
         "compare.csv":
-            "4f484e9739f117cd95cebc0f1a935143ba2242072296f311097fa6e071cd891c",
+            "d60c503a22130d15504f0e7a633953c3a2c0a38756ffab052d2b97250330862c",
         "summary.json":
-            "4335b13edc17fc2ffd3396d726f7d7b448052a7105b7846ef1e2f4f3e58271be",
+            "b24b4fcbfa765a4321004ce78147025828967fcf33edcdfdb904dd24b91948c0",
     },
     "micro_ergodic_compare": {
         "compare.csv":
-            "c9bd349bc65676076b76d38fd4bc489017d2c80242e1787ed04df96991aa07d5",
+            "cfcfd82dc0e83944221c02664b174f79fe6f03dbd57f339affa61d5a6d4bd05a",
         "summary.json":
-            "404410b8f4414604de001b5550536715407e3b4996d489f0aad2f16a86b43be7",
+            "e24c0e7251c50644fb427640b5d68f3a40eaaef718dff969871de48517ab4762",
     },
     "micro_ergodic_offline": {
         "trajectory.csv":
@@ -151,9 +151,9 @@ GOLDEN = {
     },
     "micro_sweep": {
         "sweep.csv":
-            "bd991b5b16a506a0a8ff85aa5c4a59872dee9cb047bf7fddf1d304c890381430",
+            "2542a29895ae1a11f0ae8c8eb5d527974ce10f9be3cfcc1a299fe433544531cb",
         "summary.json":
-            "91b10bb8e1ff592c41fece7111a10840e774fdb32232128b80da4e788e879c5a",
+            "47a8665d009cd4298d996e138609c417f1c59b9e5da426d409ad114b6b773df2",
     },
     "overhead": {
         "summary.json":
@@ -179,9 +179,9 @@ GOLDEN = {
     },
     "sweep_regions": {
         "sweep.csv":
-            "642f3eb47bfb932b3f0a2decf156e4582800ba2debf5d1d80c7cc5bffa9f4998",
+            "d1c2a6d54452498dd4389322552abfa61f616585d75040114f7f098fa6c7b303",
         "summary.json":
-            "261c0b5ea3b4a2b1512083074c3d9c37eaf33172de170faa25e77ab8ee703df4",
+            "3b1d7ba5ac2dfefdc811920f592edd7a253b2009a2e5b35bba5d8bdcddebe3ce",
     },
 }
 

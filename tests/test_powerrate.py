@@ -411,7 +411,7 @@ def test_vec_newton_starts_at_the_bracket_it_grew():
     # stays inside the bracket
     f_df, calls, tol = cube_minus(300.0), [], powerrate.ROOT_TOL
     root = powerrate._vec_newton(recorded(f_df, calls), 0.0, np.ones(1),
-                                 tol, 64, "cube")
+                                 "cube")
     x, newton = np.array([8.0]), []
     while abs((step := x - np.divide(*f_df(x))) - x) > tol * (1.0 + abs(x)):
         x = step
@@ -426,8 +426,7 @@ def test_vec_newton_bisects_when_the_newton_point_leaves_the_bracket():
     # lo = 0, so the first step is the midpoint 4
     calls = []
     root = powerrate._vec_newton(recorded(tanh_minus(3.0), calls), 0.0,
-                                 np.array([8.0]), powerrate.ROOT_TOL, 64,
-                                 "tanh")
+                                 np.array([8.0]), "tanh")
     assert calls[:2] == [8.0, 4.0]
     assert root[0] == pytest.approx(3.0, abs=1e-12)
 
@@ -438,11 +437,10 @@ def test_vec_newton_elements_do_not_depend_on_each_other():
     # one its own call finds, to the bit
     for f_of, c in ((cube_minus, np.array([0.5, 3.0, 300.0, 1e5])),
                     (tanh_minus, np.array([0.3, 3.0, 7.0, 20.0]))):
-        both = powerrate._vec_newton(f_of(c), 0.0, np.ones(len(c)),
-                                     powerrate.ROOT_TOL, 256, "batch")
+        both = powerrate._vec_newton(f_of(c), 0.0, np.ones(len(c)), "batch")
         for i in range(len(c)):
             one = powerrate._vec_newton(f_of(c[i:i + 1]), 0.0, np.ones(1),
-                                        powerrate.ROOT_TOL, 256, "solo")
+                                        "solo")
             assert one.tobytes() == both[i:i + 1].tobytes()
 
 
@@ -456,17 +454,16 @@ def test_vec_newton_keeps_each_elements_last_live_evaluation():
 
     c = np.array([0.5, 3.0, 300.0, 1e5])
     plain = powerrate._vec_newton(cube_minus(c), 0.0, np.ones(len(c)),
-                                  powerrate.ROOT_TOL, 256, "batch")
+                                  "batch")
     calls = []
     root, point = powerrate._vec_newton(
         recorded(with_point(cube_minus(c)), calls), 0.0, np.ones(len(c)),
-        powerrate.ROOT_TOL, 256, "batch")
+        "batch")
     assert root.tobytes() == plain.tobytes()
     for i in range(len(c)):
         solo = []
         powerrate._vec_newton(recorded(with_point(cube_minus(c[i:i + 1])),
-                                       solo), 0.0, np.ones(1),
-                              powerrate.ROOT_TOL, 256, "solo")
+                                       solo), 0.0, np.ones(1), "solo")
         assert point[i] == solo[-1]
     # some element stopped a step early and was asked again at its root
     assert np.any(point != np.array(calls[-len(c):]))

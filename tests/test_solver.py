@@ -459,6 +459,19 @@ def test_newton_stops_on_a_zero_step(monkeypatch):
     np.testing.assert_array_equal(lam, np.full(2, 0.1))
 
 
+@pytest.mark.parametrize("a, b", [
+    ([[2e16, 1.0], [1.0, 3.0]], [4.0, 1.0]),
+    ([[1.0, 3e17, 2.0], [5e16, 1.0, 0.0], [2.0, 1.0, 4.0]], [1.0, 2.0, 3.0]),
+])
+def test_solve_keeps_the_step_past_a_pivot_of_2_to_the_53(a, b):
+    # pivot - 1 == pivot past 2⁵³: the elimination must not round the pivot
+    # row to zero there, or the step is 0 (RA2's last ε-stage at μ = 1e-12
+    # solves systems like the first)
+    a, b = np.array(a), np.array(b)
+    np.testing.assert_allclose(solver._solve(a, b), np.linalg.solve(a, b),
+                               rtol=1e-14, atol=0)
+
+
 def tc1_problem(first_target):
     """Test Case 1: M=4, K=16, L=4 at 6 dB, targets (ř₁, 8, 12, 16)."""
     fading = FadingModel(np.full((4, 16), snr_db_to_mean_gain(6.0)), seed=0)
