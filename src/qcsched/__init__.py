@@ -16,8 +16,8 @@ the fading gain fell into. This package provides:
 
 from .allocator import (DEFAULT_RATE_CAP, InfeasibleTargetsError,
                         Multipliers, RateCostTables, TieInfeasibleError,
-                        TieInstance, TieSolution, build_tables,
-                        find_tie_instances, smooth_weights, solve_tie_lp)
+                        build_tables, find_tie_instances, smooth_weights,
+                        solve_tie_lp)
 from .analysis import (CompareSetup, OverheadReport, compare_schemes,
                        feedback_bits, mc_primal, sweep_regions)
 from .channel import (FadingModel, sample_gain_blocks, sample_gains,
@@ -47,7 +47,7 @@ __all__ = [
     "Multipliers", "NumericError", "OnlineResult", "OutageCapacity",
     "OverheadReport", "PerfectCSI", "PowerRate", "Problem", "QuantizerGrid",
     "RateCostTables", "RegionContext", "SolverConfig",
-    "TieInfeasibleError", "TieInstance", "TieSolution", "Trajectory",
+    "TieInfeasibleError", "Trajectory",
     "block_allocation", "build_equiprobable", "build_random",
     "build_tables", "channel_classes", "column_space",
     "compare_schemes", "delta_outage_gain", "exact_dual", "exp1",

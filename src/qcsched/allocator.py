@@ -8,7 +8,7 @@ channel the hard (winner-takes-all) rule serves the cost minimizer when that
 minimum is negative; the smooth rule shares the channel among every user
 within ε of the minimum with weights proportional to (1 - (C_W - c*)/ε)².
 Exact cost ties under the hard rule are resolved globally by a small linear
-program over the tie instances.
+program over the tie instances, held as arrays with one row per tied cell.
 """
 
 from __future__ import annotations
@@ -195,115 +195,76 @@ def smooth_weights(costs: np.ndarray, eps: float) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class TieInstance:
-    """One (column, channel class) cell where the hard minimum is attained
-    by several users; probability is the column's probability summed over
-    the class, and ``channel`` is the class's representative channel."""
-
-    prob: float
-    channel: int
-    column: np.ndarray              # 1-based region indices, for reporting
-    members: np.ndarray             # tied user indices
-    rates: np.ndarray               # R* of each member
-    weighted_powers: np.ndarray     # μ_m·Υ(R*) of each member
-
-
 def find_tie_instances(problem, lam, tie_rtol: float):
-    """Enumerate the column space of ``problem`` (a dual.Problem: its
-    ``space``, its flat ``columns`` and its cell data at the classes'
-    representative channels) at λ, splitting cells into single-winner mass
-    (accumulated into r̄_one) and tie instances, one per class: cells whose
-    minimum c* < 0 several users' costs reach within tie_rtol·max(1, |c*|).
+    """Split the (class, column) cells of ``problem`` (a dual.Problem: its
+    flat ``columns`` and its cell data at the classes' representative
+    channels) at λ into single-winner mass, accumulated into r̄_one, and T
+    tie instances: cells whose minimum c* < 0 several users' costs reach
+    within tie_rtol·max(1, |c*|), in (class, column) order.
 
-    Returns (instances, r_bar_one); ř_tie = ř - r̄_one feeds solve_tie_lp.
+    Returns (prob, members, rates, weighted_powers, r_bar_one), the ties
+    along the leading axis: each cell's column probability summed over its
+    class (T,), the mask of its tied users (T, M), every user's R* and
+    μ_m·Υ(R*) in it (T, M), and r̄_one (M,); solve_tie_lp takes them in
+    this order, after the targets.
     """
     prices = Prices(check_lambda(lam, problem.num_users), problem.mu)
     tables = build_tables(problem.model, problem.grid, prices,
                           problem.rate_cap, problem.static)
-    cols0, _, channels = problem.space
     index, probs = problem.columns
     costs, rates = tables.cost.take(index), tables.rate.take(index)  # (M, J)
     wpow = (tables.power * problem.mu[:, None, None]).take(index)
     cstar = costs.min(axis=0)                   # (J,)
     tol = tie_rtol * np.maximum(1.0, np.abs(cstar))
-    member_mask = costs <= cstar + tol
-    n_members = member_mask.sum(axis=0)
+    members = costs <= cstar + tol
+    n_members = members.sum(axis=0)
     active = cstar < 0.0
     single = active & (n_members == 1)
     tied = active & (n_members > 1)
 
     # single-winner average rates (tie cells excluded by construction)
-    served = np.where(single & member_mask, rates, 0.0)
+    served = np.where(single & members, rates, 0.0)
     r_bar_one = (served * probs).sum(axis=1)
-
-    instances = []
-    for j in np.flatnonzero(tied):
-        k, c = divmod(j, len(cols0))
-        members = np.flatnonzero(member_mask[:, j])
-        instances.append(TieInstance(
-            prob=float(probs[j]), channel=int(channels[k]),
-            column=cols0[c] + 1, members=members,
-            rates=rates[members, j], weighted_powers=wpow[members, j]))
-    return instances, r_bar_one
+    return (probs[tied], members.T[tied], rates.T[tied], wpow.T[tied],
+            r_bar_one)
 
 
-@dataclass(frozen=True)
-class TieSolution:
-    """The tie LP's optimum: member weights and the shared cells' power."""
-    weights: list                   # one array per instance, aligned
-    objective: float
+def solve_tie_lp(targets, prob, members, rates, weighted_powers, r_bar_one):
+    """Share each tied cell so the residual rate targets are met exactly.
 
-
-def solve_tie_lp(targets, instances, r_bar_one) -> TieSolution:
-    """Share each tied channel so the residual rate targets are met exactly.
-
-    min Σ prob·μΥ(R*)·w  s.t.  Σ_instances prob·R*·w = ř_tie per user,
-    Σ_members w = 1 per instance, w ≥ 0, with ř_tie = ``targets`` - r̄_one
-    (M,). Users appearing in no instance must have |ř_tie| ≤
-    DEFAULT_FEAS_TOL (their row is dropped); otherwise the targets are
-    unreachable and a TieInfeasibleError is raised, as it is when the LP
-    itself has no feasible point (λ is not at the tie-consistent multiplier).
+    min Σ prob·μΥ(R*)·w  s.t.  Σ_ties prob·R*·w = ř_tie per user,
+    Σ_members w = 1 per tie, w ≥ 0, over the ties of find_tie_instances,
+    with ř_tie = ``targets`` - r̄_one (M,). The variables are the tied
+    (tie, user) pairs, tie-major and users ascending. Users in no tie must
+    have |ř_tie| ≤ DEFAULT_FEAS_TOL (their row is dropped); otherwise the
+    targets are unreachable and a TieInfeasibleError is raised, as it is
+    when the LP itself has no feasible point (λ is not at the
+    tie-consistent multiplier). Returns the weights (T, M), 0 off
+    ``members``.
     """
     residual = np.subtract(targets, r_bar_one, dtype=float)
-    nvar = sum(len(t.members) for t in instances)
-    if nvar == 0:
-        bad = np.flatnonzero(np.abs(residual) > DEFAULT_FEAS_TOL)
-        if len(bad):
-            raise TieInfeasibleError(
-                f"no tie instances but residual targets remain for users {bad.tolist()}")
-        return TieSolution(weights=[], objective=0.0)
-
-    offsets = np.cumsum([0] + [len(t.members) for t in instances])
-    present = np.zeros(len(residual), dtype=bool)
-    for t in instances:
-        present[t.members] = True
+    present = members.any(axis=0)
     bad = np.flatnonzero(~present & (np.abs(residual) > DEFAULT_FEAS_TOL))
     if len(bad):
         raise TieInfeasibleError(
             f"users {bad.tolist()} have nonzero residual targets but appear "
             f"in no tie instance")
-
-    rows_u = np.flatnonzero(present)
-    A = np.zeros((len(rows_u) + len(instances), nvar))
-    b = np.zeros(len(rows_u) + len(instances))
-    cvec = np.zeros(nvar)
-    row_of_user = {int(m): i for i, m in enumerate(rows_u)}
-    for ti, t in enumerate(instances):
-        sl = slice(offsets[ti], offsets[ti + 1])
-        cvec[sl] = t.prob * t.weighted_powers
-        A[len(rows_u) + ti, sl] = 1.0
-        b[len(rows_u) + ti] = 1.0
-        for j, m in enumerate(t.members):
-            A[row_of_user[int(m)], offsets[ti] + j] = t.prob * t.rates[j]
-    b[:len(rows_u)] = residual[rows_u]
-    if np.any(b[:len(rows_u)] < -DEFAULT_FEAS_TOL):
+    if np.any(residual[present] < -DEFAULT_FEAS_TOL):
         raise TieInfeasibleError(
             "single-winner rates already exceed a target; λ is past the "
             "tie-consistent point")
+
+    tie, user = np.nonzero(members)
+    var, n_rows = np.arange(len(tie)), np.count_nonzero(present)
+    A = np.zeros((n_rows + len(prob), len(tie)))
+    A[np.cumsum(present)[user] - 1, var] = prob[tie] * rates[tie, user]
+    A[n_rows + tie, var] = 1.0
+    b = np.concatenate([np.maximum(residual[present], 0.0),
+                        np.ones(len(prob))])
     try:
-        x, obj = solve_lp(cvec, A, np.maximum(b, 0.0))
+        x, _ = solve_lp(prob[tie] * weighted_powers[tie, user], A, b)
     except LPInfeasibleError as e:
         raise TieInfeasibleError(str(e)) from e
-    weights = [x[offsets[i]:offsets[i + 1]] for i in range(len(instances))]
-    return TieSolution(weights=weights, objective=obj)
+    weights = np.zeros(members.shape)
+    weights[tie, user] = x
+    return weights

@@ -163,7 +163,8 @@ def ra2_point(setup: CompareSetup, problem: Problem) -> dict:
     cells within ε·max(1, |c*|) of each minimum, which hold every cell the
     smooth weights share, so those weights are LP-feasible and D ≤ P* ≤ P ≤ Pˢ
     at λ by weak duality and primal feasibility. P = D + Σ p·(Σ w·c - min c)
-    over the tie instances serves the targets; the row reports P, D as
+    over the ties, rows of find_tie_instances' (T, M) arrays weighted by the
+    LP's (T, M) weights, serves the targets; the row reports P, D as
     ``dual_bound`` and the last ``eps``, and stops once solver.serves_targets
     holds for its rates, P and D. A stage whose Newton fails ends the run at
     its smooth point.
@@ -176,13 +177,17 @@ def ra2_point(setup: CompareSetup, problem: Problem) -> dict:
         dual = problem.evaluate(lam, "hard", eps).value
         power, rates = traj.served_power, traj.served_rates
         if traj.converged:
-            instances, rates = find_tie_instances(problem, lam, eps)
-            sol = solve_tie_lp(problem.targets, instances, rates)
-            power = dual
-            for inst, w in zip(instances, sol.weights):
-                rates[inst.members] += inst.prob * inst.rates * w
-                cost = inst.weighted_powers - lam[inst.members] * inst.rates
-                power += float(inst.prob * (w @ cost - cost.min()))
+            ties = find_tie_instances(problem, lam, eps)
+            w = solve_tie_lp(problem.targets, *ties)
+            prob, _, r_tie, wpow, rates = ties
+            cost = wpow - lam * r_tie           # its min is each tie's c*
+            w_cost = np.matmul(w[:, None], cost[:, :, None])[:, 0, 0]
+            # one dot per tie, added onto r̄_one and D tie by tie in order,
+            # so the row does not depend on how numpy blocks a reduction
+            rates = np.cumsum(np.vstack([rates, prob[:, None] * r_tie * w]),
+                              axis=0)[-1]
+            power = float(np.cumsum(
+                np.r_[dual, prob * (w_cost - cost.min(axis=1))])[-1])
         converged = solver.serves_targets(rates, problem.targets, setup.tol,
                                           power, dual, lam)
         # below the float resolution a narrower window separates nothing

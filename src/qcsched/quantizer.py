@@ -120,12 +120,11 @@ def build_random(model: FadingModel, regions: int, gain_range, seed: int) -> Qua
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0],
                                                             dtype=np.uint64)))
     interior = np.sort(rng.uniform(lo, hi, size=(M, K, regions - 1)), axis=2)
-    # nudge any coincident draws apart; strict monotonicity is an invariant
-    eps = 1e-12 * max(hi, 1.0)
+    # nudge any coincident draws apart by one ulp; strict monotonicity is
+    # an invariant
     for l in range(1, regions - 1):
-        bump = interior[:, :, l] <= interior[:, :, l - 1]
-        interior[:, :, l] = np.where(bump, interior[:, :, l - 1] + eps,
-                                     interior[:, :, l])
+        interior[:, :, l] = np.maximum(
+            interior[:, :, l], np.nextafter(interior[:, :, l - 1], np.inf))
     thr = np.concatenate([
         np.zeros((M, K, 1)),
         interior,

@@ -195,7 +195,7 @@ def _solve(a, b):
 
 def run_offline_newton(problem: Problem, cfg: SolverConfig):
     """Damped Newton ascent on the smooth dual: λ ← [λ + (νI - J)⁻¹·g]⁺, with
-    J the accepted evaluation's ``jacobian()`` and ‖step‖∞ ≤ max(1, ‖λ‖∞).
+    J the accepted evaluation's ``jacobian()``; ν alone damps the step.
     ``problem`` may be any evaluator with a Problem's ``num_users``,
     ``check_targets()`` and ``evaluate``, such as dual.PerfectCSI.
     A trial whose ‖g‖ does not grow (non-strict: with no user active, J = 0
@@ -228,8 +228,7 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
         if not step.any():
             reason = "stalled"
             break
-        cap = max(1.0, float(lam.max())) / np.abs(step).max()
-        trial = np.maximum(0.0, lam + step * min(1.0, cap))
+        trial = np.maximum(0.0, lam + step)
     rec.add(i, lam, kept.subgradient, kept.per_user_avg_rate, kept.avg_power,
             force=True)
     return lam, rec.build(reason, problem.targets, tol)

@@ -22,6 +22,7 @@ from qcsched.dual import Problem, _unit_allocation, block_allocation
 from qcsched.powerrate import ErgodicCapacity, region_contexts
 from qcsched.quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
                                QuantizerGrid, region_prob_table)
+from qcsched.simplex import solve_lp
 
 TIE_RTOL = 1e-9     # relative cost gap the oracles treat as an exact tie
 
@@ -394,29 +395,80 @@ def realize_probabilistic_access(weights, draw: float):
 
 # --- the tie LP ------------------------------------------------------------------
 
-def vertex_opt_tie(instances, m, r_bar_one, tol=1e-9):
-    """Brute-force optimum of the tie LP by basic-solution enumeration: the
-    smallest objective over every feasible basis."""
-    r_tie = m.targets - r_bar_one
-    nvar = sum(len(t.members) for t in instances)
-    offsets = np.cumsum([0] + [len(t.members) for t in instances])
-    present = np.zeros(len(m.lambda_r), dtype=bool)
-    for t in instances:
-        present[t.members] = True
+def planted_ties(rng, tied, num_users: int) -> tuple:
+    """Tie arrays (prob, members, rates, weighted_powers) with the users of
+    ``tied`` (a list of user lists, one per tie) in each tie, and the targets
+    that planted Dirichlet weights on them serve: a tie LP feasible by
+    construction. Returns (targets, prob, members, rates, weighted_powers)."""
+    T = len(tied)
+    prob = np.zeros(T)
+    members = np.zeros((T, num_users), dtype=bool)
+    rates, wpow, planted = (np.zeros((T, num_users)) for _ in range(3))
+    for t, mem in enumerate(tied):
+        planted[t, mem] = rng.dirichlet(np.ones(len(mem)))
+        prob[t] = rng.uniform(0.05, 0.3)
+        members[t, mem] = True
+        rates[t, mem] = rng.uniform(0.5, 3.0, len(mem))
+        wpow[t, mem] = rng.uniform(0.5, 4.0, len(mem))
+    targets = (prob[:, None] * rates * planted).sum(axis=0)
+    return targets, prob, members, rates, wpow
+
+
+def tie_lp_rows(targets, prob, members, rates, weighted_powers, r_bar_one):
+    """The tie LP (c, A, b) assembled one tie instance at a time, the
+    reference for solve_tie_lp's assembly: variables tie-major and members
+    ascending, one rate row per user in some tie, then one row per tie."""
+    r_tie = np.subtract(targets, r_bar_one, dtype=float)
+    mem = [np.flatnonzero(row) for row in members]
+    nvar = sum(len(m) for m in mem)
+    offsets = np.cumsum([0] + [len(m) for m in mem])
+    present = np.zeros(len(r_tie), dtype=bool)
+    for m in mem:
+        present[m] = True
     rows_u = np.flatnonzero(present)
-    A = np.zeros((len(rows_u) + len(instances), nvar))
-    b = np.zeros(len(rows_u) + len(instances))
+    A = np.zeros((len(rows_u) + len(mem), nvar))
+    b = np.zeros(len(rows_u) + len(mem))
     c = np.zeros(nvar)
     row_of = {int(u): i for i, u in enumerate(rows_u)}
-    for ti, t in enumerate(instances):
+    for ti, m in enumerate(mem):
+        p = float(prob[ti])
         sl = slice(offsets[ti], offsets[ti + 1])
-        c[sl] = t.prob * t.weighted_powers
+        c[sl] = p * weighted_powers[ti, m]
         A[len(rows_u) + ti, sl] = 1.0
         b[len(rows_u) + ti] = 1.0
-        for j, u in enumerate(t.members):
-            A[row_of[int(u)], offsets[ti] + j] = t.prob * t.rates[j]
+        for j, u in enumerate(m):
+            A[row_of[int(u)], offsets[ti] + j] = p * rates[ti, u]
     b[:len(rows_u)] = r_tie[rows_u]
+    return c, A, b
 
+
+def tie_lp_weights(targets, prob, members, rates, weighted_powers,
+                   r_bar_one):
+    """solve_lp on tie_lp_rows with residual targets clipped at 0, the
+    weights scattered back to (T, M) one tie at a time."""
+    c, A, b = tie_lp_rows(targets, prob, members, rates, weighted_powers,
+                          r_bar_one)
+    x, _ = solve_lp(c, A, np.maximum(b, 0.0))
+    w = np.zeros(np.shape(members))
+    at = 0
+    for ti, row in enumerate(members):
+        m = np.flatnonzero(row)
+        w[ti, m] = x[at:at + len(m)]
+        at += len(m)
+    return w
+
+
+def tie_objective(prob, weighted_powers, weights) -> float:
+    """The tie LP's objective Σ prob·μΥ(R*)·w at ``weights`` (T, M)."""
+    return float((prob[:, None] * weighted_powers * weights).sum())
+
+
+def vertex_opt_tie(targets, prob, members, rates, weighted_powers, r_bar_one,
+                   tol=1e-9):
+    """Brute-force optimum of the tie LP by basic-solution enumeration: the
+    smallest objective over every feasible basis."""
+    c, A, b = tie_lp_rows(targets, prob, members, rates, weighted_powers,
+                          r_bar_one)
     best = None
     mrows, n = A.shape
     for cols in itertools.combinations(range(n), mrows):

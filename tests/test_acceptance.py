@@ -16,8 +16,7 @@ import time
 
 import numpy as np
 
-from qcsched.allocator import (Multipliers, TieInstance, build_tables,
-                               solve_tie_lp)
+from qcsched.allocator import Multipliers, build_tables, solve_tie_lp
 from qcsched.analysis import CompareSetup, compare_schemes, sweep_regions
 from qcsched.channel import (FadingModel, sample_gain_blocks,
                              snr_db_to_mean_gain)
@@ -29,7 +28,8 @@ from qcsched.solver import (Problem, SolverConfig, run_offline_nonsmooth,
                             run_offline_smooth, run_online)
 
 from oracles import (jacobian_check, marginal_power, multiplier_settled,
-                     stochastic_subgradient, vertex_opt_tie)
+                     planted_ties, stochastic_subgradient, tie_objective,
+                     vertex_opt_tie)
 
 MODEL = OutageCapacity(outage_delta=0.0)
 
@@ -302,22 +302,11 @@ def test_criterion_8_oracle_equivalence():
     d_scalar = abs(float(lam[0]) - 0.5 * (lo + hi))
 
     # (ii) tie LP against exhaustive vertex enumeration, planted feasible case
-    rng = np.random.default_rng(5)
-    members = [np.array([0, 1]), np.array([1, 2, 3]), np.array([0, 3])]
-    instances, planted = [], []
-    for mem in members:
-        planted.append(rng.dirichlet(np.ones(len(mem))))
-        instances.append(TieInstance(
-            prob=float(rng.uniform(0.05, 0.3)), channel=0,
-            column=np.arange(1, len(mem) + 1), members=mem,
-            rates=rng.uniform(0.5, 3.0, len(mem)),
-            weighted_powers=rng.uniform(0.5, 4.0, len(mem))))
-    targets = np.zeros(4)
-    for inst, w in zip(instances, planted):
-        targets[inst.members] += inst.prob * inst.rates * w
-    mult = Multipliers(np.ones(4), np.ones(4), targets)
-    sol = solve_tie_lp(targets, instances, np.zeros(4))
-    d_lp = abs(sol.objective - vertex_opt_tie(instances, mult, np.zeros(4)))
+    targets, *ties = planted_ties(np.random.default_rng(5),
+                                  [[0, 1], [1, 2, 3], [0, 3]], 4)
+    w = solve_tie_lp(targets, *ties, np.zeros(4))
+    d_lp = abs(tie_objective(ties[0], ties[3], w)
+               - vertex_opt_tie(targets, *ties, np.zeros(4)))
 
     # (iii) stochastic subgradient Monte-Carlo mean vs exact smooth value
     fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5]]), seed=3)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qcsched.allocator import (DEFAULT_RATE_CAP, InfeasibleTargetsError,
-                               Multipliers, TieInstance, TieInfeasibleError,
-                               build_tables, find_tie_instances, smooth_weights,
+                               Multipliers, TieInfeasibleError, build_tables,
+                               find_tie_instances, smooth_weights,
                                solve_tie_lp)
 from qcsched.channel import FadingModel
 from qcsched.dual import Problem
@@ -13,7 +13,8 @@ from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity, RegionContext, region_contexts)
 from qcsched.quantizer import QuantizerGrid, build_equiprobable, build_random
 
-from oracles import (hard_schedule, smooth_schedule, vertex_opt_tie,
+from oracles import (hard_schedule, planted_ties, smooth_schedule,
+                     tie_lp_weights, tie_objective, vertex_opt_tie,
                      winner_sets)
 
 LN2 = np.log(2.0)
@@ -352,16 +353,18 @@ def test_find_tie_instances_symmetric_two_user():
     grid = QuantizerGrid(np.tile(ladder(1.0), (2, 1, 1)), np.ones((2, 1)))
     model = OutageCapacity(outage_delta=0.0)
     m = mult([2 * LN2, 2 * LN2], targets=[0.4, 0.6])
-    instances, r_one = find_tie_instances(
-        Problem(grid, model, m.mu, m.targets), m.lambda_r, 1e-9)
-    assert len(instances) == 1
-    inst = instances[0]
-    np.testing.assert_array_equal(inst.members, [0, 1])
-    np.testing.assert_array_equal(inst.column, [2, 2])
-    assert inst.channel == 0
+    problem = Problem(grid, model, m.mu, m.targets)
+    prob, members, rates, _, r_one = find_tie_instances(
+        problem, m.lambda_r, 1e-9)
+    assert len(prob) == 1
+    np.testing.assert_array_equal(np.flatnonzero(members[0]), [0, 1])
+    # the tie is the (2, 2) column of the only channel
+    cols0, probs, channels = problem.space
+    np.testing.assert_array_equal(channels, [0])
+    assert prob[0] == probs[0, np.flatnonzero((cols0 == 1).all(axis=1))[0]]
     p2 = np.exp(-1.0)                           # P(g >= 1) per user
-    assert inst.prob == pytest.approx(p2 ** 2)
-    np.testing.assert_allclose(inst.rates, [1.0, 1.0], atol=1e-12)
+    assert prob[0] == pytest.approx(p2 ** 2)
+    np.testing.assert_allclose(rates[0], [1.0, 1.0], atol=1e-12)
     # single-winner mass: columns (2,1) and (1,2), prob p2(1-p2), rate 1
     np.testing.assert_allclose(r_one, p2 * (1 - p2) * np.ones(2), atol=1e-12)
 
@@ -370,80 +373,89 @@ def test_tie_lp_deterministic_channel_three_seven_split():
     # one certain tie instance, both members at rate r: sharing fractions
     # must reproduce the residual-target split exactly
     r = 2.0
-    inst = TieInstance(prob=1.0, channel=0, column=np.array([1, 1]),
-                       members=np.array([0, 1]), rates=np.array([r, r]),
-                       weighted_powers=np.array([3.0, 3.0]))
-    sol = solve_tie_lp([0.3 * r, 0.7 * r], [inst], np.zeros(2))
-    np.testing.assert_allclose(sol.weights[0], [0.3, 0.7], atol=1e-12)
-    assert sol.objective == pytest.approx(3.0)
+    prob, wpow = np.array([1.0]), np.array([[3.0, 3.0]])
+    w = solve_tie_lp([0.3 * r, 0.7 * r], prob, np.ones((1, 2), dtype=bool),
+                     np.array([[r, r]]), wpow, np.zeros(2))
+    np.testing.assert_allclose(w[0], [0.3, 0.7], atol=1e-12)
+    assert tie_objective(prob, wpow, w) == pytest.approx(3.0)
 
 
 def test_tie_lp_single_member_forced():
-    inst = TieInstance(prob=0.5, channel=0, column=np.array([2]),
-                       members=np.array([0]), rates=np.array([2.0]),
-                       weighted_powers=np.array([1.0]))
-    sol = solve_tie_lp([1.0], [inst], np.zeros(1))  # 0.5·2.0·w = 1: w = 1
-    np.testing.assert_allclose(sol.weights[0], [1.0])
+    # 0.5·2.0·w = 1: w = 1
+    w = solve_tie_lp([1.0], np.array([0.5]), np.ones((1, 1), dtype=bool),
+                     np.array([[2.0]]), np.array([[1.0]]), np.zeros(1))
+    np.testing.assert_allclose(w[0], [1.0])
+
+
+NO_TIES = (np.zeros(0), np.zeros((0, 2), dtype=bool), np.zeros((0, 2)),
+           np.zeros((0, 2)))
 
 
 def test_tie_lp_no_instances_zero_residual():
-    sol = solve_tie_lp([0.4, 0.6], [], np.array([0.4, 0.6]))
-    assert sol.weights == []
-    assert sol.objective == 0.0
+    w = solve_tie_lp([0.4, 0.6], *NO_TIES, np.array([0.4, 0.6]))
+    assert w.shape == (0, 2)
+    assert tie_objective(NO_TIES[0], NO_TIES[3], w) == 0.0
 
 
 def test_tie_lp_infeasibility_modes():
     targets = [0.4, 0.6]
     # residual demand but no tie instances at all
     with pytest.raises(TieInfeasibleError):
-        solve_tie_lp(targets, [], np.array([0.4, 0.0]))
+        solve_tie_lp(targets, *NO_TIES, np.array([0.4, 0.0]))
     # user 1 has residual demand but appears in no instance
-    inst = TieInstance(prob=0.5, channel=0, column=np.array([2, 1]),
-                       members=np.array([0]), rates=np.array([1.0]),
-                       weighted_powers=np.array([1.0]))
+    tie = (np.array([0.5]), np.array([[True, False]]), np.array([[1.0, 0.5]]),
+           np.array([[1.0, 0.5]]))
     with pytest.raises(TieInfeasibleError):
-        solve_tie_lp(targets, [inst], np.array([0.0, 0.0]))
+        solve_tie_lp(targets, *tie, np.array([0.0, 0.0]))
     # single-winner service already past the target
     with pytest.raises(TieInfeasibleError):
-        solve_tie_lp(targets, [inst], np.array([0.9, 0.6]))
+        solve_tie_lp(targets, *tie, np.array([0.9, 0.6]))
     # structurally present but unreachable target (w <= 1 caps the rate)
     with pytest.raises(TieInfeasibleError):
-        solve_tie_lp([10.0], [TieInstance(
-            prob=0.5, channel=0, column=np.array([2]),
-            members=np.array([0]), rates=np.array([2.0]),
-            weighted_powers=np.array([1.0]))], np.zeros(1))
+        solve_tie_lp([10.0], np.array([0.5]), np.ones((1, 1), dtype=bool),
+                     np.array([[2.0]]), np.array([[1.0]]), np.zeros(1))
 
 
 def test_tie_lp_three_instance_vs_vertex_oracle():
     # four users, three tie realizations on one channel; randomized but
     # feasible by construction (targets assembled from a known weighting)
-    rng = np.random.default_rng(5)
-    members = [np.array([0, 1]), np.array([1, 2, 3]), np.array([0, 3])]
-    instances = []
-    planted = []
-    for mem in members:
-        w = rng.dirichlet(np.ones(len(mem)))
-        planted.append(w)
-        instances.append(TieInstance(
-            prob=float(rng.uniform(0.05, 0.3)), channel=0,
-            column=np.arange(1, len(mem) + 1), members=mem,
-            rates=rng.uniform(0.5, 3.0, len(mem)),
-            weighted_powers=rng.uniform(0.5, 4.0, len(mem))))
-    targets = np.zeros(4)
-    for inst, w in zip(instances, planted):
-        targets[inst.members] += inst.prob * inst.rates * w
-    m = mult([1.0] * 4, targets=targets)
-    sol = solve_tie_lp(m.targets, instances, np.zeros(4))
+    targets, *ties = planted_ties(np.random.default_rng(5),
+                                  [[0, 1], [1, 2, 3], [0, 3]], 4)
+    prob, members, rates, wpow = ties
+    w = solve_tie_lp(targets, *ties, np.zeros(4))
     # constraint families hold to 1e-9
-    got = np.zeros(4)
-    for inst, w in zip(instances, sol.weights):
-        assert w.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(w >= -1e-12)
-        got[inst.members] += inst.prob * inst.rates * w
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(w >= -1e-12)
+    assert not w[~members].any()
+    got = (prob[:, None] * rates * w).sum(axis=0)
     np.testing.assert_allclose(got, targets, atol=1e-9)
     # and the simplex value matches exhaustive vertex enumeration
-    oracle = vertex_opt_tie(instances, m, np.zeros(4))
-    assert sol.objective == pytest.approx(oracle, abs=1e-9)
+    oracle = vertex_opt_tie(targets, *ties, np.zeros(4))
+    assert tie_objective(prob, wpow, w) == pytest.approx(oracle, abs=1e-9)
+
+
+def test_tie_lp_assembly_matches_the_per_instance_oracle():
+    # drawn tie arrays: users in several ties, users in none (their
+    # residual 0) and single-member ties; the weights equal those of the
+    # LP assembled one instance at a time, bit for bit
+    rng = np.random.default_rng(11)
+    seen = {"several": 0, "none": 0, "single": 0}
+    for _ in range(60):
+        M, T = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        pool = rng.permutation(M)[:max(1, M - int(rng.integers(0, 2)))]
+        tied = [sorted(rng.choice(pool, int(rng.integers(1, len(pool) + 1)),
+                                  replace=False).tolist()) for _ in range(T)]
+        targets, *ties = planted_ties(rng, tied, M)
+        r_one = np.where(ties[1].any(axis=0), rng.uniform(0.0, 0.5, M), 0.0)
+        targets += r_one
+        np.testing.assert_array_equal(
+            solve_tie_lp(targets, *ties, r_one),
+            tie_lp_weights(targets, *ties, r_one))
+        per_user = ties[1].sum(axis=0)
+        seen["several"] += bool((per_user > 1).any())
+        seen["none"] += bool((per_user == 0).any())
+        seen["single"] += bool((ties[1].sum(axis=1) == 1).any())
+    assert min(seen.values()) > 0, seen
 
 
 def test_find_tie_instances_generic_lambda_has_no_ties(grid_2x3):
@@ -451,7 +463,8 @@ def test_find_tie_instances_generic_lambda_has_no_ties(grid_2x3):
     # over asymmetric users must classify every active cell single-winner
     model = OutageCapacity(outage_delta=0.0)
     m = mult([0.8317, 1.2743], targets=[1.0, 1.0])
-    instances, r_one = find_tie_instances(
+    prob, members, rates, wpow, r_one = find_tie_instances(
         Problem(grid_2x3, model, m.mu, m.targets), m.lambda_r, 1e-9)
-    assert instances == []
+    assert len(prob) == 0
+    assert members.shape == rates.shape == wpow.shape == (0, 2)
     assert np.all(r_one >= 0.0)

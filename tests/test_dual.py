@@ -25,9 +25,11 @@ from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
                                channel_classes, quantize)
 from qcsched.solver import SolverConfig, run_offline_nonsmooth
 
-from oracles import (column_major_block, column_major_dual, jacobian_check,
+from oracles import (column_major_block, column_major_dual,
+                     enumerate_columns, hard_schedule, jacobian_check,
                      per_channel_dual, per_channel_space, perfect_csi_quad,
-                     stochastic_subgradient, unit_gain_bisection)
+                     stochastic_subgradient, tie_objective,
+                     unit_gain_bisection)
 
 LN2 = np.log(2.0)
 MODEL = OutageCapacity(outage_delta=0.0)
@@ -453,21 +455,39 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
            full.evaluate(mult.lambda_r, "smooth", eps).jacobian(),
            1e-10, K * rmax ** 2 * 2.0 / eps)
 
-    ties, one = find_tie_instances(classes, mult.lambda_r, 1e-9)
-    ties_k, one_k = find_tie_instances(full, mult.lambda_r, 1e-9)
+    ties = find_tie_instances(classes, mult.lambda_r, 1e-9)
+    ties_k = find_tie_instances(full, mult.lambda_r, 1e-9)
+    one, one_k = ties[-1], ties_k[-1]
     _agree(one, one_k, 1e-12)
+    # the tie cells, located by the per-channel oracle: ties_k's in (channel,
+    # column) order, and ties' at the class representatives in (class,
+    # column) order; each class tie's probability is the sum over its
+    # channels' ties
+    tables = build_tables(model, grid, mult, rate_cap)
+    cols = list(enumerate_columns(grid.num_users, grid.regions_per_channel))
+    cells = [(k, j) for k in range(K) for j, col in enumerate(cols)
+             if hard_schedule(tables, col, k).tie_members is not None]
     size = dict(zip(*channel_classes(grid)))
-    assert len(ties_k) == sum(size[t.channel] for t in ties)
+    key = [grid.thresholds[:, k].tobytes() + grid.mean_gain[:, k].tobytes()
+           for k in range(K)]
+    rep = [next(r for r in size if key[r] == key[k]) for k in range(K)]
+    class_cells = [(k, j) for k, j in cells if k in size]
+    assert len(ties_k[0]) == len(cells)
+    assert len(ties[0]) == len(class_cells)
+    for (r, j), p in zip(class_cells, ties[0]):
+        ps = [pk for (k, jk), pk in zip(cells, ties_k[0])
+              if rep[k] == r and jk == j]
+        assert len(ps) == size[r]
+        _agree(p, sum(ps), 1e-12)
     # targets that sharing every tie evenly meets: both tie LPs are feasible
-    reach = one_k + sum((np.bincount(t.members, t.prob * t.rates,
-                                     minlength=grid.num_users)
-                         / len(t.members) for t in ties_k),
-                        np.zeros(grid.num_users))
+    prob_k, members_k, rates_k = ties_k[:3]
+    reach = one_k + (prob_k[:, None] * rates_k * members_k
+                     / members_k.sum(axis=1, keepdims=True)).sum(axis=0)
     # the LP's residual targets are reach - one, so an ulp of r̄_one moves
     # the objective by λ·ulp: it is compared at the scale of λ·r̄_one
-    _agree(solve_tie_lp(reach, ties, one).objective,
-           solve_tie_lp(reach, ties_k, one_k).objective, 1e-12,
-           float(mult.lambda_r @ one))
+    _agree(tie_objective(ties[0], ties[3], solve_tie_lp(reach, *ties)),
+           tie_objective(prob_k, ties_k[3], solve_tie_lp(reach, *ties_k)),
+           1e-12, float(mult.lambda_r @ one))
 
 
 @pytest.mark.parametrize("model", FAMILIES.values(), ids=list(FAMILIES))

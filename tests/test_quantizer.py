@@ -97,6 +97,19 @@ def test_build_random_properties():
         build_random(model, 4, (0.0, np.inf), seed=0)
 
 
+
+def test_build_random_nudges_coincident_draws_by_one_ulp():
+    # seven draws from (1, 1 + 2 ulp) coincide: each repeat moves one ulp
+    # past the threshold below it, so the ladder is strictly increasing and
+    # ends within L - 1 ulps of hi
+    ulp, L = np.spacing(1.0), 8
+    hi = 1.0 + 2 * ulp
+    thr = build_random(_unit_model(3, 5, mean=2.0), L, (1.0, hi),
+                       seed=0).thresholds[:, :, 1:-1]
+    assert np.all(np.diff(thr, axis=2) > 0)
+    assert np.all(thr[:, :, -1] > hi)
+    assert np.all(np.abs(thr - hi) <= (L - 1) * ulp)
+
 # --- quantize ------------------------------------------------------------------
 
 def test_quantize_edges_and_boundaries():

@@ -2,6 +2,7 @@
 
 import io
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -438,9 +439,43 @@ def test_newton_counts_every_evaluation_toward_max_iters(monkeypatch):
     np.testing.assert_array_equal(one, np.full(2, 0.1))
 
 
+class LinearRate:
+    """A one-user evaluator that serves r̄ = λ: g = ř - λ and J = -1."""
+
+    num_users = 1
+
+    def __init__(self, target: float):
+        self.targets = np.array([target])
+        self.seen = []
+
+    def check_targets(self):
+        pass
+
+    def evaluate(self, lam, mode="smooth", eps=0.05):
+        self.seen.append(lam.copy())
+        return SimpleNamespace(subgradient=self.targets - lam,
+                               per_user_avg_rate=lam.copy(), avg_power=0.0,
+                               jacobian=lambda: -np.eye(1))
+
+
+def test_newton_takes_a_long_first_step_whole():
+    # ν = 1/β = 1000 at λ⁽⁰⁾ = 0.1, so the first step is (5000 - 0.1)/1001,
+    # about 5, past max(1, λ): ν alone damps it, and a trial that shrinks
+    # ‖g‖ is accepted as it is
+    problem = LinearRate(5000.0)
+    lam, traj = run_offline_newton(problem,
+                                   SolverConfig(beta=1e-3, max_iters=2))
+    step = (5000.0 - 0.1) / (1000.0 + 1.0)
+    assert step > 1.0
+    assert len(problem.seen) == 2
+    assert problem.seen[1][0] == pytest.approx(0.1 + step, rel=1e-15)
+    np.testing.assert_array_equal(lam, problem.seen[1])
+    assert list(traj.iters) == [0, 1]
+
+
 def test_newton_stops_on_a_zero_step(monkeypatch):
-    # a step that rounds to all zero would repeat λ until max_iters and
-    # divide by zero in the step cap: the run stops at once, "stalled"
+    # a step that rounds to all zero would repeat λ until max_iters: the
+    # run stops at once, "stalled"
     calls = []
     evaluate = Problem.evaluate
 

@@ -26,3 +26,15 @@ def test_one_checked_pass_of_each_workload(name):
             tally.record(what, problems)
     workloads.check_all(w, done, tally)
     assert done and tally.failed == 0, tally.problems
+
+
+def test_traced_schemes_sweep_counts_each_tie_once():
+    # perfbench counts allocator.tie_instances as len(find_tie_instances(
+    # ...)[0]); every tie has two to M tied users, one LP variable each
+    w = workloads.WORKLOADS["schemes_sweep"](seed=1)
+    tally = workloads.Tally()
+    _, metrics, _ = workloads.traced(w, tally, None)
+    ties = metrics["allocator.tie_instances"][0]
+    lp_vars = metrics["simplex.lp_vars"][0]
+    assert 0 < 2 * ties <= lp_vars <= w.M * ties
+    assert tally.failed == 0, tally.problems
