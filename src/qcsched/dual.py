@@ -120,20 +120,24 @@ class Problem:
         return qz.channel_classes(self.grid)
 
     @cached_property
-    def static(self) -> tuple:
-        """The family's cell data (allocator.make_static), built on the
-        classes' representative channels only, (M, n_classes, L) each: the
-        only cells an offline evaluation or the target check reads."""
+    def _class_grid(self) -> QuantizerGrid:
+        """The grid on the classes' representative channels only: the only
+        channels an offline evaluation or the target check reads."""
         channels = self.classes[0]
-        return make_static(QuantizerGrid(self.grid.thresholds[:, channels],
-                                         self.grid.mean_gain[:, channels]),
-                           self.model)
+        return QuantizerGrid(self.grid.thresholds[:, channels],
+                             self.grid.mean_gain[:, channels])
+
+    @cached_property
+    def static(self) -> tuple:
+        """The family's cell data (allocator.make_static) on the classes'
+        representative channels, (M, n_classes, L) each."""
+        return make_static(self._class_grid, self.model)
 
     @cached_property
     def region_probs(self) -> np.ndarray:
         """The region probabilities of ``static``'s cells, (M, n_classes,
         L), each class's rows summing to 1."""
-        return qz.region_prob_table(self.grid)[:, self.classes[0]]
+        return qz.region_prob_table(self._class_grid)
 
     @cached_property
     def space(self):
@@ -308,8 +312,10 @@ def _unit_allocation(t, rate_cap: float) -> tuple:
     """(R*, Υ(R*)/slope, cost/λ) at the gain g_on·e^t, g_on = s·ln2·μ/λ the
     gain at which a user turns on: c = s/g gives slope/(c·ln2) = e^t, so
     every user shares these functions of t. The cost falls from 0 at t = 0
-    towards the floor -rate_cap with slope -Υ/slope (envelope theorem)."""
-    rate, power = linear_allocation(np.exp(-t) / _LN2, 1.0, rate_cap)
+    towards the floor -rate_cap with slope -Υ/slope (envelope theorem).
+    Far out, e^{-t} is 0: slope/0 = ∞ there, and the rate is capped."""
+    with np.errstate(divide="ignore"):
+        rate, power = linear_allocation(np.exp(-t) / _LN2, 1.0, rate_cap)
     return rate, power, power - rate
 
 
@@ -438,13 +444,13 @@ def block_allocation(tables: RateCostTables, lam: np.ndarray, qcsi,
     served_cost), summed over the blocks of a stack.
     """
     cost, rate = tables.cost, tables.rate
-    read = cost.shape != np.shape(qcsi)
+    read = cost.ndim == 3
     if read:
-        if cost.ndim != 3:
-            raise ValueError("Q-CSI of several blocks needs (M, K, L) tables")
         index = region_index(cost.shape, qcsi, users_first=True)
         cost, rate = cost.take(index), rate.take(index)
         del index                       # w can reuse its pages
+    elif np.ndim(qcsi) != 2:
+        raise ValueError("Q-CSI of several blocks needs (M, K, L) tables")
     w = smooth_weights(cost, eps)
     # products overwrite arrays read here, so a stack makes no batch-sized
     # temporary beyond the index, cost, rate and w

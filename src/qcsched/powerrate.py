@@ -199,22 +199,20 @@ def _grow_bracket(f_df, hi, what: str):
 
 
 def linear_allocation(c, slope, rate_cap: float):
-    """(R*, Υ(R*)) for Υ(x) = c·(2^x - 1), c = +inf in outage regions:
+    """(R*, Υ(R*)) for Υ(x) = c·(2^x - 1), c > 0 and +inf in outage regions:
     R* = Υ̇⁻¹(slope) = log2(slope/(c·ln2)), 0 where slope ≤ c·ln2 (always in
-    outage regions) and at most ``rate_cap``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.asarray(slope, dtype=float) / (c * _LN2)
-        rate = np.where(ratio > 1.0, np.log2(np.maximum(ratio, 1.0)), 0.0)
-    rate = np.minimum(rate, rate_cap)
+    outage regions, where the ratio is 0) and at most ``rate_cap``."""
+    ratio = np.divide(slope, c * _LN2)
+    rate = np.minimum(np.log2(np.maximum(ratio, 1.0)), rate_cap)
     return rate, _linear_power(c, rate)
 
 
 def _linear_power(c, rate) -> np.ndarray:
-    """Υ(rate) = c·(2^rate - 1), exactly 0 where the rate is 0, since c·0 is
-    NaN in outage regions."""
-    with np.errstate(invalid="ignore"):
-        power = c * np.expm1(_LN2 * rate)
-    return np.where(rate == 0.0, 0.0, power)
+    """Υ(rate) = c·(2^rate - 1), exactly 0 where the rate is 0: the product
+    is only formed elsewhere, since c·0 is NaN in outage regions."""
+    grow = np.expm1(_LN2 * rate)
+    return np.multiply(c, grow, out=np.zeros(np.broadcast(c, grow).shape),
+                       where=rate != 0.0)
 
 
 class PowerRate:

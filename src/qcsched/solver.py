@@ -183,14 +183,20 @@ def run_offline_smooth(problem: Problem, cfg: SolverConfig, progress=None):
 
 def _solve(a, b):
     """a⁻¹·b by Gauss–Jordan elimination with partial pivoting, for the tiny
-    Newton system: LAPACK's first call would grow peak RSS by about 0.3 MB."""
-    ab = np.column_stack([a, b])
-    for c in range(len(b)):
-        p = c + int(np.argmax(np.abs(ab[c:, c])))
-        ab[[c, p]] = ab[[p, c]]
-        ab[c] /= ab[c, c]           # first, or a pivot past 2⁵³ zeroes row c
-        ab -= np.outer(ab[:, c] - (np.arange(len(b)) == c), ab[c])
-    return ab[:, -1]
+    Newton system, on lists of Python floats: LAPACK's first call would grow
+    peak RSS by about 0.3 MB, and numpy calls cost more than the arithmetic
+    at this size. A zero pivot divides as numpy does, to ±inf or NaN."""
+    ab = np.column_stack([a, b]).tolist()
+    rows = range(len(ab))
+    for c in rows:
+        p = max(rows[c:], key=lambda i: abs(ab[i][c]))
+        ab[c], ab[p] = ab[p], ab[c]
+        pivot = ab[c][c] or np.float64(ab[c][c])
+        row = ab[c] = [v / pivot for v in ab[c]]    # first, or a pivot past
+        for i in rows:                              # 2⁵³ zeroes row c
+            f = ab[i][c] - (i == c)
+            ab[i] = [v - f * w for v, w in zip(ab[i], row)]
+    return np.array([r[-1] for r in ab])
 
 
 def run_offline_newton(problem: Problem, cfg: SolverConfig):
@@ -270,8 +276,13 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
 
     Needs problem.fading; never enumerates the column space. The Q-CSI does
     not depend on λ, so it is sampled and quantized ONLINE_CHUNK blocks at a
-    time, with each block's static data gathered once per chunk; a block
-    then evaluates R*, Υ(R*) and C_W on its own M×K cells only. λ is checked
+    time, with each block's static data gathered once per chunk. A block
+    then does only the work that depends on λ: it evaluates R*, Υ(R*) and
+    C_W on its own M×K cells, allocates, calls ``progress`` and steps, and
+    writes its served rates and weighted power to the chunk's buffer. Per
+    chunk, one cumsum over that buffer (a sequential accumulate: the bits of
+    adding block by block) and one division give the running averages,
+    and the trajectory records the chunk's rows at its stride. λ is checked
     once, at the start: each projected step keeps it finite and nonnegative.
     The fading model's seed is the only seed of the block stream, so runs on
     the same Problem are bitwise reproducible.
@@ -281,37 +292,45 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
     problem.check_targets()
-    M = problem.num_users
+    M, model, grid = problem.num_users, problem.model, problem.grid
+    mu, targets, rate_cap = problem.mu, problem.targets, problem.rate_cap
     lam = check_lambda(_per_user(cfg.init, M), M)   # steps keep it so
-    static = make_static(problem.grid, problem.model)
-    rec = _Recorder(cfg.record_every)
+    static = make_static(grid, model)
+    rec, every = _Recorder(cfg.record_every), cfg.record_every
     lam_trace = np.empty((num_blocks, M))
     avg_rate = np.empty((num_blocks, M))
     avg_power = np.empty(num_blocks)
-    csum_rate = np.zeros(M)
-    csum_power = 0.0
+    # row 0 carries the running sums into a chunk, row i + 1 its block i's
+    # served rates (columns :M) and weighted power (column M)
+    sums = np.zeros((min(ONLINE_CHUNK, num_blocks) + 1, M + 1))
     for first in range(0, num_blocks, ONLINE_CHUNK):
         count = min(ONLINE_CHUNK, num_blocks - first)
         gains = sample_gain_blocks(problem.fading, first, count)
-        jmats = quantize(problem.grid, gains)
+        jmats = quantize(grid, gains)
         cells = block_statics(static, jmats)
-        for n, jmat, block in zip(range(first, first + count), jmats, cells):
+        for n, jmat, block, row in zip(range(first, first + count), jmats,
+                                       cells, sums[1:]):
             lam_trace[n] = lam
-            tables = build_tables(problem.model, problem.grid,
-                                  Prices(lam, problem.mu), problem.rate_cap,
+            tables = build_tables(model, grid, Prices(lam, mu), rate_cap,
                                   block)
-            served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps)
-            g = problem.targets - served
-            csum_rate += served
-            csum_power += wpower
-            avg_rate[n] = csum_rate / (n + 1)
-            avg_power[n] = csum_power / (n + 1)
-            rec.add(n, lam, g, avg_rate[n], avg_power[n],
-                    force=(n == num_blocks - 1))
+            served, row[M], _ = block_allocation(tables, lam, jmat, cfg.eps)
+            row[:M] = served
+            g = targets - served
             if progress is not None:
                 progress(n, lam, g)
             lam = np.maximum(0.0, lam + cfg.beta * g)
-    traj = rec.build("completed", problem.targets, _per_user(cfg.tol, M))
+        csum = np.cumsum(sums[:count + 1], axis=0)
+        avg = csum[1:] / np.arange(first + 1, first + count + 1)[:, None]
+        avg_rate[first:first + count] = avg[:, :M]
+        avg_power[first:first + count] = avg[:, M]
+        sums[0] = csum[count]
+        recorded = list(range(first + -first % every, first + count, every))
+        if first + count == num_blocks:
+            recorded.append(num_blocks - 1)     # forced; add drops a repeat
+        for n in recorded:
+            rec.add(n, lam_trace[n], targets - sums[n - first + 1, :M],
+                    avg_rate[n], avg_power[n], force=True)
+    traj = rec.build("completed", targets, _per_user(cfg.tol, M))
     return OnlineResult(lam_trace=lam_trace, sample_avg_rate=avg_rate,
                         sample_avg_power=avg_power, final_lambda=lam,
                         trajectory=traj)

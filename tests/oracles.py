@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
-                               build_tables, smooth_weights)
+from qcsched import solver
+from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, Prices,
+                               RateCostTables, block_statics, build_tables,
+                               check_lambda, make_static, smooth_weights)
+from qcsched.channel import sample_gain_blocks
 from qcsched.dual import Problem, _unit_allocation, block_allocation
-from qcsched.powerrate import ErgodicCapacity, region_contexts
+from qcsched.powerrate import _LN2, ErgodicCapacity, region_contexts
 from qcsched.quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
-                               QuantizerGrid, region_prob_table)
+                               QuantizerGrid, quantize, region_prob_table)
 from qcsched.simplex import solve_lp
 
 TIE_RTOL = 1e-9     # relative cost gap the oracles treat as an exact tie
@@ -678,6 +681,79 @@ def unit_gain_bisection(cost, rate_cap: float) -> np.ndarray:
             lo, hi = np.where(live & up, mid, lo), np.where(live & ~up, mid, hi)
 
     return 0.5 * (end(lambda h: h > y)[1] + end(lambda h: h >= y)[0])
+
+
+# --- closed forms and loops as written before their fast paths -----------------
+
+def linear_allocation_guarded(c, slope, rate_cap: float) -> tuple:
+    """powerrate.linear_allocation with the division and its c·0 products
+    guarded by errstate and masks: the rate is taken only where
+    slope/(c·ln2) > 1, and the power zeroed where the rate is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.asarray(slope, dtype=float) / (c * _LN2)
+        rate = np.where(ratio > 1.0, np.log2(np.maximum(ratio, 1.0)), 0.0)
+    rate = np.minimum(rate, rate_cap)
+    return rate, linear_power_guarded(c, rate)
+
+
+def linear_power_guarded(c, rate) -> np.ndarray:
+    """Υ(rate) = c·(2^rate - 1), formed everywhere and then set to 0 where
+    the rate is 0 (c·0 is NaN in outage regions)."""
+    with np.errstate(invalid="ignore"):
+        power = c * np.expm1(_LN2 * rate)
+    return np.where(rate == 0.0, 0.0, power)
+
+
+def gauss_jordan_numpy(a, b) -> np.ndarray:
+    """solver._solve on numpy rows: the pivot row is divided first, then
+    one outer product eliminates column c from every row."""
+    ab = np.column_stack([a, b])
+    for c in range(len(b)):
+        p = c + int(np.argmax(np.abs(ab[c:, c])))
+        ab[[c, p]] = ab[[p, c]]
+        ab[c] /= ab[c, c]
+        ab -= np.outer(ab[:, c] - (np.arange(len(b)) == c), ab[c])
+    return ab[:, -1]
+
+
+def online_reference(problem, cfg, num_blocks: int, progress=None):
+    """solver.run_online with its bookkeeping done after every block: the
+    running sums, both averages and a trajectory recorder call per block.
+    Chunks of solver.ONLINE_CHUNK blocks, as run_online samples them."""
+    problem.check_targets()
+    M = problem.num_users
+    lam = check_lambda(solver._per_user(cfg.init, M), M)
+    static = make_static(problem.grid, problem.model)
+    rec = solver._Recorder(cfg.record_every)
+    lam_trace = np.empty((num_blocks, M))
+    avg_rate = np.empty((num_blocks, M))
+    avg_power = np.empty(num_blocks)
+    csum_rate = np.zeros(M)
+    csum_power = 0.0
+    for first in range(0, num_blocks, solver.ONLINE_CHUNK):
+        count = min(solver.ONLINE_CHUNK, num_blocks - first)
+        jmats = quantize(problem.grid,
+                         sample_gain_blocks(problem.fading, first, count))
+        cells = block_statics(static, jmats)
+        for n, jmat, block in zip(range(first, first + count), jmats, cells):
+            lam_trace[n] = lam
+            tables = build_tables(problem.model, problem.grid,
+                                  Prices(lam, problem.mu), problem.rate_cap,
+                                  block)
+            served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps)
+            g = problem.targets - served
+            csum_rate += served
+            csum_power += wpower
+            avg_rate[n] = csum_rate / (n + 1)
+            avg_power[n] = csum_power / (n + 1)
+            rec.add(n, lam, g, avg_rate[n], avg_power[n],
+                    force=(n == num_blocks - 1))
+            if progress is not None:
+                progress(n, lam, g)
+            lam = np.maximum(0.0, lam + cfg.beta * g)
+    traj = rec.build("completed", problem.targets,
+                     solver._per_user(cfg.tol, M))
+    return solver.OnlineResult(lam_trace, avg_rate, avg_power, lam, traj)
 
 
 # --- solver verdicts ------------------------------------------------------------

@@ -22,7 +22,7 @@ from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity, linear_allocation)
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
                                build_equiprobable, build_random,
-                               channel_classes, quantize)
+                               channel_classes, quantize, region_prob_table)
 from qcsched.solver import SolverConfig, run_offline_nonsmooth
 
 from oracles import (column_major_block, column_major_dual,
@@ -515,6 +515,19 @@ def test_static_builds_cell_data_on_the_class_representatives(model,
     assert shapes == [(2, 2, 3)]
     for g, w in zip(got, want, strict=True):
         np.testing.assert_array_equal(g, w)
+
+
+def test_region_probs_are_built_on_the_class_representatives():
+    # elementwise, so the class representatives' sub-grid gives bitwise the
+    # whole grid's table at those channels
+    fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5]]), seed=0)
+    two = build_random(fading, 5, (0.0, 4.0), seed=1)
+    grid = QuantizerGrid(two.thresholds[:, [0, 0, 1, 0]],
+                         two.mean_gain[:, [0, 0, 1, 0]])
+    problem = Problem(grid, MODEL, np.ones(2), np.array([0.5, 0.7]))
+    got = problem.region_probs
+    assert got.shape == (2, 2, 5)
+    assert got.tobytes() == region_prob_table(grid)[:, [0, 2]].tobytes()
 
 
 # --- the user-major layout against the column-major oracle -----------------------

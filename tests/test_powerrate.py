@@ -6,6 +6,7 @@ forms / root-finds under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from qcsched.quantizer import build_equiprobable
 from qcsched.channel import FadingModel, snr_db_to_mean_gain
 from qcsched.solver import Problem, SolverConfig, run_offline_smooth
 
-from oracles import marginal_power
+from oracles import (linear_allocation_guarded, linear_power_guarded,
+                     marginal_power)
 
 LN2 = np.log(2.0)
 FAMILIES = [
@@ -641,3 +643,47 @@ def test_outage_roundtrip_property(lo, width, x):
     y = float(model.power_of_rate(model.cell_data(ctx), x))
     assert float(model.rate_of_power(model.cell_data(ctx),
                                      y)) == pytest.approx(x, abs=1e-9)
+
+
+# --- the lean closed form against the guarded formulas ----------------------
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+        (got, want)
+
+
+def test_linear_allocation_matches_the_guarded_formulas():
+    # outage cells (c = +inf), slopes exactly at c·ln2, below and above it,
+    # 0, and past the rate cap, short of overflow; nothing warns
+    c = np.array([np.inf, 1.0, 0.5, 3.0, 1e-300, 1e300])[:, None]
+    at = np.where(np.isposinf(c), 5.0, c * powerrate._LN2)  # slope < inf
+    slope = np.concatenate([at,
+                            np.broadcast_to([0.0, 1e-310, 0.3, 0.7, 2.0,
+                                             1e4, 1e8], (len(c), 7))],
+                           axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cap in (math.inf, 12.0, 3.0):
+            rate, power = powerrate.linear_allocation(c, slope, cap)
+            want = linear_allocation_guarded(c, slope, cap)
+            _same_bits(rate, want[0])
+            _same_bits(power, want[1])
+    assert rate[0].tolist() == [0.0] * 8                # outage
+    assert rate[1:, 0].tolist() == [0.0] * 5            # slope = c·ln2
+    assert (rate == 3.0).any() and (power > 0).any()
+
+
+@pytest.mark.parametrize("model", FAMILIES[:4], ids=lambda m: repr(m)[:14])
+def test_power_of_rate_matches_the_guarded_formula(model):
+    # rates 0, -0, subnormal, normal and +inf on outage and finite c, and
+    # a scalar rate broadcast over every cell, short of overflow; nothing
+    # warns
+    c = np.array([np.inf, 1.0, 1e-300, 1e300, 5e-324])[:, None]
+    rate = np.array([0.0, -0.0, 5e-324, 1e-310, 0.5, 3.0, np.inf])
+    data = (np.broadcast_to(c, (5, 7)),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (rate, 0.0, 5e-324):
+            _same_bits(model.power_of_rate(data, r),
+                       linear_power_guarded(data[0], r))

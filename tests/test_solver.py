@@ -12,14 +12,16 @@ from qcsched.allocator import InfeasibleTargetsError, Multipliers, build_tables
 from qcsched.channel import (FadingModel, sample_gain_blocks, sample_gains,
                              snr_db_to_mean_gain)
 from qcsched.dual import block_allocation, exact_dual
-from qcsched.powerrate import ErgodicCapacity, MaxAvgBer, OutageCapacity
+from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
+                               OutageCapacity)
 from qcsched.quantizer import (QuantizerGrid, build_equiprobable, build_random,
                                quantize)
 from qcsched.solver import (OnlineResult, Problem, SolverConfig, Trajectory,
                             run_offline_newton, run_offline_nonsmooth,
                             run_offline_smooth, run_online, serves_targets)
 
-from oracles import multiplier_settled, step_weighted_average
+from oracles import (gauss_jordan_numpy, multiplier_settled,
+                     online_reference, step_weighted_average)
 
 LN2 = np.log(2.0)
 MODEL = OutageCapacity(outage_delta=0.0)
@@ -386,6 +388,45 @@ def micro_problem():
                    mu=np.ones(2), targets=np.array([1.0, 1.5]), fading=fading)
 
 
+@pytest.mark.parametrize("model", [
+    OutageCapacity(outage_delta=0.0),
+    MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=0.01),
+    MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01),
+    ErgodicCapacity()], ids=["outage", "inst_ber", "avg_ber", "ergodic"])
+def test_online_bookkeeping_per_chunk_matches_the_per_block_loop(model,
+                                                                 monkeypatch):
+    # 7-block chunks and a stride of 3 over 20 blocks: recorded rows fall
+    # on both sides of chunk edges and the forced last row (19) is off the
+    # stride; every array and every progress call keeps its bits
+    monkeypatch.setattr(solver, "ONLINE_CHUNK", 7)
+    micro = micro_problem()
+    problem = Problem(grid=micro.grid, model=model, mu=micro.mu,
+                      targets=micro.targets, fading=micro.fading)
+    cfg = SolverConfig(beta=0.05, init=0.1, eps=0.05, record_every=3)
+    calls = {"got": [], "want": []}
+
+    def spy(key):
+        return lambda n, lam, g: calls[key].append((n, lam.copy(), g.copy()))
+
+    got = run_online(problem, cfg, 20, spy("got"))
+    want = online_reference(problem, cfg, 20, spy("want"))
+    assert list(got.trajectory.iters) == [0, 3, 6, 9, 12, 15, 18, 19]
+    for field in ("lam_trace", "sample_avg_rate", "sample_avg_power",
+                  "final_lambda"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    for field in ("iters", "lam", "subgrad", "rates", "power",
+                  "served_rates"):
+        assert np.array_equal(getattr(got.trajectory, field),
+                              getattr(want.trajectory, field))
+    for field in ("reason", "converged", "served_power"):
+        assert (getattr(got.trajectory, field)
+                == getattr(want.trajectory, field))
+    assert len(calls["got"]) == 20
+    for (n, lam, g), (n0, lam0, g0) in zip(calls["got"], calls["want"],
+                                          strict=True):
+        assert n == n0 and np.array_equal(lam, lam0) and np.array_equal(g, g0)
+
+
 def test_newton_agrees_with_the_constant_step():
     # beta = 0.05 is inside this instance's stability range (2/14 = 0.14);
     # two answers that each meet tol may differ by 2·sqrt(M)·tol/min|eig J|
@@ -505,6 +546,32 @@ def test_solve_keeps_the_step_past_a_pivot_of_2_to_the_53(a, b):
     a, b = np.array(a), np.array(b)
     np.testing.assert_allclose(solver._solve(a, b), np.linalg.solve(a, b),
                                rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_matches_the_numpy_elimination(seed):
+    # the same operations in the same order as on numpy rows: every bit
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 5):
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 18, (n, n))
+        b = rng.normal(size=n)
+        got, want = solver._solve(a, b), gauss_jordan_numpy(a, b)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_solve_divides_a_zero_pivot_as_numpy_does():
+    # ±inf and NaN under errstate, the same RuntimeWarning otherwise: no
+    # ZeroDivisionError
+    a, b = np.array([[0.0, 1.0], [-0.0, 2.0]]), np.array([1.0, -1.0])
+    with np.errstate(all="ignore"):
+        got, want = solver._solve(a, b), gauss_jordan_numpy(a, b)
+    np.testing.assert_array_equal(got, want)
+    assert not np.isfinite(got).any()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solver._solve(a, b)
+    assert {w.category for w in caught} == {RuntimeWarning}
+    assert any("divide by zero" in str(w.message) for w in caught)
 
 
 def tc1_problem(first_target):
