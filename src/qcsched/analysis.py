@@ -44,7 +44,7 @@ from .allocator import (DEFAULT_FEAS_TOL, DEFAULT_RATE_CAP, Multipliers,
                         build_tables, find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
 from .dual import PerfectCSI, block_allocation
-from .powerrate import PowerRate, _vec_newton, region_contexts
+from .powerrate import PowerRate, _vec_newton
 from .quantizer import QuantizerGrid, build_equiprobable, build_random, quantize
 from .solver import Problem, SolverConfig, run_offline_newton
 
@@ -210,11 +210,11 @@ def ra5_point(setup: CompareSetup, problem: Problem) -> dict:
     reports its rates; an end past the float range gives the level +inf."""
     grid, model, cap = problem.grid, setup.model, setup.rate_cap
     M, K = grid.num_users, grid.num_channels
-    own = np.arange(K) % M == np.arange(M)[:, None]     # (M, K)
-    owner = np.nonzero(own)[0]
-    cells = tuple(a[own] for a in model.cell_data(region_contexts(grid)))
+    owner, channel = np.nonzero(np.arange(K) % M == np.arange(M)[:, None])
+    own = owner, problem.classes[2][channel]            # (K,) cells, by owner
+    cells = tuple(a[own] for a in problem.static)
     live = ~model.is_outage(cells)
-    pr = qz.region_prob_table(grid)[own] * live         # (K, L), by owner
+    pr = problem.region_probs[own] * live               # (K, L)
     share = np.bincount(owner, pr.sum(1), M)
     saturated = setup.targets > cap * share
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -375,7 +375,7 @@ def _build_run(rc: dict):
                           targets=targets, fading=fading, **caps)
         problem.check_targets()
         if "enum_budget" in rc:     # offline_smooth alone enumerates; the
-            problem.space           # space raises EnumerationBudgetError
+            problem.columns         # columns raise EnumerationBudgetError
         return cfg, problem
 
     knobs = rc.get("compare", {})
@@ -395,12 +395,12 @@ def _build_run(rc: dict):
              else sweep_rows(setup, rc["sweep"]["regions"], math.inf))
             for snr, setup in setups]
     # in row order, the targets of each problem (a Problem checks once) and
-    # the space RA2-RA4 enumerate, kept for the solve: it raises
+    # the columns RA2-RA4 enumerate, kept for the solve: they raise
     # EnumerationBudgetError
     for label, _, problem in (row for _, rows in runs for row in rows):
         problem.check_targets()
         if label["scheme"] in ("RA2", "RA3", "RA4"):
-            problem.space
+            problem.columns
     return cfg, runs
 
 

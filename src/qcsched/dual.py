@@ -15,7 +15,8 @@ Every term is evaluated once per class of identical channels
 (quantizer.channel_classes): channels with the same ladders and mean gains
 give the same term, so one representative carries the class's weight. A
 Problem caches the classes and the family's cell data and region
-probabilities at the representatives, (M, n_classes, L) each.
+probabilities at the representatives, (M, n_classes, L) each: the column
+space, the online blocks and RA5 read them, through the class map.
 Problem.evaluate is the one offline evaluation: it builds the tables on
 those cells and derives the value, the subgradient and, in smooth mode and
 on request, the Jacobian from them.
@@ -88,9 +89,9 @@ class Problem:
     ``fading`` is only needed by the online path (it is sampled); offline
     evaluations work entirely from the grid's region probabilities. μ > 0,
     ř ≥ 0 and, with ``fading``, its mean gains equal to the grid's are
-    checked at construction. ``classes``, ``static``, ``region_probs``,
-    ``space`` and ``columns`` are computed on first use and kept; only the
-    smooth dual and the tie search build ``space``.
+    checked at construction. ``classes``, ``static``, ``region_probs`` and
+    ``columns`` are computed on first use and kept; only the smooth dual and
+    the tie search build ``columns``.
     """
 
     grid: QuantizerGrid
@@ -115,8 +116,9 @@ class Problem:
 
     @cached_property
     def classes(self) -> tuple:
-        """quantizer.channel_classes: (channels, sizes), the representative
-        channel and the size of each class."""
+        """quantizer.channel_classes: (channels, sizes, of), the
+        representative channel and the size of each class, and the class of
+        each channel."""
         return qz.channel_classes(self.grid)
 
     @cached_property
@@ -140,22 +142,14 @@ class Problem:
         return qz.region_prob_table(self._class_grid)
 
     @cached_property
-    def space(self):
-        """quantizer.column_space: the columns, each class's column
-        probabilities and the classes' representative channels, in the
-        order of ``classes``."""
-        return qz.column_space(self.grid, self.enum_budget)
-
-    @cached_property
     def columns(self) -> tuple:
-        """(index, probs): the flat index (M, J) of every (class, column)
-        into tables on ``static``'s (M, n_classes, L) cells, in (class,
-        column) order, and the column probabilities (J,) in that order."""
-        cols0, probs, _ = self.space
-        n, L = len(probs), self.grid.regions_per_channel
-        cell = np.arange(0, self.num_users * n * L, L).reshape(-1, n, 1)
-        index = cell + cols0.T[:, None, :]                  # (M, n, C)
-        return index.reshape(self.num_users, -1), probs.ravel()
+        """quantizer.column_space on ``region_probs``: (index, probs), the
+        flat index (M, J) of every (class, column) into tables on
+        ``static``'s (M, n_classes, L) cells, in (class, column) order, and
+        the column probabilities (J,) in that order, summed over each
+        class's channels. EnumerationBudgetError past ``enum_budget``."""
+        return qz.column_space(self.region_probs, self.classes[1],
+                               self.enum_budget)
 
     def check_targets(self) -> None:
         """allocator.check_reach, once per Problem and on its cached
@@ -251,7 +245,7 @@ class Problem:
         is a row sum and the two cross terms are (M, J)·(J, M) einsum
         contractions, which make no (M, M, J) temporary."""
         index, probs = self.columns
-        M, C = len(lam), len(self.space[0])
+        M, C = len(lam), self.grid.regions_per_channel ** len(lam)
         mu = self.mu[:, None, None]
         rprime = self.model.rate_slope(self.static, lam[:, None, None] / mu,
                                        tables.rate, tables.power,

@@ -216,38 +216,35 @@ def region_prob_table(grid: QuantizerGrid) -> np.ndarray:
 
 
 def channel_classes(grid: QuantizerGrid):
-    """(channels, sizes): the first channel of each class of channels whose
-    ladders and mean gains are bitwise equal, in channel order, and the
-    class sizes as floats, the weights the class rows carry. Channels of
-    one class have identical column laws."""
+    """(channels, sizes, of): the first channel of each class of channels
+    whose ladders and mean gains are bitwise equal, in channel order; the
+    class sizes as floats, the weights the class rows carry; and the class
+    of each channel (K,). Channels of one class have identical column
+    laws."""
     keys = np.concatenate([grid.mean_gain[:, :, None], grid.thresholds],
                           axis=2).transpose(1, 0, 2)
-    classes = {}
-    for k, key in enumerate(keys):
-        classes.setdefault(key.tobytes(), []).append(k)
-    return (np.array([ks[0] for ks in classes.values()]),
-            np.array([len(ks) for ks in classes.values()], dtype=float))
+    first = {}
+    reps = [first.setdefault(key.tobytes(), k) for k, key in enumerate(keys)]
+    channels = np.array(list(first.values()))           # ascending
+    of = channels.searchsorted(reps)
+    return channels, np.bincount(of).astype(float), of
 
 
-def column_space(grid: QuantizerGrid, budget: int = DEFAULT_ENUM_BUDGET):
-    """Dense enumeration, one representative channel per class
-    (channel_classes): (columns0, probs, channels) with
-    columns0 -- (L^M, M) 0-based region indices, lexicographic;
-    probs    -- (n_classes, L^M) column probabilities of each class summed
-                over its channels (a row sums to the class size);
-    channels -- (n_classes,) the representative channel of each row.
-    EnumerationBudgetError if n_classes·L^M exceeds ``budget``.
+def column_space(probs: np.ndarray, sizes, budget: int = DEFAULT_ENUM_BUDGET):
+    """Dense enumeration of every class's L^M columns, from the classes'
+    region probabilities ``probs`` (M, n, L) and sizes (n,): (index,
+    column_probs) with
+    index        -- (M, J) flat index of each (class, column) cell into
+                    (M, n, L) tables, J = n·L^M, in (class, column) order
+                    and the columns lexicographic (user 0's region slowest);
+    column_probs -- (J,) Π_m probs at those cells times the class's size,
+                    so each class's columns sum to its size.
+    EnumerationBudgetError if J exceeds ``budget``.
     """
-    M, L = grid.num_users, grid.regions_per_channel
-    channels, sizes = channel_classes(grid)
-    count = len(channels) * L ** M
+    M, n, L = probs.shape
+    count = n * L ** M
     if count > budget:
         raise EnumerationBudgetError(count, budget)
-    ranges = [np.arange(L)] * M
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    cols0 = np.stack([ax.reshape(-1) for ax in mesh], axis=1)   # (C, M)
-    rp = region_prob_table(grid)[:, channels].transpose(1, 0, 2)  # (n, M, L)
-    # probs[c, j] = sizes[c] · prod_m rp[c, m, cols0[j, m]]
-    per_user = rp[:, np.arange(M), cols0]                       # (n, C, M)
-    probs = per_user.prod(axis=2) * sizes[:, None]
-    return cols0, probs, channels
+    cell = np.arange(0, M * n * L, L).reshape(M, n, 1)     # region 1 of each
+    index = (cell + np.indices((L,) * M).reshape(M, 1, -1)).reshape(M, -1)
+    return index, probs.take(index).prod(axis=0) * np.repeat(sizes, L ** M)

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import (Prices, block_statics, build_tables, check_lambda,
-                        make_static)
+from .allocator import Prices, block_statics, build_tables, check_lambda
 from .channel import sample_gain_blocks
 from .dual import Problem, block_allocation
 from .quantizer import quantize
@@ -207,8 +206,10 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
     A trial whose ‖g‖ does not grow (non-strict: with no user active, J = 0
     and g = ř) is accepted and ν drops by 4, else ν rises by 4
     (Levenberg–Marquardt, Nocedal & Wright §10.3). ν starts at 1/β, so the
-    first step and the stop rule are run_offline_smooth's; a step that ν
-    rounds to all zero would repeat λ, so it stops the run, "stalled".
+    first step and the stop rule are run_offline_smooth's. A projected
+    trial equal to λ (a step that ν or λ's rounding absorbs) would repeat
+    λ, and one that is not finite (a singular νI - J) cannot be evaluated:
+    either stops the run, "stalled".
     Returns (λ, Trajectory); every evaluation counts toward ``max_iters``,
     and the trajectory indexes accepted steps."""
     problem.check_targets()
@@ -230,11 +231,11 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
             jac = ev.jacobian()
         else:
             nu *= 4.0
-        step = _solve(nu * np.eye(M) - jac, kept.subgradient)
-        if not step.any():
+        trial = np.maximum(0.0, lam + _solve(nu * np.eye(M) - jac,
+                                             kept.subgradient))
+        if not np.isfinite(trial).all() or np.array_equal(trial, lam):
             reason = "stalled"
             break
-        trial = np.maximum(0.0, lam + step)
     rec.add(i, lam, kept.subgradient, kept.per_user_avg_rate, kept.avg_power,
             force=True)
     return lam, rec.build(reason, problem.targets, tol)
@@ -276,7 +277,8 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
 
     Needs problem.fading; never enumerates the column space. The Q-CSI does
     not depend on λ, so it is sampled and quantized ONLINE_CHUNK blocks at a
-    time, with each block's static data gathered once per chunk. A block
+    time, with each block's static data gathered once per chunk from the
+    Problem's, per channel through its class map. A block
     then does only the work that depends on λ: it evaluates R*, Υ(R*) and
     C_W on its own M×K cells, allocates, calls ``progress`` and steps, and
     writes its served rates and weighted power to the chunk's buffer. Per
@@ -295,7 +297,7 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     M, model, grid = problem.num_users, problem.model, problem.grid
     mu, targets, rate_cap = problem.mu, problem.targets, problem.rate_cap
     lam = check_lambda(_per_user(cfg.init, M), M)   # steps keep it so
-    static = make_static(grid, model)
+    static = tuple(a[:, problem.classes[2]] for a in problem.static)
     rec, every = _Recorder(cfg.record_every), cfg.record_every
     lam_trace = np.empty((num_blocks, M))
     avg_rate = np.empty((num_blocks, M))

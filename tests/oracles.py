@@ -150,18 +150,31 @@ def enumerate_columns(num_users: int, regions: int,
         yield np.array(combo, dtype=int)
 
 
-def per_channel_space(grid: QuantizerGrid):
-    """The column space with every channel its own row, in the layout of
-    quantizer.column_space: (columns0 (L^M, M), probs (K, L^M) whose rows
-    each sum to 1, channels = 0..K-1). Seeded as a Problem's cached
-    ``space``, it makes that Problem's evaluations and tie search enumerate
-    every channel."""
-    M, K = grid.num_users, grid.num_channels
-    cols0 = np.stack(list(enumerate_columns(M, grid.regions_per_channel))) - 1
+def per_channel_columns(grid: QuantizerGrid):
+    """The columns with every channel its own class, in the layout of
+    quantizer.column_space: (index (M, K·L^M) into (M, K, L) tables, probs
+    (K·L^M,) whose channels each sum to 1), in (channel, column) order.
+    Seeded as a Problem's cached ``columns``, with ``classes`` every
+    channel on its own, it makes that Problem's evaluations and tie search
+    enumerate every channel."""
+    M, K, L = grid.num_users, grid.num_channels, grid.regions_per_channel
+    cols0 = np.stack(list(enumerate_columns(M, L))) - 1
     rp = region_prob_table(grid)
     probs = np.array([[np.prod(rp[np.arange(M), k, c]) for c in cols0]
                       for k in range(K)])
-    return cols0, probs, np.arange(K)
+    index = np.arange(0, M * K * L, L).reshape(M, K, 1) + cols0.T[:, None, :]
+    return index.reshape(M, -1), probs.ravel()
+
+
+def class_space(problem):
+    """Each class's column space, by a product per column over the
+    Problem's region probabilities: (columns0 (L^M, M), lexicographic,
+    probs (n_classes, L^M) whose rows each sum to the class size)."""
+    rp, sizes = problem.region_probs, problem.classes[1]
+    M, _, L = rp.shape
+    cols0 = np.stack(list(enumerate_columns(M, L))) - 1
+    per_user = rp.transpose(1, 0, 2)[:, np.arange(M), cols0]   # (n, C, M)
+    return cols0, per_user.prod(axis=2) * sizes[:, None]
 
 
 @dataclass(frozen=True)
@@ -226,7 +239,7 @@ def column_major_dual(problem, lam, mode: str, eps: float) -> tuple:
     user-major ones, so the two agree to rounding."""
     mult = Multipliers(np.asarray(lam, dtype=float), problem.mu,
                        problem.targets)
-    cols0, probs, _ = problem.space
+    cols0, probs = class_space(problem)
     tables = build_tables(problem.model, problem.grid, mult,
                           problem.rate_cap, problem.static)
     cost, rate = gather_columns(cols0, tables.cost, tables.rate)
@@ -250,7 +263,7 @@ def column_major_dual(problem, lam, mode: str, eps: float) -> tuple:
 def _column_major_jacobian(problem, mult, tables, cost, rate, eps):
     """∂g/∂λ on the (n, C, M) columns, by the formula of
     Problem._jacobian, each column sum by einsum over the whole space."""
-    cols0, probs, _ = problem.space
+    cols0, probs = class_space(problem)
     M, mu = len(mult.lambda_r), mult.mu[:, None, None]
     rprime = problem.model.rate_slope(problem.static,
                                       mult.lambda_r[:, None, None] / mu,

@@ -359,9 +359,9 @@ def test_find_tie_instances_symmetric_two_user():
     assert len(prob) == 1
     np.testing.assert_array_equal(np.flatnonzero(members[0]), [0, 1])
     # the tie is the (2, 2) column of the only channel
-    cols0, probs, channels = problem.space
-    np.testing.assert_array_equal(channels, [0])
-    assert prob[0] == probs[0, np.flatnonzero((cols0 == 1).all(axis=1))[0]]
+    np.testing.assert_array_equal(problem.classes[0], [0])
+    index, probs = problem.columns      # region 2 of both users: flat l = 1
+    assert prob[0] == probs[np.flatnonzero((index % 2 == 1).all(axis=0))[0]]
     p2 = np.exp(-1.0)                           # P(g >= 1) per user
     assert prob[0] == pytest.approx(p2 ** 2)
     np.testing.assert_allclose(rates[0], [1.0, 1.0], atol=1e-12)

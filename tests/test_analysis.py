@@ -256,18 +256,21 @@ def test_ra5_deterministic_meets_targets_and_costs_more():
     MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01)],
     ids=lambda m: type(m).__name__)
 def test_ra5_builds_the_family_data_once(model, monkeypatch):
-    # on the whole (M, K, L) grid; RA5 gathers each user's cells from it
-    setup = micro_setup(model=model)
+    # on the Problem's (M, n_classes, L) class grid, K = 4 channels in two
+    # classes; RA5 gathers each user's cells from it through the class map
+    fading = FadingModel(np.array([[4.0, 4.0, 2.0, 2.0]] * 2), seed=2)
+    setup = micro_setup(model=model, fading=fading)
     (_, _, problem), = compare_rows(setup, ("RA5",))
     shapes, cell_data = [], type(model).cell_data
 
     def spy(self, ctx):
-        shapes.append(ctx.q_lo.shape)
+        shapes.append(np.broadcast(ctx.q_lo, ctx.q_hi, ctx.mean_gain).shape)
         return cell_data(self, ctx)
 
     monkeypatch.setattr(type(model), "cell_data", spy)
     analysis.ra5_point(setup, problem)
-    assert shapes == [(2, 4, 4)]
+    assert shapes == [(2, 2, 4)]
+    assert "static" in vars(problem)
 
 
 def test_ra5_zero_target_user_stays_silent():

@@ -854,6 +854,33 @@ def test_compare_keeps_per_user_tolerances(tmp_path):
     assert abs(rates[1] - 1.5) < 1e-6
 
 
+@pytest.mark.parametrize("scheme, over, want", [
+    ("RA2", {"mu": [1e20, 1.0]}, OK),
+    ("RA3", {"solver": {"init": 1e30}}, NOT_CONVERGED),
+], ids=["singular_system", "absorbed_step"])
+def test_a_stalled_newton_writes_its_row(tmp_path, scheme, over, want):
+    # damped Newton's projected trial is NaN once ν/4 underflows against a
+    # zero Jacobian row (RA2's first ε-stage at μ = 1e20; _solve's zero
+    # pivot warns by design), and equals λ when λ = 1e30 absorbs the step
+    # (RA3): either run stops "stalled" and its row is written, instead of
+    # a traceback. RA2 ends at that stage's smooth point, which serves the
+    # targets; RA3 at λ = 1e30 serves far more than them
+    cfg = compare_cfg(compare={"schemes": [scheme]}, **over)
+    if "solver" not in over:            # the compare defaults
+        del cfg["solver"]
+    if scheme == "RA2":
+        with pytest.warns(RuntimeWarning) as caught:
+            rc, out = run(tmp_path, cfg)
+        assert any("divide by zero" in str(w.message) for w in caught)
+    else:
+        rc, out = run(tmp_path, cfg)
+    assert rc == want
+    lines = (out / "compare.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [scheme]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is (want == OK)
+
+
 def test_compare_unknown_scheme_rejected(tmp_path):
     rc, out = run(tmp_path, compare_cfg(compare={"schemes": ["RA9"]}))
     assert rc == CONFIG

@@ -27,7 +27,7 @@ from qcsched.solver import SolverConfig, run_offline_nonsmooth
 
 from oracles import (column_major_block, column_major_dual,
                      enumerate_columns, hard_schedule, jacobian_check,
-                     per_channel_dual, per_channel_space, perfect_csi_quad,
+                     per_channel_dual, per_channel_columns, perfect_csi_quad,
                      stochastic_subgradient, tie_objective,
                      unit_gain_bisection)
 
@@ -446,10 +446,10 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
 
     # J sums terms p·r²·b with |b| <= 2/eps that cancel where one user wins
     # a capped cell, so an entry near 0 is compared at the terms' scale;
-    # seeding a Problem's classes and space with every channel its own class
-    # enumerates each of them
-    full.classes = (np.arange(K), np.ones(K))
-    full.space = per_channel_space(grid)
+    # seeding a Problem's classes and columns with every channel its own
+    # class enumerates each of them
+    full.classes = (np.arange(K), np.ones(K), np.arange(K))
+    full.columns = per_channel_columns(grid)
     rmax = float(build_tables(model, grid, mult, rate_cap).rate.max())
     _agree(classes.evaluate(mult.lambda_r, "smooth", eps).jacobian(),
            full.evaluate(mult.lambda_r, "smooth", eps).jacobian(),
@@ -467,7 +467,7 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
     cols = list(enumerate_columns(grid.num_users, grid.regions_per_channel))
     cells = [(k, j) for k in range(K) for j, col in enumerate(cols)
              if hard_schedule(tables, col, k).tie_members is not None]
-    size = dict(zip(*channel_classes(grid)))
+    size = dict(zip(*channel_classes(grid)[:2]))
     key = [grid.thresholds[:, k].tobytes() + grid.mean_gain[:, k].tobytes()
            for k in range(K)]
     rep = [next(r for r in size if key[r] == key[k]) for k in range(K)]
@@ -575,7 +575,7 @@ def test_jacobian_chunks_of_one_class_match_one_chunk(monkeypatch):
                                    [2.0, 0.7, 1.1, 2.6, 1.3, 0.5]]), seed=0)
     grid = build_random(fading, L, (0.0, 9.0), 11)
     problem = Problem(grid, MODEL, np.ones(M), np.array([0.5, 0.7, 0.9]))
-    assert len(problem.space[1]) == K
+    assert problem.columns[1].size == K * L ** M
     lam = np.array([1.5, 2.0, 2.5])
     ev = problem.evaluate(lam, "smooth", eps)
     one = ev.jacobian()
@@ -701,7 +701,7 @@ def test_a_hard_only_problem_never_builds_its_column_space():
     problem.evaluate(mult.lambda_r, "hard")
     traj = run_offline_nonsmooth(problem, SolverConfig(max_iters=50))
     assert len(traj.iters) == 50
-    assert "space" not in vars(problem) and "columns" not in vars(problem)
+    assert "columns" not in vars(problem)
     with pytest.raises(EnumerationBudgetError):
         problem.evaluate(mult.lambda_r, "smooth")
 

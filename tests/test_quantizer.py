@@ -338,19 +338,29 @@ def test_enumeration_budget_error():
     assert ei.value.budget == 1000
     grid = build_equiprobable(_unit_model(4, 1), 4)
     with pytest.raises(EnumerationBudgetError):
-        column_space(grid, budget=255)
+        column_space(region_prob_table(grid), np.ones(1), budget=255)
 
 
 def test_column_space_matches_bruteforce():
     # channels 0 and 2 are copies, channel 1 differs: two classes, and each
-    # class row is the sum of its channels' brute-force rows
+    # class's columns are the sum of its channels' brute-force columns
     model = FadingModel(np.array([[1.0, 2.0], [0.5, 3.0]]), seed=0)
     base = build_random(model, 3, (0.0, 5.0), seed=17)
     grid = QuantizerGrid(base.thresholds[:, [0, 1, 0]],
                          base.mean_gain[:, [0, 1, 0]])
-    cols0, probs, channels = column_space(grid)
-    assert cols0.shape == (9, 2) and probs.shape == (2, 9)
+    channels, sizes, of = channel_classes(grid)
     np.testing.assert_array_equal(channels, [0, 1])
+    np.testing.assert_array_equal(of, [0, 1, 0])
+    index, probs = column_space(region_prob_table(grid)[:, channels], sizes)
+    assert index.shape == (2, 18) and probs.shape == (18,)
+    # each entry is the flat index of cell (user, class, region), and every
+    # class has the same columns, user by user
+    user, cls, region = np.unravel_index(index, (2, 2, 3))
+    assert (user == np.arange(2)[:, None]).all()
+    assert (cls == np.repeat([0, 1], 9)).all()
+    cols0 = region[:, :9].T
+    np.testing.assert_array_equal(region[:, 9:].T, cols0)
+    probs = probs.reshape(2, 9)
     np.testing.assert_allclose(probs.sum(axis=1), [2.0, 1.0], atol=1e-12)
     for row, members in enumerate(([0, 2], [1])):
         for c, col0 in enumerate(cols0):
@@ -366,13 +376,15 @@ def test_channel_classes_need_bitwise_equal_channels():
     # mean gains both equal: one class, represented by its first channel
     mg = np.array([[1.0, 1.0, np.nextafter(1.0, 2.0), 1.0]])
     thr = np.tile(np.array([0.0, 0.5, np.inf]), (1, 4, 1))
-    channels, counts = channel_classes(QuantizerGrid(thr, mg))
+    channels, counts, of = channel_classes(QuantizerGrid(thr, mg))
     np.testing.assert_array_equal(channels, [0, 2])
     np.testing.assert_array_equal(counts, [3, 1])
+    np.testing.assert_array_equal(of, [0, 0, 1, 0])
     thr[0, 1, 1] = 0.25
-    channels, counts = channel_classes(QuantizerGrid(thr, mg))
+    channels, counts, of = channel_classes(QuantizerGrid(thr, mg))
     np.testing.assert_array_equal(channels, [0, 1, 2])
     np.testing.assert_array_equal(counts, [2, 1, 1])
+    np.testing.assert_array_equal(of, [0, 1, 2, 0])
 
 
 @settings(max_examples=50, deadline=None)

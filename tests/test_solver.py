@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from qcsched import solver
-from qcsched.allocator import InfeasibleTargetsError, Multipliers, build_tables
+from qcsched.allocator import (InfeasibleTargetsError, Multipliers,
+                               build_tables, make_static)
 from qcsched.channel import (FadingModel, sample_gain_blocks, sample_gains,
                              snr_db_to_mean_gain)
 from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity)
 from qcsched.quantizer import (QuantizerGrid, build_equiprobable, build_random,
-                               quantize)
+                               quantize, region_prob_table)
 from qcsched.solver import (OnlineResult, Problem, SolverConfig, Trajectory,
                             run_offline_newton, run_offline_nonsmooth,
                             run_offline_smooth, run_online, serves_targets)
@@ -388,11 +389,14 @@ def micro_problem():
                    mu=np.ones(2), targets=np.array([1.0, 1.5]), fading=fading)
 
 
-@pytest.mark.parametrize("model", [
-    OutageCapacity(outage_delta=0.0),
-    MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=0.01),
-    MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01),
-    ErgodicCapacity()], ids=["outage", "inst_ber", "avg_ber", "ergodic"])
+FAMILIES = [OutageCapacity(outage_delta=0.0),
+            MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=0.01),
+            MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01),
+            ErgodicCapacity()]
+FAMILY_IDS = ["outage", "inst_ber", "avg_ber", "ergodic"]
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
 def test_online_bookkeeping_per_chunk_matches_the_per_block_loop(model,
                                                                  monkeypatch):
     # 7-block chunks and a stride of 3 over 20 blocks: recorded rows fall
@@ -425,6 +429,57 @@ def test_online_bookkeeping_per_chunk_matches_the_per_block_loop(model,
     for (n, lam, g), (n0, lam0, g0) in zip(calls["got"], calls["want"],
                                           strict=True):
         assert n == n0 and np.array_equal(lam, lam0) and np.array_equal(g, g0)
+
+
+def classes_grid(random: bool) -> QuantizerGrid:
+    """M = 2, K = 5 in three classes of sizes 2, 2 and 1, channels of one
+    class apart: an equiprobable or a random ladder on three channels,
+    repeated."""
+    fading = FadingModel(np.array([[1.0, 2.0, 0.7], [0.5, 1.5, 3.0]]), seed=0)
+    three = (build_random(fading, 4, (0.0, 6.0), seed=5) if random
+             else build_equiprobable(fading, 4))
+    channels = [0, 1, 0, 2, 1]
+    return QuantizerGrid(three.thresholds[:, channels],
+                         three.mean_gain[:, channels])
+
+
+@pytest.mark.parametrize("random", [False, True], ids=["equi", "random"])
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+def test_class_data_read_through_the_class_map_is_the_full_grid_data(
+        model, random):
+    # cell data and region probabilities are elementwise in the cells, so
+    # the class grid's, read per channel through ``of``, are bitwise those
+    # of the whole grid
+    grid = classes_grid(random)
+    problem = Problem(grid, model, np.ones(2), np.array([0.5, 0.7]))
+    channels, sizes, of = problem.classes
+    np.testing.assert_array_equal(channels, [0, 1, 3])
+    np.testing.assert_array_equal(sizes, [2, 2, 1])
+    np.testing.assert_array_equal(of, [0, 1, 0, 2, 1])
+    for got, want in zip(problem.static, make_static(grid, model),
+                         strict=True):
+        assert got[:, of].tobytes() == want.tobytes()
+    assert (problem.region_probs[:, of].tobytes()
+            == region_prob_table(grid).tobytes())
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+def test_online_builds_the_family_data_once(model, monkeypatch):
+    # on the Problem's (M, n_classes, L) class grid: the target check builds
+    # it, and the blocks read it per channel through the class map
+    fading = FadingModel(np.array([[1.0, 2.0, 1.0, 0.7, 2.0],
+                                   [0.5, 1.5, 0.5, 3.0, 1.5]]), seed=4)
+    problem = Problem(build_equiprobable(fading, 4), model, np.ones(2),
+                      np.array([0.5, 0.7]), fading=fading)
+    shapes, cell_data = [], type(model).cell_data
+
+    def spy(self, ctx):
+        shapes.append(np.broadcast(ctx.q_lo, ctx.q_hi, ctx.mean_gain).shape)
+        return cell_data(self, ctx)
+
+    monkeypatch.setattr(type(model), "cell_data", spy)
+    run_online(problem, SolverConfig(beta=0.05), 20)
+    assert shapes == [(2, 3, 4)]
 
 
 def test_newton_agrees_with_the_constant_step():
@@ -533,6 +588,33 @@ def test_newton_stops_on_a_zero_step(monkeypatch):
     assert len(calls) == 1 and traj.reason == "stalled"
     assert not traj.converged and list(traj.iters) == [0]
     np.testing.assert_array_equal(lam, np.full(2, 0.1))
+
+
+def test_newton_stalls_on_a_step_lambda_absorbs():
+    # at λ⁽⁰⁾ = 1e30 no user is active and the step rounds away in λ + step:
+    # the trial would repeat λ, so the run stops after one evaluation
+    problem = micro_problem()
+    lam, traj = run_offline_newton(
+        problem, SolverConfig(beta=1e-3, init=1e30, max_iters=20_000))
+    assert traj.reason == "stalled" and not traj.converged
+    assert list(traj.iters) == [0]
+    np.testing.assert_array_equal(lam, np.full(2, 1e30))
+
+
+def test_newton_stalls_on_a_trial_that_is_not_finite():
+    # at μ = (1e20, 1) user 0's row of J is 0 late in the run (its served
+    # rate no longer moves with λ), and ν/4 underflows to 0 after some 2800
+    # accepted steps: _solve's zero pivot (a RuntimeWarning by design) gives
+    # a NaN step, which stops the run at the last finite λ
+    micro = micro_problem()
+    problem = Problem(micro.grid, MODEL, np.array([1e20, 1.0]), micro.targets)
+    with pytest.warns(RuntimeWarning) as caught:
+        lam, traj = run_offline_newton(
+            problem, SolverConfig(beta=1e-3, tol=2.5e-10, max_iters=20_000))
+    assert any("divide by zero" in str(w.message) for w in caught)
+    assert traj.reason == "stalled" and not traj.converged
+    assert np.isfinite(traj.lam).all() and np.isfinite(lam).all()
+    np.testing.assert_array_equal(traj.lam[-1], lam)
 
 
 @pytest.mark.parametrize("a, b", [

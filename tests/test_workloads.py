@@ -6,6 +6,7 @@ must keep working.
 """
 
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
 
 import workloads   # noqa: E402
+from qcsched import dual, quantizer   # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -37,4 +39,28 @@ def test_traced_schemes_sweep_counts_each_tie_once():
     ties = metrics["allocator.tie_instances"][0]
     lp_vars = metrics["simplex.lp_vars"][0]
     assert 0 < 2 * ties <= lp_vars <= w.M * ties
+    assert tally.failed == 0, tally.problems
+
+
+def test_traced_tc1_offline_counts_the_columns_of_each_problem(monkeypatch):
+    # perfbench counts quantizer.column_space's calls and, as its
+    # result[1].size, quantizer.columns: one call per Problem that
+    # enumerates, n_classes·L^M columns each, in the traced pass alone
+    built, columns = [], dual.Problem.columns.func
+
+    def spy(problem):
+        if getattr(quantizer.column_space, "bench_wrapper", False):
+            built.append(len(problem.classes[0])
+                         * problem.grid.regions_per_channel
+                         ** problem.num_users)
+        return columns(problem)
+
+    prop = cached_property(spy)
+    prop.__set_name__(dual.Problem, "columns")
+    monkeypatch.setattr(dual.Problem, "columns", prop)
+    w = workloads.WORKLOADS["tc1_offline"](seed=1)
+    tally = workloads.Tally()
+    _, metrics, _ = workloads.traced(w, tally, None)
+    assert metrics["quantizer.column_space.calls"][0] == len(built) == 8
+    assert metrics["quantizer.columns"][0] == sum(built) == 2048
     assert tally.failed == 0, tally.problems
