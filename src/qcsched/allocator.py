@@ -82,9 +82,10 @@ class Multipliers:
 
 
 class Prices(NamedTuple):
-    """λ and μ as build_tables reads them, unchecked:
-    for callers that checked μ once and λ once per call (check_weights,
-    check_lambda), such as a Problem's evaluation or the online loop."""
+    """λ and μ as build_tables reads them, unchecked: for callers that
+    checked μ once and λ once (check_weights, check_lambda), such as a
+    Problem's evaluation or the online loop. Either (M,) or already shaped
+    like the static data's user axis, (M, 1, 1) for (M, n, L) cells."""
 
     lambda_r: np.ndarray
     mu: np.ndarray
@@ -143,8 +144,7 @@ def block_statics(static: tuple, qcsi) -> list:
     return list(zip(*(np.ravel(a).take(index) for a in static)))
 
 
-@dataclass(frozen=True)
-class RateCostTables:
+class RateCostTables(NamedTuple):
     """Per-cell optimal rates/powers/costs for one λ; shapes follow the
     static data they were built from, (M, K, L) or (M, K)."""
 
@@ -161,13 +161,16 @@ def build_tables(model: PowerRate, grid: QuantizerGrid,
 
     ``static`` defaults to every region of the grid (make_static), giving
     (M, K, L) tables; the (M, K) static data of one block's cells
-    (block_statics) gives that block's tables alone.
+    (block_statics) gives that block's tables alone. (M,) prices are
+    reshaped onto the user axis; Prices already shaped so are read as they
+    are.
     """
     if static is None:
         static = make_static(grid, model)
-    user_axis = (-1,) + (1,) * (static[0].ndim - 1)
-    lam = mult.lambda_r.reshape(user_axis)
-    mu = mult.mu.reshape(user_axis)
+    lam, mu = mult.lambda_r, mult.mu
+    if lam.ndim != static[0].ndim:
+        user_axis = (-1,) + (1,) * (static[0].ndim - 1)
+        lam, mu = lam.reshape(user_axis), mu.reshape(user_axis)
     rate, power = model.allocation(static, lam / mu, rate_cap)
     cost = mu * power - lam * rate          # exactly 0 wherever rate == 0
     return RateCostTables(rate=rate, power=power, cost=cost)

@@ -17,9 +17,13 @@ give the same term, so one representative carries the class's weight. A
 Problem caches the classes and the family's cell data and region
 probabilities at the representatives, (M, n_classes, L) each: the column
 space, the online blocks and RA5 read them, through the class map.
-Problem.evaluate is the one offline evaluation: it builds the tables on
-those cells and derives the value, the subgradient and, in smooth mode and
-on request, the Jacobian from them.
+Problem.evaluate is the one checked offline evaluation: it checks the mode,
+ε and λ, then runs the mode's core, serve_hard or serve_smooth, which
+builds the tables on those cells and serves them; evaluate derives the
+value, the subgradient and, in smooth mode and on request, the Jacobian.
+The offline loops, which check λ once per run, call the cores directly.
+The Problem also keeps the λ-invariant data the cores read: μ in the class
+tables' shape and the hard rule's size-weighted region probabilities.
 
 The hard rule needs no enumeration. Fading is independent across users, so
 user m wins channel class c in region l with probability
@@ -90,8 +94,9 @@ class Problem:
     evaluations work entirely from the grid's region probabilities. μ > 0,
     ř ≥ 0 and, with ``fading``, its mean gains equal to the grid's are
     checked at construction. ``classes``, ``static``, ``region_probs`` and
-    ``columns`` are computed on first use and kept; only the smooth dual and
-    the tie search build ``columns``.
+    ``columns``, and the λ-invariant data serve_hard and serve_smooth read,
+    are computed on first use and kept; only the smooth dual and the tie
+    search build ``columns``.
     """
 
     grid: QuantizerGrid
@@ -161,66 +166,102 @@ class Problem:
                         self.classes[1], self.targets, self.rate_cap)
             self._checked = True
 
+    @cached_property
+    def _mu_cells(self) -> np.ndarray:
+        """μ in the class tables' user-axis shape, (M, 1, 1)."""
+        return self.mu[:, None, None]
+
+    def _tables(self, lam: np.ndarray) -> RateCostTables:
+        """build_tables on ``static``'s cells at λ (M,), unchecked, with λ
+        and μ shaped as the tables' user axis."""
+        return build_tables(self.model, self.grid,
+                            Prices(lam[:, None, None], self._mu_cells),
+                            self.rate_cap, self.static)
+
+    @cached_property
+    def _hard_weight(self) -> np.ndarray:
+        """size_c·p[m,c,l], (M, n_classes, L): the weight of cell (m, c, l)
+        summed over class c's channels, which the hard rule serves or not."""
+        return self.classes[1][:, None] * self.region_probs
+
     def evaluate(self, lam, mode: str = "smooth",
                  eps: float = 0.05) -> DualEvaluation:
-        """Ensemble dual evaluation at λ; λ is checked once.
+        """Ensemble dual evaluation at λ: checks the mode, ε and λ, then runs
+        the mode's core, serve_hard or serve_smooth.
 
         mode "hard" serves the cost minimizer when c* < 0 (ties broken to the
         lowest user index — the hard subgradient is set-valued at exact ties
-        and this picks one selection; it ignores ε). It works on the
-        (M, n_classes, L) tables in product form (_hard_wins),
-        O(n_classes·M²·L²), and enumerates nothing: served rate and cost
-        sum R·win and C·win over the cells.
+        and this picks one selection; it ignores ε).
 
         mode "smooth" serves the ε-smooth weights and raises ValueError
-        unless 0 < ε < ∞. It enumerates, O(n_classes·L^M·M): cost and rate
-        are each taken once through ``columns`` as user-major (M, J) arrays,
-        and the weights reduce over the M user rows. Served rates are the
-        row sums of R·w·p and the served cost the sum of C·w·p. The
-        Jacobian reuses tables, columns and the ε-window u with its sums Z,
-        and is computed only when ``jacobian()`` is called.
-
-        In both modes the power is the served cost plus λ·(served rate).
+        unless 0 < ε < ∞. Its ``jacobian()`` reuses the core's tables,
+        columns and ε-window, and is computed only when called.
         """
         if mode not in ("hard", "smooth"):
             raise ValueError("mode must be 'hard' or 'smooth'")
         if mode == "smooth" and not 0.0 < eps < np.inf:     # NaN fails too
             raise ValueError("smooth eps must be positive and finite")
         lam = check_lambda(lam, self.num_users)
-        tables = build_tables(self.model, self.grid, Prices(lam, self.mu),
-                              self.rate_cap, self.static)
         jacobian = None
         if mode == "hard":
-            cost, rate = tables.cost, tables.rate
-            w = self._hard_wins(cost)
+            rate, cost, power = self.serve_hard(lam)
         else:
-            index, probs = self.columns
-            cost, rate = tables.cost.take(index), tables.rate.take(index)
-            u, cstar = smooth_window(cost, eps)
-            w = u * u
-            # an idle column (c* ≥ 0) has Z = ∞, so w = 0 there
-            z = np.where(cstar < 0.0, w.sum(axis=0), np.inf)
-            jacobian = partial(self._jacobian, lam, tables, cost, rate, u, z,
-                               eps)
-            w /= z
-            w *= probs
+            rate, cost, power, parts = self.serve_smooth(lam, eps)
+            jacobian = partial(self._jacobian, lam, *parts, eps)
+        return DualEvaluation(value=float(lam @ self.targets) + cost,
+                              subgradient=self.targets - rate,
+                              per_user_avg_rate=rate, avg_power=power,
+                              jacobian=jacobian)
+
+    def serve_hard(self, lam: np.ndarray) -> tuple:
+        """The hard rule's (served rate (M,), served cost, served power) at
+        λ, unchecked: a finite nonnegative float (M,) array, as evaluate
+        or an offline loop's projected step leaves it.
+
+        It works on the (M, n_classes, L) tables in product form
+        (_hard_wins), O(n_classes·M²·L²), and enumerates nothing: served
+        rate and cost sum R·win and C·win over the cells."""
+        tables = self._tables(lam)
+        return self._served(lam, tables.cost, tables.rate,
+                            self._hard_wins(tables.cost))
+
+    def serve_smooth(self, lam: np.ndarray, eps: float) -> tuple:
+        """The ε-smooth rule's (served rate, served cost, served power,
+        parts) at λ, unchecked as serve_hard's, for 0 < ε < ∞; ``parts``
+        are the tables, (M, J) columns and ε-window that _jacobian reads.
+
+        It enumerates, O(n_classes·L^M·M): cost and rate are each taken once
+        through ``columns`` as user-major (M, J) arrays, and the weights
+        reduce over the M user rows. Served rates are the row sums of R·w·p
+        and the served cost the sum of C·w·p."""
+        tables = self._tables(lam)
+        index, probs = self.columns
+        cost, rate = tables.cost.take(index), tables.rate.take(index)
+        u, cstar = smooth_window(cost, eps)
+        w = u * u
+        # an idle column (c* ≥ 0) has Z = ∞, so w = 0 there
+        z = np.where(cstar < 0.0, w.sum(axis=0), np.inf)
+        w /= z
+        w *= probs
+        return (*self._served(lam, cost, rate, w),
+                (tables, cost, rate, u, z))
+
+    @staticmethod
+    def _served(lam, cost, rate, w) -> tuple:
+        """(served rate (M,), served cost, served power) under weights w:
+        the power is the served cost plus λ·(served rate)."""
         served_rate = (rate * w).reshape(len(lam), -1).sum(axis=1)
         served_cost = float((cost * w).sum())
-        served_power = served_cost + float(lam @ served_rate)
-        value = float(lam @ self.targets) + served_cost
-        return DualEvaluation(value=value,
-                              subgradient=self.targets - served_rate,
-                              per_user_avg_rate=served_rate,
-                              avg_power=served_power, jacobian=jacobian)
+        return served_rate, served_cost, served_cost + float(lam @ served_rate)
 
     def _hard_wins(self, cost: np.ndarray) -> np.ndarray:
         """Pr{the hard rule serves cell (m, c, l)}, summed over class c's
-        channels, from the (M, n_classes, L) costs: size_c·p[m,c,l]·
+        channels, from the (M, n_classes, L) costs: _hard_weight·
         1{C[m,c,l] < 0}·_unbeaten, over chunks of whole classes of at most
         _HARD_CHUNK comparisons."""
-        probs, sizes = self.region_probs, self.classes[1]
+        probs = self.region_probs
         M, n, L = cost.shape
-        wins = np.where(cost < 0.0, sizes[:, None] * probs, 0.0)
+        wins = np.where(cost < 0.0, self._hard_weight, 0.0)
         step = max(1, _HARD_CHUNK // (M * M * L * L))
         for c0 in range(0, n, step):
             part = slice(c0, c0 + step)

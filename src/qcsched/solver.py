@@ -3,9 +3,14 @@ stochastic estimator, with full trajectory recording.
 
 All updates project onto λ ≥ 0. Every solver first checks that the
 Problem's targets are reachable (Problem.check_targets), so infeasible
-targets raise InfeasibleTargetsError before any evaluation. The offline
-iterations evaluate through Problem.evaluate (dual.Problem, re-exported
-here). The smooth offline iteration takes constant steps (or damped Newton
+targets raise InfeasibleTargetsError before any evaluation. λ is checked
+once per run, at λ⁽⁰⁾; the constant-step and non-smooth loops then test
+only that each projected step stays finite (_ascend), and call the
+per-mode core behind Problem.evaluate (dual.Problem, re-exported here),
+serve_smooth or serve_hard, on the data the Problem built once: its class
+tables, region probabilities, μ in the tables' shape and the hard rule's
+cell weights. Damped Newton evaluates through the checked Problem.evaluate.
+The smooth offline iteration takes constant steps (or damped Newton
 steps on its analytic Jacobian) on the smooth policy's exact rate deficit
 g = ř - r̄, which is not a gradient: its fixed point r̄ = ř, what
 serves_targets judges, is not in general where the smooth dual value is
@@ -134,8 +139,10 @@ def serves_targets(rates, targets, tol, power=None, dual_bound=None,
     |ř_m - rates_m| < tol_m, the offline stop rule on the subgradient, and,
     given a hard dual bound D on the served power, power - D ≤ λ·tol."""
     met = (np.abs(np.subtract(targets, rates)) < tol).all()
-    return bool(met and (dual_bound is None
-                         or power - dual_bound <= np.sum(lam * tol)))
+    if not met or dual_bound is None:
+        return bool(met)
+    with np.errstate(over="ignore"):    # λ·tol past the float range: the
+        return bool(power - dual_bound <= np.sum(lam * tol))   # slack is ∞
 
 
 def _per_user(value, M: int) -> np.ndarray:
@@ -143,41 +150,40 @@ def _per_user(value, M: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), (M,)).copy()
 
 
-def _run_offline(problem: Problem, cfg: SolverConfig, mode: str, progress=None):
-    problem.check_targets()
-    M = problem.num_users
-    lam = _per_user(cfg.init, M)
-    tol = _per_user(cfg.tol, M)
-    rec = _Recorder(cfg.record_every)
-    weight, rate_sum, power_sum = 0.0, np.zeros(M), 0.0
-    for i in range(cfg.max_iters):
-        ev = problem.evaluate(lam, mode, cfg.eps)
-        done = serves_targets(ev.per_user_avg_rate, problem.targets, tol)
-        last = i == cfg.max_iters - 1
-        rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power,
-                force=done or last)
-        if progress is not None:
-            progress(i, lam, ev.subgradient)
-        step = cfg.beta if mode == "smooth" else cfg.kappa * (i + 1) ** (-0.51)
-        if mode == "hard" and i >= cfg.max_iters // 2:
-            weight += step
-            rate_sum += step * ev.per_user_avg_rate
-            power_sum += step * ev.avg_power
-        if done or last:
-            break
-        lam = np.maximum(0.0, lam + step * ev.subgradient)
-    served = None if done or not weight else (rate_sum / weight,
-                                              power_sum / weight)
-    return lam, rec.build("converged" if done else "max_iters",
-                          problem.targets, tol, served)
+def _ascend(lam: np.ndarray, step: float, g: np.ndarray) -> np.ndarray:
+    """The projected step [λ + step·g]⁺ of an offline loop. λ⁽⁰⁾ is checked
+    once per run and the projection keeps λ ≥ 0, so the one test left is
+    this finiteness test of the stepped λ: a step that overflowed raises
+    check_lambda's ValueError here, before any evaluation at it."""
+    lam = np.maximum(0.0, lam + step * g)
+    if lam.max() < np.inf:                              # NaN fails too
+        return lam
+    raise ValueError("lambda_r must be finite and nonnegative")
 
 
 def run_offline_smooth(problem: Problem, cfg: SolverConfig, progress=None):
     """Constant-stepsize ascent on the smooth dual: λ ← [λ + β·∂ˢD]⁺.
 
-    Returns (λ, Trajectory), which serves its last iterate.
+    Each iterate runs Problem.serve_smooth, the core behind
+    Problem.evaluate, on the Problem's cached class data, records, and
+    steps (_ascend). Returns (λ, Trajectory), which serves its last iterate.
     """
-    return _run_offline(problem, cfg, "smooth", progress)
+    problem.check_targets()
+    M, targets = problem.num_users, problem.targets
+    lam = check_lambda(_per_user(cfg.init, M), M)
+    tol = _per_user(cfg.tol, M)
+    rec, last = _Recorder(cfg.record_every), cfg.max_iters - 1
+    for i in range(cfg.max_iters):
+        rate, _, power, _ = problem.serve_smooth(lam, cfg.eps)
+        g = targets - rate
+        done = serves_targets(rate, targets, tol)
+        rec.add(i, lam, g, rate, power, force=done or i == last)
+        if progress is not None:
+            progress(i, lam, g)
+        if done or i == last:
+            break
+        lam = _ascend(lam, cfg.beta, g)
+    return lam, rec.build("converged" if done else "max_iters", targets, tol)
 
 
 def _solve(a, b):
@@ -203,13 +209,14 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
     J the accepted evaluation's ``jacobian()``; ν alone damps the step.
     ``problem`` may be any evaluator with a Problem's ``num_users``,
     ``check_targets()`` and ``evaluate``, such as dual.PerfectCSI.
-    A trial whose ‖g‖ does not grow (non-strict: with no user active, J = 0
-    and g = ř) is accepted and ν drops by 4, else ν rises by 4
-    (Levenberg–Marquardt, Nocedal & Wright §10.3). ν starts at 1/β, so the
-    first step and the stop rule are run_offline_smooth's. A projected
-    trial equal to λ (a step that ν or λ's rounding absorbs) would repeat
-    λ, and one that is not finite (a singular νI - J) cannot be evaluated:
-    either stops the run, "stalled".
+    λ⁽⁰⁾, whatever its ‖g‖ (NaN too), and a trial whose ‖g‖ does not grow
+    (non-strict: with no user active, J = 0 and g = ř) are accepted and ν
+    drops by 4, else ν rises by 4 (Levenberg–Marquardt, Nocedal & Wright
+    §10.3). ν starts at 1/β, so the first step and the stop rule are
+    run_offline_smooth's. A projected trial equal to λ (a step that ν or
+    λ's rounding absorbs) would repeat λ, and one that is not finite (a
+    singular νI - J, or a NaN g at λ⁽⁰⁾) cannot be evaluated: either
+    stops the run, "stalled".
     Returns (λ, Trajectory); every evaluation counts toward ``max_iters``,
     and the trajectory indexes accepted steps."""
     problem.check_targets()
@@ -222,7 +229,7 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
     for _ in range(cfg.max_iters):
         ev = problem.evaluate(trial, "smooth", cfg.eps)
         norm = np.linalg.norm(ev.subgradient)
-        if norm <= best:                                # λ⁽⁰⁾ always is
+        if norm <= best or i < 0:           # λ⁽⁰⁾ always is, even at NaN
             lam, kept, best, i, nu = trial, ev, norm, i + 1, nu / 4.0
             rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power)
             if serves_targets(ev.per_user_avg_rate, problem.targets, tol):
@@ -248,10 +255,36 @@ def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
     hovering (winner flips near ties), which is the behavior this baseline
     exists to demonstrate; unless the stop rule fires, the run serves the
     ergodic average (Larsson, Patriksson & Strömberg 1999) of the iterates
-    i ≥ max_iters // 2, weighted by their steps. Returns the Trajectory only.
+    i ≥ max_iters // 2, weighted by their steps, kept as running sums. Each
+    iterate runs Problem.serve_hard, the core behind Problem.evaluate, and
+    steps as run_offline_smooth does. Returns the Trajectory only.
     """
-    _, traj = _run_offline(problem, cfg, "hard", progress)
-    return traj
+    problem.check_targets()
+    M, targets = problem.num_users, problem.targets
+    lam = check_lambda(_per_user(cfg.init, M), M)
+    tol = _per_user(cfg.tol, M)
+    rec, last = _Recorder(cfg.record_every), cfg.max_iters - 1
+    half, kappa = cfg.max_iters // 2, cfg.kappa
+    weight, rate_sum, power_sum = 0.0, np.zeros(M), 0.0
+    for i in range(cfg.max_iters):
+        rate, _, power = problem.serve_hard(lam)
+        g = targets - rate
+        done = serves_targets(rate, targets, tol)
+        rec.add(i, lam, g, rate, power, force=done or i == last)
+        if progress is not None:
+            progress(i, lam, g)
+        step = kappa * (i + 1) ** (-0.51)
+        if i >= half:
+            weight += step
+            rate_sum += step * rate
+            power_sum += step * power
+        if done or i == last:
+            break
+        lam = _ascend(lam, step, g)
+    served = None if done or not weight else (rate_sum / weight,
+                                              power_sum / weight)
+    return rec.build("converged" if done else "max_iters", targets, tol,
+                     served)
 
 
 @dataclass

@@ -769,6 +769,40 @@ def online_reference(problem, cfg, num_blocks: int, progress=None):
     return solver.OnlineResult(lam_trace, avg_rate, avg_power, lam, traj)
 
 
+def offline_reference(problem, cfg, mode: str, progress=None):
+    """solver.run_offline_smooth (mode "smooth") and the loop of
+    run_offline_nonsmooth ("hard") as one loop on the checked
+    Problem.evaluate: λ is checked, a DualEvaluation built and the mode
+    branched on at every iterate. Returns (λ, Trajectory)."""
+    problem.check_targets()
+    M = problem.num_users
+    lam = solver._per_user(cfg.init, M)
+    tol = solver._per_user(cfg.tol, M)
+    rec = solver._Recorder(cfg.record_every)
+    weight, rate_sum, power_sum = 0.0, np.zeros(M), 0.0
+    for i in range(cfg.max_iters):
+        ev = problem.evaluate(lam, mode, cfg.eps)
+        done = solver.serves_targets(ev.per_user_avg_rate, problem.targets,
+                                     tol)
+        last = i == cfg.max_iters - 1
+        rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power,
+                force=done or last)
+        if progress is not None:
+            progress(i, lam, ev.subgradient)
+        step = cfg.beta if mode == "smooth" else cfg.kappa * (i + 1) ** (-0.51)
+        if mode == "hard" and i >= cfg.max_iters // 2:
+            weight += step
+            rate_sum += step * ev.per_user_avg_rate
+            power_sum += step * ev.avg_power
+        if done or last:
+            break
+        lam = np.maximum(0.0, lam + step * ev.subgradient)
+    served = None if done or not weight else (rate_sum / weight,
+                                              power_sum / weight)
+    return lam, rec.build("converged" if done else "max_iters",
+                          problem.targets, tol, served)
+
+
 # --- solver verdicts ------------------------------------------------------------
 
 def multiplier_settled(traj) -> bool:

@@ -881,6 +881,26 @@ def test_a_stalled_newton_writes_its_row(tmp_path, scheme, over, want):
     assert summary["converged"] is (want == OK)
 
 
+def test_ra1_with_a_nan_first_subgradient_writes_its_row(tmp_path):
+    # at -100 dB and λ⁽⁰⁾ = 1e-300, PerfectCSI's turn-on gain overflows
+    # (it warns; a separate defect) and its first subgradient is NaN:
+    # damped Newton takes λ⁽⁰⁾ anyway, its NaN trial stops the run
+    # "stalled", and the row is written with exit 3 instead of a traceback
+    cfg = json.loads((CONFIGS / "compare_schemes.json").read_text())
+    cfg["fading"]["snr_db"] = -100.0
+    cfg["solver"]["init"] = 1e-300
+    cfg["compare"] = {"schemes": ["RA1"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc, out = run(tmp_path, cfg)
+    assert rc == NOT_CONVERGED
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert [row["scheme"] for row in summary["rows"]] == ["RA1"]
+    assert (out / "compare.csv").read_text().splitlines()[1].startswith(
+        "RA1,-100.0,")
+
+
 def test_compare_unknown_scheme_rejected(tmp_path):
     rc, out = run(tmp_path, compare_cfg(compare={"schemes": ["RA9"]}))
     assert rc == CONFIG

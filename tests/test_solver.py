@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qcsched import solver
+from qcsched import dual, solver
 from qcsched.allocator import (InfeasibleTargetsError, Multipliers,
                                build_tables, make_static)
 from qcsched.channel import (FadingModel, sample_gain_blocks, sample_gains,
@@ -22,7 +22,8 @@ from qcsched.solver import (OnlineResult, Problem, SolverConfig, Trajectory,
                             run_offline_smooth, run_online, serves_targets)
 
 from oracles import (gauss_jordan_numpy, multiplier_settled,
-                     online_reference, step_weighted_average)
+                     offline_reference, online_reference,
+                     step_weighted_average)
 
 LN2 = np.log(2.0)
 MODEL = OutageCapacity(outage_delta=0.0)
@@ -670,7 +671,9 @@ def tc1_problem(first_target):
     ids=["smooth", "nonsmooth", "newton", "online"])
 def test_infeasible_targets_raise_before_any_evaluation(run, monkeypatch):
     # user 1 alone can draw at most 12·16·3/4 = 144 < 200; the feasible
-    # run shows that the counters see the evaluations of each solver
+    # run shows that the counters see the evaluations of each solver (the
+    # constant-step and non-smooth loops build their tables through dual's
+    # binding, behind Problem.evaluate)
     calls = []
     evaluate = Problem.evaluate
 
@@ -679,6 +682,7 @@ def test_infeasible_targets_raise_before_any_evaluation(run, monkeypatch):
 
     monkeypatch.setattr(Problem, "evaluate", counted(evaluate))
     monkeypatch.setattr(solver, "build_tables", counted(build_tables))
+    monkeypatch.setattr(dual, "build_tables", counted(build_tables))
     cfg = SolverConfig(max_iters=3)
     with pytest.raises(InfeasibleTargetsError) as err:
         run(tc1_problem(200.0), cfg)
@@ -686,6 +690,152 @@ def test_infeasible_targets_raise_before_any_evaluation(run, monkeypatch):
     assert calls == []
     run(tc1_problem(4.0), cfg)
     assert calls
+
+
+def offline_cases():
+    """(problem, β) per family: the tc1 outage shape, an ergodic micro
+    problem, MaxAvgBer on random ladders in three channel classes and
+    MaxInstBer on the micro instance; β converges each smooth run."""
+    micro = micro_problem()
+    return {
+        "tc1_outage": (tc1_problem(4.0), 8e-3),
+        "ergodic": (ergodic_problem(), 0.05),
+        "avg_ber_classes": (Problem(classes_grid(True), FAMILIES[2],
+                                    np.array([1.0, 1.5]),
+                                    np.array([0.5, 0.7])), 0.05),
+        "inst_ber": (Problem(micro.grid, FAMILIES[1], micro.mu,
+                             micro.targets), 0.05),
+    }
+
+
+# (mode, SolverConfig knobs): a converged and a max_iters stop of each loop,
+# strides of 1 and more than 1 (with a forced last row off the stride), odd
+# and even max_iters
+OFFLINE_RUNS = [
+    ("smooth", {"max_iters": 2001, "record_every": 7}),
+    ("smooth", {"max_iters": 25, "record_every": 1}),
+    ("smooth", {"max_iters": 24, "record_every": 5}),
+    ("hard", {"kappa": 0.1, "tol": 0.05, "max_iters": 301, "record_every": 4}),
+    ("hard", {"kappa": 0.1, "max_iters": 24, "record_every": 1}),
+    ("hard", {"kappa": 0.1, "max_iters": 27, "record_every": 4}),
+]
+OFFLINE_LOOPS = {"smooth": run_offline_smooth,
+                 "hard": lambda *args: (None, run_offline_nonsmooth(*args))}
+
+
+@pytest.mark.parametrize("case", ["tc1_outage", "ergodic", "avg_ber_classes",
+                                  "inst_ber"])
+def test_offline_loops_match_the_checked_reference_bitwise(case):
+    # the loops call the Problem's per-mode core with λ checked once; the
+    # reference evaluates through Problem.evaluate at every iterate: every
+    # field, the final λ and each progress call keep their bits
+    problem, beta = offline_cases()[case]
+    reasons = set()
+    for mode, knobs in OFFLINE_RUNS:
+        cfg = SolverConfig(beta=beta, init=0.1, **knobs)
+        calls = {"got": [], "want": []}
+
+        def spy(key):
+            return lambda i, lam, g: calls[key].append((i, lam.copy(),
+                                                        g.copy()))
+
+        lam, got = OFFLINE_LOOPS[mode](problem, cfg, spy("got"))
+        want_lam, want = offline_reference(problem, cfg, mode, spy("want"))
+        if lam is not None:
+            assert lam.tobytes() == want_lam.tobytes()
+        for field in ("iters", "lam", "subgrad", "rates", "power",
+                      "served_rates"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(want, field).tobytes()), field
+        for field in ("reason", "converged", "served_power"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert len(calls["got"]) == got.iters[-1] + 1
+        for (i, lam, g), (i0, lam0, g0) in zip(calls["got"], calls["want"],
+                                              strict=True):
+            assert (i == i0 and lam.tobytes() == lam0.tobytes()
+                    and g.tobytes() == g0.tobytes())
+        reasons.add((mode, got.reason))
+    # each loop stopped both ways on some family, the hard one on the tc1
+    # shape by max_iters only
+    if case == "tc1_outage":
+        assert reasons == {("smooth", "converged"), ("smooth", "max_iters"),
+                           ("hard", "max_iters")}
+    else:
+        assert ("hard", "converged") in reasons
+
+
+@pytest.mark.parametrize("mode, knob", [("smooth", "beta"),
+                                        ("hard", "kappa")])
+def test_an_overflowing_step_raises_before_it_is_evaluated(mode, knob,
+                                                            monkeypatch):
+    # λ is checked once per run: a step of 1e308 overflows λ to inf, which
+    # the loop's finiteness test of the stepped λ rejects at once, with
+    # check_lambda's error, before any evaluation at it
+    builds = []
+
+    def spy(*args, **kwargs):
+        builds.append(1)
+        return build_tables(*args, **kwargs)
+
+    monkeypatch.setattr(dual, "build_tables", spy)
+    cfg = SolverConfig(max_iters=1000, **{knob: 1e308})
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(ValueError, match="finite and nonnegative"):
+        OFFLINE_LOOPS[mode](tc1_problem(4.0), cfg, None)
+    assert builds == [1]
+
+
+@pytest.mark.parametrize("mode", ["smooth", "hard"])
+def test_each_offline_iterate_builds_one_table(mode, monkeypatch):
+    # dual's build_tables binding is the one perfbench counts: one table
+    # build per iterate, none added or dropped, for a max_iters stop and a
+    # converged one
+    builds = []
+
+    def spy(*args, **kwargs):
+        builds.append(1)
+        return build_tables(*args, **kwargs)
+
+    monkeypatch.setattr(dual, "build_tables", spy)
+    problem, beta = offline_cases()["inst_ber"]
+    for knobs in ({"max_iters": 9}, {"tol": 0.05, "max_iters": 2000}):
+        builds.clear()
+        cfg = SolverConfig(beta=beta, kappa=0.1, record_every=1, **knobs)
+        traj = OFFLINE_LOOPS[mode](problem, cfg, None)[1]
+        assert len(builds) == traj.iters[-1] + 1 == len(traj.iters)
+        assert traj.reason == ("max_iters" if knobs["max_iters"] == 9
+                               else "converged")
+
+
+class NaNRate(LinearRate):
+    """LinearRate whose every evaluation has a NaN subgradient."""
+
+    def evaluate(self, lam, mode="smooth", eps=0.05):
+        ev = super().evaluate(lam, mode, eps)
+        ev.subgradient = np.full(1, np.nan)
+        return ev
+
+
+def test_newton_accepts_a_first_evaluation_that_is_not_finite():
+    # ‖g‖ = NaN at λ⁽⁰⁾ fails ‖g‖ ≤ ∞, yet λ⁽⁰⁾ is always accepted: its NaN
+    # step gives a trial that is not finite, and the run stops "stalled"
+    problem = NaNRate(1.0)
+    lam, traj = run_offline_newton(problem,
+                                   SolverConfig(beta=1e-3, max_iters=50))
+    assert traj.reason == "stalled" and not traj.converged
+    assert len(problem.seen) == 1 and list(traj.iters) == [0]
+    np.testing.assert_array_equal(lam, [0.1])
+    assert np.isnan(traj.subgrad[-1]).all()
+
+
+def test_serves_targets_takes_an_overflowing_slack_as_infinite():
+    # λ·tol past the float range is ∞ slack, so the bound holds, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert serves_targets(np.ones(2), np.ones(2), 1e10, power=1.0,
+                              dual_bound=0.5, lam=np.full(2, 1e300))
+        assert not serves_targets(np.ones(2), np.ones(2), 1e-3, power=1.0,
+                                  dual_bound=0.5, lam=np.full(2, 1e2))
 
 
 def test_trajectory_csv_roundtrip():
