@@ -82,9 +82,9 @@ class Multipliers:
 
 
 class Prices(NamedTuple):
-    """λ and μ as build_tables reads them, unchecked: for callers that
-    checked μ once and λ once (check_weights, check_lambda), such as a
-    Problem's evaluation or the online loop. Either (M,) or already shaped
+    """λ and μ as build_tables reads them, unchecked: for callers whose μ
+    passed check_weights and whose λ is finite and nonnegative, such as a
+    Problem's table build or the online loop. Either (M,) or already shaped
     like the static data's user axis, (M, 1, 1) for (M, n, L) cells."""
 
     lambda_r: np.ndarray
@@ -200,7 +200,7 @@ def smooth_weights(costs: np.ndarray, eps: float) -> np.ndarray:
 
 def find_tie_instances(problem, lam, tie_rtol: float):
     """Split the (class, column) cells of ``problem`` (a dual.Problem: its
-    flat ``columns`` and its cell data at the classes' representative
+    flat ``columns`` and its ``tables`` at the classes' representative
     channels) at λ into single-winner mass, accumulated into r̄_one, and T
     tie instances: cells whose minimum c* < 0 several users' costs reach
     within tie_rtol·max(1, |c*|), in (class, column) order.
@@ -211,9 +211,7 @@ def find_tie_instances(problem, lam, tie_rtol: float):
     μ_m·Υ(R*) in it (T, M), and r̄_one (M,); solve_tie_lp takes them in
     this order, after the targets.
     """
-    prices = Prices(check_lambda(lam, problem.num_users), problem.mu)
-    tables = build_tables(problem.model, problem.grid, prices,
-                          problem.rate_cap, problem.static)
+    tables = problem.tables(check_lambda(lam, problem.num_users))
     index, probs = problem.columns
     costs, rates = tables.cost.take(index), tables.rate.take(index)  # (M, J)
     wpow = (tables.power * problem.mu[:, None, None]).take(index)

@@ -61,8 +61,8 @@ class OverheadReport:
 
 
 def power_db(power: float) -> float:
-    """10·log10 of a linear power; −inf for a zero-power (silent) row."""
-    return 10.0 * math.log10(power) if power > 0 else -math.inf
+    """10·log10 of a linear power: −inf for a silent row, NaN for NaN."""
+    return -math.inf if power <= 0 else 10.0 * math.log10(power)
 
 
 def feedback_bits(num_users: int, num_channels: int, regions: int) -> OverheadReport:
@@ -174,7 +174,8 @@ def ra2_point(setup: CompareSetup, problem: Problem) -> dict:
     while True:
         cfg = _solver_cfg(setup, eps=eps, init=lam, tol=stage_tol)
         lam, traj = run_offline_newton(problem, cfg)
-        dual = problem.evaluate(lam, "hard", eps).value
+        # D as Problem.evaluate forms it, at Newton's finite λ ≥ 0
+        dual = float(lam @ problem.targets) + problem.serve_hard(lam)[1]
         power, rates = traj.served_power, traj.served_rates
         if traj.converged:
             ties = find_tie_instances(problem, lam, eps)

@@ -122,9 +122,9 @@ class Key(NamedTuple):
 
 
 _M, _K = "fading.num_users", "fading.num_channels"
-# the SNR bound in dB: all six bundled configs run without a floating-point
-# warning at ±100; at 110 an RA1 row runs about 30 s to max_iters (its first
-# λ and Newton damping are absolute), and 10^(snr/10) overflows past 3083
+# the SNR bound in dB, and a mean gain's: the six bundled configs run with
+# no floating-point warning at ±100; at 110 an RA1 row runs about 30 s to
+# max_iters (its first λ and Newton damping are absolute)
 _SNR_DB = 100.0
 _SOLVED = (*SOLVER_MODES, *ROW_MODES)       # overhead counts bits alone
 _SMOOTH = ("offline_smooth", "online", *ROW_MODES)
@@ -138,7 +138,9 @@ SCHEMA = {
     "fading.seed": Key(("online",), int, lo=0, hi=MAX_SEED, default=0),
     "fading.snr_db": Key(_SOLVED, shape=(_M,), or_one=True, lo=-_SNR_DB,
                          hi=_SNR_DB, default=UNSET),
-    "fading.mean_gain": Key(_SOLVED, shape=(_M, _K), default=UNSET),
+    "fading.mean_gain": Key(_SOLVED, shape=(_M, _K), default=UNSET,
+                            lo=float(snr_db_to_mean_gain(-_SNR_DB)),
+                            hi=float(snr_db_to_mean_gain(_SNR_DB))),
     "quantizer.type": Key(MODES, QUANTIZERS, default="equiprobable"),
     "quantizer.regions": Key(MODES, int, lo=2,
                              types=("equiprobable", "random")),
@@ -293,9 +295,8 @@ def resolve_config(raw: dict) -> dict:
     if "fading.snr_db" in reads and (
             ("fading.snr_db" in values) == ("fading.mean_gain" in values)):
         raise ConfigError("fading: give exactly one of snr_db / mean_gain")
-    for path in ("mu", "fading.mean_gain"):
-        if path in values and np.min(values[path]) <= 0:
-            raise ConfigError(f"{path}: entries must be positive")
+    if "mu" in values and np.min(values["mu"]) <= 0:
+        raise ConfigError("mu: entries must be positive")
     lo_hi = values.get("quantizer.gain_range")
     if lo_hi and lo_hi[0] >= lo_hi[1]:
         raise ConfigError("quantizer.gain_range: need lo < hi")

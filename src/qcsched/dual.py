@@ -17,12 +17,13 @@ give the same term, so one representative carries the class's weight. A
 Problem caches the classes and the family's cell data and region
 probabilities at the representatives, (M, n_classes, L) each: the column
 space, the online blocks and RA5 read them, through the class map.
-Problem.evaluate is the one checked offline evaluation: it checks the mode,
-ε and λ, then runs the mode's core, serve_hard or serve_smooth, which
-builds the tables on those cells and serves them; evaluate derives the
-value, the subgradient and, in smooth mode and on request, the Jacobian.
-The offline loops, which check λ once per run, call the cores directly.
-The Problem also keeps the λ-invariant data the cores read: μ in the class
+Problem.tables(λ), unchecked, is the one table build on those cells: the
+cores and the tie search call it. Problem.evaluate is the one checked
+offline evaluation: it checks the mode, ε and λ, then runs the mode's core,
+serve_hard or serve_smooth, which builds the tables and serves them;
+evaluate derives the value, the subgradient and, in smooth mode and on
+request, the Jacobian. The solvers' loops call the cores directly. The
+Problem also keeps the λ-invariant data the cores read: μ in the class
 tables' shape and the hard rule's size-weighted region probabilities.
 
 The hard rule needs no enumeration. Fading is independent across users, so
@@ -171,9 +172,9 @@ class Problem:
         """μ in the class tables' user-axis shape, (M, 1, 1)."""
         return self.mu[:, None, None]
 
-    def _tables(self, lam: np.ndarray) -> RateCostTables:
-        """build_tables on ``static``'s cells at λ (M,), unchecked, with λ
-        and μ shaped as the tables' user axis."""
+    def tables(self, lam: np.ndarray) -> RateCostTables:
+        """build_tables on ``static``'s cells at a finite λ ≥ 0 (M,),
+        unchecked, with λ and μ shaped as the tables' user axis."""
         return build_tables(self.model, self.grid,
                             Prices(lam[:, None, None], self._mu_cells),
                             self.rate_cap, self.static)
@@ -216,12 +217,12 @@ class Problem:
     def serve_hard(self, lam: np.ndarray) -> tuple:
         """The hard rule's (served rate (M,), served cost, served power) at
         λ, unchecked: a finite nonnegative float (M,) array, as evaluate
-        or an offline loop's projected step leaves it.
+        or a solver leaves it.
 
         It works on the (M, n_classes, L) tables in product form
         (_hard_wins), O(n_classes·M²·L²), and enumerates nothing: served
         rate and cost sum R·win and C·win over the cells."""
-        tables = self._tables(lam)
+        tables = self.tables(lam)
         return self._served(lam, tables.cost, tables.rate,
                             self._hard_wins(tables.cost))
 
@@ -234,7 +235,7 @@ class Problem:
         through ``columns`` as user-major (M, J) arrays, and the weights
         reduce over the M user rows. Served rates are the row sums of R·w·p
         and the served cost the sum of C·w·p."""
-        tables = self._tables(lam)
+        tables = self.tables(lam)
         index, probs = self.columns
         cost, rate = tables.cost.take(index), tables.rate.take(index)
         u, cstar = smooth_window(cost, eps)
@@ -287,7 +288,7 @@ class Problem:
         contractions, which make no (M, M, J) temporary."""
         index, probs = self.columns
         M, C = len(lam), self.grid.regions_per_channel ** len(lam)
-        mu = self.mu[:, None, None]
+        mu = self._mu_cells
         rprime = self.model.rate_slope(self.static, lam[:, None, None] / mu,
                                        tables.rate, tables.power,
                                        self.rate_cap) / mu

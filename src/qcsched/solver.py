@@ -1,12 +1,12 @@
 """Multiplier search: offline smooth/non-smooth iterations and the online
 stochastic estimator, with full trajectory recording.
 
-All updates project onto λ ≥ 0. Every solver first checks that the
-Problem's targets are reachable (Problem.check_targets), so infeasible
-targets raise InfeasibleTargetsError before any evaluation. λ is checked
-once per run, at λ⁽⁰⁾; the constant-step and non-smooth loops then test
-only that each projected step stays finite (_ascend), and call the
-per-mode core behind Problem.evaluate (dual.Problem, re-exported here),
+All updates project onto λ ≥ 0. Every solver starts in _start, which
+checks that the Problem's targets are reachable (Problem.check_targets),
+so infeasible targets raise InfeasibleTargetsError before any evaluation;
+SolverConfig has refused a negative or non-finite λ⁽⁰⁾. Every constant or
+diminishing step, offline and online, is _ascend's. The offline loops call
+the per-mode core behind Problem.evaluate (dual.Problem, re-exported here),
 serve_smooth or serve_hard, on the data the Problem built once: its class
 tables, region probabilities, μ in the tables' shape and the hard rule's
 cell weights. Damped Newton evaluates through the checked Problem.evaluate.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import Prices, block_statics, build_tables, check_lambda
+from .allocator import Prices, block_statics, build_tables
 from .channel import sample_gain_blocks
 from .dual import Problem, block_allocation
 from .quantizer import quantize
@@ -150,10 +150,19 @@ def _per_user(value, M: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), (M,)).copy()
 
 
+def _start(problem, cfg: SolverConfig) -> tuple:
+    """Every solver's start: problem.check_targets(), then λ⁽⁰⁾ and tol as
+    fresh float (M,) arrays and an empty _Recorder."""
+    problem.check_targets()
+    M = problem.num_users
+    return (_per_user(cfg.init, M), _per_user(cfg.tol, M),
+            _Recorder(cfg.record_every))
+
+
 def _ascend(lam: np.ndarray, step: float, g: np.ndarray) -> np.ndarray:
-    """The projected step [λ + step·g]⁺ of an offline loop. λ⁽⁰⁾ is checked
-    once per run and the projection keeps λ ≥ 0, so the one test left is
-    this finiteness test of the stepped λ: a step that overflowed raises
+    """[λ + step·g]⁺, every loop's constant or diminishing step. λ⁽⁰⁾ is
+    finite and ≥ 0 and the projection keeps λ ≥ 0, so the one test left is
+    that the stepped λ is finite: a step that overflowed raises
     check_lambda's ValueError here, before any evaluation at it."""
     lam = np.maximum(0.0, lam + step * g)
     if lam.max() < np.inf:                              # NaN fails too
@@ -168,11 +177,8 @@ def run_offline_smooth(problem: Problem, cfg: SolverConfig, progress=None):
     Problem.evaluate, on the Problem's cached class data, records, and
     steps (_ascend). Returns (λ, Trajectory), which serves its last iterate.
     """
-    problem.check_targets()
-    M, targets = problem.num_users, problem.targets
-    lam = check_lambda(_per_user(cfg.init, M), M)
-    tol = _per_user(cfg.tol, M)
-    rec, last = _Recorder(cfg.record_every), cfg.max_iters - 1
+    lam, tol, rec = _start(problem, cfg)
+    targets, last = problem.targets, cfg.max_iters - 1
     for i in range(cfg.max_iters):
         rate, _, power, _ = problem.serve_smooth(lam, cfg.eps)
         g = targets - rate
@@ -219,11 +225,8 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
     stops the run, "stalled".
     Returns (λ, Trajectory); every evaluation counts toward ``max_iters``,
     and the trajectory indexes accepted steps."""
-    problem.check_targets()
-    M = problem.num_users
-    tol = _per_user(cfg.tol, M)
-    rec = _Recorder(cfg.record_every)
-    lam = trial = _per_user(cfg.init, M)
+    lam, tol, rec = _start(problem, cfg)
+    trial, M = lam, problem.num_users
     nu, i, best = 4.0 / cfg.beta, -1, np.inf            # λ⁽⁰⁾: ν = 1/β
     reason = "max_iters"
     for _ in range(cfg.max_iters):
@@ -259,13 +262,10 @@ def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
     iterate runs Problem.serve_hard, the core behind Problem.evaluate, and
     steps as run_offline_smooth does. Returns the Trajectory only.
     """
-    problem.check_targets()
-    M, targets = problem.num_users, problem.targets
-    lam = check_lambda(_per_user(cfg.init, M), M)
-    tol = _per_user(cfg.tol, M)
-    rec, last = _Recorder(cfg.record_every), cfg.max_iters - 1
+    lam, tol, rec = _start(problem, cfg)
+    targets, last = problem.targets, cfg.max_iters - 1
     half, kappa = cfg.max_iters // 2, cfg.kappa
-    weight, rate_sum, power_sum = 0.0, np.zeros(M), 0.0
+    weight, rate_sum, power_sum = 0.0, np.zeros_like(lam), 0.0
     for i in range(cfg.max_iters):
         rate, _, power = problem.serve_hard(lam)
         g = targets - rate
@@ -281,8 +281,7 @@ def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
         if done or i == last:
             break
         lam = _ascend(lam, step, g)
-    served = None if done or not weight else (rate_sum / weight,
-                                              power_sum / weight)
+    served = None if done else (rate_sum / weight, power_sum / weight)
     return rec.build("converged" if done else "max_iters", targets, tol,
                      served)
 
@@ -317,21 +316,20 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     writes its served rates and weighted power to the chunk's buffer. Per
     chunk, one cumsum over that buffer (a sequential accumulate: the bits of
     adding block by block) and one division give the running averages,
-    and the trajectory records the chunk's rows at its stride. λ is checked
-    once, at the start: each projected step keeps it finite and nonnegative.
-    The fading model's seed is the only seed of the block stream, so runs on
+    and the trajectory records the chunk's rows at its stride. Each block
+    steps through _ascend: a step that overflows raises ValueError. The
+    fading model's seed is the only seed of the block stream, so runs on
     the same Problem are bitwise reproducible.
     """
     if problem.fading is None:
         raise ValueError("online iteration requires problem.fading")
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
-    problem.check_targets()
+    lam, tol, rec = _start(problem, cfg)
     M, model, grid = problem.num_users, problem.model, problem.grid
     mu, targets, rate_cap = problem.mu, problem.targets, problem.rate_cap
-    lam = check_lambda(_per_user(cfg.init, M), M)   # steps keep it so
     static = tuple(a[:, problem.classes[2]] for a in problem.static)
-    rec, every = _Recorder(cfg.record_every), cfg.record_every
+    every = cfg.record_every
     lam_trace = np.empty((num_blocks, M))
     avg_rate = np.empty((num_blocks, M))
     avg_power = np.empty(num_blocks)
@@ -353,7 +351,7 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
             g = targets - served
             if progress is not None:
                 progress(n, lam, g)
-            lam = np.maximum(0.0, lam + cfg.beta * g)
+            lam = _ascend(lam, cfg.beta, g)
         csum = np.cumsum(sums[:count + 1], axis=0)
         avg = csum[1:] / np.arange(first + 1, first + count + 1)[:, None]
         avg_rate[first:first + count] = avg[:, :M]
@@ -365,7 +363,7 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
         for n in recorded:
             rec.add(n, lam_trace[n], targets - sums[n - first + 1, :M],
                     avg_rate[n], avg_power[n], force=True)
-    traj = rec.build("completed", targets, _per_user(cfg.tol, M))
+    traj = rec.build("completed", targets, tol)
     return OnlineResult(lam_trace=lam_trace, sample_avg_rate=avg_rate,
                         sample_avg_power=avg_power, final_lambda=lam,
                         trajectory=traj)

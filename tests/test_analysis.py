@@ -9,7 +9,7 @@ import pytest
 
 from qcsched import allocator, analysis, dual, solver
 from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
-                               build_tables)
+                               build_tables, find_tie_instances)
 from qcsched.analysis import (CompareSetup, OverheadReport, compare_rows,
                               compare_schemes, feedback_bits, mc_primal,
                               power_db, sweep_regions)
@@ -17,7 +17,8 @@ from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
 from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity)
-from qcsched.quantizer import EnumerationBudgetError, build_equiprobable
+from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
+                               build_equiprobable, build_random)
 from qcsched.solver import (Problem, SolverConfig, run_offline_nonsmooth,
                             run_offline_smooth, run_online)
 
@@ -581,6 +582,75 @@ def test_user_permutation_permutes_ra1_to_ra3():
             assert row.get(key) == base.get(key), (base["scheme"], key)
 
 
+def channel_problems(model, *orders):
+    """One Problem per channel order on an M=3, K=5, L=3 instance with
+    random ladders and mean gains, channel 3 a copy of channel 0, so that
+    channel_classes finds classes of 2, 1, 1 and 1 channels."""
+    rng = np.random.default_rng(5)
+    mg = snr_db_to_mean_gain(rng.uniform(2.0, 10.0, size=(3, 5)))
+    grid = build_random(FadingModel(mg), 3, (0.0, 3.0 * mg.max()), seed=11)
+    thr, mg = grid.thresholds[:, [0, 1, 2, 0, 4]], mg[:, [0, 1, 2, 0, 4]]
+    return [Problem(QuantizerGrid(thr[:, order], mg[:, order]), model,
+                    np.array([1.0, 2.0, 0.5]), np.array([0.6, 0.9, 0.3]))
+            for order in orders]
+
+
+def assert_rel(got, want, rtol=1e-12):
+    """|got - want| ≤ rtol·max|want|, over an array or a scalar."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+CHANNEL_FAMILIES = [MODEL, FAMILIES[1], FAMILIES[3]]
+CHANNEL_LAMBDAS = [np.array([0.8, 1.2, 0.5]), np.array([0.3, 0.7, 0.2])]
+
+# The channel relations go through quantizer.channel_classes: a class is
+# evaluated once at its first channel and weighted by its size, and the
+# class order follows first occurrence, so a permuted or extended grid sums
+# the same terms in another order. Hence 1e-12 relative (measured: at most
+# 4.6e-16 in values, rates, powers and r̄₁, and 2.0e-13 in the smooth
+# Jacobian, relative to its largest entry, whose terms cancel). Relations
+# that do not hold, by design: RA4's ladders are drawn in (m, k) order from
+# one seed, and RA5 gives channel k to user k mod M.
+
+@pytest.mark.parametrize("model", CHANNEL_FAMILIES,
+                         ids=lambda m: type(m).__name__)
+def test_channel_permutation_keeps_the_dual_and_its_ties(model):
+    # permuting the K channels, ladders and mean gains together, moves no
+    # evaluation at a fixed λ, in either mode, and no tie of the tie search
+    base, moved = channel_problems(model, range(5), [3, 1, 4, 0, 2])
+    for lam in CHANNEL_LAMBDAS:
+        for mode in ("hard", "smooth"):
+            want, got = base.evaluate(lam, mode), moved.evaluate(lam, mode)
+            assert_rel(got.value, want.value)
+            assert_rel(got.per_user_avg_rate, want.per_user_avg_rate)
+            assert_rel(got.avg_power, want.avg_power)
+            if mode == "smooth":
+                assert_rel(got.jacobian(), want.jacobian())
+        want, got = (find_tie_instances(p, lam, 0.05) for p in (base, moved))
+        assert len(got[0]) == len(want[0]) > 0
+        assert_rel(got[4], want[4])
+
+
+@pytest.mark.parametrize("model", CHANNEL_FAMILIES,
+                         ids=lambda m: type(m).__name__)
+def test_a_duplicated_channel_adds_its_one_channel_problem(model):
+    # the dual decomposes per channel: appending a copy of channel j adds
+    # the one-channel Problem on j to the served rates and to the served
+    # cost, the λ-free part value - λ·ř, in either mode
+    for j in (0, 2):
+        base, more, one = channel_problems(model, range(5), [*range(5), j],
+                                           [j])
+        for lam in CHANNEL_LAMBDAS:
+            for mode in ("hard", "smooth"):
+                want, got, add = (p.evaluate(lam, mode)
+                                  for p in (base, more, one))
+                assert_rel(got.per_user_avg_rate,
+                           want.per_user_avg_rate + add.per_user_avg_rate)
+                cost = [e.value - lam @ base.targets for e in (want, got, add)]
+                assert_rel(cost[1], cost[0] + cost[2])
+
+
 # --- harness drivers --------------------------------------------------------------------
 
 def test_compare_schemes_rows_and_ordering():
@@ -622,13 +692,15 @@ def test_compare_schemes_lets_a_schemes_key_error_through(monkeypatch):
 
 def test_zero_power_rows_are_minus_inf_db():
     # zero targets leave every user silent: rows and summaries share one
-    # power_db, which maps 0 to -inf and keeps positive powers' bits
+    # power_db, which maps 0 to -inf, NaN to NaN and keeps positive powers'
+    # bits
     setup = micro_setup(targets=np.array([0.0, 0.0]))
     row, = sweep_regions(setup, [2], reference_regions=None)
     assert row["avg_power"] == 0.0 and row["power_db"] == -math.inf
     ra3, = compare_schemes(setup, schemes=("RA3",))
     assert ra3["power_db"] == -math.inf
     assert power_db(96.72) == 10.0 * math.log10(96.72)
+    assert math.isnan(power_db(math.nan))
 
 
 def test_sweep_regions_monotone_micro():
@@ -644,6 +716,44 @@ def test_sweep_reference_is_perfect_csi_or_none():
     # a finite L would silently be served as L = inf
     with pytest.raises(ValueError, match="reference_regions"):
         sweep_regions(micro_setup(), [2], reference_regions=256)
+
+
+def test_table_builds_per_solve(monkeypatch):
+    # perfbench's allocator.build_tables counter sees these builds: one per
+    # online block, across a chunk boundary, through solver's binding; and
+    # in RA2 one per smooth evaluation, one per ε-stage for its hard dual D
+    # and one per converged stage for the tie search, all through the
+    # Problem's one table build and so through dual's binding
+    builds, counts = [], {"smooth": 0, "stages": 0, "converged": 0}
+
+    def spy(*args, **kwargs):
+        builds.append(1)
+        return build_tables(*args, **kwargs)
+
+    def newton(problem, cfg):
+        counts["stages"] += 1
+        lam, traj = solver.run_offline_newton(problem, cfg)
+        counts["converged"] += traj.converged
+        return lam, traj
+
+    def evaluate(self, lam, mode="smooth", eps=0.05, checked=Problem.evaluate):
+        counts["smooth"] += mode == "smooth"
+        return checked(self, lam, mode, eps)
+
+    for mod in (dual, solver):
+        monkeypatch.setattr(mod, "build_tables", spy)
+    setup = micro_setup()
+    (_, _, problem), = compare_rows(setup, ("RA2",))
+    blocks = solver.ONLINE_CHUNK + 3
+    run_online(problem, SolverConfig(beta=1e-3), blocks)
+    assert len(builds) == blocks
+    builds.clear()
+    monkeypatch.setattr(analysis, "run_offline_newton", newton)
+    monkeypatch.setattr(Problem, "evaluate", evaluate)
+    row = analysis.ra2_point(setup, problem)
+    assert row["converged"] and counts["stages"] > 1
+    assert len(builds) == (counts["smooth"] + counts["stages"]
+                           + counts["converged"])
 
 
 def test_offline_builds_read_the_class_representatives_only(monkeypatch):

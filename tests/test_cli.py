@@ -159,6 +159,11 @@ def test_malformed_json(tmp_path, capsys):
     (lambda c: c.update(mode="compare", fading={
         "num_users": 2, "num_channels": 2}, compare={"snr_db": [-1e30]}),
      "compare.snr_db[0]: must be >= -100.0, got -1e+30"),
+    # a mean gain is bounded at the SNR bound's gains, as snr_db is
+    (lambda c: c["fading"]["mean_gain"][0].__setitem__(1, 1e11),
+     "fading.mean_gain[0][1]: must be <= 10000000000.0, got 100000000000.0"),
+    (lambda c: c["fading"]["mean_gain"][1].__setitem__(0, 0),
+     "fading.mean_gain[1][0]: must be >= 1e-10, got 0"),
 ])
 def test_config_rejections(tmp_path, capsys, mangle, needle):
     cfg = tiny()
@@ -573,12 +578,20 @@ def test_snr_db_at_its_bound_runs_clean(tmp_path, capsys):
     # the bound is an SNR at which all six bundled configs run without a
     # floating-point warning; at 110 dB compare_schemes' RA1 row runs to
     # max_iters from its absolute first λ and damping. Both ends of it pass
-    # --dry-run on compare_schemes, and a small compare run solves them clean
+    # --dry-run on compare_schemes, as do the mean gains at both ends, and a
+    # small compare run solves them clean
     cfg = json.loads((CONFIGS / "compare_schemes.json").read_text())
     for snr in (-100.0, 100.0):
         cfg["fading"]["snr_db"] = snr
         assert run(tmp_path, cfg, "--dry-run")[0] == OK
         assert json.loads(capsys.readouterr().out)["fading"]["snr_db"] == snr
+    del cfg["fading"]["snr_db"]
+    for snr in (-100.0, 100.0):
+        gains = [[float(snr_db_to_mean_gain(snr))] * 64] * 3
+        cfg["fading"]["mean_gain"] = gains
+        assert run(tmp_path, cfg, "--dry-run")[0] == OK
+        assert json.loads(capsys.readouterr().out)["fading"]["mean_gain"] \
+            == gains
     cfg = tiny(mode="compare", compare={"snr_db": [-100.0, 100.0]})
     del cfg["fading"]["mean_gain"]
     with warnings.catch_warnings():
@@ -899,6 +912,11 @@ def test_ra1_with_a_nan_first_subgradient_writes_its_row(tmp_path):
     assert [row["scheme"] for row in summary["rows"]] == ["RA1"]
     assert (out / "compare.csv").read_text().splitlines()[1].startswith(
         "RA1,-100.0,")
+    # its NaN power reads NaN in dB too, not as a silent row's -inf
+    row, = summary["rows"]
+    assert row["avg_power"] == row["power_db"] == "nan"
+    assert (out / "compare.csv").read_text().splitlines()[1].split(",")[2] \
+        == "nan"
 
 
 def test_compare_unknown_scheme_rejected(tmp_path):

@@ -765,12 +765,13 @@ def test_offline_loops_match_the_checked_reference_bitwise(case):
 
 
 @pytest.mark.parametrize("mode, knob", [("smooth", "beta"),
-                                        ("hard", "kappa")])
+                                        ("hard", "kappa"), ("online", "beta")])
 def test_an_overflowing_step_raises_before_it_is_evaluated(mode, knob,
                                                             monkeypatch):
-    # λ is checked once per run: a step of 1e308 overflows λ to inf, which
-    # the loop's finiteness test of the stepped λ rejects at once, with
-    # check_lambda's error, before any evaluation at it
+    # λ⁽⁰⁾ is finite: a step of 1e308 overflows λ to inf, which the loop's
+    # finiteness test of the stepped λ (_ascend) rejects at once, with
+    # check_lambda's error, before any evaluation at it. The offline loops
+    # build through dual's binding, an online block through solver's
     builds = []
 
     def spy(*args, **kwargs):
@@ -778,10 +779,13 @@ def test_an_overflowing_step_raises_before_it_is_evaluated(mode, knob,
         return build_tables(*args, **kwargs)
 
     monkeypatch.setattr(dual, "build_tables", spy)
+    monkeypatch.setattr(solver, "build_tables", spy)
     cfg = SolverConfig(max_iters=1000, **{knob: 1e308})
+    loop = OFFLINE_LOOPS.get(
+        mode, lambda problem, cfg, _: run_online(problem, cfg, 10))
     with pytest.warns(RuntimeWarning, match="overflow"), \
             pytest.raises(ValueError, match="finite and nonnegative"):
-        OFFLINE_LOOPS[mode](tc1_problem(4.0), cfg, None)
+        loop(tc1_problem(4.0), cfg, None)
     assert builds == [1]
 
 
