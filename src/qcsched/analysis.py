@@ -41,7 +41,7 @@ import numpy as np
 from . import solver
 from . import quantizer as qz
 from .allocator import (DEFAULT_FEAS_TOL, DEFAULT_RATE_CAP, Multipliers,
-                        build_tables, find_tie_instances, solve_tie_lp)
+                        find_tie_instances, solve_tie_lp)
 from .channel import FadingModel, sample_gain_blocks
 from .dual import PerfectCSI, block_allocation
 from .powerrate import PowerRate, _vec_newton
@@ -122,23 +122,27 @@ def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
 
     Sample-average served rates (M,) and weighted power over ``num_blocks``
     fading blocks at the default rate cap; ValueError unless num_blocks ≥ 1
-    and 0 < ε < ∞. The tables are built once, since λ is frozen; as online,
-    solver.ONLINE_CHUNK blocks are sampled and quantized at once and read
-    only the M×K cells their Q-CSI selects, so memory does not grow with L.
-    Block streams are the online solver's, so comparisons share them.
+    and 0 < ε < ∞. The tables are built once, since λ is frozen, on a
+    Problem's (M, n_classes, L) class cells (Problem.tables). As online, a
+    chunk of about solver.ONLINE_CHUNK cells is sampled and quantized at once
+    and reads the cells its Q-CSI selects through the class map, so memory
+    grows with neither the batch nor L. Block streams are the online
+    solver's, so comparisons share them.
     """
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
     if not 0.0 < eps < np.inf:                          # NaN fails too
         raise ValueError("smooth eps must be positive and finite")
-    tables = build_tables(model, grid, mult)
+    problem = Problem(grid, model, mult.mu, mult.targets)
+    tables, of = problem.tables(mult.lambda_r), problem.classes[2]
     sum_rate = np.zeros(grid.num_users)
     sum_power = 0.0
-    chunk = solver.ONLINE_CHUNK
+    chunk = solver._chunk_blocks(grid.num_users, grid.num_channels)
     for done in range(0, num_blocks, chunk):
         n = min(chunk, num_blocks - done)
         qcsi = quantize(grid, sample_gain_blocks(fading, first_block + done, n))
-        served, wpower, _ = block_allocation(tables, mult.lambda_r, qcsi, eps)
+        served, wpower, _ = block_allocation(tables, mult.lambda_r, qcsi, eps,
+                                             of)
         sum_rate += served
         sum_power += wpower
     return sum_rate / num_blocks, sum_power / num_blocks

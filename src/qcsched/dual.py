@@ -14,9 +14,10 @@ exploit as an internal consistency check.
 Every term is evaluated once per class of identical channels
 (quantizer.channel_classes): channels with the same ladders and mean gains
 give the same term, so one representative carries the class's weight. A
-Problem caches the classes and the family's cell data and region
-probabilities at the representatives, (M, n_classes, L) each: the column
-space, the online blocks and RA5 read them, through the class map.
+Problem reads the classes its grid computed once (QuantizerGrid.classes)
+and caches the family's cell data and region probabilities at the
+representatives, (M, n_classes, L) each: the column space, the online
+blocks, mc_primal and RA5 read them, through the class map.
 Problem.tables(λ), unchecked, is the one table build on those cells: the
 cores and the tie search call it. Problem.evaluate is the one checked
 offline evaluation: it checks the mode, ε and λ, then runs the mode's core,
@@ -122,10 +123,11 @@ class Problem:
 
     @cached_property
     def classes(self) -> tuple:
-        """quantizer.channel_classes: (channels, sizes, of), the
-        representative channel and the size of each class, and the class of
-        each channel."""
-        return qz.channel_classes(self.grid)
+        """The grid's quantizer.channel_classes, which the grid computes
+        once for quantize and every Problem on it: (channels, sizes, of),
+        the representative channel and the size of each class, and the
+        class of each channel."""
+        return self.grid.classes
 
     @cached_property
     def _class_grid(self) -> QuantizerGrid:
@@ -470,23 +472,25 @@ def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
 
 
 def block_allocation(tables: RateCostTables, lam: np.ndarray, qcsi,
-                     eps: float):
+                     eps: float, of=None):
     """Smooth allocation at prices λ (M,) for realized Q-CSI, 1-based: one
     block's (M, K) matrix or an (N, M, K) stack of N blocks.
 
-    ``tables`` either span every region, (M, K, L), and are read at
-    ``qcsi`` user-major, (M, K) or (M, N, K), or were built on one block's
-    cells alone, (M, K). Returns (served_rate (M,), weighted_power,
-    served_cost), summed over the blocks of a stack.
+    ``tables`` either span every region, (M, K, L), or every class's
+    regions, (M, n_classes, L), read through the channel→class map ``of``
+    (K,), and are read at ``qcsi`` user-major, (M, K) or (M, N, K); or they
+    were built on one block's cells alone, (M, K). Returns (served_rate
+    (M,), weighted_power, served_cost), summed over the blocks of a stack.
     """
     cost, rate = tables.cost, tables.rate
     read = cost.ndim == 3
     if read:
-        index = region_index(cost.shape, qcsi, users_first=True)
+        index = region_index(cost.shape, qcsi, users_first=True, of=of)
         cost, rate = cost.take(index), rate.take(index)
         del index                       # w can reuse its pages
     elif np.ndim(qcsi) != 2:
-        raise ValueError("Q-CSI of several blocks needs (M, K, L) tables")
+        raise ValueError("Q-CSI of several blocks needs tables over every "
+                         "region, (M, K, L) or (M, n_classes, L)")
     w = smooth_weights(cost, eps)
     # products overwrite arrays read here, so a stack makes no batch-sized
     # temporary beyond the index, cost, rate and w

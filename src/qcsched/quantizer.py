@@ -8,6 +8,11 @@ region. Region indices are 1-based (1..L) throughout the public API.
 Region probabilities follow the exponential gain law:
 Pr{region l} = e^{-q_l/ḡ} - e^{-q_{l+1}/ḡ}, and a channel column's
 probability is the product across users (independent fading).
+
+Channels whose ladders and mean gains are bitwise equal form a class
+(channel_classes). A grid computes its classes once (QuantizerGrid.classes):
+quantize searches the classes' ladders through a per-class guide table,
+and every dual.Problem on the grid reads the same classes.
 """
 
 from __future__ import annotations
@@ -81,9 +86,25 @@ class QuantizerGrid:
         return self.thresholds.shape[2] - 1
 
     @cached_property
+    def classes(self) -> tuple:
+        """channel_classes on this grid, computed once and kept: quantize
+        searches the classes' ladders and dual.Problem reads them too."""
+        return channel_classes(self)
+
+    @cached_property
+    def _ladders(self) -> tuple:
+        """The classes' ladders, flat (M·n_classes·(L+1)), and the flat index
+        of q_1 of each cell's class ladder minus 1 (M, K), which turns a flat
+        position into a 1-based region."""
+        channels, _, of = self.classes
+        M, L1 = self.num_users, self.thresholds.shape[2]
+        first = (np.arange(M)[:, None] * len(channels) + of) * L1 - 1
+        return self.thresholds[:, channels].reshape(-1), first
+
+    @cached_property
     def _guide(self):
-        # windows three buckets wide over L - 1 thresholds make the width at
-        # least 3, so below L = 9 the table cannot save two levels
+        # finding the bucket costs about two search levels, and below L = 9
+        # a search has at most three, so there the table cannot pay
         return _guide_table(self) if self.regions_per_channel > 8 else None
 
 
@@ -137,33 +158,38 @@ def _descend(flat, pos, n, gains):
     # moves flat indices pos in place to the last q_l <= g in [pos, pos + n)
     while n > 1:
         half = n // 2
-        # ties go up because of <=
-        pos += half * (flat.take(pos + half) <= gains)
+        pos += half * (flat[half:].take(pos) <= gains)     # ties go up
         n -= half
     return pos
 
 
 def _guide_table(grid: QuantizerGrid):
-    """``quantize``'s guide table (Chen & Asau, 1974): flat starts laid out
-    like the ladders (entry B repeats B-1, for u = 1) and the width n, or None
+    """``quantize``'s guide table (Chen & Asau, 1974) over the classes'
+    ladders: (table, n, B, cell). B buckets per class, 4L where the table
+    fits in the grid's thresholds' bytes, else L; flat starts into the class
+    ladders laid out (M, n_classes, B+1) (entry B repeats B-1, for u = 1);
+    the width n; and the flat index of each cell's class row (M, K). None
     when n does not save two search levels."""
+    channels, _, of = grid.classes
     M, K, L1 = grid.thresholds.shape
-    L = L1 - 1
+    L, n_cls = L1 - 1, len(channels)
+    B = 4 * L if n_cls * (4 * L + 1) <= K * L1 else L
     with np.errstate(divide="ignore"):
-        base = -np.log1p(-np.clip(np.arange(-1, L + 2), 0, L) / L)
-    edges = base[:, None, None] * grid.mean_gain          # E_{-1} .. E_{L+1}
-    ladder = np.arange(0, M * K * L1, L1).reshape(M, K)
-    region = _descend(grid.thresholds.reshape(-1),
-                      ladder + np.zeros(edges.shape, dtype=np.intp), L,
+        base = -np.log1p(-np.clip(np.arange(-1, B + 2), 0, B) / B)
+    edges = base[:, None, None] * grid.mean_gain[:, channels]  # E_-1..E_B+1
+    flat, _ = grid._ladders
+    ladder = np.arange(0, M * n_cls * L1, L1).reshape(M, n_cls)
+    region = _descend(flat, ladder + np.zeros(edges.shape, dtype=np.intp), L,
                       edges) - ladder
     n = int((region[3:] - region[:-3]).max()) + 1       # E_{b-1} .. E_{b+2}
     if (n - 1).bit_length() > (L - 1).bit_length() - 2:
         return None
     # start + n stays at or below q_{L+1}, which must never be read
-    starts = np.minimum(region[np.r_[:L, L - 1]], L - n)   # (L+1, M, K)
+    starts = np.minimum(region[np.r_[:B, B - 1]], L - n)   # (B+1, M, n_cls)
     table = (np.moveaxis(starts, 0, -1) + ladder[:, :, None]).reshape(-1)
     table.setflags(write=False)
-    return table, n
+    cell = (np.arange(M)[:, None] * n_cls + of) * (B + 1)
+    return table, n, B, cell
 
 
 def quantize(grid: QuantizerGrid, gains: np.ndarray) -> np.ndarray:
@@ -174,15 +200,18 @@ def quantize(grid: QuantizerGrid, gains: np.ndarray) -> np.ndarray:
     threshold lands in the upper region, and +inf in region L. NaN and
     negative gains raise ValueError.
 
-    A branchless binary search for the last q_l <= g runs on the whole batch,
-    each level about four array passes: ⌈log2 L⌉ levels from q_1. The grid's
-    guide table splits each cell's CDF u = -expm1(-g/ḡ) into B = L buckets;
-    bucket b starts at the region of E_{b-1} = -ḡ·log1p(-(b-1)/B), and the
-    search then needs ⌈log2 n⌉ levels, n the widest region span from E_{b-1}
-    to E_{b+2}. Finding b costs about two levels, so the table serves only
-    where it saves two: equiprobable ladders have n <= 4, 2 levels for 8 at
-    L = 256. It is exact, since rounding moves u and the edges by a few ulps,
-    far less than the one bucket of padding on each side of b.
+    A branchless binary search for the last q_l <= g runs on the whole batch
+    over the ladders of the grid's channel classes (``classes``), which a
+    batch's cells share: ⌈log2 L⌉ levels from q_1, each a gather, a
+    comparison and an add. The grid's guide table splits each class's CDF
+    u = -expm1(-g/ḡ) into B buckets, B = 4L where the table fits in the
+    grid's thresholds' bytes, else L; bucket b starts at the region of
+    E_{b-1} = -ḡ·log1p(-(b-1)/B), and the search then needs ⌈log2 n⌉
+    levels, n the widest region span from E_{b-1} to E_{b+2}. Finding b
+    costs about two levels, so the table serves only where it saves two:
+    equiprobable ladders have n = 2, one level, at 4L buckets, and n <= 4 at
+    L. It is exact, since rounding moves u and the edges by a few ulps, far
+    less than the one bucket of padding on each side of b.
     """
     gains = np.asarray(gains, dtype=float)
     M, K, L1 = grid.thresholds.shape
@@ -192,18 +221,22 @@ def quantize(grid: QuantizerGrid, gains: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"gains must be non-negative: {np.count_nonzero(np.isnan(gains))} "
             f"NaN and {np.count_nonzero(gains < 0.0)} negative")
-    ladder = np.arange(0, M * K * L1, L1).reshape(M, K)    # q_1 of each cell
+    flat, first = grid._ladders
     guide = grid._guide
     if guide is None:                                       # q_1 = 0 <= g
-        pos, n = ladder + np.zeros(gains.shape, dtype=np.intp), L1 - 1
+        pos, n = first + np.ones(gains.shape, dtype=np.intp), L1 - 1
     else:
-        starts, n = guide
+        table, n, buckets, cell = guide
         with np.errstate(over="ignore"):                  # huge g/ḡ: u = 1
             t = gains / -grid.mean_gain
         np.expm1(t, out=t)
-        t *= -(L1 - 1)                                      # B·u in [0, B]
-        pos = starts.take(t.astype(np.intp) + ladder)
-    return _descend(grid.thresholds.reshape(-1), pos, n, gains) - ladder + 1
+        t *= -buckets                                       # B·u in [0, B]
+        pos = t.astype(np.intp)
+        pos += cell
+        pos = table.take(pos)
+    pos = _descend(flat, pos, n, gains)
+    pos -= first
+    return pos
 
 
 def region_prob_table(grid: QuantizerGrid) -> np.ndarray:

@@ -5,7 +5,9 @@ All updates project onto λ ≥ 0. Every solver starts in _start, which
 checks that the Problem's targets are reachable (Problem.check_targets),
 so infeasible targets raise InfeasibleTargetsError before any evaluation;
 SolverConfig has refused a negative or non-finite λ⁽⁰⁾. Every constant or
-diminishing step, offline and online, is _ascend's. The offline loops call
+diminishing step, offline and online, is _ascend's, and those three loops
+run under _stepping: a step or an evaluation that overflows raises
+FloatingPointError instead of warning. The offline loops call
 the per-mode core behind Problem.evaluate (dual.Problem, re-exported here),
 serve_smooth or serve_hard, on the data the Problem built once: its class
 tables, region probabilities, μ in the tables' shape and the hard rule's
@@ -26,6 +28,7 @@ subgradient) at each iterate or block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -34,7 +37,15 @@ from .channel import sample_gain_blocks
 from .dual import Problem, block_allocation
 from .quantizer import quantize
 
-ONLINE_CHUNK = 1024     # fading blocks sampled and quantized at once online
+# (M, K) cells sampled and quantized at once online, about 2¹⁵: a chunk's
+# float arrays stay near 256 kB, in cache
+ONLINE_CHUNK = 2 ** 15
+
+
+def _chunk_blocks(num_users: int, num_channels: int) -> int:
+    """The fading blocks of one online or Monte-Carlo chunk: ONLINE_CHUNK
+    cells' worth, and at least one."""
+    return max(1, ONLINE_CHUNK // (num_users * num_channels))
 
 
 @dataclass(frozen=True)
@@ -161,15 +172,30 @@ def _start(problem, cfg: SolverConfig) -> tuple:
 
 def _ascend(lam: np.ndarray, step: float, g: np.ndarray) -> np.ndarray:
     """[λ + step·g]⁺, every loop's constant or diminishing step. λ⁽⁰⁾ is
-    finite and ≥ 0 and the projection keeps λ ≥ 0, so the one test left is
-    that the stepped λ is finite: a step that overflowed raises
-    check_lambda's ValueError here, before any evaluation at it."""
-    lam = np.maximum(0.0, lam + step * g)
-    if lam.max() < np.inf:                              # NaN fails too
-        return lam
-    raise ValueError("lambda_r must be finite and nonnegative")
+    finite and ≥ 0 and the projection keeps λ ≥ 0; under _stepping a step
+    that overflows raises here, before any evaluation at it."""
+    return np.maximum(0.0, lam + step * g)
 
 
+def _stepping(loop):
+    """Runs a stepping loop with floating-point overflow and invalid
+    operations raised, not warned: a step past the float range, or an
+    evaluation or step-weighted sum that overflows at a huge λ, stops the
+    run with a FloatingPointError naming the loop and the overflow (the
+    CLI's exit 4), never with an inf or NaN result. Overflows that are a
+    defined limit run under their own np.errstate, which takes precedence."""
+    @wraps(loop)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return loop(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"{loop.__name__}: floating-point {exc}") from exc
+    return run
+
+
+@_stepping
 def run_offline_smooth(problem: Problem, cfg: SolverConfig, progress=None):
     """Constant-stepsize ascent on the smooth dual: λ ← [λ + β·∂ˢD]⁺.
 
@@ -251,6 +277,7 @@ def run_offline_newton(problem: Problem, cfg: SolverConfig):
     return lam, rec.build(reason, problem.targets, tol)
 
 
+@_stepping
 def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
     """Diminishing-stepsize subgradient ascent on the hard dual.
 
@@ -258,13 +285,14 @@ def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
     hovering (winner flips near ties), which is the behavior this baseline
     exists to demonstrate; unless the stop rule fires, the run serves the
     ergodic average (Larsson, Patriksson & Strömberg 1999) of the iterates
-    i ≥ max_iters // 2, weighted by their steps, kept as running sums. Each
+    i ≥ max_iters // 2, weighted by their steps, kept as running sums of
+    numpy floats, so that under _stepping a sum that overflows raises. Each
     iterate runs Problem.serve_hard, the core behind Problem.evaluate, and
     steps as run_offline_smooth does. Returns the Trajectory only.
     """
     lam, tol, rec = _start(problem, cfg)
     targets, last = problem.targets, cfg.max_iters - 1
-    half, kappa = cfg.max_iters // 2, cfg.kappa
+    half, kappa = cfg.max_iters // 2, np.float64(cfg.kappa)
     weight, rate_sum, power_sum = 0.0, np.zeros_like(lam), 0.0
     for i in range(cfg.max_iters):
         rate, _, power = problem.serve_hard(lam)
@@ -303,23 +331,25 @@ class OnlineResult:
     trajectory: Trajectory
 
 
+@_stepping
 def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
                progress=None) -> OnlineResult:
     """Stochastic per-block iteration λ̂[n+1] = [λ̂[n] + β·∂ˢ(J[n])]⁺.
 
     Needs problem.fading; never enumerates the column space. The Q-CSI does
-    not depend on λ, so it is sampled and quantized ONLINE_CHUNK blocks at a
-    time, with each block's static data gathered once per chunk from the
-    Problem's, per channel through its class map. A block
-    then does only the work that depends on λ: it evaluates R*, Υ(R*) and
-    C_W on its own M×K cells, allocates, calls ``progress`` and steps, and
-    writes its served rates and weighted power to the chunk's buffer. Per
-    chunk, one cumsum over that buffer (a sequential accumulate: the bits of
-    adding block by block) and one division give the running averages,
-    and the trajectory records the chunk's rows at its stride. Each block
-    steps through _ascend: a step that overflows raises ValueError. The
-    fading model's seed is the only seed of the block stream, so runs on
-    the same Problem are bitwise reproducible.
+    not depend on λ, so it is sampled and quantized a chunk of about
+    ONLINE_CHUNK cells at a time (_chunk_blocks), with each block's static
+    data gathered once per chunk from the Problem's (M, n_classes, L) class
+    data through its class map. A block then does only the work that
+    depends on λ: it evaluates R*, Υ(R*) and C_W on its own M×K cells,
+    allocates, calls ``progress`` and steps, and writes its served rates and
+    weighted power to the chunk's buffer. Per chunk, one cumsum over that
+    buffer (a sequential accumulate: the bits of adding block by block) and
+    one division give the running averages, and the trajectory records the
+    chunk's rows at its stride, so no output depends on the chunk size.
+    Each block steps through _ascend. The fading model's seed is the only
+    seed of the block stream, so runs on the same Problem are bitwise
+    reproducible.
     """
     if problem.fading is None:
         raise ValueError("online iteration requires problem.fading")
@@ -328,19 +358,20 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     lam, tol, rec = _start(problem, cfg)
     M, model, grid = problem.num_users, problem.model, problem.grid
     mu, targets, rate_cap = problem.mu, problem.targets, problem.rate_cap
-    static = tuple(a[:, problem.classes[2]] for a in problem.static)
+    static, of = problem.static, problem.classes[2]
+    chunk = _chunk_blocks(M, grid.num_channels)
     every = cfg.record_every
     lam_trace = np.empty((num_blocks, M))
     avg_rate = np.empty((num_blocks, M))
     avg_power = np.empty(num_blocks)
     # row 0 carries the running sums into a chunk, row i + 1 its block i's
     # served rates (columns :M) and weighted power (column M)
-    sums = np.zeros((min(ONLINE_CHUNK, num_blocks) + 1, M + 1))
-    for first in range(0, num_blocks, ONLINE_CHUNK):
-        count = min(ONLINE_CHUNK, num_blocks - first)
+    sums = np.zeros((min(chunk, num_blocks) + 1, M + 1))
+    for first in range(0, num_blocks, chunk):
+        count = min(chunk, num_blocks - first)
         gains = sample_gain_blocks(problem.fading, first, count)
         jmats = quantize(grid, gains)
-        cells = block_statics(static, jmats)
+        cells = block_statics(static, jmats, of)
         for n, jmat, block, row in zip(range(first, first + count), jmats,
                                        cells, sums[1:]):
             lam_trace[n] = lam

@@ -732,7 +732,7 @@ def gauss_jordan_numpy(a, b) -> np.ndarray:
 def online_reference(problem, cfg, num_blocks: int, progress=None):
     """solver.run_online with its bookkeeping done after every block: the
     running sums, both averages and a trajectory recorder call per block.
-    Chunks of solver.ONLINE_CHUNK blocks, as run_online samples them."""
+    Chunks of solver._chunk_blocks blocks, as run_online samples them."""
     problem.check_targets()
     M = problem.num_users
     lam = check_lambda(solver._per_user(cfg.init, M), M)
@@ -743,8 +743,9 @@ def online_reference(problem, cfg, num_blocks: int, progress=None):
     avg_power = np.empty(num_blocks)
     csum_rate = np.zeros(M)
     csum_power = 0.0
-    for first in range(0, num_blocks, solver.ONLINE_CHUNK):
-        count = min(solver.ONLINE_CHUNK, num_blocks - first)
+    chunk = solver._chunk_blocks(M, problem.grid.num_channels)
+    for first in range(0, num_blocks, chunk):
+        count = min(chunk, num_blocks - first)
         jmats = quantize(problem.grid,
                          sample_gain_blocks(problem.fading, first, count))
         cells = block_statics(static, jmats)

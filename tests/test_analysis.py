@@ -13,12 +13,13 @@ from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, RateCostTables,
 from qcsched.analysis import (CompareSetup, OverheadReport, compare_rows,
                               compare_schemes, feedback_bits, mc_primal,
                               power_db, sweep_regions)
-from qcsched.channel import FadingModel, sample_gains, snr_db_to_mean_gain
+from qcsched.channel import (FadingModel, sample_gain_blocks, sample_gains,
+                             snr_db_to_mean_gain)
 from qcsched.dual import block_allocation, exact_dual
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity)
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
-                               build_equiprobable, build_random)
+                               build_equiprobable, build_random, quantize)
 from qcsched.solver import (Problem, SolverConfig, run_offline_nonsmooth,
                             run_offline_smooth, run_online)
 
@@ -129,7 +130,7 @@ def test_cluster_audit_budget():
 # --- Monte-Carlo primal ----------------------------------------------------------------
 
 def test_mc_primal_matches_blockwise_loop(monkeypatch):
-    monkeypatch.setattr(solver, "ONLINE_CHUNK", 7)
+    monkeypatch.setattr(solver, "ONLINE_CHUNK", 7 * 2 * 2)    # M=2, K=2
     fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5]]), seed=3)
     grid = build_equiprobable(fading, 4)
     mult = Multipliers(np.array([0.8, 1.1]), np.ones(2), np.array([0.5, 0.7]))
@@ -167,11 +168,41 @@ def test_mc_primal_batch_size_only_regroups_sums(batch, monkeypatch):
     mult = Multipliers(np.array([0.8, 1.1]), np.ones(2), np.array([0.5, 0.7]))
     ref_rate, ref_power = mc_primal(MODEL, grid, mult, 0.05, fading, 300,
                                     first_block=11)
-    monkeypatch.setattr(solver, "ONLINE_CHUNK", batch)
+    monkeypatch.setattr(solver, "ONLINE_CHUNK", batch * 2 * 3)  # M=2, K=3
     rate, power = mc_primal(MODEL, grid, mult, 0.05, fading, 300,
                             first_block=11)
     np.testing.assert_allclose(rate, ref_rate, rtol=1e-12, atol=0.0)
     assert power == pytest.approx(ref_power, rel=1e-12, abs=0.0)
+
+
+def test_mc_primal_and_online_build_class_cells_only(monkeypatch):
+    # K = 5 channels in 3 classes: mc_primal builds its frozen-λ tables
+    # once, on the M·n_classes·L class cells, and reads them through the
+    # class map, bitwise as (M, K, L) tables would be read in the same
+    # chunk; run_online builds each block's (M, K) cells alone
+    shapes = []
+
+    def spy(model, grid, mult, rate_cap=DEFAULT_RATE_CAP, static=None):
+        tables = build_tables(model, grid, mult, rate_cap, static)
+        shapes.append(tables.rate.shape)
+        return tables
+
+    for mod in (allocator, dual, solver):
+        monkeypatch.setattr(mod, "build_tables", spy)
+    fading = FadingModel(np.array([[1.0, 2.0, 1.0, 0.7, 2.0],
+                                   [0.5, 1.5, 0.5, 3.0, 1.5]]), seed=4)
+    grid = build_equiprobable(fading, 16)
+    mult = Multipliers(np.array([0.8, 1.1]), np.ones(2), np.array([0.5, 0.7]))
+    rate, power = mc_primal(MODEL, grid, mult, 0.05, fading, 50, first_block=3)
+    assert shapes == [(2, 3, 16)]
+    qcsi = quantize(grid, sample_gain_blocks(fading, 3, 50))
+    served, wpower, _ = block_allocation(build_tables(MODEL, grid, mult),
+                                         mult.lambda_r, qcsi, 0.05)
+    assert rate.tobytes() == (served / 50).tobytes() and power == wpower / 50
+    shapes.clear()
+    problem = Problem(grid, MODEL, mult.mu, mult.targets, fading=fading)
+    run_online(problem, SolverConfig(beta=0.05), 30)
+    assert shapes == [(2, 5)] * 30
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
@@ -744,7 +775,8 @@ def test_table_builds_per_solve(monkeypatch):
         monkeypatch.setattr(mod, "build_tables", spy)
     setup = micro_setup()
     (_, _, problem), = compare_rows(setup, ("RA2",))
-    blocks = solver.ONLINE_CHUNK + 3
+    blocks = solver._chunk_blocks(problem.num_users,
+                                  problem.grid.num_channels) + 3
     run_online(problem, SolverConfig(beta=1e-3), blocks)
     assert len(builds) == blocks
     builds.clear()

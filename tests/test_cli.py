@@ -683,6 +683,32 @@ def test_infeasible_tie_lp_exit4_writes_summary(tmp_path, monkeypatch):
                        "error": "phase-1 residual"}
 
 
+@pytest.mark.parametrize("mode, knob, loop", [
+    ("offline_smooth", "beta", "run_offline_smooth"),
+    ("online", "beta", "run_online"),
+    ("offline_nonsmooth", "kappa", "run_offline_nonsmooth"),
+])
+def test_a_step_past_the_float_range_exits4_naming_the_overflow(
+        tmp_path, capsys, mode, knob, loop):
+    # solver.beta and solver.kappa have no upper bound. A step of 1e308
+    # overflows λ, or the costs or step-weighted sums at the λ it reaches:
+    # each run stops with exit 4 and a summary naming its loop and the
+    # overflow, not with a traceback, a RuntimeWarning or a NaN summary
+    cfg = tiny(mode, **({"online": {"num_blocks": 20}} if mode == "online"
+                        else {}))
+    cfg["solver"][knob] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out = run(tmp_path, cfg)
+    assert rc == NUMERIC
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {"mode", "converged", "error"}
+    assert summary["mode"] == mode and summary["converged"] is False
+    assert summary["error"].startswith(f"{loop}: floating-point overflow")
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_infeasible_targets_exit2_naming_the_subset(tmp_path, capsys):
     # Test Case 1 with target 200 for user 1: alone it can draw at most
     # 12·16·3/4 = 144, so the run stops before solving instead of running

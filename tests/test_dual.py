@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qcsched
-from qcsched import dual
+from qcsched import dual, quantizer
 from qcsched.allocator import (InfeasibleTargetsError, Multipliers,
                                block_statics, build_tables,
                                find_tie_instances, make_static,
@@ -528,6 +528,27 @@ def test_region_probs_are_built_on_the_class_representatives():
     got = problem.region_probs
     assert got.shape == (2, 2, 5)
     assert got.tobytes() == region_prob_table(grid)[:, [0, 2]].tobytes()
+
+
+def test_one_class_computation_per_grid(monkeypatch):
+    # the grid computes channel_classes once and keeps it: quantize searches
+    # the classes' ladders, and every Problem on the grid reads the same
+    # classes, as a tc1_offline pass does with one quantize and 8 Problems
+    calls, real = [], quantizer.channel_classes
+    monkeypatch.setattr(quantizer, "channel_classes",
+                        lambda grid: calls.append(id(grid)) or real(grid))
+    fading = FadingModel(np.full((4, 16), 2.0), seed=0)
+    grids = [build_equiprobable(fading, 4), build_equiprobable(fading, 9)]
+    for grid in grids:
+        quantize(grid, sample_gain_blocks(fading, 0, 3))
+        for _ in range(8):
+            problem = Problem(grid, MODEL, np.ones(4),
+                              np.array([1.0, 2.0, 3.0, 4.0]))
+            problem.check_targets()
+            for mode in ("hard", "smooth"):
+                problem.evaluate(np.full(4, 0.5), mode)
+        assert problem.classes is grid.classes
+    assert calls == [id(grid) for grid in grids]
 
 
 # --- the user-major layout against the column-major oracle -----------------------

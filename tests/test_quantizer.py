@@ -225,12 +225,86 @@ def test_guide_table_width_size_and_caching(L, monkeypatch):
     gains = sample_gain_blocks(FadingModel(np.ones((2, 3)), seed=4), 0, 5)
     for mg in (np.ones((2, 3)), np.array([[0.3, 1.0, 7.0], [2.0, 0.05, 1.0]])):
         grid = build_equiprobable(FadingModel(mg, seed=0), L)
-        table, n = grid._guide
+        table, n, *_ = grid._guide
         assert n <= 4
         assert table.nbytes <= grid.thresholds.nbytes
         quantize(grid, gains)
         quantize(grid, gains)
     assert len(builds) == 2                 # once per grid, not per call
+
+
+def _searchsorted_oracle(grid, gains):
+    """Per cell, np.searchsorted(side="right") on the cell's own interior
+    thresholds, plus 1."""
+    out = np.empty(gains.shape, dtype=np.intp)
+    for m, k in np.ndindex(grid.num_users, grid.num_channels):
+        out[..., m, k] = np.searchsorted(grid.thresholds[m, k, 1:-1],
+                                         gains[..., m, k], side="right") + 1
+    return out
+
+
+def _probe_gains(grid):
+    """(N, M, K) gains: 0, every interior threshold of each cell and its
+    neighbour on either side, +inf, and gains where u = 1 - e^{-g/ḡ} rounds
+    to 1 (40·ḡ, 1e300)."""
+    q = np.moveaxis(grid.thresholds[:, :, 1:-1], -1, 0)
+    mg = grid.mean_gain[None]
+    return np.concatenate([np.zeros_like(mg), q, np.nextafter(q, 0.0),
+                           np.nextafter(q, np.inf), np.full_like(mg, np.inf),
+                           40.0 * mg, np.full_like(mg, 1e300)])
+
+
+def _mixed_grid(L, kind):
+    """M = 2, K = 16: four channel classes, three of them duplicated (sizes
+    10, 3, 2 and 1), each with its own mean gains and ladders as _ladder
+    makes them."""
+    mean_gain = np.array([[1.0, 2.0, 0.7, 4.0], [0.5, 1.5, 3.0, 0.2]])
+    four = _ladder(kind, L, mean_gain, seed=L)
+    channels = [0, 1, 0, 2, 0, 0, 1, 3, 0, 0, 2, 0, 1, 0, 0, 0]
+    return QuantizerGrid(four.thresholds[:, channels],
+                         four.mean_gain[:, channels])
+
+
+def _oracle_grids():
+    distinct = FadingModel(np.array([[0.4, 1.0, 3.0], [2.0, 0.6, 1.2]]),
+                           seed=0)
+    for L in (9, 16, 256, 1024):
+        for name, grid, equiprobable in (
+                ("one-class", build_equiprobable(
+                    FadingModel(np.full((2, 8), 1.7), seed=0), L), True),
+                ("mixed", _mixed_grid(L, "equiprobable"), True),
+                ("mixed-near", _mixed_grid(L, "near"), False),
+                ("mixed-random", _mixed_grid(L, "random"), False),
+                ("random", build_random(distinct, L, (0.0, 8.0), seed=3 * L),
+                 False)):
+            yield pytest.param(grid, equiprobable, id=f"{name}-{L}")
+
+
+@pytest.mark.parametrize("grid, equiprobable", list(_oracle_grids()))
+def test_quantize_matches_a_searchsorted_oracle(grid, equiprobable):
+    # the guide table lives on the channel classes' ladders; every probe
+    # lands where a per-cell binary search of the cell's own ladder puts it,
+    # as a batch and block by block. Equiprobable ladders whose 4L-bucket
+    # table fits in the thresholds' bytes search one level, n = 2
+    gains = _probe_gains(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = quantize(grid, gains)
+    want = _searchsorted_oracle(grid, gains)
+    np.testing.assert_array_equal(got, want)
+    for i in range(0, len(gains), 97):
+        np.testing.assert_array_equal(quantize(grid, gains[i]), want[i])
+    L = grid.regions_per_channel
+    n_classes = len(grid.classes[0])
+    table, n, buckets, cell = grid._guide or (None, None, None, None)
+    if n_classes * (4 * L + 1) <= grid.num_channels * (L + 1):
+        assert buckets in (None, 4 * L)
+        if equiprobable:
+            assert buckets == 4 * L and n == 2
+    if table is not None:
+        assert table.shape == (grid.num_users * n_classes * (buckets + 1),)
+        assert table.nbytes <= grid.thresholds.nbytes
+        assert cell.shape == (grid.num_users, grid.num_channels)
 
 
 def test_small_ladders_never_build_a_guide_table(monkeypatch):

@@ -356,9 +356,9 @@ def test_ergodic_family_online_end_to_end():
 
 
 @pytest.mark.parametrize("make, blocks, beta, rtol, chunk", [
-    (tc2_problem, 300, 2e-3, 0.0, solver.ONLINE_CHUNK),
+    (tc2_problem, 300, 2e-3, 0.0, 1024),
     (tc2_problem, 300, 2e-3, 0.0, 7),
-    (avg_ber_random_problem, 200, 0.05, 0.0, solver.ONLINE_CHUNK),
+    (avg_ber_random_problem, 200, 0.05, 0.0, 1024),
     (avg_ber_random_problem, 200, 0.05, 0.0, 7),
     (ergodic_problem, 20, 0.05, 1e-12, 7),
 ])
@@ -366,10 +366,12 @@ def test_online_fused_path_matches_reference_loop(make, blocks, beta, rtol,
                                                   chunk, monkeypatch):
     # the fused path samples a chunk of blocks and evaluates only the cells
     # each block reads; closed-form families must match the full-table loop
-    # bitwise, the ergodic root-finds to rounding. A 7-block chunk puts
-    # chunk boundaries inside the run.
-    monkeypatch.setattr(solver, "ONLINE_CHUNK", chunk)
+    # bitwise, the ergodic root-finds to rounding. ``chunk`` is in blocks,
+    # chunk·M·K cells: 1024 holds the whole run, 7 puts chunk boundaries
+    # inside it.
     problem = make()
+    monkeypatch.setattr(solver, "ONLINE_CHUNK",
+                        chunk * problem.num_users * problem.grid.num_channels)
     cfg = SolverConfig(beta=beta, init=0.1, eps=0.05, record_every=10)
     res = run_online(problem, cfg, blocks)
     trace, avg_rate, avg_power, lam = reference_online(problem, cfg, blocks)
@@ -403,8 +405,8 @@ def test_online_bookkeeping_per_chunk_matches_the_per_block_loop(model,
     # 7-block chunks and a stride of 3 over 20 blocks: recorded rows fall
     # on both sides of chunk edges and the forced last row (19) is off the
     # stride; every array and every progress call keeps its bits
-    monkeypatch.setattr(solver, "ONLINE_CHUNK", 7)
     micro = micro_problem()
+    monkeypatch.setattr(solver, "ONLINE_CHUNK", 7 * 2 * 4)    # M=2, K=4
     problem = Problem(grid=micro.grid, model=model, mu=micro.mu,
                       targets=micro.targets, fading=micro.fading)
     cfg = SolverConfig(beta=0.05, init=0.1, eps=0.05, record_every=3)
@@ -768,10 +770,11 @@ def test_offline_loops_match_the_checked_reference_bitwise(case):
                                         ("hard", "kappa"), ("online", "beta")])
 def test_an_overflowing_step_raises_before_it_is_evaluated(mode, knob,
                                                             monkeypatch):
-    # λ⁽⁰⁾ is finite: a step of 1e308 overflows λ to inf, which the loop's
-    # finiteness test of the stepped λ (_ascend) rejects at once, with
-    # check_lambda's error, before any evaluation at it. The offline loops
-    # build through dual's binding, an online block through solver's
+    # λ⁽⁰⁾ is finite: a step of 1e308 overflows λ, which the loop's
+    # floating-point state (_stepping) raises at once, in the step itself
+    # (_ascend) and with no RuntimeWarning, before any evaluation at it. The
+    # offline loops build through dual's binding, an online block through
+    # solver's
     builds = []
 
     def spy(*args, **kwargs):
@@ -783,8 +786,7 @@ def test_an_overflowing_step_raises_before_it_is_evaluated(mode, knob,
     cfg = SolverConfig(max_iters=1000, **{knob: 1e308})
     loop = OFFLINE_LOOPS.get(
         mode, lambda problem, cfg, _: run_online(problem, cfg, 10))
-    with pytest.warns(RuntimeWarning, match="overflow"), \
-            pytest.raises(ValueError, match="finite and nonnegative"):
+    with pytest.raises(FloatingPointError, match="overflow"):
         loop(tc1_problem(4.0), cfg, None)
     assert builds == [1]
 

@@ -15,7 +15,7 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
 
 import workloads   # noqa: E402
-from qcsched import dual, quantizer   # noqa: E402
+from qcsched import dual, quantizer, solver   # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -63,4 +63,20 @@ def test_traced_tc1_offline_counts_the_columns_of_each_problem(monkeypatch):
     _, metrics, _ = workloads.traced(w, tally, None)
     assert metrics["quantizer.column_space.calls"][0] == len(built) == 8
     assert metrics["quantizer.columns"][0] == sum(built) == 2048
+    assert tally.failed == 0, tally.problems
+
+
+def test_traced_ra1_online_shows_every_chunk():
+    # perfbench wraps quantizer.quantize and channel.sample_gain_blocks by
+    # name: the online run and mc_primal sample and quantize once per chunk
+    # of solver._chunk_blocks blocks, so a traced pass counts every chunk
+    w = workloads.WORKLOADS["ra1_online"](seed=1)
+    tally = workloads.Tally()
+    _, metrics, _ = workloads.traced(w, tally, None)
+    chunk = solver._chunk_blocks(w.M, w.K)
+    chunks = -(-w.ONLINE_BLOCKS // chunk) + -(-w.MC_BLOCKS // chunk)
+    assert chunk < w.ONLINE_BLOCKS and chunks > 2
+    assert metrics["quantizer.quantize.calls"][0] == chunks
+    assert metrics["channel.calls"][0] == chunks
+    assert metrics["channel.blocks"][0] == w.ONLINE_BLOCKS + w.MC_BLOCKS
     assert tally.failed == 0, tally.problems
