@@ -84,8 +84,8 @@ class Multipliers:
 class Prices(NamedTuple):
     """λ and μ as build_tables reads them, unchecked: for callers whose μ
     passed check_weights and whose λ is finite and nonnegative, such as a
-    Problem's table build or the online loop. Either (M,) or already shaped
-    like the static data's user axis, (M, 1, 1) for (M, n, L) cells."""
+    Problem's table build. Either (M,) or already shaped like the static
+    data's user axis, (M, 1, 1) for (M, n, L) cells."""
 
     lambda_r: np.ndarray
     mu: np.ndarray
@@ -167,10 +167,9 @@ def build_tables(model: PowerRate, grid: QuantizerGrid,
     """Evaluate R*, Υ(R*) and C_W on every cell of ``static`` for the given λ.
 
     ``static`` defaults to every region of the grid (make_static), giving
-    (M, K, L) tables; the (M, K) static data of one block's cells
-    (block_statics) gives that block's tables alone. (M,) prices are
-    reshaped onto the user axis; Prices already shaped so are read as they
-    are.
+    (M, K, L) tables; one block's (M, K) cells (block_statics) give its own.
+    (M,) prices are reshaped onto the user axis; Prices already shaped so
+    are read as they are.
     """
     if static is None:
         static = make_static(grid, model)
@@ -179,7 +178,8 @@ def build_tables(model: PowerRate, grid: QuantizerGrid,
         user_axis = (-1,) + (1,) * (static[0].ndim - 1)
         lam, mu = lam.reshape(user_axis), mu.reshape(user_axis)
     rate, power = model.allocation(static, lam / mu, rate_cap)
-    cost = mu * power - lam * rate          # exactly 0 wherever rate == 0
+    cost = power * mu
+    cost -= lam * rate                      # exactly 0 wherever rate == 0
     return RateCostTables(rate=rate, power=power, cost=cost)
 
 

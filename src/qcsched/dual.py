@@ -17,7 +17,8 @@ give the same term, so one representative carries the class's weight. A
 Problem reads the classes its grid computed once (QuantizerGrid.classes)
 and caches the family's cell data and region probabilities at the
 representatives, (M, n_classes, L) each: the column space, the online
-blocks, mc_primal and RA5 read them, through the class map.
+blocks (serve_block: built on their own (M, K) cells and served in one
+pass), mc_primal and RA5 read them, through the class map.
 Problem.tables(λ), unchecked, is the one table build on those cells: the
 cores and the tie search call it. Problem.evaluate is the one checked
 offline evaluation: it checks the mode, ε and λ, then runs the mode's core,
@@ -61,7 +62,7 @@ from .allocator import (DEFAULT_RATE_CAP, Multipliers, Prices,
                         check_reach, check_weights, make_static,
                         region_index, smooth_weights, smooth_window)
 from .channel import FadingModel
-from .powerrate import _LN2, PowerRate, linear_allocation
+from .powerrate import _LN2, PowerRate, linear_allocation, linear_cells
 from .quantizer import QuantizerGrid
 
 _JAC_CHUNK = 2 ** 15    # column entries (classes × columns × users) per chunk
@@ -353,7 +354,8 @@ def _unit_allocation(t, rate_cap: float) -> tuple:
     towards the floor -rate_cap with slope -Υ/slope (envelope theorem).
     Far out, e^{-t} is 0: slope/0 = ∞ there, and the rate is capped."""
     with np.errstate(divide="ignore"):
-        rate, power = linear_allocation(np.exp(-t) / _LN2, 1.0, rate_cap)
+        rate, power = linear_allocation(linear_cells(np.exp(-t) / _LN2), 1.0,
+                                        rate_cap)
     return rate, power, power - rate
 
 
@@ -476,26 +478,35 @@ def block_allocation(tables: RateCostTables, lam: np.ndarray, qcsi,
     """Smooth allocation at prices λ (M,) for realized Q-CSI, 1-based: one
     block's (M, K) matrix or an (N, M, K) stack of N blocks.
 
-    ``tables`` either span every region, (M, K, L), or every class's
-    regions, (M, n_classes, L), read through the channel→class map ``of``
-    (K,), and are read at ``qcsi`` user-major, (M, K) or (M, N, K); or they
-    were built on one block's cells alone, (M, K). Returns (served_rate
+    ``tables`` span every region, (M, K, L), or every class's regions,
+    (M, n_classes, L), through the channel→class map ``of`` (K,), and are
+    read at ``qcsi`` user-major, (M, K) or (M, N, K). Returns (served_rate
     (M,), weighted_power, served_cost), summed over the blocks of a stack.
     """
-    cost, rate = tables.cost, tables.rate
-    read = cost.ndim == 3
-    if read:
-        index = region_index(cost.shape, qcsi, users_first=True, of=of)
-        cost, rate = cost.take(index), rate.take(index)
-        del index                       # w can reuse its pages
-    elif np.ndim(qcsi) != 2:
-        raise ValueError("Q-CSI of several blocks needs tables over every "
-                         "region, (M, K, L) or (M, n_classes, L)")
+    if tables.cost.ndim != 3:
+        raise ValueError("block_allocation reads (M, K, L) or class tables")
+    index = region_index(tables.cost.shape, qcsi, users_first=True, of=of)
+    cost, rate = tables.cost.take(index), tables.rate.take(index)
+    del index                           # w can reuse its pages
+    return _smooth_share(cost, rate, lam, eps)
+
+
+def serve_block(model: PowerRate, block: tuple, lam: np.ndarray,
+                mu: np.ndarray, eps: float, rate_cap: float) -> tuple:
+    """block_allocation's result for one block, built and served in one pass
+    at prices λ (M,) and μ shaped (M, 1): C_W = Υ·μ - λ·R* on the block's
+    own (M, K) cells (allocator.block_statics), then the ε-smooth shares."""
+    rate, cost = model.allocation(block, lam[:, None] / mu, rate_cap)
+    cost *= mu
+    cost -= lam[:, None] * rate         # exactly 0 wherever rate == 0
+    return _smooth_share(cost, rate, lam, eps)
+
+
+def _smooth_share(cost, rate, lam, eps: float) -> tuple:
+    """(served_rate (M,), weighted_power, served_cost) of the ε-smooth rule
+    on user-major cells (M, ...); its product reuses ``cost``."""
     w = smooth_weights(cost, eps)
-    # products overwrite arrays read here, so a stack makes no batch-sized
-    # temporary beyond the index, cost, rate and w
-    served_cost = float(np.multiply(cost, w, out=cost if read else None).sum())
+    served_cost = float(np.multiply(cost, w, out=cost).sum())
     w *= rate
     served_rate = w.reshape(len(w), -1).sum(axis=1)
-    weighted_power = served_cost + float(lam @ served_rate)
-    return served_rate, weighted_power, served_cost
+    return served_rate, served_cost + float(lam @ served_rate), served_cost

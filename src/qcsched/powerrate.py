@@ -33,15 +33,16 @@ The first three families share the shape Υ(x) = c·(2^x - 1) with a per-region
 constant c, which gives closed-form marginals:
 Υ̇(x) = c·ln2·2^x and Υ̇⁻¹(t) = log2(t/(c·ln2)) for t > c·ln2, else 0.
 ``linear_allocation`` is the one implementation of Υ̇⁻¹ for that shape, and
-``_linear_power`` the one of Υ.
+``PowerRate.power_of_rate`` the one of Υ at any rate.
 
 Every family is used through its methods, and only this module knows its
 shape. Only ``cell_data(ctx)`` reads regions: it gives the λ-independent
-per-region data ((c,) above; the region's moments and edges for ergodic),
-which a caller builds once and passes to the other methods. Υ̇⁻¹ is the
-scheduler's hook: ``allocation(data, slope, rate_cap)`` gives (R*, Υ(R*))
-with R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap`` (``math.inf``
-for none). Pointwise there are ``power_of_rate`` (Υ), ``rate_of_power``
+per-region data (``linear_cells``: c, c·ln2 and c with outage cells at 0,
+above; the region's moments and edges for ergodic), which a caller builds
+once and passes to the other methods. Υ̇⁻¹ is the scheduler's hook:
+``allocation(data, slope, rate_cap)`` gives fresh (R*, Υ(R*)) with
+R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap`` (``math.inf`` for
+none). Pointwise there are ``power_of_rate`` (Υ), ``rate_of_power``
 (Υ⁻¹), ``rate_and_derivative`` (Υ⁻¹ and (Υ⁻¹)') and ``is_outage``.
 At a known gain g every family is Υ(x) = (s/g)·(2^x - 1), and
 ``perfect_csi_scale`` gives s.
@@ -198,21 +199,23 @@ def _grow_bracket(f_df, hi, what: str):
     raise NumericError(f"could not bracket the root for {what}", resid)
 
 
-def linear_allocation(c, slope, rate_cap: float):
-    """(R*, Υ(R*)) for Υ(x) = c·(2^x - 1), c > 0 and +inf in outage regions:
-    R* = Υ̇⁻¹(slope) = log2(slope/(c·ln2)), 0 where slope ≤ c·ln2 (always in
-    outage regions, where the ratio is 0) and at most ``rate_cap``."""
-    ratio = np.divide(slope, c * _LN2)
-    rate = np.minimum(np.log2(np.maximum(ratio, 1.0)), rate_cap)
-    return rate, _linear_power(c, rate)
+def linear_cells(c) -> tuple:
+    """The cell data of Υ(x) = c·(2^x - 1), c > 0 and +inf in outage
+    regions: (c, c·ln2, c°) with c° = c, but 0 in outage regions."""
+    c = np.asarray(c, dtype=float)
+    return c, c * _LN2, np.where(np.isposinf(c), 0.0, c)
 
 
-def _linear_power(c, rate) -> np.ndarray:
-    """Υ(rate) = c·(2^rate - 1), exactly 0 where the rate is 0: the product
-    is only formed elsewhere, since c·0 is NaN in outage regions."""
-    grow = np.expm1(_LN2 * rate)
-    return np.multiply(c, grow, out=np.zeros(np.broadcast(c, grow).shape),
-                       where=rate != 0.0)
+def linear_allocation(cells, slope, rate_cap: float):
+    """(R*, Υ(R*)), fresh, on ``linear_cells``: R* = log2(slope/(c·ln2)), 0
+    where slope ≤ c·ln2 (always in outage regions) and at most ``rate_cap``;
+    Υ(R*) = c°·(2^R* - 1): c° = c wherever R* ≠ 0, and +0 where R* = 0."""
+    _, c_ln2, c_live = cells
+    rate = np.minimum(np.log2(np.maximum(np.divide(slope, c_ln2), 1.0)),
+                      rate_cap)
+    power = np.expm1(_LN2 * rate)
+    power *= c_live
+    return rate, power
 
 
 class PowerRate:
@@ -221,14 +224,15 @@ class PowerRate:
     # -- family hooks -------------------------------------------------------
     def cell_data(self, ctx: RegionContext) -> tuple:
         """λ-independent per-region arrays, all of one shape, that every
-        other method reads: (c,) for the c·(2^x-1) families, with c = +inf
-        in outage regions."""
+        other method reads: ``linear_cells(c)`` for the c·(2^x-1) families,
+        with c = +inf in outage regions."""
         raise NotImplementedError
 
     def allocation(self, data: tuple, slope, rate_cap: float) -> tuple:
         """(R*, Υ(R*)) per cell of ``cell_data``: R* = Υ̇⁻¹(slope), 0 where
-        slope ≤ Υ̇(0) and at most ``rate_cap`` (``math.inf`` for no cap)."""
-        return linear_allocation(data[0], slope, rate_cap)
+        slope ≤ Υ̇(0) and at most ``rate_cap`` (``math.inf`` for no cap),
+        as fresh arrays the caller may overwrite."""
+        return linear_allocation(data, slope, rate_cap)
 
     def rate_slope(self, data: tuple, slope, rate, power,
                    rate_cap: float) -> np.ndarray:
@@ -240,7 +244,13 @@ class PowerRate:
 
     # -- generic closed forms for linear-coefficient families ---------------
     def power_of_rate(self, data: tuple, rate) -> np.ndarray:
-        return _linear_power(data[0], _nonneg(rate, "rate"))
+        """Υ(rate) = c·(2^rate - 1), exactly 0 where the rate is 0: the
+        product is only formed elsewhere, since c·0 is NaN in outage
+        regions, where a positive rate costs +inf."""
+        rate, c = _nonneg(rate, "rate"), data[0]
+        grow = np.expm1(_LN2 * rate)
+        return np.multiply(c, grow, out=np.zeros(np.broadcast(c, grow).shape),
+                           where=rate != 0.0)
 
     def rate_of_power(self, data: tuple, power) -> np.ndarray:
         return self.rate_and_derivative(data, power)[0]
@@ -275,7 +285,8 @@ class OutageCapacity(PowerRate):
     def cell_data(self, ctx: RegionContext) -> tuple:
         gd = delta_outage_gain(ctx, self.outage_delta)
         with np.errstate(divide="ignore"):
-            return (np.where(gd > 0.0, 1.0 / np.maximum(gd, 1e-300), np.inf),)
+            return linear_cells(np.where(gd > 0.0, 1.0 / np.maximum(gd, 1e-300),
+                                         np.inf))
 
 
 @dataclass(frozen=True)
@@ -298,7 +309,8 @@ class MaxInstBer(PowerRate):
     def cell_data(self, ctx: RegionContext) -> tuple:
         s, lo = self.perfect_csi_scale(), ctx.q_lo
         with np.errstate(divide="ignore"):
-            return (np.where(lo > 0.0, s / np.maximum(lo, 1e-300), np.inf),)
+            return linear_cells(np.where(lo > 0.0, s / np.maximum(lo, 1e-300),
+                                         np.inf))
 
 
 @dataclass(frozen=True)
@@ -332,7 +344,7 @@ class MaxAvgBer(PowerRate):
 
         # root of h(a) = target lies in (1/ḡ, ∞) because h(1/ḡ) = ḡ·Pr > target
         a = _vec_newton(f_df, 1.0 / g, 2.0 / g, "average-BER region constant")
-        return ((a - 1.0 / g) / self.kappa2,)
+        return linear_cells((a - 1.0 / g) / self.kappa2)
 
 
 def _edge_sum(a) -> np.ndarray:

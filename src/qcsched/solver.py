@@ -32,9 +32,9 @@ from functools import wraps
 
 import numpy as np
 
-from .allocator import Prices, block_statics, build_tables
+from .allocator import block_statics
 from .channel import sample_gain_blocks
-from .dual import Problem, block_allocation
+from .dual import Problem, serve_block
 from .quantizer import quantize
 
 # (M, K) cells sampled and quantized at once online, about 2¹⁵: a chunk's
@@ -341,9 +341,9 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     ONLINE_CHUNK cells at a time (_chunk_blocks), with each block's static
     data gathered once per chunk from the Problem's (M, n_classes, L) class
     data through its class map. A block then does only the work that
-    depends on λ: it evaluates R*, Υ(R*) and C_W on its own M×K cells,
-    allocates, calls ``progress`` and steps, and writes its served rates and
-    weighted power to the chunk's buffer. Per chunk, one cumsum over that
+    depends on λ: one dual.serve_block call (μ shaped once per run) builds
+    and serves its own M×K cells; it calls ``progress`` and steps, and
+    writes its served rates and weighted power to the chunk's buffer. Per chunk, one cumsum over that
     buffer (a sequential accumulate: the bits of adding block by block) and
     one division give the running averages, and the trajectory records the
     chunk's rows at its stride, so no output depends on the chunk size.
@@ -356,8 +356,8 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
     lam, tol, rec = _start(problem, cfg)
-    M, model, grid = problem.num_users, problem.model, problem.grid
-    mu, targets, rate_cap = problem.mu, problem.targets, problem.rate_cap
+    M, model, mu = problem.num_users, problem.model, problem.mu[:, None]
+    grid, targets, rate_cap = problem.grid, problem.targets, problem.rate_cap
     static, of = problem.static, problem.classes[2]
     chunk = _chunk_blocks(M, grid.num_channels)
     every = cfg.record_every
@@ -370,14 +370,12 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     for first in range(0, num_blocks, chunk):
         count = min(chunk, num_blocks - first)
         gains = sample_gain_blocks(problem.fading, first, count)
-        jmats = quantize(grid, gains)
-        cells = block_statics(static, jmats, of)
-        for n, jmat, block, row in zip(range(first, first + count), jmats,
-                                       cells, sums[1:]):
+        cells = block_statics(static, quantize(grid, gains), of)
+        for n, block, row in zip(range(first, first + count), cells,
+                                 sums[1:]):
             lam_trace[n] = lam
-            tables = build_tables(model, grid, Prices(lam, mu), rate_cap,
-                                  block)
-            served, row[M], _ = block_allocation(tables, lam, jmat, cfg.eps)
+            served, row[M], _ = serve_block(model, block, lam, mu, cfg.eps,
+                                            rate_cap)
             row[:M] = served
             g = targets - served
             if progress is not None:

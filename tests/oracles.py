@@ -18,8 +18,8 @@ import numpy as np
 
 from qcsched import solver
 from qcsched.allocator import (DEFAULT_RATE_CAP, Multipliers, Prices,
-                               RateCostTables, block_statics, build_tables,
-                               check_lambda, make_static, smooth_weights)
+                               RateCostTables, build_tables, check_lambda,
+                               make_static, smooth_weights)
 from qcsched.channel import sample_gain_blocks
 from qcsched.dual import Problem, _unit_allocation, block_allocation
 from qcsched.powerrate import _LN2, ErgodicCapacity, region_contexts
@@ -288,8 +288,9 @@ def _column_major_jacobian(problem, mult, tables, cost, rate, eps):
 
 
 def column_major_block(tables: RateCostTables, lam, qcsi, eps: float):
-    """block_allocation on one block's (K, M) columns, users on the last
-    axis: (served_rate, weighted_power, served_cost)."""
+    """block_allocation, or serve_block on one block's own (M, K) tables,
+    on the block's (K, M) columns, users on the last axis: (served_rate,
+    weighted_power, served_cost)."""
     j0 = np.asarray(qcsi, dtype=int) - 1
     cost, rate = tables.cost, tables.rate
     if cost.shape != j0.shape:
@@ -732,7 +733,9 @@ def gauss_jordan_numpy(a, b) -> np.ndarray:
 def online_reference(problem, cfg, num_blocks: int, progress=None):
     """solver.run_online with its bookkeeping done after every block: the
     running sums, both averages and a trajectory recorder call per block.
-    Chunks of solver._chunk_blocks blocks, as run_online samples them."""
+    Chunks of solver._chunk_blocks blocks, as run_online samples them; each
+    block reads (M, K, L) tables at its Q-CSI, which gives the bits of
+    serving its own cells."""
     problem.check_targets()
     M = problem.num_users
     lam = check_lambda(solver._per_user(cfg.init, M), M)
@@ -748,12 +751,11 @@ def online_reference(problem, cfg, num_blocks: int, progress=None):
         count = min(chunk, num_blocks - first)
         jmats = quantize(problem.grid,
                          sample_gain_blocks(problem.fading, first, count))
-        cells = block_statics(static, jmats)
-        for n, jmat, block in zip(range(first, first + count), jmats, cells):
+        for n, jmat in zip(range(first, first + count), jmats):
             lam_trace[n] = lam
             tables = build_tables(problem.model, problem.grid,
                                   Prices(lam, problem.mu), problem.rate_cap,
-                                  block)
+                                  static)
             served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps)
             g = problem.targets - served
             csum_rate += served

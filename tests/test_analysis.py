@@ -15,7 +15,7 @@ from qcsched.analysis import (CompareSetup, OverheadReport, compare_rows,
                               power_db, sweep_regions)
 from qcsched.channel import (FadingModel, sample_gain_blocks, sample_gains,
                              snr_db_to_mean_gain)
-from qcsched.dual import block_allocation, exact_dual
+from qcsched.dual import block_allocation, exact_dual, serve_block
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity)
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
@@ -179,7 +179,7 @@ def test_mc_primal_and_online_build_class_cells_only(monkeypatch):
     # K = 5 channels in 3 classes: mc_primal builds its frozen-λ tables
     # once, on the M·n_classes·L class cells, and reads them through the
     # class map, bitwise as (M, K, L) tables would be read in the same
-    # chunk; run_online builds each block's (M, K) cells alone
+    # chunk; run_online serves each block's (M, K) cells alone
     shapes = []
 
     def spy(model, grid, mult, rate_cap=DEFAULT_RATE_CAP, static=None):
@@ -187,8 +187,14 @@ def test_mc_primal_and_online_build_class_cells_only(monkeypatch):
         shapes.append(tables.rate.shape)
         return tables
 
-    for mod in (allocator, dual, solver):
+    def block_spy(model, block, *args):
+        served = serve_block(model, block, *args)
+        shapes.append(block[0].shape)
+        return served
+
+    for mod in (allocator, dual):
         monkeypatch.setattr(mod, "build_tables", spy)
+    monkeypatch.setattr(solver, "serve_block", block_spy)
     fading = FadingModel(np.array([[1.0, 2.0, 1.0, 0.7, 2.0],
                                    [0.5, 1.5, 0.5, 3.0, 1.5]]), seed=4)
     grid = build_equiprobable(fading, 16)
@@ -750,16 +756,15 @@ def test_sweep_reference_is_perfect_csi_or_none():
 
 
 def test_table_builds_per_solve(monkeypatch):
-    # perfbench's allocator.build_tables counter sees these builds: one per
-    # online block, across a chunk boundary, through solver's binding; and
-    # in RA2 one per smooth evaluation, one per ε-stage for its hard dual D
-    # and one per converged stage for the tie search, all through the
-    # Problem's one table build and so through dual's binding
+    # one build per online block, across a chunk boundary, in solver's
+    # serve_block; and, as perfbench's allocator.build_tables counter sees
+    # them, in RA2 one per smooth evaluation, one per ε-stage for its hard
+    # dual D and one per converged stage for the tie search, all through
+    # the Problem's one table build and so through dual's binding
     builds, counts = [], {"smooth": 0, "stages": 0, "converged": 0}
 
-    def spy(*args, **kwargs):
-        builds.append(1)
-        return build_tables(*args, **kwargs)
+    def spy(fn):
+        return lambda *args, **kwargs: builds.append(1) or fn(*args, **kwargs)
 
     def newton(problem, cfg):
         counts["stages"] += 1
@@ -771,8 +776,8 @@ def test_table_builds_per_solve(monkeypatch):
         counts["smooth"] += mode == "smooth"
         return checked(self, lam, mode, eps)
 
-    for mod in (dual, solver):
-        monkeypatch.setattr(mod, "build_tables", spy)
+    monkeypatch.setattr(dual, "build_tables", spy(build_tables))
+    monkeypatch.setattr(solver, "serve_block", spy(serve_block))
     setup = micro_setup()
     (_, _, problem), = compare_rows(setup, ("RA2",))
     blocks = solver._chunk_blocks(problem.num_users,
@@ -791,15 +796,20 @@ def test_table_builds_per_solve(monkeypatch):
 def test_offline_builds_read_the_class_representatives_only(monkeypatch):
     # a flat K=16 grid is one channel class: a smooth solve and RA2 (its
     # Newton stages, hard evaluations and tie search) build (M, 1, L)
-    # tables; the online path still builds each block's (M, K) cells
+    # tables; the online path still serves each block's (M, K) cells
     shapes = []
 
     def spy(model, grid, mult, rate_cap=DEFAULT_RATE_CAP, static=None):
         shapes.append(None if static is None else static[0].shape)
         return build_tables(model, grid, mult, rate_cap, static)
 
-    for mod in (allocator, dual, solver):
+    def block_spy(model, block, *args):
+        shapes.append(block[0].shape)
+        return serve_block(model, block, *args)
+
+    for mod in (allocator, dual):
         monkeypatch.setattr(mod, "build_tables", spy)
+    monkeypatch.setattr(solver, "serve_block", block_spy)
     fading = FadingModel(np.full((2, 16), snr_db_to_mean_gain(6.0)), seed=2)
     setup = micro_setup(fading=fading)
     problem = Problem(grid=build_equiprobable(fading, 4), model=MODEL,

@@ -12,14 +12,16 @@ from hypothesis.extra.numpy import arrays
 
 import qcsched
 from qcsched import dual, quantizer
-from qcsched.allocator import (InfeasibleTargetsError, Multipliers,
+from qcsched.allocator import (DEFAULT_RATE_CAP, InfeasibleTargetsError,
+                               Multipliers,
                                block_statics, build_tables,
                                find_tie_instances, make_static,
                                smooth_weights, solve_tie_lp)
 from qcsched.channel import FadingModel, sample_gain_blocks
-from qcsched.dual import PerfectCSI, Problem, block_allocation, exact_dual
+from qcsched.dual import (PerfectCSI, Problem, block_allocation, exact_dual,
+                         serve_block)
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
-                               OutageCapacity, linear_allocation)
+                               OutageCapacity, linear_allocation, linear_cells)
 from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
                                build_equiprobable, build_random,
                                channel_classes, quantize, region_prob_table)
@@ -202,18 +204,25 @@ def test_block_allocation_by_hand():
     assert wpower == pytest.approx(exp_pow, abs=1e-12)
 
 
+def serve_own_cells(model, block, mult, eps, rate_cap=DEFAULT_RATE_CAP):
+    """dual.serve_block on one block's own (M, K) cells, μ shaped (M, 1)."""
+    return serve_block(model, block, mult.lambda_r, mult.mu[:, None], eps,
+                       rate_cap)
+
+
 def test_block_allocation_one_block_matches_the_column_major_oracle():
-    # one block, read from (M, K, L) tables or from its own (M, K) tables,
-    # gives the bits of the (K, M) layout with users on the last axis
+    # one block, read from (M, K, L) tables or served on its own (M, K)
+    # cells, gives the bits of the (K, M) layout with users on the last axis
     fading, grid, mult = small_instance()
     tables = build_tables(MODEL, grid, mult)
     qcsi = quantize(grid, sample_gain_blocks(fading, 0, 50))
     cells = block_statics(make_static(grid, MODEL), qcsi)
     for n in range(50):
-        for block_tables in (tables, build_tables(MODEL, grid, mult,
-                                                  static=cells[n])):
-            got = block_allocation(block_tables, mult.lambda_r, qcsi[n],
-                                   eps=0.05)
+        own = build_tables(MODEL, grid, mult, static=cells[n])
+        for got, block_tables in (
+                (block_allocation(tables, mult.lambda_r, qcsi[n], eps=0.05),
+                 tables),
+                (serve_own_cells(MODEL, cells[n], mult, 0.05), own)):
             want = column_major_block(block_tables, mult.lambda_r, qcsi[n],
                                       0.05)
             assert got[0].tobytes() == want[0].tobytes()
@@ -222,8 +231,8 @@ def test_block_allocation_one_block_matches_the_column_major_oracle():
 
 def test_block_allocation_stack_sums_its_blocks():
     # a 7-block stack read from (M, K, L) tables serves the sum of what the
-    # blocks serve one at a time, from those tables or from each block's
-    # own (M, K) tables
+    # blocks serve one at a time, read from those tables or served on each
+    # block's own (M, K) cells
     fading, grid, mult = small_instance()
     tables = build_tables(MODEL, grid, mult)
     qcsi = quantize(grid, sample_gain_blocks(fading, 0, 7))      # (7, M, K)
@@ -232,12 +241,10 @@ def test_block_allocation_stack_sums_its_blocks():
     assert served.shape == (2,)
     assert np.all(served > 0.0)
     cells = block_statics(make_static(grid, MODEL), qcsi)
-    for per_block in (lambda n: tables,
-                      lambda n: build_tables(MODEL, grid, mult,
-                                             static=cells[n])):
-        calls = [block_allocation(per_block(n), mult.lambda_r, qcsi[n],
-                                  eps=0.05)
-                 for n in range(7)]
+    for per_block in (lambda n: block_allocation(tables, mult.lambda_r,
+                                                 qcsi[n], eps=0.05),
+                      lambda n: serve_own_cells(MODEL, cells[n], mult, 0.05)):
+        calls = [per_block(n) for n in range(7)]
         np.testing.assert_allclose(served, sum(c[0] for c in calls),
                                    rtol=1e-13)
         assert wpower == pytest.approx(sum(c[1] for c in calls), rel=1e-13)
@@ -245,6 +252,44 @@ def test_block_allocation_stack_sums_its_blocks():
     with pytest.raises(ValueError):         # one block's tables, 7 blocks
         block_allocation(build_tables(MODEL, grid, mult, static=cells[0]),
                          mult.lambda_r, qcsi, eps=0.05)
+
+
+KERNEL_FAMILIES = [OutageCapacity(outage_delta=0.0),
+                   OutageCapacity(outage_delta=0.3),
+                   MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=0.01),
+                   MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01),
+                   ErgodicCapacity()]
+
+
+@pytest.mark.parametrize("model", KERNEL_FAMILIES,
+                         ids=["outage", "outage_0.3", "inst_ber", "avg_ber",
+                              "ergodic"])
+def test_serve_block_matches_the_column_major_oracle(model):
+    # serve_block builds and serves a block's own (M, K) cells in one pass:
+    # bitwise the (K, M) oracle on build_tables' tables from the same cells.
+    # User 0 has λ = 0, users 1 and 2 share their fading and prices, so
+    # equal regions tie exactly; rate_cap binds on the strong channels and
+    # channel 3 is too weak for anyone to want (c* ≥ 0)
+    mean = np.array([[5.0, 20.0, 50.0, 1e-4]] * 3)
+    fading = FadingModel(mean, seed=5)
+    grid = build_equiprobable(fading, 4)
+    mult = Multipliers(np.array([0.0, 1.5, 1.5]), np.ones(3), np.ones(3))
+    cap, eps = 3.0, 0.05
+    qcsi = quantize(grid, sample_gain_blocks(fading, 0, 40))
+    qcsi[::2, 2] = qcsi[::2, 1]                     # ties on every other block
+    cells = block_statics(make_static(grid, model), qcsi)
+    seen = {"tie": False, "capped": False, "idle": False}
+    for n in range(len(qcsi)):
+        tables = build_tables(model, grid, mult, cap, cells[n])
+        got = serve_own_cells(model, cells[n], mult, eps, cap)
+        want = column_major_block(tables, mult.lambda_r, qcsi[n], eps)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+        cost = tables.cost
+        seen["tie"] |= bool(((cost[1] == cost[2]) & (cost[1] < 0.0)).any())
+        seen["capped"] |= bool((tables.rate == cap).any())
+        seen["idle"] |= bool((cost.min(axis=0) >= 0.0).any())
+    assert all(seen.values()), seen
 
 
 def test_stochastic_subgradient_unbiased():
@@ -791,8 +836,9 @@ def test_perfect_csi_matches_continuous_gain_monte_carlo():
     problem = PerfectCSI(fading.mean_gain, model, mu, np.ones(3), cap)
     ev = problem.evaluate(lam)
     gains = sample_gain_blocks(fading, 0, 40_000)                 # (N, M, K)
-    rate, power = linear_allocation(model.perfect_csi_scale() / gains,
-                                    (lam / mu)[:, None], cap)
+    rate, power = linear_allocation(
+        linear_cells(model.perfect_csi_scale() / gains), (lam / mu)[:, None],
+        cap)
     cost = mu[:, None] * power - lam[:, None] * rate
     win = ((np.arange(3)[:, None] == cost.argmin(axis=1)[:, None, :])
            & (cost.min(axis=1, keepdims=True) < 0.0))

@@ -655,23 +655,37 @@ def _same_bits(got, want):
 
 def test_linear_allocation_matches_the_guarded_formulas():
     # outage cells (c = +inf), slopes exactly at c·ln2, below and above it,
-    # 0, and past the rate cap, short of overflow; nothing warns
+    # 0, and past the rate cap, short of overflow, on linear_cells and on
+    # one 0-d cell; nothing warns
     c = np.array([np.inf, 1.0, 0.5, 3.0, 1e-300, 1e300])[:, None]
     at = np.where(np.isposinf(c), 5.0, c * powerrate._LN2)  # slope < inf
     slope = np.concatenate([at,
                             np.broadcast_to([0.0, 1e-310, 0.3, 0.7, 2.0,
                                              1e4, 1e8], (len(c), 7))],
                            axis=1)
+    cells = powerrate.linear_cells(c)
+    _same_bits(cells[0], c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for cap in (math.inf, 12.0, 3.0):
-            rate, power = powerrate.linear_allocation(c, slope, cap)
+            rate, power = powerrate.linear_allocation(cells, slope, cap)
             want = linear_allocation_guarded(c, slope, cap)
             _same_bits(rate, want[0])
             _same_bits(power, want[1])
+            for i, j in ((0, 0), (1, 0), (2, 5), (5, 7)):
+                one = powerrate.linear_allocation(
+                    powerrate.linear_cells(c[i, 0]), slope[i, j], cap)
+                _same_bits(one, (want[0][i, j], want[1][i, j]))
     assert rate[0].tolist() == [0.0] * 8                # outage
+    assert power[0].tolist() == [0.0] * 8
+    assert not np.signbit(power).any()                  # +0, never -0
     assert rate[1:, 0].tolist() == [0.0] * 5            # slope = c·ln2
     assert (rate == 3.0).any() and (power > 0).any()
+    # the masked Υ still charges +inf for a positive rate in an outage cell
+    model = OutageCapacity(outage_delta=0.0)
+    outage = model.cell_data(RegionContext(q_lo=0.0, q_hi=0.5, mean_gain=1.0))
+    assert np.isposinf(model.power_of_rate(outage, 1.0))
+    assert model.power_of_rate(outage, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("model", FAMILIES[:4], ids=lambda m: repr(m)[:14])

@@ -322,6 +322,7 @@ def test_quantize_refuses_nan_and_negative_gains(L):
     gains = np.ones((4, 2, 3))
     gains[0, 1, 2] = gains[3, 0, 0] = np.nan
     gains[2, 1, 1] = -1e-300
+    gains[1, 0, 0], gains[1, 1, 2] = 0.0, 0.5       # in [0, 1), not negative
     with pytest.raises(ValueError, match="2 NaN and 1 negative"):
         quantize(grid, gains)
     with pytest.raises(ValueError, match="0 NaN and 6 negative"):

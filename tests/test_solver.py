@@ -12,7 +12,7 @@ from qcsched.allocator import (InfeasibleTargetsError, Multipliers,
                                build_tables, make_static)
 from qcsched.channel import (FadingModel, sample_gain_blocks, sample_gains,
                              snr_db_to_mean_gain)
-from qcsched.dual import block_allocation, exact_dual
+from qcsched.dual import block_allocation, exact_dual, serve_block
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
                                OutageCapacity)
 from qcsched.quantizer import (QuantizerGrid, build_equiprobable, build_random,
@@ -675,7 +675,7 @@ def test_infeasible_targets_raise_before_any_evaluation(run, monkeypatch):
     # user 1 alone can draw at most 12·16·3/4 = 144 < 200; the feasible
     # run shows that the counters see the evaluations of each solver (the
     # constant-step and non-smooth loops build their tables through dual's
-    # binding, behind Problem.evaluate)
+    # binding, behind Problem.evaluate; an online block is one serve_block)
     calls = []
     evaluate = Problem.evaluate
 
@@ -683,7 +683,7 @@ def test_infeasible_targets_raise_before_any_evaluation(run, monkeypatch):
         return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
 
     monkeypatch.setattr(Problem, "evaluate", counted(evaluate))
-    monkeypatch.setattr(solver, "build_tables", counted(build_tables))
+    monkeypatch.setattr(solver, "serve_block", counted(serve_block))
     monkeypatch.setattr(dual, "build_tables", counted(build_tables))
     cfg = SolverConfig(max_iters=3)
     with pytest.raises(InfeasibleTargetsError) as err:
@@ -773,16 +773,15 @@ def test_an_overflowing_step_raises_before_it_is_evaluated(mode, knob,
     # λ⁽⁰⁾ is finite: a step of 1e308 overflows λ, which the loop's
     # floating-point state (_stepping) raises at once, in the step itself
     # (_ascend) and with no RuntimeWarning, before any evaluation at it. The
-    # offline loops build through dual's binding, an online block through
-    # solver's
+    # offline loops build through dual's binding, an online block in
+    # solver's serve_block
     builds = []
 
-    def spy(*args, **kwargs):
-        builds.append(1)
-        return build_tables(*args, **kwargs)
+    def spy(fn):
+        return lambda *args, **kwargs: builds.append(1) or fn(*args, **kwargs)
 
-    monkeypatch.setattr(dual, "build_tables", spy)
-    monkeypatch.setattr(solver, "build_tables", spy)
+    monkeypatch.setattr(dual, "build_tables", spy(build_tables))
+    monkeypatch.setattr(solver, "serve_block", spy(serve_block))
     cfg = SolverConfig(max_iters=1000, **{knob: 1e308})
     loop = OFFLINE_LOOPS.get(
         mode, lambda problem, cfg, _: run_online(problem, cfg, 10))
