@@ -205,12 +205,13 @@ def smooth_weights(costs: np.ndarray, eps: float) -> np.ndarray:
     return w
 
 
-def find_tie_instances(problem, lam, tie_rtol: float):
+def find_tie_instances(problem, lam, tie_rtol: float, tables=None):
     """Split the (class, column) cells of ``problem`` (a dual.Problem: its
     flat ``columns`` and its ``tables`` at the classes' representative
-    channels) at λ into single-winner mass, accumulated into r̄_one, and T
-    tie instances: cells whose minimum c* < 0 several users' costs reach
-    within tie_rtol·max(1, |c*|), in (class, column) order.
+    channels, or the given ``tables``, built so at λ) at λ into single-winner
+    mass, accumulated into r̄_one, and T tie instances: cells whose minimum
+    c* < 0 several users' costs reach within tie_rtol·max(1, |c*|), in
+    (class, column) order.
 
     Returns (prob, members, rates, weighted_powers, r_bar_one), the ties
     along the leading axis: each cell's column probability summed over its
@@ -218,7 +219,8 @@ def find_tie_instances(problem, lam, tie_rtol: float):
     μ_m·Υ(R*) in it (T, M), and r̄_one (M,); solve_tie_lp takes them in
     this order, after the targets.
     """
-    tables = problem.tables(check_lambda(lam, problem.num_users))
+    lam = check_lambda(lam, problem.num_users)
+    tables = problem.tables(lam) if tables is None else tables
     index, probs = problem.columns
     costs, rates = tables.cost.take(index), tables.rate.take(index)  # (M, J)
     wpow = (tables.power * problem.mu[:, None, None]).take(index)

@@ -16,7 +16,9 @@ rates and reports average weighted power:
   the optimum, D ≤ P* ≤ P; it stops once P - D ≤ λ·tol and reports both.
 * RA3 — the ε-smooth policy on the configured quantizer. Like every smooth
   point here (RA2's stages, RA4, sweep rows) it is solved by damped Newton, as
-  RA1 is; those rows record ``iterations`` and ``max_abs_subgradient``.
+  RA1 is; those rows record ``iterations`` and ``max_abs_subgradient``. It
+  is RA2's first ε-stage read at ``tol``: when a point lists both, they read
+  one solver.NewtonWalk, so that path is walked once (solve_rows).
 * RA4 — the ε-smooth policy on a random quantizer (uninformed thresholds).
 * RA5 — fixed scheduling heuristic: user m owns channels k ≡ m (mod M),
   transmits at constant power in non-outage regions (on/off power), rate
@@ -148,18 +150,20 @@ def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     return sum_rate / num_blocks, sum_power / num_blocks
 
 
-def newton_point(setup: CompareSetup, problem) -> dict:
+def newton_point(setup: CompareSetup, problem, walk=None) -> dict:
     """RA3 and RA4: damped Newton solve of ``problem``'s smooth dual (or of
-    PerfectCSI, for RA1); the trajectory's last row is the exact evaluation
-    at the final λ."""
-    lam, traj = run_offline_newton(problem, _solver_cfg(setup))
+    PerfectCSI, for RA1), or, given RA2's first ε-stage ``walk``, its read
+    at ``setup.tol``; the trajectory's last row is the exact evaluation at
+    the final λ."""
+    lam, traj = (walk.read(setup.tol) if walk
+                 else run_offline_newton(problem, _solver_cfg(setup)))
     return {"avg_power": traj.served_power, "avg_rates": traj.served_rates,
             "converged": traj.converged, "iterations": int(traj.iters[-1]),
             "max_abs_subgradient": float(np.max(np.abs(traj.subgrad[-1]))),
             "lambda": lam, "method": "offline_exact"}
 
 
-def ra2_point(setup: CompareSetup, problem: Problem) -> dict:
+def ra2_point(setup: CompareSetup, problem: Problem, walk=None) -> dict:
     """Hard-optimal policy by ε-continuation and the tie LP.
 
     Damped Newton solves the smooth dual at ε = ``setup.eps``, ε/4, …, each
@@ -171,18 +175,24 @@ def ra2_point(setup: CompareSetup, problem: Problem) -> dict:
     LP's (T, M) weights, serves the targets; the row reports P, D as
     ``dual_bound`` and the last ``eps``, and stops once solver.serves_targets
     holds for its rates, P and D. A stage whose Newton fails ends the run at
-    its smooth point.
+    its smooth point. Given ``walk`` (solver.NewtonWalk from setup's start),
+    the first stage reads it at its tolerance.
     """
     eps, lam = setup.eps, setup.init
     stage_tol = np.minimum(setup.tol, _TIGHT_TOL)
     while True:
         cfg = _solver_cfg(setup, eps=eps, init=lam, tol=stage_tol)
-        lam, traj = run_offline_newton(problem, cfg)
-        # D as Problem.evaluate forms it, at Newton's finite λ ≥ 0
-        dual = float(lam @ problem.targets) + problem.serve_hard(lam)[1]
+        lam, traj = (walk.read(stage_tol) if walk
+                     else run_offline_newton(problem, cfg))
+        walk = None                     # later stages start at the last λ
+        # D as Problem.evaluate forms it, at Newton's finite λ ≥ 0, on the
+        # tables that the tie search reads too
+        tables = problem.tables(lam)
+        dual = (float(lam @ problem.targets)
+                + problem.serve_hard(lam, tables)[1])
         power, rates = traj.served_power, traj.served_rates
         if traj.converged:
-            ties = find_tie_instances(problem, lam, eps)
+            ties = find_tie_instances(problem, lam, eps, tables)
             w = solve_tie_lp(problem.targets, *ties)
             prob, _, r_tie, wpow, rates = ties
             cost = wpow - lam * r_tie           # its min is each tie's c*
@@ -321,10 +331,19 @@ def sweep_rows(setup: CompareSetup, regions_list, reference_regions) -> list:
 def solve_rows(rows) -> list:
     """Solve each row's problem with its scheme; every result carries the
     row's label, its linear and dB power, per-user average rates and a
-    method tag. Non-convergence is reported in the result, not raised."""
-    out = []
+    method tag. Non-convergence is reported in the result, not raised.
+    RA3 is RA2's first ε-stage read at ``tol``: where the rows list both,
+    those on one (setup, problem) share one solver.NewtonWalk."""
+    both = {"RA2", "RA3"} <= {label["scheme"] for label, _, _ in rows}
+    walks, out = {}, []
     for label, setup, problem in rows:
-        row = {**label, **_SCHEME_FUNCS[label["scheme"]](setup, problem)}
+        name, shared = label["scheme"], {}
+        if both and name in ("RA2", "RA3"):
+            key = id(setup), id(problem)
+            if key not in walks:
+                walks[key] = solver.NewtonWalk(problem, _solver_cfg(setup))
+            shared["walk"] = walks[key]
+        row = {**label, **_SCHEME_FUNCS[name](setup, problem, **shared)}
         row["power_db"] = power_db(row["avg_power"])
         out.append(row)
     return out

@@ -217,15 +217,15 @@ class Problem:
                               per_user_avg_rate=rate, avg_power=power,
                               jacobian=jacobian)
 
-    def serve_hard(self, lam: np.ndarray) -> tuple:
+    def serve_hard(self, lam: np.ndarray, tables=None) -> tuple:
         """The hard rule's (served rate (M,), served cost, served power) at
         λ, unchecked: a finite nonnegative float (M,) array, as evaluate
-        or a solver leaves it.
+        or a solver leaves it; on ``tables``, if given, else tables(λ).
 
         It works on the (M, n_classes, L) tables in product form
         (_hard_wins), O(n_classes·M²·L²), and enumerates nothing: served
         rate and cost sum R·win and C·win over the cells."""
-        tables = self.tables(lam)
+        tables = self.tables(lam) if tables is None else tables
         return self._served(lam, tables.cost, tables.rate,
                             self._hard_wins(tables.cost))
 

@@ -109,14 +109,16 @@ def delta_outage_gain(ctx: RegionContext, delta: float) -> np.ndarray:
     """δ-quantile of the gain conditioned on the region.
 
     Solves Pr{g <= g^δ | g in region} = δ for the truncated exponential:
-    g^δ = -ḡ·ln((1-δ)e^{-q_lo/ḡ} + δe^{-q_hi/ḡ}).  δ = 0 returns q_lo exactly.
+    g^δ = -ḡ·ln((1-δ)e^{-q_lo/ḡ} + δe^{-q_hi/ḡ}), taken as
+    q_lo - ḡ·log1p(δ·expm1(-w)) with w = (q_hi - q_lo)/ḡ, so that a region
+    whose survivals underflow keeps its quantile.  δ = 0 returns q_lo exactly.
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
+    lo, g = ctx.q_lo, ctx.mean_gain
     if delta == 0.0:
-        return np.asarray(ctx.q_lo, dtype=float).copy()
-    s_lo, s_hi, _ = _survivals(ctx)
-    return -ctx.mean_gain * np.log((1.0 - delta) * s_lo + delta * s_hi)
+        return np.asarray(lo, dtype=float).copy()
+    return lo - g * np.log1p(delta * np.expm1((lo - ctx.q_hi) / g))
 
 
 def _nonneg(values, name: str) -> np.ndarray:
@@ -133,15 +135,41 @@ def _survivals(ctx: RegionContext):
     return s_lo, s_hi, s_lo - s_hi
 
 
+# B_k/k! for k ≤ 14 (Bernoulli numbers): w/expm1(w) = Σ B_k·w^k/k!. The
+# Taylor series of 1 - w/expm1(w) and 2 - (w + 2)·w/expm1(w) follow, highest
+# power first for np.polyval; _truncated_exp sums them below _SERIES_W, where
+# those closed forms cancel
+_BERNOULLI = np.array([1, -1 / 2, 1 / 12, 0, -1 / 720, 0, 1 / 30240, 0,
+                       -1 / 1209600, 0, 1 / 47900160, 0, -691 / 1307674368000,
+                       0, 1 / 74724249600])
+_MEAN_SERIES = np.r_[0.0, -_BERNOULLI[1:]][::-1]
+_SQUARE_SERIES = np.r_[0.0, -(_BERNOULLI[:-1] + 2.0 * _BERNOULLI[1:]),
+                       -_BERNOULLI[-1]][::-1]
+_SERIES_W = 0.5
+
+
 def _truncated_exp(ctx: RegionContext):
-    """S_lo, S_hi, Pr and the moments E[g | region], E[g² | region]."""
-    s_lo, s_hi, pr = _survivals(ctx)
+    """1, S_hi/S_lo, Pr/S_lo and the moments E[g | region], E[g² | region],
+    each from q_lo and the width w = (q_hi - q_lo)/ḡ alone.
+
+    Given the region, g - q_lo is exponential with mean ḡ truncated to
+    [0, w·ḡ): S_hi/S_lo = e^{-w}, Pr/S_lo = -expm1(-w), E[g - q_lo] =
+    ḡ·(1 - w/expm1(w)) and E[(g - q_lo)²] = ḡ²·(2 - w·(w + 2)/expm1(w)), or
+    ḡ and 2ḡ² on the last region. No survival or ratio of survivals enters,
+    so a region far in the tail, where S_lo and Pr underflow to 0, keeps
+    finite ratios and moments in [q_lo, q_hi]."""
     lo, g = ctx.q_lo, ctx.mean_gain
-    hi = np.where(np.isposinf(ctx.q_hi), 0.0, ctx.q_hi)   # s_hi = 0 there
-    m1 = ((lo + g) * s_lo - (hi + g) * s_hi) / pr
-    m2 = (((lo + g) ** 2 + g * g) * s_lo
-          - ((hi + g) ** 2 + g * g) * s_hi) / pr
-    return s_lo, s_hi, pr, m1, m2
+    w = (ctx.q_hi - lo) / g                             # ∞ on the last region
+    small = w < _SERIES_W
+    # each form on its own widths, a dummy elsewhere; past w = 700,
+    # w/expm1(w) < 1e-300 leaves 1 and 2 to the last bit
+    ws, wd = np.where(small, w, 0.0), np.where(small, 1.0, np.minimum(w, 700.0))
+    ratio = wd / np.expm1(wd)
+    mean = np.where(small, np.polyval(_MEAN_SERIES, ws), 1.0 - ratio)
+    square = np.where(small, np.polyval(_SQUARE_SERIES, ws),
+                      2.0 - ratio * (wd + 2.0))
+    return (np.ones_like(w), np.exp(-w), -np.expm1(-w), lo + g * mean,
+            lo * lo + g * (2.0 * lo * mean + g * square))
 
 
 def _vec_newton(f_df, lo, hi, what: str):
@@ -359,9 +387,10 @@ class ErgodicCapacity(PowerRate):
 
     # Υ⁻¹ and its derivatives in closed form --------------------------------
     def cell_data(self, ctx: RegionContext) -> tuple:
-        """S_lo, S_hi, Pr, E[g|R], E[g²|R], q_lo, q_hi (0 where it is ∞, as
-        S_hi = 0 there) and ḡ, from which ``_edges`` builds what
-        ``_closed_form`` reads."""
+        """S_lo, S_hi and Pr relative to S_lo (_truncated_exp), E[g|R],
+        E[g²|R], q_lo, q_hi (0 where it is ∞, as S_hi = 0 there) and ḡ, from
+        which ``_edges`` builds what ``_closed_form`` reads: it reads the
+        survivals only over Pr."""
         hi = np.where(np.isposinf(ctx.q_hi), 0.0, ctx.q_hi)
         return tuple(np.broadcast_arrays(*_truncated_exp(ctx), ctx.q_lo, hi,
                                          ctx.mean_gain))

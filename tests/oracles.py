@@ -730,6 +730,22 @@ def gauss_jordan_numpy(a, b) -> np.ndarray:
     return ab[:, -1]
 
 
+def gauss_jordan_lists(a, b) -> np.ndarray:
+    """solver._solve as it was on numpy's column_stack and max's key: the
+    augmented rows from one numpy array, the pivot by max over |entries|."""
+    ab = np.column_stack([a, b]).tolist()
+    rows = range(len(ab))
+    for c in rows:
+        p = max(rows[c:], key=lambda i: abs(ab[i][c]))
+        ab[c], ab[p] = ab[p], ab[c]
+        pivot = ab[c][c] or np.float64(ab[c][c])
+        row = ab[c] = [v / pivot for v in ab[c]]
+        for i in rows:
+            f = ab[i][c] - (i == c)
+            ab[i] = [v - f * w for v, w in zip(ab[i], row)]
+    return np.array([r[-1] for r in ab])
+
+
 def online_reference(problem, cfg, num_blocks: int, progress=None):
     """solver.run_online with its bookkeeping done after every block: the
     running sums, both averages and a trajectory recorder call per block.

@@ -755,22 +755,91 @@ def test_sweep_reference_is_perfect_csi_or_none():
         sweep_regions(micro_setup(), [2], reference_regions=256)
 
 
+def same_row(got, want):
+    """Every key of two harness rows, arrays and floats to the bit."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].tobytes() == value.tobytes(), key
+        else:
+            assert repr(got[key]) == repr(value), key
+
+
+SHARED_MODELS = [OutageCapacity(outage_delta=0.0),
+                 OutageCapacity(outage_delta=0.3),
+                 MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=1e-3),
+                 MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=1e-3),
+                 ErgodicCapacity()]
+
+
+@pytest.mark.parametrize("model", SHARED_MODELS, ids=[
+    "outage", "outage_0.3", "inst_ber", "avg_ber", "ergodic"])
+def test_ra2_and_ra3_listed_together_are_their_solo_rows(model):
+    # RA3 is RA2's first ε-stage read at tol, so one walk serves both rows:
+    # in either order, and with RA3 listed twice, each row is bitwise the
+    # row its scheme gives alone
+    setup = micro_setup(model=model)
+    solo = {name: point(setup, name) for name in ("RA2", "RA3")}
+    assert solo["RA2"]["converged"] and solo["RA3"]["converged"]
+    for schemes in (("RA2", "RA3"), ("RA3", "RA2"), ("RA3", "RA2", "RA3")):
+        rows = compare_schemes(setup, schemes)
+        assert [row["scheme"] for row in rows] == list(schemes)
+        for row in rows:
+            same_row(row, solo[row["scheme"]])
+
+
+def test_ra3_reads_an_unconverged_first_stage_as_it_solves_alone():
+    # at max_iters = 4 RA2's first ε-stage stops "max_iters" short of RA3's
+    # tol as well: the shared walk ends there, RA3 reports that unconverged
+    # row and RA2 the same smooth point, each as alone
+    setup = micro_setup(max_iters=4)
+    (_, _, problem), = compare_rows(setup, ("RA3",))
+    _, traj = solver.run_offline_newton(problem, analysis._solver_cfg(setup))
+    assert traj.reason == "max_iters" and not traj.converged
+    solo = {name: point(setup, name) for name in ("RA2", "RA3")}
+    ra2, ra3 = solo["RA2"], solo["RA3"]
+    assert not ra2["converged"] and ra2["avg_power"] == ra3["avg_power"]
+    for key in ("avg_rates", "lambda"):
+        assert ra2[key].tobytes() == ra3[key].tobytes()
+    for schemes in (("RA2", "RA3"), ("RA3", "RA2")):
+        for row in compare_schemes(setup, schemes):
+            same_row(row, solo[row["scheme"]])
+
+
+def test_ra2_and_ra3_together_evaluate_as_often_as_ra2_alone(monkeypatch):
+    # RA3's walk is a prefix of RA2's first ε-stage: listing RA3 beside RA2
+    # adds no dual evaluation, whichever row comes first
+    calls = []
+
+    def evaluate(self, *args, checked=Problem.evaluate, **kwargs):
+        calls.append(1)
+        return checked(self, *args, **kwargs)
+
+    monkeypatch.setattr(Problem, "evaluate", evaluate)
+    setup = micro_setup()
+    counts = {}
+    for schemes in (("RA2",), ("RA3",), ("RA2", "RA3"), ("RA3", "RA2")):
+        calls.clear()
+        compare_schemes(setup, schemes)
+        counts[schemes] = len(calls)
+    assert 0 < counts[("RA3",)] < counts[("RA2",)]
+    assert counts[("RA2", "RA3")] == counts[("RA3", "RA2")] == counts[("RA2",)]
+
+
 def test_table_builds_per_solve(monkeypatch):
     # one build per online block, across a chunk boundary, in solver's
     # serve_block; and, as perfbench's allocator.build_tables counter sees
-    # them, in RA2 one per smooth evaluation, one per ε-stage for its hard
-    # dual D and one per converged stage for the tie search, all through
-    # the Problem's one table build and so through dual's binding
-    builds, counts = [], {"smooth": 0, "stages": 0, "converged": 0}
+    # them, in RA2 one per smooth evaluation and one per ε-stage for its
+    # hard dual D, which a converged stage's tie search reads too, all
+    # through the Problem's one table build and so through dual's binding
+    builds, counts = [], {"smooth": 0, "stages": 0}
 
     def spy(fn):
         return lambda *args, **kwargs: builds.append(1) or fn(*args, **kwargs)
 
     def newton(problem, cfg):
         counts["stages"] += 1
-        lam, traj = solver.run_offline_newton(problem, cfg)
-        counts["converged"] += traj.converged
-        return lam, traj
+        return solver.run_offline_newton(problem, cfg)
 
     def evaluate(self, lam, mode="smooth", eps=0.05, checked=Problem.evaluate):
         counts["smooth"] += mode == "smooth"
@@ -789,8 +858,7 @@ def test_table_builds_per_solve(monkeypatch):
     monkeypatch.setattr(Problem, "evaluate", evaluate)
     row = analysis.ra2_point(setup, problem)
     assert row["converged"] and counts["stages"] > 1
-    assert len(builds) == (counts["smooth"] + counts["stages"]
-                           + counts["converged"])
+    assert len(builds) == counts["smooth"] + counts["stages"]
 
 
 def test_offline_builds_read_the_class_representatives_only(monkeypatch):

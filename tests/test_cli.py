@@ -602,6 +602,43 @@ def test_snr_db_at_its_bound_runs_clean(tmp_path, capsys):
     assert sorted({row["snr_db"] for row in rows}) == [-100.0, 100.0]
 
 
+SPREAD_FAMILIES = {
+    "outage": ("outage_capacity", {"outage_delta": 0.0}),
+    "outage_0.3": ("outage_capacity", {"outage_delta": 0.3}),
+    "inst_ber": ("max_inst_ber",
+                 {"kappa1": 0.2, "kappa2": 1.5, "eps_max": 1e-3}),
+    "avg_ber": ("max_avg_ber", {"kappa1": 0.2, "kappa2": 1.5, "eps_avg": 1e-3}),
+    "ergodic": ("ergodic_capacity", {}),
+}
+
+
+@pytest.mark.parametrize("spread", [0.0, 30.0, 60.0, 100.0])
+@pytest.mark.parametrize("family", sorted(SPREAD_FAMILIES))
+def test_a_per_user_snr_spread_runs_clean(tmp_path, capsys, family, spread):
+    # RA4 draws every user's ladder over [0, 3·max ḡ): 30 dB and more above
+    # the 0 dB user, its upper regions start hundreds of its mean gains out,
+    # where its survivals and region probabilities underflow to 0. Such a
+    # cell is a defined case in every family: each scheme alone runs with
+    # no warning at all and exits 0, 3, or 2 for a target its ladder cannot
+    # reach
+    name, params = SPREAD_FAMILIES[family]
+    for scheme in ("RA1", "RA2", "RA3", "RA4", "RA5"):
+        cfg = {"mode": "compare",
+               "fading": {"num_users": 2, "num_channels": 4,
+                          "snr_db": [0.0, spread]},
+               "quantizer": {"type": "equiprobable", "regions": 4},
+               "power_rate": {"family": name, "params": params},
+               "targets": [1.0, 1.5], "compare": {"schemes": [scheme]}}
+        if scheme in ("RA2", "RA3", "RA4"):         # the ones that enumerate
+            cfg["enum_budget"] = 1000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _ = run(tmp_path, cfg, out=scheme)
+        err = capsys.readouterr().err
+        infeasible = rc == CONFIG and "rate targets are infeasible" in err
+        assert rc in (OK, NOT_CONVERGED) or infeasible, (scheme, err)
+
+
 # --- offline smooth ------------------------------------------------------------
 
 def test_offline_smooth_artifacts(tmp_path):

@@ -133,15 +133,15 @@ GOLDEN = {
     },
     "micro_ergodic_compare": {
         "compare.csv":
-            "cfcfd82dc0e83944221c02664b174f79fe6f03dbd57f339affa61d5a6d4bd05a",
+            "9d7969c4f96912f3f2c24eedaf3cf8ad8bb3e520ecb16de36b74e4cc4310f672",
         "summary.json":
-            "e24c0e7251c50644fb427640b5d68f3a40eaaef718dff969871de48517ab4762",
+            "14ce731c1fa722271d2ddbcd39dc750c681c230eb949ab79a25efefe96ac6a1b",
     },
     "micro_ergodic_offline": {
         "trajectory.csv":
-            "6d5608e36d271e9fac72d8e6a1594fe964e014dc88fad4e4f236f9c0089a82f4",
+            "1be81e723a18635cbadc30469e846e061ad3b157d0b2fa240b7cf18ea0c49857",
         "summary.json":
-            "159d0d57d85936d3e96bd136dfc7581e83416893bac89dbb954607ee87fd17bc",
+            "285e6fde354c5450fb6c4ad17d2146f51229812b5bf397bfa9618810d68bbbee",
     },
     "micro_online": {
         "trajectory.csv":

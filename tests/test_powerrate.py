@@ -5,12 +5,14 @@ The quadrature oracles integrate the defining region averages directly
 forms / root-finds under test.
 """
 
+import decimal
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qcsched import powerrate
 from qcsched.powerrate import (ErgodicCapacity, MaxAvgBer, MaxInstBer,
@@ -60,6 +62,53 @@ def test_delta_outage_gain_validation():
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
             delta_outage_gain(ctx, bad)
+
+
+def _decimal_region(lo, hi, g, delta):
+    """Pr/S_lo, E[g | R], E[g² | R] and the δ-quantile of the truncated
+    exponential at 60 digits, from the survivals over S_lo: S_hi/S_lo =
+    e^{-(q_hi - q_lo)/ḡ}, which the decimal range keeps far in the tail."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lo, g, d = Decimal(lo), Decimal(g), Decimal(delta)
+        e = 0 if math.isinf(hi) else (-(Decimal(hi) - lo) / g).exp()
+        hi = 0 if math.isinf(hi) else Decimal(hi)
+        m1 = ((lo + g) - (hi + g) * e) / (1 - e)
+        m2 = ((lo + g) ** 2 + g * g - ((hi + g) ** 2 + g * g) * e) / (1 - e)
+        quantile = lo - g * ((1 - d) + d * e).ln()
+        return [float(v) for v in (1 - e, m1, m2, quantile)]
+
+
+# widths from narrow enough that today's ratio of survivals cancels to
+# wide; lower edges from 0 to a million mean gains out, where the
+# survivals underflow; and the last region
+@settings(max_examples=300, deadline=None)
+@given(g=st.floats(-3, 3).map(lambda e: 10.0 ** e),
+       lo=st.one_of(st.just(0.0), st.floats(-6, 6).map(lambda e: 10.0 ** e)),
+       w=st.one_of(st.just(math.inf), st.floats(-12, 3).map(lambda e: 10.0 ** e)),
+       delta=st.floats(0.01, 0.99))
+@example(g=1.0, lo=0.0, w=1e-12, delta=0.5)
+@example(g=1.0, lo=1000.0, w=1.0, delta=0.3)
+@example(g=1.0, lo=1e6, w=math.inf, delta=0.3)
+def test_region_moments_and_quantile_match_a_decimal_reference(g, lo, w,
+                                                               delta):
+    # each lies in [q_lo, q_hi] (its square's), finite in a region whose
+    # probability underflows to 0, and within a few ulps of 60 digits:
+    # measured at most 4.2e-16 (m1) and 5.2e-15 (m2) relative on 3 000
+    # random regions of this kind, where the ratio of survivals gave 36
+    # non-finite moments and, on narrow regions, m1 off by far more than m1
+    lo *= g
+    hi = lo + g * w
+    assume(lo < hi)
+    ctx = RegionContext(q_lo=lo, q_hi=hi, mean_gain=g)
+    one, ratio, pr, m1, m2 = powerrate._truncated_exp(ctx)
+    gd = delta_outage_gain(ctx, delta)
+    want = _decimal_region(lo, hi, g, delta)
+    assert one == 1.0 and abs(ratio + pr - 1.0) <= 2.3e-16
+    assert lo <= m1 <= hi and lo * lo <= m2 <= hi * hi and lo <= gd <= hi
+    for got, ref, rtol in zip((pr, m1, m2, gd), want,
+                              (1e-15, 3e-15, 3e-14, 3e-15)):
+        assert abs(got - ref) <= rtol * ref, (got, ref)
 
 
 def test_region_context_validation():

@@ -1,7 +1,10 @@
 """Multiplier iterations: scalar oracles, trajectories, online determinism."""
 
+import gc
 import io
 import warnings
+import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,8 +24,8 @@ from qcsched.solver import (OnlineResult, Problem, SolverConfig, Trajectory,
                             run_offline_newton, run_offline_nonsmooth,
                             run_offline_smooth, run_online, serves_targets)
 
-from oracles import (gauss_jordan_numpy, multiplier_settled,
-                     offline_reference, online_reference,
+from oracles import (gauss_jordan_lists, gauss_jordan_numpy,
+                     multiplier_settled, offline_reference, online_reference,
                      step_weighted_average)
 
 LN2 = np.log(2.0)
@@ -514,6 +517,65 @@ def test_newton_rerun_is_bitwise_identical():
                 == getattr(runs[1][1], field).tobytes())
 
 
+def _same_trajectory(got, want):
+    for field in ("iters", "lam", "subgrad", "rates", "power",
+                  "served_rates"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert (got.reason, got.converged, repr(got.served_power)) == (
+        want.reason, want.converged, repr(want.served_power))
+
+
+@pytest.mark.parametrize("tols", [(1e-2, 1e-9, 1e-30), (1e-30, 1e-9, 1e-2)])
+def test_newton_walk_reads_are_fresh_runs_in_either_order(monkeypatch, tols):
+    # the path does not depend on tol: each read is bitwise the fresh run at
+    # its tol, whether the walk has gone past it or must walk on (1e-30 is
+    # never served: that read ends where the walk does, "stalled" once the
+    # step rounds away), and the walk evaluates as often as the longest run
+    # alone
+    calls = []
+    evaluate = Problem.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(Problem, "evaluate", counted)
+    problem = micro_problem()
+    cfg = SolverConfig(beta=1e-3, max_iters=40, record_every=3)
+    fresh = {}
+    for tol in tols:
+        calls.clear()
+        fresh[tol] = run_offline_newton(problem, replace(cfg, tol=tol))
+        fresh[tol] += (len(calls),)
+    assert [fresh[t][1].reason for t in sorted(tols)] == [
+        "stalled", "converged", "converged"]
+    assert len({fresh[t][1].iters[-1] for t in tols}) == 3
+    calls.clear()
+    walk = solver.NewtonWalk(problem, replace(cfg, tol=0.5))
+    for tol in tols:
+        lam, traj = walk.read(tol)
+        assert lam.tobytes() == fresh[tol][0].tobytes()
+        _same_trajectory(traj, fresh[tol][1])
+    assert len(calls) == max(n for _, _, n in fresh.values())
+
+
+def test_a_dropped_walk_is_freed_without_the_collector():
+    # the walk's steps hold no reference back to it, so a walk read and
+    # dropped mid-path is freed at once: a reference cycle would keep every
+    # walk, with its path and last evaluation's tables, until the cyclic
+    # collector ran, and raised the peak memory of repeated compares
+    gc.disable()
+    try:
+        walk = solver.NewtonWalk(micro_problem(), SolverConfig(beta=1e-3))
+        walk.read(1e-2)
+        assert walk.end is None                 # suspended mid-path
+        ref = weakref.ref(walk)
+        del walk
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_newton_counts_every_evaluation_toward_max_iters(monkeypatch):
     # rejected trials count too: max_iters bounds the dual evaluations
     calls = []
@@ -642,6 +704,37 @@ def test_solve_matches_the_numpy_elimination(seed):
         b = rng.normal(size=n)
         got, want = solver._solve(a, b), gauss_jordan_numpy(a, b)
         assert got.tobytes() == want.tobytes()
+
+
+def _systems(rng, n):
+    """Random, badly scaled and singular n×n systems (integer entries with a
+    repeated row, a zero column: exact zero pivots), with finite
+    right-hand sides and with one holding a NaN."""
+    plain = rng.normal(size=(n, n))
+    scaled = plain * 10.0 ** rng.integers(-150, 150, (n, n))
+    repeated = rng.integers(-3, 4, (n, n)).astype(float)
+    repeated[-1] = repeated[0]
+    zero_col = rng.normal(size=(n, n))
+    zero_col[:, rng.integers(n)] = 0.0
+    b = rng.normal(size=n)
+    nan_b = b.copy()
+    nan_b[rng.integers(n)] = np.nan
+    for a in (plain, scaled, repeated, zero_col):
+        yield a, b
+        yield a, nan_b
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_solve_is_bitwise_the_column_stack_elimination(n):
+    # the list rows and the plain pivot loop do every operation of the
+    # column_stack and max form in its order: the same bits, NaN and ±inf
+    # in the same places, on every kind of system
+    rng = np.random.default_rng(n)
+    for _ in range(25):
+        for a, b in _systems(rng, n):
+            with np.errstate(all="ignore"):
+                got, want = solver._solve(a, b), gauss_jordan_lists(a, b)
+            assert got.tobytes() == want.tobytes(), (a, b)
 
 
 def test_solve_divides_a_zero_pivot_as_numpy_does():
