@@ -16,9 +16,8 @@ rates and reports average weighted power:
   the optimum, D ≤ P* ≤ P; it stops once P - D ≤ λ·tol and reports both.
 * RA3 — the ε-smooth policy on the configured quantizer. Like every smooth
   point here (RA2's stages, RA4, sweep rows) it is solved by damped Newton, as
-  RA1 is; those rows record ``iterations`` and ``max_abs_subgradient``. It
-  is RA2's first ε-stage read at ``tol``: when a point lists both, they read
-  one solver.NewtonWalk, so that path is walked once (solve_rows).
+  RA1 is; those rows record ``iterations`` and ``max_abs_subgradient``.
+  When a point lists RA2 too, RA3 reads RA2's first ε-stage (solve_rows).
 * RA4 — the ε-smooth policy on a random quantizer (uninformed thresholds).
 * RA5 — fixed scheduling heuristic: user m owns channels k ≡ m (mod M),
   transmits at constant power in non-outage regions (on/off power), rate
@@ -112,7 +111,7 @@ class CompareSetup:
 
 def _solver_cfg(setup: CompareSetup, **over) -> SolverConfig:
     kw = dict(beta=setup.beta, tol=setup.tol, max_iters=setup.max_iters,
-              eps=setup.eps, init=setup.init, record_every=100)
+              eps=setup.eps, init=setup.init)
     kw.update(over)
     return SolverConfig(**kw)
 
@@ -150,20 +149,30 @@ def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     return sum_rate / num_blocks, sum_power / num_blocks
 
 
-def newton_point(setup: CompareSetup, problem, walk=None) -> dict:
+def newton_point(setup: CompareSetup, problem, first=None) -> dict:
     """RA3 and RA4: damped Newton solve of ``problem``'s smooth dual (or of
-    PerfectCSI, for RA1), or, given RA2's first ε-stage ``walk``, its read
-    at ``setup.tol``; the trajectory's last row is the exact evaluation at
-    the final λ."""
-    lam, traj = (walk.read(setup.tol) if walk
-                 else run_offline_newton(problem, _solver_cfg(setup)))
-    return {"avg_power": traj.served_power, "avg_rates": traj.served_rates,
-            "converged": traj.converged, "iterations": int(traj.iters[-1]),
-            "max_abs_subgradient": float(np.max(np.abs(traj.subgrad[-1]))),
-            "lambda": lam, "method": "offline_exact"}
+    PerfectCSI, for RA1), or RA2's ``first`` ε-stage (λ, Trajectory). The
+    row is the first iterate that serves ``setup.tol``, else the last, as
+    copies: a view would keep the whole trajectory."""
+    _, traj = first or run_offline_newton(problem, _solver_cfg(setup))
+    served = (k for k, rates in enumerate(traj.rates)
+              if solver.serves_targets(rates, problem.targets, setup.tol))
+    k = next(served, -1)                # else the last, which serves none
+    return {"avg_power": float(traj.power[k]),
+            "avg_rates": traj.rates[k].copy(), "converged": k >= 0,
+            "iterations": int(traj.iters[k]),
+            "max_abs_subgradient": float(np.max(np.abs(traj.subgrad[k]))),
+            "lambda": traj.lam[k].copy(), "method": "offline_exact"}
 
 
-def ra2_point(setup: CompareSetup, problem: Problem, walk=None) -> dict:
+def _eps_stage(setup: CompareSetup, problem: Problem, **over) -> tuple:
+    """(λ, Trajectory) of one RA2 ε-stage: damped Newton from setup's start,
+    or the ``eps`` and ``init`` in ``over``, to min(tol, _TIGHT_TOL)."""
+    tight = np.minimum(setup.tol, _TIGHT_TOL)
+    return run_offline_newton(problem, _solver_cfg(setup, tol=tight, **over))
+
+
+def ra2_point(setup: CompareSetup, problem: Problem, first=None) -> dict:
     """Hard-optimal policy by ε-continuation and the tie LP.
 
     Damped Newton solves the smooth dual at ε = ``setup.eps``, ε/4, …, each
@@ -175,16 +184,13 @@ def ra2_point(setup: CompareSetup, problem: Problem, walk=None) -> dict:
     LP's (T, M) weights, serves the targets; the row reports P, D as
     ``dual_bound`` and the last ``eps``, and stops once solver.serves_targets
     holds for its rates, P and D. A stage whose Newton fails ends the run at
-    its smooth point. Given ``walk`` (solver.NewtonWalk from setup's start),
-    the first stage reads it at its tolerance.
+    its smooth point. ``first``, if given, is the first stage's (λ,
+    Trajectory), _eps_stage(setup, problem).
     """
     eps, lam = setup.eps, setup.init
-    stage_tol = np.minimum(setup.tol, _TIGHT_TOL)
     while True:
-        cfg = _solver_cfg(setup, eps=eps, init=lam, tol=stage_tol)
-        lam, traj = (walk.read(stage_tol) if walk
-                     else run_offline_newton(problem, cfg))
-        walk = None                     # later stages start at the last λ
+        lam, traj = first or _eps_stage(setup, problem, eps=eps, init=lam)
+        first = None                    # later stages start at the last λ
         # D as Problem.evaluate forms it, at Newton's finite λ ≥ 0, on the
         # tables that the tie search reads too
         tables = problem.tables(lam)
@@ -332,17 +338,18 @@ def solve_rows(rows) -> list:
     """Solve each row's problem with its scheme; every result carries the
     row's label, its linear and dB power, per-user average rates and a
     method tag. Non-convergence is reported in the result, not raised.
-    RA3 is RA2's first ε-stage read at ``tol``: where the rows list both,
-    those on one (setup, problem) share one solver.NewtonWalk."""
+    Where the rows list both RA2 and RA3, RA2's first ε-stage is solved once
+    per (setup, problem) and both rows read it: its tolerance is no looser,
+    so it runs RA3's Newton path to RA3's stop or past it."""
     both = {"RA2", "RA3"} <= {label["scheme"] for label, _, _ in rows}
-    walks, out = {}, []
+    firsts, out = {}, []
     for label, setup, problem in rows:
         name, shared = label["scheme"], {}
         if both and name in ("RA2", "RA3"):
             key = id(setup), id(problem)
-            if key not in walks:
-                walks[key] = solver.NewtonWalk(problem, _solver_cfg(setup))
-            shared["walk"] = walks[key]
+            if key not in firsts:
+                firsts[key] = _eps_stage(setup, problem)
+            shared["first"] = firsts[key]
         row = {**label, **_SCHEME_FUNCS[name](setup, problem, **shared)}
         row["power_db"] = power_db(row["avg_power"])
         out.append(row)

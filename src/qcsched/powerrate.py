@@ -149,7 +149,7 @@ _SERIES_W = 0.5
 
 
 def _truncated_exp(ctx: RegionContext):
-    """1, S_hi/S_lo, Pr/S_lo and the moments E[g | region], E[g² | region],
+    """S_hi/S_lo, Pr/S_lo and the moments E[g | region], E[g² | region],
     each from q_lo and the width w = (q_hi - q_lo)/ḡ alone.
 
     Given the region, g - q_lo is exponential with mean ḡ truncated to
@@ -168,7 +168,7 @@ def _truncated_exp(ctx: RegionContext):
     mean = np.where(small, np.polyval(_MEAN_SERIES, ws), 1.0 - ratio)
     square = np.where(small, np.polyval(_SQUARE_SERIES, ws),
                       2.0 - ratio * (wd + 2.0))
-    return (np.ones_like(w), np.exp(-w), -np.expm1(-w), lo + g * mean,
+    return (np.exp(-w), -np.expm1(-w), lo + g * mean,
             lo * lo + g * (2.0 * lo * mean + g * square))
 
 
@@ -375,10 +375,9 @@ class MaxAvgBer(PowerRate):
         return linear_cells((a - 1.0 / g) / self.kappa2)
 
 
-def _edge_sum(a) -> np.ndarray:
-    """a[0] + a[1] over the (lo, hi) edge axis of ``ErgodicCapacity._edges``:
-    the bits of ``a.sum(0)``, without the cost of a reduction."""
-    return a[0] + a[1]
+def _edge_sum(s_hi, a) -> np.ndarray:
+    """Σ S·a over the leading (lo, hi) edge axis, S = (1, -S_hi)."""
+    return a[0] - s_hi * a[1]
 
 
 @dataclass(frozen=True)
@@ -387,7 +386,7 @@ class ErgodicCapacity(PowerRate):
 
     # Υ⁻¹ and its derivatives in closed form --------------------------------
     def cell_data(self, ctx: RegionContext) -> tuple:
-        """S_lo, S_hi and Pr relative to S_lo (_truncated_exp), E[g|R],
+        """S_hi and Pr relative to S_lo (_truncated_exp), E[g|R],
         E[g²|R], q_lo, q_hi (0 where it is ∞, as S_hi = 0 there) and ḡ, from
         which ``_edges`` builds what ``_closed_form`` reads: it reads the
         survivals only over Pr."""
@@ -398,12 +397,12 @@ class ErgodicCapacity(PowerRate):
     @staticmethod
     def _edges(data: tuple, like) -> tuple:
         """What ``_closed_form`` reads but the power, built once per call on
-        the cells of ``cell_data`` broadcast against ``like``: (S_lo, -S_hi)
-        and (q_lo, q_hi) stacked on a leading edge axis, q/ḡ, ḡ, Pr·ln2,
-        E[g|R] and E[g²|R]."""
-        s_lo, s_hi, pr, m1, m2, lo, hi, g, _ = np.broadcast_arrays(*data, like)
+        the cells of ``cell_data`` broadcast against ``like``: S_hi,
+        (q_lo, q_hi) stacked on a leading edge axis, q/ḡ, ḡ, Pr·ln2, E[g|R]
+        and E[g²|R]."""
+        s_hi, pr, m1, m2, lo, hi, g, _ = np.broadcast_arrays(*data, like)
         q = np.stack([lo, hi])
-        return np.stack([s_lo, -s_hi]), q, q / g, g, pr * _LN2, m1, m2
+        return s_hi, q, q / g, g, pr * _LN2, m1, m2
 
     def rate_and_derivative(self, data: tuple, power) -> tuple:
         y = _nonneg(power, "power")
@@ -412,7 +411,7 @@ class ErgodicCapacity(PowerRate):
     def _closed_form(self, edges: tuple, y) -> tuple:
         """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' on the cells of ``_edges`` from one
         exp12_scaled call. With e = e^t·E1(t), G = e^t·E2(t), u = 1/(yḡ) and
-        S = (S_lo, -S_hi) summed over the edges, (Υ⁻¹)' = Σ S·(G + q·e/ḡ)/
+        S = (1, -S_hi) summed over the edges, (Υ⁻¹)' = Σ S·(G + q·e/ḡ)/
         (Pr·ln2·y) does not cancel as y → 0; e' = -G/t and G' = G - e give
         (Υ⁻¹)'', which cancels like 1e-16/(y·E[g|R])²: below y·E[g|R] = 1e-5
         it is its y = 0 value -E[g²|R]/ln2, within 3e-5 relative, ample for
@@ -420,16 +419,16 @@ class ErgodicCapacity(PowerRate):
         noise over y² can overflow. Below y·E[g|R] = 1e-300, where u
         overflows for subnormal y, Υ⁻¹ and (Υ⁻¹)' are their first-order
         limits y·E[g|R]/ln2 and E[g|R]/ln2."""
-        sv, q, qg, g, prl, m1, m2 = edges
+        s_hi, q, qg, g, prl, m1, m2 = edges
         ym1 = y * m1
         tiny, small = ym1 < 1e-300, ym1 < 1e-5
         ys = np.where(tiny, 1.0, y)                    # dummy where tiny
         u = 1.0 / (ys * g)
         t = qg + u
         e, big_g = exp12_scaled(t)
-        rate = _edge_sum(sv * (np.log1p(ys * q) + e)) / prl
-        deriv = _edge_sum(sv * (big_g + qg * e)) / (prl * ys)
-        curv = -(deriv + u * _edge_sum(sv * (big_g * u / t - e))
+        rate = _edge_sum(s_hi, np.log1p(ys * q) + e) / prl
+        deriv = _edge_sum(s_hi, big_g + qg * e) / (prl * ys)
+        curv = -(deriv + u * _edge_sum(s_hi, big_g * u / t - e)
                  / (prl * ys)) / np.where(small, 1.0, ys)
         return (np.where(tiny, ym1 / _LN2, rate),
                 np.where(tiny, m1 / _LN2, deriv),
@@ -482,7 +481,7 @@ class ErgodicCapacity(PowerRate):
         ln2·(1 + y·m1)/m1 - slope and ln2·(1 + y·m2/m1)/m1 - slope, equal
         for a point-mass gain: Newton from y_hi lands almost on the root."""
         *cells, t = np.broadcast_arrays(*data, _nonneg(slope, "slope"))
-        active = t > _LN2 / cells[3]
+        active = t > _LN2 / cells[2]
         c, t = tuple(a[active] for a in cells), t[active]
         edges = self._edges(c, t)
         m1, m2 = edges[5:]

@@ -11,10 +11,7 @@ FloatingPointError instead of warning. The offline loops call
 the per-mode core behind Problem.evaluate (dual.Problem, re-exported here),
 serve_smooth or serve_hard, on the data the Problem built once: its class
 tables, region probabilities, μ in the tables' shape and the hard rule's
-cell weights. Damped Newton evaluates through the checked Problem.evaluate:
-a NewtonWalk keeps one start's path, which does not depend on tol, and reads
-it at any tol (RA3 is RA2's first ε-stage read at a looser one);
-run_offline_newton reads a fresh walk.
+cell weights. Damped Newton evaluates through the checked Problem.evaluate.
 The smooth offline iteration takes constant steps (or damped Newton
 steps on its analytic Jacobian) on the smooth policy's exact rate deficit
 g = ř - r̄, which is not a gradient: its fixed point r̄ = ř, what
@@ -242,7 +239,7 @@ def _solve(a, b):
     return np.array([r[-1] for r in ab])
 
 
-class NewtonWalk:
+def run_offline_newton(problem: Problem, cfg: SolverConfig):
     """Damped Newton ascent on the smooth dual: λ ← [λ + (νI - J)⁻¹·g]⁺, with
     J the accepted evaluation's ``jacobian()``; ν alone damps the step.
     ``problem`` may be any evaluator with a Problem's ``num_users``,
@@ -254,57 +251,22 @@ class NewtonWalk:
     run_offline_smooth's. A projected trial equal to λ (a step that ν or
     λ's rounding absorbs) would repeat λ, and one that is not finite (a
     singular νI - J, or a NaN g at λ⁽⁰⁾) cannot be evaluated: either
-    stops the walk, "stalled"; every evaluation counts toward
-    ``max_iters``, and the walk ends "max_iters" there. A walk keeps the
-    accepted (λ, g, rates, power) of its start in ``path``, and ``read(tol)``
-    walks on only while none of them serves ``tol``: the path does not
-    depend on it."""
-
-    def __init__(self, problem, cfg: SolverConfig):
-        init, _, _ = _start(problem, cfg)
-        self.problem, self.every = problem, cfg.record_every
-        self.path, self.end = [], None
-        self._steps = _newton_steps(problem, cfg, init, self.path)
-
-    def _walk_on(self) -> bool:
-        """Walks to the next accepted iterate; False, with ``end`` set to
-        why the walk stopped, if there is none."""
-        self.end = next(self._steps)
-        return self.end is None
-
-    def read(self, tol):
-        """(λ, Trajectory) at ``tol``, scalar or length M: the first accepted
-        iterate that serves it, "converged", else the walk's last one and
-        why it stopped. The trajectory indexes accepted steps."""
-        targets, k = self.problem.targets, 0
-        tol = _per_user(tol, self.problem.num_users)
-        while k < len(self.path) or self.end is None and self._walk_on():
-            if serves_targets(self.path[k][2], targets, tol):
-                break
-            k += 1
-        reason = "converged" if k < len(self.path) else self.end
-        k = min(k, len(self.path) - 1)
-        rec = _Recorder(self.every)
-        for i, row in enumerate(self.path[:k + 1]):
-            rec.add(i, *row, force=i == k)
-        return self.path[k][0], rec.build(reason, targets, tol)
-
-
-def _newton_steps(problem, cfg: SolverConfig, trial, path: list):
-    """NewtonWalk's steps from λ⁽⁰⁾ = ``trial``: appends each accepted
-    iterate (λ, g, rates, power) to ``path`` and yields None after it, then
-    yields why it stopped. It holds no reference to the walk, so a dropped
-    walk is freed at once, not left in a cycle for the garbage collector."""
-    M, nu, best = problem.num_users, 4.0 / cfg.beta, np.inf
+    stops the run, "stalled".
+    Returns (λ, Trajectory); every evaluation counts toward ``max_iters``,
+    and the trajectory indexes accepted steps."""
+    lam, tol, rec = _start(problem, cfg)
+    trial, M = lam, problem.num_users
+    nu, i, best = 4.0 / cfg.beta, -1, np.inf            # λ⁽⁰⁾: ν = 1/β
     reason = "max_iters"
-    for _ in range(cfg.max_iters):                      # λ⁽⁰⁾: ν = 1/β
+    for _ in range(cfg.max_iters):
         ev = problem.evaluate(trial, "smooth", cfg.eps)
         norm = np.linalg.norm(ev.subgradient)
-        if norm <= best or not path:        # λ⁽⁰⁾ always is, even at NaN
-            lam, kept, best, nu = trial, ev, norm, nu / 4.0
-            path.append((lam, ev.subgradient, ev.per_user_avg_rate,
-                         ev.avg_power))
-            yield None
+        if norm <= best or i < 0:           # λ⁽⁰⁾ always is, even at NaN
+            lam, kept, best, i, nu = trial, ev, norm, i + 1, nu / 4.0
+            rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power)
+            if serves_targets(ev.per_user_avg_rate, problem.targets, tol):
+                reason = "converged"
+                break
             jac = ev.jacobian()
         else:
             nu *= 4.0
@@ -313,12 +275,9 @@ def _newton_steps(problem, cfg: SolverConfig, trial, path: list):
         if not np.isfinite(trial).all() or np.array_equal(trial, lam):
             reason = "stalled"
             break
-    yield reason
-
-
-def run_offline_newton(problem: Problem, cfg: SolverConfig):
-    """(λ, Trajectory): NewtonWalk(problem, cfg).read(cfg.tol), a new walk."""
-    return NewtonWalk(problem, cfg).read(cfg.tol)
+    rec.add(i, lam, kept.subgradient, kept.per_user_avg_rate, kept.avg_power,
+            force=True)
+    return lam, rec.build(reason, problem.targets, tol)
 
 
 @_stepping

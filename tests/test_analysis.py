@@ -806,6 +806,52 @@ def test_ra3_reads_an_unconverged_first_stage_as_it_solves_alone():
             same_row(row, solo[row["scheme"]])
 
 
+@pytest.mark.parametrize("tol, reason", [
+    (1e-2, "converged"), (1e-9, "converged"), (1e-30, "stalled")])
+def test_ra3_reads_the_first_stage_at_its_tol_as_it_solves_alone(
+        tol, reason, monkeypatch):
+    # RA2's first ε-stage solves to min(tol, 2.5e-10): RA3 stops rows before
+    # its end at tol = 1e-2 and at its last row at 1e-9, and at 1e-30, which
+    # no iterate serves, both end where the step rounds away, "stalled".
+    # Listed together, in either order, each row is bitwise its solo row and
+    # the pair evaluates as often as RA2 alone
+    calls = []
+
+    def evaluate(self, *args, checked=Problem.evaluate, **kwargs):
+        calls.append(1)
+        return checked(self, *args, **kwargs)
+
+    monkeypatch.setattr(Problem, "evaluate", evaluate)
+    setup = micro_setup(tol=tol)
+    (_, _, problem), = compare_rows(setup, ("RA3",))
+    _, stage = analysis._eps_stage(setup, problem)
+    assert stage.reason == reason
+    solo, counts = {}, {}
+    for name in ("RA2", "RA3"):
+        calls.clear()
+        solo[name] = point(setup, name)
+        counts[name] = len(calls)
+    assert solo["RA3"]["converged"] == (reason == "converged")
+    assert (solo["RA3"]["iterations"] < stage.iters[-1]) == (tol == 1e-2)
+    for schemes in (("RA2", "RA3"), ("RA3", "RA2")):
+        calls.clear()
+        for row in compare_schemes(setup, schemes):
+            same_row(row, solo[row["scheme"]])
+        assert len(calls) == counts["RA2"]
+
+
+def test_newton_rows_own_their_arrays():
+    # a row read from a trajectory copies its λ and rates: a view would keep
+    # the whole stacked trajectory alive as long as the row
+    setup = micro_setup()
+    rows = (compare_schemes(setup, ("RA1", "RA2", "RA3", "RA4"))
+            + compare_schemes(setup, ("RA3", "RA4", "RA1"))
+            + sweep_regions(setup, [2, 4]))
+    for row in (row for row in rows if row["scheme"] != "RA2"):
+        assert row["lambda"].base is None, row["scheme"]
+        assert row["avg_rates"].base is None, row["scheme"]
+
+
 def test_ra2_and_ra3_together_evaluate_as_often_as_ra2_alone(monkeypatch):
     # RA3's walk is a prefix of RA2's first ε-stage: listing RA3 beside RA2
     # adds no dual evaluation, whichever row comes first

@@ -101,10 +101,10 @@ def test_region_moments_and_quantile_match_a_decimal_reference(g, lo, w,
     hi = lo + g * w
     assume(lo < hi)
     ctx = RegionContext(q_lo=lo, q_hi=hi, mean_gain=g)
-    one, ratio, pr, m1, m2 = powerrate._truncated_exp(ctx)
+    ratio, pr, m1, m2 = powerrate._truncated_exp(ctx)
     gd = delta_outage_gain(ctx, delta)
     want = _decimal_region(lo, hi, g, delta)
-    assert one == 1.0 and abs(ratio + pr - 1.0) <= 2.3e-16
+    assert abs(ratio + pr - 1.0) <= 2.3e-16
     assert lo <= m1 <= hi and lo * lo <= m2 <= hi * hi and lo <= gd <= hi
     for got, ref, rtol in zip((pr, m1, m2, gd), want,
                               (1e-15, 3e-15, 3e-14, 3e-15)):
@@ -271,7 +271,7 @@ def test_ergodic_power_roundtrip():
 def test_ergodic_inv_marginal_consistency():
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.3, q_hi=1.8, mean_gain=0.9)
-    zero_slope = float(LN2 / model.cell_data(ctx)[3])
+    zero_slope = float(LN2 / model.cell_data(ctx)[2])
     assert inv_marginal(model, ctx, 0.5 * zero_slope) == 0.0
     for t in (1.5 * zero_slope, 4.0 * zero_slope):
         r = float(inv_marginal(model, ctx, t))
@@ -405,7 +405,7 @@ def test_perfect_csi_scale_is_the_shrinking_region_limit(model, g):
     for w in (1e-2, 1e-4, 1e-6):
         ctx = RegionContext(q_lo=g, q_hi=g * (1.0 + w), mean_gain=1.3)
         if isinstance(model, ErgodicCapacity):
-            limit = g * (LN2 / model.cell_data(ctx)[3]) / LN2
+            limit = g * (LN2 / model.cell_data(ctx)[2]) / LN2
         else:
             limit = g * model.cell_data(ctx)[0]
         assert abs(limit / s - 1.0) <= w, (w, limit, s)
@@ -559,7 +559,7 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
                         np.full(n, g))
     close = lambda want: pytest.approx(want, rel=1e-10)
     erg = ErgodicCapacity()
-    slope = LN2 / erg.cell_data(ctx)[3] * (1.0 + 10.0 ** np.array(log_excess))
+    slope = LN2 / erg.cell_data(ctx)[2] * (1.0 + 10.0 ** np.array(log_excess))
     # the marginal inverse: (Υ⁻¹)'(y*) = 1/slope, clipped at the cap
     edges = erg._edges(erg.cell_data(ctx), slope)
     y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(edges, y)[1],
@@ -608,10 +608,10 @@ def test_jensen_brackets_hold_the_roots(g, lo, width, log_excess, rate):
                         np.full(n, g))
     erg = ErgodicCapacity()
     data = erg.cell_data(ctx)
-    m1, m2 = data[3], data[4]
+    m1, m2 = data[2], data[3]
     rho = m1 * m1 / m2
     slack = lambda root: powerrate.ROOT_TOL * (1.0 + root)
-    slope = LN2 / erg.cell_data(ctx)[3] * (1.0 + 10.0 ** np.array(log_excess))
+    slope = LN2 / erg.cell_data(ctx)[2] * (1.0 + 10.0 ** np.array(log_excess))
     edges = erg._edges(data, slope)
     y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(edges, y)[1],
                     0.0, 1.0)
@@ -631,7 +631,7 @@ def test_ergodic_closed_form_at_subnormal_powers():
     # Υ⁻¹ and (Υ⁻¹)' are their first-order limits y·m1/ln2 and m1/ln2
     erg = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.0, q_hi=2.0, mean_gain=1.0)
-    m1 = float(erg.cell_data(ctx)[3])
+    m1 = float(erg.cell_data(ctx)[2])
     y = 1e-310
     assert abs(erg.rate_of_power(erg.cell_data(ctx), y)
                - y * m1 / LN2) <= 1e-15 * y * m1

@@ -1,10 +1,7 @@
 """Multiplier iterations: scalar oracles, trajectories, online determinism."""
 
-import gc
 import io
 import warnings
-import weakref
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -515,65 +512,6 @@ def test_newton_rerun_is_bitwise_identical():
     for field in ("iters", "lam", "subgrad", "rates", "power"):
         assert (getattr(runs[0][1], field).tobytes()
                 == getattr(runs[1][1], field).tobytes())
-
-
-def _same_trajectory(got, want):
-    for field in ("iters", "lam", "subgrad", "rates", "power",
-                  "served_rates"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-    assert (got.reason, got.converged, repr(got.served_power)) == (
-        want.reason, want.converged, repr(want.served_power))
-
-
-@pytest.mark.parametrize("tols", [(1e-2, 1e-9, 1e-30), (1e-30, 1e-9, 1e-2)])
-def test_newton_walk_reads_are_fresh_runs_in_either_order(monkeypatch, tols):
-    # the path does not depend on tol: each read is bitwise the fresh run at
-    # its tol, whether the walk has gone past it or must walk on (1e-30 is
-    # never served: that read ends where the walk does, "stalled" once the
-    # step rounds away), and the walk evaluates as often as the longest run
-    # alone
-    calls = []
-    evaluate = Problem.evaluate
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(Problem, "evaluate", counted)
-    problem = micro_problem()
-    cfg = SolverConfig(beta=1e-3, max_iters=40, record_every=3)
-    fresh = {}
-    for tol in tols:
-        calls.clear()
-        fresh[tol] = run_offline_newton(problem, replace(cfg, tol=tol))
-        fresh[tol] += (len(calls),)
-    assert [fresh[t][1].reason for t in sorted(tols)] == [
-        "stalled", "converged", "converged"]
-    assert len({fresh[t][1].iters[-1] for t in tols}) == 3
-    calls.clear()
-    walk = solver.NewtonWalk(problem, replace(cfg, tol=0.5))
-    for tol in tols:
-        lam, traj = walk.read(tol)
-        assert lam.tobytes() == fresh[tol][0].tobytes()
-        _same_trajectory(traj, fresh[tol][1])
-    assert len(calls) == max(n for _, _, n in fresh.values())
-
-
-def test_a_dropped_walk_is_freed_without_the_collector():
-    # the walk's steps hold no reference back to it, so a walk read and
-    # dropped mid-path is freed at once: a reference cycle would keep every
-    # walk, with its path and last evaluation's tables, until the cyclic
-    # collector ran, and raised the peak memory of repeated compares
-    gc.disable()
-    try:
-        walk = solver.NewtonWalk(micro_problem(), SolverConfig(beta=1e-3))
-        walk.read(1e-2)
-        assert walk.end is None                 # suspended mid-path
-        ref = weakref.ref(walk)
-        del walk
-        assert ref() is None
-    finally:
-        gc.enable()
 
 
 def test_newton_counts_every_evaluation_toward_max_iters(monkeypatch):
