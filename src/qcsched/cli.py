@@ -44,8 +44,10 @@ ends with its row, ``regions`` = inf.
 Artifacts: every mode writes `summary.json`, with a solver mode's final
 multipliers, `reason` (why the loop stopped) and the rates and power the run
 serves (its last iterate; the non-smooth baseline's step-weighted average
-over the second half of `max_iters`; the final online sample average), or a
-row mode's rows; `converged` is solver.serves_targets on each. Solver modes
+over iterates [n/2, n) of the check n that certified it, else over the
+second half of `max_iters`, and the best hard dual value it saw as
+``dual_bound``; the final online sample average), or a row mode's rows;
+`converged` is solver.serves_targets on each. Solver modes
 add `trajectory.csv` (`iter,lambda_1..M,subgrad_1..M,rate_1..M,power`; online
 rate columns are running sample means); compare adds `compare.csv`
 (`scheme,snr_db,avg_power_db,avg_rate_1..M`); sweep_regions adds `sweep.csv`.
@@ -458,15 +460,17 @@ def _run_solver_mode(rc: dict, problem: Problem, cfg: SolverConfig,
 
     with open(outdir / "trajectory.csv", "w", newline="\n") as fh:
         traj.write_csv(fh)
-    # the non-smooth baseline serves the hard rule, which reads no ε
-    smooth = {} if mode == "offline_nonsmooth" else {
-        "eps": cfg.eps, "eps_prime": problem.grid.num_channels * cfg.eps}
+    # the non-smooth baseline serves the hard rule, which reads no ε, and is
+    # certified against its best hard dual value
+    by_mode = ({"dual_bound": traj.dual_bound} if mode == "offline_nonsmooth"
+               else {"eps": cfg.eps,
+                     "eps_prime": problem.grid.num_channels * cfg.eps})
     _write_summary(outdir, {
         "mode": mode, "converged": traj.converged, "reason": traj.reason,
         "final_lambda": final_lambda, "avg_rates": traj.served_rates,
         "avg_power": traj.served_power,
         "avg_power_db": power_db(traj.served_power),
-        "targets": problem.targets, **smooth,
+        "targets": problem.targets, **by_mode,
         "iterations": int(traj.iters[-1]) + 1, "wall_time_s": wall})
     return EXIT_OK if traj.converged else EXIT_NOT_CONVERGED
 

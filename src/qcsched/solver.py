@@ -20,7 +20,9 @@ largest. The non-smooth baseline uses the hard subgradient with a
 diminishing schedule β_i = κ·i^{-0.51} (square-summable but not summable);
 the online iteration replaces the ensemble subgradient with the per-block
 estimate computed from the realized Q-CSI only — it never touches Pr{J}.
-serves_targets, the one convergence verdict, judges what each result serves.
+serves_targets, the one convergence verdict, judges what each result serves;
+the non-smooth baseline is judged on a step-weighted average against the
+best hard dual value it has seen (its certificate, every CHECK iterates).
 ``progress``, where a solver takes it, is called as progress(i, λ,
 subgradient) at each iterate or block.
 """
@@ -40,6 +42,9 @@ from .quantizer import quantize
 # (M, K) cells sampled and quantized at once online, about 2¹⁵: a chunk's
 # float arrays stay near 256 kB, in cache
 ONLINE_CHUNK = 2 ** 15
+
+# iterates between the non-smooth baseline's certificate checks
+CHECK = 1000
 
 
 def _chunk_blocks(num_users: int, num_channels: int) -> int:
@@ -84,7 +89,9 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     """Recorded iterates: λ, subgradient, per-user rates, weighted power;
-    why the loop stopped, what the run serves and serves_targets on it."""
+    why the loop stopped, what the run serves and serves_targets on it,
+    against ``dual_bound``, the hard dual bound it was certified by (the
+    non-smooth baseline's; None for the other loops)."""
 
     iters: np.ndarray
     lam: np.ndarray
@@ -95,6 +102,7 @@ class Trajectory:
     converged: bool = False
     served_rates: np.ndarray | None = None
     served_power: float | None = None
+    dual_bound: float | None = None
 
     def write_csv(self, fh) -> None:
         """CSV rows `iter,lambda_*,subgrad_*,rate_*,power` (write_csv)."""
@@ -135,13 +143,16 @@ class _Recorder:
                               float(power)))
             self.last_iter = i
 
-    def build(self, reason: str, targets, tol, served=None) -> Trajectory:
+    def build(self, reason: str, targets, tol, served=None,
+              dual_bound=None) -> Trajectory:
         # every solver records its first iterate, so rows is never empty
         iters, lam, sg, rates, power = zip(*self.rows)
         r, p = served or (rates[-1], power[-1])
         return Trajectory(np.array(iters), np.stack(lam), np.stack(sg),
                           np.stack(rates), np.array(power), reason,
-                          serves_targets(r, targets, tol), r, float(p))
+                          serves_targets(r, targets, tol, p, dual_bound,
+                                         lam[-1]),
+                          r, float(p), dual_bound)
 
 
 def serves_targets(rates, targets, tol, power=None, dual_bound=None,
@@ -170,11 +181,13 @@ def _start(problem, cfg: SolverConfig) -> tuple:
             _Recorder(cfg.record_every))
 
 
-def _ascend(lam: np.ndarray, step: float, g: np.ndarray) -> np.ndarray:
-    """[λ + step·g]⁺, every loop's constant or diminishing step. λ⁽⁰⁾ is
-    finite and ≥ 0 and the projection keeps λ ≥ 0; under _stepping a step
-    that overflows raises here, before any evaluation at it."""
-    return np.maximum(0.0, lam + step * g)
+def _ascend(lam: np.ndarray, step: float, g: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """[λ + step·g]⁺, every loop's constant or diminishing step, in ``out``
+    if given. λ⁽⁰⁾ is finite and ≥ 0 and the projection keeps λ ≥ 0; under
+    _stepping a step that overflows raises here, before any evaluation at
+    it."""
+    return np.maximum(0.0, lam + step * g, out=out)
 
 
 def _stepping(loop):
@@ -286,35 +299,64 @@ def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
 
     The multipliers settle but the hard primal allocation generally keeps
     hovering (winner flips near ties), which is the behavior this baseline
-    exists to demonstrate; unless the stop rule fires, the run serves the
-    ergodic average (Larsson, Patriksson & Strömberg 1999) of the iterates
-    i ≥ max_iters // 2, weighted by their steps, kept as running sums of
-    numpy floats, so that under _stepping a sum that overflows raises. Each
-    iterate runs Problem.serve_hard, the core behind Problem.evaluate, and
-    steps as run_offline_smooth does. Returns the Trajectory only.
+    exists to demonstrate, so the run serves an ergodic average (Larsson,
+    Patriksson & Strömberg 1999) of its iterates, weighted by their steps.
+    At each multiple n of CHECK below max_iters it serves the average of
+    the iterates [n/2, n) and stops, "converged", once serves_targets
+    certifies it against the best hard dual value D = λ_i·ř + c_i over
+    every iterate so far (c_i the served cost serve_hard returns) and
+    λ_{n-1}; else it runs to max_iters and serves the average of the
+    iterates i ≥ max_iters // 2, "max_iters", with the same certificate.
+    Window averages are differences of running sums of numpy floats, kept
+    from iterate min(CHECK // 2, max_iters // 2), so that under _stepping
+    a sum that overflows raises. Each iterate runs Problem.serve_hard, the
+    core behind Problem.evaluate, and steps as run_offline_smooth does,
+    but into the next row of a buffer of CHECK λ rows, from which, with the
+    c_i, each check reduces every D at once: no λ is copied or kept alive
+    per iterate. So the λ that ``progress`` sees is a row the loop
+    overwrites CHECK iterates later. Returns the Trajectory only, whose
+    ``dual_bound`` is that best D.
     """
     lam, tol, rec = _start(problem, cfg)
     targets, last = problem.targets, cfg.max_iters - 1
     half, kappa = cfg.max_iters // 2, np.float64(cfg.kappa)
+    first = min(CHECK // 2, half)
+    # running sums of step, step·rate and step·power from iterate first,
+    # and their values where a window starts: each n/2 and half
     weight, rate_sum, power_sum = 0.0, np.zeros_like(lam), 0.0
+    # λ_i of the iterates since the last check, row by row, and their c_i
+    lams, costs, starts, best = np.empty((CHECK, len(lam))), [], {}, -np.inf
+    lams[0] = lam
+    lam = lams[0]
     for i in range(cfg.max_iters):
-        rate, _, power = problem.serve_hard(lam)
+        rate, cost, power = problem.serve_hard(lam)
         g = targets - rate
-        done = serves_targets(rate, targets, tol)
-        rec.add(i, lam, g, rate, power, force=done or i == last)
-        if progress is not None:
-            progress(i, lam, g)
+        costs.append(cost)
         step = kappa * (i + 1) ** (-0.51)
-        if i >= half:
+        if i >= first:
+            if i % (CHECK // 2) == 0 or i == half:
+                starts[i] = weight, rate_sum.copy(), power_sum
             weight += step
             rate_sum += step * rate
             power_sum += step * power
+        done = False
+        if len(costs) == CHECK or i == last:
+            best = max(best, float(((lams[:len(costs)] * targets).sum(axis=1)
+                                    + costs).max()))
+            costs.clear()
+            w0, r0, p0 = starts[half if i == last else (i + 1) // 2]
+            served = ((rate_sum - r0) / (weight - w0),
+                      (power_sum - p0) / (weight - w0))
+            done = i < last and serves_targets(served[0], targets, tol,
+                                               served[1], best, lam)
+        rec.add(i, lam, g, rate, power, force=done or i == last)
+        if progress is not None:
+            progress(i, lam, g)
         if done or i == last:
             break
-        lam = _ascend(lam, step, g)
-    served = None if done else (rate_sum / weight, power_sum / weight)
+        lam = _ascend(lam, step, g, lams[len(costs)])
     return rec.build("converged" if done else "max_iters", targets, tol,
-                     served)
+                     served, best)
 
 
 @dataclass

@@ -792,34 +792,97 @@ def offline_reference(problem, cfg, mode: str, progress=None):
     """solver.run_offline_smooth (mode "smooth") and the loop of
     run_offline_nonsmooth ("hard") as one loop on the checked
     Problem.evaluate: λ is checked, a DualEvaluation built and the mode
-    branched on at every iterate. Returns (λ, Trajectory)."""
+    branched on at every iterate. The hard loop keeps every iterate's step,
+    rates and power and, at each multiple n of solver.CHECK below
+    max_iters, sums the window [n/2, n) directly and stops once that
+    average is certified against the largest evaluate(λ_i, "hard").value
+    so far; at max_iters it serves [max_iters // 2, max_iters).
+    Returns (λ, Trajectory)."""
     problem.check_targets()
     M = problem.num_users
     lam = solver._per_user(cfg.init, M)
     tol = solver._per_user(cfg.tol, M)
     rec = solver._Recorder(cfg.record_every)
-    weight, rate_sum, power_sum = 0.0, np.zeros(M), 0.0
+    history, best, served = [], -np.inf, None
     for i in range(cfg.max_iters):
         ev = problem.evaluate(lam, mode, cfg.eps)
-        done = solver.serves_targets(ev.per_user_avg_rate, problem.targets,
-                                     tol)
         last = i == cfg.max_iters - 1
+        step = cfg.beta if mode == "smooth" else cfg.kappa * (i + 1) ** (-0.51)
+        if mode == "smooth":
+            done = solver.serves_targets(ev.per_user_avg_rate,
+                                         problem.targets, tol)
+        else:
+            history.append((step, ev.per_user_avg_rate, ev.avg_power))
+            best = max(best, ev.value)
+            done = False
+            if (i + 1) % solver.CHECK == 0 or last:
+                lo = cfg.max_iters // 2 if last else (i + 1) // 2
+                served = _window_average(history[lo:])
+                done = not last and solver.serves_targets(
+                    served[0], problem.targets, tol, served[1], best, lam)
         rec.add(i, lam, ev.subgradient, ev.per_user_avg_rate, ev.avg_power,
                 force=done or last)
         if progress is not None:
             progress(i, lam, ev.subgradient)
-        step = cfg.beta if mode == "smooth" else cfg.kappa * (i + 1) ** (-0.51)
-        if mode == "hard" and i >= cfg.max_iters // 2:
-            weight += step
-            rate_sum += step * ev.per_user_avg_rate
-            power_sum += step * ev.avg_power
         if done or last:
             break
         lam = np.maximum(0.0, lam + step * ev.subgradient)
-    served = None if done or not weight else (rate_sum / weight,
-                                              power_sum / weight)
-    return lam, rec.build("converged" if done else "max_iters",
-                          problem.targets, tol, served)
+    reason = "converged" if done else "max_iters"
+    if mode == "smooth":
+        return lam, rec.build(reason, problem.targets, tol)
+    return lam, rec.build(reason, problem.targets, tol, served, best)
+
+
+def _window_average(window) -> tuple:
+    """(rates, power) of [(step, rates, power), ...] weighted by the steps,
+    summed in order."""
+    weight, rate_sum, power_sum = 0.0, 0.0, 0.0
+    for step, rate, power in window:
+        weight += step
+        rate_sum += step * rate
+        power_sum += step * power
+    return rate_sum / weight, power_sum / weight
+
+
+# --- the paper's primal, as an LP on a rate grid -------------------------------
+
+def primal_lp(problem, J: int) -> float:
+    """P_LP(J), the paper's primal written with no λ anywhere: the least
+    weighted power Σ μ_m·π·Υ(r_j)·y over shares y[m, (k, col), j] ≥ 0 that
+    user m gets of channel k's column col at rate r_j = rate_cap·j/J,
+    subject to Σ_{m,j} y ≤ 1 per column and Σ π·r_j·y ≥ ř_m per user; an
+    outage cell gets no variable. Columns are enumerate_columns' on each
+    channel, π column_prob's and Υ the family's power_of_rate on each
+    cell's region. Υ is convex, so the LP, which interpolates Υ linearly
+    between grid rates, bounds P* from above: P* ≤ P_LP(J). Solved by
+    scipy's HiGHS."""
+    from scipy.optimize import linprog
+    grid, model = problem.grid, problem.model
+    M, K, L = grid.num_users, grid.num_channels, grid.regions_per_channel
+    rates = problem.rate_cap * np.arange(1, J + 1) / J
+    data = model.cell_data(region_contexts(grid))
+    outage = model.is_outage(data)
+    upsilon = model.power_of_rate(tuple(a[..., None] for a in data), rates)
+    columns = [(k, col) for k in range(K) for col in enumerate_columns(M, L)]
+    blocks = []                 # (column, user, π, cell) per live cell
+    for c, (k, col) in enumerate(columns):
+        prob = column_prob(grid, k, col)
+        blocks += [(c, m, prob, (m, k, col[m] - 1)) for m in range(M)
+                   if not outage[m, k, col[m] - 1]]
+    # one block of J variables per live cell, one budget row per column,
+    # then one rate row per user
+    cost = np.empty(len(blocks) * J)
+    a_ub = np.zeros((len(columns) + M, len(blocks) * J))
+    for b, (c, m, prob, cell) in enumerate(blocks):
+        span = slice(b * J, (b + 1) * J)
+        cost[span] = problem.mu[m] * prob * upsilon[cell]
+        a_ub[c, span] = 1.0
+        a_ub[len(columns) + m, span] = -prob * rates
+    b_ub = np.concatenate([np.ones(len(columns)), -problem.targets])
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 # --- solver verdicts ------------------------------------------------------------
@@ -827,10 +890,11 @@ def offline_reference(problem, cfg, mode: str, progress=None):
 def multiplier_settled(traj) -> bool:
     """Whether the multiplier trace stopped moving.
 
-    The hard-dual baseline hovers in the primal forever, so its subgradient
-    stop rule never fires; dual convergence is instead judged on the trace:
-    per user, the λ spread over the trailing 10% of the iteration range,
-    relative to the mean |λ| there, must stay below 1%.
+    The hard-dual baseline hovers in the primal forever, so no iterate
+    serves the targets and the run is judged on a step-weighted average
+    (solver.run_offline_nonsmooth); dual convergence is judged on the
+    trace: per user, the λ spread over the trailing 10% of the iteration
+    range, relative to the mean |λ| there, must stay below 1%.
     """
     if len(traj.iters) == 0:
         return False

@@ -23,7 +23,8 @@ from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
 from qcsched.solver import (Problem, SolverConfig, run_offline_nonsmooth,
                             run_offline_smooth, run_online)
 
-from oracles import cluster_audit, ra5_bisection, realize_probabilistic_access
+from oracles import (cluster_audit, primal_lp, ra5_bisection,
+                     realize_probabilistic_access)
 
 MODEL = OutageCapacity(outage_delta=0.0)
 
@@ -546,6 +547,41 @@ def test_converged_rows_meet_their_targets():
         miss = np.max(np.abs(traj.served_rates - problem.targets))
         assert traj.converged == (miss < cfg.tol), (traj.reason, miss)
     assert [traj.converged for traj in results] == [True, True, False]
+
+
+# --- the paper's primal as an LP ---------------------------------------------------------
+# one micro instance per family (M=2, K=2 with distinct mean gains, L=3),
+# plus outage at δ = 0.3, whose first region is not an outage region
+
+LP_FAMILIES = {
+    "outage": OutageCapacity(outage_delta=0.0),
+    "outage_delta_0.3": OutageCapacity(outage_delta=0.3),
+    "inst_ber": MaxInstBer(kappa1=0.2, kappa2=1.5, eps_max=0.01),
+    "avg_ber": MaxAvgBer(kappa1=0.2, kappa2=1.5, eps_avg=0.01),
+    "ergodic": ErgodicCapacity(),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LP_FAMILIES))
+def test_the_primal_lp_bounds_every_dual_value_and_ra2(family):
+    # P_LP(J) ≥ P* (oracles.primal_lp) and weak duality gives D(λ) ≤ P* at
+    # every λ ≥ 0: RA2's λ̂ and each iterate of a certified non-smooth run.
+    # RA2 serves its targets with P ≤ D(λ̂) + λ̂·tol, so P ≤ P_LP + λ̂·tol
+    fading = FadingModel(np.array([[1.5, 3.0], [2.5, 1.0]]), seed=0)
+    setup = CompareSetup(fading=fading, regions=3, model=LP_FAMILIES[family],
+                         mu=np.array([1.0, 1.5]), targets=np.array([0.8, 1.0]))
+    problem = Problem(build_equiprobable(fading, 3), setup.model, setup.mu,
+                      setup.targets)
+    p_lp = primal_lp(problem, 200)
+    row = analysis.ra2_point(setup, problem)
+    lam = row["lambda"]
+    assert row["converged"]
+    assert problem.evaluate(lam, "hard").value <= p_lp
+    assert row["avg_power"] <= p_lp + float(lam @ np.full(2, setup.tol))
+    traj = run_offline_nonsmooth(problem, SolverConfig(
+        kappa=1.0, tol=setup.tol, max_iters=400, record_every=400))
+    assert traj.converged
+    assert traj.dual_bound <= p_lp
 
 
 # --- relations between runs --------------------------------------------------------

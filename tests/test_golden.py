@@ -167,9 +167,9 @@ GOLDEN = {
     },
     "testcase1_nonsmooth": {
         "trajectory.csv":
-            "005aa2506ac29d0f98ec7c8f2fdfc1294e532bb82df16c23cc4d9815cf2b5abe",
+            "866a55162877ae084ab9c330e95492b7d047354637d5e0a7050757fed5511d90",
         "summary.json":
-            "0826ca09c755b14f72631d086e55fc81f96f044f7b8cc586c9d5dae4cd78c742",
+            "4dc49c195d1d92e79778050b1b9743c1f821c3cef8d941bf43dae07ac6f5002e",
     },
     "testcase2_online": {
         "trajectory.csv":

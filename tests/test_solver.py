@@ -1,5 +1,6 @@
 """Multiplier iterations: scalar oracles, trajectories, online determinism."""
 
+import hashlib
 import io
 import warnings
 from types import SimpleNamespace
@@ -88,23 +89,117 @@ def test_scalar_nonsmooth_reaches_same_fixed_point():
 
 @pytest.mark.parametrize("max_iters", [1000, 1001])
 def test_nonsmooth_serves_its_step_weighted_average(max_iters):
-    # on the bundled M=4, K=16 shape the hard iterates hover, so the stop
-    # rule never fires and the run serves the average its loop keeps as
-    # running sums
+    # on the bundled M=4, K=16 shape the hard iterates hover, and the run
+    # serves the step-weighted average of iterates [500, 1000) that its loop
+    # keeps as running sums: at max_iters = 1000 as its last window
+    # ("max_iters"), at 1001 as its first check's, which certifies it
+    # ("converged" at iterate 999)
     problem = tc2_problem()
     cfg = SolverConfig(kappa=0.1, tol=1e-3, max_iters=max_iters)
     traj = run_offline_nonsmooth(problem, cfg)
-    assert traj.reason == "max_iters"
-    rates, power = step_weighted_average(traj, cfg.kappa, max_iters)
+    assert traj.reason == ("max_iters" if max_iters == 1000 else "converged")
+    rates, power = step_weighted_average(traj, cfg.kappa, 1000)
     np.testing.assert_allclose(traj.served_rates, rates, rtol=1e-12)
     assert traj.served_power == pytest.approx(power, rel=1e-12)
     assert traj.converged == serves_targets(rates, problem.targets, cfg.tol)
     assert np.max(np.abs(traj.rates[-1] - problem.targets)) > 0.5
-    # a stop rule that fires serves the iterate that met it
+    # no iterate stops the run: one whose every iterate serves its targets
+    # (a zero target at λ = 0) runs to max_iters and serves the average of
+    # its second half, which is each iterate's rates, certified by D = P = 0
     stopped = run_offline_nonsmooth(scalar_problem(0.0), SolverConfig(
         init=0.0, max_iters=100))
-    assert stopped.reason == "converged" and stopped.converged
+    assert stopped.reason == "max_iters" and stopped.converged
+    assert stopped.iters[-1] == 99
     np.testing.assert_array_equal(stopped.served_rates, stopped.rates[-1])
+    assert stopped.dual_bound == stopped.served_power == 0.0
+
+
+# sha256 of the trajectory.csv text of a tc1-shape non-smooth run of 1 000
+# iterates, with the repr of its served rates (a list) and served power
+# appended, at record_every 1 and 1 000 (perfbench's shape), as the loop
+# that tested every iterate and had no certificate gave them
+NONSMOOTH_1000 = {
+    1: "2971c2fafd9c00dac3de8f68025f4e54b4f3f644a1629d7294c7a0ee6f131e40",
+    1000: "e786ebf810236a4dda147911386a9f8422d662d1a2545ee6e5444c1fbae2407a",
+}
+
+
+@pytest.mark.parametrize("every", sorted(NONSMOOTH_1000))
+def test_nonsmooth_runs_of_one_check_keep_their_bits(every):
+    # a run of max_iters ≤ CHECK makes no check before its end: the same
+    # iterates, last row and served average, bitwise
+    traj = run_offline_nonsmooth(tc2_problem(), SolverConfig(
+        kappa=0.1, tol=1e-3, max_iters=1000, record_every=every))
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    text = (buf.getvalue() + repr(list(map(float, traj.served_rates)))
+            + repr(traj.served_power))
+    assert hashlib.sha256(text.encode()).hexdigest() == NONSMOOTH_1000[every]
+    assert traj.reason == "max_iters" and traj.converged
+
+
+def hard_duals(traj) -> np.ndarray:
+    """D at each recorded iterate, by value = avg_power + λ·subgradient."""
+    return traj.power + (traj.lam * traj.subgrad).sum(axis=1)
+
+
+def test_nonsmooth_stops_at_its_first_certified_check():
+    # on the bundled shape at κ = 0.1, tol = 1e-3 the first check, n = 1000,
+    # certifies the average of [500, 1000) against the best D of iterates
+    # [0, 1000): within tol of every target and P̄ - D ≤ λ₉₉₉·tol
+    problem = tc2_problem()
+    cfg = SolverConfig(kappa=0.1, tol=1e-3, max_iters=30_000)
+    traj = run_offline_nonsmooth(problem, cfg)
+    assert traj.reason == "converged" and traj.converged
+    assert traj.iters[-1] == solver.CHECK - 1
+    rates, power = step_weighted_average(traj, cfg.kappa, 1000)
+    np.testing.assert_allclose(traj.served_rates, rates, rtol=1e-12)
+    assert traj.served_power == pytest.approx(power, rel=1e-12)
+    assert traj.dual_bound == pytest.approx(hard_duals(traj).max(), rel=1e-12)
+    assert traj.dual_bound <= traj.served_power
+    assert traj.served_power - traj.dual_bound <= traj.lam[-1] @ np.full(
+        4, cfg.tol)
+
+
+def test_nonsmooth_runs_to_max_iters_when_no_check_certifies():
+    # criterion 3's regime: at tol = 1e-9 no average is within tol, so the
+    # run serves [max_iters // 2, max_iters), its running sums differenced
+    # at iterate 1500, and is not converged
+    problem = tc2_problem()
+    cfg = SolverConfig(kappa=0.1, tol=1e-9, max_iters=3000)
+    traj = run_offline_nonsmooth(problem, cfg)
+    assert traj.reason == "max_iters" and not traj.converged
+    rates, power = step_weighted_average(traj, cfg.kappa, 3000)
+    np.testing.assert_allclose(traj.served_rates, rates, rtol=1e-12)
+    assert traj.served_power == pytest.approx(power, rel=1e-12)
+    assert traj.dual_bound == pytest.approx(hard_duals(traj).max(), rel=1e-12)
+
+
+def test_nonsmooth_tests_its_certificate_only_at_checks(monkeypatch):
+    # one table build per iterate; serves_targets runs at each check below
+    # max_iters and once when the trajectory is built, each time given the
+    # dual bound, and never on an iterate
+    builds, verdicts = [], []
+
+    def spy_build(*args, **kwargs):
+        builds.append(1)
+        return build_tables(*args, **kwargs)
+
+    def spy_verdict(rates, targets, tol, power=None, dual_bound=None,
+                    lam=None):
+        verdicts.append(dual_bound)
+        return serves_targets(rates, targets, tol, power, dual_bound, lam)
+
+    monkeypatch.setattr(dual, "build_tables", spy_build)
+    monkeypatch.setattr(solver, "serves_targets", spy_verdict)
+    for tol, max_iters, checks in ((1e-9, 2500, 2), (1e-3, 30_000, 1)):
+        builds.clear()
+        verdicts.clear()
+        traj = run_offline_nonsmooth(tc2_problem(), SolverConfig(
+            kappa=0.1, tol=tol, max_iters=max_iters, record_every=100))
+        assert len(builds) == traj.iters[-1] + 1
+        assert len(verdicts) == checks + 1
+        assert None not in verdicts
 
 
 def test_zero_targets_stay_at_zero():
@@ -748,7 +843,8 @@ OFFLINE_RUNS = [
     ("smooth", {"max_iters": 2001, "record_every": 7}),
     ("smooth", {"max_iters": 25, "record_every": 1}),
     ("smooth", {"max_iters": 24, "record_every": 5}),
-    ("hard", {"kappa": 0.1, "tol": 0.05, "max_iters": 301, "record_every": 4}),
+    ("hard", {"kappa": 0.1, "tol": 0.05, "max_iters": 1001,
+              "record_every": 4}),
     ("hard", {"kappa": 0.1, "max_iters": 24, "record_every": 1}),
     ("hard", {"kappa": 0.1, "max_iters": 27, "record_every": 4}),
 ]
@@ -782,17 +878,21 @@ def test_offline_loops_match_the_checked_reference_bitwise(case):
                     == getattr(want, field).tobytes()), field
         for field in ("reason", "converged", "served_power"):
             assert getattr(got, field) == getattr(want, field), field
+        # the loop sums λ·ř per check, the reference takes each value
+        if mode == "hard":
+            assert got.dual_bound == pytest.approx(want.dual_bound,
+                                                   rel=1e-12)
         assert len(calls["got"]) == got.iters[-1] + 1
         for (i, lam, g), (i0, lam0, g0) in zip(calls["got"], calls["want"],
                                               strict=True):
             assert (i == i0 and lam.tobytes() == lam0.tobytes()
                     and g.tobytes() == g0.tobytes())
         reasons.add((mode, got.reason))
-    # each loop stopped both ways on some family, the hard one on the tc1
-    # shape by max_iters only
+    # each loop stopped both ways on some family, and both ways on the tc1
+    # shape, where the hard loop's first check certifies at tol = 0.05
     if case == "tc1_outage":
-        assert reasons == {("smooth", "converged"), ("smooth", "max_iters"),
-                           ("hard", "max_iters")}
+        assert reasons == {(mode, reason) for mode in ("smooth", "hard")
+                           for reason in ("converged", "max_iters")}
     else:
         assert ("hard", "converged") in reasons
 
