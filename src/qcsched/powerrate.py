@@ -136,15 +136,17 @@ def _survivals(ctx: RegionContext):
 
 
 # B_k/k! for k ≤ 14 (Bernoulli numbers): w/expm1(w) = Σ B_k·w^k/k!. The
-# Taylor series of 1 - w/expm1(w) and 2 - (w + 2)·w/expm1(w) follow, highest
-# power first for np.polyval; _truncated_exp sums them below _SERIES_W, where
-# those closed forms cancel
+# Taylor series of 1 - w/expm1(w) and 2 - (w + 2)·w/expm1(w) follow as the
+# columns of one table, highest power first (the first padded with a leading
+# 0, which Horner's rule keeps at 0); _truncated_exp sums them below
+# _SERIES_W, where those closed forms cancel
 _BERNOULLI = np.array([1, -1 / 2, 1 / 12, 0, -1 / 720, 0, 1 / 30240, 0,
                        -1 / 1209600, 0, 1 / 47900160, 0, -691 / 1307674368000,
                        0, 1 / 74724249600])
-_MEAN_SERIES = np.r_[0.0, -_BERNOULLI[1:]][::-1]
-_SQUARE_SERIES = np.r_[0.0, -(_BERNOULLI[:-1] + 2.0 * _BERNOULLI[1:]),
-                       -_BERNOULLI[-1]][::-1]
+_MOMENT_SERIES = np.stack([
+    np.r_[0.0, -_BERNOULLI[1:], 0.0],
+    np.r_[0.0, -(_BERNOULLI[:-1] + 2.0 * _BERNOULLI[1:]), -_BERNOULLI[-1]],
+], axis=1)[::-1]
 _SERIES_W = 0.5
 
 
@@ -165,9 +167,13 @@ def _truncated_exp(ctx: RegionContext):
     # w/expm1(w) < 1e-300 leaves 1 and 2 to the last bit
     ws, wd = np.where(small, w, 0.0), np.where(small, 1.0, np.minimum(w, 700.0))
     ratio = wd / np.expm1(wd)
-    mean = np.where(small, np.polyval(_MEAN_SERIES, ws), 1.0 - ratio)
-    square = np.where(small, np.polyval(_SQUARE_SERIES, ws),
-                      2.0 - ratio * (wd + 2.0))
+    series = np.zeros((2,) + ws.shape)      # both series in one Horner pass
+    for coeff in _MOMENT_SERIES.reshape(_MOMENT_SERIES.shape
+                                        + (1,) * ws.ndim):
+        series *= ws
+        series += coeff
+    mean = np.where(small, series[0], 1.0 - ratio)
+    square = np.where(small, series[1], 2.0 - ratio * (wd + 2.0))
     return (np.exp(-w), -np.expm1(-w), lo + g * mean,
             lo * lo + g * (2.0 * lo * mean + g * square))
 
@@ -185,21 +191,34 @@ def _vec_newton(f_df, lo, hi, what: str):
     those of each element's last evaluation while it was live, the one its
     last step started from, as (x, *extras). A stopped element is evaluated
     again only while others are live, so its later evaluations are not
-    kept: they would make its extras depend on the rest of the call."""
-    hi, (f, df, *extras) = _grow_bracket(f_df, hi, what)
+    kept: they would make its extras depend on the rest of the call.
+
+    Each element takes the same steps whatever else is in the call, so a
+    batch equals its one-element calls bit for bit. The bracket ends are
+    updated in place, without a live mask, since a stopped element's are
+    never read again; the midpoint is formed only on a step where some live
+    Newton point leaves its bracket."""
+    x, (f, df, *extras) = _grow_bracket(f_df, hi, what)
     kept = [np.array(e) for e in extras]
-    x, live = hi, np.ones(hi.shape, dtype=bool)
+    lo = np.array(np.broadcast_to(lo, x.shape), dtype=float)
+    hi = np.array(x)
+    live, n_live = np.ones(x.shape, dtype=bool), x.size
     for _ in range(ROOT_MAX_ITER):
-        lo = np.where(live & (f < 0.0), x, lo)
-        hi = np.where(live & (f > 0.0), x, hi)
+        np.copyto(lo, x, where=f < 0.0)
+        np.copyto(hi, x, where=f > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - f / df
         small = (f == 0.0) | (abs(newton - x) <= ROOT_TOL * (1.0 + abs(x)))
         inside = (newton > lo) & (newton < hi)
-        x = np.where(live, np.where(inside, newton, np.where(
-            small, x, 0.5 * (lo + hi))), x)
+        inside &= live
+        if np.count_nonzero(inside) == n_live:      # no live point leaves
+            x = np.where(inside, newton, x)
+        else:
+            x = np.where(live, np.where(inside, newton, np.where(
+                small, x, 0.5 * (lo + hi))), x)
         live &= ~(small | (hi - lo <= ROOT_TOL * (1.0 + np.abs(hi))))
-        if not live.any():
+        n_live = np.count_nonzero(live)
+        if not n_live:
             return (x, *kept) if kept else x
         f, df, *extras = f_df(x)
         for k, e in zip(kept, extras):
@@ -409,7 +428,14 @@ class ErgodicCapacity(PowerRate):
         return self._closed_form(self._edges(data, y), y)[:2]
 
     def _closed_form(self, edges: tuple, y) -> tuple:
-        """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' on the cells of ``_edges`` from one
+        """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' on the cells of ``_edges``: ``_slopes``
+        and ``_rate`` on its e, from one exp12_scaled call."""
+        deriv, curv, e = self._slopes(edges, y)
+        return self._rate(edges, y, e), deriv, curv
+
+    @staticmethod
+    def _slopes(edges: tuple, y) -> tuple:
+        """(Υ⁻¹)', (Υ⁻¹)'' and e on the cells of ``_edges`` from one
         exp12_scaled call. With e = e^t·E1(t), G = e^t·E2(t), u = 1/(yḡ) and
         S = (1, -S_hi) summed over the edges, (Υ⁻¹)' = Σ S·(G + q·e/ḡ)/
         (Pr·ln2·y) does not cancel as y → 0; e' = -G/t and G' = G - e give
@@ -417,22 +443,37 @@ class ErgodicCapacity(PowerRate):
         it is its y = 0 value -E[g²|R]/ln2, within 3e-5 relative, ample for
         Newton; its last division skips y there, where the cancellation
         noise over y² can overflow. Below y·E[g|R] = 1e-300, where u
-        overflows for subnormal y, Υ⁻¹ and (Υ⁻¹)' are their first-order
-        limits y·E[g|R]/ln2 and E[g|R]/ln2."""
+        overflows for subnormal y, (Υ⁻¹)' is its limit E[g|R]/ln2 and y a
+        dummy 1 (as in ``_rate``). The guards are formed only when some cell
+        lies below them."""
         s_hi, q, qg, g, prl, m1, m2 = edges
         ym1 = y * m1
-        tiny, small = ym1 < 1e-300, ym1 < 1e-5
-        ys = np.where(tiny, 1.0, y)                    # dummy where tiny
-        u = 1.0 / (ys * g)
+        guarded = not ym1.min(initial=np.inf) >= 1e-5
+        if guarded:
+            tiny, small = ym1 < 1e-300, ym1 < 1e-5
+            y = np.where(tiny, 1.0, y)
+        u = 1.0 / (y * g)
         t = qg + u
         e, big_g = exp12_scaled(t)
-        rate = _edge_sum(s_hi, np.log1p(ys * q) + e) / prl
-        deriv = _edge_sum(s_hi, big_g + qg * e) / (prl * ys)
-        curv = -(deriv + u * _edge_sum(s_hi, big_g * u / t - e)
-                 / (prl * ys)) / np.where(small, 1.0, ys)
-        return (np.where(tiny, ym1 / _LN2, rate),
-                np.where(tiny, m1 / _LN2, deriv),
-                np.where(small, -m2 / _LN2, curv))
+        py = prl * y
+        deriv = _edge_sum(s_hi, big_g + qg * e) / py
+        curv = -(deriv + u * _edge_sum(s_hi, big_g * u / t - e) / py)
+        if not guarded:
+            return deriv, curv / y, e
+        return (np.where(tiny, m1 / _LN2, deriv),
+                np.where(small, -m2 / _LN2, curv / np.where(small, 1.0, y)), e)
+
+    @staticmethod
+    def _rate(edges: tuple, y, e) -> np.ndarray:
+        """Υ⁻¹(y) from the e that ``_slopes`` gave at y, with no exp12_scaled
+        call; below y·E[g|R] = 1e-300 its first-order limit y·E[g|R]/ln2."""
+        s_hi, q, _, _, prl, m1, _ = edges
+        ym1 = y * m1
+        if ym1.min(initial=np.inf) >= 1e-300:
+            return _edge_sum(s_hi, np.log1p(y * q) + e) / prl
+        tiny = ym1 < 1e-300
+        rate = _edge_sum(s_hi, np.log1p(np.where(tiny, 1.0, y) * q) + e) / prl
+        return np.where(tiny, ym1 / _LN2, rate)
 
     def is_outage(self, data: tuple) -> np.ndarray:
         """No outage regions: Υ̇(0) = ln2/E[g|R] is finite."""
@@ -466,9 +507,10 @@ class ErgodicCapacity(PowerRate):
         (Υ⁻¹)'(y*) = 1/slope; then Υ(R*) = y* and R* = Υ⁻¹(y*), taken from
         the root-find's last live evaluation y' of the cell as Υ⁻¹(y') +
         (Υ⁻¹)'(y')·(y* - y'): |y* - y'| is within the root-find's tolerance,
-        so the dropped term (Υ⁻¹)''·(y* - y')²/2 is near 1e-24. Cells
-        clipped at ``rate_cap`` get Υ(rate_cap) instead. Active cells are those with slope > Υ̇(0) =
-        ln2/m1, where m_k = E[g^k|R].
+        so the dropped term (Υ⁻¹)''·(y* - y')²/2 is near 1e-24. Υ⁻¹(y') is
+        formed once, after the root-find, from the e that evaluation kept.
+        Cells clipped at ``rate_cap`` get Υ(rate_cap) instead. Active cells
+        are those with slope > Υ̇(0) = ln2/m1, where m_k = E[g^k|R].
 
         The root-find starts inside a bracket from Jensen's inequality on
         (Υ⁻¹)'(y) = E[g/(1 + y·g) | R]/ln2. As g ↦ g/(1 + y·g) is concave,
@@ -487,8 +529,8 @@ class ErgodicCapacity(PowerRate):
         m1, m2 = edges[5:]
 
         def f_df(y):
-            rate, deriv, curv = self._closed_form(edges, y)
-            return 1.0 / deriv - t, -curv / (deriv * deriv), rate, deriv, y
+            deriv, curv, e = self._slopes(edges, y)
+            return 1.0 / deriv - t, -curv / (deriv * deriv), deriv, e, y
 
         # widened by the root-find's absolute tolerance: ρ·y_hi is tight to
         # first order as y* → 0, where rounding in (Υ⁻¹)' can put the root
@@ -496,8 +538,9 @@ class ErgodicCapacity(PowerRate):
         y_hi = t / _LN2 - 1.0 / m1
         lo = np.maximum(m1 * m1 / m2 * y_hi - ROOT_TOL, 0.0)
         hi = np.maximum(y_hi, ROOT_TOL)
-        y, r, deriv, y_eval = _vec_newton(f_df, lo, hi,
+        y, deriv, e, y_eval = _vec_newton(f_df, lo, hi,
                                           "ergodic marginal inverse")
+        r = self._rate(edges, y_eval, e)
         r += deriv * (y - y_eval)
         capped = r > rate_cap
         if capped.any():
@@ -517,7 +560,7 @@ class ErgodicCapacity(PowerRate):
         out = np.zeros(t.shape)
         y = y[live]
         edges = self._edges(tuple(a[live] for a in cells), y)
-        out[live] = -1.0 / (t[live] ** 3 * self._closed_form(edges, y)[2])
+        out[live] = -1.0 / (t[live] ** 3 * self._slopes(edges, y)[1])
         return out
 
 

@@ -11,8 +11,11 @@ n-th convergent of E1's continued fraction, which needs about 92 terms at
 x = 1 and fewer above, so 128 nodes reach double precision on [1, ∞) at a
 cost that does not depend on x. The rule is built on first use, never at
 import. Arguments go through in slices of ``_SLICE`` (temporaries near
-1 MB), and every element takes the same operations, so its value does not
-depend on the rest of the call.
+1 MB). A call whose arguments all lie on one side of 1 runs that kernel on
+the whole array, with no gather or scatter; the limits at 0 and ∞ are set
+only when such arguments are present. Each element takes the same
+operations whatever else is in the call, so a batch equals its
+one-element calls bit for bit.
 """
 
 from __future__ import annotations
@@ -32,14 +35,23 @@ _SERIES = np.array([(-1.0) ** (n + 1) / (n * factorial(n))
                     for n in range(19, 0, -1)])
 
 
+def _sliced(kernel, x: np.ndarray) -> tuple:
+    # kernel's arrays on the column x[:, None], in slices of _SLICE rows
+    # unless x fits one
+    if len(x) <= _SLICE:
+        return kernel(x[:, None])
+    parts = [kernel(x[s:s + _SLICE, None]) for s in range(0, len(x), _SLICE)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _series_sum(xs: np.ndarray) -> tuple:
+    # one row of powers per element, summed along the row
+    return ((np.power(xs, _POWERS) * _SERIES).sum(axis=1),)
+
+
 def _series(x: np.ndarray) -> np.ndarray:
-    # E1(x) + γ + ln(x) = Σ (-1)^{n+1} x^n / (n·n!); alternating, for x < 1:
-    # each slice of x as one row of powers per element, summed along the row
-    total = np.empty_like(x)
-    for s in range(0, len(x), _SLICE):
-        total[s:s + _SLICE] = (np.power(x[s:s + _SLICE, None], _POWERS)
-                               * _SERIES).sum(axis=1)
-    return -_EULER_GAMMA - np.log(x) + total
+    # E1(x) + γ + ln(x) = Σ (-1)^{n+1} x^n / (n·n!); alternating, for x < 1
+    return -_EULER_GAMMA - np.log(x) + _sliced(_series_sum, x)[0]
 
 
 @cache
@@ -76,38 +88,49 @@ def _laguerre_rule() -> tuple:
     return u.astype(float), (1.0 / ssq).astype(float)
 
 
-def _quadrature(x: np.ndarray) -> tuple:
-    # (e^x·E1(x), e^x·E2(x)) for finite x ≥ 1, one slice of x at a time
+def _laguerre_sums(xs: np.ndarray) -> tuple:
+    # (e^x·E1(x), e^x·E2(x)) for x ≥ 1, one row of nodes per element
     u, w = _laguerre_rule()
-    e1, e2 = np.empty_like(x), np.empty_like(x)
-    for s in range(0, len(x), _SLICE):
-        xs = x[s:s + _SLICE, None]
-        r = 1.0 / (xs + u)
-        wr = w * r
-        e1[s:s + _SLICE] = wr.sum(axis=1)
-        e2[s:s + _SLICE] = (wr * (xs * r)).sum(axis=1)
-    return e1, e2
+    r = 1.0 / (xs + u)
+    wr = w * r
+    return wr.sum(axis=1), (wr * (xs * r)).sum(axis=1)
+
+
+def _below_one(x: np.ndarray) -> tuple:
+    # (e^x·E1(x), e^x·E2(x)) for x < 1 by the series, with e^x·E2 = 1 -
+    # x·e^x·E1, which cancels as x grows
+    e1 = np.exp(x) * _series(x)
+    return e1, 1.0 - x * e1
 
 
 def _scaled_pair(x, name: str) -> tuple:
     # x as a float array of at least one dimension, e^x·E1(x) and e^x·E2(x):
-    # the series below 1 (with e^x·E2 = 1 - x·e^x·E1, which cancels as x
-    # grows), the quadrature from 1 on. At the edges the kernels give e^x·E1
-    # its limits, ∞ at 0 (ln 0 = -∞) and 0 at ∞, but e^x·E2 the NaN of 0·∞;
-    # its limits are 1 and 0
+    # the series below 1, the quadrature from 1 on, each on the whole array
+    # when every argument lies on its side. At the edges the kernels give
+    # e^x·E1 its limits, ∞ at 0 (ln 0 = -∞) and 0 at ∞, but e^x·E2 the NaN
+    # of 0·∞; its limits are 1 and 0. A NaN makes lo and hi NaN, which takes
+    # the checks below to the general path
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if (x < 0.0).any():
+    lo, hi = x.min(initial=np.inf), x.max(initial=-np.inf)
+    if not lo >= 0.0 and (x < 0.0).any():
         raise ValueError(f"{name} requires nonnegative arguments")
-    small = x < 1.0
-    xs, large = x[small], ~small
-    e1, e2 = np.empty_like(x), np.empty_like(x)
+    flat = x.ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
-        e1[small] = s = np.exp(xs) * _series(xs)
-        e2[small] = 1.0 - xs * s
-        e1[large], e2[large] = _quadrature(x[large])
-    e2[x == 0.0] = 1.0
-    e2[x == np.inf] = 0.0
-    return x, e1, e2
+        if hi < 1.0:
+            e1, e2 = _below_one(flat)
+        elif lo >= 1.0:
+            e1, e2 = _sliced(_laguerre_sums, flat)
+        else:
+            small = flat < 1.0
+            large = ~small
+            e1, e2 = np.empty_like(flat), np.empty_like(flat)
+            e1[small], e2[small] = _below_one(flat[small])
+            e1[large], e2[large] = _sliced(_laguerre_sums, flat[large])
+    if not lo > 0.0:
+        e2[flat == 0.0] = 1.0
+    if not hi < np.inf:
+        e2[flat == np.inf] = 0.0
+    return x, e1.reshape(x.shape), e2.reshape(x.shape)
 
 
 def exp1(x) -> np.ndarray:

@@ -484,15 +484,24 @@ def test_vec_newton_bisects_when_the_newton_point_leaves_the_bracket():
 
 def test_vec_newton_elements_do_not_depend_on_each_other():
     # roots that need no doubling or six, pure Newton steps or bisection
-    # steps (tanh is flat far from its root): each element's root is the
-    # one its own call finds, to the bit
+    # steps (tanh is flat far from its root), and one batch that mixes
+    # them: a root at hi, roots just below hi that Newton alone finds, and
+    # roots whose first step, or every step, bisects while the others do
+    # not. Each element's root, and the last point it was evaluated at
+    # while live, are the ones its own call finds, to the bit
+    def with_point(f_df):
+        return lambda x: (*f_df(x), x.copy())
+
     for f_of, c in ((cube_minus, np.array([0.5, 3.0, 300.0, 1e5])),
-                    (tanh_minus, np.array([0.3, 3.0, 7.0, 20.0]))):
-        both = powerrate._vec_newton(f_of(c), 0.0, np.ones(len(c)), "batch")
+                    (tanh_minus, np.array([0.3, 3.0, 7.0, 20.0])),
+                    (tanh_minus, np.array([0.99, 1.0, 4.01, 30.0, 60.0]))):
+        both = powerrate._vec_newton(with_point(f_of(c)), 0.0,
+                                     np.ones(len(c)), "batch")
         for i in range(len(c)):
-            one = powerrate._vec_newton(f_of(c[i:i + 1]), 0.0, np.ones(1),
-                                        "solo")
-            assert one.tobytes() == both[i:i + 1].tobytes()
+            one = powerrate._vec_newton(with_point(f_of(c[i:i + 1])), 0.0,
+                                        np.ones(1), "solo")
+            for solo, batch in zip(one, both):
+                assert solo.tobytes() == batch[i:i + 1].tobytes()
 
 
 def test_vec_newton_keeps_each_elements_last_live_evaluation():

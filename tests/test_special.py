@@ -215,16 +215,25 @@ def test_rule_matches_golub_welsch():
 
 
 def test_each_element_is_independent_of_the_call():
-    # more elements than one slice in each regime, and the edges: every
-    # value equals that of a call on its element alone, to the bit
+    # more elements than one slice in each regime, and the edges, in one
+    # call; then calls whose arguments all lie below 1 or all from 1 on,
+    # each with and without 0 or ∞, and a (2, n) array like the stacked
+    # edges of the ergodic closed form: every value equals that of a call
+    # on its element alone, to the bit
     rng = np.random.default_rng(3)
     x = np.concatenate([[0.0, np.inf, 1.0], rng.uniform(0.0, 2.0, 300),
                         10.0 ** rng.uniform(0.0, 12.0, special._SLICE + 300),
                         rng.uniform(0.0, 1.0, special._SLICE + 300)])
-    e1, e2 = exp12_scaled(x)
-    for i in range(len(x)):
-        one = exp12_scaled(x[i])
-        assert (one[0][0], one[1][0]) == (e1[i], e2[i])
+    below, above = rng.uniform(0.0, 1.0, 40), 10.0 ** rng.uniform(0, 12, 40)
+    edges = np.stack([rng.uniform(0.05, 0.9, 12),
+                      rng.uniform(0.05, 0.9, 12) + rng.uniform(0.0, 3.0, 12)])
+    for arr in (x, below, np.r_[below, 0.0], above, np.r_[above, np.inf],
+                np.r_[1.0, above], edges):
+        e1, e2 = exp12_scaled(arr)
+        for i in np.ndindex(arr.shape):
+            one = exp12_scaled(arr[i])
+            assert one[0].tobytes() == e1[i].tobytes()
+            assert one[1].tobytes() == e2[i].tobytes()
 
 
 def test_import_does_not_build_the_rule():
