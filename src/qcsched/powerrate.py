@@ -196,13 +196,12 @@ def _vec_newton(f_df, lo, hi, what: str):
     Each element takes the same steps whatever else is in the call, so a
     batch equals its one-element calls bit for bit. The bracket ends are
     updated in place, without a live mask, since a stopped element's are
-    never read again; the midpoint is formed only on a step where some live
-    Newton point leaves its bracket."""
+    never read again."""
     x, (f, df, *extras) = _grow_bracket(f_df, hi, what)
     kept = [np.array(e) for e in extras]
     lo = np.array(np.broadcast_to(lo, x.shape), dtype=float)
     hi = np.array(x)
-    live, n_live = np.ones(x.shape, dtype=bool), x.size
+    live = np.ones(x.shape, dtype=bool)
     for _ in range(ROOT_MAX_ITER):
         np.copyto(lo, x, where=f < 0.0)
         np.copyto(hi, x, where=f > 0.0)
@@ -210,15 +209,10 @@ def _vec_newton(f_df, lo, hi, what: str):
             newton = x - f / df
         small = (f == 0.0) | (abs(newton - x) <= ROOT_TOL * (1.0 + abs(x)))
         inside = (newton > lo) & (newton < hi)
-        inside &= live
-        if np.count_nonzero(inside) == n_live:      # no live point leaves
-            x = np.where(inside, newton, x)
-        else:
-            x = np.where(live, np.where(inside, newton, np.where(
-                small, x, 0.5 * (lo + hi))), x)
+        x = np.where(live, np.where(inside, newton, np.where(
+            small, x, 0.5 * (lo + hi))), x)
         live &= ~(small | (hi - lo <= ROOT_TOL * (1.0 + np.abs(hi))))
-        n_live = np.count_nonzero(live)
-        if not n_live:
+        if not live.any():
             return (x, *kept) if kept else x
         f, df, *extras = f_df(x)
         for k, e in zip(kept, extras):
@@ -469,8 +463,6 @@ class ErgodicCapacity(PowerRate):
         call; below y·E[g|R] = 1e-300 its first-order limit y·E[g|R]/ln2."""
         s_hi, q, _, _, prl, m1, _ = edges
         ym1 = y * m1
-        if ym1.min(initial=np.inf) >= 1e-300:
-            return _edge_sum(s_hi, np.log1p(y * q) + e) / prl
         tiny = ym1 < 1e-300
         rate = _edge_sum(s_hi, np.log1p(np.where(tiny, 1.0, y) * q) + e) / prl
         return np.where(tiny, ym1 / _LN2, rate)

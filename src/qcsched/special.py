@@ -11,11 +11,9 @@ n-th convergent of E1's continued fraction, which needs about 92 terms at
 x = 1 and fewer above, so 128 nodes reach double precision on [1, ∞) at a
 cost that does not depend on x. The rule is built on first use, never at
 import. Arguments go through in slices of ``_SLICE`` (temporaries near
-1 MB). A call whose arguments all lie on one side of 1 runs that kernel on
-the whole array, with no gather or scatter; the limits at 0 and ∞ are set
-only when such arguments are present. Each element takes the same
-operations whatever else is in the call, so a batch equals its
-one-element calls bit for bit.
+1 MB), and a call that fits one slice runs without a slice loop. Each
+element takes the same operations whatever else is in the call, so a
+batch equals its one-element calls bit for bit.
 """
 
 from __future__ import annotations
@@ -96,41 +94,25 @@ def _laguerre_sums(xs: np.ndarray) -> tuple:
     return wr.sum(axis=1), (wr * (xs * r)).sum(axis=1)
 
 
-def _below_one(x: np.ndarray) -> tuple:
-    # (e^x·E1(x), e^x·E2(x)) for x < 1 by the series, with e^x·E2 = 1 -
-    # x·e^x·E1, which cancels as x grows
-    e1 = np.exp(x) * _series(x)
-    return e1, 1.0 - x * e1
-
-
 def _scaled_pair(x, name: str) -> tuple:
     # x as a float array of at least one dimension, e^x·E1(x) and e^x·E2(x):
-    # the series below 1, the quadrature from 1 on, each on the whole array
-    # when every argument lies on its side. At the edges the kernels give
-    # e^x·E1 its limits, ∞ at 0 (ln 0 = -∞) and 0 at ∞, but e^x·E2 the NaN
-    # of 0·∞; its limits are 1 and 0. A NaN makes lo and hi NaN, which takes
-    # the checks below to the general path
+    # the series below 1 (with e^x·E2 = 1 - x·e^x·E1, which cancels as x
+    # grows), the quadrature from 1 on. At the edges the kernels give e^x·E1
+    # its limits, ∞ at 0 (ln 0 = -∞) and 0 at ∞, but e^x·E2 the NaN of 0·∞;
+    # its limits are 1 and 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = x.min(initial=np.inf), x.max(initial=-np.inf)
-    if not lo >= 0.0 and (x < 0.0).any():
+    if (x < 0.0).any():
         raise ValueError(f"{name} requires nonnegative arguments")
-    flat = x.ravel()
+    small = x < 1.0
+    xs, large = x[small], ~small
+    e1, e2 = np.empty_like(x), np.empty_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if hi < 1.0:
-            e1, e2 = _below_one(flat)
-        elif lo >= 1.0:
-            e1, e2 = _sliced(_laguerre_sums, flat)
-        else:
-            small = flat < 1.0
-            large = ~small
-            e1, e2 = np.empty_like(flat), np.empty_like(flat)
-            e1[small], e2[small] = _below_one(flat[small])
-            e1[large], e2[large] = _sliced(_laguerre_sums, flat[large])
-    if not lo > 0.0:
-        e2[flat == 0.0] = 1.0
-    if not hi < np.inf:
-        e2[flat == np.inf] = 0.0
-    return x, e1.reshape(x.shape), e2.reshape(x.shape)
+        e1[small] = s = np.exp(xs) * _series(xs)
+        e2[small] = 1.0 - xs * s
+        e1[large], e2[large] = _sliced(_laguerre_sums, x[large])
+    e2[x == 0.0] = 1.0
+    e2[x == np.inf] = 0.0
+    return x, e1, e2
 
 
 def exp1(x) -> np.ndarray:
