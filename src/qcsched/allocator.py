@@ -120,34 +120,31 @@ def check_reach(outage, probs, sizes, targets, rate_cap: float) -> None:
             f"can draw at most {reach[s]:.6g}", users)
 
 
-def region_index(shape: tuple, j, users_first: bool = False,
-                 of=None) -> np.ndarray:
-    """Flat indices into an (M, K, L) table of the cells table[m, k, l] with
-    l = j[..., m, k] - 1, for 1-based region indices j (..., M, K), the
-    Q-CSI that quantizer.quantize returns; shaped like j or, with
-    ``users_first``, with the user axis leading (M, ..., K) and laid out in
-    that order. Given a channel→class map ``of`` (K,), the table is an
-    (M, n_classes, L) class table and channel k reads its class's row."""
+def region_index(shape: tuple, j, of, users_first: bool = False) -> np.ndarray:
+    """Flat indices into an (M, n_classes, L) class table of the cells
+    table[m, of[k], l] with l = j[..., m, k] - 1: channel k reads its
+    class's row through the channel→class map ``of`` (K,), for 1-based
+    region indices j (..., M, K), the Q-CSI that quantizer.quantize returns;
+    shaped like j or, with ``users_first``, with the user axis leading
+    (M, ..., K) and laid out in that order."""
     M, n, L = shape
     j = np.asarray(j)
-    K = n if of is None else len(of)
+    K = len(of)
     if j.shape[-2:] != (M, K) or j.min() < 1 or j.max() > L:
         raise IndexError("region indices must be in range, shape (..., M, K)")
-    cell = np.arange(-1, M * n * L - 1, L).reshape(M, n)
-    if of is not None:
-        cell = cell[:, of]
+    cell = np.arange(-1, M * n * L - 1, L).reshape(M, n)[:, of]
     if users_first:
         j = np.moveaxis(j, -2, 0)
         cell = cell.reshape((M,) + (1,) * (j.ndim - 2) + (K,))
     return np.add(cell, j, order="C")
 
 
-def block_statics(static: tuple, qcsi, of=None) -> list:
+def block_statics(static: tuple, qcsi, of) -> list:
     """The static data of each block's cells, one tuple of (M, K) arrays per
-    block of the 1-based Q-CSI stack (N, M, K), from (M, K, L) static data
-    or, through the channel→class map ``of``, (M, n_classes, L) class data.
-    Gathers once for all N."""
-    index = region_index(static[0].shape, qcsi, of=of)
+    block of the 1-based Q-CSI stack (N, M, K), gathered from (M, n_classes,
+    L) class data through the channel→class map ``of``. Gathers once for
+    all N."""
+    index = region_index(static[0].shape, qcsi, of)
     return list(zip(*(np.ravel(a).take(index) for a in static)))
 
 

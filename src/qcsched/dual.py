@@ -474,18 +474,18 @@ def exact_dual(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
 
 
 def block_allocation(tables: RateCostTables, lam: np.ndarray, qcsi,
-                     eps: float, of=None):
+                     eps: float, of):
     """Smooth allocation at prices λ (M,) for realized Q-CSI, 1-based: one
     block's (M, K) matrix or an (N, M, K) stack of N blocks.
 
-    ``tables`` span every region, (M, K, L), or every class's regions,
-    (M, n_classes, L), through the channel→class map ``of`` (K,), and are
-    read at ``qcsi`` user-major, (M, K) or (M, N, K). Returns (served_rate
-    (M,), weighted_power, served_cost), summed over the blocks of a stack.
+    ``tables`` are class tables, (M, n_classes, L), read through the
+    channel→class map ``of`` (K,) at ``qcsi`` user-major, (M, K) or
+    (M, N, K). Returns (served_rate (M,), weighted_power, served_cost),
+    summed over the blocks of a stack.
     """
     if tables.cost.ndim != 3:
-        raise ValueError("block_allocation reads (M, K, L) or class tables")
-    index = region_index(tables.cost.shape, qcsi, users_first=True, of=of)
+        raise ValueError("block_allocation reads class tables")
+    index = region_index(tables.cost.shape, qcsi, of, users_first=True)
     cost, rate = tables.cost.take(index), tables.rate.take(index)
     del index                           # w can reuse its pages
     return _smooth_share(cost, rate, lam, eps)

@@ -42,8 +42,8 @@ above; the region's moments and edges for ergodic), which a caller builds
 once and passes to the other methods. Υ̇⁻¹ is the scheduler's hook:
 ``allocation(data, slope, rate_cap)`` gives fresh (R*, Υ(R*)) with
 R* = Υ̇⁻¹(slope), 0 below Υ̇(0) and at most ``rate_cap`` (``math.inf`` for
-none). Pointwise there are ``power_of_rate`` (Υ), ``rate_of_power``
-(Υ⁻¹), ``rate_and_derivative`` (Υ⁻¹ and (Υ⁻¹)') and ``is_outage``.
+none). Pointwise there are ``power_of_rate`` (Υ), ``rate_and_derivative``
+(Υ⁻¹ and (Υ⁻¹)') and ``is_outage``.
 At a known gain g every family is Υ(x) = (s/g)·(2^x - 1), and
 ``perfect_csi_scale`` gives s.
 """
@@ -126,13 +126,6 @@ def _nonneg(values, name: str) -> np.ndarray:
     if np.any(v < 0):
         raise ValueError(f"{name} must be nonnegative")
     return v
-
-
-def _survivals(ctx: RegionContext):
-    g = ctx.mean_gain
-    s_lo = np.exp(-ctx.q_lo / g)
-    s_hi = np.where(np.isposinf(ctx.q_hi), 0.0, np.exp(-ctx.q_hi / g))
-    return s_lo, s_hi, s_lo - s_hi
 
 
 # B_k/k! for k ≤ 14 (Bernoulli numbers): w/expm1(w) = Σ B_k·w^k/k!. The
@@ -293,9 +286,6 @@ class PowerRate:
         return np.multiply(c, grow, out=np.zeros(np.broadcast(c, grow).shape),
                            where=rate != 0.0)
 
-    def rate_of_power(self, data: tuple, power) -> np.ndarray:
-        return self.rate_and_derivative(data, power)[0]
-
     def rate_and_derivative(self, data: tuple, power) -> tuple:
         """(Υ⁻¹(y), (Υ⁻¹)'(y)): log2(1 + y/c), 1/((c + y)·ln2); 0 in outage"""
         y, c = _nonneg(power, "power"), data[0]
@@ -374,7 +364,9 @@ class MaxAvgBer(PowerRate):
 
     def cell_data(self, ctx: RegionContext) -> tuple:
         lo, hi, g = np.broadcast_arrays(ctx.q_lo, ctx.q_hi, ctx.mean_gain)
-        target = self.eps_avg * g * _survivals(ctx)[2] / self.kappa1
+        # ε·ḡ·Pr{R}/κ1, Pr{R} the difference of the edges' survivals e^{-q/ḡ}
+        s_hi = np.where(np.isposinf(hi), 0.0, np.exp(-hi / g))
+        target = self.eps_avg * g * (np.exp(-lo / g) - s_hi) / self.kappa1
         hi_fin = np.where(np.isposinf(hi), 0.0, hi)    # e^{-a·q_hi} = 0 there
 
         def f_df(a):

@@ -361,17 +361,17 @@ def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
 
 @dataclass
 class OnlineResult:
-    """Per-block multiplier trace and cumulative sample averages.
+    """Per-block multiplier trace and running sample-average rates.
 
     lam_trace[n] is λ̂ *before* the block-n update (so row 0 is the init,
-    matching the offline trajectory convention); sample_avg_* are running
-    means over blocks 0..n; the trajectory's rate columns carry the running
-    means (the quantity whose convergence matters online).
+    matching the offline trajectory convention); sample_avg_rate[n] is the
+    running mean of the served rates over blocks 0..n. The trajectory's
+    rate and power columns carry the running means at its recorded blocks
+    (the quantity whose convergence matters online).
     """
 
     lam_trace: np.ndarray
     sample_avg_rate: np.ndarray
-    sample_avg_power: np.ndarray
     final_lambda: np.ndarray
     trajectory: Trajectory
 
@@ -388,10 +388,11 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     data through its class map. A block then does only the work that
     depends on λ: one dual.serve_block call (μ shaped once per run) builds
     and serves its own M×K cells; it calls ``progress`` and steps, and
-    writes its served rates and weighted power to the chunk's buffer. Per chunk, one cumsum over that
-    buffer (a sequential accumulate: the bits of adding block by block) and
-    one division give the running averages, and the trajectory records the
-    chunk's rows at its stride, so no output depends on the chunk size.
+    writes its served rates and weighted power to the chunk's buffer. Per
+    chunk, one cumsum over that buffer (a sequential accumulate: the bits
+    of adding block by block) and one division give the running averages,
+    and the trajectory records the chunk's rows at its stride, so no output
+    depends on the chunk size.
     Each block steps through _ascend. The fading model's seed is the only
     seed of the block stream, so runs on the same Problem are bitwise
     reproducible.
@@ -408,7 +409,6 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
     every = cfg.record_every
     lam_trace = np.empty((num_blocks, M))
     avg_rate = np.empty((num_blocks, M))
-    avg_power = np.empty(num_blocks)
     # row 0 carries the running sums into a chunk, row i + 1 its block i's
     # served rates (columns :M) and weighted power (column M)
     sums = np.zeros((min(chunk, num_blocks) + 1, M + 1))
@@ -429,15 +429,13 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
         csum = np.cumsum(sums[:count + 1], axis=0)
         avg = csum[1:] / np.arange(first + 1, first + count + 1)[:, None]
         avg_rate[first:first + count] = avg[:, :M]
-        avg_power[first:first + count] = avg[:, M]
         sums[0] = csum[count]
         recorded = list(range(first + -first % every, first + count, every))
         if first + count == num_blocks:
             recorded.append(num_blocks - 1)     # forced; add drops a repeat
         for n in recorded:
             rec.add(n, lam_trace[n], targets - sums[n - first + 1, :M],
-                    avg_rate[n], avg_power[n], force=True)
+                    avg_rate[n], avg[n - first, M], force=True)
     traj = rec.build("completed", targets, tol)
     return OnlineResult(lam_trace=lam_trace, sample_avg_rate=avg_rate,
-                        sample_avg_power=avg_power, final_lambda=lam,
-                        trajectory=traj)
+                        final_lambda=lam, trajectory=traj)

@@ -133,7 +133,7 @@ def stochastic_subgradient(model, grid: QuantizerGrid, mult, qcsi_block,
     if tables is None:
         tables = build_tables(model, grid, mult, rate_cap)
     served_rate, _, _ = block_allocation(tables, mult.lambda_r, qcsi_block,
-                                         eps)
+                                         eps, np.arange(grid.num_channels))
     return mult.targets - served_rate
 
 
@@ -580,7 +580,8 @@ def ra5_bisection(setup, problem) -> tuple:
         live = ~model.is_outage(cells)
 
         def served(p):
-            r = np.minimum(model.rate_of_power(cells, p), setup.rate_cap)
+            r = np.minimum(model.rate_and_derivative(cells, p)[0],
+                           setup.rate_cap)
             return float((pr * r * live).sum())
 
         target = float(setup.targets[m])
@@ -750,16 +751,17 @@ def online_reference(problem, cfg, num_blocks: int, progress=None):
     """solver.run_online with its bookkeeping done after every block: the
     running sums, both averages and a trajectory recorder call per block.
     Chunks of solver._chunk_blocks blocks, as run_online samples them; each
-    block reads (M, K, L) tables at its Q-CSI, which gives the bits of
-    serving its own cells."""
+    block reads (M, K, L) tables at its Q-CSI, through a class map that
+    puts each channel in its own class, which gives the bits of serving its
+    own cells."""
     problem.check_targets()
     M = problem.num_users
     lam = check_lambda(solver._per_user(cfg.init, M), M)
     static = make_static(problem.grid, problem.model)
+    of = np.arange(problem.grid.num_channels)       # a class per channel
     rec = solver._Recorder(cfg.record_every)
     lam_trace = np.empty((num_blocks, M))
     avg_rate = np.empty((num_blocks, M))
-    avg_power = np.empty(num_blocks)
     csum_rate = np.zeros(M)
     csum_power = 0.0
     chunk = solver._chunk_blocks(M, problem.grid.num_channels)
@@ -772,20 +774,20 @@ def online_reference(problem, cfg, num_blocks: int, progress=None):
             tables = build_tables(problem.model, problem.grid,
                                   Prices(lam, problem.mu), problem.rate_cap,
                                   static)
-            served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps)
+            served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps,
+                                                 of)
             g = problem.targets - served
             csum_rate += served
             csum_power += wpower
             avg_rate[n] = csum_rate / (n + 1)
-            avg_power[n] = csum_power / (n + 1)
-            rec.add(n, lam, g, avg_rate[n], avg_power[n],
+            rec.add(n, lam, g, avg_rate[n], csum_power / (n + 1),
                     force=(n == num_blocks - 1))
             if progress is not None:
                 progress(n, lam, g)
             lam = np.maximum(0.0, lam + cfg.beta * g)
     traj = rec.build("completed", problem.targets,
                      solver._per_user(cfg.tol, M))
-    return solver.OnlineResult(lam_trace, avg_rate, avg_power, lam, traj)
+    return solver.OnlineResult(lam_trace, avg_rate, lam, traj)
 
 
 def offline_reference(problem, cfg, mode: str, progress=None):

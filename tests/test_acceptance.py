@@ -365,7 +365,7 @@ def test_criterion_9_model_numerics():
         val, _ = quad(lambda t: np.log2(1.0 + y * t) * np.exp(-t),
                       0.2, 3.0, epsabs=1e-13, limit=200)
         erg_worst = max(erg_worst, abs(float(
-            erg.rate_of_power(erg.cell_data(qctx), y)) - val / pr))
+            erg.rate_and_derivative(erg.cell_data(qctx), y)[0]) - val / pr))
 
     fading = FadingModel(np.array([[1.0, 2.0], [0.5, 1.5], [1.2, 0.8]]),
                          seed=9)

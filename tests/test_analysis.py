@@ -145,7 +145,8 @@ def test_mc_primal_matches_blockwise_loop(monkeypatch):
         gains = sample_gains(fading, 5 + b)
         from qcsched.quantizer import quantize
         served, wp, _ = block_allocation(tables, mult.lambda_r,
-                                         quantize(grid, gains), 0.05)
+                                         quantize(grid, gains), 0.05,
+                                         np.arange(grid.num_channels))
         acc_r += served
         acc_p += wp
     np.testing.assert_allclose(rate_mc, acc_r / n, atol=1e-12)
@@ -204,7 +205,8 @@ def test_mc_primal_and_online_build_class_cells_only(monkeypatch):
     assert shapes == [(2, 3, 16)]
     qcsi = quantize(grid, sample_gain_blocks(fading, 3, 50))
     served, wpower, _ = block_allocation(build_tables(MODEL, grid, mult),
-                                         mult.lambda_r, qcsi, 0.05)
+                                         mult.lambda_r, qcsi, 0.05,
+                                         np.arange(grid.num_channels))
     assert rate.tobytes() == (served / 50).tobytes() and power == wpower / 50
     shapes.clear()
     problem = Problem(grid, MODEL, mult.mu, mult.targets, fading=fading)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import types
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -11,11 +12,14 @@ import numpy as np
 import pytest
 
 import qcsched
-from qcsched import analysis, cli, dual, powerrate
+from qcsched import allocator, analysis, cli, dual, powerrate, special
 from qcsched.allocator import TieInfeasibleError
 from qcsched.channel import snr_db_to_mean_gain
 from qcsched.cli import main
 from qcsched.quantizer import build_equiprobable
+
+from test_golden import EXIT_CODES as GOLDEN_EXIT_CODES
+from test_golden import _config_path as golden_config
 
 OK, CONFIG, NOT_CONVERGED, NUMERIC = 0, 2, 3, 4
 CONFIGS = Path(qcsched.__file__).parent / "configs"
@@ -1132,6 +1136,53 @@ def test_a_run_builds_its_model_and_grid_once(tmp_path, monkeypatch, mode,
     assert rc in (OK, NOT_CONVERGED)
     assert calls == Counter({"make_model": 1, **({builder: 1} if builder
                                                   else {}), **BUILDS[mode]})
+
+
+# the work each run does, counted by wrapping these names in every qcsched
+# module that binds them: each bundled solver and row config, and the
+# golden ergodic compare, the one that reaches the ergodic closed form. A
+# change that keeps its outputs bitwise keeps this table too; one that cuts
+# or adds work on purpose edits it and says so
+COUNTED_METHODS = {dual.Problem: ("serve_smooth", "serve_hard", "evaluate"),
+                   dual.PerfectCSI: ("evaluate",)}
+COUNTED_FUNCTIONS = {"build_tables": allocator, "serve_block": dual,
+                     "find_tie_instances": allocator, "exp12_scaled": special}
+COUNTED_WORK = {
+    "testcase1": {"Problem.serve_smooth": 197, "build_tables": 197},
+    "testcase1_nonsmooth": {"Problem.serve_hard": 1000, "build_tables": 1000},
+    "testcase2_online": {"serve_block": 10000},
+    "compare_schemes": {"Problem.evaluate": 63, "Problem.serve_smooth": 63,
+                        "build_tables": 66, "Problem.serve_hard": 3,
+                        "find_tie_instances": 3, "PerfectCSI.evaluate": 41},
+    "sweep_regions": {"Problem.evaluate": 101, "Problem.serve_smooth": 101,
+                      "build_tables": 101, "PerfectCSI.evaluate": 41},
+    "micro_ergodic_compare": {"Problem.evaluate": 40,
+                              "Problem.serve_smooth": 40, "build_tables": 43,
+                              "Problem.serve_hard": 3,
+                              "find_tie_instances": 3,
+                              "PerfectCSI.evaluate": 31, "exp12_scaled": 221},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_WORK))
+def test_each_run_does_its_counted_work(tmp_path, monkeypatch, name):
+    calls = Counter()
+    for cls, methods in COUNTED_METHODS.items():
+        for meth in methods:
+            monkeypatch.setattr(cls, meth, _spy(calls, vars(cls)[meth],
+                                                f"{cls.__name__}.{meth}"))
+    modules = [m for m in vars(qcsched).values()
+               if isinstance(m, types.ModuleType)]
+    for fn, home in COUNTED_FUNCTIONS.items():
+        original = getattr(home, fn)
+        wrapped = _spy(calls, original, fn)
+        for mod in modules:
+            if getattr(mod, fn, None) is original:
+                monkeypatch.setattr(mod, fn, wrapped)
+    argv = ["--config", str(golden_config(name, tmp_path)),
+            "--out", str(tmp_path / "art")]
+    assert main(argv) == GOLDEN_EXIT_CODES.get(name, OK)
+    assert calls == Counter(COUNTED_WORK[name])
 
 
 def test_the_check_sees_every_row_problem_of_every_snr_point_first(

@@ -44,6 +44,11 @@ def small_instance(L=4):
     return fading, grid, mult
 
 
+# the channel→class map that puts each of small_instance's two channels in
+# its own class: (M, K, L) tables and cell data read as class tables
+OWN_CLASS = np.arange(2)
+
+
 def test_zero_lambda_both_modes():
     _, grid, mult = small_instance()
     m0 = Multipliers([0.0, 0.0], mult.mu, mult.targets)
@@ -187,7 +192,7 @@ def test_block_allocation_by_hand():
     tables = build_tables(MODEL, grid, mult)
     qcsi = np.array([[4, 2], [3, 4]])
     served, wpower, scost = block_allocation(tables, mult.lambda_r, qcsi,
-                                             eps=0.05)
+                                             eps=0.05, of=OWN_CLASS)
     # recompute from the tables directly
     exp_rate = np.zeros(2)
     exp_cost = 0.0
@@ -216,12 +221,12 @@ def test_block_allocation_one_block_matches_the_column_major_oracle():
     fading, grid, mult = small_instance()
     tables = build_tables(MODEL, grid, mult)
     qcsi = quantize(grid, sample_gain_blocks(fading, 0, 50))
-    cells = block_statics(make_static(grid, MODEL), qcsi)
+    cells = block_statics(make_static(grid, MODEL), qcsi, OWN_CLASS)
     for n in range(50):
         own = build_tables(MODEL, grid, mult, static=cells[n])
         for got, block_tables in (
-                (block_allocation(tables, mult.lambda_r, qcsi[n], eps=0.05),
-                 tables),
+                (block_allocation(tables, mult.lambda_r, qcsi[n], eps=0.05,
+                                  of=OWN_CLASS), tables),
                 (serve_own_cells(MODEL, cells[n], mult, 0.05), own)):
             want = column_major_block(block_tables, mult.lambda_r, qcsi[n],
                                       0.05)
@@ -237,12 +242,13 @@ def test_block_allocation_stack_sums_its_blocks():
     tables = build_tables(MODEL, grid, mult)
     qcsi = quantize(grid, sample_gain_blocks(fading, 0, 7))      # (7, M, K)
     served, wpower, scost = block_allocation(tables, mult.lambda_r, qcsi,
-                                             eps=0.05)
+                                             eps=0.05, of=OWN_CLASS)
     assert served.shape == (2,)
     assert np.all(served > 0.0)
-    cells = block_statics(make_static(grid, MODEL), qcsi)
+    cells = block_statics(make_static(grid, MODEL), qcsi, OWN_CLASS)
     for per_block in (lambda n: block_allocation(tables, mult.lambda_r,
-                                                 qcsi[n], eps=0.05),
+                                                 qcsi[n], eps=0.05,
+                                                 of=OWN_CLASS),
                       lambda n: serve_own_cells(MODEL, cells[n], mult, 0.05)):
         calls = [per_block(n) for n in range(7)]
         np.testing.assert_allclose(served, sum(c[0] for c in calls),
@@ -251,7 +257,7 @@ def test_block_allocation_stack_sums_its_blocks():
         assert scost == pytest.approx(sum(c[2] for c in calls), rel=1e-13)
     with pytest.raises(ValueError):         # one block's tables, 7 blocks
         block_allocation(build_tables(MODEL, grid, mult, static=cells[0]),
-                         mult.lambda_r, qcsi, eps=0.05)
+                         mult.lambda_r, qcsi, eps=0.05, of=OWN_CLASS)
 
 
 KERNEL_FAMILIES = [OutageCapacity(outage_delta=0.0),
@@ -277,7 +283,7 @@ def test_serve_block_matches_the_column_major_oracle(model):
     cap, eps = 3.0, 0.05
     qcsi = quantize(grid, sample_gain_blocks(fading, 0, 40))
     qcsi[::2, 2] = qcsi[::2, 1]                     # ties on every other block
-    cells = block_statics(make_static(grid, model), qcsi)
+    cells = block_statics(make_static(grid, model), qcsi, np.arange(4))
     seen = {"tie": False, "capped": False, "idle": False}
     for n in range(len(qcsi)):
         tables = build_tables(model, grid, mult, cap, cells[n])

@@ -138,9 +138,9 @@ def test_outage_capacity_hand_values():
     assert model.power_of_rate(model.cell_data(ctx), 1.0) == 1.0  # (2^1-1)/1
     assert model.power_of_rate(model.cell_data(ctx), 0.0) == 0.0
     ctx3 = RegionContext(q_lo=3.0, q_hi=np.inf, mean_gain=1.0)
-    assert abs(model.rate_of_power(model.cell_data(ctx3), 1.0)
+    assert abs(model.rate_and_derivative(model.cell_data(ctx3), 1.0)[0]
                - 2.0) < 1e-15                       # log2(1+3)
-    assert model.rate_of_power(model.cell_data(ctx3), 0.0) == 0.0
+    assert model.rate_and_derivative(model.cell_data(ctx3), 0.0)[0] == 0.0
 
 
 def test_outage_region_semantics():
@@ -149,7 +149,7 @@ def test_outage_region_semantics():
     assert model.is_outage(model.cell_data(out))
     assert np.isposinf(model.power_of_rate(model.cell_data(out), 1.0))
     assert model.power_of_rate(model.cell_data(out), 0.0) == 0.0
-    assert model.rate_of_power(model.cell_data(out), 5.0) == 0.0
+    assert model.rate_and_derivative(model.cell_data(out), 5.0)[0] == 0.0
     assert inv_marginal(model, out, 100.0) == 0.0
     # positive delta lifts the first region out of outage
     d = OutageCapacity(outage_delta=0.2)
@@ -248,22 +248,23 @@ def _cond_ergodic_quadrature(y, ctx):
 def test_ergodic_rate_matches_quadrature(y):
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.2, q_hi=3.0, mean_gain=1.0)
-    assert model.rate_of_power(model.cell_data(ctx), y) == pytest.approx(
-        _cond_ergodic_quadrature(y, ctx), abs=1e-8)
+    rate = model.rate_and_derivative(model.cell_data(ctx), y)[0]
+    assert rate == pytest.approx(_cond_ergodic_quadrature(y, ctx), abs=1e-8)
 
 
 def test_ergodic_rate_matches_quadrature_unbounded_region():
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=LN2, q_hi=np.inf, mean_gain=2.0)
     for y in (0.05, 0.7, 4.0):
-        assert model.rate_of_power(model.cell_data(ctx), y) == pytest.approx(
-            _cond_ergodic_quadrature(y, ctx), abs=1e-8)
+        rate = model.rate_and_derivative(model.cell_data(ctx), y)[0]
+        assert rate == pytest.approx(_cond_ergodic_quadrature(y, ctx),
+                                     abs=1e-8)
 
 
 def test_ergodic_power_roundtrip():
     model = ErgodicCapacity()
     ctx = RegionContext(q_lo=0.5, q_hi=2.0, mean_gain=1.0)
-    x = float(model.rate_of_power(model.cell_data(ctx), 2.0))
+    x = float(model.rate_and_derivative(model.cell_data(ctx), 2.0)[0])
     assert model.power_of_rate(model.cell_data(ctx), x) == pytest.approx(
         2.0, abs=1e-8)
 
@@ -300,7 +301,7 @@ def test_ergodic_marginal_stays_accurate_at_small_power(y):
     for ctx in (RegionContext(q_lo=0.2, q_hi=3.0, mean_gain=1.0),
                 RegionContext(q_lo=0.0, q_hi=0.3, mean_gain=1.0),
                 RegionContext(q_lo=LN2, q_hi=np.inf, mean_gain=2.0)):
-        x = float(model.rate_of_power(model.cell_data(ctx), y))
+        x = float(model.rate_and_derivative(model.cell_data(ctx), y)[0])
         assert float(marginal_power(model, ctx, x)) == pytest.approx(
             1.0 / _cond_ergodic_marginal_quadrature(y, ctx), rel=1e-10)
 
@@ -311,8 +312,9 @@ def test_ergodic_marginal_stays_accurate_at_small_power(y):
 def test_roundtrip_rate_power(model):
     x = np.linspace(0.0, 12.0, 25)
     y = model.power_of_rate(model.cell_data(CTX), x)
-    np.testing.assert_allclose(model.rate_of_power(model.cell_data(CTX), y), x,
-                               rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(
+        model.rate_and_derivative(model.cell_data(CTX), y)[0], x,
+        rtol=1e-8, atol=1e-8)
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
@@ -348,10 +350,9 @@ def test_rate_derivative_matches_a_central_difference(model):
     outage = model.is_outage(data)
     for y in (1e-305, 1e-9, 1e-3, 0.5, 5.0, 80.0):
         h = 1e-4 * y
-        rate, deriv = model.rate_and_derivative(data, y)
-        np.testing.assert_array_equal(rate, model.rate_of_power(data, y))
-        fd = (model.rate_of_power(data, y + h)
-              - model.rate_of_power(data, y - h)) / (2 * h)
+        deriv = model.rate_and_derivative(data, y)[1]
+        fd = (model.rate_and_derivative(data, y + h)[0]
+              - model.rate_and_derivative(data, y - h)[0]) / (2 * h)
         np.testing.assert_array_equal(deriv[outage], 0.0)
         np.testing.assert_array_equal(fd[outage], 0.0)
         np.testing.assert_allclose(deriv[~outage], fd[~outage], rtol=1e-6)
@@ -369,7 +370,7 @@ def test_negative_inputs_rejected(model):
     with pytest.raises(ValueError):
         model.power_of_rate(model.cell_data(CTX), -0.5)
     with pytest.raises(ValueError):
-        model.rate_of_power(model.cell_data(CTX), -1.0)
+        model.rate_and_derivative(model.cell_data(CTX), -1.0)[0]
 
 
 def test_make_model_families():
@@ -392,8 +393,7 @@ def test_cell_data_is_the_only_method_that_reads_regions(model):
     public = {n for n in dir(model)
               if not n.startswith("_") and callable(getattr(model, n))}
     assert public == {"cell_data", "allocation", "rate_slope", "power_of_rate",
-                      "rate_of_power", "rate_and_derivative", "is_outage",
-                      "perfect_csi_scale"}
+                      "rate_and_derivative", "is_outage", "perfect_csi_scale"}
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: repr(m)[:40])
@@ -573,9 +573,9 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
     edges = erg._edges(erg.cell_data(ctx), slope)
     y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(edges, y)[1],
                     0.0, 1.0)
-    r_star = erg.rate_of_power(erg.cell_data(ctx), y_star)
-    y_cap = bisect(lambda y: erg.rate_of_power(erg.cell_data(ctx), y) - cap,
-                   0.0, 1.0)
+    r_star = erg.rate_and_derivative(erg.cell_data(ctx), y_star)[0]
+    y_cap = bisect(lambda y: erg.rate_and_derivative(erg.cell_data(ctx),
+                                                     y)[0] - cap, 0.0, 1.0)
     rate, power = erg.allocation(erg.cell_data(ctx), slope, cap)
     assert rate == close(np.minimum(r_star, cap))
     assert power == close(np.where(r_star > cap, y_cap, y_star))
@@ -583,8 +583,8 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
     x = np.append(r_star, [cap, 4.0 * cap])
     wide = RegionContext(*(np.full(n + 2, v[0])
                            for v in (ctx.q_lo, ctx.q_hi, ctx.mean_gain)))
-    want = bisect(lambda y: erg.rate_of_power(erg.cell_data(wide), y) - x,
-                  0.0, 1.0)
+    want = bisect(lambda y: erg.rate_and_derivative(erg.cell_data(wide),
+                                                    y)[0] - x, 0.0, 1.0)
     assert erg.power_of_rate(erg.cell_data(wide), x) == close(want)
     # the average-BER region constant: ∫_region e^{-a·g} dg = ε·ḡ·Pr/κ1
     k1, k2 = 0.2, 1.5
@@ -628,8 +628,8 @@ def test_jensen_brackets_hold_the_roots(g, lo, width, log_excess, rate):
     assert np.all(rho * y_hi <= y_star + slack(y_star))
     assert np.all(y_star <= y_hi + slack(y_star))
     x = np.array(rate)
-    power = bisect(lambda y: erg.rate_of_power(erg.cell_data(ctx), y) - x,
-                   0.0, 1.0)
+    power = bisect(lambda y: erg.rate_and_derivative(erg.cell_data(ctx),
+                                                     y)[0] - x, 0.0, 1.0)
     assert np.all(np.expm1(LN2 * x) / m1 <= power + slack(power))
     assert np.all(power <= np.expm1(LN2 * x / rho) * m1 / m2 + slack(power))
 
@@ -642,7 +642,7 @@ def test_ergodic_closed_form_at_subnormal_powers():
     ctx = RegionContext(q_lo=0.0, q_hi=2.0, mean_gain=1.0)
     m1 = float(erg.cell_data(ctx)[2])
     y = 1e-310
-    assert abs(erg.rate_of_power(erg.cell_data(ctx), y)
+    assert abs(erg.rate_and_derivative(erg.cell_data(ctx), y)[0]
                - y * m1 / LN2) <= 1e-15 * y * m1
     assert marginal_power(erg, ctx, y) == pytest.approx(LN2 / m1, rel=1e-12)
     assert marginal_power(erg, ctx, 0.0) == pytest.approx(LN2 / m1, rel=1e-12)
@@ -653,8 +653,8 @@ def test_power_past_the_overflow_of_its_upper_bound():
     # 2^600/ḡ does not: the upper end is doubled from 1, as with no bracket
     erg, x = ErgodicCapacity(), 600.0
     ctx = RegionContext(q_lo=0.0, q_hi=np.inf, mean_gain=1.3)
-    want = bisect(lambda y: erg.rate_of_power(erg.cell_data(ctx), y) - x,
-                  0.0, 1.0)
+    want = bisect(lambda y: erg.rate_and_derivative(erg.cell_data(ctx),
+                                                    y)[0] - x, 0.0, 1.0)
     assert erg.power_of_rate(erg.cell_data(ctx), x) == pytest.approx(
         want, rel=1e-10)
 
@@ -699,8 +699,8 @@ def test_outage_roundtrip_property(lo, width, x):
     model = OutageCapacity(outage_delta=0.0)
     ctx = RegionContext(q_lo=lo, q_hi=lo + width, mean_gain=1.0)
     y = float(model.power_of_rate(model.cell_data(ctx), x))
-    assert float(model.rate_of_power(model.cell_data(ctx),
-                                     y)) == pytest.approx(x, abs=1e-9)
+    rate = model.rate_and_derivative(model.cell_data(ctx), y)[0]
+    assert float(rate) == pytest.approx(x, abs=1e-9)
 
 
 # --- the lean closed form against the guarded formulas ----------------------

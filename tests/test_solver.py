@@ -357,7 +357,7 @@ def test_online_matches_offline_on_deterministic_channel():
 def reference_online(problem, cfg, num_blocks):
     """The online iteration block by block from the public pieces: sample,
     quantize, build every region's tables, allocate at the realized Q-CSI."""
-    M = problem.num_users
+    M, K = problem.num_users, problem.grid.num_channels
     lam = np.broadcast_to(np.asarray(cfg.init, dtype=float), (M,)).copy()
     trace, avg_rate, avg_power = [], [], []
     csum_rate = np.zeros(M)
@@ -368,7 +368,8 @@ def reference_online(problem, cfg, num_blocks):
         mult = Multipliers(lam, problem.mu, problem.targets)
         tables = build_tables(problem.model, problem.grid, mult,
                               problem.rate_cap)
-        served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps)
+        served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps,
+                                             np.arange(K))
         csum_rate += served
         csum_power += wpower
         avg_rate.append(csum_rate / (n + 1))
@@ -424,7 +425,7 @@ def test_ergodic_family_online_end_to_end():
     again = run_online(ergodic_problem(), cfg, blocks)
     for got, want in ((res.lam_trace, again.lam_trace),
                       (res.sample_avg_rate, again.sample_avg_rate),
-                      (res.sample_avg_power, again.sample_avg_power),
+                      (res.trajectory.power, again.trajectory.power),
                       (res.final_lambda, again.final_lambda)):
         np.testing.assert_array_equal(got, want)
     # λ never hits the projection, so the N updates telescope:
@@ -441,7 +442,8 @@ def test_ergodic_family_online_end_to_end():
     mult = Multipliers(lam, problem.mu, problem.targets)
     tables = build_tables(problem.model, problem.grid, mult)
     qcsi = quantize(problem.grid, sample_gain_blocks(problem.fading, 0, 4000))
-    served = np.array([block_allocation(tables, lam, j, 0.05)[0]
+    of = np.arange(problem.grid.num_channels)
+    served = np.array([block_allocation(tables, lam, j, 0.05, of)[0]
                        for j in qcsi])
     se = served.std(axis=0, ddof=1) / np.sqrt(len(served))
     exact = exact_dual(problem.model, problem.grid, mult, "smooth", 0.05)
@@ -472,7 +474,7 @@ def test_online_fused_path_matches_reference_loop(make, blocks, beta, rtol,
     trace, avg_rate, avg_power, lam = reference_online(problem, cfg, blocks)
     assert np.any(trace[-1] != trace[0])
     for got, want in ((res.lam_trace, trace), (res.sample_avg_rate, avg_rate),
-                      (res.sample_avg_power, avg_power),
+                      (res.trajectory.power, avg_power[res.trajectory.iters]),
                       (res.final_lambda, lam)):
         if rtol == 0.0:
             np.testing.assert_array_equal(got, want)
@@ -499,34 +501,70 @@ def test_online_bookkeeping_per_chunk_matches_the_per_block_loop(model,
                                                                  monkeypatch):
     # 7-block chunks and a stride of 3 over 20 blocks: recorded rows fall
     # on both sides of chunk edges and the forced last row (19) is off the
-    # stride; every array and every progress call keeps its bits
+    # stride; stride 1 records every block's running averages. Every array
+    # and every progress call keeps its bits
     micro = micro_problem()
     monkeypatch.setattr(solver, "ONLINE_CHUNK", 7 * 2 * 4)    # M=2, K=4
     problem = Problem(grid=micro.grid, model=model, mu=micro.mu,
                       targets=micro.targets, fading=micro.fading)
-    cfg = SolverConfig(beta=0.05, init=0.1, eps=0.05, record_every=3)
-    calls = {"got": [], "want": []}
 
-    def spy(key):
-        return lambda n, lam, g: calls[key].append((n, lam.copy(), g.copy()))
+    def spy(seen):
+        return lambda n, lam, g: seen.append((n, lam.copy(), g.copy()))
 
-    got = run_online(problem, cfg, 20, spy("got"))
-    want = online_reference(problem, cfg, 20, spy("want"))
-    assert list(got.trajectory.iters) == [0, 3, 6, 9, 12, 15, 18, 19]
-    for field in ("lam_trace", "sample_avg_rate", "sample_avg_power",
-                  "final_lambda"):
+    for every, iters in ((3, [0, 3, 6, 9, 12, 15, 18, 19]),
+                         (1, list(range(20)))):
+        cfg = SolverConfig(beta=0.05, init=0.1, eps=0.05, record_every=every)
+        calls = {"got": [], "want": []}
+        got = run_online(problem, cfg, 20, spy(calls["got"]))
+        want = online_reference(problem, cfg, 20, spy(calls["want"]))
+        assert list(got.trajectory.iters) == iters
+        for field in ("lam_trace", "sample_avg_rate", "final_lambda"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        for field in ("iters", "lam", "subgrad", "rates", "power",
+                      "served_rates"):
+            assert np.array_equal(getattr(got.trajectory, field),
+                                  getattr(want.trajectory, field))
+        for field in ("reason", "converged", "served_power"):
+            assert (getattr(got.trajectory, field)
+                    == getattr(want.trajectory, field))
+        assert len(calls["got"]) == 20
+        for (n, lam, g), (n0, lam0, g0) in zip(calls["got"], calls["want"],
+                                              strict=True):
+            assert (n == n0 and np.array_equal(lam, lam0)
+                    and np.array_equal(g, g0))
+
+
+def micro_online_problem(model):
+    """The golden micro_online shape: M=3, K=3, L=4 at 6 dB, seed 5."""
+    fading = FadingModel(np.full((3, 3), snr_db_to_mean_gain(6.0)), seed=5)
+    return Problem(grid=build_equiprobable(fading, 4), model=model,
+                   mu=np.ones(3), targets=np.array([0.5, 0.8, 1.1]),
+                   fading=fading)
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+def test_online_iteration_reads_no_channel_distribution(model, monkeypatch):
+    # the paper's stochastic iteration needs no knowledge of the channel
+    # distribution: once the targets are checked, a run for which the
+    # region probabilities, the column space and the hard rule's cell
+    # weights raise serves every block bitwise as a run that can read them
+    cfg = SolverConfig(beta=5e-3, init=0.1, eps=0.05, record_every=10)
+    want = run_online(micro_online_problem(model), cfg, 200)
+    problem = micro_online_problem(model)
+    problem.check_targets()
+
+    def unread(self):
+        raise AssertionError("the online iteration read Pr{J}")
+
+    for name in ("region_probs", "columns", "_hard_weight"):
+        monkeypatch.setattr(Problem, name, property(unread))
+    got = run_online(problem, cfg, 200)
+    for field in ("lam_trace", "sample_avg_rate", "final_lambda"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
-    for field in ("iters", "lam", "subgrad", "rates", "power",
-                  "served_rates"):
+    for field in ("iters", "lam", "subgrad", "rates", "power"):
         assert np.array_equal(getattr(got.trajectory, field),
                               getattr(want.trajectory, field))
-    for field in ("reason", "converged", "served_power"):
-        assert (getattr(got.trajectory, field)
-                == getattr(want.trajectory, field))
-    assert len(calls["got"]) == 20
-    for (n, lam, g), (n0, lam0, g0) in zip(calls["got"], calls["want"],
-                                          strict=True):
-        assert n == n0 and np.array_equal(lam, lam0) and np.array_equal(g, g0)
+    assert got.trajectory.served_power == want.trajectory.served_power
 
 
 def classes_grid(random: bool) -> QuantizerGrid:
