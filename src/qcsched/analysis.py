@@ -142,7 +142,7 @@ def mc_primal(model: PowerRate, grid: QuantizerGrid, mult: Multipliers,
     for done in range(0, num_blocks, chunk):
         n = min(chunk, num_blocks - done)
         qcsi = quantize(grid, sample_gain_blocks(fading, first_block + done, n))
-        served, wpower, _ = block_allocation(tables, mult.lambda_r, qcsi, eps,
+        served, _, wpower = block_allocation(tables, mult.lambda_r, qcsi, eps,
                                              of)
         sum_rate += served
         sum_power += wpower

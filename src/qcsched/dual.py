@@ -27,6 +27,9 @@ evaluate derives the value, the subgradient and, in smooth mode and on
 request, the Jacobian. The solvers' loops call the cores directly. The
 Problem also keeps the λ-invariant data the cores read: μ in the class
 tables' shape and the hard rule's size-weighted region probabilities.
+Both cores and serve_block serve through one reduction, _served, which
+overwrites the fresh weights it is given; block_allocation forms the same
+(served rate, served cost, served power) in place on its stacks.
 
 The hard rule needs no enumeration. Fading is independent across users, so
 user m wins channel class c in region l with probability
@@ -223,11 +226,11 @@ class Problem:
         or a solver leaves it; on ``tables``, if given, else tables(λ).
 
         It works on the (M, n_classes, L) tables in product form
-        (_hard_wins), O(n_classes·M²·L²), and enumerates nothing: served
-        rate and cost sum R·win and C·win over the cells."""
+        (_hard_wins), O(n_classes·M²·L²), and enumerates nothing: _served
+        sums R·win and C·win over the cells."""
         tables = self.tables(lam) if tables is None else tables
-        return self._served(lam, tables.cost, tables.rate,
-                            self._hard_wins(tables.cost))
+        return _served(lam, tables.cost, tables.rate,
+                       self._hard_wins(tables.cost))
 
     def serve_smooth(self, lam: np.ndarray, eps: float) -> tuple:
         """The ε-smooth rule's (served rate, served cost, served power,
@@ -236,8 +239,8 @@ class Problem:
 
         It enumerates, O(n_classes·L^M·M): cost and rate are each taken once
         through ``columns`` as user-major (M, J) arrays, and the weights
-        reduce over the M user rows. Served rates are the row sums of R·w·p
-        and the served cost the sum of C·w·p."""
+        reduce over the M user rows; _served takes the row sums of R·w·p
+        and the sum of C·w·p."""
         tables = self.tables(lam)
         index, probs = self.columns
         cost, rate = tables.cost.take(index), tables.rate.take(index)
@@ -247,16 +250,7 @@ class Problem:
         z = np.where(cstar < 0.0, w.sum(axis=0), np.inf)
         w /= z
         w *= probs
-        return (*self._served(lam, cost, rate, w),
-                (tables, cost, rate, u, z))
-
-    @staticmethod
-    def _served(lam, cost, rate, w) -> tuple:
-        """(served rate (M,), served cost, served power) under weights w:
-        the power is the served cost plus λ·(served rate)."""
-        served_rate = (rate * w).reshape(len(lam), -1).sum(axis=1)
-        served_cost = float((cost * w).sum())
-        return served_rate, served_cost, served_cost + float(lam @ served_rate)
+        return (*_served(lam, cost, rate, w), (tables, cost, rate, u, z))
 
     def _hard_wins(self, cost: np.ndarray) -> np.ndarray:
         """Pr{the hard rule serves cell (m, c, l)}, summed over class c's
@@ -480,33 +474,39 @@ def block_allocation(tables: RateCostTables, lam: np.ndarray, qcsi,
 
     ``tables`` are class tables, (M, n_classes, L), read through the
     channel→class map ``of`` (K,) at ``qcsi`` user-major, (M, K) or
-    (M, N, K). Returns (served_rate (M,), weighted_power, served_cost),
-    summed over the blocks of a stack.
+    (M, N, K). Returns (served rate (M,), served cost, served power),
+    summed over the blocks of a stack, as _served forms them; its products
+    reuse the gathered costs and the weights, since a stack's are large.
     """
     if tables.cost.ndim != 3:
         raise ValueError("block_allocation reads class tables")
     index = region_index(tables.cost.shape, qcsi, of, users_first=True)
     cost, rate = tables.cost.take(index), tables.rate.take(index)
     del index                           # w can reuse its pages
-    return _smooth_share(cost, rate, lam, eps)
+    w = smooth_weights(cost, eps)
+    served_cost = float(np.multiply(cost, w, out=cost).sum())
+    w *= rate
+    served_rate = w.reshape(len(w), -1).sum(axis=1)
+    return served_rate, served_cost, served_cost + float(lam @ served_rate)
 
 
 def serve_block(model: PowerRate, block: tuple, lam: np.ndarray,
                 mu: np.ndarray, eps: float, rate_cap: float) -> tuple:
     """block_allocation's result for one block, built and served in one pass
     at prices λ (M,) and μ shaped (M, 1): C_W = Υ·μ - λ·R* on the block's
-    own (M, K) cells (allocator.block_statics), then the ε-smooth shares."""
+    own (M, K) cells (allocator.block_statics), then _served under the
+    ε-smooth weights."""
     rate, cost = model.allocation(block, lam[:, None] / mu, rate_cap)
     cost *= mu
     cost -= lam[:, None] * rate         # exactly 0 wherever rate == 0
-    return _smooth_share(cost, rate, lam, eps)
+    return _served(lam, cost, rate, smooth_weights(cost, eps))
 
 
-def _smooth_share(cost, rate, lam, eps: float) -> tuple:
-    """(served_rate (M,), weighted_power, served_cost) of the ε-smooth rule
-    on user-major cells (M, ...); its product reuses ``cost``."""
-    w = smooth_weights(cost, eps)
-    served_cost = float(np.multiply(cost, w, out=cost).sum())
+def _served(lam, cost, rate, w) -> tuple:
+    """(served rate (M,), served cost, served power) on user-major cells
+    (M, ...) under weights w, which it overwrites with w·R*: the served cost
+    is ΣC·w, and the power the served cost plus λ·(served rate)."""
+    served_cost = float((cost * w).sum())
     w *= rate
     served_rate = w.reshape(len(w), -1).sum(axis=1)
-    return served_rate, served_cost + float(lam @ served_rate), served_cost
+    return served_rate, served_cost, served_cost + float(lam @ served_rate)

@@ -393,15 +393,15 @@ class ErgodicCapacity(PowerRate):
     def cell_data(self, ctx: RegionContext) -> tuple:
         """S_hi and Pr relative to S_lo (_truncated_exp), E[g|R],
         E[g²|R], q_lo, q_hi (0 where it is ∞, as S_hi = 0 there) and ḡ, from
-        which ``_edges`` builds what ``_closed_form`` reads: it reads the
-        survivals only over Pr."""
+        which ``_edges`` builds what ``_slopes`` and ``_rate`` read: they
+        read the survivals only over Pr."""
         hi = np.where(np.isposinf(ctx.q_hi), 0.0, ctx.q_hi)
         return tuple(np.broadcast_arrays(*_truncated_exp(ctx), ctx.q_lo, hi,
                                          ctx.mean_gain))
 
     @staticmethod
     def _edges(data: tuple, like) -> tuple:
-        """What ``_closed_form`` reads but the power, built once per call on
+        """What ``_slopes`` and ``_rate`` read but the power, once per call on
         the cells of ``cell_data`` broadcast against ``like``: S_hi,
         (q_lo, q_hi) stacked on a leading edge axis, q/ḡ, ḡ, Pr·ln2, E[g|R]
         and E[g²|R]."""
@@ -411,13 +411,9 @@ class ErgodicCapacity(PowerRate):
 
     def rate_and_derivative(self, data: tuple, power) -> tuple:
         y = _nonneg(power, "power")
-        return self._closed_form(self._edges(data, y), y)[:2]
-
-    def _closed_form(self, edges: tuple, y) -> tuple:
-        """Υ⁻¹(y), (Υ⁻¹)' and (Υ⁻¹)'' on the cells of ``_edges``: ``_slopes``
-        and ``_rate`` on its e, from one exp12_scaled call."""
-        deriv, curv, e = self._slopes(edges, y)
-        return self._rate(edges, y, e), deriv, curv
+        edges = self._edges(data, y)
+        deriv, _, e = self._slopes(edges, y)
+        return self._rate(edges, y, e), deriv
 
     @staticmethod
     def _slopes(edges: tuple, y) -> tuple:
@@ -476,8 +472,8 @@ class ErgodicCapacity(PowerRate):
         x = np.broadcast_to(_nonneg(rate, "rate"), m1.shape)
 
         def f_df(y):                           # f = 0 where x = 0: Υ(0) = 0
-            rate, deriv, _ = self._closed_form(edges, y)
-            return np.where(x > 0.0, rate - x, 0.0), deriv
+            deriv, _, e = self._slopes(edges, y)
+            return np.where(x > 0.0, self._rate(edges, y, e) - x, 0.0), deriv
 
         with np.errstate(over="ignore"):
             lo = np.expm1(_LN2 * x) / m1

@@ -11,8 +11,8 @@ probability is the product across users (independent fading).
 
 Channels whose ladders and mean gains are bitwise equal form a class
 (channel_classes). A grid computes its classes once (QuantizerGrid.classes):
-quantize searches the classes' ladders through a per-class guide table,
-and every dual.Problem on the grid reads the same classes.
+quantize searches the classes' ladders (QuantizerGrid._search), from L = 9
+through a per-class guide table, and every dual.Problem reads the classes.
 """
 
 from __future__ import annotations
@@ -92,20 +92,19 @@ class QuantizerGrid:
         return channel_classes(self)
 
     @cached_property
-    def _ladders(self) -> tuple:
-        """The classes' ladders, flat (M·n_classes·(L+1)), and the flat index
+    def _search(self) -> tuple:
+        """quantize's search structure on the classes' ladders: (flat,
+        first, guide), the ladders flat (M·n_classes·(L+1)); the flat index
         of q_1 of each cell's class ladder minus 1 (M, K), which turns a flat
-        position into a 1-based region."""
+        position into a 1-based region; and _guide_table's guide, None below
+        L = 9: finding its bucket costs about two search levels, and there a
+        search has at most three, so the table cannot pay."""
         channels, _, of = self.classes
         M, L1 = self.num_users, self.thresholds.shape[2]
-        first = (np.arange(M)[:, None] * len(channels) + of) * L1 - 1
-        return self.thresholds[:, channels].reshape(-1), first
-
-    @cached_property
-    def _guide(self):
-        # finding the bucket costs about two search levels, and below L = 9
-        # a search has at most three, so there the table cannot pay
-        return _guide_table(self) if self.regions_per_channel > 8 else None
+        row = np.arange(M)[:, None] * len(channels) + of    # class rows (M, K)
+        flat = self.thresholds[:, channels].reshape(-1)
+        guide = _guide_table(self, flat, row) if L1 > 9 else None
+        return flat, row * L1 - 1, guide
 
 
 def build_equiprobable(model: FadingModel, regions: int) -> QuantizerGrid:
@@ -163,33 +162,29 @@ def _descend(flat, pos, n, gains):
     return pos
 
 
-def _guide_table(grid: QuantizerGrid):
+def _guide_table(grid: QuantizerGrid, flat, row):
     """``quantize``'s guide table (Chen & Asau, 1974) over the classes'
-    ladders: (table, n, B, cell). B buckets per class, 4L where the table
-    fits in the grid's thresholds' bytes, else L; flat starts into the class
-    ladders laid out (M, n_classes, B+1) (entry B repeats B-1, for u = 1);
-    the width n; and the flat index of each cell's class row (M, K). None
-    when n does not save two search levels."""
-    channels, _, of = grid.classes
-    M, K, L1 = grid.thresholds.shape
+    ladders ``flat``, laid out (M, n_classes, L+1) with each cell's class
+    row ``row`` (M, K): (table, n, B, cell). B buckets per class, 4L where
+    the table fits in the grid's thresholds' bytes, else L; flat starts into
+    the class ladders laid out (M, n_classes, B+1) (entry B repeats B-1, for
+    u = 1); the width n; and the flat index of each cell's class row in the
+    table (M, K)."""
+    channels, (M, K, L1) = grid.classes[0], grid.thresholds.shape
     L, n_cls = L1 - 1, len(channels)
     B = 4 * L if n_cls * (4 * L + 1) <= K * L1 else L
     with np.errstate(divide="ignore"):
         base = -np.log1p(-np.clip(np.arange(-1, B + 2), 0, B) / B)
     edges = base[:, None, None] * grid.mean_gain[:, channels]  # E_-1..E_B+1
-    flat, _ = grid._ladders
     ladder = np.arange(0, M * n_cls * L1, L1).reshape(M, n_cls)
     region = _descend(flat, ladder + np.zeros(edges.shape, dtype=np.intp), L,
                       edges) - ladder
     n = int((region[3:] - region[:-3]).max()) + 1       # E_{b-1} .. E_{b+2}
-    if (n - 1).bit_length() > (L - 1).bit_length() - 2:
-        return None
     # start + n stays at or below q_{L+1}, which must never be read
     starts = np.minimum(region[np.r_[:B, B - 1]], L - n)   # (B+1, M, n_cls)
     table = (np.moveaxis(starts, 0, -1) + ladder[:, :, None]).reshape(-1)
     table.setflags(write=False)
-    cell = (np.arange(M)[:, None] * n_cls + of) * (B + 1)
-    return table, n, B, cell
+    return table, n, B, row * (B + 1)
 
 
 def quantize(grid: QuantizerGrid, gains: np.ndarray) -> np.ndarray:
@@ -203,15 +198,15 @@ def quantize(grid: QuantizerGrid, gains: np.ndarray) -> np.ndarray:
     A branchless binary search for the last q_l <= g runs on the whole batch
     over the ladders of the grid's channel classes (``classes``), which a
     batch's cells share: ⌈log2 L⌉ levels from q_1, each a gather, a
-    comparison and an add. The grid's guide table splits each class's CDF
-    u = -expm1(-g/ḡ) into B buckets, B = 4L where the table fits in the
-    grid's thresholds' bytes, else L; bucket b starts at the region of
-    E_{b-1} = -ḡ·log1p(-(b-1)/B), and the search then needs ⌈log2 n⌉
-    levels, n the widest region span from E_{b-1} to E_{b+2}. Finding b
-    costs about two levels, so the table serves only where it saves two:
-    equiprobable ladders have n = 2, one level, at 4L buckets, and n <= 4 at
-    L. It is exact, since rounding moves u and the edges by a few ulps, far
-    less than the one bucket of padding on each side of b.
+    comparison and an add. From L = 9 up, the grid's guide table
+    (``_search``) splits each class's CDF u = -expm1(-g/ḡ) into B buckets,
+    B = 4L where the table fits in the grid's thresholds' bytes, else L;
+    bucket b starts at the region of E_{b-1} = -ḡ·log1p(-(b-1)/B), and the
+    search then needs ⌈log2 n⌉ levels, n the widest region span from
+    E_{b-1} to E_{b+2}: equiprobable ladders have n = 2, one level, at 4L
+    buckets, and n <= 4 at L; far-off ladders may search all L. It is exact,
+    since rounding moves u and the edges by a few ulps, far less than the
+    one bucket of padding on each side of b.
     """
     gains = np.asarray(gains, dtype=float)
     M, K, L1 = grid.thresholds.shape
@@ -221,8 +216,7 @@ def quantize(grid: QuantizerGrid, gains: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"gains must be non-negative: {np.count_nonzero(np.isnan(gains))} "
             f"NaN and {np.count_nonzero(gains < 0.0)} negative")
-    flat, first = grid._ladders
-    guide = grid._guide
+    flat, first, guide = grid._search
     if guide is None:                                       # q_1 = 0 <= g
         pos, n = first + np.ones(gains.shape, dtype=np.intp), L1 - 1
     else:

@@ -224,7 +224,7 @@ def run_offline_smooth(problem: Problem, cfg: SolverConfig, progress=None):
         done = serves_targets(rate, targets, tol)
         rec.add(i, lam, g, rate, power, force=done or i == last)
         if progress is not None:
-            progress(i, lam, g)
+            progress(i, lam.copy(), g)
         if done or i == last:
             break
         lam = _ascend(lam, cfg.beta, g)
@@ -313,9 +313,8 @@ def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
     core behind Problem.evaluate, and steps as run_offline_smooth does,
     but into the next row of a buffer of CHECK λ rows, from which, with the
     c_i, each check reduces every D at once: no λ is copied or kept alive
-    per iterate. So the λ that ``progress`` sees is a row the loop
-    overwrites CHECK iterates later. Returns the Trajectory only, whose
-    ``dual_bound`` is that best D.
+    per iterate, except a copy for ``progress``, when it is given. Returns
+    the Trajectory only, whose ``dual_bound`` is that best D.
     """
     lam, tol, rec = _start(problem, cfg)
     targets, last = problem.targets, cfg.max_iters - 1
@@ -351,7 +350,7 @@ def run_offline_nonsmooth(problem: Problem, cfg: SolverConfig, progress=None):
                                                served[1], best, lam)
         rec.add(i, lam, g, rate, power, force=done or i == last)
         if progress is not None:
-            progress(i, lam, g)
+            progress(i, lam.copy(), g)
         if done or i == last:
             break
         lam = _ascend(lam, step, g, lams[len(costs)])
@@ -419,7 +418,7 @@ def run_online(problem: Problem, cfg: SolverConfig, num_blocks: int,
         for n, block, row in zip(range(first, first + count), cells,
                                  sums[1:]):
             lam_trace[n] = lam
-            served, row[M], _ = serve_block(model, block, lam, mu, cfg.eps,
+            served, _, row[M] = serve_block(model, block, lam, mu, cfg.eps,
                                             rate_cap)
             row[:M] = served
             g = targets - served

@@ -290,7 +290,7 @@ def _column_major_jacobian(problem, mult, tables, cost, rate, eps):
 def column_major_block(tables: RateCostTables, lam, qcsi, eps: float):
     """block_allocation, or serve_block on one block's own (M, K) tables,
     on the block's (K, M) columns, users on the last axis: (served_rate,
-    weighted_power, served_cost)."""
+    served_cost, weighted_power)."""
     j0 = np.asarray(qcsi, dtype=int) - 1
     cost, rate = tables.cost, tables.rate
     if cost.shape != j0.shape:
@@ -301,8 +301,8 @@ def column_major_block(tables: RateCostTables, lam, qcsi, eps: float):
     w = last_axis_weights(cost, eps)
     served_rate = (rate * w).sum(axis=0)
     served_cost = float((cost * w).sum())
-    return (served_rate, served_cost + float(lam @ served_rate),
-            served_cost)
+    return (served_rate, served_cost,
+            served_cost + float(lam @ served_rate))
 
 
 # --- test-only surfaces ---------------------------------------------------------
@@ -774,7 +774,7 @@ def online_reference(problem, cfg, num_blocks: int, progress=None):
             tables = build_tables(problem.model, problem.grid,
                                   Prices(lam, problem.mu), problem.rate_cap,
                                   static)
-            served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps,
+            served, _, wpower = block_allocation(tables, lam, jmat, cfg.eps,
                                                  of)
             g = problem.targets - served
             csum_rate += served

@@ -144,7 +144,7 @@ def test_mc_primal_matches_blockwise_loop(monkeypatch):
     for b in range(n):
         gains = sample_gains(fading, 5 + b)
         from qcsched.quantizer import quantize
-        served, wp, _ = block_allocation(tables, mult.lambda_r,
+        served, _, wp = block_allocation(tables, mult.lambda_r,
                                          quantize(grid, gains), 0.05,
                                          np.arange(grid.num_channels))
         acc_r += served
@@ -204,7 +204,7 @@ def test_mc_primal_and_online_build_class_cells_only(monkeypatch):
     rate, power = mc_primal(MODEL, grid, mult, 0.05, fading, 50, first_block=3)
     assert shapes == [(2, 3, 16)]
     qcsi = quantize(grid, sample_gain_blocks(fading, 3, 50))
-    served, wpower, _ = block_allocation(build_tables(MODEL, grid, mult),
+    served, _, wpower = block_allocation(build_tables(MODEL, grid, mult),
                                          mult.lambda_r, qcsi, 0.05,
                                          np.arange(grid.num_channels))
     assert rate.tobytes() == (served / 50).tobytes() and power == wpower / 50

@@ -191,7 +191,7 @@ def test_block_allocation_by_hand():
     _, grid, mult = small_instance()
     tables = build_tables(MODEL, grid, mult)
     qcsi = np.array([[4, 2], [3, 4]])
-    served, wpower, scost = block_allocation(tables, mult.lambda_r, qcsi,
+    served, scost, wpower = block_allocation(tables, mult.lambda_r, qcsi,
                                              eps=0.05, of=OWN_CLASS)
     # recompute from the tables directly
     exp_rate = np.zeros(2)
@@ -232,6 +232,8 @@ def test_block_allocation_one_block_matches_the_column_major_oracle():
                                       0.05)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1:] == want[1:]
+            # (served rate, served cost, served power), as a Problem's cores
+            assert got[2] == got[1] + float(mult.lambda_r @ got[0])
 
 
 def test_block_allocation_stack_sums_its_blocks():
@@ -241,7 +243,7 @@ def test_block_allocation_stack_sums_its_blocks():
     fading, grid, mult = small_instance()
     tables = build_tables(MODEL, grid, mult)
     qcsi = quantize(grid, sample_gain_blocks(fading, 0, 7))      # (7, M, K)
-    served, wpower, scost = block_allocation(tables, mult.lambda_r, qcsi,
+    served, scost, wpower = block_allocation(tables, mult.lambda_r, qcsi,
                                              eps=0.05, of=OWN_CLASS)
     assert served.shape == (2,)
     assert np.all(served > 0.0)
@@ -253,8 +255,8 @@ def test_block_allocation_stack_sums_its_blocks():
         calls = [per_block(n) for n in range(7)]
         np.testing.assert_allclose(served, sum(c[0] for c in calls),
                                    rtol=1e-13)
-        assert wpower == pytest.approx(sum(c[1] for c in calls), rel=1e-13)
-        assert scost == pytest.approx(sum(c[2] for c in calls), rel=1e-13)
+        assert scost == pytest.approx(sum(c[1] for c in calls), rel=1e-13)
+        assert wpower == pytest.approx(sum(c[2] for c in calls), rel=1e-13)
     with pytest.raises(ValueError):         # one block's tables, 7 blocks
         block_allocation(build_tables(MODEL, grid, mult, static=cells[0]),
                          mult.lambda_r, qcsi, eps=0.05, of=OWN_CLASS)
@@ -291,6 +293,8 @@ def test_serve_block_matches_the_column_major_oracle(model):
         want = column_major_block(tables, mult.lambda_r, qcsi[n], eps)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
+        # (served rate, served cost, served power), as a Problem's cores
+        assert got[2] == got[1] + float(mult.lambda_r @ got[0])
         cost = tables.cost
         seen["tie"] |= bool(((cost[1] == cost[2]) & (cost[1] < 0.0)).any())
         seen["capped"] |= bool((tables.rate == cap).any())

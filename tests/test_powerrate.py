@@ -571,7 +571,7 @@ def test_root_finds_match_an_independent_bisection(g, lo, width, log_excess,
     slope = LN2 / erg.cell_data(ctx)[2] * (1.0 + 10.0 ** np.array(log_excess))
     # the marginal inverse: (Υ⁻¹)'(y*) = 1/slope, clipped at the cap
     edges = erg._edges(erg.cell_data(ctx), slope)
-    y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(edges, y)[1],
+    y_star = bisect(lambda y: 1.0 / slope - erg._slopes(edges, y)[0],
                     0.0, 1.0)
     r_star = erg.rate_and_derivative(erg.cell_data(ctx), y_star)[0]
     y_cap = bisect(lambda y: erg.rate_and_derivative(erg.cell_data(ctx),
@@ -622,7 +622,7 @@ def test_jensen_brackets_hold_the_roots(g, lo, width, log_excess, rate):
     slack = lambda root: powerrate.ROOT_TOL * (1.0 + root)
     slope = LN2 / erg.cell_data(ctx)[2] * (1.0 + 10.0 ** np.array(log_excess))
     edges = erg._edges(data, slope)
-    y_star = bisect(lambda y: 1.0 / slope - erg._closed_form(edges, y)[1],
+    y_star = bisect(lambda y: 1.0 / slope - erg._slopes(edges, y)[0],
                     0.0, 1.0)
     y_hi = slope / LN2 - 1.0 / m1
     assert np.all(rho * y_hi <= y_star + slack(y_star))

@@ -221,11 +221,11 @@ def test_guide_table_width_size_and_caching(L, monkeypatch):
     builds = []
     real = qz._guide_table
     monkeypatch.setattr(qz, "_guide_table",
-                        lambda grid: builds.append(grid) or real(grid))
+                        lambda *args: builds.append(args) or real(*args))
     gains = sample_gain_blocks(FadingModel(np.ones((2, 3)), seed=4), 0, 5)
     for mg in (np.ones((2, 3)), np.array([[0.3, 1.0, 7.0], [2.0, 0.05, 1.0]])):
         grid = build_equiprobable(FadingModel(mg, seed=0), L)
-        table, n, *_ = grid._guide
+        table, n, *_ = grid._search[2]
         assert n <= 4
         assert table.nbytes <= grid.thresholds.nbytes
         quantize(grid, gains)
@@ -296,7 +296,7 @@ def test_quantize_matches_a_searchsorted_oracle(grid, equiprobable):
         np.testing.assert_array_equal(quantize(grid, gains[i]), want[i])
     L = grid.regions_per_channel
     n_classes = len(grid.classes[0])
-    table, n, buckets, cell = grid._guide or (None, None, None, None)
+    table, n, buckets, cell = grid._search[2] or (None, None, None, None)
     if n_classes * (4 * L + 1) <= grid.num_channels * (L + 1):
         assert buckets in (None, 4 * L)
         if equiprobable:
@@ -308,12 +308,12 @@ def test_quantize_matches_a_searchsorted_oracle(grid, equiprobable):
 
 
 def test_small_ladders_never_build_a_guide_table(monkeypatch):
-    monkeypatch.setattr(qz, "_guide_table", lambda grid: pytest.fail("built"))
+    monkeypatch.setattr(qz, "_guide_table", lambda *a: pytest.fail("built"))
     model = FadingModel(np.ones((2, 3)), seed=4)
     for L in range(1, 9):
         grid = _ladder("equiprobable", L, model.mean_gain)
         j = quantize(grid, sample_gain_blocks(model, 0, 20))
-        assert grid._guide is None and j.max() <= L
+        assert grid._search[2] is None and j.max() <= L
 
 
 @pytest.mark.parametrize("L", [4, 256])

@@ -368,7 +368,7 @@ def reference_online(problem, cfg, num_blocks):
         mult = Multipliers(lam, problem.mu, problem.targets)
         tables = build_tables(problem.model, problem.grid, mult,
                               problem.rate_cap)
-        served, wpower, _ = block_allocation(tables, lam, jmat, cfg.eps,
+        served, _, wpower = block_allocation(tables, lam, jmat, cfg.eps,
                                              np.arange(K))
         csum_rate += served
         csum_power += wpower
@@ -895,7 +895,9 @@ OFFLINE_LOOPS = {"smooth": run_offline_smooth,
 def test_offline_loops_match_the_checked_reference_bitwise(case):
     # the loops call the Problem's per-mode core with λ checked once; the
     # reference evaluates through Problem.evaluate at every iterate: every
-    # field, the final λ and each progress call keep their bits
+    # field, the final λ and each progress call keep their bits; and the λ
+    # that progress is handed stays its iterate's, kept uncopied over a hard
+    # run past two checks, after each of which its λ buffer rows are reused
     problem, beta = offline_cases()[case]
     reasons = set()
     for mode, knobs in OFFLINE_RUNS:
@@ -926,6 +928,12 @@ def test_offline_loops_match_the_checked_reference_bitwise(case):
             assert (i == i0 and lam.tobytes() == lam0.tobytes()
                     and g.tobytes() == g0.tobytes())
         reasons.add((mode, got.reason))
+    kept = []
+    traj = run_offline_nonsmooth(problem, SolverConfig(
+        beta=beta, init=0.1, kappa=0.1, tol=1e-12, max_iters=2005,
+        record_every=1), lambda i, lam, g: kept.append(lam))
+    assert traj.reason == "max_iters" and len(kept) == 2005
+    assert np.stack(kept).tobytes() == traj.lam.tobytes()
     # each loop stopped both ways on some family, and both ways on the tc1
     # shape, where the hard loop's first check certifies at tol = 0.05
     if case == "tc1_outage":
