@@ -25,8 +25,8 @@ rates and reports average weighted power:
   or, beyond what its channels carry at ``rate_cap``, the saturation one.
 
 A run's rows are data, (label, setup, problem): compare_rows and sweep_rows
-alone know which rows a run has and build each row problem once, and
-solve_rows solves those same objects, so the CLI can check them first.
+alone know which rows a run has, and build and check each row problem once,
+so a run raises before it solves a row; solve_rows solves those objects.
 
 No row hard-codes ``converged``: solver.serves_targets judges what each row
 serves at ``tol``, and RA1's and RA2's power against their ``dual_bound``.
@@ -280,6 +280,8 @@ def ra1_point(setup: CompareSetup, problem: PerfectCSI) -> dict:
 
 _SCHEME_FUNCS = {"RA1": ra1_point, "RA2": ra2_point, "RA3": newton_point,
                  "RA4": newton_point, "RA5": ra5_point}
+SCHEMES = tuple(_SCHEME_FUNCS)
+ENUMERATING = ("RA2", "RA3", "RA4")     # their solves read Problem.columns
 
 
 def _problem(setup: CompareSetup, kind: str) -> Problem | PerfectCSI:
@@ -300,6 +302,15 @@ def _problem(setup: CompareSetup, kind: str) -> Problem | PerfectCSI:
                    rate_cap=setup.rate_cap, enum_budget=setup.enum_budget)
 
 
+def _row(label: dict, setup: CompareSetup, problem) -> tuple:
+    """The row once its problem's targets are checked and, for a scheme in
+    ENUMERATING, its columns built for the solve: each of these can raise."""
+    problem.check_targets()
+    if label["scheme"] in ENUMERATING:
+        problem.columns
+    return label, setup, problem
+
+
 def compare_rows(setup: CompareSetup, schemes) -> list:
     """The rows (label, setup, problem) of compare_schemes(setup, schemes),
     in order. RA2, RA3 and RA5 share one Problem on the equiprobable ladder
@@ -313,7 +324,7 @@ def compare_rows(setup: CompareSetup, schemes) -> list:
         kind = name if name in ("RA1", "RA4") else "RA3"
         if kind not in problems:
             problems[kind] = _problem(setup, kind)
-        rows.append(({"scheme": name}, setup, problems[kind]))
+        rows.append(_row({"scheme": name}, setup, problems[kind]))
     return rows
 
 
@@ -326,11 +337,11 @@ def sweep_rows(setup: CompareSetup, regions_list, reference_regions) -> list:
     rows = []
     for L in regions_list:
         point = replace(setup, regions=int(L))
-        rows.append(({"scheme": "RA3", "regions": int(L)}, point,
-                     _problem(point, "RA3")))
+        rows.append(_row({"scheme": "RA3", "regions": int(L)}, point,
+                         _problem(point, "RA3")))
     if reference_regions is not None:
-        rows.append(({"scheme": "RA1", "regions": math.inf}, setup,
-                     _problem(setup, "RA1")))
+        rows.append(_row({"scheme": "RA1", "regions": math.inf}, setup,
+                         _problem(setup, "RA1")))
     return rows
 
 
@@ -356,8 +367,7 @@ def solve_rows(rows) -> list:
     return out
 
 
-def compare_schemes(setup: CompareSetup,
-                    schemes=("RA1", "RA2", "RA3", "RA4", "RA5")) -> list:
+def compare_schemes(setup: CompareSetup, schemes=SCHEMES) -> list:
     """solve_rows(compare_rows(setup, schemes)); the caller, which knows the
     setup's SNR, labels the rows with it."""
     return solve_rows(compare_rows(setup, schemes))

@@ -78,8 +78,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .allocator import DEFAULT_RATE_CAP, TieInfeasibleError
-from .analysis import (CompareSetup, compare_rows, feedback_bits, power_db,
-                       solve_rows, sweep_rows)
+from .analysis import (ENUMERATING, SCHEMES, CompareSetup, compare_rows,
+                       feedback_bits, power_db, solve_rows, sweep_rows)
 from .channel import MAX_SEED, FadingModel, snr_db_to_mean_gain
 from .powerrate import NumericError, make_model
 from .quantizer import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError,
@@ -96,7 +96,6 @@ EXIT_NUMERIC = 4
 SOLVER_MODES = ("offline_smooth", "offline_nonsmooth", "online")
 ROW_MODES = ("compare", "sweep_regions")
 MODES = (*SOLVER_MODES, *ROW_MODES, "overhead")
-SCHEMES = ("RA1", "RA2", "RA3", "RA4", "RA5")
 QUANTIZERS = ("equiprobable", "random", "explicit")
 
 REQUIRED, UNSET, FIELD = "required", "absent unless set", "field"
@@ -157,8 +156,7 @@ SCHEMA = {
     # 2^rate_cap overflows past 1024, and RA1's dual from about 1023
     "rate_cap": Key(_SOLVED, lo=0.0, hi=1000.0, default=DEFAULT_RATE_CAP),
     "enum_budget": Key(("offline_smooth", *ROW_MODES), int, lo=1,
-                       default=DEFAULT_ENUM_BUDGET,
-                       schemes=("RA2", "RA3", "RA4")),     # which enumerate
+                       default=DEFAULT_ENUM_BUDGET, schemes=ENUMERATING),
     "solver.init": Key(_SOLVED, shape=(_M,), or_one=True, lo=0.0,
                        default=FIELD),
     "solver.tol": Key(_SOLVED, shape=(_M,), or_one=True, default=FIELD),
@@ -349,8 +347,8 @@ def _build_run(rc: dict):
     """Build the run once and check its targets and enumeration budget on
     what was built: returns the SolverConfig and the Problem (solver modes),
     one (snr_db, rows) per SNR point, each compare.snr_db entry else the
-    fading SNR or NaN, with every row checked in row order (row modes), or
-    None, None (overhead)."""
+    fading SNR or NaN, with rows that analysis checked as it built them
+    (row modes), or None, None (overhead)."""
     mode, fad = rc["mode"], rc["fading"]
     if mode == "overhead":
         return None, None
@@ -394,17 +392,10 @@ def _build_run(rc: dict):
         model=model, mu=mu, targets=targets, **caps,
         **{k: v for k, v in {**sv, **knobs}.items() if k in names}))
         for snr, f in points]
-    runs = [(snr, compare_rows(setup, knobs["schemes"]) if mode == "compare"
-             else sweep_rows(setup, rc["sweep"]["regions"], math.inf))
-            for snr, setup in setups]
-    # in row order, the targets of each problem (a Problem checks once) and
-    # the columns RA2-RA4 enumerate, kept for the solve: they raise
-    # EnumerationBudgetError
-    for label, _, problem in (row for _, rows in runs for row in rows):
-        problem.check_targets()
-        if label["scheme"] in ("RA2", "RA3", "RA4"):
-            problem.columns
-    return cfg, runs
+    return cfg, [(snr, compare_rows(setup, knobs["schemes"])
+                  if mode == "compare"
+                  else sweep_rows(setup, rc["sweep"]["regions"], math.inf))
+                 for snr, setup in setups]
 
 
 # --- output helpers ----------------------------------------------------------

@@ -315,9 +315,8 @@ class OutageCapacity(PowerRate):
 
     def cell_data(self, ctx: RegionContext) -> tuple:
         gd = delta_outage_gain(ctx, self.outage_delta)
-        with np.errstate(divide="ignore"):
-            return linear_cells(np.where(gd > 0.0, 1.0 / np.maximum(gd, 1e-300),
-                                         np.inf))
+        return linear_cells(np.where(gd > 0.0, 1.0 / np.maximum(gd, 1e-300),
+                                     np.inf))
 
 
 @dataclass(frozen=True)
@@ -339,9 +338,8 @@ class MaxInstBer(PowerRate):
 
     def cell_data(self, ctx: RegionContext) -> tuple:
         s, lo = self.perfect_csi_scale(), ctx.q_lo
-        with np.errstate(divide="ignore"):
-            return linear_cells(np.where(lo > 0.0, s / np.maximum(lo, 1e-300),
-                                         np.inf))
+        return linear_cells(np.where(lo > 0.0, s / np.maximum(lo, 1e-300),
+                                     np.inf))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from qcsched.quantizer import (EnumerationBudgetError, QuantizerGrid,
 from qcsched.solver import (Problem, SolverConfig, run_offline_nonsmooth,
                             run_offline_smooth, run_online)
 
-from oracles import (cluster_audit, primal_lp, ra5_bisection,
+from oracles import (cluster_audit, planted_ties, primal_lp, ra5_bisection,
                      realize_probabilistic_access)
 
 MODEL = OutageCapacity(outage_delta=0.0)
@@ -298,10 +298,10 @@ def test_ra5_deterministic_meets_targets_and_costs_more():
     ids=lambda m: type(m).__name__)
 def test_ra5_builds_the_family_data_once(model, monkeypatch):
     # on the Problem's (M, n_classes, L) class grid, K = 4 channels in two
-    # classes; RA5 gathers each user's cells from it through the class map
+    # classes; RA5 gathers each user's cells from it through the class map.
+    # The row's target check builds them, and RA5 reads what it built
     fading = FadingModel(np.array([[4.0, 4.0, 2.0, 2.0]] * 2), seed=2)
     setup = micro_setup(model=model, fading=fading)
-    (_, _, problem), = compare_rows(setup, ("RA5",))
     shapes, cell_data = [], type(model).cell_data
 
     def spy(self, ctx):
@@ -309,6 +309,7 @@ def test_ra5_builds_the_family_data_once(model, monkeypatch):
         return cell_data(self, ctx)
 
     monkeypatch.setattr(type(model), "cell_data", spy)
+    (_, _, problem), = compare_rows(setup, ("RA5",))
     analysis.ra5_point(setup, problem)
     assert shapes == [(2, 2, 4)]
     assert "static" in vars(problem)
@@ -347,11 +348,14 @@ RA5_TARGETS = np.array([30.0, 0.0, 1.5])
 
 def ra5_row(model, targets=RA5_TARGETS, gain_scale=1.0):
     """The RA5 row and its setup and Problem on the M=3, K=6 instance at
-    6 dB, every mean gain times ``gain_scale``."""
+    6 dB, every mean gain times ``gain_scale``. The equiprobable Problem is
+    built here, not by compare_rows, whose target check rejects targets such
+    as (30, 30, 30) outside the rate region: RA5 reports what it serves."""
     mg = np.full((3, 6), snr_db_to_mean_gain(6.0) * gain_scale)
     setup = micro_setup(fading=FadingModel(mg, seed=2), model=model,
                         mu=np.array([1.0, 2.0, 0.5]), targets=targets)
-    (_, _, problem), = compare_rows(setup, ("RA5",))
+    problem = Problem(build_equiprobable(setup.fading, setup.regions), model,
+                      setup.mu, setup.targets, setup.fading)
     return analysis.ra5_point(setup, problem), setup, problem
 
 
@@ -586,6 +590,59 @@ def test_the_primal_lp_bounds_every_dual_value_and_ra2(family):
     assert traj.dual_bound <= p_lp
 
 
+def test_smooth_power_approaches_the_hard_dual_linearly_in_eps():
+    # the paper's "smooth scheduling is asymptotically optimal": at RA3's λ̂
+    # the served power is Pˢ = Dˢ - λ̂·g, with |g| < tol on a converged row,
+    # and D ≤ Dˢ < D + K·ε; so -λ̂·tol ≤ Pˢ(ε) - D(λ̂) < K·ε + λ̂·tol, and as
+    # D(λ̂) ≤ P* by weak duality, Pˢ falls to within λ̂·tol of P* linearly in ε
+    setup = micro_setup()
+    K = setup.fading.mean_gain.shape[1]
+    (_, _, problem), = compare_rows(setup, ("RA3",))
+    for eps in (0.05, 0.0125, 0.003125):
+        row = point(replace(setup, eps=eps), "RA3")
+        lam = row["lambda"]
+        assert row["converged"]
+        slack = float(lam @ np.full(2, setup.tol))
+        gap = row["avg_power"] - problem.evaluate(lam, "hard").value
+        assert -slack <= gap < K * eps + slack, eps
+
+
+def test_the_tie_lp_time_shares_at_most_one_tie_per_rate_row():
+    # the paper's "small group of winner users": the tie LP has a rate row
+    # for each of the P users in some tie and a budget row for each of the T
+    # ties, so its basic solution has at most P + T nonzero weights; every
+    # tie needs one, so at most P ties (P ≤ M) are time-shared by two or
+    # more users, however many ties there are
+    def shared(targets, ties, r_one):
+        w = allocator.solve_tie_lp(targets, *ties, r_one)
+        P, T = np.count_nonzero(ties[1].any(axis=0)), len(ties[0])
+        assert np.count_nonzero(w) <= P + T
+        assert np.count_nonzero(np.count_nonzero(w, axis=1) > 1) <= P
+        return T > ties[1].shape[1]     # T > M ≥ P: the bound binds
+
+    rng = np.random.default_rng(3)
+    more_ties = []
+    for _ in range(12):
+        M = int(rng.integers(2, 5))
+        tied = [sorted(rng.choice(M, int(rng.integers(2, M + 1)),
+                                  replace=False).tolist())
+                for _ in range(int(rng.integers(M + 1, 3 * M + 2)))]
+        targets, *ties = planted_ties(rng, tied, M)
+        more_ties.append(shared(targets, ties, np.zeros(M)))
+    # and at RA2's λ̂ on the bundled compare shape, M = 3 users on K = 64
+    fading = FadingModel(np.full((3, 64), snr_db_to_mean_gain(6.0)), seed=0)
+    setup = micro_setup(fading=fading, mu=np.ones(3),
+                        targets=np.array([40.0, 70.0, 100.0]))
+    (_, _, problem), = compare_rows(setup, ("RA2",))
+    row = analysis.ra2_point(setup, problem)
+    assert row["converged"]
+    prob, members, rates, wpow, r_one = find_tie_instances(
+        problem, row["lambda"], row["eps"])
+    more_ties.append(shared(setup.targets, (prob, members, rates, wpow),
+                            r_one))
+    assert all(more_ties)
+
+
 # --- relations between runs --------------------------------------------------------
 # each states its tolerance and why; RA4's ladders are drawn in (m, k) order
 # and RA5 gives channel k to user k mod M, so neither is permutation-free
@@ -754,6 +811,25 @@ def test_compare_rows_build_each_problem_once():
 def test_compare_schemes_unknown_scheme():
     with pytest.raises(ValueError, match="unknown scheme"):
         compare_schemes(micro_setup(), schemes=("RA9",))
+
+
+def test_the_library_raises_before_it_solves_a_row(monkeypatch):
+    # as the CLI exits 2 before it writes: RA3's equiprobable ladder reaches
+    # targets [30, 1] but RA4's random one cannot, and the L = 8 row's 64
+    # columns pass a budget of 40 that L = 2 and L = 4 fit; neither run
+    # solves the rows before the one that fails
+    solves, solve = [], analysis.run_offline_newton
+    monkeypatch.setattr(analysis, "run_offline_newton",
+                        lambda problem, cfg: (solves.append(problem),
+                                              solve(problem, cfg))[1])
+    setup = micro_setup(targets=np.array([30.0, 1.0]))
+    with pytest.raises(allocator.InfeasibleTargetsError) as info:
+        compare_schemes(setup, ("RA3", "RA4"))
+    assert info.value.users == [1]
+    with pytest.raises(EnumerationBudgetError, match="64 elements"):
+        sweep_regions(micro_setup(enum_budget=40), [2, 4, 8],
+                      reference_regions=None)
+    assert solves == []
 
 
 def test_compare_schemes_lets_a_schemes_key_error_through(monkeypatch):

@@ -1,16 +1,21 @@
 """Source hygiene of src/qcsched, read with the standard library's ast: no
 module imports a name it never uses, and no private module-level name
-(one leading underscore) goes unreferenced in the module that defines it.
-Both are what a deletion leaves behind when it misses its last use."""
+(one leading underscore) goes unreferenced in the module that defines it;
+and every name README.md cites in backticks still exists. All three are
+what a deletion leaves behind when it misses its last use."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import qcsched
+from qcsched import cli
 
 MODULES = sorted(Path(qcsched.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -77,3 +82,33 @@ def test_no_unreferenced_private_name(path):
                     for line, name in _private_definitions(tree)
                     if name not in reads]
     assert not unreferenced
+
+
+def _cited_names(text: str) -> set:
+    """The dotted names (a.b, a.b.c, ...) inside README's inline code spans,
+    outside its fenced blocks."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    dotted = r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+"
+    return {name for span in re.findall(r"`([^`]+)`", text)
+            for name in re.findall(dotted, span)}
+
+
+def test_readme_cites_only_names_that_exist():
+    # a name counts when its first part is a qcsched module or a public
+    # qcsched name; config keys (cli.SCHEMA) and file names are not names
+    modules = {path.stem for path in MODULES} - {"__init__"}
+    public = set(qcsched.__all__)
+    stale = []
+    for name in sorted(_cited_names(README.read_text(encoding="utf-8"))):
+        head, *rest = name.removeprefix("qcsched.").split(".")
+        if (name in cli.SCHEMA or rest[-1:] in (["py"], ["json"], ["csv"])
+                or head not in modules | public):
+            continue
+        obj = (importlib.import_module(f"qcsched.{head}") if head in modules
+               else getattr(qcsched, head))
+        for attr in rest:
+            if not hasattr(obj, attr):
+                stale.append(name)
+                break
+            obj = getattr(obj, attr)
+    assert not stale
