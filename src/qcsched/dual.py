@@ -13,10 +13,12 @@ exploit as an internal consistency check.
 
 Every term is evaluated once per class of identical channels
 (quantizer.channel_classes): channels with the same ladders and mean gains
-give the same term, so one representative carries the class's weight. A
-Problem reads the classes its grid computed once (QuantizerGrid.classes)
-and caches the family's cell data and region probabilities at the
-representatives, (M, n_classes, L) each: the column space, the online
+give the same term, so one representative carries the class's weight. The
+grid keeps the class data, which depends on neither λ, μ nor the targets,
+built once for every Problem on it: the classes (QuantizerGrid.classes),
+the sub-grid of their representatives (QuantizerGrid.class_grid), its
+region probabilities and each family's cell data on it, (M, n_classes, L)
+each and read-only. A Problem reads them: the column space, the online
 blocks (serve_block: built on their own (M, K) cells and served in one
 pass), mc_primal and RA5 read them, through the class map.
 Problem.tables(λ), unchecked, is the one table build on those cells: the
@@ -25,8 +27,9 @@ offline evaluation: it checks the mode, ε and λ, then runs the mode's core,
 serve_hard or serve_smooth, which builds the tables and serves them;
 evaluate derives the value, the subgradient and, in smooth mode and on
 request, the Jacobian. The solvers' loops call the cores directly. The
-Problem also keeps the λ-invariant data the cores read: μ in the class
-tables' shape and the hard rule's size-weighted region probabilities.
+Problem keeps the λ-invariant data its own weights and budget decide: the
+column space, μ in the class tables' shape and the hard rule's
+size-weighted region probabilities.
 Both cores and serve_block serve through one reduction, _served, which
 overwrites the fresh weights it is given; block_allocation forms the same
 (served rate, served cost, served power) in place on its stacks.
@@ -62,8 +65,8 @@ import numpy as np
 from . import quantizer as qz
 from .allocator import (DEFAULT_RATE_CAP, Multipliers, Prices,
                         RateCostTables, build_tables, check_lambda,
-                        check_reach, check_weights, make_static,
-                        region_index, smooth_weights, smooth_window)
+                        check_reach, check_weights, region_index,
+                        smooth_weights, smooth_window)
 from .channel import FadingModel
 from .powerrate import _LN2, PowerRate, linear_allocation, linear_cells
 from .quantizer import QuantizerGrid
@@ -101,8 +104,9 @@ class Problem:
     ř ≥ 0 and, with ``fading``, its mean gains equal to the grid's are
     checked at construction. ``classes``, ``static``, ``region_probs`` and
     ``columns``, and the λ-invariant data serve_hard and serve_smooth read,
-    are computed on first use and kept; only the smooth dual and the tie
-    search build ``columns``.
+    are computed on first use and kept; the first three are the grid's, built
+    once for every Problem on it. Only the smooth dual and the tie search
+    build ``columns``.
     """
 
     grid: QuantizerGrid
@@ -135,23 +139,25 @@ class Problem:
 
     @cached_property
     def _class_grid(self) -> QuantizerGrid:
-        """The grid on the classes' representative channels only: the only
-        channels an offline evaluation or the target check reads."""
-        channels = self.classes[0]
-        return QuantizerGrid(self.grid.thresholds[:, channels],
-                             self.grid.mean_gain[:, channels])
+        """The grid's QuantizerGrid.class_grid, on the classes'
+        representative channels only: the only channels an offline
+        evaluation or the target check reads."""
+        return self.grid.class_grid
 
     @cached_property
-    def static(self) -> tuple:
-        """The family's cell data (allocator.make_static) on the classes'
-        representative channels, (M, n_classes, L) each."""
-        return make_static(self._class_grid, self.model)
+    def static(self) -> np.ndarray:
+        """The family's cell data on the classes' representative channels,
+        its arrays (M, n_classes, L) stacked on a leading axis, read-only:
+        ``_class_grid``'s QuantizerGrid.cell_data, built once per grid and
+        model."""
+        return self._class_grid.cell_data(self.model)
 
     @cached_property
     def region_probs(self) -> np.ndarray:
         """The region probabilities of ``static``'s cells, (M, n_classes,
-        L), each class's rows summing to 1."""
-        return qz.region_prob_table(self._class_grid)
+        L), each class's rows summing to 1, read-only: ``_class_grid``'s
+        QuantizerGrid.region_probs."""
+        return self._class_grid.region_probs
 
     @cached_property
     def columns(self) -> tuple:
@@ -403,16 +409,21 @@ class PerfectCSI:
                                               self.num_users)
         self.columns, self.counts = np.unique(self.mean_gain.T, axis=0,
                                               return_counts=True)
+        self._checked = False
 
     @property
     def num_users(self) -> int:
         return self.mean_gain.shape[0]
 
     def check_targets(self) -> None:
-        """allocator.check_reach, with no user ever in outage."""
-        one_cell = (self.num_users, 1, 1)
-        check_reach(np.zeros(one_cell, dtype=bool), np.ones(one_cell),
-                    [self.mean_gain.shape[1]], self.targets, self.rate_cap)
+        """allocator.check_reach, once per PerfectCSI as per Problem, with
+        no user ever in outage."""
+        if not self._checked:
+            one_cell = (self.num_users, 1, 1)
+            check_reach(np.zeros(one_cell, dtype=bool), np.ones(one_cell),
+                        [self.mean_gain.shape[1]], self.targets,
+                        self.rate_cap)
+            self._checked = True
 
     def evaluate(self, lam, *_) -> DualEvaluation:
         """The hard dual at λ, whatever mode and ε a Problem would take."""

@@ -51,11 +51,14 @@ At a known gain g every family is Υ(x) = (s/g)·(2^x - 1), and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .quantizer import QuantizerGrid
 from .special import exp12_scaled
+
+if TYPE_CHECKING:
+    from .quantizer import QuantizerGrid
 
 _LN2 = float(np.log(2.0))
 # every root-find (``_vec_newton``: the families' and RA5's) stops each
@@ -258,8 +261,9 @@ class PowerRate:
     # -- family hooks -------------------------------------------------------
     def cell_data(self, ctx: RegionContext) -> tuple:
         """λ-independent per-region arrays, all of one shape, that every
-        other method reads: ``linear_cells(c)`` for the c·(2^x-1) families,
-        with c = +inf in outage regions."""
+        other method reads, as this tuple or stacked on a leading axis as a
+        grid keeps them (QuantizerGrid.cell_data): ``linear_cells(c)`` for
+        the c·(2^x-1) families, with c = +inf in outage regions."""
         raise NotImplementedError
 
     def allocation(self, data: tuple, slope, rate_cap: float) -> tuple:
@@ -378,6 +382,15 @@ class MaxAvgBer(PowerRate):
         return linear_cells((a - 1.0 / g) / self.kappa2)
 
 
+def _edge_views(cells: np.ndarray) -> tuple:
+    """What ErgodicCapacity's ``_slopes`` and ``_rate`` read but the power,
+    as views of ``cells``, the arrays of its ``cell_data`` stacked on a
+    leading axis: S_hi, (q_lo, q_hi) and (q_lo, q_hi)/ḡ on a leading edge
+    axis, ḡ, Pr·ln2, E[g|R] and E[g²|R]."""
+    return (cells[0], cells[4:6], cells[7:9], cells[6], cells[9], cells[2],
+            cells[3])
+
+
 def _edge_sum(s_hi, a) -> np.ndarray:
     """Σ S·a over the leading (lo, hi) edge axis, S = (1, -S_hi)."""
     return a[0] - s_hi * a[1]
@@ -390,22 +403,21 @@ class ErgodicCapacity(PowerRate):
     # Υ⁻¹ and its derivatives in closed form --------------------------------
     def cell_data(self, ctx: RegionContext) -> tuple:
         """S_hi and Pr relative to S_lo (_truncated_exp), E[g|R],
-        E[g²|R], q_lo, q_hi (0 where it is ∞, as S_hi = 0 there) and ḡ, from
-        which ``_edges`` builds what ``_slopes`` and ``_rate`` read: they
-        read the survivals only over Pr."""
+        E[g²|R], q_lo, q_hi (0 where it is ∞, as S_hi = 0 there), ḡ, then
+        q_lo/ḡ, q_hi/ḡ and Pr·ln2: ``_edges`` reads them, stacked, as
+        ``_slopes`` and ``_rate`` do, which read the survivals only over
+        Pr."""
+        s_hi, pr, m1, m2 = _truncated_exp(ctx)
+        lo, g = ctx.q_lo, ctx.mean_gain
         hi = np.where(np.isposinf(ctx.q_hi), 0.0, ctx.q_hi)
-        return tuple(np.broadcast_arrays(*_truncated_exp(ctx), ctx.q_lo, hi,
-                                         ctx.mean_gain))
+        return tuple(np.broadcast_arrays(s_hi, pr, m1, m2, lo, hi, g, lo / g,
+                                         hi / g, pr * _LN2))
 
     @staticmethod
     def _edges(data: tuple, like) -> tuple:
-        """What ``_slopes`` and ``_rate`` read but the power, once per call on
-        the cells of ``cell_data`` broadcast against ``like``: S_hi,
-        (q_lo, q_hi) stacked on a leading edge axis, q/ḡ, ḡ, Pr·ln2, E[g|R]
-        and E[g²|R]."""
-        s_hi, pr, m1, m2, lo, hi, g, _ = np.broadcast_arrays(*data, like)
-        q = np.stack([lo, hi])
-        return s_hi, q, q / g, g, pr * _LN2, m1, m2
+        """_edge_views of the cells of ``cell_data`` broadcast against
+        ``like``."""
+        return _edge_views(np.stack(np.broadcast_arrays(*data, like)[:-1]))
 
     def rate_and_derivative(self, data: tuple, power) -> tuple:
         y = _nonneg(power, "power")
@@ -500,10 +512,12 @@ class ErgodicCapacity(PowerRate):
         F' = -(Υ⁻¹)''/((Υ⁻¹)')², which the bounds put between the lines
         ln2·(1 + y·m1)/m1 - slope and ln2·(1 + y·m2/m1)/m1 - slope, equal
         for a point-mass gain: Newton from y_hi lands almost on the root."""
-        *cells, t = np.broadcast_arrays(*data, _nonneg(slope, "slope"))
+        t, cells = _nonneg(slope, "slope"), np.asarray(data)
         active = t > _LN2 / cells[2]
-        c, t = tuple(a[active] for a in cells), t[active]
-        edges = self._edges(c, t)
+        if cells.shape[1:] != active.shape:     # more slopes than cells
+            cells = np.broadcast_to(cells, cells.shape[:1] + active.shape)
+        cells, t = cells[:, active], np.broadcast_to(t, active.shape)[active]
+        edges = _edge_views(cells)
         m1, m2 = edges[5:]
 
         def f_df(y):
@@ -523,8 +537,7 @@ class ErgodicCapacity(PowerRate):
         capped = r > rate_cap
         if capped.any():
             r[capped] = rate_cap
-            y[capped] = self.power_of_rate(tuple(a[capped] for a in c),
-                                           rate_cap)
+            y[capped] = self.power_of_rate(cells[:, capped], rate_cap)
         rate, power = np.zeros(active.shape), np.zeros(active.shape)
         rate[active], power[active] = r, y
         return rate, power
@@ -537,7 +550,7 @@ class ErgodicCapacity(PowerRate):
         live = (r > 0.0) & (r < rate_cap)
         out = np.zeros(t.shape)
         y = y[live]
-        edges = self._edges(tuple(a[live] for a in cells), y)
+        edges = _edge_views(np.stack(cells)[:, live])
         out[live] = -1.0 / (t[live] ** 3 * self._slopes(edges, y)[1])
         return out
 

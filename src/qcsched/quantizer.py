@@ -12,17 +12,25 @@ probability is the product across users (independent fading).
 Channels whose ladders and mean gains are bitwise equal form a class
 (channel_classes). A grid computes its classes once (QuantizerGrid.classes):
 quantize searches the classes' ladders (QuantizerGrid._search), from L = 9
-through a per-class guide table, and every dual.Problem reads the classes.
+through a per-class guide table. A grid also keeps the λ-independent data
+of its regions, built on first use and read-only: their probabilities
+(QuantizerGrid.region_probs) and each power-rate family's cell data, its
+arrays stacked (QuantizerGrid.cell_data, one entry per model). Every
+dual.Problem on a grid reads them on the grid's class representatives
+(QuantizerGrid.class_grid), so Problems that differ only in λ, μ, targets,
+rate cap or budget share them; a Problem keeps only what those decide: its
+column space, the hard rule's weights and μ's shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .channel import FadingModel
+from .powerrate import region_contexts
 
 DEFAULT_ENUM_BUDGET = 10 ** 6
 
@@ -50,6 +58,9 @@ class QuantizerGrid:
 
     thresholds: np.ndarray
     mean_gain: np.ndarray
+    # cell_data's entries, one per model
+    _cells: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         thr = np.asarray(self.thresholds, dtype=float)
@@ -92,6 +103,31 @@ class QuantizerGrid:
         return channel_classes(self)
 
     @cached_property
+    def class_grid(self) -> QuantizerGrid:
+        """The grid on the classes' representative channels only, (M,
+        n_classes): the only channels an offline evaluation or a target
+        check reads, so every dual.Problem on this grid reads its
+        ``region_probs`` and ``cell_data``."""
+        channels = self.classes[0]
+        return QuantizerGrid(self.thresholds[:, channels],
+                             self.mean_gain[:, channels])
+
+    @cached_property
+    def region_probs(self) -> np.ndarray:
+        """region_prob_table of this grid, (M, K, L), read-only."""
+        return _read_only(region_prob_table(self))
+
+    def cell_data(self, model) -> np.ndarray:
+        """``model.cell_data`` on this grid's (M, K, L) regions, stacked on a
+        leading axis and read-only, built once per model: a power-rate
+        family, frozen and hashable, so equal models share one entry. Its
+        rows are the family's arrays, so it reads as their tuple does."""
+        if model not in self._cells:
+            self._cells[model] = _read_only(np.array(
+                model.cell_data(region_contexts(self))))
+        return self._cells[model]
+
+    @cached_property
     def _search(self) -> tuple:
         """quantize's search structure on the classes' ladders: (flat,
         first, guide), the ladders flat (M·n_classes·(L+1)); the flat index
@@ -105,6 +141,11 @@ class QuantizerGrid:
         flat = self.thresholds[:, channels].reshape(-1)
         guide = _guide_table(self, flat, row) if L1 > 9 else None
         return flat, row * L1 - 1, guide
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def build_equiprobable(model: FadingModel, regions: int) -> QuantizerGrid:

@@ -9,22 +9,22 @@ r = 1/(x+u): e^x·E1 = ∫ e^{-u}/(x+u) du ≈ Σ w·r and e^x·E2 ≈ Σ w·r·
 positive terms that do not underflow at huge x. The n-node rule is the
 n-th convergent of E1's continued fraction, which needs about 92 terms at
 x = 1 and fewer above, so 128 nodes reach double precision on [1, ∞) at a
-cost that does not depend on x. The rule is built on first use, never at
-import. Arguments go through in slices of ``_SLICE`` (temporaries near
-1 MB), and a call that fits one slice runs without a slice loop. Each
-element takes the same operations whatever else is in the call, so a
-batch equals its one-element calls bit for bit.
+cost that does not depend on x. The rule is a table of its 256 numbers,
+read on first use, never at import. Arguments go through in slices of
+``_SLICE`` (temporaries near 1 MB), and a call that fits one slice runs
+without a slice loop. Each element takes the same operations whatever else
+is in the call, so a batch equals its one-element calls bit for bit.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606
-_NODES = 128
 _SLICE = 1024
 # the powers n of Σ_{n=1}^{19} (-1)^{n+1} x^n/(n·n!) and their coefficients,
 # highest first, so that a row sum adds the largest terms last
@@ -54,36 +54,14 @@ def _series(x: np.ndarray) -> np.ndarray:
 
 @cache
 def _laguerre_rule() -> tuple:
-    """Nodes and weights of the _NODES-point Gauss–Laguerre rule, without
-    LAPACK. Node i is the i-th eigenvalue of the Jacobi matrix (diagonal
-    2k+1, off-diagonal k): 20 bisection steps on its Sturm count isolate it
-    in the Gershgorin interval [0, 4n], and six Newton steps on L_n polish
-    it; the weights are the Christoffel numbers 1/Σ_{k<n} L_k(u)² of the
-    last step. Newton runs in longdouble, which on x87 hardware makes the
-    rule correctly rounded (in double the smallest nodes lose about 1e-13)."""
-    n = _NODES
-    index = np.arange(n)
-    lo, hi = np.zeros(n), np.full(n, 4.0 * n)
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        d = 1.0 - mid       # negative LDLᵀ pivots of T - mid·I: nodes < mid
-        below = (d < 0.0).astype(int)
-        with np.errstate(divide="ignore"):
-            for k in range(1, n):
-                d = (2 * k + 1 - mid) - k * k / d
-                below += d < 0.0
-        above = below > index
-        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
-    u = (0.5 * (lo + hi)).astype(np.longdouble)
-    for _ in range(6):
-        # L_n, L_{n-1} and Σ_{k<n} L_k² by the three-term recurrence; then
-        # a Newton step, with u·L_n' = n·(L_n - L_{n-1})
-        prev, cur, ssq = 0.0 * u, 1.0 + 0.0 * u, 0.0 * u
-        for k in range(n):
-            ssq = ssq + cur * cur
-            prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
-        u = u - u * cur / (n * (cur - prev))
-    return u.astype(float), (1.0 / ssq).astype(float)
+    """Nodes and weights of the 128-node Gauss–Laguerre rule, read from
+    ``laguerre128.txt`` beside this module: one node and its weight per
+    line, as float.hex literals. The tests rebuild the table bit for bit
+    (oracles.laguerre_rule: Sturm bisection on the Jacobi matrix, then
+    Newton on L_128 in longdouble, correctly rounded on x87 hardware)."""
+    text = Path(__file__).with_name("laguerre128.txt").read_text()
+    table = np.array([float.fromhex(v) for v in text.split()])
+    return table[0::2], table[1::2]
 
 
 def _laguerre_sums(xs: np.ndarray) -> tuple:

@@ -536,6 +536,39 @@ def lentz_scaled(x, n: int = 1) -> np.ndarray:
     return h.astype(float)
 
 
+def laguerre_rule(n: int = 128) -> tuple:
+    """Nodes and weights of the n-point Gauss–Laguerre rule, without LAPACK:
+    the builder of the 128-node table ``special`` reads. Node i is the i-th
+    eigenvalue of the Jacobi matrix (diagonal 2k+1, off-diagonal k): 20
+    bisection steps on its Sturm count isolate it in the Gershgorin interval
+    [0, 4n], and six Newton steps on L_n polish it; the weights are the
+    Christoffel numbers 1/Σ_{k<n} L_k(u)² of the last step. Newton runs in
+    longdouble, which on x87 hardware makes the rule correctly rounded (in
+    double the smallest nodes lose about 1e-13)."""
+    index = np.arange(n)
+    lo, hi = np.zeros(n), np.full(n, 4.0 * n)
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        d = 1.0 - mid       # negative LDLᵀ pivots of T - mid·I: nodes < mid
+        below = (d < 0.0).astype(int)
+        with np.errstate(divide="ignore"):
+            for k in range(1, n):
+                d = (2 * k + 1 - mid) - k * k / d
+                below += d < 0.0
+        above = below > index
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    u = (0.5 * (lo + hi)).astype(np.longdouble)
+    for _ in range(6):
+        # L_n, L_{n-1} and Σ_{k<n} L_k² by the three-term recurrence; then
+        # a Newton step, with u·L_n' = n·(L_n - L_{n-1})
+        prev, cur, ssq = 0.0 * u, 1.0 + 0.0 * u, 0.0 * u
+        for k in range(n):
+            ssq = ssq + cur * cur
+            prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
+        u = u - u * cur / (n * (cur - prev))
+    return u.astype(float), (1.0 / ssq).astype(float)
+
+
 def horner_series(x) -> np.ndarray:
     """E1(x) for 0 < x < 1 from the series -γ - ln(x) + Σ_{n=1}^{19}
     (-1)^{n+1} x^n/(n·n!) (Abramowitz & Stegun 5.1.11), summed by Horner's

@@ -832,6 +832,25 @@ def test_the_library_raises_before_it_solves_a_row(monkeypatch):
     assert solves == []
 
 
+def test_each_problem_does_its_reach_work_once(monkeypatch):
+    # analysis._row checks every row's targets and solver._start checks
+    # them again before the solve: RA1's PerfectCSI and RA3's Problem each
+    # run allocator.check_reach once, whatever the number of checks
+    reached = []
+    for cls in (dual.Problem, dual.PerfectCSI):
+        def spied(problem, check=cls.check_targets):
+            reached.append(("check", type(problem)))
+            check(problem)
+        monkeypatch.setattr(cls, "check_targets", spied)
+    reach = dual.check_reach
+    monkeypatch.setattr(dual, "check_reach", lambda *args: (
+        reached.append(("reach", reached[-1][1])), reach(*args))[1])
+    compare_schemes(micro_setup(), ("RA1", "RA3"))
+    for kind in (dual.Problem, dual.PerfectCSI):
+        assert reached.count(("check", kind)) == 2
+        assert reached.count(("reach", kind)) == 1
+
+
 def test_compare_schemes_lets_a_schemes_key_error_through(monkeypatch):
     def broken(setup, problem):
         raise KeyError("inside the scheme")

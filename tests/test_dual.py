@@ -501,9 +501,10 @@ def test_channel_classes_match_the_per_channel_oracle(instance):
 
     # J sums terms p·r²·b with |b| <= 2/eps that cancel where one user wins
     # a capped cell, so an entry near 0 is compared at the terms' scale;
-    # seeding a Problem's classes and columns with every channel its own
-    # class enumerates each of them
+    # seeding a Problem's classes, class grid and columns with every channel
+    # its own class enumerates each of them
     full.classes = (np.arange(K), np.ones(K), np.arange(K))
+    full._class_grid = grid
     full.columns = per_channel_columns(grid)
     rmax = float(build_tables(model, grid, mult, rate_cap).rate.max())
     _agree(classes.evaluate(mult.lambda_r, "smooth", eps).jacobian(),
@@ -570,6 +571,55 @@ def test_static_builds_cell_data_on_the_class_representatives(model,
     assert shapes == [(2, 2, 3)]
     for g, w in zip(got, want, strict=True):
         np.testing.assert_array_equal(g, w)
+
+
+def test_a_grid_builds_its_class_data_once_per_model(monkeypatch):
+    # as an offline pass does: eight Problems on one grid, each checked,
+    # evaluated and solved, then exact_dual's throwaway Problems, share the
+    # grid's class data; a second, equal model shares its entry, and
+    # another family gets its own
+    fading = FadingModel(np.array([[1.0, 1.0, 2.0, 2.0],
+                                   [0.5, 0.5, 1.5, 1.5]]), seed=0)
+    grid = build_equiprobable(fading, 3)
+    mult = Multipliers(np.array([1.0, 1.5]), np.ones(2), np.array([0.5, 0.7]))
+    built = []
+    for cls in (ErgodicCapacity, OutageCapacity):
+        def spy(self, ctx, cell_data=cls.cell_data):
+            built.append(np.broadcast(ctx.q_lo, ctx.q_hi,
+                                      ctx.mean_gain).shape)
+            return cell_data(self, ctx)
+
+        monkeypatch.setattr(cls, "cell_data", spy)
+    problems = []
+    for model in (ErgodicCapacity(), ErgodicCapacity(), MODEL):
+        for _ in range(8):
+            problem = Problem(grid, model, mult.mu, mult.targets)
+            problem.evaluate(mult.lambda_r, "smooth")
+            run_offline_nonsmooth(problem, SolverConfig(max_iters=3))
+            problems.append(problem)
+        for mode in ("hard", "smooth", "hard"):
+            exact_dual(model, grid, mult, mode)
+    assert built == [(2, 2, 3)] * 2
+    for problem in problems:
+        assert problem._class_grid is grid.class_grid
+        assert problem.region_probs is grid.class_grid.region_probs
+        assert problem.static is problems[-1 if problem.model is MODEL
+                                          else 0].static
+
+
+@pytest.mark.parametrize("model", FAMILIES.values(), ids=list(FAMILIES))
+def test_shared_class_data_is_read_only(model):
+    # every Problem on the grid reads these arrays, so none may write them
+    fading = FadingModel(np.array([[1.0, 1.0, 2.0], [0.5, 0.5, 1.5]]), seed=0)
+    problem = Problem(build_equiprobable(fading, 3), model, np.ones(2),
+                      np.array([0.5, 0.7]))
+    shared = (*problem.static, problem.region_probs,
+              problem._class_grid.thresholds, problem._class_grid.mean_gain)
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a += 0.0
 
 
 def test_region_probs_are_built_on_the_class_representatives():

@@ -16,7 +16,7 @@ import qcsched
 from qcsched import special
 from qcsched.special import exp1, exp1_scaled, exp12_scaled
 
-from oracles import horner_series, lentz_scaled
+from oracles import horner_series, laguerre_rule, lentz_scaled
 
 # mpmath.e1 at 30 digits, rounded to double
 E1_REF = [
@@ -212,6 +212,17 @@ def test_rule_matches_golub_welsch():
     # Gauss exactness: Σ w·u^j = ∫ u^j e^{-u} du = j!
     for j in range(6):
         assert (w * u ** j).sum() == pytest.approx(factorial(j), rel=1e-14)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="the builder is correctly rounded with x87 "
+                           "extended precision only")
+def test_tabulated_rule_is_the_builders_bit_for_bit():
+    u, w = special._laguerre_rule()
+    want_u, want_w = laguerre_rule(len(u))
+    assert len(u) == 128
+    assert u.tobytes() == want_u.tobytes()
+    assert w.tobytes() == want_w.tobytes()
 
 
 def test_each_element_is_independent_of_the_call():
